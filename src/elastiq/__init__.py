@@ -8,7 +8,6 @@ cost model, and a budget-token controller that picks per-layer profiles.
 __version__ = "0.1.0"
 
 from . import certificate
-from . import cli
 from . import controller
 from . import cost
 from . import elastic
@@ -16,7 +15,6 @@ from . import linalg
 from . import manifest
 from . import network
 from . import quant
-from . import train
 
-__all__ = ["certificate", "cli", "controller", "cost", "elastic", "linalg",
-           "manifest", "network", "quant", "train"]
+__all__ = ["certificate", "controller", "cost", "elastic", "linalg",
+           "manifest", "network", "quant"]

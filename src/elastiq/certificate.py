@@ -19,25 +19,31 @@ Tail gains are evaluated at both the stored and the compressed weights and
 the larger is used. Truncation alone cannot grow a spectral norm here, but
 low-bit quantization can, and a tail evaluated only at stored weights
 would silently void the guarantee.
+
+Every bound is read off one ledger. ``ledger`` checks once that the
+calibration statistics belong to the network, evaluates all layer
+sensitivities in a single ``lipschitz_proxy`` pass, and returns one
+(sensitivity, weight-change norm, alpha) row per layer; ``ledger_terms``
+multiplies each row out and ``ledger_total`` sums the products in layer
+order. The expected and pointwise bounds, the manifest's certificate
+section, the planner's tables and the trainer's coefficients are all read
+off ``ledger``; manifest verification recomputes the same columns with
+``lipschitz_proxy`` and ``compression_gain`` and re-sums the stored rows
+with ``ledger_total``.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from . import elastic, linalg, network
+from . import elastic, network
 
 CONSERVATIVE = "conservative"
 
 # iterative spectral-norm estimates converge from below; every such value
 # that enters a certificate is inflated by this factor
 _SLACK = 1.0 + 1e-8
-
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,8 @@ def calibrate(net, inputs):
                             fingerprint=network_fingerprint(net))
 
 
-def _check_stats(net, stats):
+def check_fresh(net, stats):
+    """Raise unless stats were measured on exactly these parameters."""
     if stats.fingerprint != network_fingerprint(net):
         raise ValueError(
             "stale calibration statistics: network fingerprint mismatch")
@@ -170,15 +177,6 @@ def _conservative_multipliers(net, entries=None):
     return [_local_scale(net.blocks[i]) * suffix[i + 1] for i in range(n)]
 
 
-def _act_derivative(name, z):
-    if name == network.RELU:
-        return (z > 0.0).astype(np.float64)
-    if name == network.IDENTITY:
-        return np.ones_like(z)
-    cdf = 0.5 * (1.0 + erf(z / _SQRT2))
-    return cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT2PI
-
-
 def _post_weight_jacobian(net, ell, x):
     """Exact Jacobian of the logits w.r.t. the signal just after block
     ell's weight multiply, at input x, full stored weights."""
@@ -197,7 +195,7 @@ def _post_weight_jacobian(net, ell, x):
         if blk.gamma is not None:
             scale = blk.gamma
             z = scale * u + blk.beta
-        d = _act_derivative(blk.activation, z) * scale
+        d = network._act_grad(blk.activation, z) * scale
         if j == ell:
             jac = d[:, None] * np.eye(u.shape[0])
         else:
@@ -221,27 +219,23 @@ def _jacobian_norm_estimate(jac, steps):
     return float(np.linalg.norm(jac @ v))
 
 
-def lipschitz_proxy(net, ell, mode=CONSERVATIVE, calibration_inputs=None,
+def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
                     profile=None):
-    """Sensitivity of the logits to a perturbation injected right after
-    layer ell's weight multiply.
+    """Per-layer sensitivity of the logits to a perturbation injected right
+    after each layer's weight multiply; one entry per layer, in order.
 
     Conservative mode multiplies per-block Lipschitz bounds downstream of
-    the injection point (guaranteed upper bound; with the final block a
+    each injection point (guaranteed upper bounds; with the final block a
     plain linear head, the last layer's value is exactly 1). PowerIter
     mode power-iterates the exact downstream Jacobian at each calibration
     input and EMA-smooths the estimates; it can undershoot and is never
     treated as certified. The optional profile widens conservative tail
     gains to cover the compressed weights.
     """
-    n = len(net.blocks)
-    if not 0 <= int(ell) < n:
-        raise ValueError("layer index out of range")
-    ell = int(ell)
     if mode == CONSERVATIVE:
         entries = network.resolve_profile(net, profile) \
             if profile is not None else None
-        return float(_conservative_multipliers(net, entries)[ell])
+        return _conservative_multipliers(net, entries)
     if not isinstance(mode, PowerIter):
         raise ValueError("mode must be CONSERVATIVE or a PowerIter")
     if any(b.is_conv for b in net.blocks):
@@ -251,13 +245,16 @@ def lipschitz_proxy(net, ell, mode=CONSERVATIVE, calibration_inputs=None,
     xs = np.atleast_2d(np.asarray(calibration_inputs, dtype=np.float64))
     if xs.shape[0] == 0:
         raise ValueError("sampled proxy needs calibration inputs")
-    ema = None
-    for row in xs:
-        jac = _post_weight_jacobian(net, ell, row)
-        est = _jacobian_norm_estimate(jac, mode.steps)
-        ema = est if ema is None \
-            else mode.ema_decay * ema + (1.0 - mode.ema_decay) * est
-    return float(ema)
+    sens = []
+    for ell in range(len(net.blocks)):
+        ema = None
+        for row in xs:
+            jac = _post_weight_jacobian(net, ell, row)
+            est = _jacobian_norm_estimate(jac, mode.steps)
+            ema = est if ema is None \
+                else mode.ema_decay * ema + (1.0 - mode.ema_decay) * est
+        sens.append(float(ema))
+    return sens
 
 
 def _delta_gain(block, k, q):
@@ -281,41 +278,47 @@ def compression_gain(net, ell, k, q=None):
     return _delta_gain(net.blocks[int(ell)], int(k), q)
 
 
-def _multipliers(net, entries, mode, calibration_inputs):
-    if mode == CONSERVATIVE:
-        return _conservative_multipliers(net, entries)
-    return [lipschitz_proxy(net, i, mode, calibration_inputs)
-            for i in range(len(net.blocks))]
+def ledger(net, stats, profile, mode=CONSERVATIVE,
+           calibration_inputs=None):
+    """Certificate rows of one profile: (sensitivity, weight-change norm,
+    alpha) per layer, in layer order.
 
-
-def _ledger_rows(net, stats, profile, mode, calibration_inputs):
+    Errors on stats measured on a different network. Sensitivities come
+    from one lipschitz_proxy pass; conservative ones cover the profile's
+    compressed weights.
+    """
+    check_fresh(net, stats)
     entries = network.resolve_profile(net, profile)
-    mults = _multipliers(net, entries, mode, calibration_inputs)
-    rows = []
-    for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries)):
-        rows.append((float(mults[i]), _delta_gain(blk, k, q),
-                     float(stats.alpha[i])))
-    return rows
+    sens = lipschitz_proxy(net, mode, calibration_inputs, entries)
+    return [(sens[i], _delta_gain(blk, k, q), float(stats.alpha[i]))
+            for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries))]
+
+
+def ledger_terms(rows):
+    """Per-row drift contributions: sensitivity x weight change x alpha.
+    The alpha column may hold per-input norm arrays instead."""
+    return [sens * change * alpha for sens, change, alpha in rows]
+
+
+def ledger_total(rows):
+    """Sum of the row contributions, accumulated in layer order."""
+    total = 0.0
+    for term in ledger_terms(rows):
+        total += term
+    return total
 
 
 def pointwise_bound(net, stats, profile, x, mode=CONSERVATIVE,
                     calibration_inputs=None):
     """Certified drift bound at one input (or a batch, one bound per row),
     evaluated with the full model's layer-input norms."""
-    _check_stats(net, stats)
-    entries = network.resolve_profile(net, profile)
-    mults = _multipliers(net, entries, mode, calibration_inputs)
-    dgains = [_delta_gain(b, k, q) for b, (k, q) in zip(net.blocks, entries)]
+    rows = ledger(net, stats, profile, mode, calibration_inputs)
     first = net.blocks[0]
     want = 3 if first.is_conv else 1
     single = np.asarray(x).ndim == want
     tr = network.forward(net, x, None)
-    total = np.zeros(1 if single else np.asarray(x).shape[0])
-    for i in range(len(net.blocks)):
-        if dgains[i] == 0.0:
-            continue
-        norms = _row_norms(tr.inputs[i], single)
-        total = total + mults[i] * dgains[i] * norms
+    total = ledger_total([(sens, change, _row_norms(a, single))
+                          for (sens, change, _), a in zip(rows, tr.inputs)])
     return float(total[0]) if single else total
 
 
@@ -324,56 +327,8 @@ def expected_bound(net, stats, profile, mode=CONSERVATIVE,
     """Aggregate expected-drift bound: sum over layers of sensitivity x
     weight-change norm x input-norm RMS. Errors on stats measured on a
     different network."""
-    _check_stats(net, stats)
-    rows = _ledger_rows(net, stats, profile, mode, calibration_inputs)
-    total = 0.0
-    for mult, dgain, alpha in rows:
-        total += mult * dgain * alpha
-    return float(total)
-
-
-@dataclass(frozen=True)
-class CertificateLedger:
-    """Per-layer certificate rows plus the aggregate they sum to.
-
-    rows[i] = (sensitivity, weight-change norm, input-norm RMS); delta_hat
-    is exactly the ordered sum of the row products. quantiles carries
-    labeled per-input summaries of both the pointwise bound and the
-    observed drift over the calibration set, since either may be wanted
-    as a deployment threshold.
-    """
-
-    rows: tuple
-    delta_hat: float
-    mode: object
-    quantiles: dict
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != 3 or any(v < 0.0 for v in row):
-                raise ValueError("ledger rows must be non-negative triples")
-        if self.delta_hat < 0.0:
-            raise ValueError("aggregate must be non-negative")
-
-
-def build_ledger(net, stats, profile, calibration_inputs, mode=CONSERVATIVE):
-    _check_stats(net, stats)
-    rows = _ledger_rows(net, stats, profile, mode, calibration_inputs)
-    total = 0.0
-    for mult, dgain, alpha in rows:
-        total += mult * dgain * alpha
-    xs = np.asarray(calibration_inputs, dtype=np.float64)
-    bounds = np.atleast_1d(pointwise_bound(
-        net, stats, profile, xs, mode, calibration_inputs))
-    drifts = np.atleast_1d(network.logit_drift(net, xs, profile))
-    def summarize(vals):
-        return {"p50": float(np.percentile(vals, 50)),
-                "p95": float(np.percentile(vals, 95)),
-                "max": float(np.max(vals))}
-    quantiles = {"pointwise_bound": summarize(bounds),
-                 "observed_drift": summarize(drifts)}
-    return CertificateLedger(rows=tuple(rows), delta_hat=float(total),
-                             mode=mode, quantiles=quantiles)
+    return float(ledger_total(
+        ledger(net, stats, profile, mode, calibration_inputs)))
 
 
 def diagnostics(net, stats, profiles, eval_inputs, epsilon,
@@ -388,7 +343,7 @@ def diagnostics(net, stats, profiles, eval_inputs, epsilon,
     profiles = list(profiles)
     if len(profiles) < 2:
         raise ValueError("diagnostics needs at least two profiles")
-    _check_stats(net, stats)
+    check_fresh(net, stats)
     xs = np.asarray(eval_inputs, dtype=np.float64)
     delta_hats, mean_drifts, all_drifts = [], [], []
     for prof in profiles:

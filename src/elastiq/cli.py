@@ -13,6 +13,8 @@ audit       scan the stored lattice for monotonicity violations
 The intended order is train (or decompose) -> certify -> plan -> select /
 report / audit; certify requires a loadable model, plan requires a
 certified manifest, and select/report/audit require a planned lattice.
+certify drops a stored lattice, whose drift bounds came from the ledger it
+replaces, so plan runs again after it.
 
 Exit codes
 ----------
@@ -345,6 +347,8 @@ def cmd_certify(args):
     doc["certificate"] = manifest.certificate_section(
         net, stats, profiles, mode, epsilon=args.epsilon,
         calibration_inputs=probes)
+    # a lattice's drift bounds come from the ledger just replaced
+    doc.pop("lattice", None)
     out = args.out or args.model
     _write_doc(doc, out)
     cert = doc["certificate"]

@@ -321,13 +321,6 @@ def enforce_monotone(profiles, budgets=None):
     return MonotoneResult(tuple(out), tuple(corrected))
 
 
-def _check_fresh(net, stats):
-    if stats.fingerprint != certificate.network_fingerprint(net):
-        raise ValueError(
-            "stale calibration statistics: the network changed after "
-            "calibrate() ran")
-
-
 def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
                      calibration_inputs=None):
     """Per-layer, per-menu-entry certified drift contribution.
@@ -337,18 +330,13 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
     table drives snapping tolerances and greedy allocation; certified
     reports always come from the certificate module itself.
     """
-    _check_fresh(net, stats)
     menus = _check_menus(menus, len(net.blocks))
-    mults = [certificate.lipschitz_proxy(net, ell, mode,
-                                         calibration_inputs)
-             for ell in range(len(net.blocks))]
+    rows = certificate.ledger(net, stats, None, mode, calibration_inputs)
     table = []
-    for ell, menu in enumerate(menus):
-        row = [mults[ell]
-               * certificate.compression_gain(net, ell, k, q)
-               * stats.alpha[ell]
-               for k, q in menu]
-        table.append(row)
+    for ell, ((sens, _, alpha), menu) in enumerate(zip(rows, menus)):
+        table.append(certificate.ledger_terms(
+            [(sens, certificate.compression_gain(net, ell, k, q), alpha)
+             for k, q in menu]))
     return table
 
 
@@ -361,18 +349,12 @@ def layer_tolerances(net, stats, epsilon, profile,
     at the reference profile; when that bound is zero (reference equals
     the full model) the split is uniform.
     """
-    _check_fresh(net, stats)
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    entries = network.resolve_profile(net, profile)
-    terms = []
-    for ell, (k, q) in enumerate(entries):
-        mult = certificate.lipschitz_proxy(
-            net, ell, mode, calibration_inputs, profile=profile)
-        terms.append(mult * certificate.compression_gain(net, ell, k, q)
-                     * stats.alpha[ell])
-    total = sum(terms)
+    rows = certificate.ledger(net, stats, profile, mode, calibration_inputs)
+    terms = certificate.ledger_terms(rows)
+    total = certificate.ledger_total(rows)
     n = len(terms)
     if total <= 0.0:
         return [epsilon / n] * n

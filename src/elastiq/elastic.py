@@ -295,29 +295,15 @@ def soft_mask(mask, gumbel_noise, k_target):
     """Relaxed top-k indicator from noise-perturbed logits.
 
     Scores g = logits + noise are ranked; each entry gets
-    sigmoid((g_i - theta) / temperature) with theta placed mid-gap between
-    the k-th and (k+1)-th ranked scores, so both boundary entries saturate
-    cleanly as the temperature shrinks. k_target = k_max drops the threshold
-    below the smallest score and the mask tends to all-ones.
+    sigmoid((g_i - theta) * (1 / temperature)) with theta placed mid-gap
+    between the k-th and (k+1)-th ranked scores, so both boundary entries
+    saturate cleanly as the temperature shrinks. k_target = k_max drops the
+    threshold below the smallest score and the mask tends to all-ones.
+    The value is that of the differentiable mask training uses.
     """
-    tau = float(mask.temperature)
-    if not tau > 0.0:
-        raise ValueError("temperature must be positive")
-    logits = np.asarray(mask.logits, dtype=np.float64)
-    noise = np.asarray(gumbel_noise, dtype=np.float64)
-    if noise.shape != logits.shape:
-        raise ValueError("noise shape must match logits")
-    k_max = logits.shape[0]
-    k = int(k_target)
-    if not 1 <= k <= k_max:
-        raise ValueError("k_target out of range")
-    g = logits + noise
-    ranked = np.sort(g)[::-1]
-    if k == k_max:
-        theta = ranked[-1] - 1.0
-    else:
-        theta = 0.5 * (ranked[k - 1] + ranked[k])
-    return _sigmoid((g - theta) / tau)
+    from . import network  # network builds on this module
+    leaf = network.Var(mask.logits)
+    return network._tape_mask(leaf, mask, gumbel_noise, k_target).value
 
 
 def mask_values(mask, gumbel_noise=None, k_target=None):

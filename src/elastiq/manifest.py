@@ -513,27 +513,6 @@ def add_profile(doc, net, name, pairs):
     return doc
 
 
-def profile_factors(doc, name):
-    """Decode one profile's served factors: (u, core, v) float64 per layer."""
-    sec = doc["profiles"][name]
-    out = []
-    for entry in sec["layers"]:
-        out.append(tuple(decode_payload(entry[f]) for f in _FACTOR_NAMES))
-    return out
-
-
-def profile_weights(doc, name):
-    """Compose each layer's served weight tensor from its stored payloads."""
-    kinds = [lay["kind"] for lay in doc["topology"]["layers"]]
-    weights = []
-    for kind, (u, core, v) in zip(kinds, profile_factors(doc, name)):
-        if kind == elastic.CONV_TUCKER2:
-            weights.append(np.einsum("rshw,or,is->oihw", core, u, v))
-        else:
-            weights.append((u * core) @ v.T)
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # lattice / calibration / certificate sections
 
@@ -595,9 +574,9 @@ def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
                         epsilon=None, calibration_inputs=None):
     """Drift-certificate ledger over named profiles.
 
-    Stores, per profile, the per-layer sensitivity multipliers, the
-    per-layer weight-change norms, and their alpha-weighted sum; the
-    aggregate equals the expected-drift bound by construction. Only the
+    Stores, per profile, the sensitivity and weight-change columns of
+    certificate.ledger and their alpha-weighted sum (certificate.
+    ledger_total), which is the expected-drift bound. Only the
     conservative mode is marked certified — the sampled power-iteration
     proxy can undershoot and is recorded for reference only.
     """
@@ -611,24 +590,13 @@ def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
     }
     for name, pairs in profiles.items():
         entries = network.resolve_profile(net, list(pairs))
-        if conservative:
-            sens = [certificate.lipschitz_proxy(net, i, mode,
-                                                profile=list(entries))
-                    for i in range(len(net.blocks))]
-        else:
-            sens = [certificate.lipschitz_proxy(net, i, mode,
-                                                calibration_inputs)
-                    for i in range(len(net.blocks))]
-        change = [certificate.compression_gain(net, i, k, q)
-                  for i, (k, q) in enumerate(entries)]
-        delta = 0.0
-        for m, d, a in zip(sens, change, stats.alpha):
-            delta += m * d * float(a)
+        rows = certificate.ledger(net, stats, entries, mode,
+                                  calibration_inputs)
         sec["profiles"][str(name)] = {
             "pairs": pairs_to_doc(entries),
-            "sensitivity": _fmt_list(sens),
-            "weight_change": _fmt_list(change),
-            "delta_hat": fmt_float(delta),
+            "sensitivity": _fmt_list([sens for sens, _, _ in rows]),
+            "weight_change": _fmt_list([change for _, change, _ in rows]),
+            "delta_hat": fmt_float(certificate.ledger_total(rows)),
         }
     return sec
 
@@ -681,8 +649,12 @@ def canonical_json(doc):
 def _atomic_write(path, data):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
@@ -901,9 +873,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
         if not len(pairs) == len(sens) == len(change) == len(net.blocks):
             problems.append(f"certificate {name}: ragged ledger row")
             continue
-        total = 0.0
-        for m, d, a in zip(sens, change, alpha):
-            total += m * d * a
+        total = certificate.ledger_total(list(zip(sens, change, alpha)))
         if not _close(total, parse_float(entry["delta_hat"]), tol):
             problems.append(
                 f"certificate {name}: delta_hat is not the sum of its "
@@ -914,17 +884,10 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
                     f"{change[i]!r} != recomputed {fresh!r}")
-        if conservative:
-            fresh_sens = [
-                certificate.lipschitz_proxy(net, i, certificate.CONSERVATIVE,
-                                            profile=list(pairs))
-                for i in range(len(net.blocks))]
-        elif calibration_inputs is not None:
-            fresh_sens = [
-                certificate.lipschitz_proxy(net, i, mode, calibration_inputs)
-                for i in range(len(net.blocks))]
-        else:
+        if not conservative and calibration_inputs is None:
             continue
+        fresh_sens = certificate.lipschitz_proxy(net, mode,
+                                                 calibration_inputs, pairs)
         for i, (got, fresh) in enumerate(zip(sens, fresh_sens)):
             if not _close(fresh, got, tol):
                 problems.append(
@@ -939,10 +902,13 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     counts, fingerprint round-trip, served-factor agreement, cost-model
     byte accounting, lattice consistency, and — for conservative
     certificates — full recomputation of every ledger quantity from the
-    decoded parameters. Power-iteration ledgers are data-dependent, so
-    their sensitivities are only recomputed when calibration inputs are
-    supplied; their weight-change norms and aggregates are re-checked
-    regardless.
+    decoded parameters: the sensitivities of certificate.lipschitz_proxy,
+    the weight-change norms of certificate.compression_gain, and each
+    delta_hat as certificate.ledger_total of the stored rows, the same
+    functions certificate.ledger builds a ledger from. Power-iteration
+    ledgers are data-dependent, so their sensitivities are only recomputed
+    when calibration inputs are supplied; their weight-change norms and
+    aggregates are re-checked regardless.
     """
     problems = []
     if isinstance(doc_or_path, (str, os.PathLike)):
@@ -984,9 +950,12 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
         except (KeyError, ValueError, TypeError) as exc:
             problems.append(f"calibration: fails to reconstruct ({exc})")
             stats = None
-        if stats is not None and stats.fingerprint != fingerprint:
-            problems.append("calibration: fingerprint does not match the "
-                            "stored model")
+        if stats is not None:
+            try:
+                certificate.check_fresh(net, stats)
+            except ValueError:
+                problems.append("calibration: fingerprint does not match "
+                                "the stored model")
     try:
         _verify_profile_payloads(doc, net, problems, tol)
         _verify_lattice(doc, net, problems, tol)

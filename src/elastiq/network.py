@@ -17,7 +17,6 @@ and a straight-through quantizer.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import elastic, linalg, quant
 
@@ -183,21 +182,44 @@ def v_gather(a, indices):
     return out
 
 
-def v_relu(a):
-    out = Var(np.maximum(a.value, 0.0), (a,))
-    out._backward = lambda g: _acc(a, g * (a.value > 0.0))
+def _gelu_gate(x):
+    """1 + erf(x / sqrt 2). scipy is imported here, at the first GELU
+    evaluation, so importing the package does not load it."""
+    from scipy.special import erf
+    return 1.0 + erf(x / _SQRT2)
+
+
+def _act_value(name, x):
+    """A named activation applied elementwise."""
+    if name == RELU:
+        return np.maximum(x, 0.0)
+    if name == GELU:
+        return 0.5 * x * _gelu_gate(x)
+    return x
+
+
+def _act_grad(name, x):
+    """Elementwise derivative of a named activation (relu: 0 at 0)."""
+    if name == RELU:
+        return (x > 0.0).astype(np.float64)
+    if name == GELU:
+        phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return 0.5 * _gelu_gate(x) + x * phi
+    return np.ones_like(x)
+
+
+def _v_activation(a, name):
+    out = Var(_act_value(name, a.value), (a,))
+    out._backward = lambda g: _acc(a, g * _act_grad(name, a.value))
     return out
+
+
+def v_relu(a):
+    return _v_activation(a, RELU)
 
 
 def v_gelu(a):
-    x = a.value
-    out = Var(0.5 * x * (1.0 + erf(x / _SQRT2)), (a,))
-    def bk(g):
-        phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-        _acc(a, g * (cdf + x * phi))
-    out._backward = bk
-    return out
+    return _v_activation(a, GELU)
 
 
 def v_sigmoid(a):
@@ -304,32 +326,21 @@ def v_conv2d(x, kernel):
 def v_quant_ste(t, log_scale, bits, rounding=quant.NEAREST, seed=0):
     """Symmetric per-tensor quantize-dequantize with straight-through grads.
 
-    Forward rounds t / exp(log_scale) to the grid and rescales. Backward
-    passes upstream through entries whose nearest code is inside the grid
-    and routes s * upstream * (code - ratio) into log_scale, matching the
-    closed-form straight-through rule of the quantizer module.
+    Forward is quant.quantize then quant.dequantize at scale
+    exp(log_scale); backward is quant.ste_gradient, which passes upstream
+    through entries whose nearest code is inside the grid and routes
+    s * upstream * (code - ratio) into log_scale.
     """
     if log_scale.value.shape != (1,):
         raise ValueError("log_scale must have shape (1,)")
-    g_lim = quant.grid_limit(bits)
-    s = np.exp(log_scale.value)
-    ratio = t.value / s
-    nearest = np.rint(ratio)
-    if rounding == quant.NEAREST:
-        codes = nearest
-    elif rounding == quant.STOCHASTIC:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        lo = np.floor(ratio)
-        codes = lo + (rng.random(ratio.shape) < (ratio - lo))
-    else:
-        raise ValueError(f"unknown rounding {rounding!r}")
-    codes = np.clip(codes, -g_lim, g_lim)
-    out = Var(s * codes, (t, log_scale))
-    in_range = np.abs(nearest) <= g_lim
+    spec = quant.QuantSpec(bits=bits, rounding=rounding, seed=seed,
+                           scales=(float(np.exp(log_scale.value)[0]),))
+    out = Var(quant.dequantize(quant.quantize(t.value, spec)),
+              (t, log_scale))
     def bk(g):
-        _acc(t, g * in_range)
-        _acc(log_scale,
-             np.array([np.sum(s * g * (nearest - ratio) * in_range)]))
+        grad_t, grad_log_scale = quant.ste_gradient(g, t.value, spec)
+        _acc(t, grad_t)
+        _acc(log_scale, grad_log_scale)
     out._backward = bk
     return out
 
@@ -339,15 +350,6 @@ def v_quant_ste(t, log_scale, bits, rounding=quant.NEAREST, seed=0):
 
 
 _ACT_LIPSCHITZ = {RELU: 1.0, IDENTITY: 1.0, GELU: GELU_LIPSCHITZ}
-
-
-def _act_value(name, x):
-    if name == RELU:
-        return np.maximum(x, 0.0)
-    if name == GELU:
-        return 0.5 * x * (1.0 + erf(x / _SQRT2))
-    return x
-
 
 _ACT_NODE = {RELU: v_relu, GELU: v_gelu, IDENTITY: lambda a: a}
 
@@ -569,30 +571,6 @@ def weight_gain(w):
     if w.ndim != 2:
         raise ValueError("weight must be 2-d or 4-d")
     return float(linalg.spectral_norm(w))
-
-
-def _weight_gain(block):
-    return weight_gain(elastic.truncate(block.elastic, block.elastic.k_max))
-
-
-def block_gain(block):
-    """Lipschitz bound of one whole block at full rank, unquantized."""
-    g = _ACT_LIPSCHITZ[block.activation] * _weight_gain(block)
-    if block.gamma is not None:
-        g *= float(np.max(np.abs(block.gamma)))
-    return 1.0 + g if block.residual else g
-
-
-def exact_postlayer_lipschitz(net, ell):
-    """Upper bound on the gain of the map from block ell's output to the
-    logits: product of downstream block gains. ell = len(net) gives 1."""
-    n = len(net.blocks)
-    if not 0 <= int(ell) <= n:
-        raise ValueError("layer index out of range")
-    total = 1.0
-    for blk in net.blocks[int(ell):]:
-        total *= block_gain(blk)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

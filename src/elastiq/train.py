@@ -198,12 +198,8 @@ class LossTerms:
 
 def _fresh_coeffs(net, stats, mode=certificate.CONSERVATIVE,
                   calib=None):
-    if certificate.network_fingerprint(net) != stats.fingerprint:
-        raise ValueError("stale calibration statistics: recalibrate "
-                         "before scoring this network")
-    return np.array([certificate.lipschitz_proxy(
-        net, i, mode=mode, calibration_inputs=calib) * stats.alpha[i]
-        for i in range(len(net.blocks))])
+    rows = certificate.ledger(net, stats, None, mode, calib)
+    return np.array([sens * alpha for sens, _, alpha in rows])
 
 
 def _kl_node(logp_teacher, logp_student, batch_size):

@@ -328,8 +328,8 @@ class TestLayerTolerances:
         ref = [(1, None), (1, None)]
         tol = controller.layer_tolerances(net, stats, 0.8, ref)
         assert sum(tol) == pytest.approx(0.8, rel=1e-9)
-        terms = [certificate.lipschitz_proxy(net, ell, profile=ref)
-                 * certificate.compression_gain(net, ell, 1)
+        sens = certificate.lipschitz_proxy(net, profile=ref)
+        terms = [sens[ell] * certificate.compression_gain(net, ell, 1)
                  * stats.alpha[ell] for ell in range(2)]
         want = [0.8 * t / sum(terms) for t in terms]
         assert tol == pytest.approx(want, rel=1e-9)

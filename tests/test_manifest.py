@@ -1,0 +1,179 @@
+"""Manifest format: bit packing, byte-identical rewrites, payload checksums,
+file modes, and re-verification of every certificate ledger quantity."""
+
+import base64
+import copy
+import json
+import os
+import stat
+
+import numpy as np
+import pytest
+
+from elastiq import certificate, elastic, manifest, network
+from oracles import slow_pack_codes, slow_unpack_codes
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _raw_doc(side, seed=0):
+    """Raw one-layer model whose payload is a side x side f64 weight plus
+    its bias: 8 * side * (side + 1) bytes."""
+    rng = _rng(seed)
+    return manifest.raw_model_to_doc(
+        [rng.standard_normal((side, side))], [rng.standard_normal(side)])
+
+
+def _payload_bytes(doc):
+    return sum(int(p["bytes"]) for p in manifest._walk_payloads(doc))
+
+
+def _certified_doc():
+    rng = _rng(7)
+    blocks = (
+        network.Block(elastic=elastic.from_dense(
+            rng.standard_normal((6, 5)), bias=rng.standard_normal(6)),
+            activation=network.RELU),
+        network.Block(elastic=elastic.from_dense(
+            rng.standard_normal((3, 6)))),
+    )
+    net = network.Network(blocks)
+    doc = manifest.network_to_doc(net, seed=7)
+    profiles = {"low": [(2, 8), (1, None)], "mid": [(3, None), (2, 4)]}
+    for name, pairs in profiles.items():
+        manifest.add_profile(doc, net, name, pairs)
+    stats = certificate.calibrate(net, rng.standard_normal((16, 5)))
+    doc["calibration"] = manifest.stats_to_doc(stats)
+    doc["certificate"] = manifest.certificate_section(
+        net, stats, profiles, epsilon=1.0)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cert") / "m.json"
+    manifest.write_manifest(_certified_doc(), path)
+    return manifest.read_manifest(path)
+
+
+class TestPackCodes:
+    @pytest.mark.parametrize("bits", range(1, 33))
+    def test_matches_bit_string_oracle(self, bits):
+        rng = _rng(bits)
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        for n in (1, 7, 13):
+            codes = rng.integers(lo, hi, size=n, endpoint=True)
+            codes[0] = lo
+            buf = manifest.pack_codes(codes, bits)
+            assert buf == slow_pack_codes(codes, bits)
+            got = manifest.unpack_codes(buf, bits, n)
+            assert np.array_equal(got, slow_unpack_codes(buf, bits, n))
+            assert np.array_equal(got, codes)
+
+
+class TestRoundTrip:
+    # 360 and 363 put the payload just under and just over the threshold
+    @pytest.mark.parametrize("side, sidecar", [(360, False), (363, True)])
+    def test_rewrite_reproduces_bytes(self, tmp_path, side, sidecar):
+        doc = _raw_doc(side)
+        assert (_payload_bytes(doc) > manifest.SIDECAR_THRESHOLD) == sidecar
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        manifest.write_manifest(doc, first)
+        side_a = manifest.sidecar_path(first)
+        assert os.path.exists(side_a) == sidecar
+        manifest.write_manifest(manifest.read_manifest(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        if sidecar:
+            with open(side_a, "rb") as fa, \
+                    open(manifest.sidecar_path(second), "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_certified_rewrite_reproduces_bytes(self, tmp_path, certified):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        manifest.write_manifest(certified, first)
+        manifest.write_manifest(manifest.read_manifest(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_flipped_embedded_byte_raises(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest.write_manifest(_raw_doc(4), path)
+        doc = json.loads(path.read_text())
+        payload = doc["model"]["layers"][0]["weight"]
+        raw = bytearray(base64.b64decode(payload["data"]))
+        raw[3] ^= 0x01
+        payload["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        path.write_text(manifest.canonical_json(doc))
+        with pytest.raises(manifest.ManifestError, match="checksum"):
+            manifest.read_manifest(path)
+
+    def test_flipped_sidecar_byte_raises(self, tmp_path):
+        path = tmp_path / "m.json"
+        manifest.write_manifest(_raw_doc(363), path)
+        side = manifest.sidecar_path(path)
+        with open(side, "r+b") as fh:
+            fh.seek(1000)
+            byte = fh.read(1)
+            fh.seek(1000)
+            fh.write(bytes([byte[0] ^ 0x80]))
+        with pytest.raises(manifest.ManifestError, match="checksum"):
+            manifest.read_manifest(path)
+
+
+class TestFileMode:
+    def test_manifest_and_sidecar_follow_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            path = tmp_path / "m.json"
+            manifest.write_manifest(_raw_doc(363), path)
+        finally:
+            os.umask(old)
+        for f in (path, manifest.sidecar_path(path)):
+            assert stat.S_IMODE(os.stat(f).st_mode) == 0o644
+
+
+def _scaled(text, factor=1.001):
+    return manifest.fmt_float(manifest.parse_float(text) * factor)
+
+
+class TestCertificateVerification:
+    def test_untouched_manifest_verifies(self, certified):
+        assert manifest.verify_manifest(certified) == []
+
+    @pytest.mark.parametrize("field", ["sensitivity", "weight_change"])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_changed_ledger_row_is_caught(self, certified, field, layer):
+        doc = copy.deepcopy(certified)
+        column = doc["certificate"]["profiles"]["low"][field]
+        column[layer] = _scaled(column[layer])
+        problems = manifest.verify_manifest(doc)
+        assert any(f"layer {layer}" in p for p in problems), problems
+
+    def test_changed_delta_hat_is_caught(self, certified):
+        doc = copy.deepcopy(certified)
+        entry = doc["certificate"]["profiles"]["mid"]
+        entry["delta_hat"] = _scaled(entry["delta_hat"])
+        problems = manifest.verify_manifest(doc)
+        assert any("delta_hat" in p for p in problems), problems
+
+    def test_changed_alpha_is_caught(self, certified):
+        doc = copy.deepcopy(certified)
+        alpha = doc["certificate"]["alpha"]
+        alpha[1] = _scaled(alpha[1])
+        problems = manifest.verify_manifest(doc)
+        assert any("alpha" in p for p in problems), problems
+        assert any("delta_hat" in p for p in problems), problems
+
+    def test_stored_rows_are_the_ledger(self, certified):
+        net = manifest.net_from_doc(certified)
+        stats = manifest.stats_from_doc(certified["calibration"])
+        entry = certified["certificate"]["profiles"]["mid"]
+        pairs = manifest.pairs_from_doc(entry["pairs"])
+        rows = certificate.ledger(net, stats, pairs)
+        assert manifest._parse_list(entry["sensitivity"]) \
+            == tuple(r[0] for r in rows)
+        assert manifest._parse_list(entry["weight_change"]) \
+            == tuple(r[1] for r in rows)
+        assert manifest.parse_float(entry["delta_hat"]) \
+            == certificate.ledger_total(rows)

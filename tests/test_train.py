@@ -21,9 +21,8 @@ def _small_setup(seed, dim=6, hidden=(8,), classes=3, n=12):
     y = rng.integers(0, classes, size=n)
     calib = rng.standard_normal((16, dim))
     stats = certificate.calibrate(net, calib)
-    coeffs = np.array([certificate.lipschitz_proxy(net, i)
-                       * stats.alpha[i]
-                       for i in range(len(net.blocks))])
+    coeffs = np.array([sens * alpha for sens, alpha in zip(
+        certificate.lipschitz_proxy(net), stats.alpha)])
     return net, x, y, stats, coeffs
 
 
@@ -300,8 +299,8 @@ class TestTotalLoss:
         y = np.array([1])
         calib = np.random.default_rng(8).standard_normal((10, 4))
         stats = certificate.calibrate(net, calib)
-        coeffs = np.array([certificate.lipschitz_proxy(net, i)
-                           * stats.alpha[i] for i in range(2)])
+        coeffs = np.array([sens * alpha for sens, alpha in zip(
+            certificate.lipschitz_proxy(net), stats.alpha)])
         w = train.LossWeights(epsilon=0.05)
         terms, _ = train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
                                     rng=train._FixedNoise(
