@@ -41,11 +41,6 @@ from . import elastic, network
 
 CONSERVATIVE = "conservative"
 
-# iterative spectral-norm estimates converge from below; every such value
-# that enters a certificate is inflated by this factor
-_SLACK = 1.0 + 1e-8
-
-
 @dataclass(frozen=True)
 class PowerIter:
     """Sampled-Jacobian proxy mode: power-iteration steps + EMA decay."""
@@ -160,7 +155,7 @@ def _tail_gain(block, entry):
         if k != block.elastic.k_max or q is not None:
             comp = elastic.effective_weight(block.elastic, k, q)
             wg = max(wg, network.weight_gain(comp))
-    g = _local_scale(block) * wg * _SLACK
+    g = _local_scale(block) * wg
     return 1.0 + g if block.residual else g
 
 
@@ -266,7 +261,7 @@ def _delta_gain(block, k, q):
         return float(elastic.residual_norm(lay, k, q))
     delta = elastic.truncate(lay, lay.k_max) \
         - elastic.effective_weight(lay, k, q)
-    return float(network.weight_gain(delta) * _SLACK)
+    return network.weight_gain(delta)
 
 
 def compression_gain(net, ell, k, q=None):

@@ -28,7 +28,9 @@ Exit codes
 Every command prints machine-readable lines of the form
 ``@@ <topic> key=value key=value ...`` alongside any human-readable text;
 floats are printed with shortest round-trip precision. Reruns with
-identical arguments and seeds produce byte-identical stdout and files.
+identical arguments and seeds produce byte-identical stdout and files at a
+fixed BLAS thread count (e.g. OPENBLAS_NUM_THREADS): LAPACK's SVD may
+round differently when the thread count changes on large matrices.
 
 Calibration probes
 ------------------

@@ -102,12 +102,18 @@ def from_dense(w, k_min=1, k_max=None, group_id=None, bias=None):
 
 
 def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None, sweeps=3):
-    """Factorize a conv kernel (c_out, c_in, h, w) into a Tucker-2 layer."""
+    """Factorize a conv kernel (c_out, c_in, h, w) into a Tucker-2 layer.
+
+    Each channel rank is clamped to the rank of its unfolding, so a layer
+    such as a 1x1 bottleneck stores no more components than exist.
+    """
     w4 = np.asarray(w4, dtype=np.float64)
-    c_out, c_in = int(w4.shape[0]), int(w4.shape[1])
-    f = linalg.tucker2_fit(w4, c_out, c_in, sweeps=sweeps)
+    c_out, c_in, kh, kw = (int(d) for d in w4.shape)
+    r_out = min(c_out, c_in * kh * kw)
+    r_in = min(c_in, c_out * kh * kw)
+    f = linalg.tucker2_fit(w4, r_out, r_in, sweeps=sweeps)
     if k_max is None:
-        k_max = max(c_out, c_in)
+        k_max = max(r_out, r_in)
     return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, group_id, bias)
 
 
@@ -223,11 +229,10 @@ def residual_norm(layer, k, q=None):
     a genuine SVD answers from its spectrum: the norm is exactly the first
     discarded singular value. Every other case — quantized factors, other
     kinds, or factors perturbed away from orthonormality by training —
-    materializes the residual and runs power iteration on it; that result
-    is nudged up by 1e-8 relative so the reported value stays a usable
-    upper bound despite the iteration approaching from below. Conv
-    residuals are measured on the (c_out, c_in*h*w) unfolding. q may be a
-    single width or a (u, core, v) triple.
+    materializes the residual and takes its ``linalg.spectral_norm``, an
+    upper bound by contract. Conv residuals are measured on the
+    (c_out, c_in*h*w) unfolding. q may be a single width or a
+    (u, core, v) triple.
     """
     k = _check_k(layer, k)
     if q is None and k == layer.k_max:
@@ -240,8 +245,7 @@ def residual_norm(layer, k, q=None):
     resid = full - approx
     if resid.ndim == 4:
         resid = resid.reshape(resid.shape[0], -1)
-    est = linalg.spectral_norm(resid, tol=1e-12, max_iters=2000)
-    return float(est * (1.0 + 1e-8))
+    return linalg.spectral_norm(resid)
 
 
 # ---------------------------------------------------------------------------

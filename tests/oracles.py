@@ -12,9 +12,8 @@ import scipy.special
 def jacobi_gram_eigvals(w, iters=20000, tol=1e-14):
     """Eigenvalues of w.T @ w by classical (largest-pivot) Jacobi rotations.
 
-    Distinct from the package's cyclic sweep implementation: picks the
-    single largest off-diagonal element each step and never accumulates
-    eigenvectors.
+    Shares nothing with the package's LAPACK SVD: picks the single largest
+    off-diagonal element each step and never accumulates eigenvectors.
     """
     s = w.T @ w
     s = 0.5 * (s + s.T)
@@ -43,6 +42,16 @@ def jacobi_gram_eigvals(w, iters=20000, tol=1e-14):
         s = rot.T @ s @ rot
         s = 0.5 * (s + s.T)
     return np.sort(np.diag(s))[::-1].copy()
+
+
+def tucker2_recompose(f):
+    """Kernel represented by Tucker2Factors, by one plain einsum."""
+    return np.einsum("rshw,or,is->oihw", f.core, f.u_out, f.u_in)
+
+
+def cp_recompose(f):
+    """Matrix represented by CpFactors: a1 @ diag(weights) @ a2.T."""
+    return (f.a1 * f.weights) @ f.a2.T
 
 
 def naive_dense_forward(weights, biases, acts, x, norms=None, residual=None):

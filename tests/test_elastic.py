@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from elastiq import elastic, linalg
 
+from oracles import tucker2_recompose
+
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -89,8 +91,17 @@ class TestTruncate:
         kernel = _rng(13).standard_normal((4, 3, 3, 3))
         layer = elastic.from_conv(kernel)
         got = elastic.truncate(layer, layer.k_max)
-        assert np.array_equal(got, linalg.tucker2_recompose(layer.factors))
+        assert np.array_equal(got, tucker2_recompose(layer.factors))
         assert np.allclose(got, kernel, atol=1e-8)
+
+    def test_conv_ranks_clamped_to_unfolding_ranks(self):
+        # 1x1 8->4: the input unfolding (8, 4) has rank 4, not c_in = 8
+        kernel = _rng(14).standard_normal((4, 8, 1, 1))
+        layer = elastic.from_conv(kernel)
+        assert layer.factors.core.shape == (4, 4, 1, 1)
+        assert layer.k_max == 4
+        assert elastic.conv_rank_schedule(layer, 4) == (4, 4)
+        assert np.allclose(elastic.truncate(layer, 4), kernel, atol=1e-12)
 
     def test_conv_schedule_hand_values(self):
         kernel = _rng(14).standard_normal((6, 4, 3, 3))
@@ -170,7 +181,7 @@ class TestResidualNorm:
             _independent_round_trip(f.core[:r_o, :r_i], q),
             _independent_round_trip(f.u_out[:, :r_o], q),
             _independent_round_trip(f.u_in[:, :r_i], q))
-        resid = linalg.tucker2_recompose(f) - approx
+        resid = tucker2_recompose(f) - approx
         want = np.linalg.norm(resid.reshape(resid.shape[0], -1), 2)
         assert got == pytest.approx(want, rel=1e-6)
 

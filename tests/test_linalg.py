@@ -5,13 +5,13 @@ from elastiq.linalg import (
     svd_full,
     spectral_norm,
     tucker2_fit,
-    tucker2_recompose,
     cp_fit,
-    cp_recompose,
-    spectral_gap_penalty,
 )
 
-from oracles import jacobi_gram_eigvals
+from oracles import cp_recompose, jacobi_gram_eigvals, tucker2_recompose
+
+# spectral_norm's relative upper-bound slack
+SLACK = 1.0 + 1e-8
 
 
 def _rand(m, n, seed):
@@ -99,6 +99,18 @@ class TestSvdFull:
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.v, f2.v)
 
+    def test_sign_convention(self):
+        # the largest-magnitude entry of each u column is positive, so
+        # negating w keeps u and negates v
+        for seed, (m, n) in [(0, (7, 5)), (1, (5, 7)), (2, (6, 6))]:
+            w = _rand(m, n, seed + 90)
+            f, g = svd_full(w), svd_full(-w)
+            rows = np.argmax(np.abs(f.u), axis=0)
+            assert np.all(f.u[rows, np.arange(f.u.shape[1])] > 0)
+            assert np.allclose(g.u, f.u, rtol=0.0, atol=1e-12)
+            assert np.allclose(g.v, -f.v, rtol=0.0, atol=1e-12)
+            assert np.allclose(g.sigma, f.sigma, rtol=1e-14, atol=0.0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             svd_full(np.zeros((0, 3)))
@@ -109,32 +121,31 @@ class TestSvdFull:
 
 
 class TestSpectralNorm:
+    """spectral_norm is LAPACK's largest singular value times the slack:
+    never below the true norm, and above it by at most the slack."""
+
+    @staticmethod
+    def _bracketed(got, w):
+        want = np.linalg.svd(w, compute_uv=False)[0]
+        return want <= got <= want * SLACK
+
     def test_matches_svd_oracle(self):
         for seed in range(8):
             w = _rand(12, 10, seed + 50)
-            got = spectral_norm(w, seed=0, tol=1e-12, max_iters=500)
-            want = svd_full(w).sigma[0]
-            assert abs(got - want) <= 1e-6 * want
+            assert self._bracketed(spectral_norm(w), w)
 
     def test_hand_computed_column(self):
         # [[3],[4]] stacked with a zero column: largest singular value 5
         w = np.array([[3.0, 0.0], [4.0, 0.0]])
-        assert abs(spectral_norm(w) - 5.0) <= 1e-9
+        assert 5.0 <= spectral_norm(w) <= 5.0 * SLACK
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
 
-    def test_deterministic_for_fixed_seed(self):
-        w = _rand(10, 10, 8)
-        assert spectral_norm(w, seed=3) == spectral_norm(w, seed=3)
-
-    def test_never_exceeds_true_norm(self):
-        # power iteration approaches the top singular value from below
+    def test_never_below_true_norm(self):
         for seed in range(5):
             w = _rand(9, 9, seed + 70)
-            got = spectral_norm(w, seed=1, tol=1e-9, max_iters=200)
-            want = np.linalg.svd(w, compute_uv=False)[0]
-            assert got <= want * (1.0 + 1e-9)
+            assert self._bracketed(spectral_norm(w), w)
 
 
 class TestTucker2:
@@ -179,6 +190,13 @@ class TestTucker2:
             tucker2_fit(w4, 5, 1)
         with pytest.raises(ValueError):
             tucker2_fit(w4, 1, 0)
+        # a 1x1 8->4 kernel: both channel unfoldings have rank at most 4,
+        # and after contracting u_in to r_in columns the output unfolding
+        # has rank at most r_in
+        bottleneck = _rand(4, 8, 15).reshape(4, 8, 1, 1)
+        for ranks in ((4, 8), (4, 5), (4, 2)):
+            with pytest.raises(ValueError):
+                tucker2_fit(bottleneck, *ranks)
 
 
 class TestCp:
@@ -212,22 +230,3 @@ class TestCp:
             errs.append(np.linalg.norm(cp_recompose(f) - w))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-10
-
-
-class TestGapPenalty:
-    def test_two_value_example(self):
-        assert spectral_gap_penalty(np.array([5.0, 1.0]), 0.5) == pytest.approx(3.5)
-
-    def test_gaps_at_delta_are_free(self):
-        assert spectral_gap_penalty(np.array([2.0, 1.0, 0.0]), 1.0) == 0.0
-
-    def test_single_value(self):
-        assert spectral_gap_penalty(np.array([4.0]), 0.1) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spectral_gap_penalty(np.array([1.0, 2.0]), 0.5)
-        with pytest.raises(ValueError):
-            spectral_gap_penalty(np.array([2.0, 1.0]), -0.1)
-        with pytest.raises(ValueError):
-            spectral_gap_penalty(np.array([]), 0.5)

@@ -363,6 +363,21 @@ class TestLogitDrift:
         assert single == pytest.approx(d[0], rel=1e-12)
 
 
+class TestWeightGain:
+    def test_never_below_true_norm_with_clustered_top_spectrum(self):
+        # four near-equal leading singular values, where an iterative
+        # estimate falls short; the gain must still bound LAPACK's norm
+        rng = _rng(60)
+        for _ in range(200):
+            q1, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+            q2, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+            sigma = np.concatenate((1.0 - 1e-4 * np.arange(4),
+                                    rng.uniform(0.1, 1.0, 44)))
+            w = (q1 * sigma) @ q2.T
+            assert network.weight_gain(w) >= np.linalg.svd(
+                w, compute_uv=False)[0]
+
+
 class TestPostlayerLipschitz:
     """Conservative sensitivities: lipschitz_proxy(net)[ell] is block ell's
     local scale times the product of the downstream block gains."""
@@ -376,7 +391,7 @@ class TestPostlayerLipschitz:
         l2 = elastic.from_dense(np.diag([3.0, 3.0, 3.0]))
         net = network.Network((network.Block(elastic=l1),
                                network.Block(elastic=l2)))
-        # tail gains carry the 1e-8 relative slack of iterative norms
+        # tail gains carry spectral_norm's 1e-8 relative upper-bound slack
         assert certificate.lipschitz_proxy(net)[0] == pytest.approx(
             3.0 * (1.0 + 1e-8), rel=1e-9)
 
