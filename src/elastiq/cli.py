@@ -43,11 +43,13 @@ given via --calib. Dense stacks only; conv models must supply --calib.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -109,13 +111,6 @@ def _file_sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_doc(doc, path):
-    files = manifest.write_manifest(doc, path)
-    say("manifest", path=path, sha256=_file_sha256(path),
-        files=len(files))
-    return files
-
-
 def _read_doc(path):
     try:
         return manifest.read_manifest(path)
@@ -165,14 +160,47 @@ def _stored_stats(doc):
     return manifest.stats_from_doc(sec)
 
 
-def _self_verify(path, calibration_inputs=None):
-    problems = manifest.verify_manifest(path,
-                                        calibration_inputs=calibration_inputs)
-    say("verify", problems=len(problems))
-    for p in problems:
-        print(f"verify: {p}", file=sys.stderr)
-    if problems:
-        raise CliError("written manifest failed self-verification")
+def _remove(path):
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+@contextlib.contextmanager
+def _publish(doc, path, calibration_inputs=None):
+    """Write a manifest under a sibling temporary name, run the body (the
+    command's report lines), self-verify, and only then move the files
+    onto path: the sidecar first (or a stale one removed), the manifest
+    last. On any failure the temporary files go and path is untouched.
+    """
+    path = str(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp")
+    os.close(fd)
+    side = manifest.sidecar_path(tmp)
+    try:
+        files = manifest.write_manifest(doc, tmp)
+        say("manifest", path=path, sha256=_file_sha256(tmp),
+            files=len(files))
+        yield
+        problems = manifest.verify_manifest(
+            tmp, calibration_inputs=calibration_inputs)
+        say("verify", problems=len(problems))
+        for p in problems:
+            print(f"verify: {p}", file=sys.stderr)
+        if problems:
+            raise CliError("written manifest failed self-verification")
+        if side in files:
+            os.replace(side, manifest.sidecar_path(path))
+        else:
+            _remove(manifest.sidecar_path(path))
+        os.replace(tmp, path)
+    except BaseException:
+        _remove(side)
+        _remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +264,15 @@ def cmd_train(args):
                               config.dim)[0]
     stats = certificate.calibrate(state.net, x_tr[:config.calib_size])
     doc["calibration"] = manifest.stats_to_doc(stats)
-    model_path = os.path.join(args.out, "model.json")
-    _write_doc(doc, model_path)
-
-    say("train", seed=args.seed, steps=state.step,
-        final_loss=report.final_loss, config_hash=digest,
-        checkpoint=ckpt, metrics=metrics_csv)
-    for name in config.profile_names:
-        say("eval", profile=name, accuracy=report.accuracy[name],
-            violation_rate=report.violation_rate[name],
-            drift_bound=report.drift_bound[name],
-            mean_drift=report.mean_drift[name])
-    _self_verify(model_path)
+    with _publish(doc, os.path.join(args.out, "model.json")):
+        say("train", seed=args.seed, steps=state.step,
+            final_loss=report.final_loss, config_hash=digest,
+            checkpoint=ckpt, metrics=metrics_csv)
+        for name in config.profile_names:
+            say("eval", profile=name, accuracy=report.accuracy[name],
+                violation_rate=report.violation_rate[name],
+                drift_bound=report.drift_bound[name],
+                mean_drift=report.mean_drift[name])
     return EXIT_OK
 
 
@@ -293,9 +318,8 @@ def cmd_decompose(args):
 
     seed = doc.get("provenance", {}).get("seed")
     out = manifest.network_to_doc(net, seed=seed, source="decompose")
-    _write_doc(out, args.out)
-    say("decompose", layers=len(net.blocks), recon_rel_max=worst)
-    _self_verify(args.out)
+    with _publish(out, args.out):
+        say("decompose", layers=len(net.blocks), recon_rel_max=worst)
     return EXIT_OK
 
 
@@ -351,17 +375,15 @@ def cmd_certify(args):
         calibration_inputs=probes)
     # a lattice's drift bounds come from the ledger just replaced
     doc.pop("lattice", None)
-    out = args.out or args.model
-    _write_doc(doc, out)
     cert = doc["certificate"]
-    say("certify", mode=cert["mode"], certified=cert["certified"],
-        profiles=len(profiles), calib_count=stats.count,
-        epsilon=args.epsilon)
-    for name in sorted(profiles):
-        say("ledger", profile=name,
-            delta_hat=manifest.parse_float(
-                cert["profiles"][name]["delta_hat"]))
-    _self_verify(out, calibration_inputs=probes)
+    with _publish(doc, args.out or args.model, calibration_inputs=probes):
+        say("certify", mode=cert["mode"], certified=cert["certified"],
+            profiles=len(profiles), calib_count=stats.count,
+            epsilon=args.epsilon)
+        for name in sorted(profiles):
+            say("ledger", profile=name,
+                delta_hat=manifest.parse_float(
+                    cert["profiles"][name]["delta_hat"]))
     return EXIT_OK
 
 
@@ -511,9 +533,8 @@ def cmd_plan(args):
             predicted_latency_ms=lattice.predicted_latency[j],
             weight_bytes=lattice.weight_bytes[j],
             drift_bound=lattice.drift_bound[j])
-    out = args.out or args.model
-    _write_doc(doc, out)
-    _self_verify(out, calibration_inputs=calib)
+    with _publish(doc, args.out or args.model, calibration_inputs=calib):
+        pass
     return EXIT_OK
 
 

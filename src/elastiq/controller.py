@@ -2,25 +2,21 @@
 
 A budget token names a deployment target (latency, size, energy, device).
 This module turns such tokens into deployable per-layer (rank, bits)
-profiles: a snapper projects continuous proposals onto per-layer menus, a
-monotonicity pass guarantees that looser budgets never shrink any layer,
-a greedy allocator trades certificate mass against predicted cost, a tiny
-learned policy maps budget embeddings to menu choices, and a runtime
-selector gates profiles by predicted latency and certified drift.
+profiles: a greedy allocator trades certificate mass against predicted
+cost over per-layer menus, a monotonicity pass guarantees that looser
+budgets never shrink any layer, and a runtime selector gates the
+resulting lattice by predicted latency and certified drift.
 """
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import certificate, cost, network
+from . import certificate, cost
 
 OK = "ok"
 CERT_WARNING = "cert_warning"
 INFEASIBLE = "infeasible"
-EVAL = "eval"
 
 # numeric stand-in for "unquantized" when bit-widths are compared or
 # averaged; matches the float32 accounting used by the cost module
@@ -80,15 +76,10 @@ def precedes(tighter, looser):
 
 @dataclass(frozen=True)
 class Profile:
-    """Per-layer (rank, bits) assignment. bits None keeps float factors.
-
-    group_consistent records whether layers sharing a tied-budget group
-    carry equal ranks; every profile emitted by this module has it True.
-    """
+    """Per-layer (rank, bits) assignment. bits None keeps float factors."""
 
     pairs: tuple
     name: str = ""
-    group_consistent: bool = True
 
     def __post_init__(self):
         pairs = []
@@ -108,35 +99,6 @@ class Profile:
 def tied_groups(net):
     """Per-layer tied-budget labels (None where a layer is untied)."""
     return tuple(b.elastic.group_id for b in net.blocks)
-
-
-def make_profile(net, entries, name=""):
-    """Validated profile for a concrete network.
-
-    Checks every rank against its layer's [k_min, k_max] window and
-    records whether tied groups ended up rank-consistent.
-    """
-    entries = list(entries)
-    if len(entries) != len(net.blocks):
-        raise ValueError("entry count does not match the layer count")
-    pairs = []
-    for blk, entry in zip(net.blocks, entries):
-        k, q = entry
-        k = int(k)
-        lay = blk.elastic
-        if not lay.k_min <= k <= lay.k_max:
-            raise ValueError(
-                f"k={k} outside [{lay.k_min}, {lay.k_max}]")
-        pairs.append((k, q))
-    consistent = True
-    seen = {}
-    for gid, (k, _) in zip(tied_groups(net), pairs):
-        if gid is None:
-            continue
-        if gid in seen and seen[gid] != k:
-            consistent = False
-        seen.setdefault(gid, k)
-    return Profile(tuple(pairs), name=name, group_consistent=consistent)
 
 
 def _check_menu(menu, where):
@@ -175,94 +137,6 @@ def _group_members(groups, n_layers):
             order.append(key)
         members[key].append(i)
     return [members[key] for key in order]
-
-
-def _entry_distance(entry, proposal, beta):
-    k_hat, q_hat = proposal
-    k, q = entry
-    return abs(k - float(k_hat)) + beta * abs(_q_ord(q) - _q_ord_f(q_hat))
-
-
-def _q_ord_f(q_hat):
-    return float(_UNQUANTIZED_ORD) if q_hat is None else float(q_hat)
-
-
-def snap(proposals, menus, beta=1.0, drift=None, tolerances=None,
-         groups=None, name=""):
-    """Project continuous per-layer (rank, bits) proposals onto menus.
-
-    Per layer the nearest menu entry under |k - k_hat| + beta*|q - q_hat|
-    wins (bits None counts as 32); distance ties go to the larger entry.
-    When per-entry drift contributions and per-layer tolerances are
-    given, entries whose drift exceeds the tolerance are skipped, which
-    escalates the choice toward larger, safer entries. Layers sharing a
-    tied-budget group receive one common rank, chosen by the summed
-    distance across the group.
-    """
-    proposals = list(proposals)
-    menus = _check_menus(menus, len(proposals))
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    if (drift is None) != (tolerances is None):
-        raise ValueError("drift gating needs both drift and tolerances")
-    if drift is not None:
-        drift = [list(map(float, d)) for d in drift]
-        if [len(d) for d in drift] != [len(m) for m in menus]:
-            raise ValueError("drift table does not match the menus")
-        if np.isscalar(tolerances):
-            tolerances = [float(tolerances)] * len(menus)
-        else:
-            tolerances = list(map(float, tolerances))
-            if len(tolerances) != len(menus):
-                raise ValueError("tolerance count does not match layers")
-
-    def feasible(ell):
-        menu = menus[ell]
-        if drift is None:
-            return list(range(len(menu)))
-        keep = [i for i in range(len(menu))
-                if drift[ell][i] <= tolerances[ell]]
-        return keep
-
-    chosen = [None] * len(menus)
-    for members in _group_members(groups, len(menus)):
-        if len(members) == 1:
-            ell = members[0]
-            ids = feasible(ell)
-            if not ids:
-                raise ValueError(
-                    f"no feasible entry in layer {ell}'s menu")
-            best = min(ids, key=lambda i: (
-                _entry_distance(menus[ell][i], proposals[ell], beta),
-                -menus[ell][i][0], -_q_ord(menus[ell][i][1])))
-            chosen[ell] = menus[ell][best]
-            continue
-        per_layer = {}
-        common = None
-        for ell in members:
-            options = {}
-            for i in feasible(ell):
-                k = menus[ell][i][0]
-                cand = (
-                    _entry_distance(menus[ell][i], proposals[ell], beta),
-                    -_q_ord(menus[ell][i][1]), i)
-                if k not in options or cand < options[k]:
-                    options[k] = cand
-            per_layer[ell] = options
-            ks = set(options)
-            common = ks if common is None else common & ks
-        if not common:
-            lead = members[0]
-            raise ValueError(
-                f"no feasible entry in layer {lead}'s menu shared by "
-                "its tied group")
-        best_k = min(common, key=lambda k: (
-            sum(per_layer[ell][k][0] for ell in members), -k))
-        for ell in members:
-            idx = per_layer[ell][best_k][2]
-            chosen[ell] = menus[ell][idx]
-    return Profile(tuple(chosen), name=name, group_consistent=True)
 
 
 @dataclass(frozen=True)
@@ -327,8 +201,8 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
 
     mass[ell][i] multiplies the layer's logit sensitivity, the weight
     change the entry causes, and the calibrated input-norm scale. The
-    table drives snapping tolerances and greedy allocation; certified
-    reports always come from the certificate module itself.
+    table drives greedy allocation; certified reports always come from
+    the certificate module itself.
     """
     menus = _check_menus(menus, len(net.blocks))
     rows = certificate.ledger(net, stats, None, mode, calibration_inputs)
@@ -338,27 +212,6 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
             [(sens, certificate.compression_gain(net, ell, k, q), alpha)
              for k, q in menu]))
     return table
-
-
-def layer_tolerances(net, stats, epsilon, profile,
-                     mode=certificate.CONSERVATIVE,
-                     calibration_inputs=None):
-    """Split a global drift tolerance across layers.
-
-    Each layer receives epsilon times its share of the aggregate bound
-    at the reference profile; when that bound is zero (reference equals
-    the full model) the split is uniform.
-    """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    rows = certificate.ledger(net, stats, profile, mode, calibration_inputs)
-    terms = certificate.ledger_terms(rows)
-    total = certificate.ledger_total(rows)
-    n = len(terms)
-    if total <= 0.0:
-        return [epsilon / n] * n
-    return [epsilon * t / total for t in terms]
 
 
 @dataclass(frozen=True)
@@ -637,15 +490,6 @@ def select_runtime(lattice, budget, epsilon):
                            float(lattice.drift_bound[j]))
 
 
-def downshift(lattice, current, event=None):
-    """One step toward the tightest profile; index 0 absorbs."""
-    current = int(current)
-    if not 0 <= current < len(lattice):
-        raise ValueError("profile index out of range")
-    del event  # cause of the shift; recorded by callers, not used here
-    return max(current - 1, 0)
-
-
 @dataclass(frozen=True)
 class MonotoneAudit:
     """Adjacent-pair scan results over a budget-ordered chain."""
@@ -697,244 +541,3 @@ def audit_monotone(subject, metrics=None):
     percent = 100.0 * total / checks if checks else 0.0
     return MonotoneAudit(counts["accuracy"], counts["latency"],
                          counts["drift"], pairs, percent)
-
-
-@dataclass
-class PolicyHead:
-    """Two-layer perceptron from budget embeddings to per-layer menu
-    logits.
-
-    The input concatenates three normalized budget scalars, a learned
-    4-dimensional device embedding, and an optional input summary; the
-    output holds one logit per menu entry, laid out layer by layer.
-    Mutable by design: training updates its arrays in place.
-    """
-
-    w_budget: np.ndarray
-    w_device: np.ndarray
-    w_summary: np.ndarray | None
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    device_embeddings: dict
-    menus: tuple
-    references: dict = field(default_factory=dict)
-
-    @property
-    def summary_dim(self):
-        return 0 if self.w_summary is None else self.w_summary.shape[1]
-
-    def layer_slices(self):
-        sizes = [len(menu) for menu in self.menus]
-        stops = np.cumsum(sizes)
-        return tuple((int(stop - size), int(stop))
-                     for size, stop in zip(sizes, stops))
-
-
-_DEVICE_DIM = 4
-
-
-def init_policy(menus, devices, hidden=16, summary_dim=0, seed=0,
-                references=None):
-    """Random policy head over the given per-layer menus and devices."""
-    menus = tuple(tuple(m) for m in _check_menus(menus, len(menus)))
-    devices = list(devices)
-    if not devices:
-        raise ValueError("policy needs at least one device id")
-    hidden = int(hidden)
-    if hidden < 1:
-        raise ValueError("hidden width must be positive")
-    refs = {"latency": 1.0, "bytes": 1.0, "energy": 1.0}
-    if references:
-        unknown = set(references) - set(refs)
-        if unknown:
-            raise ValueError(f"unknown reference keys {sorted(unknown)}")
-        refs.update({k: float(v) for k, v in references.items()})
-    if any(v <= 0.0 for v in refs.values()):
-        raise ValueError("reference scales must be positive")
-    rng = np.random.default_rng(seed)
-    out_dim = sum(len(menu) for menu in menus)
-    in_scal, in_dev = 3, _DEVICE_DIM
-
-    def init(rows, cols):
-        return rng.normal(0.0, 1.0 / math.sqrt(cols), (rows, cols))
-
-    return PolicyHead(
-        w_budget=init(hidden, in_scal),
-        w_device=init(hidden, in_dev),
-        w_summary=init(hidden, summary_dim) if summary_dim else None,
-        b_hidden=np.zeros(hidden),
-        w_out=init(out_dim, hidden),
-        b_out=np.zeros(out_dim),
-        device_embeddings={d: rng.normal(0.0, 0.5, in_dev)
-                           for d in devices},
-        menus=menus,
-        references=refs)
-
-
-def _budget_scalars(head, budget):
-    refs = head.references
-    return np.array([
-        0.0 if budget.latency_target is None
-        else budget.latency_target / refs["latency"],
-        0.0 if budget.bytes_target is None
-        else budget.bytes_target / refs["bytes"],
-        0.0 if budget.energy_target is None
-        else budget.energy_target / refs["energy"]])
-
-
-def policy_leaves(head, device_ids):
-    """Shared tape leaves for one or more differentiable policy passes."""
-    leaves = {
-        "w_budget": network.Var(head.w_budget),
-        "w_device": network.Var(head.w_device),
-        "b_hidden": network.Var(head.b_hidden),
-        "w_out": network.Var(head.w_out),
-        "b_out": network.Var(head.b_out),
-    }
-    if head.w_summary is not None:
-        leaves["w_summary"] = network.Var(head.w_summary)
-    for dev in device_ids:
-        if dev not in head.device_embeddings:
-            raise ValueError(f"unknown device {dev!r}")
-        leaves[f"device:{dev}"] = network.Var(head.device_embeddings[dev])
-    return leaves
-
-
-def policy_tape(head, budget, summary=None, leaves=None):
-    """Differentiable forward pass: per-layer logit nodes plus leaves."""
-    if leaves is None:
-        leaves = policy_leaves(head, (budget.device,))
-    if f"device:{budget.device}" not in leaves:
-        raise ValueError(f"unknown device {budget.device!r}")
-    if (summary is None) != (head.w_summary is None):
-        raise ValueError("summary must match the head's summary width")
-    scal = network.Var(_budget_scalars(head, budget).reshape(3, 1))
-    dev = network.v_reshape(leaves[f"device:{budget.device}"],
-                            (_DEVICE_DIM, 1))
-    pre = network.v_add(network.v_matmul(leaves["w_budget"], scal),
-                        network.v_matmul(leaves["w_device"], dev))
-    if head.w_summary is not None:
-        summary = np.asarray(summary, dtype=np.float64)
-        if summary.shape != (head.summary_dim,):
-            raise ValueError("summary must match the head's summary "
-                             "width")
-        s_col = network.Var(summary.reshape(-1, 1))
-        pre = network.v_add(pre,
-                            network.v_matmul(leaves["w_summary"], s_col))
-    hidden = head.b_hidden.shape[0]
-    pre = network.v_add(pre, network.v_reshape(leaves["b_hidden"],
-                                               (hidden, 1)))
-    act = network.v_relu(pre)
-    out = network.v_add(network.v_matmul(leaves["w_out"], act),
-                        network.v_reshape(leaves["b_out"], (-1, 1)))
-    flat = network.v_reshape(out, (out.value.size,))
-    slices = [network.v_gather(flat, np.arange(start, stop))
-              for start, stop in head.layer_slices()]
-    return slices, leaves
-
-
-@dataclass(frozen=True)
-class TrainMode:
-    """Gumbel-softmax sampling mode with a positive temperature."""
-
-    tau: float = 1.0
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("temperature must be positive")
-
-
-@dataclass(frozen=True)
-class PolicyChoice:
-    """Per-layer menu picks; probs holds the soft (relaxed)
-    distributions in training mode and is None in eval mode."""
-
-    indices: tuple
-    pairs: tuple
-    probs: tuple | None
-
-
-def policy_forward(head, budget, summary=None, mode=EVAL, rng=None):
-    """Menu choice per layer: argmax in eval, Gumbel-perturbed sample
-    plus the softened distribution in training mode."""
-    slices, _ = policy_tape(head, budget, summary)
-    indices, pairs, probs = [], [], []
-    if mode == EVAL:
-        for menu, node in zip(head.menus, slices):
-            i = int(np.argmax(node.value))
-            soft = np.exp(node.value - node.value.max())
-            soft /= soft.sum()
-            indices.append(i)
-            pairs.append(menu[i])
-            probs.append(soft)
-        return PolicyChoice(tuple(indices), tuple(pairs), tuple(probs))
-    if not isinstance(mode, TrainMode):
-        raise ValueError("mode must be EVAL or a TrainMode")
-    if rng is None:
-        raise ValueError("training mode needs a random generator")
-    for menu, node in zip(head.menus, slices):
-        noisy = node.value + rng.gumbel(size=node.value.size)
-        i = int(np.argmax(noisy))
-        soft = noisy / mode.tau
-        soft = np.exp(soft - soft.max())
-        soft /= soft.sum()
-        indices.append(i)
-        pairs.append(menu[i])
-        probs.append(soft)
-    return PolicyChoice(tuple(indices), tuple(pairs), tuple(probs))
-
-
-def _expected_assignment(menu, logits_node, tau):
-    scaled = network.v_scale(logits_node, 1.0 / tau)
-    probs = network.v_exp(network.v_log_softmax(scaled, axis=-1))
-    kvals = network.Var(np.array([float(k) for k, _ in menu]))
-    qvals = network.Var(np.array([_q_ord_f(q) for _, q in menu]))
-    return (network.v_sum(network.v_mul(probs, kvals)),
-            network.v_sum(network.v_mul(probs, qvals)))
-
-
-def isotonic_hinge(head, tighter, looser, lam_iso, summary=None,
-                   tau=1.0):
-    """Penalty when a looser budget is assigned smaller expected ranks
-    or bits than a tighter one, with gradients for the head's arrays.
-
-    Expected assignments come from the softmax relaxation at temperature
-    tau. Returns (value, grads) where grads maps each leaf name to an
-    array shaped like the corresponding parameter (device rows under
-    'device:<id>'); monotone assignments give value 0 and zero grads.
-    """
-    if not precedes(tighter, looser):
-        raise ValueError("budget pair must be ordered tightest first")
-    lam_iso = float(lam_iso)
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError("temperature must be positive")
-    leaves = policy_leaves(head, (tighter.device,))
-    lo, _ = policy_tape(head, tighter, summary, leaves)
-    hi, _ = policy_tape(head, looser, summary, leaves)
-    total = None
-    for menu, node_lo, node_hi in zip(head.menus, lo, hi):
-        k_lo, q_lo = _expected_assignment(menu, node_lo, tau)
-        k_hi, q_hi = _expected_assignment(menu, node_hi, tau)
-        term = network.v_add(
-            network.v_relu(network.v_sub(k_lo, k_hi)),
-            network.v_relu(network.v_sub(q_lo, q_hi)))
-        total = term if total is None else network.v_add(total, term)
-    total = network.v_scale(total, lam_iso)
-    network.backprop(total)
-    grads = {name: (np.zeros_like(leaf.value) if leaf.grad is None
-                    else leaf.grad)
-             for name, leaf in leaves.items()}
-    return float(total.value), grads
-
-
-def input_summary(net, x):
-    """Mean-pooled activation entering the final block of the full
-    model; conv stacks also pool over the spatial axes."""
-    trace = network.forward(net, x, None)
-    arr = np.asarray(trace.inputs[-1], dtype=np.float64)
-    if net.blocks[-1].is_conv:
-        spatial = (arr.ndim - 2, arr.ndim - 1)
-        arr = arr.mean(axis=spatial)
-    return arr if arr.ndim == 1 else arr.mean(axis=0)

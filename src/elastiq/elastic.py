@@ -22,9 +22,6 @@ FACTOR_U = "u"
 FACTOR_CORE = "core"
 FACTOR_V = "v"
 
-SOFT = "soft"
-HARD = "hard"
-
 _KIND_FACTORS = {
     DENSE_SVD: linalg.SvdFactors,
     CONV_TUCKER2: linalg.Tucker2Factors,
@@ -261,8 +258,6 @@ class RankMask:
 
     logits: np.ndarray
     temperature: float
-    mode: str = SOFT
-    hard_k: int | None = None
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float64)
@@ -270,20 +265,6 @@ class RankMask:
             raise ValueError("logits must be a non-empty vector")
         if not self.temperature > 0.0:
             raise ValueError("temperature must be positive")
-        if self.mode not in (SOFT, HARD):
-            raise ValueError(f"unknown mask mode {self.mode!r}")
-        if self.mode == HARD:
-            if self.hard_k is None:
-                raise ValueError("hard mode needs hard_k")
-            if not 0 <= int(self.hard_k) <= self.logits.size:
-                raise ValueError("hard_k out of range")
-
-
-def hard_mask(k, size):
-    """Indicator vector: one for the first k entries, zero after."""
-    if not 0 <= int(k) <= int(size):
-        raise ValueError("k out of range")
-    return (np.arange(int(size)) < int(k)).astype(np.float64)
 
 
 def _sigmoid(x):
@@ -310,38 +291,10 @@ def soft_mask(mask, gumbel_noise, k_target):
     return network._tape_mask(leaf, mask, gumbel_noise, k_target).value
 
 
-def mask_values(mask, gumbel_noise=None, k_target=None):
-    """Mask vector for either mode; soft mode needs noise and a target."""
-    if mask.mode == HARD:
-        return hard_mask(mask.hard_k, mask.logits.size)
-    if gumbel_noise is None or k_target is None:
-        raise ValueError("soft mode needs gumbel_noise and k_target")
-    return soft_mask(mask, gumbel_noise, k_target)
-
-
 def sample_gumbel(size, rng):
     """Standard Gumbel draws from a numpy Generator."""
     u = np.clip(rng.random(size), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
-
-
-def masked_weight(layer, values):
-    """Weight with each factor component scaled by its mask value.
-
-    Dense kinds only; values has one entry per servable component. An
-    all-ones vector reproduces truncate at k_max bit for bit.
-    """
-    m = np.asarray(values, dtype=np.float64)
-    if m.shape != (layer.k_max,):
-        raise ValueError("mask length must equal k_max")
-    f = layer.factors
-    if layer.kind == DENSE_SVD:
-        return (f.u[:, :layer.k_max] * (f.sigma[:layer.k_max] * m)) \
-            @ f.v[:, :layer.k_max].T
-    if layer.kind == DENSE_CP:
-        return (f.a1[:, :layer.k_max] * (f.weights[:layer.k_max] * m)) \
-            @ f.a2[:, :layer.k_max].T
-    raise ValueError("masked weights are not defined for conv layers")
 
 
 def anneal_temperature(t, total_steps, tau0=2.0, tau_min=0.3, alpha=0.5):

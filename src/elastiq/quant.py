@@ -22,7 +22,6 @@ __all__ = [
     "quantize",
     "dequantize",
     "ste_gradient",
-    "bias_correction",
 ]
 
 PER_TENSOR = "per_tensor"
@@ -207,25 +206,3 @@ def ste_gradient(upstream, t, spec):
         axes = tuple(i for i in range(t.ndim) if i != ax)
         grad_log_scale = np.sum(per_elem, axis=axes)
     return grad_t, grad_log_scale
-
-
-def bias_correction(t, spec, calibration_batch):
-    """Per-output-channel offset absorbing the mean dequantization error.
-
-    For a dense weight (m, n) and calibration inputs (B, n), returns
-    delta = mean_b[(T - dequantize(quantize(T))) @ x_b], the output-space
-    mean error, which a fused bias can absorb; the corrected mean output
-    error on the same batch is zero by construction.
-    """
-    t = _check_tensor(t)
-    if t.ndim != 2:
-        raise ValueError("bias correction is defined for dense (2-D) weights")
-    x = np.asarray(calibration_batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] == 0:
-        raise ValueError("calibration batch must be non-empty")
-    if x.shape[1] != t.shape[1]:
-        raise ValueError("calibration batch width does not match weight")
-    err = t - quantize_dequantize(t, spec)
-    return (err @ x.T).mean(axis=1)

@@ -38,13 +38,12 @@ class LossWeights:
     aug_consistency: float = 0.2
     drift_cap: float = 0.2
     budget: float = 0.3
-    isotonic: float = 0.1
     epsilon: float = 0.15
     warmup_frac: float = 0.15
 
     def __post_init__(self):
         for name in ("self_distill", "aug_consistency", "drift_cap",
-                     "budget", "isotonic"):
+                     "budget"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.epsilon > 0.0:
@@ -417,7 +416,6 @@ class TrainState:
     step: int
     net: network.Network
     masks: list
-    head: controller.PolicyHead
     cert_coeffs: np.ndarray
     cost_model: cost.CostModel
     budgets: tuple
@@ -442,21 +440,13 @@ class TrainReport:
 
 
 _METRIC_FIELDS = ("step", "total", "task", "self_distill",
-                  "aug_consistency", "drift_cap", "budget", "isotonic",
-                  "delta_hat", "tau", "gamma", "lam_sd", "lam_aug",
-                  "lam_cert", "k", "budget_index", "phase")
+                  "aug_consistency", "drift_cap", "budget", "delta_hat",
+                  "tau", "gamma", "lam_sd", "lam_aug", "lam_cert", "k",
+                  "budget_index", "phase")
 
 
 def _global_k_max(net):
     return max(b.elastic.k_max for b in net.blocks)
-
-
-def _policy_menus(net, profiles):
-    menus = []
-    for blk in net.blocks:
-        ks = sorted({min(int(p), blk.elastic.k_max) for p in profiles})
-        menus.append([(k, None) for k in ks])
-    return menus
 
 
 def _init_cost_and_budgets(config, net, rng_seed):
@@ -484,16 +474,13 @@ def _init_state(config, seed):
     masks = [elastic.RankMask(np.zeros(b.elastic.k_max),
                               temperature=config.tau0)
              for b in net.blocks]
-    head = controller.init_policy(
-        _policy_menus(net, config.profiles), [config.device],
-        hidden=16, seed=seed)
     model, budgets = _init_cost_and_budgets(config, net, seed)
     x_tr, _, _, _ = make_dataset(seed, config.n_train, config.n_eval,
                                  config.dim)
     calib = x_tr[:config.calib_size]
     stats = certificate.calibrate(net, calib)
     coeffs = _fresh_coeffs(net, stats, _proxy_mode(config), calib)
-    return TrainState(step=0, net=net, masks=masks, head=head,
+    return TrainState(step=0, net=net, masks=masks,
                       cert_coeffs=coeffs, cost_model=model,
                       budgets=budgets, rng=np.random.default_rng(seed),
                       opt={}, metrics=[])
@@ -607,7 +594,7 @@ def train_toy(config, seed, state=None, stop_after=None):
     """Run (or resume) the loop; returns (state, report).
 
     The per-step draw order is fixed: batch indices, rank, per-layer
-    Gumbel noise, augmentation noise, budget pick, isotonic budget pair.
+    Gumbel noise, augmentation noise, budget pick.
     Resuming from a checkpoint therefore replays the exact trajectory,
     provided the resumed run uses the same config (every schedule
     constant derives from config.steps). stop_after pauses the loop
@@ -650,11 +637,6 @@ def train_toy(config, seed, state=None, stop_after=None):
         else:
             b_idx = int(rng.integers(0, len(state.budgets)))
             phase = 2
-        pair = None
-        if w.isotonic > 0.0 and len(state.budgets) >= 2:
-            lo, hi = sorted(rng.choice(len(state.budgets), size=2,
-                                       replace=False))
-            pair = (int(lo), int(hi))
 
         lam_sd = lambda_warmup(w.self_distill, t, config.warmup_steps)
         lam_aug = lambda_warmup(w.aug_consistency, t,
@@ -699,20 +681,6 @@ def train_toy(config, seed, state=None, stop_after=None):
                     _apply_update(config, state.opt, f"l{i}:{name}",
                                   arr, grad)
 
-        iso_val = 0.0
-        if pair is not None:
-            iso_val, hgrads = controller.isotonic_hinge(
-                state.head, state.budgets[pair[0]],
-                state.budgets[pair[1]], w.isotonic)
-            for name, grad in hgrads.items():
-                if name.startswith("device:"):
-                    arr = state.head.device_embeddings[
-                        name.split(":", 1)[1]]
-                else:
-                    arr = getattr(state.head, name)
-                _apply_update(config, state.opt, f"head:{name}", arr,
-                              grad)
-
         state.step += 1
         if config.reortho_every and \
                 state.step % config.reortho_every == 0:
@@ -732,7 +700,6 @@ def train_toy(config, seed, state=None, stop_after=None):
                 "self_distill": terms.self_distill,
                 "aug_consistency": terms.aug_consistency,
                 "drift_cap": terms.drift_cap, "budget": terms.budget,
-                "isotonic": iso_val,
                 "delta_hat": terms.drift_surrogate, "tau": tau_t,
                 "gamma": gamma, "lam_sd": lam_sd, "lam_aug": lam_aug,
                 "lam_cert": lam_cert, "k": k_t, "budget_index": b_idx,
@@ -792,17 +759,6 @@ def save_checkpoint(state, path):
             "k_min": lay.k_min, "k_max": lay.k_max,
             "group_id": lay.group_id, "has_bias": lay.bias is not None,
             "activation": blk.activation})
-    head = state.head
-    arrays["head_w_budget"] = head.w_budget
-    arrays["head_w_device"] = head.w_device
-    if head.w_summary is not None:
-        arrays["head_w_summary"] = head.w_summary
-    arrays["head_b_hidden"] = head.b_hidden
-    arrays["head_w_out"] = head.w_out
-    arrays["head_b_out"] = head.b_out
-    devices = sorted(head.device_embeddings)
-    for j, dev in enumerate(devices):
-        arrays[f"emb{j}"] = head.device_embeddings[dev]
     opt_keys = []
     for key, buf in state.opt.items():
         j = len(opt_keys)
@@ -820,8 +776,6 @@ def save_checkpoint(state, path):
         "diverge_streak": state.diverge_streak,
         "metrics": state.metrics,
         "layers": layers_meta,
-        "head": {"menus": [[list(e) for e in m] for m in head.menus],
-                 "references": head.references, "devices": devices},
         "cost_model": {"device": state.cost_model.device,
                        "intercept": state.cost_model.intercept,
                        "r_squared": state.cost_model.r_squared,
@@ -858,17 +812,6 @@ def load_checkpoint(path):
         masks.append(elastic.RankMask(data[f"l{i}_mask"],
                                       temperature=1.0))
     net = network.Network(tuple(blocks))
-    hm = meta["head"]
-    menus = tuple(tuple((int(k), None if q is None else int(q))
-                        for k, q in m) for m in hm["menus"])
-    head = controller.PolicyHead(
-        w_budget=data["head_w_budget"], w_device=data["head_w_device"],
-        w_summary=data.get("head_w_summary"),
-        b_hidden=data["head_b_hidden"], w_out=data["head_w_out"],
-        b_out=data["head_b_out"],
-        device_embeddings={dev: data[f"emb{j}"]
-                           for j, dev in enumerate(hm["devices"])},
-        menus=menus, references=hm["references"])
     cm = meta["cost_model"]
     model = cost.CostModel(device=cm["device"],
                            intercept=cm["intercept"],
@@ -888,7 +831,7 @@ def load_checkpoint(path):
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
     return TrainState(step=meta["step"], net=net, masks=masks,
-                      head=head, cert_coeffs=data["cert_coeffs"],
+                      cert_coeffs=data["cert_coeffs"],
                       cost_model=model, budgets=budgets, rng=rng,
                       opt=opt, metrics=meta["metrics"],
                       initial_loss=meta["initial_loss"],

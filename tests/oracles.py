@@ -44,6 +44,11 @@ def jacobi_gram_eigvals(w, iters=20000, tol=1e-14):
     return np.sort(np.diag(s))[::-1].copy()
 
 
+def hard_mask(k, size):
+    """Indicator vector: one for the first k entries, zero after."""
+    return (np.arange(size) < k).astype(np.float64)
+
+
 def tucker2_recompose(f):
     """Kernel represented by Tucker2Factors, by one plain einsum."""
     return np.einsum("rshw,or,is->oihw", f.core, f.u_out, f.u_in)

@@ -1,10 +1,13 @@
-"""Command-line entry points: import cost, module execution, the
-certify -> plan -> certify round trip, decompose on wide dense and
+"""Command-line entry points: import cost, module execution, every
+documented exit code, the certify -> plan -> certify round trip, manifests
+published only after self-verification, decompose on wide dense and
 bottleneck conv models, and byte-identical reruns across BLAS thread
 counts."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -27,9 +30,15 @@ def _run_python(*args, **env_extra):
 
 
 def _cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return cli.main([str(a) for a in argv])
+    return _cli_output(*argv)[0]
+
+
+def _cli_output(*argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_import_does_not_load_scipy():
@@ -46,7 +55,8 @@ def test_module_execution_warns_nothing():
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_recertifying_a_planned_manifest_drops_its_lattice(tmp_path):
+def _small_model(path):
+    """An elastic 8 -> 6 -> 4 relu stack with an identity head."""
     rng = np.random.default_rng(3)
     dims = (8, 6, 4)
     blocks = tuple(
@@ -54,20 +64,107 @@ def test_recertifying_a_planned_manifest_drops_its_lattice(tmp_path):
             rng.standard_normal((dims[i + 1], dims[i]))),
             activation=network.RELU if i == 0 else network.IDENTITY)
         for i in range(len(dims) - 1))
-    model, cert, plan, recert = (tmp_path / n for n in (
-        "model.json", "cert.json", "plan.json", "recert.json"))
     manifest.write_manifest(
-        manifest.network_to_doc(network.Network(blocks)), model)
+        manifest.network_to_doc(network.Network(blocks)), path)
+
+
+def _planned_small_model(tmp_path):
+    model, cert, plan = (tmp_path / n for n in (
+        "model.json", "cert.json", "plan.json"))
+    _small_model(model)
     assert _cli("certify", model, "--profiles", "2,3:8", "--epsilon", "1.0",
                 "--out", cert, "--calib-size", 64) == cli.EXIT_OK
     assert _cli("plan", cert, "--out", plan,
                 "--calib-size", 64) == cli.EXIT_OK
+    return plan
+
+
+def test_recertifying_a_planned_manifest_drops_its_lattice(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    recert = tmp_path / "recert.json"
     assert "lattice" in manifest.read_manifest(plan)
     assert _cli("certify", plan, "--out", recert, "--seed", 7,
                 "--calib-size", 64) == cli.EXIT_OK
     assert manifest.verify_manifest(str(recert)) == []
     assert "lattice" not in manifest.read_manifest(recert)
     assert _cli("audit", recert) == cli.EXIT_ERROR
+
+
+def test_select_exit_codes(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    doc = manifest.read_manifest(plan)
+    lattice = manifest.lattice_from_doc(doc["lattice"])
+    lat, drift = lattice.predicted_latency, lattice.drift_bound
+    # only the tightest profile meets its own latency, and it has drift
+    assert lat[0] < min(lat[1:]) and drift[0] > 0.0
+
+    def select(latency, epsilon):
+        return _cli("select", plan, "--latency-ms", repr(latency),
+                    "--epsilon", repr(epsilon))
+
+    assert select(lat[0], drift[0]) == cli.EXIT_OK
+    assert select(lat[0], drift[0] / 2) == cli.EXIT_CERT_WARNING
+    assert select(lat[0] / 2, drift[0]) == cli.EXIT_INFEASIBLE
+
+
+def test_audit_exits_4_on_a_latency_inversion(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    assert _cli("audit", plan) == cli.EXIT_OK
+    doc = manifest.read_manifest(plan)
+    lattice = manifest.lattice_from_doc(doc["lattice"])
+    inverted = dataclasses.replace(
+        lattice, predicted_latency=lattice.predicted_latency[::-1])
+    doc["lattice"] = manifest.lattice_to_doc(inverted)
+    bad = tmp_path / "inverted.json"
+    manifest.write_manifest(doc, bad)
+    assert _cli("audit", bad) == cli.EXIT_AUDIT_VIOLATIONS
+
+
+def test_bad_train_configs_exit_1_with_a_message(tmp_path):
+    for data, message in (({"stepz": 3}, "unknown config keys: stepz"),
+                          ({"weights": {"isotonic": 0.1}},
+                           "bad loss weights")):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        code, _, err = _cli_output("train", "--out", tmp_path / "run",
+                                   "--config", config)
+        assert code == cli.EXIT_ERROR
+        assert message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):
+    model = tmp_path / "model.json"
+    _small_model(model)
+    before = model.read_bytes()
+    monkeypatch.setattr(manifest, "verify_manifest",
+                        lambda *a, **kw: ["planted problem"])
+    code, out, err = _cli_output("certify", model, "--profiles", "2",
+                                 "--calib-size", 16)
+    assert code == cli.EXIT_ERROR
+    assert "@@ verify problems=1" in out and "planted problem" in err
+    assert model.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+def test_sidecar_published_with_its_manifest(tmp_path, monkeypatch):
+    model = tmp_path / "model.json"
+    side = tmp_path / "model.json.bin"
+    _small_model(model)
+    monkeypatch.setattr(manifest, "SIDECAR_THRESHOLD", 0)
+    code, out, _ = _cli_output("certify", model, "--profiles", "2",
+                               "--calib-size", 16)
+    assert code == cli.EXIT_OK
+    assert f"@@ manifest path={model} " in out and "files=2" in out
+    assert side.exists()
+    assert manifest.verify_manifest(str(model)) == []
+    # back under the threshold, the rewrite embeds and drops the sidecar
+    monkeypatch.undo()
+    assert _cli("certify", model, "--calib-size", 16) == cli.EXIT_OK
+    assert not side.exists()
+    assert manifest.verify_manifest(str(model)) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def _relu_stack(rng, shapes):

@@ -1,5 +1,5 @@
-"""Budget tokens, snapping, monotonicity, greedy allocation, the policy
-head, and runtime profile selection."""
+"""Budget tokens, profiles, monotonicity, certificate mass, greedy
+allocation, the profile lattice, and runtime profile selection."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elastiq import certificate, controller, cost, elastic, network
-from oracles import _act_apply, greedy_allocation_replay
+from oracles import greedy_allocation_replay
 
 
 def _rng(seed):
@@ -77,131 +77,23 @@ class TestBudgetToken:
 
 
 class TestProfile:
-    def test_make_profile_validates_rank_window(self):
-        net = _dense_net(0, (6, 5, 4))
-        controller.make_profile(net, [(1, 4), (4, None)])
-        with pytest.raises(ValueError, match="outside"):
-            controller.make_profile(net, [(6, 4), (5, None)])
-        with pytest.raises(ValueError, match="outside"):
-            controller.make_profile(net, [(0, 4), (1, None)])
+    def test_rank_floor(self):
         with pytest.raises(ValueError, match="at least 1"):
             controller.Profile(((0, 4),))
 
     def test_bit_width_window(self):
-        net = _dense_net(1, (6, 5))
-        controller.make_profile(net, [(1, 2)])
-        controller.make_profile(net, [(1, None)])
+        controller.Profile(((1, 2),))
+        controller.Profile(((1, None),))
         for bad in (1, 33):
             with pytest.raises(ValueError, match="bit-widths"):
-                controller.make_profile(net, [(1, bad)])
-
-    def test_entry_count_checked(self):
-        net = _dense_net(2, (6, 5, 4))
-        with pytest.raises(ValueError, match="entry count"):
-            controller.make_profile(net, [(1, 4)])
-
-    def test_tied_group_consistency_flag(self):
-        net = _dense_net(3, (6, 6, 6), group_ids=["g", "g"])
-        ok = controller.make_profile(net, [(3, 4), (3, 8)])
-        assert ok.group_consistent
-        bad = controller.make_profile(net, [(3, 4), (2, 4)])
-        assert not bad.group_consistent
+                controller.Profile(((1, bad),))
 
     def test_profiles_run_through_network_forward(self):
         net = _dense_net(4, (6, 5, 4))
-        prof = controller.make_profile(net, [(2, 8), (3, None)])
+        prof = controller.Profile(((2, 8), (3, None)))
         x = _rng(5).standard_normal(6)
         drift = network.logit_drift(net, x, prof)
         assert np.isfinite(drift)
-
-
-class TestSnap:
-    def test_on_menu_proposal_is_a_fixed_point(self):
-        menus = [[(1, 4), (2, 8), (4, None)]]
-        snapped = controller.snap([(2.0, 8.0)], menus)
-        assert snapped.pairs == ((2, 8),)
-
-    def test_midpoint_tie_prefers_the_larger_entry(self):
-        menus = [[(2, 4), (4, 8)]]
-        snapped = controller.snap([(3.0, 6.0)], menus, beta=1.0)
-        assert snapped.pairs == ((4, 8),)
-
-    def test_beta_reweights_bit_distance(self):
-        menus = [[(2, 4), (4, 8)]]
-        # proposal sits on (2, _) in rank but on (_, 8) in bits
-        assert controller.snap([(2.0, 8.0)], menus,
-                               beta=1.0).pairs == ((4, 8),)
-        assert controller.snap([(2.0, 8.0)], menus,
-                               beta=0.25).pairs == ((2, 4),)
-
-    def test_unquantized_entries_count_as_32_bits(self):
-        menus = [[(3, 16), (3, None)]]
-        assert controller.snap([(3.0, 30.0)], menus).pairs == ((3, None),)
-        assert controller.snap([(3.0, None)], menus).pairs == ((3, None),)
-
-    def test_violating_entry_escalates_to_the_safer_neighbor(self):
-        menus = [[(1, 4), (2, 4), (3, 4)]]
-        drift = [[0.9, 0.5, 0.1]]
-        snapped = controller.snap([(2.0, 4.0)], menus, drift=drift,
-                                  tolerances=[0.4])
-        assert snapped.pairs == ((3, 4),)
-
-    def test_no_feasible_entry_raises(self):
-        menus = [[(1, 4), (2, 4)]]
-        with pytest.raises(ValueError, match="no feasible entry"):
-            controller.snap([(1.0, 4.0)], menus, drift=[[0.9, 0.5]],
-                            tolerances=[0.1])
-
-    def test_drift_gating_needs_both_tables(self):
-        menus = [[(1, 4)]]
-        with pytest.raises(ValueError, match="both drift and tolerances"):
-            controller.snap([(1.0, 4.0)], menus, drift=[[0.0]])
-
-    def test_membership_holds_for_random_proposals(self):
-        rng = _rng(11)
-        for _ in range(50):
-            menus = []
-            for _ in range(rng.integers(1, 4)):
-                ks = sorted(rng.choice(np.arange(1, 9), size=3,
-                                       replace=False))
-                menus.append([(int(k), int(rng.choice([2, 4, 8, 16])))
-                              for k in ks])
-            proposals = [(float(rng.uniform(0, 10)),
-                          float(rng.uniform(2, 32)))
-                         for _ in menus]
-            snapped = controller.snap(proposals, menus)
-            for entry, menu in zip(snapped.pairs, menus):
-                assert entry in menu
-
-    def test_tied_group_gets_one_common_rank(self):
-        menus = [[(1, 4), (2, 4), (4, 4)],
-                 [(1, 8), (2, 8), (4, 8)]]
-        snapped = controller.snap([(1.0, 4.0), (4.0, 8.0)], menus,
-                                  groups=["g", "g"])
-        k0 = snapped.pairs[0][0]
-        assert k0 == snapped.pairs[1][0]
-        # summed distances: k=1 -> 0+3, k=2 -> 1+2, k=4 -> 3+0; tie at
-        # 3 between k=1 and k=4 resolves to the larger rank
-        assert k0 == 4
-        assert snapped.group_consistent
-
-    def test_tied_group_without_common_feasible_rank_raises(self):
-        menus = [[(1, 4), (2, 4)], [(1, 8), (2, 8)]]
-        drift = [[0.0, 0.0], [0.9, 0.0]]
-        snapped = controller.snap([(1.0, 4.0), (1.0, 8.0)], menus,
-                                  drift=drift, tolerances=[0.5, 0.5],
-                                  groups=["g", "g"])
-        assert snapped.pairs == ((2, 4), (2, 8))
-        with pytest.raises(ValueError, match="tied group"):
-            controller.snap([(1.0, 4.0), (1.0, 8.0)], menus,
-                            drift=[[0.9, 0.0], [0.0, 0.9]],
-                            tolerances=[0.5, 0.5], groups=["g", "g"])
-
-    def test_menus_must_be_sorted_and_non_empty(self):
-        with pytest.raises(ValueError, match="ascending"):
-            controller.snap([(1.0, 4.0)], [[(2, 4), (1, 4)]])
-        with pytest.raises(ValueError, match="empty"):
-            controller.snap([(1.0, 4.0)], [[]])
 
 
 class TestEnforceMonotone:
@@ -315,34 +207,6 @@ class TestCertificateMass:
         other = _dense_net(36, (6, 5))
         with pytest.raises(ValueError, match="stale calibration"):
             controller.certificate_mass(other, stats, [[(1, None)]])
-
-
-class TestLayerTolerances:
-    def test_single_layer_gets_the_whole_budget(self):
-        net, stats, _ = _calibrated(41, (6, 5))
-        tol = controller.layer_tolerances(net, stats, 0.5, [(1, None)])
-        assert tol == pytest.approx([0.5])
-
-    def test_shares_are_proportional_and_sum_to_epsilon(self):
-        net, stats, _ = _calibrated(42, (6, 5, 4))
-        ref = [(1, None), (1, None)]
-        tol = controller.layer_tolerances(net, stats, 0.8, ref)
-        assert sum(tol) == pytest.approx(0.8, rel=1e-9)
-        sens = certificate.lipschitz_proxy(net, profile=ref)
-        terms = [sens[ell] * certificate.compression_gain(net, ell, 1)
-                 * stats.alpha[ell] for ell in range(2)]
-        want = [0.8 * t / sum(terms) for t in terms]
-        assert tol == pytest.approx(want, rel=1e-9)
-
-    def test_full_reference_splits_uniformly(self):
-        net, stats, _ = _calibrated(43, (6, 5, 4))
-        tol = controller.layer_tolerances(net, stats, 0.6, None)
-        assert tol == pytest.approx([0.3, 0.3])
-
-    def test_epsilon_must_be_positive(self):
-        net, stats, _ = _calibrated(44, (6, 5))
-        with pytest.raises(ValueError, match="positive"):
-            controller.layer_tolerances(net, stats, 0.0, None)
 
 
 def _greedy_net():
@@ -459,7 +323,10 @@ class TestGreedyKnapsack:
         res = controller.greedy_knapsack(net, menus,
                                          _token(size=10 ** 9), benefit)
         assert res.profile.pairs == ((4, 8), (4, 8))
-        assert res.profile.group_consistent
+        for gid in set(controller.tied_groups(net)):
+            ranks = {k for g, (k, _) in zip(controller.tied_groups(net),
+                                             res.profile.pairs) if g == gid}
+            assert len(ranks) == 1
         assert res.trace == ((0, 1), (0, 2))
 
     def test_tied_groups_must_share_menus(self):
@@ -604,28 +471,6 @@ class TestSelectRuntime:
                 assert sel.status in (controller.CERT_WARNING,
                                       controller.INFEASIBLE)
                 assert lat[sel.index] == min(lat)
-
-
-class TestDownshift:
-    def test_steps_toward_the_tightest_profile(self):
-        lattice = _hand_lattice()
-        assert controller.downshift(lattice, 2) == 1
-        assert controller.downshift(lattice, 1) == 0
-
-    def test_tightest_profile_absorbs(self):
-        assert controller.downshift(_hand_lattice(), 0) == 0
-
-    def test_repeated_events_reach_the_floor(self):
-        lattice = _hand_lattice()
-        j, hops = 2, 0
-        while j > 0:
-            j = controller.downshift(lattice, j, event="thermal")
-            hops += 1
-        assert hops == 2
-
-    def test_index_validated(self):
-        with pytest.raises(ValueError, match="index"):
-            controller.downshift(_hand_lattice(), 3)
 
 
 class TestAuditMonotone:
@@ -786,260 +631,3 @@ class TestBuildLattice:
 
 
 _POLICY_MENUS = [[(1, 4), (2, 8), (4, None)], [(1, 4), (3, 8)]]
-
-
-class TestPolicyHead:
-    def test_initialization_shapes(self):
-        head = controller.init_policy(_POLICY_MENUS, ["cpu", "gpu"],
-                                      hidden=8, summary_dim=5, seed=1)
-        assert head.w_budget.shape == (8, 3)
-        assert head.w_device.shape == (8, controller._DEVICE_DIM)
-        assert head.w_summary.shape == (8, 5)
-        assert head.w_out.shape == (5, 8)
-        assert set(head.device_embeddings) == {"cpu", "gpu"}
-        assert head.summary_dim == 5
-        assert head.layer_slices() == ((0, 3), (3, 5))
-
-    def test_eval_choice_is_deterministic_and_valid(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], seed=2)
-        budget = _token(lat=1.0)
-        a = controller.policy_forward(head, budget)
-        b = controller.policy_forward(head, budget)
-        assert a.indices == b.indices
-        assert a.pairs == tuple(_POLICY_MENUS[ell][i]
-                                for ell, i in enumerate(a.indices))
-        for ell, menu in enumerate(_POLICY_MENUS):
-            assert 0 <= a.indices[ell] < len(menu)
-            np.testing.assert_allclose(np.sum(a.probs[ell]), 1.0,
-                                       rtol=1e-12)
-
-    def test_sampling_concentrates_on_a_dominant_logit(self):
-        head = controller.init_policy([[(1, 4), (2, 4)]], ["dev"],
-                                      hidden=2, seed=3)
-        head.w_out[:] = 0.0
-        head.b_out[:] = np.array([0.0, 5.0])
-        rng = _rng(80)
-        budget = _token(lat=1.0)
-        hits = sum(
-            controller.policy_forward(head, budget,
-                                      mode=controller.TrainMode(),
-                                      rng=rng).indices[0] == 1
-            for _ in range(10_000))
-        # P(argmax = 1) for logit gap 5 under Gumbel noise is 0.9933
-        assert hits / 10_000 > 0.99
-
-    def test_sampling_is_uniform_on_flat_logits(self):
-        head = controller.init_policy([[(1, 4), (2, 4), (3, 4),
-                                        (4, 4)]], ["dev"], hidden=2,
-                                      seed=4)
-        head.w_out[:] = 0.0
-        head.b_out[:] = 0.0
-        rng = _rng(81)
-        budget = _token(lat=1.0)
-        counts = np.zeros(4)
-        for _ in range(10_000):
-            choice = controller.policy_forward(
-                head, budget, mode=controller.TrainMode(), rng=rng)
-            counts[choice.indices[0]] += 1
-        # 3 sigma for a fair 4-way draw over 1e4 trials
-        np.testing.assert_allclose(counts / 10_000, 0.25, atol=0.013)
-
-    def test_low_temperature_sharpens_soft_weights(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], seed=5)
-        rng = _rng(82)
-        choice = controller.policy_forward(
-            head, _token(lat=1.0), mode=controller.TrainMode(tau=1e-3),
-            rng=rng)
-        for ell, menu in enumerate(_POLICY_MENUS):
-            probs = choice.probs[ell]
-            np.testing.assert_allclose(np.sum(probs), 1.0, rtol=1e-9)
-            assert probs[choice.indices[ell]] > 0.999
-
-    def test_train_mode_requires_a_generator(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], seed=6)
-        with pytest.raises(ValueError, match="random generator"):
-            controller.policy_forward(head, _token(lat=1.0),
-                                      mode=controller.TrainMode())
-
-    def test_unknown_device_rejected(self):
-        head = controller.init_policy(_POLICY_MENUS, ["cpu"], seed=7)
-        with pytest.raises(ValueError, match="device"):
-            controller.policy_forward(head, _token("tpu", lat=1.0))
-
-    def test_summary_width_enforced_both_ways(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"],
-                                      summary_dim=3, seed=8)
-        with pytest.raises(ValueError, match="summary"):
-            controller.policy_forward(head, _token(lat=1.0))
-        with pytest.raises(ValueError, match="summary"):
-            controller.policy_forward(head, _token(lat=1.0),
-                                      summary=np.zeros(2))
-        choice = controller.policy_forward(head, _token(lat=1.0),
-                                           summary=np.zeros(3))
-        assert len(choice.indices) == 2
-        plain = controller.init_policy(_POLICY_MENUS, ["dev"], seed=8)
-        with pytest.raises(ValueError, match="summary"):
-            controller.policy_forward(plain, _token(lat=1.0),
-                                      summary=np.zeros(3))
-
-    def test_budget_scalars_use_reference_scales(self):
-        head = controller.init_policy(
-            _POLICY_MENUS, ["dev"], seed=9,
-            references={"latency": 2.0, "bytes": 100.0, "energy": 1.0})
-        got = controller._budget_scalars(head,
-                                         _token(lat=1.0, size=25))
-        np.testing.assert_allclose(got, [0.5, 0.25, 0.0])
-
-
-def _numpy_hinge(head, tighter, looser, lam, tau=1.0):
-    """Plain-array replay of the isotonic penalty forward pass."""
-    def scalars(b):
-        refs = head.references
-        out = []
-        for target, key in ((b.latency_target, "latency"),
-                            (b.bytes_target, "bytes"),
-                            (b.energy_target, "energy")):
-            out.append(0.0 if target is None else target / refs[key])
-        return np.array(out)
-
-    def logits(b):
-        h = (head.w_budget @ scalars(b)
-             + head.w_device @ head.device_embeddings[b.device]
-             + head.b_hidden)
-        return head.w_out @ np.maximum(h, 0.0) + head.b_out
-
-    lt, ll = logits(tighter), logits(looser)
-    total = 0.0
-    for (start, stop), menu in zip(head.layer_slices(), head.menus):
-        ks = np.array([float(k) for k, _ in menu])
-        qs = np.array([32.0 if q is None else float(q)
-                       for _, q in menu])
-
-        def expect(vec):
-            z = vec[start:stop] / tau
-            p = np.exp(z - z.max())
-            p /= p.sum()
-            return p @ ks, p @ qs
-
-        kt, qt = expect(lt)
-        kl, ql = expect(ll)
-        total += max(kt - kl, 0.0) + max(qt - ql, 0.0)
-    return lam * total
-
-
-class TestIsotonicHinge:
-    B1 = controller.BudgetToken(device="dev", latency_target=1.0)
-    B2 = controller.BudgetToken(device="dev", latency_target=5.0)
-
-    def test_monotone_assignments_give_zero_value_and_grads(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=1)
-        val, grads = controller.isotonic_hinge(head, self.B1, self.B2,
-                                               0.3)
-        assert val == 0.0
-        for g in grads.values():
-            assert np.all(g == 0.0)
-
-    def test_identical_budgets_give_zero(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        val, grads = controller.isotonic_hinge(head, self.B1, self.B1,
-                                               0.3)
-        assert val == 0.0
-        for g in grads.values():
-            np.testing.assert_allclose(g, 0.0, atol=1e-15)
-
-    def test_value_matches_a_plain_array_replay(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        val, _ = controller.isotonic_hinge(head, self.B1, self.B2, 0.3)
-        want = _numpy_hinge(head, self.B1, self.B2, 0.3)
-        assert val == pytest.approx(want, rel=1e-12)
-        assert val > 0.0
-        half, _ = controller.isotonic_hinge(head, self.B1, self.B2,
-                                            0.3, tau=2.0)
-        assert half == pytest.approx(
-            _numpy_hinge(head, self.B1, self.B2, 0.3, tau=2.0),
-            rel=1e-12)
-
-    def test_gradients_match_central_differences(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        _, grads = controller.isotonic_hinge(head, self.B1, self.B2,
-                                             0.3)
-        rng = _rng(90)
-        for key, grad in grads.items():
-            arr = (head.device_embeddings["dev"]
-                   if key == "device:dev" else getattr(head, key))
-            picks = rng.choice(arr.size, size=min(4, arr.size),
-                               replace=False)
-            for flat in picks:
-                idx = np.unravel_index(flat, arr.shape)
-                keep = arr[idx]
-                arr[idx] = keep + 1e-5
-                up, _ = controller.isotonic_hinge(head, self.B1,
-                                                  self.B2, 0.3)
-                arr[idx] = keep - 1e-5
-                down, _ = controller.isotonic_hinge(head, self.B1,
-                                                    self.B2, 0.3)
-                arr[idx] = keep
-                fd = (up - down) / 2e-5
-                assert grad[idx] == pytest.approx(fd, rel=1e-4,
-                                                  abs=1e-10), key
-
-    def test_penalty_scales_linearly_with_its_weight(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        v1, g1 = controller.isotonic_hinge(head, self.B1, self.B2, 0.3)
-        v2, g2 = controller.isotonic_hinge(head, self.B1, self.B2, 0.6)
-        assert v2 == pytest.approx(2 * v1, rel=1e-12)
-        for key in g1:
-            np.testing.assert_allclose(g2[key], 2 * g1[key], rtol=1e-12)
-
-    def test_unordered_budget_pair_rejected(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        with pytest.raises(ValueError, match="tightest first"):
-            controller.isotonic_hinge(head, self.B2, self.B1, 0.3)
-
-    def test_temperature_validated(self):
-        head = controller.init_policy(_POLICY_MENUS, ["dev"], hidden=6,
-                                      seed=0)
-        with pytest.raises(ValueError, match="temperature"):
-            controller.isotonic_hinge(head, self.B1, self.B2, 0.3,
-                                      tau=0.0)
-
-
-class TestInputSummary:
-    def test_dense_summary_is_the_final_block_input(self):
-        dims = (5, 7, 3)
-        net = _dense_net(95, dims)
-        x = _rng(96).standard_normal(dims[0])
-        got = controller.input_summary(net, x)
-        blk = net.blocks[0]
-        full = elastic.effective_weight(blk.elastic,
-                                        blk.elastic.k_max)
-        want = _act_apply(blk.activation, full @ x)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert got.shape == (dims[1],)
-
-    def test_batches_are_mean_pooled(self):
-        dims = (5, 7, 3)
-        net = _dense_net(97, dims)
-        xs = _rng(98).standard_normal((6, dims[0]))
-        got = controller.input_summary(net, xs)
-        rows = np.stack([controller.input_summary(net, x) for x in xs])
-        np.testing.assert_allclose(got, rows.mean(axis=0), rtol=1e-12)
-
-    def test_conv_summary_pools_spatial_axes(self):
-        rng = _rng(99)
-        first = network.Block(
-            elastic=elastic.from_conv(rng.standard_normal((5, 3, 3, 3))),
-            activation=network.RELU)
-        second = network.Block(
-            elastic=elastic.from_conv(rng.standard_normal((5, 5, 3, 3))),
-            activation=network.RELU)
-        net = network.Network((first, second))
-        x = rng.standard_normal((2, 3, 8, 8))
-        got = controller.input_summary(net, x)
-        assert got.shape == (5,)

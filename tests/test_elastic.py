@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from elastiq import elastic, linalg
 
-from oracles import tucker2_recompose
+from oracles import hard_mask, tucker2_recompose
 
 
 def _rng(seed):
@@ -217,7 +217,7 @@ class TestSoftMask:
         mask = elastic.RankMask(logits=logits, temperature=0.001)
         noise = elastic.sample_gumbel(8, _rng(50))
         got = elastic.soft_mask(mask, noise, k_target=3)
-        assert np.max(np.abs(got - elastic.hard_mask(3, 8))) < 1e-3
+        assert np.max(np.abs(got - hard_mask(3, 8))) < 1e-3
 
     def test_high_temperature_flattens(self):
         logits = _rng(51).standard_normal(10)
@@ -269,34 +269,6 @@ class TestSoftMask:
         for bad in (0, 5):
             with pytest.raises(ValueError, match="k_target"):
                 elastic.soft_mask(mask, np.zeros(4), k_target=bad)
-
-    def test_hard_mask_indicator(self):
-        assert np.array_equal(elastic.hard_mask(3, 5),
-                              [1.0, 1.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(elastic.hard_mask(0, 3), np.zeros(3))
-        mask = elastic.RankMask(logits=np.zeros(5), temperature=1.0,
-                                mode=elastic.HARD, hard_k=2)
-        assert np.array_equal(elastic.mask_values(mask),
-                              [1.0, 1.0, 0.0, 0.0, 0.0])
-
-    def test_masked_weight_matches_truncate_in_limit(self):
-        w = _rng(56).standard_normal((6, 5))
-        layer = elastic.from_dense(w)
-        logits = np.linspace(5.0, 1.0, 5)
-        mask = elastic.RankMask(logits=logits, temperature=1e-4)
-        values = elastic.soft_mask(mask, np.zeros(5), k_target=3)
-        soft_w = elastic.masked_weight(layer, values)
-        assert np.allclose(soft_w, elastic.truncate(layer, 3), atol=1e-8)
-
-    def test_masked_weight_all_ones_is_full(self):
-        layer = elastic.from_dense(_rng(57).standard_normal((5, 5)))
-        got = elastic.masked_weight(layer, np.ones(5))
-        assert np.array_equal(got, elastic.truncate(layer, 5))
-
-    def test_masked_weight_conv_rejected(self):
-        layer = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
-        with pytest.raises(ValueError, match="conv"):
-            elastic.masked_weight(layer, np.ones(layer.k_max))
 
 
 class TestAnnealTemperature:

@@ -8,7 +8,6 @@ from elastiq.quant import (
     dequantize,
     quantize_dequantize,
     ste_gradient,
-    bias_correction,
     grid_limit,
 )
 
@@ -243,38 +242,3 @@ class TestSteGradient:
         spec = _calibrated(t, bits=8, granularity="per_channel", channel_axis=0)
         _, grad_ls = ste_gradient(np.ones_like(t), t, spec)
         assert grad_ls.shape == (3,)
-
-
-class TestBiasCorrection:
-    def test_symmetric_errors_give_small_offset(self):
-        rng = np.random.Generator(np.random.PCG64(6))
-        t = rng.standard_normal((8, 16))
-        spec = _calibrated(t, bits=8)
-        x = rng.standard_normal((64, 16))
-        delta = bias_correction(t, spec, x)
-        assert np.max(np.abs(delta)) < 0.05
-
-    def test_constant_off_grid_tensor_basis_batch(self):
-        t = np.full((3, 4), 0.3)
-        spec = QuantSpec(bits=4, scales=(0.25,))
-        single_err = 0.3 - 0.25 * np.rint(0.3 / 0.25)
-        delta = bias_correction(t, spec, np.eye(4))
-        assert np.allclose(delta, single_err, atol=1e-14)
-
-    def test_post_correction_mean_error_zero(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        t = rng.standard_normal((5, 9))
-        spec = _calibrated(t, bits=4)
-        x = rng.standard_normal((32, 9))
-        delta = bias_correction(t, spec, x)
-        deq = quantize_dequantize(t, spec)
-        resid = (t @ x.T - (deq @ x.T + delta[:, None])).mean(axis=1)
-        assert np.max(np.abs(resid)) <= 1e-10
-
-    def test_batch_validation(self):
-        t = np.ones((2, 3))
-        spec = _calibrated(t, bits=8)
-        with pytest.raises(ValueError):
-            bias_correction(t, spec, np.ones((0, 3)))
-        with pytest.raises(ValueError):
-            bias_correction(t, spec, np.ones((4, 5)))
