@@ -1,4 +1,4 @@
-"""Budget tokens, profiles, monotonicity, certificate mass, greedy
+"""Budget tokens, profiles, menu snapping, monotonicity, certificate mass, greedy
 allocation, the profile lattice, and runtime profile selection."""
 
 import itertools
@@ -94,6 +94,61 @@ class TestProfile:
         x = _rng(5).standard_normal(6)
         drift = network.logit_drift(net, x, prof)
         assert np.isfinite(drift)
+
+    def test_entry_count_checked(self):
+        net = _dense_net(2, (6, 5, 4))
+        x = _rng(3).standard_normal(6)
+        with pytest.raises(ValueError, match="layer count"):
+            network.logit_drift(net, x, controller.Profile(((1, 4),)))
+
+
+class TestSnap:
+    """Menu snapping: a planned profile holds only entries of each layer's
+    menu, and a tied group takes one common rank."""
+
+    def test_membership_holds_for_random_proposals(self):
+        rng = _rng(11)
+        for case in range(20):
+            dims = [int(d) for d in rng.integers(4, 9, size=3)]
+            net = _dense_net(100 + case, dims,
+                             acts=[network.IDENTITY] * 2)
+            menus, benefit = [], []
+            for blk in net.blocks:
+                ks = sorted(rng.choice(np.arange(1, blk.elastic.k_max + 1),
+                                       size=min(3, blk.elastic.k_max),
+                                       replace=False))
+                menus.append([(int(k), int(rng.choice([2, 4, 8, 16])))
+                              for k in ks])
+                benefit.append(sorted(rng.uniform(0, 5, len(ks)))[::-1])
+            top = _menu_bytes(net, [m[-1] for m in menus])
+            size = int(rng.integers(1, top + 2))
+            res = controller.greedy_knapsack(net, menus, _token(size=size),
+                                             benefit)
+            for entry, menu in zip(res.profile.pairs, menus):
+                assert entry in menu
+
+    def test_tied_group_gets_one_common_rank(self):
+        net = _dense_net(12, (6, 6, 6, 6), acts=[network.IDENTITY] * 3,
+                         group_ids=["g", None, "g"])
+        menus = [[(1, 4), (2, 4), (4, 8)]] * 3
+        benefit = [[9.0, 5.0, 1.0], [7.0, 3.0, 2.0], [6.0, 4.0, 0.0]]
+        top = _menu_bytes(net, [m[-1] for m in menus])
+        ranks = set()
+        for size in range(1, top + 1, 7):
+            res = controller.greedy_knapsack(net, menus, _token(size=size),
+                                             benefit)
+            k0, k2 = res.profile.pairs[0][0], res.profile.pairs[2][0]
+            assert k0 == k2
+            ranks.add(k0)
+        assert ranks == {1, 2, 4}
+
+    def test_menus_must_be_sorted_and_non_empty(self):
+        net = _dense_net(13, (6, 5))
+        with pytest.raises(ValueError, match="ascending"):
+            controller.greedy_knapsack(net, [[(2, 4), (1, 4)]],
+                                       _token(size=100), [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="empty"):
+            controller.greedy_knapsack(net, [[]], _token(size=100), [[]])
 
 
 class TestEnforceMonotone:

@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import elastic, linalg
+from elastiq import elastic, linalg, network
 
 from oracles import hard_mask, tucker2_recompose
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _masked_weight(layer, mask, noise, k_target):
+    # the weight training sees through a soft rank mask, read back from a
+    # one-block identity network fed the standard basis
+    net = network.Network((network.Block(elastic=layer,
+                                         activation=network.IDENTITY),))
+    x = np.eye(layer.in_features)
+    return network.forward_tape(
+        net, x, masks=[(mask, noise, k_target)]).logits.T
 
 
 def _independent_round_trip(t, bits):
@@ -269,6 +279,35 @@ class TestSoftMask:
         for bad in (0, 5):
             with pytest.raises(ValueError, match="k_target"):
                 elastic.soft_mask(mask, np.zeros(4), k_target=bad)
+
+    def test_hard_mask_indicator(self):
+        assert np.array_equal(hard_mask(3, 5), [1.0, 1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(hard_mask(0, 3), np.zeros(3))
+
+    def test_masked_weight_matches_truncate_in_limit(self):
+        w = _rng(56).standard_normal((6, 5))
+        layer = elastic.from_dense(w)
+        logits = np.linspace(5.0, 1.0, 5)
+        mask = elastic.RankMask(logits=logits, temperature=1e-4)
+        soft_w = _masked_weight(layer, mask, np.zeros(5), k_target=3)
+        assert np.allclose(soft_w, elastic.truncate(layer, 3), atol=1e-8)
+
+    def test_masked_weight_all_ones_is_full(self):
+        layer = elastic.from_dense(_rng(57).standard_normal((5, 5)))
+        mask = elastic.RankMask(logits=np.zeros(5), temperature=1e-4)
+        got = _masked_weight(layer, mask, np.zeros(5), k_target=5)
+        assert np.array_equal(got, elastic.truncate(layer, 5))
+
+    def test_masked_weight_conv_rejected(self):
+        layer = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
+        net = network.Network((network.Block(elastic=layer,
+                                             activation=network.IDENTITY),))
+        mask = elastic.RankMask(logits=np.zeros(layer.k_max),
+                                temperature=1.0)
+        x = _rng(59).standard_normal((3, 5, 5))
+        with pytest.raises(ValueError, match="conv"):
+            network.forward_tape(
+                net, x, masks=[(mask, np.zeros(layer.k_max), 1)])
 
 
 class TestAnnealTemperature:
