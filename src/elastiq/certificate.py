@@ -172,46 +172,44 @@ def _conservative_multipliers(net, entries=None):
     return [_local_scale(net.blocks[i]) * suffix[i + 1] for i in range(n)]
 
 
-def _post_weight_jacobian(net, ell, x):
-    """Exact Jacobian of the logits w.r.t. the signal just after block
-    ell's weight multiply, at input x, full stored weights."""
-    tr = network.forward(net, x, None)
-    jac = None
-    for j in range(ell, len(net.blocks)):
+def _tail_jacobians(net, xs):
+    """Exact Jacobians of the logits w.r.t. the signal just after each
+    block's weight multiply, full stored weights, at a (rows, features)
+    batch: one (rows, logits, width) stack per block, accumulated in one
+    sweep from the logits back to the first block."""
+    tr = network.forward(net, xs, None)
+    jacs = [None] * len(net.blocks)
+    # d logits / d (output of block j), starting at the logits themselves
+    head = np.eye(tr.logits.shape[1])
+    for j in reversed(range(len(net.blocks))):
         blk = net.blocks[j]
         lay = blk.elastic
-        a = tr.inputs[j]
         w = elastic.effective_weight(lay, lay.k_max)
-        u = a @ w.T
+        u = tr.inputs[j] @ w.T
         if lay.bias is not None:
             u = u + lay.bias
-        scale = np.ones(u.shape[0])
+        scale = 1.0
         z = u
         if blk.gamma is not None:
             scale = blk.gamma
             z = scale * u + blk.beta
         d = network._act_grad(blk.activation, z) * scale
-        if j == ell:
-            jac = d[:, None] * np.eye(u.shape[0])
-        else:
-            step = d[:, None] * w
-            if blk.residual:
-                step = step + np.eye(step.shape[0])
-            jac = step @ jac
-    return jac
+        jacs[j] = head * d[:, None, :]
+        down = jacs[j] @ w
+        head = down + head if blk.residual else down
+    return jacs
 
 
-def _jacobian_norm_estimate(jac, steps):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(jac.shape[1])
-    v /= np.linalg.norm(v)
+def _jacobian_norm_estimates(jac, steps):
+    """Per-row power iteration on a (rows, out, in) stack of Jacobians from
+    one fixed unit start vector; a row whose iterate vanishes gives 0."""
+    v = np.random.default_rng(0).standard_normal(jac.shape[2])
+    v = np.tile(v / np.linalg.norm(v), (jac.shape[0], 1))
     for _ in range(steps):
-        w = jac.T @ (jac @ v)
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            return 0.0
-        v = w / n
-    return float(np.linalg.norm(jac @ v))
+        w = np.einsum("roi,ro->ri", jac, np.einsum("roi,ri->ro", jac, v))
+        n = np.linalg.norm(w, axis=1, keepdims=True)
+        v = w / np.where(n == 0.0, 1.0, n)
+    return np.linalg.norm(np.einsum("roi,ri->ro", jac, v), axis=1)
 
 
 def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
@@ -241,11 +239,9 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
     if xs.shape[0] == 0:
         raise ValueError("sampled proxy needs calibration inputs")
     sens = []
-    for ell in range(len(net.blocks)):
+    for jac in _tail_jacobians(net, xs):
         ema = None
-        for row in xs:
-            jac = _post_weight_jacobian(net, ell, row)
-            est = _jacobian_norm_estimate(jac, mode.steps)
+        for est in _jacobian_norm_estimates(jac, mode.steps):
             ema = est if ema is None \
                 else mode.ema_decay * ema + (1.0 - mode.ema_decay) * est
         sens.append(float(ema))

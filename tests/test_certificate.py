@@ -203,10 +203,30 @@ class TestLipschitzProxy:
                          (network.RELU, network.GELU, network.IDENTITY),
                          gamma_on=(1,), residual_on=(1,))
         x = _rng(14).standard_normal(4)
+        jacs = certificate._tail_jacobians(net, x[None])
         for ell in range(3):
-            got = certificate._post_weight_jacobian(net, ell, x)
+            got = jacs[ell][0]
             want = _oracle_tail_jacobian(net, ell, x)
             assert np.allclose(got, want, atol=1e-12)
+
+    def test_batched_power_iteration_matches_row_loop(self):
+        jac = _rng(15).standard_normal((5, 3, 4))
+        jac[2] = 0.0
+
+        def row_loop(j, steps):
+            v = np.random.default_rng(0).standard_normal(j.shape[1])
+            v /= np.linalg.norm(v)
+            for _ in range(steps):
+                w = j.T @ (j @ v)
+                if np.linalg.norm(w) == 0.0:
+                    return 0.0
+                v = w / np.linalg.norm(w)
+            return np.linalg.norm(j @ v)
+
+        got = certificate._jacobian_norm_estimates(jac, 5)
+        want = [row_loop(j, 5) for j in jac]
+        assert got[2] == 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_conservative_dominates_sampled_on_random_nets(self):
         acts_pool = (network.RELU, network.IDENTITY)
