@@ -37,7 +37,9 @@ Calibration probes
 Commands that need model inputs (certify, plan with a sampled proxy,
 report) draw standard-normal probes from --seed by default — matching
 the standardized synthetic task — or load array ``x`` from an .npz file
-given via --calib. Dense stacks only; conv models must supply --calib.
+given via --calib. Dense stacks only; conv models must supply --calib,
+plan included: it prices conv layers at the (H, W) of those inputs and
+records that size in the lattice.
 """
 
 from __future__ import annotations
@@ -453,14 +455,18 @@ def cmd_plan(args):
         raise CliError(str(exc)) from exc
     stats = _stored_stats(doc)
     mode = _ledger_mode(doc)
-    calib = None
-    if not isinstance(mode, str):
-        calib = _probe_inputs(net, args.calib_size, args.seed, args.calib)
+    conv = net.blocks[0].is_conv
+    calib = spatial = None
+    if conv or not isinstance(mode, str):
+        xs = _probe_inputs(net, args.calib_size, args.seed, args.calib)
+        calib = None if isinstance(mode, str) else xs
+        # conv FLOPs scale with the feature-map size of the inputs
+        spatial = tuple(int(d) for d in xs.shape[-2:]) if conv else None
 
     menus = _canonical_menus(net)
     benefit = controller.certificate_mass(net, stats, menus, mode, calib)
     grid = _canonical_grid(net)
-    grid_rows = [cost.profile_costs(net, pairs) for pairs in grid]
+    grid_rows = [cost.profile_costs(net, pairs, spatial) for pairs in grid]
     device = args.device
     if args.device_csv is not None:
         table = cost.read_device_table(args.device_csv,
@@ -485,7 +491,7 @@ def cmd_plan(args):
     if triples is None:
         full = [(blk.elastic.k_max, None) for blk in net.blocks]
         base = cost.predict(cost_model,
-                            cost.profile_costs(net, full))
+                            cost.profile_costs(net, full, spatial))
         lats = sorted({f * base * _AUTO_BUDGET_SLACK
                        for f in _AUTO_BUDGET_FRACS})
         triples = [(lat, None, None) for lat in lats]
@@ -505,13 +511,13 @@ def cmd_plan(args):
             raise CliError(str(exc)) from exc
 
     tightest = controller.greedy_knapsack(net, menus, budgets[0], benefit,
-                                          cost_model, energy_model)
+                                          cost_model, energy_model, spatial)
     say("plan", budgets=len(budgets),
         smallest_budget_feasible=tightest.feasible)
     try:
         lattice = controller.build_lattice(
             net, menus, budgets, benefit, stats, cost_model,
-            energy_model=energy_model, mode=mode,
+            energy_model=energy_model, spatial=spatial, mode=mode,
             calibration_inputs=calib)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -798,7 +804,8 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (manifest.ManifestError, RuntimeError, OSError) as exc:
+    except (manifest.ManifestError, RuntimeError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -346,6 +346,7 @@ class ProfileLattice:
     Profiles must grow componentwise along the chain; that total order
     is what makes runtime downshifts safe. measured_latency carries
     synthetic-device observations when available; energy is optional.
+    spatial is the (H, W) conv layers were priced at; dense nets have none.
     """
 
     profiles: tuple
@@ -355,6 +356,7 @@ class ProfileLattice:
     measured_latency: tuple | None = None
     energy: tuple | None = None
     device: str | None = None
+    spatial: tuple | None = None
 
     def __post_init__(self):
         profiles = tuple(self.profiles)
@@ -433,7 +435,8 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         measured_latency=None if measured_latency is None
         else tuple(measured_latency),
         energy=tuple(energy) if energy_model is not None else None,
-        device=cost_model.device)
+        device=cost_model.device,
+        spatial=None if spatial is None else tuple(spatial))
 
 
 @dataclass(frozen=True)

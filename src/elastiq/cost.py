@@ -1,8 +1,8 @@
 """Compute and memory accounting plus a fitted latency/energy proxy.
 
-Closed-form multiply-add counts and byte footprints for the staged
-factorized forward paths, break-even thresholds that say when a factorized
-layer beats the dense one, and a nonnegative-least-squares latency model
+Closed-form multiply-add counts and byte footprints for the factorized
+forward paths (for conv layers, the path network.forward executes), the
+dense break-even rank, and a nonnegative-least-squares latency model
 over (FLOPs, bytes) features. No hardware is touched: device tables are
 synthesized from a planted linear model with multiplicative log-normal
 noise, clearly labeled as such, so the fit/predict loop stays testable on
@@ -84,17 +84,24 @@ def layer_cost(layer, k, q=None, spatial=None,
     """Full accounting for one layer at one operating point.
 
     Dense layers need no spatial size; conv layers require
-    spatial=(H, W) of the feature map. Activation bytes cover one input
-    read plus one output write at the inference activation width.
+    spatial=(H, W) of the feature map. Conv FLOPs are those of the path
+    network.forward executes, which elastic.conv_runs_staged picks: the
+    staged Tucker-2 conv, or the rebuilt kernel's
+    2*H*W*c_o*c_i*kh*kw, whichever is fewer. Activation bytes cover one
+    input read plus one output write at the inference activation width.
     """
     if layer.kind == elastic.CONV_TUCKER2:
         if spatial is None:
             raise ValueError("conv layers need spatial=(H, W)")
         height, width = spatial
-        r_o, r_i = elastic.conv_rank_schedule(layer, k)
+        c_o, c_i = layer.out_features, layer.in_features
         _, _, kh, kw = layer.factors.core.shape
-        fl = flops_conv_tucker2(layer.out_features, layer.in_features,
-                                kh, kw, height, width, r_o, r_i)
+        if elastic.conv_runs_staged(layer, k):
+            r_o, r_i = elastic.conv_rank_schedule(layer, k)
+            fl = flops_conv_tucker2(c_o, c_i, kh, kw, height, width,
+                                    r_o, r_i)
+        else:
+            fl = 2 * height * width * c_o * c_i * kh * kw
         act_elems = (layer.in_features + layer.out_features) * height * width
     else:
         fl = flops_dense_svd(layer.out_features, layer.in_features, k)
@@ -124,14 +131,6 @@ def threshold_rank_dense(m, n):
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     return (m * n) // (m + n)
-
-
-def threshold_rho_conv(h, w):
-    """Channel-rank fraction where the spatial stage of the staged conv
-    costs as much as a full 1x1 channel mixer: 1/sqrt(h*w)."""
-    if h < 1 or w < 1:
-        raise ValueError("kernel sides must be positive")
-    return 1.0 / math.sqrt(h * w)
 
 
 @dataclass(frozen=True)

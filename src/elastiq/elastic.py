@@ -167,30 +167,54 @@ def _round_trip(t, bits):
     return quant.dequantize(quant.quantize(t, spec))
 
 
+def _rank_slices(layer, k):
+    """Unquantized rank-k (u, core, v) factor slices; conv layers take the
+    channel ranks of conv_rank_schedule."""
+    f = layer.factors
+    if layer.kind == CONV_TUCKER2:
+        r_o, r_i = conv_rank_schedule(layer, k)
+        return f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i]
+    k = _check_k(layer, k)
+    if layer.kind == DENSE_CP:
+        return f.a1[:, :k], f.weights[:k], f.a2[:, :k]
+    return f.u[:, :k], f.sigma[:k], f.v[:, :k]
+
+
+def _served_slices(layer, k, factor_bits=None):
+    """Rank-k (u, core, v) factor slices as served: each one through the
+    quantizer round trip at its width, unchanged where it has none."""
+    u, core, v = _rank_slices(layer, k)
+    bu, bc, bv = _split_bits(factor_bits)
+    return _round_trip(u, bu), _round_trip(core, bc), _round_trip(v, bv)
+
+
+def conv_runs_staged(layer, k):
+    """True when a conv layer at rank k executes staged — 1x1 reduce with
+    u_in^T, spatial conv with the core, 1x1 expand with u_out — because
+    that takes fewer multiply-adds per output pixel,
+    c_i r_i + r_o r_i kh kw + c_o r_o, than a conv with the rebuilt kernel,
+    c_o c_i kh kw. Otherwise the rebuilt kernel runs. network.forward
+    executes the path this picks and cost.layer_cost counts its FLOPs."""
+    r_o, r_i = conv_rank_schedule(layer, k)
+    c_o, c_i = layer.out_features, layer.in_features
+    _, _, kh, kw = layer.factors.core.shape
+    return c_i * r_i + r_o * r_i * kh * kw + c_o * r_o < c_o * c_i * kh * kw
+
+
 def effective_weight(layer, k, factor_bits=None):
     """Reconstruction at rank k, optionally through quantized factors.
 
     factor_bits is None (exact), a single width for all factors, or a
     (u, core, v) triple of widths applied to the rank-k factor slices.
+    A conv kernel is rebuilt with two matrix products.
     """
-    k = _check_k(layer, k)
-    bu, bc, bv = _split_bits(factor_bits)
-    f = layer.factors
-    if layer.kind == DENSE_SVD:
-        u = _round_trip(f.u[:, :k], bu)
-        s = _round_trip(f.sigma[:k], bc)
-        v = _round_trip(f.v[:, :k], bv)
-        return (u * s) @ v.T
-    if layer.kind == DENSE_CP:
-        a1 = _round_trip(f.a1[:, :k], bu)
-        w = _round_trip(f.weights[:k], bc)
-        a2 = _round_trip(f.a2[:, :k], bv)
-        return (a1 * w) @ a2.T
-    r_o, r_i = conv_rank_schedule(layer, k)
-    u_out = _round_trip(f.u_out[:, :r_o], bu)
-    core = _round_trip(f.core[:r_o, :r_i], bc)
-    u_in = _round_trip(f.u_in[:, :r_i], bv)
-    return np.einsum("rshw,or,is->oihw", core, u_out, u_in)
+    u, core, v = _served_slices(layer, k, factor_bits)
+    if layer.kind != CONV_TUCKER2:
+        return (u * core) @ v.T
+    r_o, r_i, kh, kw = core.shape
+    # (c_o, r_i, kh*kw) contracted with u_in over r_i -> (c_o, c_i, kh*kw)
+    t = (u @ core.reshape(r_o, -1)).reshape(u.shape[0], r_i, kh * kw)
+    return np.matmul(v, t).reshape(u.shape[0], v.shape[0], kh, kw)
 
 
 def truncate(layer, k):

@@ -475,18 +475,8 @@ def pairs_from_doc(entries):
 
 def _profile_slices(layer, k, q):
     """Factor slices served at (k, q): (name, values, bits) triples."""
-    bu, bc, bv = elastic._split_bits(q)
-    f = layer.factors
-    if layer.kind == elastic.DENSE_SVD:
-        k = elastic._check_k(layer, k)
-        parts = (f.u[:, :k], f.sigma[:k], f.v[:, :k])
-    elif layer.kind == elastic.DENSE_CP:
-        k = elastic._check_k(layer, k)
-        parts = (f.a1[:, :k], f.weights[:k], f.a2[:, :k])
-    else:
-        r_o, r_i = elastic.conv_rank_schedule(layer, k)
-        parts = (f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i])
-    return tuple(zip(_FACTOR_NAMES, parts, (bu, bc, bv)))
+    return tuple(zip(_FACTOR_NAMES, elastic._rank_slices(layer, k),
+                     elastic._split_bits(q)))
 
 
 def add_profile(doc, net, name, pairs):
@@ -530,6 +520,8 @@ def lattice_to_doc(lattice):
         "energy": None if lattice.energy is None
         else _fmt_list(lattice.energy),
     }
+    if lattice.spatial is not None:
+        sec["spatial"] = [int(d) for d in lattice.spatial]
     return sec
 
 
@@ -546,7 +538,9 @@ def lattice_from_doc(sec):
         else _parse_list(sec["measured_latency"]),
         energy=None if sec.get("energy") is None
         else _parse_list(sec["energy"]),
-        device=sec.get("device"))
+        device=sec.get("device"),
+        spatial=None if sec.get("spatial") is None
+        else tuple(int(d) for d in sec["spatial"]))
 
 
 def stats_to_doc(stats):
@@ -866,6 +860,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
                         "section")
     mode = certificate.CONSERVATIVE if conservative \
         else certificate.PowerIter()
+    sampled = None  # the sampled proxy ignores the profile: one pass
     for name, entry in sorted(sec["profiles"].items()):
         pairs = pairs_from_doc(entry["pairs"])
         sens = _parse_list(entry["sensitivity"])
@@ -884,10 +879,16 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
                     f"{change[i]!r} != recomputed {fresh!r}")
-        if not conservative and calibration_inputs is None:
+        if conservative:
+            fresh_sens = certificate.lipschitz_proxy(net, mode,
+                                                     profile=pairs)
+        elif calibration_inputs is None:
             continue
-        fresh_sens = certificate.lipschitz_proxy(net, mode,
-                                                 calibration_inputs, pairs)
+        else:
+            if sampled is None:
+                sampled = certificate.lipschitz_proxy(net, mode,
+                                                      calibration_inputs)
+            fresh_sens = sampled
         for i, (got, fresh) in enumerate(zip(sens, fresh_sens)):
             if not _close(fresh, got, tol):
                 problems.append(

@@ -4,7 +4,11 @@ Two forward paths share one block semantics (linear map, optional bias,
 optional frozen affine norm, activation, optional skip connection):
 
 * ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan and
-  records a trace of activations.
+  records a trace of activations. Conv layers run on channel-last maps
+  with one GEMM per kernel tap: staged through the Tucker-2 factors (1x1
+  reduce, spatial conv with the core, 1x1 expand) when
+  ``elastic.conv_runs_staged`` says that takes fewer FLOPs, otherwise
+  through the rebuilt kernel.
 * ``forward_tape`` builds the same computation on a small reverse-mode tape
   so ``backward`` can return gradients for factors, biases, norm parameters,
   soft rank-mask logits, and quantizer log-scales.
@@ -284,17 +288,60 @@ def v_log_softmax(a, axis=-1):
 
 
 def _conv_same_value(x, k):
-    # stride-1 zero-padded conv keeping H, W; odd kernel sides
-    o, _, kh, kw = k.shape
+    """Stride-1 zero-padded conv keeping H, W (odd kernel sides) on
+    channel-last maps: x is (b, h, w, c), the result (b, h, w, o).
+
+    One GEMM per tap over every pixel of the unpadded input. Tap (dy, dx)
+    lands sy = dy - kh//2 rows and sx = dx - kw//2 columns away, which in
+    each image's flattened (h*w*o) map is one shift; the |sx| product
+    columns that would wrap into the next row are zeroed first. Besides
+    the output, the only temporary is one per-tap product.
+    """
+    o, c, kh, kw = k.shape
+    b, h, w, _ = x.shape
     ph, pw = kh // 2, kw // 2
-    h, w = x.shape[2], x.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((x.shape[0], o, h, w))
+    rows = x.reshape(-1, c)
+    taps = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
+    # the centre tap reaches every output pixel and starts the sum
+    out = rows @ taps[ph, pw]
+    prod = np.empty_like(out)
+    n = h * w * o
+    acc, part = out.reshape(b, n), prod.reshape(b, n)
+    grid = prod.reshape(b, h, w, o)
     for dy in range(kh):
         for dx in range(kw):
-            out += np.einsum("oc,bcyx->boyx", k[:, :, dy, dx],
-                             xp[:, :, dy:dy + h, dx:dx + w])
-    return out
+            sy, sx = dy - ph, dx - pw
+            if (sy == 0 and sx == 0) or abs(sy) >= h or abs(sx) >= w:
+                continue
+            np.matmul(rows, taps[dy, dx], out=prod)
+            if sx > 0:
+                grid[:, :, :sx] = 0.0
+            elif sx < 0:
+                grid[:, :, sx:] = 0.0
+            d = (sy * w + sx) * o
+            if d > 0:
+                acc[:, :n - d] += part[:, d:]
+            else:
+                acc[:, -d:] += part[:, :n + d]
+    return out.reshape(b, h, w, o)
+
+
+def _conv_layer_value(layer, k, q, x):
+    """Conv of (b, c, h, w) maps x with a layer at (k, q), on the path
+    elastic.conv_runs_staged picks: staged through the factor slices, or
+    through the rebuilt kernel. The work runs channel-last; the result is
+    a (b, o, h, w) view of channel-last memory, a layout elementwise ops
+    keep, so the next conv layer reads its input without a copy."""
+    x = x.transpose(0, 2, 3, 1)
+    if not elastic.conv_runs_staged(layer, k):
+        y = _conv_same_value(x, elastic.effective_weight(layer, k, q))
+        return y.transpose(0, 3, 1, 2)
+    u_out, core, u_in = elastic._served_slices(layer, k, q)
+    b, h, w, c = x.shape
+    t = _conv_same_value((x.reshape(-1, c) @ u_in).reshape(b, h, w, -1),
+                         core)
+    y = t.reshape(-1, t.shape[-1]) @ u_out.T
+    return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
 
 
 def v_conv2d(x, kernel):
@@ -304,7 +351,8 @@ def v_conv2d(x, kernel):
     kh, kw = kv.shape[2], kv.shape[3]
     ph, pw = kh // 2, kw // 2
     h, w = xv.shape[2], xv.shape[3]
-    out = Var(_conv_same_value(xv, kv), (x, kernel))
+    out = Var(_conv_same_value(xv.transpose(0, 2, 3, 1),
+                               kv).transpose(0, 3, 1, 2), (x, kernel))
     def bk(g):
         xp = np.pad(xv, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         gx = np.zeros_like(xp)
@@ -499,22 +547,25 @@ def forward(net, x, profile=None):
     index to entry, or any object exposing such a sequence as .pairs.
     Entries are k, (k,), or (k, q); q is a width or a (u, core, v) triple.
     x may be a single input or a leading-batch stack of inputs.
+
+    Dense layers multiply by the rebuilt weight. Conv layers run
+    channel-last with one GEMM per kernel tap, staged or through the
+    rebuilt kernel as elastic.conv_runs_staged picks.
     """
     entries = _normalize_profile(net, profile)
     a, single = _promote_input(net, x)
     inputs, outputs = [], []
     for blk, (k, q) in zip(net.blocks, entries):
-        w = elastic.effective_weight(blk.elastic, k, q)
         inputs.append(a[0] if single else a)
         if blk.is_conv:
-            pre = _conv_same_value(a, w)
+            pre = _conv_layer_value(blk.elastic, k, q, a)
             if blk.elastic.bias is not None:
                 pre = pre + blk.elastic.bias[:, None, None]
             if blk.gamma is not None:
                 pre = (pre * blk.gamma[:, None, None]
                        + blk.beta[:, None, None])
         else:
-            pre = a @ w.T
+            pre = a @ elastic.effective_weight(blk.elastic, k, q).T
             if blk.elastic.bias is not None:
                 pre = pre + blk.elastic.bias
             if blk.gamma is not None:

@@ -1,8 +1,8 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, manifests
 published only after self-verification, decompose on wide dense and
-bottleneck conv models, and byte-identical reruns across BLAS thread
-counts."""
+bottleneck conv models, the whole pipeline on a conv model, and
+byte-identical reruns across BLAS thread counts."""
 
 import contextlib
 import dataclasses
@@ -198,22 +198,58 @@ def test_decompose_wide_dense_model(tmp_path):
         == cli.EXIT_OK
 
 
-def test_conv_bottleneck_decomposes_and_certifies(tmp_path):
-    # a 3x3 8->16->16->8 stack, then a 1x1 8->4 bottleneck whose input
-    # unfolding has rank 4 < c_in = 8
+def _write_conv_bottleneck(tmp_path):
+    """Raw 3x3 8->16->16->8 stack, then a 1x1 8->4 bottleneck whose input
+    unfolding has rank 4 < c_in = 8, and 16 calibration maps of 8x8."""
     w, b, _ = _relu_stack(np.random.default_rng(0),
                           [(16, 8, 3, 3), (16, 16, 3, 3), (8, 16, 3, 3)])
     w2, b2, _ = _relu_stack(np.random.default_rng(0), [(4, 8, 1, 1)])
-    raw, el, cert = (tmp_path / n for n in ("raw.json", "el.json",
-                                             "cert.json"))
-    calib = tmp_path / "calib.npz"
+    raw, calib = tmp_path / "raw.json", tmp_path / "calib.npz"
     manifest.write_manifest(manifest.raw_model_to_doc(
         w + w2, b + b2, [network.RELU] * 3 + [network.IDENTITY]), raw)
     np.savez(calib, x=np.random.default_rng(1).standard_normal((16, 8, 8, 8)))
+    return raw, calib
+
+
+def test_conv_bottleneck_decomposes_and_certifies(tmp_path):
+    raw, calib = _write_conv_bottleneck(tmp_path)
+    el, cert = tmp_path / "el.json", tmp_path / "cert.json"
     assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
     assert _cli("certify", el, "--profiles", "2,4:8", "--epsilon", "1.0",
                 "--out", cert, "--calib", calib) == cli.EXIT_OK
     assert manifest.verify_manifest(str(cert)) == []
+
+
+def test_conv_model_plans_selects_and_audits(tmp_path):
+    raw, calib = _write_conv_bottleneck(tmp_path)
+    el, cert, plan = (tmp_path / n for n in ("el.json", "cert.json",
+                                             "plan.json"))
+    assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
+    assert _cli("certify", el, "--profiles", "2,4:8", "--epsilon", "1.0",
+                "--out", cert, "--calib", calib) == cli.EXIT_OK
+    # conv FLOPs need the feature-map size, which only --calib gives
+    code, _, err = _cli_output("plan", cert, "--out", plan)
+    assert code == cli.EXIT_ERROR and "conv models need --calib" in err
+    assert "Traceback" not in err and not plan.exists()
+    code, out, _ = _cli_output("plan", cert, "--out", plan, "--calib", calib)
+    assert code == cli.EXIT_OK and "@@ verify problems=0" in out
+    assert manifest.verify_manifest(str(plan)) == []
+    lattice = manifest.lattice_from_doc(
+        manifest.read_manifest(plan)["lattice"])
+    assert lattice.spatial == (8, 8)
+    assert _cli("select", plan, "--latency-ms",
+                repr(lattice.predicted_latency[1]), "--epsilon",
+                repr(lattice.drift_bound[1])) == cli.EXIT_OK
+    assert _cli("audit", plan) == cli.EXIT_OK
+
+
+def test_stray_value_errors_exit_1_with_a_message(tmp_path):
+    model = tmp_path / "model.json"
+    _small_model(model)
+    code, _, err = _cli_output("certify", model, "--profiles", "0",
+                               "--calib-size", 16)
+    assert code == cli.EXIT_ERROR
+    assert err == "error: rank must be at least 1\n"
 
 
 def test_reruns_byte_identical_across_blas_threads(tmp_path):

@@ -124,6 +124,14 @@ class TestLayerCost:
                                                    r_o, r_i)
         assert lc.activation_bytes == (3 + 4) * 64
 
+    def test_full_rank_conv_runs_and_is_priced_dense(self):
+        for lay in (_conv_layer(4, 3, 3, 3), _conv_layer(4, 8, 1, 1),
+                    _conv_layer(6, 6, 3, 1)):
+            c_o, c_i, kh, kw = elastic.truncate(lay, lay.k_max).shape
+            assert not elastic.conv_runs_staged(lay, lay.k_max)
+            assert cost.layer_cost(lay, lay.k_max, spatial=(5, 7)).flops \
+                == 2 * 5 * 7 * c_o * c_i * kh * kw
+
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             cost.LayerCost(flops=-1, weight_bytes=0, activation_bytes=0)
@@ -171,25 +179,6 @@ class TestThresholdRankDense:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             cost.threshold_rank_dense(0, 4)
-
-
-class TestThresholdRhoConv:
-    def test_three_by_three(self):
-        assert cost.threshold_rho_conv(3, 3) == pytest.approx(1.0 / 3.0,
-                                                              rel=1e-15)
-
-    def test_pointwise_kernel(self):
-        assert cost.threshold_rho_conv(1, 1) == 1.0
-
-    def test_spatial_stage_equals_channel_mixer_at_threshold(self):
-        for h, w, c_o, c_i in [(3, 3, 8, 4), (5, 5, 6, 6), (1, 3, 4, 2)]:
-            rho = cost.threshold_rho_conv(h, w)
-            spatial_stage = (rho * c_o) * (rho * c_i) * h * w
-            assert spatial_stage == pytest.approx(c_o * c_i, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            cost.threshold_rho_conv(0, 3)
 
 
 class TestNnls:

@@ -101,7 +101,11 @@ class TestTruncate:
         kernel = _rng(13).standard_normal((4, 3, 3, 3))
         layer = elastic.from_conv(kernel)
         got = elastic.truncate(layer, layer.k_max)
-        assert np.array_equal(got, tucker2_recompose(layer.factors))
+        # two matmuls rebuild the kernel in another summation order than
+        # the einsum oracle: measured 4.4e-16 apart at most
+        want = tucker2_recompose(layer.factors)
+        assert np.allclose(got, want, rtol=1e-13,
+                           atol=1e-13 * np.max(np.abs(want)))
         assert np.allclose(got, kernel, atol=1e-8)
 
     def test_conv_ranks_clamped_to_unfolding_ranks(self):

@@ -177,3 +177,42 @@ class TestCertificateVerification:
             == tuple(r[1] for r in rows)
         assert manifest.parse_float(entry["delta_hat"]) \
             == certificate.ledger_total(rows)
+
+    def test_sampled_sensitivities_recomputed_once(self, tmp_path,
+                                                   monkeypatch):
+        rng = _rng(8)
+        net = network.Network((
+            network.Block(elastic=elastic.from_dense(
+                rng.standard_normal((6, 5))), activation=network.RELU),
+            network.Block(elastic=elastic.from_dense(
+                rng.standard_normal((3, 6))))))
+        xs = rng.standard_normal((16, 5))
+        profiles = {f"r{k}": [(k, 8), (min(k, 3), None)]
+                    for k in (1, 2, 3, 4)}
+        doc = manifest.network_to_doc(net)
+        for name, pairs in profiles.items():
+            manifest.add_profile(doc, net, name, pairs)
+        stats = certificate.calibrate(net, xs)
+        doc["calibration"] = manifest.stats_to_doc(stats)
+        doc["certificate"] = manifest.certificate_section(
+            net, stats, profiles, certificate.PowerIter(),
+            calibration_inputs=xs)
+        path = tmp_path / "m.json"
+        manifest.write_manifest(doc, path)
+        doc = manifest.read_manifest(path)
+        calls = []
+        jacobians = certificate._tail_jacobians
+
+        def counted(*args):
+            calls.append(args)
+            return jacobians(*args)
+
+        monkeypatch.setattr(certificate, "_tail_jacobians", counted)
+        assert manifest.verify_manifest(doc, calibration_inputs=xs) == []
+        assert len(calls) == 1
+        # the one shared pass still checks every profile's column
+        column = doc["certificate"]["profiles"]["r4"]["sensitivity"]
+        column[0] = _scaled(column[0])
+        problems = manifest.verify_manifest(doc, calibration_inputs=xs)
+        assert any("certificate r4 layer 0: sensitivity" in p
+                   for p in problems), problems

@@ -5,10 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastiq import certificate, elastic, network, quant
-from oracles import naive_conv2d_same, naive_dense_forward, \
-    straight_line_quant_surrogate
+from elastiq import certificate, cost, elastic, network, quant
+from oracles import counted_tucker2_conv, naive_conv2d_same, \
+    naive_dense_forward, straight_line_quant_surrogate, tucker2_recompose
 
 
 def _rng(seed):
@@ -329,6 +331,103 @@ class TestForward:
         got = network.forward(net, x, {0: (2, None)}).logits
         want = network.forward(net, x, [(2, None), (3, None)]).logits
         assert np.array_equal(got, want)
+
+
+def _conv_stack(arch, seed):
+    """Small random conv stacks: two 3x3 layers, two 1x1 layers, a 3x3
+    layer into an 8->4 1x1 bottleneck, or a 3x3 layer into a residual 3x3
+    block. Relu with a frozen norm first, identity head, biases."""
+    rng = _rng(seed)
+    c0, c1, c2 = (int(c) for c in rng.integers(1, 7, 3))
+    layers = {
+        "3x3": [(c1, c0, 3), (c2, c1, 3)],
+        "1x1": [(c1, c0, 1), (c2, c1, 1)],
+        "bottleneck": [(8, c0, 3), (4, 8, 1)],
+        "residual": [(c1, c0, 3), (c1, c1, 3)],
+    }[arch]
+    blocks = []
+    for i, (c_out, c_in, side) in enumerate(layers):
+        lay = elastic.from_conv(
+            rng.standard_normal((c_out, c_in, side, side)),
+            bias=0.1 * rng.standard_normal(c_out))
+        head = i == len(layers) - 1
+        blocks.append(network.Block(
+            elastic=lay,
+            activation=network.IDENTITY if head else network.RELU,
+            gamma=None if head else 0.5 + rng.random(c_out),
+            residual=head and arch == "residual"))
+    return network.Network(tuple(blocks)), c0
+
+
+def _quantized_slices(lay, k, q):
+    """Rank-k Tucker-2 slices through the package round trip."""
+    f = lay.factors
+    r_o, r_i = elastic.conv_rank_schedule(lay, k)
+    bits = q if isinstance(q, tuple) else (q, q, q)
+    return tuple(
+        t if b is None else quant.quantize_dequantize(
+            t, quant.calibrate_scale(t, quant.QuantSpec(bits=b)))
+        for t, b in zip((f.u_out[:, :r_o], f.core[:r_o, :r_i],
+                         f.u_in[:, :r_i]), bits))
+
+
+class TestConvExecution:
+    @given(arch=st.sampled_from(["3x3", "1x1", "bottleneck", "residual"]),
+           seed=st.integers(0, 2 ** 16), side=st.tuples(
+               st.integers(1, 4), st.integers(1, 4)),
+           batch=st.sampled_from([1, 3]), data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_forward_matches_naive_oracles(self, arch, seed, side, batch,
+                                           data):
+        net, c0 = _conv_stack(arch, seed)
+        bits = st.sampled_from([None, 4, 8, (8, 4, 6)])
+        profile = [(data.draw(st.integers(1, b.elastic.k_max)),
+                    data.draw(bits)) for b in net.blocks]
+        x = _rng(seed + 1).standard_normal((batch, c0) + side)
+        kernels = []
+        real = network._conv_same_value
+
+        def spy(xs, kernel):
+            kernels.append(kernel.shape)
+            return real(xs, kernel)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_conv_same_value", spy)
+            got = network.forward(net, x[0] if batch == 1 else x,
+                                  profile).logits
+
+        a = x
+        for blk, (k, q), shape in zip(net.blocks, profile, kernels):
+            lay = blk.elastic
+            u_out, core, u_in = _quantized_slices(lay, k, q)
+            staged = elastic.conv_runs_staged(lay, k)
+            # the executed kernel is the core when staged, else rebuilt
+            assert shape[:2] == (core.shape[:2] if staged
+                                 else (lay.out_features, lay.in_features))
+            c = cost.layer_cost(lay, k, q, spatial=side)
+            dense_flops = 2 * np.prod(side) * lay.out_features \
+                * lay.in_features * np.prod(core.shape[2:])
+            staged_flops = cost.flops_conv_tucker2(
+                lay.out_features, lay.in_features, *core.shape[2:],
+                *side, *core.shape[:2])
+            assert staged == (staged_flops < dense_flops)
+            assert c.flops == min(staged_flops, dense_flops)
+            if staged:
+                _, counted = counted_tucker2_conv(u_out, core, u_in, a[0])
+                assert counted == c.flops
+            kernel = tucker2_recompose(type(lay.factors)(
+                u_out=u_out, core=core, u_in=u_in))
+            pre = naive_conv2d_same(a, kernel) + lay.bias[:, None, None]
+            if blk.gamma is not None:
+                pre = pre * blk.gamma[:, None, None] \
+                    + blk.beta[:, None, None]
+            h = np.maximum(pre, 0.0) if blk.activation == network.RELU \
+                else pre
+            a = h + a if blk.residual else h
+        assert len(kernels) == len(net.blocks)
+        want = a[0] if batch == 1 else a
+        assert np.linalg.norm(got - want) \
+            <= 1e-12 * np.linalg.norm(want)
 
 
 class TestLogitDrift:

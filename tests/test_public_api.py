@@ -14,8 +14,6 @@ UNREFERENCED = {
         "per-input certificate; the benchmark's bound checks call it",
     "cost.threshold_rank_dense":
         "dense staged-vs-dense crossover rank, for the staged serving path",
-    "cost.threshold_rho_conv":
-        "conv counterpart of threshold_rank_dense, same serving path",
     "cost.write_device_table":
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":
