@@ -1,9 +1,10 @@
 """Elastic factorized layers.
 
-A layer stores a factorization once (SVD, channel Tucker-2, or CP) and can
-then be evaluated at any rank k in [k_min, k_max] without refitting, with an
-optional bit width per factor. Soft rank masks make the rank choice
-differentiable during training; the bit map ties quantizer widths to rank.
+A layer stores a factorization once (truncated SVD for dense layers,
+channel Tucker-2 for conv kernels) and can then be evaluated at any rank k
+in [k_min, k_max] without refitting, with an optional bit width per factor.
+Soft rank masks make the rank choice differentiable during training; the
+bit map ties quantizer widths to rank.
 """
 
 import math
@@ -16,7 +17,6 @@ from . import quant
 
 DENSE_SVD = "dense_svd"
 CONV_TUCKER2 = "conv_tucker2"
-DENSE_CP = "dense_cp"
 
 FACTOR_U = "u"
 FACTOR_CORE = "core"
@@ -25,7 +25,6 @@ FACTOR_V = "v"
 _KIND_FACTORS = {
     DENSE_SVD: linalg.SvdFactors,
     CONV_TUCKER2: linalg.Tucker2Factors,
-    DENSE_CP: linalg.CpFactors,
 }
 _FACTOR_SLOT = {FACTOR_U: 0, FACTOR_CORE: 1, FACTOR_V: 2}
 
@@ -34,8 +33,6 @@ def stored_rank(kind, factors):
     """Largest rank the stored factors can serve."""
     if kind == DENSE_SVD:
         return int(factors.sigma.shape[0])
-    if kind == DENSE_CP:
-        return int(factors.weights.shape[0])
     # conv kernels have two channel ranks; k indexes the larger one
     return max(int(factors.core.shape[0]), int(factors.core.shape[1]))
 
@@ -77,16 +74,12 @@ class ElasticLayer:
     def out_features(self):
         if self.kind == CONV_TUCKER2:
             return int(self.factors.u_out.shape[0])
-        if self.kind == DENSE_CP:
-            return int(self.factors.a1.shape[0])
         return int(self.factors.u.shape[0])
 
     @property
     def in_features(self):
         if self.kind == CONV_TUCKER2:
             return int(self.factors.u_in.shape[0])
-        if self.kind == DENSE_CP:
-            return int(self.factors.a2.shape[0])
         return int(self.factors.v.shape[0])
 
 
@@ -112,15 +105,6 @@ def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None, sweeps=3):
     if k_max is None:
         k_max = max(r_out, r_in)
     return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, group_id, bias)
-
-
-def from_dense_cp(w, rank, k_min=1, k_max=None, group_id=None, bias=None,
-                  sweeps=5):
-    """Factorize a dense weight matrix into an elastic CP layer."""
-    f = linalg.cp_fit(w, rank, sweeps=sweeps)
-    if k_max is None:
-        k_max = int(f.weights.shape[0])
-    return ElasticLayer(DENSE_CP, f, k_min, k_max, group_id, bias)
 
 
 def _check_k(layer, k):
@@ -160,11 +144,10 @@ def _split_bits(factor_bits):
 
 
 def _round_trip(t, bits):
-    # symmetric per-tensor nearest rounding; deterministic
     if bits is None:
         return t
     spec = quant.calibrate_scale(t, quant.QuantSpec(bits=int(bits)))
-    return quant.dequantize(quant.quantize(t, spec))
+    return quant.quantize_dequantize(t, spec)
 
 
 def _rank_slices(layer, k):
@@ -175,8 +158,6 @@ def _rank_slices(layer, k):
         r_o, r_i = conv_rank_schedule(layer, k)
         return f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i]
     k = _check_k(layer, k)
-    if layer.kind == DENSE_CP:
-        return f.a1[:, :k], f.weights[:k], f.a2[:, :k]
     return f.u[:, :k], f.sigma[:k], f.v[:, :k]
 
 
@@ -220,11 +201,6 @@ def effective_weight(layer, k, factor_bits=None):
 def truncate(layer, k):
     """Hard rank-k reconstruction; k = k_max reproduces the full weight."""
     return effective_weight(layer, k, None)
-
-
-def rank_fraction(layer, k):
-    """Fraction of the elastic range in use at rank k."""
-    return _check_k(layer, k) / layer.k_max
 
 
 def _spectrum_trustworthy(layer, tol=1e-10):

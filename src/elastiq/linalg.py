@@ -1,11 +1,11 @@
 """Dense factorization kernels.
 
 Thin SVD and spectral norms from LAPACK (``np.linalg.svd`` and
-``np.linalg.norm(w, 2)``), Tucker-2 fitting for conv kernels (HOSVD init +
-alternating updates) and CP fitting for matrices (alternating least
-squares). The SVD has a fixed sign convention and every spectral norm
-carries one relative slack that makes it an upper bound, so certificates
-built on these norms never rest on an estimate approaching from below.
+``np.linalg.norm(w, 2)``) and Tucker-2 fitting for conv kernels (HOSVD
+init + alternating updates). The SVD has a fixed sign convention and every
+spectral norm carries one relative slack that makes it an upper bound, so
+certificates built on these norms never rest on an estimate approaching
+from below.
 Everything is float64 and deterministic at a fixed BLAS thread count.
 """
 
@@ -25,11 +25,9 @@ _NORM_SLACK = 1e-8
 __all__ = [
     "SvdFactors",
     "Tucker2Factors",
-    "CpFactors",
     "svd_full",
     "spectral_norm",
     "tucker2_fit",
-    "cp_fit",
 ]
 
 
@@ -84,19 +82,6 @@ class Tucker2Factors:
     u_out: np.ndarray
     core: np.ndarray
     u_in: np.ndarray
-
-
-@dataclass
-class CpFactors:
-    """Rank-r CP form of a matrix: w ~= a1 @ diag(weights) @ a2.T.
-
-    Factor columns are unit-norm; weights are non-negative and sorted
-    descending (stable tie-break on column index).
-    """
-
-    weights: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
 
 
 def svd_full(w):
@@ -179,44 +164,3 @@ def tucker2_fit(w4, r_out, r_in, sweeps=3):
         )
     core = np.einsum("oihw,or,is->rshw", w4, u_out, u_in)
     return Tucker2Factors(u_out=u_out, core=core, u_in=u_in)
-
-
-def cp_fit(w, r, sweeps=5):
-    """Rank-r CP fit of a matrix by alternating least squares.
-
-    Initialized from the leading r singular triplets, then refined; the
-    Frobenius error is non-increasing over sweeps. Returned factor columns
-    are unit-norm with the magnitudes absorbed into `weights`, sorted
-    descending with a stable tie-break on column index.
-    """
-    w = _as_matrix(w)
-    d1, d2 = w.shape
-    if not (1 <= r <= min(d1, d2)):
-        raise ValueError(f"rank {r} out of range for matrix {w.shape}")
-    if sweeps < 0:
-        raise ValueError("sweeps must be >= 0")
-    f = svd_full(w)
-    a = f.u[:, :r] * f.sigma[:r]
-    b = f.v[:, :r]
-    for _ in range(sweeps):
-        # fixed b: minimize ||w - a b^T||_F over a
-        a = np.linalg.lstsq(b, w.T, rcond=None)[0].T
-        b = np.linalg.lstsq(a, w, rcond=None)[0].T
-    na = np.linalg.norm(a, axis=0)
-    nb = np.linalg.norm(b, axis=0)
-    weights = na * nb
-    a1 = np.array(a)
-    a2 = np.array(b)
-    for j in range(r):
-        if na[j] > 0:
-            a1[:, j] /= na[j]
-        else:
-            a1[:, j] = 0.0
-            a1[min(j, d1 - 1), j] = 1.0
-        if nb[j] > 0:
-            a2[:, j] /= nb[j]
-        else:
-            a2[:, j] = 0.0
-            a2[min(j, d2 - 1), j] = 1.0
-    order = np.argsort(-weights, kind="stable")
-    return CpFactors(weights=weights[order], a1=a1[:, order], a2=a2[:, order])

@@ -56,6 +56,8 @@ _SIDECAR = "sidecar"
 _F64 = "f64"
 _F32 = "f32"
 _CODES = "codes"
+# integer codes carry one scale per tensor; the payload names that layout
+_PER_TENSOR = "per_tensor"
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "bytes", "sha256", "data"))
 _FACTOR_NAMES = ("u", "core", "v")
@@ -214,8 +216,8 @@ def encode_quantized(t, bits):
     extra = {
         "bits": int(spec.bits),
         "scales": _fmt_list(spec.scales),
-        "granularity": spec.granularity,
-        "channel_axis": int(spec.channel_axis),
+        "granularity": _PER_TENSOR,
+        "channel_axis": 0,
     }
     return _new_payload(raw, _CODES, t.shape, extra)
 
@@ -270,13 +272,15 @@ def decode_codes(payload):
         raise ManifestError("payload holds no integer codes")
     shape = tuple(int(s) for s in payload["shape"])
     count = int(np.prod(shape))
+    if payload["granularity"] != _PER_TENSOR \
+            or payload["channel_axis"] != 0:
+        raise ManifestError("integer codes must use one per-tensor scale")
+    scales = _parse_list(payload["scales"])
+    if len(scales) != 1:
+        raise ManifestError(
+            f"integer codes need exactly one scale, got {len(scales)}")
     codes = unpack_codes(payload["data"], payload["bits"], count)
-    spec = quant.QuantSpec(
-        bits=int(payload["bits"]),
-        granularity=payload["granularity"],
-        channel_axis=int(payload["channel_axis"]),
-        scales=_parse_list(payload["scales"]),
-    )
+    spec = quant.QuantSpec(bits=int(payload["bits"]), scales=scales)
     return quant.QuantizedFactor(codes.reshape(shape), spec)
 
 
@@ -340,8 +344,6 @@ def _factors_from_entry(kind, entry):
     v = decode_payload(entry["v"])
     if kind == elastic.DENSE_SVD:
         return linalg.SvdFactors(u=u, sigma=core, v=v)
-    if kind == elastic.DENSE_CP:
-        return linalg.CpFactors(weights=core, a1=u, a2=v)
     if kind == elastic.CONV_TUCKER2:
         return linalg.Tucker2Factors(u_out=u, core=core, u_in=v)
     raise ManifestError(f"unknown layer kind {kind!r}")

@@ -240,25 +240,9 @@ def v_exp(a):
     return out
 
 
-def v_log(a):
-    if np.any(a.value <= 0.0):
-        raise ValueError("log node needs positive values")
-    out = Var(np.log(a.value), (a,))
-    out._backward = lambda g: _acc(a, g / a.value)
-    return out
-
-
 def v_sum(a):
     out = Var(np.sum(a.value), (a,))
     out._backward = lambda g: _acc(a, np.broadcast_to(g, a.value.shape))
-    return out
-
-
-def v_mean(a):
-    n = a.value.size
-    out = Var(np.mean(a.value), (a,))
-    out._backward = lambda g: _acc(
-        a, np.broadcast_to(g / n, a.value.shape))
     return out
 
 
@@ -371,20 +355,19 @@ def v_conv2d(x, kernel):
     return out
 
 
-def v_quant_ste(t, log_scale, bits, rounding=quant.NEAREST, seed=0):
+def v_quant_ste(t, log_scale, bits):
     """Symmetric per-tensor quantize-dequantize with straight-through grads.
 
-    Forward is quant.quantize then quant.dequantize at scale
-    exp(log_scale); backward is quant.ste_gradient, which passes upstream
-    through entries whose nearest code is inside the grid and routes
-    s * upstream * (code - ratio) into log_scale.
+    Forward is quant.quantize_dequantize at scale exp(log_scale); backward
+    is quant.ste_gradient, which passes upstream through entries whose
+    nearest code is inside the grid and routes s * upstream * (code - ratio)
+    into log_scale.
     """
     if log_scale.value.shape != (1,):
         raise ValueError("log_scale must have shape (1,)")
-    spec = quant.QuantSpec(bits=bits, rounding=rounding, seed=seed,
+    spec = quant.QuantSpec(bits=bits,
                            scales=(float(np.exp(log_scale.value)[0]),))
-    out = Var(quant.dequantize(quant.quantize(t.value, spec)),
-              (t, log_scale))
+    out = Var(quant.quantize_dequantize(t.value, spec), (t, log_scale))
     def bk(g):
         grad_t, grad_log_scale = quant.ste_gradient(g, t.value, spec)
         _acc(t, grad_t)
@@ -486,8 +469,6 @@ def _factor_arrays(layer):
     f = layer.factors
     if layer.kind == elastic.DENSE_SVD:
         return (("u", f.u), ("core", f.sigma), ("v", f.v))
-    if layer.kind == elastic.DENSE_CP:
-        return (("u", f.a1), ("core", f.weights), ("v", f.a2))
     return (("u", f.u_out), ("core", f.core), ("v", f.u_in))
 
 
@@ -628,10 +609,19 @@ def weight_gain(w):
 # differentiable forward
 
 
-def _tape_quant(node, bits, rounding, seed):
-    spec = quant.calibrate_scale(node.value, quant.QuantSpec(bits=int(bits)))
-    log_s = Var(np.log(np.asarray(spec.scales)))
-    return v_quant_ste(node, log_s, int(bits), rounding, seed), log_s
+def _tape_quant(ld, nodes, bits):
+    """The (u, core, v) nodes through the straight-through quantizer at
+    their widths, each calibrated log-scale leaf stored in ld under
+    scale_u, scale_core or scale_v; a node whose width is None passes."""
+    out = []
+    for name, node, b in zip(("u", "core", "v"), nodes, bits):
+        if b is not None:
+            spec = quant.calibrate_scale(node.value,
+                                         quant.QuantSpec(bits=int(b)))
+            ld["scale_" + name] = Var(np.log(np.asarray(spec.scales)))
+            node = v_quant_ste(node, ld["scale_" + name], int(b))
+        out.append(node)
+    return out
 
 
 def _tape_mask(leaf, mask, noise, k_target):
@@ -655,16 +645,13 @@ def _tape_mask(leaf, mask, noise, k_target):
     return v_sigmoid(v_scale(v_sub(g, theta), 1.0 / tau))
 
 
-def forward_tape(net, x, profile=None, masks=None,
-                 quant_rounding=quant.NEAREST, quant_seed=0):
+def forward_tape(net, x, profile=None, masks=None):
     """Differentiable forward pass; returns a trace usable by backward.
 
     masks is an optional per-layer list; an entry (rank_mask, noise,
     k_target) runs that dense layer through a soft rank mask over all
     servable components instead of hard truncation (its plan rank is
-    ignored; its plan widths still apply). Quantized factors round with
-    quant_rounding; stochastic rounding draws from quant_seed plus the
-    layer index.
+    ignored; its plan widths still apply).
     """
     entries = _normalize_profile(net, profile)
     if masks is None:
@@ -676,13 +663,12 @@ def forward_tape(net, x, profile=None, masks=None,
     leaves, bound, inputs, outputs = [], [], [], []
     for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries)):
         lay = blk.elastic
-        bu, bc, bv = elastic._split_bits(q)
+        bits = elastic._split_bits(q)
         ld = {}
         facs = _factor_arrays(lay)
         for nm, arr in facs:
             ld[nm] = Var(arr)
         bound.append(tuple(arr for _, arr in facs))
-        seed_i = quant_seed * 1000003 + i
 
         if masks[i] is not None:
             if blk.is_conv:
@@ -696,30 +682,14 @@ def forward_tape(net, x, profile=None, masks=None,
             uk = v_narrow(ld["u"], lay.k_max, 1)
             sk = v_narrow(ld["core"], lay.k_max, 0)
             vk = v_narrow(ld["v"], lay.k_max, 1)
-            if bu is not None:
-                uk, ld["scale_u"] = _tape_quant(uk, bu, quant_rounding,
-                                                seed_i)
-            if bc is not None:
-                sk, ld["scale_core"] = _tape_quant(sk, bc, quant_rounding,
-                                                   seed_i + 1)
-            if bv is not None:
-                vk, ld["scale_v"] = _tape_quant(vk, bv, quant_rounding,
-                                                seed_i + 2)
+            uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
             w = v_matmul(v_mul(uk, v_mul(sk, m)), v_t(vk))
         elif blk.is_conv:
             r_o, r_i = elastic.conv_rank_schedule(lay, k)
             uo = v_narrow(ld["u"], r_o, 1)
             co = v_narrow(v_narrow(ld["core"], r_o, 0), r_i, 1)
             ui = v_narrow(ld["v"], r_i, 1)
-            if bu is not None:
-                uo, ld["scale_u"] = _tape_quant(uo, bu, quant_rounding,
-                                                seed_i)
-            if bc is not None:
-                co, ld["scale_core"] = _tape_quant(co, bc, quant_rounding,
-                                                   seed_i + 1)
-            if bv is not None:
-                ui, ld["scale_v"] = _tape_quant(ui, bv, quant_rounding,
-                                                seed_i + 2)
+            uo, co, ui = _tape_quant(ld, (uo, co, ui), bits)
             r, s, kh, kw = co.value.shape
             t1 = v_matmul(uo, v_reshape(co, (r, s * kh * kw)))
             t1 = v_reshape(t1, (uo.value.shape[0], s, kh, kw))
@@ -732,15 +702,7 @@ def forward_tape(net, x, profile=None, masks=None,
             uk = v_narrow(ld["u"], k, 1)
             sk = v_narrow(ld["core"], k, 0)
             vk = v_narrow(ld["v"], k, 1)
-            if bu is not None:
-                uk, ld["scale_u"] = _tape_quant(uk, bu, quant_rounding,
-                                                seed_i)
-            if bc is not None:
-                sk, ld["scale_core"] = _tape_quant(sk, bc, quant_rounding,
-                                                   seed_i + 1)
-            if bv is not None:
-                vk, ld["scale_v"] = _tape_quant(vk, bv, quant_rounding,
-                                                seed_i + 2)
+            uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
             w = v_matmul(v_mul(uk, sk), v_t(vk))
 
         inputs.append(a.value[0] if single else a.value)

@@ -239,7 +239,7 @@ def budget_overshoot(net, entries, cost_model, budget):
 
 def total_loss(net, batch, k, weights, stats=None, *, coeffs=None,
                budget=None, cost_model=None, masks=None, rng=None,
-               aug_sigma=0.05, bits=None, quant_seed=0):
+               aug_sigma=0.05, bits=None):
     """Five-term objective at sampled rank k, with parameter gradients.
 
     Returns (LossTerms, grads) where grads is a per-layer list of
@@ -259,8 +259,7 @@ def total_loss(net, batch, k, weights, stats=None, *, coeffs=None,
 
     traces = []
     tr_full = network.forward_tape(net, x, None)
-    tr_comp = network.forward_tape(net, x, entries, masks=masks,
-                                   quant_seed=quant_seed)
+    tr_comp = network.forward_tape(net, x, entries, masks=masks)
     traces += [tr_full, tr_comp]
     logp_f = network.v_log_softmax(tr_full._z, axis=-1)
     logp_c = network.v_log_softmax(tr_comp._z, axis=-1)
@@ -285,8 +284,7 @@ def total_loss(net, batch, k, weights, stats=None, *, coeffs=None,
                              "generator")
         x_aug = x + aug_sigma * rng.standard_normal(x.shape)
         tr_fa = network.forward_tape(net, x_aug, None)
-        tr_ca = network.forward_tape(net, x_aug, entries, masks=masks,
-                                     quant_seed=quant_seed)
+        tr_ca = network.forward_tape(net, x_aug, entries, masks=masks)
         traces += [tr_fa, tr_ca]
         aug = network.v_scale(
             _kl_node(network.v_log_softmax(tr_fa._z, axis=-1),

@@ -54,11 +54,6 @@ def tucker2_recompose(f):
     return np.einsum("rshw,or,is->oihw", f.core, f.u_out, f.u_in)
 
 
-def cp_recompose(f):
-    """Matrix represented by CpFactors: a1 @ diag(weights) @ a2.T."""
-    return (f.a1 * f.weights) @ f.a2.T
-
-
 def naive_dense_forward(weights, biases, acts, x, norms=None, residual=None):
     """Plain loop forward pass for a dense [W @ a -> norm -> act] stack.
 

@@ -269,3 +269,16 @@ def test_reruns_byte_identical_across_blas_threads(tmp_path):
         written[threads] = {p.name: p.read_bytes()
                             for p in sorted(d.iterdir())}
     assert written["1"] == written["2"]
+
+
+def test_unknown_layer_kind_exits_1_with_a_message(tmp_path):
+    model = tmp_path / "model.json"
+    _small_model(model)
+    doc = json.loads(model.read_text())
+    doc["topology"]["layers"][0]["kind"] = "dense_cp"
+    model.write_text(manifest.canonical_json(doc))
+    code, out, err = _cli_output("certify", model, "--profiles", "2,3:8",
+                                 "--calib-size", 16)
+    assert code == cli.EXIT_ERROR
+    assert "unknown layer kind 'dense_cp'" in err
+    assert "Traceback" not in err and out == ""

@@ -102,10 +102,6 @@ class TestBytes:
                     + -(-3 * r_i * 8 // 8))
             assert cost.bytes_of(lay, k, 8) == want
 
-    def test_cp_layer_counted_like_svd(self):
-        lay = elastic.from_dense_cp(_rng(7).standard_normal((6, 5)), rank=3)
-        assert cost.bytes_of(lay, 2, 8) == (12 + 2 + 10)
-
 
 class TestLayerCost:
     def test_dense_fields(self):

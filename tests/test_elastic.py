@@ -47,7 +47,7 @@ class TestElasticLayerType:
         w = _rng(1).standard_normal((4, 4))
         f = linalg.svd_full(w)
         with pytest.raises(TypeError):
-            elastic.ElasticLayer(elastic.DENSE_CP, f, 1, 4)
+            elastic.ElasticLayer(elastic.CONV_TUCKER2, f, 1, 4)
 
     def test_unknown_kind_rejected(self):
         f = linalg.svd_full(np.eye(3))
@@ -126,20 +126,6 @@ class TestTruncate:
         for (a_o, a_i), (b_o, b_i) in zip(sched, sched[1:]):
             assert b_o >= a_o and b_i >= a_i
 
-    def test_cp_rank_one_exact(self):
-        a = _rng(15).standard_normal(6)
-        b = _rng(16).standard_normal(4)
-        layer = elastic.from_dense_cp(np.outer(a, b), rank=1)
-        assert np.allclose(elastic.truncate(layer, 1), np.outer(a, b),
-                           atol=1e-10)
-
-    def test_cp_full_rank_bit_exact(self):
-        w = _rng(17).standard_normal((5, 4))
-        layer = elastic.from_dense_cp(w, rank=4)
-        f = layer.factors
-        expected = (f.a1 * f.weights) @ f.a2.T
-        assert np.array_equal(elastic.truncate(layer, 4), expected)
-
 
 class TestResidualNorm:
     def test_full_rank_is_zero(self):
@@ -211,11 +197,6 @@ class TestResidualNorm:
         conv = elastic.from_conv(_rng(40).standard_normal((6, 5, 3, 3)))
         vals = [elastic.residual_norm(conv, k)
                 for k in range(1, conv.k_max + 1)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] <= 1e-10
-
-        cp = elastic.from_dense_cp(_rng(41).standard_normal((6, 5)), rank=5)
-        vals = [elastic.residual_norm(cp, k) for k in range(1, 6)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 1e-10
 
@@ -389,14 +370,3 @@ class TestBitOfRank:
             assert all(q1 <= q2 for q1, q2 in zip(qs, qs[1:]))
             assert all(2 <= q <= q_max for q in qs)
 
-
-class TestTiedGroups:
-    def test_same_rank_fraction_across_group(self):
-        w1 = _rng(60).standard_normal((8, 6))
-        w2 = _rng(61).standard_normal((7, 6))
-        a = elastic.from_dense(w1, k_max=6, group_id="attn0")
-        b = elastic.from_dense(w2, k_max=6, group_id="attn0")
-        assert a.group_id == b.group_id == "attn0"
-        for k in range(1, 7):
-            elastic.truncate(a, k), elastic.truncate(b, k)
-            assert elastic.rank_fraction(a, k) == elastic.rank_fraction(b, k)

@@ -5,10 +5,9 @@ from elastiq.linalg import (
     svd_full,
     spectral_norm,
     tucker2_fit,
-    cp_fit,
 )
 
-from oracles import cp_recompose, jacobi_gram_eigvals, tucker2_recompose
+from oracles import jacobi_gram_eigvals, tucker2_recompose
 
 # spectral_norm's relative upper-bound slack
 SLACK = 1.0 + 1e-8
@@ -198,35 +197,3 @@ class TestTucker2:
             with pytest.raises(ValueError):
                 tucker2_fit(bottleneck, *ranks)
 
-
-class TestCp:
-    def test_rank1_exact(self):
-        rng = np.random.Generator(np.random.PCG64(21))
-        w = np.outer(rng.standard_normal(7), rng.standard_normal(5))
-        f = cp_fit(w, 1, sweeps=3)
-        assert np.linalg.norm(cp_recompose(f) - w) <= 1e-8 * np.linalg.norm(w)
-
-    def test_full_rank_matches_svd_error(self):
-        w = _rand(6, 4, 22)
-        f = cp_fit(w, 4, sweeps=3)
-        err_cp = np.linalg.norm(cp_recompose(f) - w)
-        sv = svd_full(w)
-        err_svd = np.linalg.norm(sv.u @ np.diag(sv.sigma) @ sv.v.T - w)
-        assert abs(err_cp - err_svd) <= 1e-6 * max(1.0, np.linalg.norm(w))
-
-    def test_unit_columns_and_descending_weights(self):
-        w = _rand(8, 6, 23)
-        f = cp_fit(w, 3, sweeps=4)
-        assert np.allclose(np.linalg.norm(f.a1, axis=0), 1.0, atol=1e-10)
-        assert np.allclose(np.linalg.norm(f.a2, axis=0), 1.0, atol=1e-10)
-        assert np.all(np.diff(f.weights) <= 1e-12)
-        assert np.all(f.weights >= 0)
-
-    def test_error_monotone_in_sweeps(self):
-        w = _rand(9, 7, 24)
-        errs = []
-        for sweeps in range(5):
-            f = cp_fit(w, 3, sweeps=sweeps)
-            errs.append(np.linalg.norm(cp_recompose(f) - w))
-        for a, b in zip(errs, errs[1:]):
-            assert b <= a + 1e-10

@@ -10,7 +10,7 @@ import stat
 import numpy as np
 import pytest
 
-from elastiq import certificate, elastic, manifest, network
+from elastiq import certificate, elastic, manifest, network, quant
 from oracles import slow_pack_codes, slow_unpack_codes
 
 
@@ -71,6 +71,28 @@ class TestPackCodes:
             got = manifest.unpack_codes(buf, bits, n)
             assert np.array_equal(got, slow_unpack_codes(buf, bits, n))
             assert np.array_equal(got, codes)
+
+
+class TestCodePayload:
+    def test_one_per_tensor_scale_round_trips(self):
+        t = _rng(3).standard_normal((4, 3))
+        payload = manifest.encode_quantized(t, 6)
+        assert (payload["granularity"], payload["channel_axis"]) == \
+            ("per_tensor", 0)
+        qf = manifest.decode_codes(payload)
+        assert qf.spec.scales == (float(np.max(np.abs(t))) / 31,)
+        assert np.array_equal(manifest.decode_payload(payload),
+                              quant.quantize_dequantize(t, qf.spec))
+
+    @pytest.mark.parametrize("change", [
+        {"granularity": "per_channel"}, {"channel_axis": 1},
+        {"scales": ["0.1", "0.2"]}],
+        ids=["per_channel", "channel_axis_1", "two_scales"])
+    def test_other_layouts_rejected(self, change):
+        payload = manifest.encode_quantized(_rng(4).standard_normal(5), 4)
+        payload.update(change)
+        with pytest.raises(manifest.ManifestError):
+            manifest.decode_codes(payload)
 
 
 class TestRoundTrip:

@@ -74,8 +74,9 @@ class TestTapeOps:
             a = network.Var(xs[0])
             y = network.v_relu(a)
             y = network.v_add(y, network.v_sigmoid(a))
-            y = network.v_log(network.v_exp(network.v_scale(y, 0.5)))
-            return network.v_mean(y), [a]
+            y = network.v_log_softmax(network.v_exp(network.v_scale(y, 0.5)))
+            return network.v_scale(network.v_sum(network.v_mul(y, y)),
+                                   1.0 / 6), [a]
         self._gradcheck(build, [base], [(0, (i,)) for i in range(6)])
 
     def test_log_softmax_max_gather(self):
@@ -127,7 +128,8 @@ class TestTapeOps:
         tv = network.Var(t0)
         ls = network.Var(np.log(np.asarray(spec.scales)))
         out = network.v_quant_ste(tv, ls, 4)
-        assert np.array_equal(out.value, quant.quantize_dequantize(t0, spec))
+        s = spec.scales[0]
+        assert np.array_equal(out.value, np.clip(np.rint(t0 / s), -7, 7) * s)
 
         upstream = _rng(6).standard_normal((4, 3))
         network.backprop(out, upstream)
@@ -166,16 +168,6 @@ class TestTapeOps:
         want = (sur_loss(t0, [np.log(s0) + h]) -
                 sur_loss(t0, [np.log(s0) - h])) / (2 * h)
         assert ls.grad[0] == pytest.approx(want, rel=1e-6)
-
-    def test_stochastic_rounding_seeded(self):
-        t0 = _rng(9).standard_normal((5, 5))
-        spec = quant.calibrate_scale(t0, quant.QuantSpec(bits=4))
-        ls = np.log(np.asarray(spec.scales))
-        a = network.v_quant_ste(network.Var(t0), network.Var(ls), 4,
-                                rounding=quant.STOCHASTIC, seed=11)
-        b = network.v_quant_ste(network.Var(t0), network.Var(ls), 4,
-                                rounding=quant.STOCHASTIC, seed=11)
-        assert np.array_equal(a.value, b.value)
 
 
 class TestNetworkStructure:

@@ -18,20 +18,10 @@ UNREFERENCED = {
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":
         "the paper's rank-tied precision; wiring it into certify is open",
-    "elastic.from_dense_cp":
-        "CP factorization, one of the three the package promises",
-    "elastic.rank_fraction":
-        "the rank fraction tied-budget groups share",
     "elastic.soft_mask":
         "the public value of the differentiable training mask",
     "manifest.raw_model_to_doc":
         "how raw models are written; the benchmark's inputs use it",
-    "network.v_log":
-        "tape primitive, part of the differentiable op set",
-    "network.v_mean":
-        "tape primitive, part of the differentiable op set",
-    "quant.quantize_dequantize":
-        "the round-trip reference the forward-pass tests compare against",
 }
 
 

@@ -14,8 +14,8 @@ from elastiq.quant import (
 from oracles import straight_line_quant_surrogate
 
 
-def _calibrated(t, bits=8, **kw):
-    return calibrate_scale(t, QuantSpec(bits=bits, **kw))
+def _calibrated(t, bits=8):
+    return calibrate_scale(t, QuantSpec(bits=bits))
 
 
 class TestCalibrate:
@@ -28,37 +28,17 @@ class TestCalibrate:
         spec = _calibrated(np.zeros((3, 3)))
         assert spec.scales == (1.0,)
 
-    def test_per_channel_diag(self):
-        t = np.diag([1.0, 10.0])
-        spec = _calibrated(t, bits=8, granularity="per_channel", channel_axis=0)
-        assert spec.scales[0] == pytest.approx(1.0 / 127)
-        assert spec.scales[1] == pytest.approx(10.0 / 127)
-
-    def test_zero_channel_slice_gets_unit_scale(self):
-        t = np.array([[0.0, 0.0], [2.0, -4.0]])
-        spec = _calibrated(t, bits=4, granularity="per_channel", channel_axis=0)
-        assert spec.scales[0] == 1.0
-        assert spec.scales[1] == pytest.approx(4.0 / 7)
-
-    def test_percentile_mode(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        t = rng.standard_normal(4000)
-        t[7] = 50.0  # outlier the percentile should shrug off
-        spec_max = _calibrated(t, bits=8)
-        spec_pct = calibrate_scale(t, QuantSpec(bits=8, clip_percentile=99.9))
-        want = np.percentile(np.abs(t), 99.9) / 127
-        assert spec_pct.scales[0] == pytest.approx(want, rel=1e-12)
-        assert spec_pct.scales[0] < spec_max.scales[0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QuantSpec(bits=1)
         with pytest.raises(ValueError):
-            QuantSpec(bits=8, granularity="per_row")
-        with pytest.raises(ValueError):
-            QuantSpec(bits=8, clip_percentile=0.0)
-        with pytest.raises(ValueError):
             calibrate_scale(np.array([]), QuantSpec(bits=8))
+
+    def test_spec_holds_one_scale(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            QuantSpec(bits=8, scales=(0.1, 0.2))
+        with pytest.raises(ValueError, match="exactly one"):
+            QuantSpec(bits=8, scales=())
 
 
 class TestQuantizeDequantize:
@@ -105,83 +85,9 @@ class TestQuantizeDequantize:
         twice = quantize_dequantize(once, spec)
         assert np.array_equal(once, twice)
 
-    def test_per_channel_applies_slice_scales(self):
-        t = np.array([[1.0, 0.5], [10.0, -5.0]])
-        spec = _calibrated(t, bits=8, granularity="per_channel", channel_axis=0)
-        deq = quantize_dequantize(t, spec)
-        assert np.max(np.abs(deq[0] - t[0])) <= spec.scales[0] / 2 + 1e-15
-        assert np.max(np.abs(deq[1] - t[1])) <= spec.scales[1] / 2 + 1e-15
-
     def test_requires_calibration(self):
         with pytest.raises(ValueError):
             quantize(np.ones(3), QuantSpec(bits=8))
-
-
-class TestStochasticRounding:
-    def test_unbiased_and_bounded_variance(self):
-        s = 0.1
-        n = 20000
-        for i, val in enumerate([0.537, -0.0891, 1.203, 0.05, -0.721]):
-            spec = QuantSpec(bits=8, scales=(s,), rounding="stochastic", seed=100 + i)
-            draws = dequantize(quantize(np.full(n, val), spec))
-            err = draws - val
-            se = (s / 2) / np.sqrt(n)
-            assert abs(err.mean()) <= 4 * se
-            assert err.var() <= s * s / 4 + 3 * se * s
-
-    def test_bit_exact_reproducibility(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        t = rng.standard_normal(500)
-        spec = calibrate_scale(t, QuantSpec(bits=6, rounding="stochastic", seed=42))
-        a = quantize(t, spec).codes
-        b = quantize(t, spec).codes
-        assert np.array_equal(a, b)
-
-    def test_exact_grid_values_untouched(self):
-        spec = QuantSpec(bits=8, scales=(0.5,), rounding="stochastic", seed=0)
-        t = np.array([1.0, -2.5, 0.0])
-        assert np.array_equal(quantize(t, spec).codes, [2, -5, 0])
-
-
-class TestPerChannelVsPerTensor:
-    def test_channel_scales_never_exceed_tensor_scale(self):
-        # this direction is a theorem: each channel max <= global max
-        for seed in range(50):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            t = rng.standard_normal((6, 10)) * rng.uniform(0.5, 2.0)
-            st = _calibrated(t, 6).scales[0]
-            sc = _calibrated(t, 6, granularity="per_channel", channel_axis=0).scales
-            assert all(s <= st + 1e-15 for s in sc)
-
-    def test_random_tensors(self):
-        # The Frobenius ordering "per-channel <= per-tensor" is not a theorem:
-        # a coarser grid can land closer to specific entries. On this fixed
-        # 200-draw Gaussian family it holds for all but at most a couple of
-        # draws (measured 1/500 at 6 and 8 bits), each by a small margin, and
-        # it always holds in aggregate.
-        worse = 0
-        worst_excess = 0.0
-        tot_channel = 0.0
-        tot_tensor = 0.0
-        for seed in range(200):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            t = rng.standard_normal((6, 10)) * rng.uniform(0.5, 2.0)
-            bits = [4, 6, 8][seed % 3]
-            e_tensor = np.linalg.norm(t - quantize_dequantize(t, _calibrated(t, bits)))
-            e_channel = np.linalg.norm(
-                t
-                - quantize_dequantize(
-                    t, _calibrated(t, bits, granularity="per_channel", channel_axis=0)
-                )
-            )
-            tot_tensor += e_tensor
-            tot_channel += e_channel
-            if e_channel > e_tensor + 1e-12:
-                worse += 1
-                worst_excess = max(worst_excess, (e_channel - e_tensor) / e_tensor)
-        assert tot_channel < tot_tensor
-        assert worse <= 2
-        assert worst_excess <= 0.05
 
 
 class TestSteGradient:
@@ -234,11 +140,5 @@ class TestSteGradient:
             np.sum(up * surrogate(t, np.exp(logs + h)))
             - np.sum(up * surrogate(t, np.exp(logs - h)))
         ) / (2 * h)
+        assert grad_ls.shape == (1,)
         assert abs(fd_ls - grad_ls[0]) <= 1e-6
-
-    def test_per_channel_reduction_shape(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        t = rng.standard_normal((3, 8))
-        spec = _calibrated(t, bits=8, granularity="per_channel", channel_axis=0)
-        _, grad_ls = ste_gradient(np.ones_like(t), t, spec)
-        assert grad_ls.shape == (3,)
