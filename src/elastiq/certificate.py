@@ -8,10 +8,11 @@ x (norm of the signal entering the layer). Summing the contributions gives
 a pointwise bound at one input, and swapping the per-input signal norm for
 its calibration-set RMS gives the expected-drift aggregate.
 
-Two sensitivity proxies are available. The conservative one multiplies
+Two sensitivity proxies are available, named by the mode strings the
+manifests and ``certify --mode`` use. ``CONSERVATIVE`` multiplies
 per-block Lipschitz bounds and is a guarantee: for any profile, observed
-drift never exceeds the pointwise bound. The sampled one power-iterates
-the exact downstream Jacobian at calibration inputs and smooths the
+drift never exceeds the pointwise bound. ``SAMPLED`` power-iterates the
+exact downstream Jacobian at calibration inputs and smooths the
 estimates with an exponential moving average; it is tighter but can
 undershoot, so nothing downstream treats it as certified.
 
@@ -40,19 +41,12 @@ import numpy as np
 from . import elastic, network
 
 CONSERVATIVE = "conservative"
+SAMPLED = "poweriter"
 
-@dataclass(frozen=True)
-class PowerIter:
-    """Sampled-Jacobian proxy mode: power-iteration steps + EMA decay."""
-
-    steps: int = 5
-    ema_decay: float = 0.99
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in [0, 1)")
+# sampled proxy: power-iteration steps per calibration row, and the decay
+# of the moving average over the rows' estimates
+_POWER_STEPS = 5
+_EMA_DECAY = 0.99
 
 
 def network_fingerprint(net):
@@ -219,7 +213,7 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
 
     Conservative mode multiplies per-block Lipschitz bounds downstream of
     each injection point (guaranteed upper bounds; with the final block a
-    plain linear head, the last layer's value is exactly 1). PowerIter
+    plain linear head, the last layer's value is exactly 1). SAMPLED
     mode power-iterates the exact downstream Jacobian at each calibration
     input and EMA-smooths the estimates; it can undershoot and is never
     treated as certified. The optional profile widens conservative tail
@@ -229,8 +223,8 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
         entries = network.resolve_profile(net, profile) \
             if profile is not None else None
         return _conservative_multipliers(net, entries)
-    if not isinstance(mode, PowerIter):
-        raise ValueError("mode must be CONSERVATIVE or a PowerIter")
+    if mode != SAMPLED:
+        raise ValueError("mode must be CONSERVATIVE or SAMPLED")
     if any(b.is_conv for b in net.blocks):
         raise ValueError("sampled proxy supports dense stacks only")
     if calibration_inputs is None:
@@ -241,9 +235,9 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
     sens = []
     for jac in _tail_jacobians(net, xs):
         ema = None
-        for est in _jacobian_norm_estimates(jac, mode.steps):
+        for est in _jacobian_norm_estimates(jac, _POWER_STEPS):
             ema = est if ema is None \
-                else mode.ema_decay * ema + (1.0 - mode.ema_decay) * est
+                else _EMA_DECAY * ema + (1.0 - _EMA_DECAY) * est
         sens.append(float(ema))
     return sens
 

@@ -113,13 +113,6 @@ def _file_sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _read_doc(path):
-    try:
-        return manifest.read_manifest(path)
-    except manifest.ManifestError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _probe_inputs(net, n, seed, calib_path=None):
     """Model inputs for calibration: an .npz file or seeded N(0,1) rows."""
     if calib_path is not None:
@@ -135,6 +128,8 @@ def _probe_inputs(net, n, seed, calib_path=None):
     if first.is_conv:
         raise CliError("synthesized probes cover dense stacks only; "
                        "conv models need --calib")
+    if int(n) < 1:
+        raise CliError(f"probe count must be at least 1, got {n}")
     rng = np.random.default_rng(int(seed))
     return rng.standard_normal((int(n), first.elastic.in_features))
 
@@ -143,9 +138,9 @@ def _ledger_mode(doc):
     cert = doc.get("certificate")
     if cert is None:
         raise CliError("manifest carries no certificate; run certify first")
-    if cert.get("mode") == "conservative":
+    if cert.get("mode") == certificate.CONSERVATIVE:
         return certificate.CONSERVATIVE
-    return certificate.PowerIter()
+    return certificate.SAMPLED
 
 
 def _ledger_epsilon(doc):
@@ -231,10 +226,10 @@ def _load_train_config(path):
             data["weights"] = train.LossWeights(**data["weights"])
         except TypeError as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
-    for name in _TUPLE_FIELDS:
-        if name in data:
-            data[name] = tuple(data[name])
     try:
+        for name in _TUPLE_FIELDS:
+            if name in data:
+                data[name] = tuple(data[name])
         return train.TrainConfig(**data)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config: {exc}") from exc
@@ -283,11 +278,8 @@ def cmd_train(args):
 
 
 def cmd_decompose(args):
-    doc = _read_doc(args.model)
-    try:
-        layers = manifest.raw_from_doc(doc)
-    except manifest.ManifestError as exc:
-        raise CliError(str(exc)) from exc
+    doc = manifest.read_manifest(args.model)
+    layers = manifest.raw_from_doc(doc)
     blocks = []
     for entry in layers:
         maker = elastic.from_conv if entry["kind"] == "conv" \
@@ -300,10 +292,7 @@ def cmd_decompose(args):
         blocks.append(network.Block(elastic=lay,
                                     activation=entry["activation"],
                                     residual=entry["residual"]))
-    try:
-        net = network.Network(blocks=tuple(blocks))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    net = network.Network(blocks=tuple(blocks))
 
     worst = 0.0
     for i, (entry, blk) in enumerate(zip(layers, net.blocks)):
@@ -350,11 +339,8 @@ def _parse_profile_flag(spec):
 
 
 def cmd_certify(args):
-    doc = _read_doc(args.model)
-    try:
-        net = manifest.net_from_doc(doc)
-    except manifest.ManifestError as exc:
-        raise CliError(str(exc)) from exc
+    doc = manifest.read_manifest(args.model)
+    net = manifest.net_from_doc(doc)
     probes = _probe_inputs(net, args.calib_size, args.seed, args.calib)
     stats = certificate.calibrate(net, probes)
     if doc.get("profiles"):
@@ -369,8 +355,7 @@ def cmd_certify(args):
                 doc["profiles"][name]["pairs"])
     else:
         raise CliError("manifest stores no profiles; pass --profiles")
-    mode = certificate.CONSERVATIVE if args.mode == "conservative" \
-        else certificate.PowerIter()
+    mode = args.mode
     doc["calibration"] = manifest.stats_to_doc(stats)
     doc["certificate"] = manifest.certificate_section(
         net, stats, profiles, mode, epsilon=args.epsilon,
@@ -448,18 +433,15 @@ def _parse_budget_lists(args):
 
 
 def cmd_plan(args):
-    doc = _read_doc(args.model)
-    try:
-        net = manifest.net_from_doc(doc)
-    except manifest.ManifestError as exc:
-        raise CliError(str(exc)) from exc
+    doc = manifest.read_manifest(args.model)
+    net = manifest.net_from_doc(doc)
     stats = _stored_stats(doc)
     mode = _ledger_mode(doc)
     conv = net.blocks[0].is_conv
     calib = spatial = None
-    if conv or not isinstance(mode, str):
+    if conv or mode == certificate.SAMPLED:
         xs = _probe_inputs(net, args.calib_size, args.seed, args.calib)
-        calib = None if isinstance(mode, str) else xs
+        calib = xs if mode == certificate.SAMPLED else None
         # conv FLOPs scale with the feature-map size of the inputs
         spatial = tuple(int(d) for d in xs.shape[-2:]) if conv else None
 
@@ -503,24 +485,18 @@ def cmd_plan(args):
         if eng is not None and energy_model is None:
             raise CliError("energy budgets need a device table with an "
                            "energy column")
-        try:
-            budgets.append(controller.BudgetToken(
-                device=cost_model.device, latency_target=lat,
-                bytes_target=byt, energy_target=eng))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        budgets.append(controller.BudgetToken(
+            device=cost_model.device, latency_target=lat,
+            bytes_target=byt, energy_target=eng))
 
     tightest = controller.greedy_knapsack(net, menus, budgets[0], benefit,
                                           cost_model, energy_model, spatial)
     say("plan", budgets=len(budgets),
         smallest_budget_feasible=tightest.feasible)
-    try:
-        lattice = controller.build_lattice(
-            net, menus, budgets, benefit, stats, cost_model,
-            energy_model=energy_model, spatial=spatial, mode=mode,
-            calibration_inputs=calib)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    lattice = controller.build_lattice(
+        net, menus, budgets, benefit, stats, cost_model,
+        energy_model=energy_model, spatial=spatial, mode=mode,
+        calibration_inputs=calib)
 
     named = {}
     for prof in lattice.profiles:
@@ -569,7 +545,7 @@ def _select_epsilon(args, doc):
 
 
 def cmd_select(args):
-    doc = _read_doc(args.model)
+    doc = manifest.read_manifest(args.model)
     lattice = _stored_lattice(doc)
     epsilon = _select_epsilon(args, doc)
     if args.latency_ms is None and args.bytes is None \
@@ -577,15 +553,10 @@ def cmd_select(args):
         raise CliError("give at least one of --latency-ms, --bytes, "
                        "--energy-mj")
     device = args.device or lattice.device or "device"
-    try:
-        budget = controller.BudgetToken(
-            device=device,
-            latency_target=args.latency_ms,
-            bytes_target=args.bytes,
-            energy_target=args.energy_mj)
-        result = controller.select_runtime(lattice, budget, epsilon)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    budget = controller.BudgetToken(
+        device=device, latency_target=args.latency_ms,
+        bytes_target=args.bytes, energy_target=args.energy_mj)
+    result = controller.select_runtime(lattice, budget, epsilon)
     say("select", profile=result.profile.name, index=result.index,
         status=result.status, predicted_latency_ms=result.predicted_latency,
         drift_bound=result.drift_bound, epsilon=epsilon)
@@ -602,17 +573,14 @@ _REPORT_COLUMNS = ("profile", "accuracy_percent", "predicted_latency_ms",
 
 
 def cmd_report(args):
-    doc = _read_doc(args.model)
-    try:
-        net = manifest.net_from_doc(doc)
-    except manifest.ManifestError as exc:
-        raise CliError(str(exc)) from exc
+    doc = manifest.read_manifest(args.model)
+    net = manifest.net_from_doc(doc)
     lattice = _stored_lattice(doc)
     stats = _stored_stats(doc)
     mode = _ledger_mode(doc)
     epsilon = _select_epsilon(args, doc)
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
-    calib = xs if not isinstance(mode, str) else None
+    calib = xs if mode == certificate.SAMPLED else None
 
     full = network.forward(net, xs, None)
     full_top = np.argmax(np.atleast_2d(full.logits), axis=-1)
@@ -672,7 +640,7 @@ def cmd_report(args):
 
 
 def cmd_audit(args):
-    doc = _read_doc(args.model)
+    doc = manifest.read_manifest(args.model)
     lattice = _stored_lattice(doc)
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, accuracy=audit.accuracy_events,

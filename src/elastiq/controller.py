@@ -118,16 +118,11 @@ def _check_menus(menus, n_layers):
     return [_check_menu(menu, f"layer {i}") for i, menu in enumerate(menus)]
 
 
-def _group_members(groups, n_layers):
+def _group_members(groups):
     """Group layers by tied label; untied layers form singleton groups.
 
     Result preserves layer order via each group's lead (lowest) index.
     """
-    if groups is None:
-        groups = (None,) * n_layers
-    groups = list(groups)
-    if len(groups) != n_layers:
-        raise ValueError("group labels do not match the layer count")
     members = {}
     order = []
     for i, gid in enumerate(groups):
@@ -139,21 +134,14 @@ def _group_members(groups, n_layers):
     return [members[key] for key in order]
 
 
-@dataclass(frozen=True)
-class MonotoneResult:
-    """Corrected profile chain plus the positions that were raised."""
-
-    profiles: tuple
-    corrected: tuple
-
-
-def enforce_monotone(profiles, budgets=None):
+def enforce_monotone(profiles):
     """Minimal upward correction of a budget-ordered profile chain.
 
     Each layer's rank and bit sequences are replaced by their running
     maxima (bits None counts as 32), so every adjacent pair ends up
-    componentwise ordered and no assignment ever decreases. The optional
-    budget grid is only validated for ordering.
+    componentwise ordered and no assignment ever decreases. Returns the
+    corrected profiles as a tuple; build_lattice has already checked that
+    the budgets behind them are ordered.
     """
     profiles = list(profiles)
     if not profiles:
@@ -161,38 +149,27 @@ def enforce_monotone(profiles, budgets=None):
     n = len(profiles[0].pairs)
     if any(len(p.pairs) != n for p in profiles):
         raise ValueError("profiles disagree on the layer count")
-    if budgets is not None:
-        budgets = list(budgets)
-        if len(budgets) != len(profiles):
-            raise ValueError("budget grid does not match the profiles")
-        for a, b in zip(budgets, budgets[1:]):
-            if not precedes(a, b):
-                raise ValueError("budget grid is not ordered")
     cur_k = [0] * n
     cur_q = [(2, 2)] * n  # (ordinal, stored value); overwritten below
     out = []
-    corrected = []
     for pos, prof in enumerate(profiles):
         pairs = []
-        changed = False
         for ell, (k, q) in enumerate(prof.pairs):
             if pos == 0:
                 cur_k[ell] = k
                 cur_q[ell] = (_q_ord(q), q)
             else:
                 if k < cur_k[ell]:
-                    k, changed = cur_k[ell], True
+                    k = cur_k[ell]
                 else:
                     cur_k[ell] = k
                 if _q_ord(q) < cur_q[ell][0]:
-                    q, changed = cur_q[ell][1], True
+                    q = cur_q[ell][1]
                 else:
                     cur_q[ell] = (_q_ord(q), q)
             pairs.append((k, q))
         out.append(dataclasses.replace(prof, pairs=tuple(pairs)))
-        if changed:
-            corrected.append(pos)
-    return MonotoneResult(tuple(out), tuple(corrected))
+    return tuple(out)
 
 
 def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
@@ -229,9 +206,8 @@ class KnapsackResult:
     predicted: dict
 
 
-def _predicted_costs(net, entries, cost_model, energy_model, spatial,
-                     activation_bits):
-    rows = cost.profile_costs(net, entries, spatial, activation_bits)
+def _predicted_costs(net, entries, cost_model, energy_model, spatial):
+    rows = cost.profile_costs(net, entries, spatial)
     out = {"weight_bytes": int(sum(r.weight_bytes for r in rows))}
     out["latency_ms"] = (None if cost_model is None
                          else cost.predict(cost_model, rows))
@@ -254,9 +230,7 @@ def _within_budget(predicted, budget):
 
 
 def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
-                    energy_model=None, spatial=None,
-                    activation_bits=cost.ACTIVATION_BITS, groups=None,
-                    name=""):
+                    energy_model=None, spatial=None, name=""):
     """Benefit-per-cost menu allocation under a budget token.
 
     Starts every layer at its smallest menu entry and repeatedly applies
@@ -264,9 +238,9 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     certificate mass per unit of predicted cost (latency when a latency
     model is given, otherwise energy, otherwise weight bytes); free or
     cost-neutral upgrades rank highest, and ratio ties go to the lowest
-    layer index. Tied-budget groups step as one unit and must share
-    identical menus. benefit[ell][i] is the certificate mass of layer
-    ell at menu entry i, as built by certificate_mass.
+    layer index. Tied-budget groups (tied_groups) step as one unit and
+    must share identical menus. benefit[ell][i] is the certificate mass
+    of layer ell at menu entry i, as built by certificate_mass.
     """
     n = len(net.blocks)
     menus = _check_menus(menus, n)
@@ -280,9 +254,7 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     for model in (cost_model, energy_model):
         if model is not None and model.device != budget.device:
             raise ValueError("budget device does not match the model")
-    if groups is None:
-        groups = tied_groups(net)
-    grouped = _group_members(groups, n)
+    grouped = _group_members(tied_groups(net))
     for members in grouped:
         first = menus[members[0]]
         if any(menus[m] != first for m in members[1:]):
@@ -305,7 +277,7 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
         return ent
 
     predicted = _predicted_costs(net, entries_at(position), cost_model,
-                                 energy_model, spatial, activation_bits)
+                                 energy_model, spatial)
     if not _within_budget(predicted, budget):
         prof = Profile(tuple(entries_at(position)), name=name)
         return KnapsackResult(prof, False, (), predicted)
@@ -320,8 +292,7 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
             trial = list(position)
             trial[g] = pos + 1
             trial_pred = _predicted_costs(
-                net, entries_at(trial), cost_model, energy_model,
-                spatial, activation_bits)
+                net, entries_at(trial), cost_model, energy_model, spatial)
             if not _within_budget(trial_pred, budget):
                 continue
             dbenefit = sum(benefit[m][pos] - benefit[m][pos + 1]
@@ -388,16 +359,16 @@ class ProfileLattice:
 
 
 def build_lattice(net, menus, budgets, benefit, stats, cost_model,
-                  energy_model=None, spatial=None, measured_latency=None,
-                  names=None, groups=None,
-                  activation_bits=cost.ACTIVATION_BITS,
+                  energy_model=None, spatial=None,
                   mode=certificate.CONSERVATIVE, calibration_inputs=None):
     """Greedy profiles at each budget level, ordered and priced.
 
-    Runs the greedy allocator per budget, raises the chain to
-    monotonicity, then attaches predicted latency, weight bytes, the
-    aggregate drift bound, and optional energy and measured latencies.
-    Three budgets get the default names tiny/med/max.
+    Checks that the budgets are ordered tightest first, runs the greedy
+    allocator per budget, raises the chain to monotonicity with
+    enforce_monotone, then attaches predicted latency, weight bytes, the
+    aggregate drift bound, and optional energy. Three budgets are named
+    tiny/med/max, any other count s1, s2, ...; no measured latencies are
+    attached.
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -405,22 +376,15 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
     for a, b in zip(budgets, budgets[1:]):
         if not precedes(a, b):
             raise ValueError("budgets must be ordered tightest first")
-    if names is None:
-        names = ("tiny", "med", "max") if len(budgets) == 3 \
-            else tuple(f"s{j + 1}" for j in range(len(budgets)))
-    names = tuple(names)
-    if len(names) != len(budgets):
-        raise ValueError("names do not match the budget levels")
-    profiles = []
-    for budget, label in zip(budgets, names):
-        result = greedy_knapsack(
-            net, menus, budget, benefit, cost_model, energy_model,
-            spatial, activation_bits, groups, name=label)
-        profiles.append(result.profile)
-    profiles = list(enforce_monotone(profiles).profiles)
+    names = ("tiny", "med", "max") if len(budgets) == 3 \
+        else tuple(f"s{j + 1}" for j in range(len(budgets)))
+    profiles = enforce_monotone(
+        greedy_knapsack(net, menus, budget, benefit, cost_model,
+                        energy_model, spatial, name=label).profile
+        for budget, label in zip(budgets, names))
     lat, wbytes, drift, energy = [], [], [], []
     for prof in profiles:
-        rows = cost.profile_costs(net, prof, spatial, activation_bits)
+        rows = cost.profile_costs(net, prof, spatial)
         lat.append(cost.predict(cost_model, rows))
         wbytes.append(int(sum(r.weight_bytes for r in rows)))
         drift.append(certificate.expected_bound(
@@ -428,12 +392,10 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         if energy_model is not None:
             energy.append(cost.predict(energy_model, rows))
     return ProfileLattice(
-        profiles=tuple(profiles),
+        profiles=profiles,
         predicted_latency=tuple(lat),
         weight_bytes=tuple(wbytes),
         drift_bound=tuple(drift),
-        measured_latency=None if measured_latency is None
-        else tuple(measured_latency),
         energy=tuple(energy) if energy_model is not None else None,
         device=cost_model.device,
         spatial=None if spatial is None else tuple(spatial))

@@ -23,6 +23,8 @@ from . import elastic, network
 
 ACTIVATION_BITS = 8
 UNQUANTIZED_BITS = 32
+# log-normal sigma of the synthetic device table's measurement noise
+_SYNTH_NOISE_SIGMA = 0.03
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,7 @@ def bytes_of(layer, k, q=None):
             + _tensor_bytes(counts[2], bv))
 
 
-def layer_cost(layer, k, q=None, spatial=None,
-               activation_bits=ACTIVATION_BITS):
+def layer_cost(layer, k, q=None, spatial=None):
     """Full accounting for one layer at one operating point.
 
     Dense layers need no spatial size; conv layers require
@@ -88,7 +89,7 @@ def layer_cost(layer, k, q=None, spatial=None,
     network.forward executes, which elastic.conv_runs_staged picks: the
     staged Tucker-2 conv, or the rebuilt kernel's
     2*H*W*c_o*c_i*kh*kw, whichever is fewer. Activation bytes cover one
-    input read plus one output write at the inference activation width.
+    input read plus one output write at ACTIVATION_BITS.
     """
     if layer.kind == elastic.CONV_TUCKER2:
         if spatial is None:
@@ -109,14 +110,13 @@ def layer_cost(layer, k, q=None, spatial=None,
     return LayerCost(flops=int(fl),
                      weight_bytes=int(bytes_of(layer, k, q)),
                      activation_bytes=int(_tensor_bytes(act_elems,
-                                                        activation_bits)))
+                                                        ACTIVATION_BITS)))
 
 
-def profile_costs(net, profile, spatial=None,
-                  activation_bits=ACTIVATION_BITS):
+def profile_costs(net, profile, spatial=None):
     """Per-layer LayerCost list for one profile of a network."""
     entries = network.resolve_profile(net, profile)
-    return [layer_cost(b.elastic, k, q, spatial, activation_bits)
+    return [layer_cost(b.elastic, k, q, spatial)
             for b, (k, q) in zip(net.blocks, entries)]
 
 
@@ -153,15 +153,14 @@ class DeviceTable:
                 raise ValueError(f"energy for {pid} must be positive")
 
 
-def synth_device_table(cost_rows, device="synthetic-device", seed=0,
-                       noise_sigma=0.03, with_energy=True):
-    """Draw a synthetic measurement table from a planted linear model.
+def synth_device_table(cost_rows, device="synthetic-device", seed=0):
+    """Draw a synthetic latency and energy table from a planted linear model.
 
     Per-layer compute and memory coefficients are log-uniform, a global
     kernel-launch intercept is added, and every profile's clean value is
-    scaled by exp(noise_sigma * z). Returns (table, planted) where planted
-    holds the latency model's true coefficients for plant-and-recover
-    checks.
+    scaled by exp(_SYNTH_NOISE_SIGMA * z). Returns (table, planted) where
+    planted holds the latency model's true coefficients for
+    plant-and-recover checks.
     """
     rows = [list(r) for r in cost_rows]
     if not rows:
@@ -187,13 +186,12 @@ def synth_device_table(cost_rows, device="synthetic-device", seed=0,
             b = c.weight_bytes + c.activation_bytes
             lat += comp[j] * c.flops + mem[j] * b
             en += e_comp[j] * c.flops + e_mem[j] * b
-        lat *= math.exp(noise_sigma * rng.standard_normal())
-        en *= math.exp(noise_sigma * rng.standard_normal())
-        entries.append((f"p{i:04d}", float(lat),
-                        float(en) if with_energy else None))
+        lat *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
+        en *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
+        entries.append((f"p{i:04d}", float(lat), float(en)))
     table = DeviceTable(
         device=device, entries=tuple(entries),
-        noise_model={"kind": "lognormal", "sigma": float(noise_sigma),
+        noise_model={"kind": "lognormal", "sigma": _SYNTH_NOISE_SIGMA,
                      "seed": int(seed)})
     planted = {"intercept": float(intercept),
                "comp": tuple(float(v) for v in comp),
@@ -201,21 +199,20 @@ def synth_device_table(cost_rows, device="synthetic-device", seed=0,
     return table, planted
 
 
-def nnls(a, b, max_iter=None):
+def nnls(a, b):
     """Nonnegative least squares, active-set style.
 
-    Minimizes ||a x - b||_2 subject to x >= 0. Returns (x, residual_norm).
-    Deterministic: ties in the gradient pick the lowest index.
+    Minimizes ||a x - b||_2 subject to x >= 0 in at most 3n + 10 outer
+    steps. Returns (x, residual_norm). Deterministic: ties in the gradient
+    pick the lowest index.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 3 * n + 10
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     tol = 10.0 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
-    for _ in range(max_iter):
+    for _ in range(3 * n + 10):
         w = a.T @ (b - a @ x)
         w[passive] = -np.inf
         j = int(np.argmax(w))
@@ -329,12 +326,15 @@ def read_device_table(path, device="imported"):
     entries = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["profile_id", "latency_ms"]:
             raise ValueError("unrecognized device table header")
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"device table row {row[0]!r} has no "
+                                 f"latency_ms")
             energy = float(row[2]) if len(row) > 2 and row[2] else None
             entries.append((row[0], float(row[1]), energy))
     return DeviceTable(device=device, entries=tuple(entries))

@@ -91,7 +91,7 @@ def from_dense(w, k_min=1, k_max=None, group_id=None, bias=None):
     return ElasticLayer(DENSE_SVD, f, k_min, k_max, group_id, bias)
 
 
-def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None, sweeps=3):
+def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None):
     """Factorize a conv kernel (c_out, c_in, h, w) into a Tucker-2 layer.
 
     Each channel rank is clamped to the rank of its unfolding, so a layer
@@ -101,7 +101,7 @@ def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None, sweeps=3):
     c_out, c_in, kh, kw = (int(d) for d in w4.shape)
     r_out = min(c_out, c_in * kh * kw)
     r_in = min(c_in, c_out * kh * kw)
-    f = linalg.tucker2_fit(w4, r_out, r_in, sweeps=sweeps)
+    f = linalg.tucker2_fit(w4, r_out, r_in)
     if k_max is None:
         k_max = max(r_out, r_in)
     return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, group_id, bias)
@@ -223,20 +223,22 @@ def residual_norm(layer, k, q=None):
     """Spectral norm of (full reconstruction - rank-k reconstruction).
 
     Without quantization a dense SVD layer whose stored factors still form
-    a genuine SVD answers from its spectrum: the norm is exactly the first
-    discarded singular value. Every other case — quantized factors, other
-    kinds, or factors perturbed away from orthonormality by training —
-    materializes the residual and takes its ``linalg.spectral_norm``, an
-    upper bound by contract. Conv residuals are measured on the
-    (c_out, c_in*h*w) unfolding. q may be a single width or a
-    (u, core, v) triple.
+    a genuine SVD answers from its spectrum: the first discarded singular
+    value times 1 + ``linalg._NORM_SLACK``, the slack of
+    ``linalg.spectral_norm``, because LAPACK's norm of the materialized
+    residual can exceed that singular value by a few ulps. Every other
+    case — quantized factors, other kinds, or factors perturbed away from
+    orthonormality by training — materializes the residual and takes its
+    ``linalg.spectral_norm``. Either way the result is an upper bound.
+    Conv residuals are measured on the (c_out, c_in*h*w) unfolding. q may
+    be a single width or a (u, core, v) triple.
     """
     k = _check_k(layer, k)
     if q is None and k == layer.k_max:
         return 0.0
     if q is None and layer.kind == DENSE_SVD \
             and _spectrum_trustworthy(layer):
-        return float(layer.factors.sigma[k])
+        return float(layer.factors.sigma[k]) * (1.0 + linalg._NORM_SLACK)
     full = effective_weight(layer, layer.k_max)
     approx = effective_weight(layer, k, q)
     resid = full - approx
@@ -274,21 +276,6 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def soft_mask(mask, gumbel_noise, k_target):
-    """Relaxed top-k indicator from noise-perturbed logits.
-
-    Scores g = logits + noise are ranked; each entry gets
-    sigmoid((g_i - theta) * (1 / temperature)) with theta placed mid-gap
-    between the k-th and (k+1)-th ranked scores, so both boundary entries
-    saturate cleanly as the temperature shrinks. k_target = k_max drops the
-    threshold below the smallest score and the mask tends to all-ones.
-    The value is that of the differentiable mask training uses.
-    """
-    from . import network  # network builds on this module
-    leaf = network.Var(mask.logits)
-    return network._tape_mask(leaf, mask, gumbel_noise, k_target).value
 
 
 def sample_gumbel(size, rng):

@@ -562,10 +562,6 @@ def stats_from_doc(sec):
         fingerprint=sec["fingerprint"])
 
 
-def _mode_name(mode):
-    return "conservative" if mode == certificate.CONSERVATIVE else "poweriter"
-
-
 def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
                         epsilon=None, calibration_inputs=None):
     """Drift-certificate ledger over named profiles.
@@ -576,10 +572,9 @@ def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
     conservative mode is marked certified — the sampled power-iteration
     proxy can undershoot and is recorded for reference only.
     """
-    conservative = mode == certificate.CONSERVATIVE
     sec = {
-        "mode": _mode_name(mode),
-        "certified": bool(conservative),
+        "mode": mode,
+        "certified": mode == certificate.CONSERVATIVE,
         "epsilon": None if epsilon is None else fmt_float(epsilon),
         "alpha": _fmt_list(stats.alpha),
         "profiles": {},
@@ -848,7 +843,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
     sec = doc.get("certificate")
     if sec is None:
         return
-    conservative = sec.get("mode") == "conservative"
+    conservative = sec.get("mode") == certificate.CONSERVATIVE
     if bool(sec.get("certified")) != conservative:
         problems.append("certificate: only the conservative mode may be "
                         "marked certified")
@@ -860,8 +855,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
     if calib is not None and list(sec["alpha"]) != list(calib["alpha"]):
         problems.append("certificate: alpha differs from the calibration "
                         "section")
-    mode = certificate.CONSERVATIVE if conservative \
-        else certificate.PowerIter()
+    mode = certificate.CONSERVATIVE if conservative else certificate.SAMPLED
     sampled = None  # the sampled proxy ignores the profile: one pass
     for name, entry in sorted(sec["profiles"].items()):
         pairs = pairs_from_doc(entry["pairs"])

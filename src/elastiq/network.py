@@ -4,18 +4,19 @@ Two forward paths share one block semantics (linear map, optional bias,
 optional frozen affine norm, activation, optional skip connection):
 
 * ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan and
-  records a trace of activations. Conv layers run on channel-last maps
+  records each block's input. Conv layers run on channel-last maps
   with one GEMM per kernel tap: staged through the Tucker-2 factors (1x1
   reduce, spatial conv with the core, 1x1 expand) when
   ``elastic.conv_runs_staged`` says that takes fewer FLOPs, otherwise
   through the rebuilt kernel.
-* ``forward_tape`` builds the same computation on a small reverse-mode tape
-  so ``backward`` can return gradients for factors, biases, norm parameters,
-  soft rank-mask logits, and quantizer log-scales.
+* ``forward_tape`` builds the same computation for dense stacks on a small
+  reverse-mode tape; ``backprop`` from a loss node then leaves gradients on
+  the trace's leaves: factors, biases, norm parameters, soft rank-mask
+  logits, and quantizer log-scales.
 
 The tape covers a fixed operator vocabulary: add, multiply, matmul, permute,
-reshape, narrow, gather, conv2d, the activations, reductions, log-softmax,
-and a straight-through quantizer.
+reshape, narrow, gather, the activations, reductions, log-softmax, and a
+straight-through quantizer.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from . import elastic, linalg, quant
 RELU = "relu"
 GELU = "gelu"
 IDENTITY = "identity"
-FULL = "full"
 
 # global slope bound used for conservative gains; the true supremum of the
 # erf-form gelu derivative is ~1.0998
@@ -328,33 +328,6 @@ def _conv_layer_value(layer, k, q, x):
     return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
 
 
-def v_conv2d(x, kernel):
-    xv, kv = x.value, kernel.value
-    if xv.ndim != 4 or kv.ndim != 4:
-        raise ValueError("conv2d expects (B,C,H,W) input and 4-D kernel")
-    kh, kw = kv.shape[2], kv.shape[3]
-    ph, pw = kh // 2, kw // 2
-    h, w = xv.shape[2], xv.shape[3]
-    out = Var(_conv_same_value(xv.transpose(0, 2, 3, 1),
-                               kv).transpose(0, 3, 1, 2), (x, kernel))
-    def bk(g):
-        xp = np.pad(xv, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gx = np.zeros_like(xp)
-        gk = np.zeros_like(kv)
-        for dy in range(kh):
-            for dx in range(kw):
-                tap = kv[:, :, dy, dx]
-                gx[:, :, dy:dy + h, dx:dx + w] += np.einsum(
-                    "oc,boyx->bcyx", tap, g)
-                gk[:, :, dy, dx] = np.einsum(
-                    "boyx,bcyx->oc", g, xp[:, :, dy:dy + h, dx:dx + w])
-        _acc(x, gx[:, :, ph:ph + h, pw:pw + w]
-             if (ph or pw) else gx)
-        _acc(kernel, gk)
-    out._backward = bk
-    return out
-
-
 def v_quant_ste(t, log_scale, bits):
     """Symmetric per-tensor quantize-dequantize with straight-through grads.
 
@@ -451,18 +424,16 @@ class Network:
 
 @dataclass
 class ForwardTrace:
-    """Per-block inputs and outputs plus the final logits.
+    """Per-block inputs plus the final logits.
 
-    Traces built by forward_tape also carry the gradient tape; plain eval
-    traces do not and cannot be passed to backward.
+    Traces built by forward_tape also carry the gradient tape: the logits
+    node and, per layer, the leaf nodes backprop leaves gradients on.
     """
 
     inputs: list
-    outputs: list
     logits: np.ndarray
     _z: Var | None = field(default=None, repr=False)
     _leaves: list | None = field(default=None, repr=False)
-    _bound: list | None = field(default=None, repr=False)
 
 
 def _factor_arrays(layer):
@@ -472,36 +443,13 @@ def _factor_arrays(layer):
     return (("u", f.u_out), ("core", f.core), ("v", f.u_in))
 
 
-def _plan_entry(block, entry):
-    if entry is None:
-        return block.elastic.k_max, None
-    if isinstance(entry, (int, np.integer)):
-        return int(entry), None
-    entry = tuple(entry)
-    if len(entry) == 1:
-        return int(entry[0]), None
-    if len(entry) != 2:
-        raise ValueError("profile entry must be k or (k, q)")
-    return int(entry[0]), entry[1]
-
-
 def _normalize_profile(net, profile):
-    n = len(net.blocks)
-    if profile is None or (isinstance(profile, str) and profile == FULL):
+    if profile is None:
         return [(b.elastic.k_max, None) for b in net.blocks]
-    pairs = getattr(profile, "pairs", profile)
-    if isinstance(pairs, dict):
-        entries = [(b.elastic.k_max, None) for b in net.blocks]
-        for key, entry in pairs.items():
-            i = int(key)
-            if not 0 <= i < n:
-                raise ValueError(f"profile references unknown layer {key}")
-            entries[i] = _plan_entry(net.blocks[i], entry)
-        return entries
-    pairs = list(pairs)
-    if len(pairs) != n:
+    pairs = list(getattr(profile, "pairs", profile))
+    if len(pairs) != len(net.blocks):
         raise ValueError("profile length does not match the layer count")
-    return [_plan_entry(b, e) for b, e in zip(net.blocks, pairs)]
+    return [(int(k), q) for k, q in pairs]
 
 
 def _promote_input(net, x):
@@ -523,11 +471,10 @@ def _promote_input(net, x):
 def forward(net, x, profile=None):
     """Run the network on x under a per-layer (rank, bits) plan.
 
-    profile may be None or "full" (stored reconstruction at k_max,
-    unquantized), a sequence with one entry per layer, a dict from layer
-    index to entry, or any object exposing such a sequence as .pairs.
-    Entries are k, (k,), or (k, q); q is a width or a (u, core, v) triple.
-    x may be a single input or a leading-batch stack of inputs.
+    profile is None (stored reconstruction at k_max, unquantized), a
+    sequence of one (k, q) pair per layer, or any object exposing such a
+    sequence as .pairs; q is None, a width, or a (u, core, v) triple of
+    widths. x may be a single input or a leading-batch stack of inputs.
 
     Dense layers multiply by the rebuilt weight. Conv layers run
     channel-last with one GEMM per kernel tap, staged or through the
@@ -535,7 +482,7 @@ def forward(net, x, profile=None):
     """
     entries = _normalize_profile(net, profile)
     a, single = _promote_input(net, x)
-    inputs, outputs = [], []
+    inputs = []
     for blk, (k, q) in zip(net.blocks, entries):
         inputs.append(a[0] if single else a)
         if blk.is_conv:
@@ -554,10 +501,9 @@ def forward(net, x, profile=None):
         h = _act_value(blk.activation, pre)
         if blk.residual:
             h = h + a
-        outputs.append(h[0] if single else h)
         a = h
     logits = a[0] if single else a
-    return ForwardTrace(inputs=inputs, outputs=outputs, logits=logits)
+    return ForwardTrace(inputs=inputs, logits=logits)
 
 
 def logit_drift(net, x, profile):
@@ -625,6 +571,10 @@ def _tape_quant(ld, nodes, bits):
 
 
 def _tape_mask(leaf, mask, noise, k_target):
+    """Relaxed top-k indicator node over the logits leaf: scores
+    g = logits + noise, each entry sigmoid((g_i - theta) / temperature)
+    with theta mid-gap between the k-th and (k+1)-th ranked scores, or
+    below the smallest one when k_target = k_max."""
     tau = float(mask.temperature)
     if not tau > 0.0:
         raise ValueError("temperature must be positive")
@@ -646,13 +596,16 @@ def _tape_mask(leaf, mask, noise, k_target):
 
 
 def forward_tape(net, x, profile=None, masks=None):
-    """Differentiable forward pass; returns a trace usable by backward.
+    """Differentiable forward pass of a dense stack; returns a trace whose
+    logits node backprop seeds.
 
     masks is an optional per-layer list; an entry (rank_mask, noise,
-    k_target) runs that dense layer through a soft rank mask over all
-    servable components instead of hard truncation (its plan rank is
-    ignored; its plan widths still apply).
+    k_target) runs that layer through a soft rank mask over all servable
+    components instead of hard truncation (its plan rank is ignored; its
+    plan widths still apply).
     """
+    if net.blocks[0].is_conv:
+        raise ValueError("forward_tape covers dense stacks only")
     entries = _normalize_profile(net, profile)
     if masks is None:
         masks = [None] * len(net.blocks)
@@ -660,102 +613,40 @@ def forward_tape(net, x, profile=None, masks=None):
         raise ValueError("masks length does not match the layer count")
     a_np, single = _promote_input(net, x)
     a = Var(a_np)
-    leaves, bound, inputs, outputs = [], [], [], []
+    leaves, inputs = [], []
     for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries)):
         lay = blk.elastic
         bits = elastic._split_bits(q)
-        ld = {}
-        facs = _factor_arrays(lay)
-        for nm, arr in facs:
-            ld[nm] = Var(arr)
-        bound.append(tuple(arr for _, arr in facs))
-
+        ld = {nm: Var(arr) for nm, arr in _factor_arrays(lay)}
+        m = None
         if masks[i] is not None:
-            if blk.is_conv:
-                raise ValueError("soft masks are not defined for conv "
-                                 "layers")
             rank_mask, noise, k_target = masks[i]
             if rank_mask.logits.shape != (lay.k_max,):
                 raise ValueError("mask length must equal the layer k_max")
             ld["mask_logits"] = Var(rank_mask.logits)
             m = _tape_mask(ld["mask_logits"], rank_mask, noise, k_target)
-            uk = v_narrow(ld["u"], lay.k_max, 1)
-            sk = v_narrow(ld["core"], lay.k_max, 0)
-            vk = v_narrow(ld["v"], lay.k_max, 1)
-            uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
-            w = v_matmul(v_mul(uk, v_mul(sk, m)), v_t(vk))
-        elif blk.is_conv:
-            r_o, r_i = elastic.conv_rank_schedule(lay, k)
-            uo = v_narrow(ld["u"], r_o, 1)
-            co = v_narrow(v_narrow(ld["core"], r_o, 0), r_i, 1)
-            ui = v_narrow(ld["v"], r_i, 1)
-            uo, co, ui = _tape_quant(ld, (uo, co, ui), bits)
-            r, s, kh, kw = co.value.shape
-            t1 = v_matmul(uo, v_reshape(co, (r, s * kh * kw)))
-            t1 = v_reshape(t1, (uo.value.shape[0], s, kh, kw))
-            t1 = v_permute(t1, (0, 2, 3, 1))
-            o = uo.value.shape[0]
-            t2 = v_matmul(v_reshape(t1, (o * kh * kw, s)), v_t(ui))
-            t2 = v_reshape(t2, (o, kh, kw, ui.value.shape[0]))
-            w = v_permute(t2, (0, 3, 1, 2))
-        else:
-            uk = v_narrow(ld["u"], k, 1)
-            sk = v_narrow(ld["core"], k, 0)
-            vk = v_narrow(ld["v"], k, 1)
-            uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
-            w = v_matmul(v_mul(uk, sk), v_t(vk))
+            k = lay.k_max
+        uk = v_narrow(ld["u"], k, 1)
+        sk = v_narrow(ld["core"], k, 0)
+        vk = v_narrow(ld["v"], k, 1)
+        uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
+        if m is not None:
+            sk = v_mul(sk, m)
+        w = v_matmul(v_mul(uk, sk), v_t(vk))
 
         inputs.append(a.value[0] if single else a.value)
-        if blk.is_conv:
-            pre = v_conv2d(a, w)
-            if lay.bias is not None:
-                ld["bias"] = Var(lay.bias)
-                pre = v_add(pre, v_reshape(ld["bias"],
-                                           (lay.out_features, 1, 1)))
-            if blk.gamma is not None:
-                ld["gamma"] = Var(blk.gamma)
-                ld["beta"] = Var(blk.beta)
-                pre = v_add(
-                    v_mul(pre, v_reshape(ld["gamma"],
-                                         (lay.out_features, 1, 1))),
-                    v_reshape(ld["beta"], (lay.out_features, 1, 1)))
-        else:
-            pre = v_matmul(a, v_t(w))
-            if lay.bias is not None:
-                ld["bias"] = Var(lay.bias)
-                pre = v_add(pre, ld["bias"])
-            if blk.gamma is not None:
-                ld["gamma"] = Var(blk.gamma)
-                ld["beta"] = Var(blk.beta)
-                pre = v_add(v_mul(pre, ld["gamma"]), ld["beta"])
+        pre = v_matmul(a, v_t(w))
+        if lay.bias is not None:
+            ld["bias"] = Var(lay.bias)
+            pre = v_add(pre, ld["bias"])
+        if blk.gamma is not None:
+            ld["gamma"] = Var(blk.gamma)
+            ld["beta"] = Var(blk.beta)
+            pre = v_add(v_mul(pre, ld["gamma"]), ld["beta"])
         h = _ACT_NODE[blk.activation](pre)
         if blk.residual:
             h = v_add(h, a)
-        outputs.append(h.value[0] if single else h.value)
         leaves.append(ld)
         a = h
     z = v_reshape(a, a.value.shape[1:]) if single else a
-    return ForwardTrace(inputs=inputs, outputs=outputs, logits=z.value,
-                        _z=z, _leaves=leaves, _bound=bound)
-
-
-def backward(net, trace, upstream):
-    """Seed the tape with upstream (dLoss/dlogits) and return, per layer,
-    a dict of gradients for every leaf the trace touched: u, core, v,
-    bias, gamma, beta, mask_logits, scale_u, scale_core, scale_v."""
-    if trace._z is None:
-        raise ValueError("trace carries no tape; build it with forward_tape")
-    if len(trace._bound) != len(net.blocks):
-        raise ValueError("stale trace: layer count changed")
-    for refs, blk in zip(trace._bound, net.blocks):
-        cur = tuple(arr for _, arr in _factor_arrays(blk.elastic))
-        if any(r is not c for r, c in zip(refs, cur)):
-            raise ValueError("stale trace: network parameters were rebuilt")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    backprop(trace._z, upstream)
-    out = []
-    for ld in trace._leaves:
-        out.append({nm: (v.grad if v.grad is not None
-                         else np.zeros_like(v.value))
-                    for nm, v in ld.items()})
-    return out
+    return ForwardTrace(inputs=inputs, logits=z.value, _z=z, _leaves=leaves)

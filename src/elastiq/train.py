@@ -195,8 +195,7 @@ class LossTerms:
                 "drift_cap": self.drift_cap, "budget": self.budget}
 
 
-def _fresh_coeffs(net, stats, mode=certificate.CONSERVATIVE,
-                  calib=None):
+def _fresh_coeffs(net, stats, mode, calib):
     rows = certificate.ledger(net, stats, None, mode, calib)
     return np.array([sens * alpha for sens, _, alpha in rows])
 
@@ -214,8 +213,6 @@ def _drift_surrogate_node(net, entries, comp_leaves, coeffs):
     certificate coefficient. Empty tails contribute nothing."""
     total = None
     for i, (blk, (k, _)) in enumerate(zip(net.blocks, entries)):
-        if blk.is_conv:
-            raise ValueError("the drift surrogate needs dense layers")
         k_max = blk.elastic.k_max
         if k >= k_max:
             continue
@@ -237,10 +234,13 @@ def budget_overshoot(net, entries, cost_model, budget):
     return max(0.0, pred / budget.latency_target - 1.0)
 
 
-def total_loss(net, batch, k, weights, stats=None, *, coeffs=None,
-               budget=None, cost_model=None, masks=None, rng=None,
-               aug_sigma=0.05, bits=None):
+def total_loss(net, batch, k, weights, *, coeffs, budget=None,
+               cost_model=None, masks=None, rng=None, aug_sigma=0.05,
+               bits=None):
     """Five-term objective at sampled rank k, with parameter gradients.
+
+    coeffs holds one certificate coefficient (sensitivity x alpha) per
+    layer; the drift cap scales each layer's tail by it.
 
     Returns (LossTerms, grads) where grads is a per-layer list of
     name-to-array gradient dicts covering every tape leaf the step
@@ -295,11 +295,6 @@ def total_loss(net, batch, k, weights, stats=None, *, coeffs=None,
     cert = None
     surrogate = 0.0
     if weights.drift_cap > 0.0:
-        if coeffs is None:
-            if stats is None:
-                raise ValueError("the drift cap needs calibration stats "
-                                 "or precomputed coefficients")
-            coeffs = _fresh_coeffs(net, stats)
         delta = _drift_surrogate_node(net, entries, tr_comp._leaves,
                                       coeffs)
         if delta is not None:
@@ -561,7 +556,7 @@ def _reorthogonalize(net):
 
 
 def _proxy_mode(config):
-    return certificate.PowerIter() if config.calibrated_proxy \
+    return certificate.SAMPLED if config.calibrated_proxy \
         else certificate.CONSERVATIVE
 
 

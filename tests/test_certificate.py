@@ -156,7 +156,7 @@ class TestLipschitzProxy:
         xs = _rng(10).standard_normal((4, 4))
         cons = certificate.lipschitz_proxy(net)[1]
         samp = certificate.lipschitz_proxy(
-            net, certificate.PowerIter(), calibration_inputs=xs)[1]
+            net, certificate.SAMPLED, calibration_inputs=xs)[1]
         assert cons == pytest.approx(1.0, abs=1e-12)
         assert samp == pytest.approx(1.0, abs=1e-12)
 
@@ -175,7 +175,7 @@ class TestLipschitzProxy:
         xs = rng.standard_normal((5, 4))
         cons = certificate.lipschitz_proxy(net)[1]
         samp = certificate.lipschitz_proxy(
-            net, certificate.PowerIter(steps=5), calibration_inputs=xs)[1]
+            net, certificate.SAMPLED, calibration_inputs=xs)[1]
         want = np.linalg.norm(w2, 2)
         assert cons == pytest.approx(want, rel=1e-4)
         assert samp == pytest.approx(want, rel=1e-4)
@@ -194,7 +194,7 @@ class TestLipschitzProxy:
         xs = rng.standard_normal((3, 5))
         cons = certificate.lipschitz_proxy(net)[0]
         samp = certificate.lipschitz_proxy(
-            net, certificate.PowerIter(), calibration_inputs=xs)[0]
+            net, certificate.SAMPLED, calibration_inputs=xs)[0]
         assert cons == pytest.approx(2.0, rel=1e-4)
         assert samp == pytest.approx(2.0, rel=1e-4)
 
@@ -243,7 +243,7 @@ class TestLipschitzProxy:
             xs = rng.standard_normal((6, 5))
             cons = certificate.lipschitz_proxy(net)[ell]
             samp = certificate.lipschitz_proxy(
-                net, certificate.PowerIter(), calibration_inputs=xs)[ell]
+                net, certificate.SAMPLED, calibration_inputs=xs)[ell]
             assert cons >= samp * (1.0 - 1e-9)
             worst = max(np.linalg.norm(_oracle_tail_jacobian(net, ell, x), 2)
                         for x in xs)
@@ -252,29 +252,25 @@ class TestLipschitzProxy:
     def test_quantized_profile_cannot_shrink_tail(self):
         net = _dense_net(15, (4, 5, 3), (network.RELU, network.IDENTITY))
         k_max = net.blocks[1].elastic.k_max
-        prof = [None, (k_max, 2)]
+        prof = [(net.blocks[0].elastic.k_max, None), (k_max, 2)]
         plain = certificate.lipschitz_proxy(net)[0]
         aware = certificate.lipschitz_proxy(net, profile=prof)[0]
         assert aware >= plain * (1.0 - 1e-12)
 
     def test_validation(self):
         net = _dense_net(16, (4, 3), (network.RELU,))
-        with pytest.raises(ValueError, match="unknown layer"):
-            certificate.lipschitz_proxy(net, profile={1: 1})
+        with pytest.raises(ValueError, match="length"):
+            certificate.lipschitz_proxy(net, profile=[(1, None)] * 2)
         with pytest.raises(ValueError, match="calibration"):
-            certificate.lipschitz_proxy(net, certificate.PowerIter())
+            certificate.lipschitz_proxy(net, certificate.SAMPLED)
         with pytest.raises(ValueError, match="mode"):
             certificate.lipschitz_proxy(net, "fast")
-        with pytest.raises(ValueError, match="steps"):
-            certificate.PowerIter(steps=0)
-        with pytest.raises(ValueError, match="ema_decay"):
-            certificate.PowerIter(ema_decay=1.0)
         conv = network.Network((network.Block(
             elastic=elastic.from_conv(
                 _rng(17).standard_normal((3, 3, 3, 3)))),))
         with pytest.raises(ValueError, match="dense"):
             certificate.lipschitz_proxy(
-                conv, certificate.PowerIter(),
+                conv, certificate.SAMPLED,
                 calibration_inputs=np.zeros((2, 3, 4, 4)))
 
 
@@ -292,7 +288,7 @@ class TestPointwiseBound:
         net = _dense_net(18, (4, 5, 3), (network.GELU, network.IDENTITY))
         stats = certificate.calibrate(net, _rng(19).standard_normal((8, 4)))
         x = _rng(20).standard_normal(4)
-        assert certificate.pointwise_bound(net, stats, "full", x) == 0.0
+        assert certificate.pointwise_bound(net, stats, None, x) == 0.0
 
     def test_single_linear_layer_matches_cauchy_schwarz(self):
         rng = _rng(21)
@@ -301,7 +297,7 @@ class TestPointwiseBound:
         stats = certificate.calibrate(net, rng.standard_normal((6, 5)))
         x = rng.standard_normal(5)
         k = 2
-        bound = certificate.pointwise_bound(net, stats, [k], x)
+        bound = certificate.pointwise_bound(net, stats, [(k, None)], x)
 
         w_full = elastic.effective_weight(net.blocks[0].elastic, 4)
         w_k = elastic.effective_weight(net.blocks[0].elastic, k)
@@ -353,7 +349,7 @@ class TestPointwiseBound:
         net = _dense_net(23, (4, 5, 3), (network.RELU, network.IDENTITY))
         stats = certificate.calibrate(net, _rng(24).standard_normal((5, 4)))
         xs = _rng(25).standard_normal((7, 4))
-        prof = [2, 1]
+        prof = [(2, None), (1, None)]
         vec = certificate.pointwise_bound(net, stats, prof, xs)
         assert vec.shape == (7,)
         for row, want in zip(xs, vec):
@@ -370,7 +366,7 @@ class TestPointwiseBound:
         prof = [(3, 6), (2, None)]
         cons = certificate.pointwise_bound(net, stats, prof, x)
         samp = certificate.pointwise_bound(
-            net, stats, prof, x, certificate.PowerIter(),
+            net, stats, prof, x, certificate.SAMPLED,
             calibration_inputs=xs)
         assert samp <= cons * (1.0 + 1e-9)
 
@@ -379,9 +375,9 @@ class TestPointwiseBound:
         stats = certificate.calibrate(net, _rng(30).standard_normal((3, 4)))
         other = _dense_net(31, (4, 3), (network.RELU,))
         with pytest.raises(ValueError, match="stale"):
-            certificate.pointwise_bound(other, stats, "full", np.zeros(4))
+            certificate.pointwise_bound(other, stats, None, np.zeros(4))
         with pytest.raises(ValueError, match="stale"):
-            certificate.expected_bound(other, stats, "full")
+            certificate.expected_bound(other, stats, None)
 
 
 class TestExpectedBound:
@@ -397,7 +393,7 @@ class TestExpectedBound:
         xs = rng.standard_normal((12, 6))
         stats = certificate.calibrate(net, xs)
         k = 2
-        got = certificate.expected_bound(net, stats, [k])
+        got = certificate.expected_bound(net, stats, [(k, None)])
 
         norms = np.linalg.norm(xs, axis=1)
         alpha = np.sqrt(np.mean(norms ** 2))
@@ -406,14 +402,14 @@ class TestExpectedBound:
         sigma = np.linalg.svd(w_full - w_k, compute_uv=False)[0]
         assert got == pytest.approx(alpha * sigma, rel=1e-7)
 
-        drifts = network.logit_drift(net, xs, [k])
+        drifts = network.logit_drift(net, xs, [(k, None)])
         assert np.sqrt(np.mean(drifts ** 2)) <= got
 
     def test_doubling_inputs_doubles_the_aggregate(self):
         net = _dense_net(35, (4, 4, 3), (network.RELU, network.RELU),
                          bias=False)
         xs = _rng(36).standard_normal((8, 4))
-        prof = [2, 1]
+        prof = [(2, None), (1, None)]
         one = certificate.expected_bound(
             net, certificate.calibrate(net, xs), prof)
         two = certificate.expected_bound(
@@ -435,7 +431,7 @@ class TestExpectedBound:
     def test_monotone_in_rank_unquantized(self):
         net = _dense_net(39, (6, 6, 6), (network.RELU, network.IDENTITY))
         stats = certificate.calibrate(net, _rng(40).standard_normal((6, 6)))
-        vals = [certificate.expected_bound(net, stats, [k, k])
+        vals = [certificate.expected_bound(net, stats, [(k, None), (k, None)])
                 for k in range(1, 7)]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi * (1.0 + 1e-12)
@@ -496,7 +492,7 @@ class TestDiagnostics:
         x = _rng(51).standard_normal(4)
         xs = np.tile(x, (8, 1))
         stats = certificate.calibrate(net, xs)
-        profiles = [[2, 2], [3, 1]]
+        profiles = [[(2, None), (2, None)], [(3, None), (1, None)]]
         eps = max(certificate.expected_bound(net, stats, p)
                   for p in profiles)
         rep = certificate.diagnostics(net, stats, profiles, xs, eps)
@@ -506,7 +502,8 @@ class TestDiagnostics:
         net = _dense_net(52, (4, 3), (network.RELU,))
         xs = _rng(53).standard_normal((6, 4))
         stats = certificate.calibrate(net, xs)
-        rep = certificate.diagnostics(net, stats, [[2], [2]], xs, 1.0)
+        rep = certificate.diagnostics(net, stats, [[(2, None)]] * 2, xs,
+                                      1.0)
         assert rep["pearson_correlation"] is None
         assert rep["correlation_defined"] is False
 
@@ -515,11 +512,12 @@ class TestDiagnostics:
         net = network.Network((_from_matrix(rng.standard_normal((6, 5))),))
         xs = rng.standard_normal((12, 5))
         stats = certificate.calibrate(net, xs)
-        rep = certificate.diagnostics(net, stats, [[1], [3]], xs, 1e-9)
-        d1 = float(np.mean(network.logit_drift(net, xs, [1])))
-        d3 = float(np.mean(network.logit_drift(net, xs, [3])))
-        b1 = certificate.expected_bound(net, stats, [1])
-        b3 = certificate.expected_bound(net, stats, [3])
+        rep = certificate.diagnostics(
+            net, stats, [[(1, None)], [(3, None)]], xs, 1e-9)
+        d1 = float(np.mean(network.logit_drift(net, xs, [(1, None)])))
+        d3 = float(np.mean(network.logit_drift(net, xs, [(3, None)])))
+        b1 = certificate.expected_bound(net, stats, [(1, None)])
+        b3 = certificate.expected_bound(net, stats, [(3, None)])
         assert d1 > d3 and b1 > b3
         assert rep["pearson_correlation"] == pytest.approx(1.0, rel=1e-9)
 
@@ -527,7 +525,7 @@ class TestDiagnostics:
         net = _dense_net(55, (4, 4, 3), (network.GELU, network.IDENTITY))
         xs = _rng(56).standard_normal((9, 4))
         stats = certificate.calibrate(net, xs)
-        profiles = [[1, 1], [2, 2], [3, 3]]
+        profiles = [[(k, None)] * 2 for k in (1, 2, 3)]
         eps = 0.5
         rep = certificate.diagnostics(net, stats, profiles, xs, eps)
         json.dumps(rep)
@@ -546,7 +544,7 @@ class TestDiagnostics:
         xs = _rng(58).standard_normal((4, 4))
         stats = certificate.calibrate(net, xs)
         with pytest.raises(ValueError, match="two profiles"):
-            certificate.diagnostics(net, stats, [[2]], xs, 1.0)
+            certificate.diagnostics(net, stats, [[(2, None)]], xs, 1.0)
 
 
 class TestSingleLayerReplacement:
@@ -559,7 +557,7 @@ class TestSingleLayerReplacement:
         x = _rng(62).standard_normal(5)
         for ell in range(3):
             k = 2
-            prof = [None] * 3
+            prof = [(b.elastic.k_max, None) for b in net.blocks]
             prof[ell] = (k, None)
             drift = network.logit_drift(net, x, prof)
             bound = certificate.pointwise_bound(net, stats, prof, x)

@@ -123,7 +123,9 @@ def test_audit_exits_4_on_a_latency_inversion(tmp_path):
 def test_bad_train_configs_exit_1_with_a_message(tmp_path):
     for data, message in (({"stepz": 3}, "unknown config keys: stepz"),
                           ({"weights": {"isotonic": 0.1}},
-                           "bad loss weights")):
+                           "bad loss weights"),
+                          ({"hidden": 5},
+                           "bad config: 'int' object is not iterable")):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         code, _, err = _cli_output("train", "--out", tmp_path / "run",
@@ -244,12 +246,36 @@ def test_conv_model_plans_selects_and_audits(tmp_path):
 
 
 def test_stray_value_errors_exit_1_with_a_message(tmp_path):
-    model = tmp_path / "model.json"
-    _small_model(model)
-    code, _, err = _cli_output("certify", model, "--profiles", "0",
-                               "--calib-size", 16)
-    assert code == cli.EXIT_ERROR
-    assert err == "error: rank must be at least 1\n"
+    # errors raised below the CLI reach the user as one line, exit 1
+    plan = _planned_small_model(tmp_path)
+    model, raw = tmp_path / "model.json", tmp_path / "raw.json"
+    manifest.write_manifest(manifest.raw_model_to_doc([np.eye(3)]), raw)
+    empty, short = tmp_path / "empty.csv", tmp_path / "short.csv"
+    empty.write_text("")
+    short.write_text("profile_id,latency_ms\np0000\n")
+    out = tmp_path / "out.json"
+    cases = (
+        (("certify", model, "--profiles", "0", "--calib-size", 16),
+         "rank must be at least 1"),
+        (("certify", raw, "--profiles", "2", "--out", out),
+         "manifest does not hold a factorized model"),
+        (("decompose", model, "--out", out),
+         "manifest does not hold a raw model"),
+        (("select", plan, "--latency-ms", "-1"),
+         "latency_target must be positive and finite"),
+        (("select", plan, "--latency-ms", "1", "--device", "other"),
+         "budget device does not match the lattice"),
+        (("plan", plan, "--device-csv", empty, "--out", out),
+         "unrecognized device table header"),
+        (("plan", plan, "--device-csv", short, "--out", out),
+         "device table row 'p0000' has no latency_ms"),
+        (("report", plan, "--probes", 0),
+         "probe count must be at least 1, got 0"),
+    )
+    for argv, message in cases:
+        code, _, err = _cli_output(*argv)
+        assert (code, err) == (cli.EXIT_ERROR, f"error: {message}\n"), argv
+    assert not out.exists()
 
 
 def test_reruns_byte_identical_across_blas_threads(tmp_path):

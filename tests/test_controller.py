@@ -1,6 +1,7 @@
 """Budget tokens, profiles, menu snapping, monotonicity, certificate mass, greedy
 allocation, the profile lattice, and runtime profile selection."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -164,15 +165,13 @@ class TestEnforceMonotone:
     def test_already_monotone_is_unchanged(self):
         profs = self._profiles([[(1, 4), (2, 4), (3, 8)]])
         result = controller.enforce_monotone(profs)
-        assert result.corrected == ()
-        assert [p.pairs for p in result.profiles] \
-            == [p.pairs for p in profs]
+        assert isinstance(result, tuple)
+        assert [p.pairs for p in result] == [p.pairs for p in profs]
 
     def test_single_inversion_is_pooled_upward(self):
         profs = self._profiles([[(4, 4), (3, 4), (5, 4)]])
         result = controller.enforce_monotone(profs)
-        assert [p.pairs[0][0] for p in result.profiles] == [4, 4, 5]
-        assert result.corrected == (1,)
+        assert [p.pairs[0][0] for p in result] == [4, 4, 5]
 
     def test_matches_running_max_oracle(self):
         rng = _rng(21)
@@ -185,13 +184,13 @@ class TestEnforceMonotone:
                       for _ in range(n_layers)]
             result = controller.enforce_monotone(self._profiles(chains))
             for ell, chain in enumerate(chains):
-                got_k = [p.pairs[ell][0] for p in result.profiles]
+                got_k = [p.pairs[ell][0] for p in result]
                 want_k = np.maximum.accumulate([k for k, _ in chain])
                 assert got_k == list(want_k)
                 ords = [32 if q is None else q for _, q in chain]
                 want_q = np.maximum.accumulate(ords)
                 got_q = [32 if p.pairs[ell][1] is None else p.pairs[ell][1]
-                         for p in result.profiles]
+                         for p in result]
                 assert got_q == list(want_q)
 
     def test_output_is_pairwise_monotone(self):
@@ -201,17 +200,9 @@ class TestEnforceMonotone:
                         int(rng.choice([2, 4, 8, 16])))
                        for _ in range(6)] for _ in range(3)]
             result = controller.enforce_monotone(self._profiles(chains))
-            for a, b in zip(result.profiles, result.profiles[1:]):
+            for a, b in zip(result, result[1:]):
                 for (ka, qa), (kb, qb) in zip(a.pairs, b.pairs):
                     assert kb >= ka and qb >= qa
-
-    def test_budget_grid_order_is_validated(self):
-        profs = self._profiles([[(1, 4), (2, 4)]])
-        controller.enforce_monotone(
-            profs, budgets=[_token(lat=1.0), _token(lat=2.0)])
-        with pytest.raises(ValueError, match="not ordered"):
-            controller.enforce_monotone(
-                profs, budgets=[_token(lat=2.0), _token(lat=1.0)])
 
     def test_layer_count_mismatch_rejected(self):
         profs = [controller.Profile(((1, 4),)),
@@ -645,26 +636,15 @@ class TestBuildLattice:
             controller.build_lattice(net, menus, many, benefit, stats,
                                      model)
 
-    def test_names_override_checked_and_applied(self):
-        net, stats, menus, benefit, model, budgets = self._setup(76)
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model,
-                                           names=("a", "b", "c"))
-        assert [p.name for p in lattice.profiles] == ["a", "b", "c"]
-        with pytest.raises(ValueError, match="names"):
-            controller.build_lattice(net, menus, budgets, benefit,
-                                     stats, model, names=("a",))
-
     def test_measured_latency_is_carried_through(self):
         net, stats, menus, benefit, model, budgets = self._setup(77)
-        lattice = controller.build_lattice(
-            net, menus, budgets, benefit, stats, model,
-            measured_latency=(0.4, 0.9, 1.8))
-        assert lattice.measured_latency == (0.4, 0.9, 1.8)
+        lattice = controller.build_lattice(net, menus, budgets, benefit,
+                                           stats, model)
+        assert lattice.measured_latency is None
+        timed = dataclasses.replace(lattice, measured_latency=(0.4, 0.9, 1.8))
+        assert timed.measured_latency == (0.4, 0.9, 1.8)
         with pytest.raises(ValueError, match="measured_latency"):
-            controller.build_lattice(net, menus, budgets, benefit,
-                                     stats, model,
-                                     measured_latency=(0.4,))
+            dataclasses.replace(lattice, measured_latency=(0.4,))
 
     def test_device_mismatch_rejected(self):
         net, stats, menus, benefit, model, budgets = self._setup(78)

@@ -245,7 +245,7 @@ class TestFit:
     def test_noisy_fit_stays_in_band(self):
         net = _two_layer_net()
         _, rows = _grid_rows(net, (1, 2, 3, 4), (4, 6, 8))
-        table, _ = cost.synth_device_table(rows, seed=12, noise_sigma=0.03)
+        table, _ = cost.synth_device_table(rows, seed=12)
         model = cost.fit_cost_model(table, rows)
         assert model.mape_percent < 5.0
         assert model.r_squared > 0.9
@@ -256,7 +256,9 @@ class TestFit:
         table, _ = cost.synth_device_table(rows, seed=13)
         model = cost.fit_cost_model(table, rows, target="energy")
         assert model.mape_percent < 5.0
-        dry, _ = cost.synth_device_table(rows, seed=13, with_energy=False)
+        dry = cost.DeviceTable(
+            device=table.device,
+            entries=tuple((pid, lat, None) for pid, lat, _ in table.entries))
         with pytest.raises(ValueError, match="energy"):
             cost.fit_cost_model(dry, rows, target="energy")
 
@@ -316,7 +318,7 @@ class TestPredict:
         # the same device: one planted model, fresh rows
         net = _two_layer_net()
         _, rows = _grid_rows(net, (1, 2, 3, 4), (4, 6, 8))
-        table, _ = cost.synth_device_table(rows, seed=16, noise_sigma=0.03)
+        table, _ = cost.synth_device_table(rows, seed=16)
         train_idx = [i for i in range(len(rows)) if i % 3 != 0]
         test_idx = [i for i in range(len(rows)) if i % 3 == 0]
         train = cost.DeviceTable(

@@ -24,6 +24,12 @@ def _masked_weight(layer, mask, noise, k_target):
         net, x, masks=[(mask, noise, k_target)]).logits.T
 
 
+def _soft_mask(mask, noise, k_target):
+    # the value of the relaxed top-k mask the training tape builds
+    return network._tape_mask(network.Var(mask.logits), mask, noise,
+                              k_target).value
+
+
 def _independent_round_trip(t, bits):
     # deliberately separate from the package quantizer: max-range symmetric
     # grid, round-half-to-even, clip
@@ -134,13 +140,28 @@ class TestResidualNorm:
 
     def test_diagonal_tail_value(self):
         layer = elastic.from_dense(np.diag([5.0, 3.0, 1.0]))
-        assert elastic.residual_norm(layer, 2) == 1.0
+        assert elastic.residual_norm(layer, 2) == 1.0 + linalg._NORM_SLACK
 
     def test_matches_stored_spectrum(self):
+        # the first discarded singular value, with spectral_norm's slack
         layer = elastic.from_dense(_rng(21).standard_normal((8, 7)))
         for k in range(1, 7):
             assert elastic.residual_norm(layer, k) == float(
-                layer.factors.sigma[k])
+                layer.factors.sigma[k]) * (1.0 + linalg._NORM_SLACK)
+
+    def test_bounds_lapack_norm_of_materialized_residual(self):
+        # LAPACK's norm of full - truncated exceeds the stored sigma[k] by
+        # a few ulps in about half of all rank steps; the shortcut must
+        # still bound it
+        for seed in range(10):
+            for shape in ((8, 7), (12, 12), (5, 16)):
+                layer = elastic.from_dense(
+                    _rng(300 + seed).standard_normal(shape))
+                full = elastic.truncate(layer, layer.k_max)
+                for k in range(1, layer.k_max):
+                    resid = full - elastic.truncate(layer, k)
+                    assert elastic.residual_norm(layer, k) \
+                        >= np.linalg.norm(resid, 2)
 
     def test_quantized_matches_explicit_oracle(self):
         w = _rng(22).standard_normal((8, 8))
@@ -211,13 +232,13 @@ class TestSoftMask:
         logits = np.arange(80.0, 0.0, -10.0)
         mask = elastic.RankMask(logits=logits, temperature=0.001)
         noise = elastic.sample_gumbel(8, _rng(50))
-        got = elastic.soft_mask(mask, noise, k_target=3)
+        got = _soft_mask(mask, noise, k_target=3)
         assert np.max(np.abs(got - hard_mask(3, 8))) < 1e-3
 
     def test_high_temperature_flattens(self):
         logits = _rng(51).standard_normal(10)
         mask = elastic.RankMask(logits=logits, temperature=1e6)
-        got = elastic.soft_mask(mask, np.zeros(10), k_target=4)
+        got = _soft_mask(mask, np.zeros(10), k_target=4)
         assert np.ptp(got) < 1e-3
         assert np.max(np.abs(got - 0.5)) < 1e-3
 
@@ -230,7 +251,7 @@ class TestSoftMask:
         dists = []
         for tau in (2.0, 1.0, 0.5):
             mask = elastic.RankMask(logits=logits, temperature=tau)
-            got = elastic.soft_mask(mask, noise, k_target=5)
+            got = _soft_mask(mask, noise, k_target=5)
             assert np.all(got >= 0.0) and np.all(got <= 1.0)
             dists.append(np.abs(got - target))
         assert np.all(dists[1] <= dists[0])
@@ -239,14 +260,14 @@ class TestSoftMask:
     def test_deterministic_given_noise(self):
         mask = elastic.RankMask(logits=np.linspace(3, -3, 7), temperature=0.7)
         noise = elastic.sample_gumbel(7, _rng(54))
-        a = elastic.soft_mask(mask, noise, k_target=2)
-        b = elastic.soft_mask(mask, noise, k_target=2)
+        a = _soft_mask(mask, noise, k_target=2)
+        b = _soft_mask(mask, noise, k_target=2)
         assert np.array_equal(a, b)
 
     def test_full_rank_target_saturates_to_ones(self):
         mask = elastic.RankMask(logits=_rng(55).standard_normal(6),
                                 temperature=0.01)
-        got = elastic.soft_mask(mask, np.zeros(6), k_target=6)
+        got = _soft_mask(mask, np.zeros(6), k_target=6)
         assert np.all(got >= 1.0 - 1e-3)
 
     def test_nonpositive_temperature_rejected(self):
@@ -255,15 +276,15 @@ class TestSoftMask:
         mask = elastic.RankMask(logits=np.ones(4), temperature=1.0)
         mask.temperature = -1.0
         with pytest.raises(ValueError, match="temperature"):
-            elastic.soft_mask(mask, np.zeros(4), k_target=2)
+            _soft_mask(mask, np.zeros(4), k_target=2)
 
     def test_shape_and_target_validated(self):
         mask = elastic.RankMask(logits=np.ones(4), temperature=1.0)
         with pytest.raises(ValueError, match="shape"):
-            elastic.soft_mask(mask, np.zeros(5), k_target=2)
+            _soft_mask(mask, np.zeros(5), k_target=2)
         for bad in (0, 5):
             with pytest.raises(ValueError, match="k_target"):
-                elastic.soft_mask(mask, np.zeros(4), k_target=bad)
+                _soft_mask(mask, np.zeros(4), k_target=bad)
 
     def test_hard_mask_indicator(self):
         assert np.array_equal(hard_mask(3, 5), [1.0, 1.0, 1.0, 0.0, 0.0])
@@ -284,15 +305,16 @@ class TestSoftMask:
         assert np.array_equal(got, elastic.truncate(layer, 5))
 
     def test_masked_weight_conv_rejected(self):
+        # the tape covers dense stacks only, masked or not
         layer = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
         net = network.Network((network.Block(elastic=layer,
                                              activation=network.IDENTITY),))
         mask = elastic.RankMask(logits=np.zeros(layer.k_max),
                                 temperature=1.0)
         x = _rng(59).standard_normal((3, 5, 5))
-        with pytest.raises(ValueError, match="conv"):
-            network.forward_tape(
-                net, x, masks=[(mask, np.zeros(layer.k_max), 1)])
+        for masks in (None, [(mask, np.zeros(layer.k_max), 1)]):
+            with pytest.raises(ValueError, match="dense stacks only"):
+                network.forward_tape(net, x, masks=masks)
 
 
 class TestAnnealTemperature:

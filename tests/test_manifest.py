@@ -217,7 +217,7 @@ class TestCertificateVerification:
         stats = certificate.calibrate(net, xs)
         doc["calibration"] = manifest.stats_to_doc(stats)
         doc["certificate"] = manifest.certificate_section(
-            net, stats, profiles, certificate.PowerIter(),
+            net, stats, profiles, certificate.SAMPLED,
             calibration_inputs=xs)
         path = tmp_path / "m.json"
         manifest.write_manifest(doc, path)

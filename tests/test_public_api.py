@@ -1,5 +1,9 @@
 """Every public top-level function and class in src/elastiq is used by
-src/elastiq itself, or is listed below with the reason it stays."""
+src/elastiq itself, or is listed below with the reason it stays.
+
+A use is a reference by name or attribute. A name that the enclosing
+function binds itself, as a parameter or an assigned local, refers to that
+binding, so it is not a use of the module-level function it shadows."""
 
 import ast
 import pathlib
@@ -18,11 +22,22 @@ UNREFERENCED = {
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":
         "the paper's rank-tied precision; wiring it into certify is open",
-    "elastic.soft_mask":
-        "the public value of the differentiable training mask",
+    "elastic.factor_bits":
+        "BitMap's per-factor widths; wiring BitMap into certify is open",
     "manifest.raw_model_to_doc":
         "how raw models are written; the benchmark's inputs use it",
 }
+
+
+def _bound_names(fn):
+    """Parameters and assigned locals of one function (nested scopes
+    included)."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs \
+        + [a for a in (args.vararg, args.kwarg) if a is not None]
+    return frozenset({a.arg for a in params} | {
+        n.id for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)})
 
 
 def _unreferenced():
@@ -36,18 +51,23 @@ def _unreferenced():
                 defs[node] = f"{module}.{node.name}"
     used = set()
 
-    def walk(node, own):
+    def walk(node, own, local):
         if node in defs:
             own = node.name
-        name = node.id if isinstance(node, ast.Name) else \
-            node.attr if isinstance(node, ast.Attribute) else None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            local = local | _bound_names(node)
+        if isinstance(node, ast.Name):
+            name = None if node.id in local else node.id
+        else:
+            name = node.attr if isinstance(node, ast.Attribute) else None
         if name is not None and name != own:
             used.add(name)
         for child in ast.iter_child_nodes(node):
-            walk(child, own)
+            walk(child, own, local)
 
     for tree in trees.values():
-        walk(tree, None)
+        walk(tree, None, frozenset())
     return sorted(q for node, q in defs.items() if node.name not in used)
 
 

@@ -433,7 +433,8 @@ class TestTotalLoss:
     def test_drift_cap_requires_stats_or_coeffs(self):
         net, x, y, stats, coeffs = _small_setup(0)
         noise = np.random.default_rng(1).standard_normal(x.shape)
-        with pytest.raises(ValueError, match="calibration stats"):
+        # the drift cap reads precomputed coefficients, a required keyword
+        with pytest.raises(TypeError, match="coeffs"):
             train.total_loss(net, (x, y), 2,
                              train.LossWeights(epsilon=0.05),
                              rng=train._FixedNoise(noise))
