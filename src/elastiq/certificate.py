@@ -26,11 +26,13 @@ calibration statistics belong to the network, evaluates all layer
 sensitivities in a single ``lipschitz_proxy`` pass, and returns one
 (sensitivity, weight-change norm, alpha) row per layer; ``ledger_terms``
 multiplies each row out and ``ledger_total`` sums the products in layer
-order. The expected and pointwise bounds, the manifest's certificate
-section, the planner's tables and the trainer's coefficients are all read
-off ``ledger``; manifest verification recomputes the same columns with
-``lipschitz_proxy`` and ``compression_gain`` and re-sums the stored rows
-with ``ledger_total``.
+order; ``ledgers`` builds the ledgers of several profiles and does the
+profile-independent work once (``sensitivities``: one sampled pass, one
+stored-weight gain per block). The expected and pointwise bounds, the
+manifest's certificate section, the planner's tables and the trainer's
+coefficients are all read off ``ledger`` or ``ledgers``; manifest
+verification recomputes the same columns with ``sensitivities`` and
+``compression_gain`` and re-sums the stored rows with ``ledger_total``.
 """
 
 import hashlib
@@ -141,9 +143,17 @@ def _local_scale(block):
     return g
 
 
-def _tail_gain(block, entry):
-    full_w = elastic.truncate(block.elastic, block.elastic.k_max)
-    wg = network.weight_gain(full_w)
+def _stored_gains(net):
+    """weight_gain of each block's stored full weight, None for the first
+    block: its gain multiplies no sensitivity, because no injection point
+    lies upstream of it."""
+    return [None] + [
+        network.weight_gain(elastic.truncate(b.elastic, b.elastic.k_max))
+        for b in net.blocks[1:]]
+
+
+def _tail_gain(block, stored_gain, entry):
+    wg = stored_gain
     if entry is not None:
         k, q = entry
         if k != block.elastic.k_max or q is not None:
@@ -153,16 +163,16 @@ def _tail_gain(block, entry):
     return 1.0 + g if block.residual else g
 
 
-def _conservative_multipliers(net, entries=None):
+def _conservative_multipliers(net, stored, entries=None):
     """Per-layer certified sensitivities: local scale times the product of
-    downstream block gains, gains taken at the worse of stored and
-    compressed weights."""
+    downstream block gains, gains taken at the worse of stored (the
+    _stored_gains list) and compressed weights."""
     n = len(net.blocks)
-    gains = [_tail_gain(b, entries[i] if entries else None)
-             for i, b in enumerate(net.blocks)]
     suffix = [1.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = gains[i] * suffix[i + 1]
+    for i in range(n - 1, 0, -1):
+        gain = _tail_gain(net.blocks[i], stored[i],
+                          entries[i] if entries else None)
+        suffix[i] = gain * suffix[i + 1]
     return [_local_scale(net.blocks[i]) * suffix[i + 1] for i in range(n)]
 
 
@@ -207,7 +217,7 @@ def _jacobian_norm_estimates(jac, steps):
 
 
 def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
-                    profile=None):
+                    profile=None, stored_gains=None):
     """Per-layer sensitivity of the logits to a perturbation injected right
     after each layer's weight multiply; one entry per layer, in order.
 
@@ -217,12 +227,16 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
     mode power-iterates the exact downstream Jacobian at each calibration
     input and EMA-smooths the estimates; it can undershoot and is never
     treated as certified. The optional profile widens conservative tail
-    gains to cover the compressed weights.
+    gains to cover the compressed weights; stored_gains, the
+    _stored_gains of net, spares a caller that evaluates several profiles
+    recomputing them.
     """
     if mode == CONSERVATIVE:
+        if stored_gains is None:
+            stored_gains = _stored_gains(net)
         entries = network.resolve_profile(net, profile) \
             if profile is not None else None
-        return _conservative_multipliers(net, entries)
+        return _conservative_multipliers(net, stored_gains, entries)
     if mode != SAMPLED:
         raise ValueError("mode must be CONSERVATIVE or SAMPLED")
     if any(b.is_conv for b in net.blocks):
@@ -240,6 +254,21 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
                 else _EMA_DECAY * ema + (1.0 - _EMA_DECAY) * est
         sens.append(float(ema))
     return sens
+
+
+def sensitivities(net, profiles, mode=CONSERVATIVE, calibration_inputs=None):
+    """lipschitz_proxy of each profile, with the profile-independent work
+    done once per call: the sampled proxy ignores the profile, so it runs
+    once for all of them, and conservative tails take each stored-weight
+    gain once."""
+    if not profiles:
+        return []
+    if mode != CONSERVATIVE:
+        sens = lipschitz_proxy(net, mode, calibration_inputs)
+        return [list(sens) for _ in profiles]
+    stored = _stored_gains(net)
+    return [lipschitz_proxy(net, mode, profile=p, stored_gains=stored)
+            for p in profiles]
 
 
 def _delta_gain(block, k, q):
@@ -272,11 +301,19 @@ def ledger(net, stats, profile, mode=CONSERVATIVE,
     from one lipschitz_proxy pass; conservative ones cover the profile's
     compressed weights.
     """
+    return ledgers(net, stats, [profile], mode, calibration_inputs)[0]
+
+
+def ledgers(net, stats, profiles, mode=CONSERVATIVE,
+            calibration_inputs=None):
+    """The ledger of each profile, with the sensitivities of all of them
+    from one sensitivities call."""
     check_fresh(net, stats)
-    entries = network.resolve_profile(net, profile)
-    sens = lipschitz_proxy(net, mode, calibration_inputs, entries)
-    return [(sens[i], _delta_gain(blk, k, q), float(stats.alpha[i]))
-            for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries))]
+    entries = [network.resolve_profile(net, p) for p in profiles]
+    sens = sensitivities(net, entries, mode, calibration_inputs)
+    return [[(s[i], _delta_gain(blk, k, q), float(stats.alpha[i]))
+             for i, (blk, (k, q)) in enumerate(zip(net.blocks, pairs))]
+            for s, pairs in zip(sens, entries)]
 
 
 def ledger_terms(rows):

@@ -530,7 +530,8 @@ def _stored_lattice(doc):
         raise CliError("manifest carries no profile lattice; run plan first")
     try:
         return manifest.lattice_from_doc(sec)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (manifest.ManifestError, KeyError, ValueError,
+            TypeError) as exc:
         raise CliError(f"stored lattice is invalid: {exc}") from exc
 
 

@@ -1,9 +1,8 @@
 """Compute and memory accounting plus a fitted latency/energy proxy.
 
 Closed-form multiply-add counts and byte footprints for the factorized
-forward paths (for conv layers, the path network.forward executes), the
-dense break-even rank, and a nonnegative-least-squares latency model
-over (FLOPs, bytes) features. No hardware is touched: device tables are
+forward paths (for conv layers, the path network.forward executes) and a
+nonnegative-least-squares latency model over (FLOPs, bytes) features. No hardware is touched: device tables are
 synthesized from a planted linear model with multiplicative log-normal
 noise, clearly labeled as such, so the fit/predict loop stays testable on
 a desk.
@@ -86,10 +85,14 @@ def layer_cost(layer, k, q=None, spatial=None):
 
     Dense layers need no spatial size; conv layers require
     spatial=(H, W) of the feature map. Conv FLOPs are those of the path
-    network.forward executes, which elastic.conv_runs_staged picks: the
+    network.forward executes, which elastic.runs_staged picks: the
     staged Tucker-2 conv, or the rebuilt kernel's
-    2*H*W*c_o*c_i*kh*kw, whichever is fewer. Activation bytes cover one
-    input read plus one output write at ACTIVATION_BITS.
+    2*H*W*c_o*c_i*kh*kw, whichever is fewer. Dense FLOPs are always the
+    staged count flops_dense_svd, also at ranks where forward runs the
+    rebuilt weight (2mn): pricing those at min(staged, dense) moves the
+    planner's choices, so it waits for a rework of the planner's cost
+    rows. Activation bytes cover one input read plus one output write at
+    ACTIVATION_BITS.
     """
     if layer.kind == elastic.CONV_TUCKER2:
         if spatial is None:
@@ -97,7 +100,7 @@ def layer_cost(layer, k, q=None, spatial=None):
         height, width = spatial
         c_o, c_i = layer.out_features, layer.in_features
         _, _, kh, kw = layer.factors.core.shape
-        if elastic.conv_runs_staged(layer, k):
+        if elastic.runs_staged(layer, k):
             r_o, r_i = elastic.conv_rank_schedule(layer, k)
             fl = flops_conv_tucker2(c_o, c_i, kh, kw, height, width,
                                     r_o, r_i)
@@ -118,19 +121,6 @@ def profile_costs(net, profile, spatial=None):
     entries = network.resolve_profile(net, profile)
     return [layer_cost(b.elastic, k, q, spatial)
             for b, (k, q) in zip(net.blocks, entries)]
-
-
-def threshold_rank_dense(m, n):
-    """Compute-only break-even rank floor(m*n/(m+n)).
-
-    Strictly below it the staged path is always cheaper than the dense
-    matvec; strictly above it is always dearer. At the floor itself the
-    comparison depends on whether (m+n) divides m*n. Bandwidth effects
-    tighten the usable rank further; this counts multiplies only.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    return (m * n) // (m + n)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 A layer stores a factorization once (truncated SVD for dense layers,
 channel Tucker-2 for conv kernels) and can then be evaluated at any rank k
 in [k_min, k_max] without refitting, with an optional bit width per factor.
-Soft rank masks make the rank choice differentiable during training; the
-bit map ties quantizer widths to rank.
+runs_staged says whether a layer at rank k is cheaper to run staged through
+its factor slices or through its rebuilt weight. Soft rank masks make the
+rank choice differentiable during training; the bit map ties quantizer
+widths to rank.
 """
 
 import math
@@ -144,10 +146,7 @@ def _split_bits(factor_bits):
 
 
 def _round_trip(t, bits):
-    if bits is None:
-        return t
-    spec = quant.calibrate_scale(t, quant.QuantSpec(bits=int(bits)))
-    return quant.quantize_dequantize(t, spec)
+    return t if bits is None else quant.round_trip(t, int(bits))
 
 
 def _rank_slices(layer, k):
@@ -169,13 +168,23 @@ def _served_slices(layer, k, factor_bits=None):
     return _round_trip(u, bu), _round_trip(core, bc), _round_trip(v, bv)
 
 
-def conv_runs_staged(layer, k):
-    """True when a conv layer at rank k executes staged — 1x1 reduce with
-    u_in^T, spatial conv with the core, 1x1 expand with u_out — because
-    that takes fewer multiply-adds per output pixel,
-    c_i r_i + r_o r_i kh kw + c_o r_o, than a conv with the rebuilt kernel,
-    c_o c_i kh kw. Otherwise the rebuilt kernel runs. network.forward
-    executes the path this picks and cost.layer_cost counts its FLOPs."""
+def runs_staged(layer, k):
+    """True when network.forward runs the layer at rank k staged through
+    its factor slices, because that takes fewer multiply-adds than the
+    rebuilt weight; otherwise the rebuilt weight runs.
+
+    Dense (m x n): ((x @ v) * sigma) @ u.T costs k (2m + 2n + 1) FLOPs per
+    row (cost.flops_dense_svd) against 2mn for the dense matvec; a rank
+    near min(m, n) never wins, so the full profile keeps the rebuilt
+    weight. Conv: 1x1 reduce with u_in^T, spatial conv with the core, 1x1
+    expand with u_out costs c_i r_i + r_o r_i kh kw + c_o r_o
+    multiply-adds per output pixel against c_o c_i kh kw; cost.layer_cost
+    counts the conv path this picks.
+    """
+    if layer.kind == DENSE_SVD:
+        k = _check_k(layer, k)
+        m, n = layer.factors.u.shape[0], layer.factors.v.shape[0]
+        return k * (2 * m + 2 * n + 1) < 2 * m * n
     r_o, r_i = conv_rank_schedule(layer, k)
     c_o, c_i = layer.out_features, layer.in_features
     _, _, kh, kw = layer.factors.core.shape

@@ -464,14 +464,32 @@ def pairs_to_doc(pairs):
     return out
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def pairs_from_doc(entries):
+    """Per-layer (rank, bits) pairs from their stored form: a list of
+    [k, q] entries, k an integer >= 1 and q None, a width, or a
+    [u, core, v] list of widths (each None or an integer). Raises
+    ManifestError on anything else."""
+    if not isinstance(entries, list):
+        raise ManifestError(f"stored pairs {entries!r} are not a list")
     pairs = []
-    for k, q in entries:
-        if isinstance(q, list):
-            q = tuple(None if b is None else int(b) for b in q)
-        elif q is not None:
-            q = int(q)
-        pairs.append((int(k), q))
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ManifestError(f"stored pair {entry!r} is not a "
+                                f"[rank, bits] pair")
+        k, q = entry
+        if not (_is_int(k) and k >= 1):
+            raise ManifestError(f"stored rank {k!r} is not an integer >= 1")
+        if isinstance(q, list) and len(q) == 3 \
+                and all(b is None or _is_int(b) for b in q):
+            q = tuple(q)
+        elif not (q is None or _is_int(q)):
+            raise ManifestError(f"stored bits {q!r} are not None, a width "
+                                f"or a [u, core, v] triple")
+        pairs.append((k, q))
     return tuple(pairs)
 
 
@@ -579,12 +597,13 @@ def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
         "alpha": _fmt_list(stats.alpha),
         "profiles": {},
     }
-    for name, pairs in profiles.items():
-        entries = network.resolve_profile(net, list(pairs))
-        rows = certificate.ledger(net, stats, entries, mode,
-                                  calibration_inputs)
+    entries = [network.resolve_profile(net, list(pairs))
+               for pairs in profiles.values()]
+    all_rows = certificate.ledgers(net, stats, entries, mode,
+                                   calibration_inputs)
+    for name, pairs, rows in zip(profiles, entries, all_rows):
         sec["profiles"][str(name)] = {
-            "pairs": pairs_to_doc(entries),
+            "pairs": pairs_to_doc(pairs),
             "sensitivity": _fmt_list([sens for sens, _, _ in rows]),
             "weight_change": _fmt_list([change for _, change, _ in rows]),
             "delta_hat": fmt_float(certificate.ledger_total(rows)),
@@ -786,7 +805,7 @@ def _verify_profile_payloads(doc, net, problems, tol):
                         f"profile {name} layer {i} {fname}: {exc}")
                     continue
                 served = values if bits is None \
-                    else elastic._round_trip(values, bits)
+                    else quant.round_trip(values, bits)
                 scale = float(np.max(np.abs(served))) if served.size else 1.0
                 err = float(np.max(np.abs(decoded - served)))
                 limit = tol if bits is not None \
@@ -808,7 +827,7 @@ def _verify_lattice(doc, net, problems, tol):
         return
     try:
         lattice = lattice_from_doc(sec)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ManifestError, KeyError, ValueError, TypeError) as exc:
         problems.append(f"lattice: fails to reconstruct ({exc})")
         return
     for j, prof in enumerate(lattice.profiles):
@@ -856,7 +875,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
         problems.append("certificate: alpha differs from the calibration "
                         "section")
     mode = certificate.CONSERVATIVE if conservative else certificate.SAMPLED
-    sampled = None  # the sampled proxy ignores the profile: one pass
+    stored = {}
     for name, entry in sorted(sec["profiles"].items()):
         pairs = pairs_from_doc(entry["pairs"])
         sens = _parse_list(entry["sensitivity"])
@@ -875,16 +894,13 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
                     f"{change[i]!r} != recomputed {fresh!r}")
-        if conservative:
-            fresh_sens = certificate.lipschitz_proxy(net, mode,
-                                                     profile=pairs)
-        elif calibration_inputs is None:
-            continue
-        else:
-            if sampled is None:
-                sampled = certificate.lipschitz_proxy(net, mode,
-                                                      calibration_inputs)
-            fresh_sens = sampled
+        stored[name] = (pairs, sens)
+    if not conservative and calibration_inputs is None:
+        return
+    recomputed = certificate.sensitivities(
+        net, [pairs for pairs, _ in stored.values()], mode,
+        calibration_inputs)
+    for (name, (_, sens)), fresh_sens in zip(stored.items(), recomputed):
         for i, (got, fresh) in enumerate(zip(sens, fresh_sens)):
             if not _close(fresh, got, tol):
                 problems.append(
@@ -899,10 +915,11 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     counts, fingerprint round-trip, served-factor agreement, cost-model
     byte accounting, lattice consistency, and — for conservative
     certificates — full recomputation of every ledger quantity from the
-    decoded parameters: the sensitivities of certificate.lipschitz_proxy,
-    the weight-change norms of certificate.compression_gain, and each
-    delta_hat as certificate.ledger_total of the stored rows, the same
-    functions certificate.ledger builds a ledger from. Power-iteration
+    decoded parameters: the sensitivities of certificate.sensitivities
+    (one call for all profiles), the weight-change norms of
+    certificate.compression_gain, and each delta_hat as
+    certificate.ledger_total of the stored rows, the same functions
+    certificate.ledgers builds the ledgers from. Power-iteration
     ledgers are data-dependent, so their sensitivities are only recomputed
     when calibration inputs are supplied; their weight-change norms and
     aggregates are re-checked regardless.
@@ -957,6 +974,6 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
         _verify_profile_payloads(doc, net, problems, tol)
         _verify_lattice(doc, net, problems, tol)
         _verify_certificate(doc, net, problems, tol, calibration_inputs)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ManifestError, KeyError, ValueError, TypeError) as exc:
         problems.append(f"manifest structure: {exc}")
     return problems

@@ -4,11 +4,13 @@ Two forward paths share one block semantics (linear map, optional bias,
 optional frozen affine norm, activation, optional skip connection):
 
 * ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan and
-  records each block's input. Conv layers run on channel-last maps
-  with one GEMM per kernel tap: staged through the Tucker-2 factors (1x1
-  reduce, spatial conv with the core, 1x1 expand) when
-  ``elastic.conv_runs_staged`` says that takes fewer FLOPs, otherwise
-  through the rebuilt kernel.
+  records each block's input. Each layer runs staged through its served
+  factor slices when ``elastic.runs_staged`` says that takes fewer FLOPs,
+  otherwise through the rebuilt weight: dense layers as
+  ``((x @ v) * sigma) @ u.T`` or one matmul, conv layers on channel-last
+  maps with one GEMM per kernel tap, staged through the Tucker-2 factors
+  (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
+  rebuilt kernel.
 * ``forward_tape`` builds the same computation for dense stacks on a small
   reverse-mode tape; ``backprop`` from a loss node then leaves gradients on
   the trace's leaves: factors, biases, norm parameters, soft rank-mask
@@ -310,14 +312,24 @@ def _conv_same_value(x, k):
     return out.reshape(b, h, w, o)
 
 
+def _dense_layer_value(layer, k, q, x):
+    """(b, n) rows x through a dense layer at (k, q), on the path
+    elastic.runs_staged picks: ((x @ v) * sigma) @ u.T on the served
+    factor slices, or x times the rebuilt weight."""
+    if not elastic.runs_staged(layer, k):
+        return x @ elastic.effective_weight(layer, k, q).T
+    u, s, v = elastic._served_slices(layer, k, q)
+    return ((x @ v) * s) @ u.T
+
+
 def _conv_layer_value(layer, k, q, x):
     """Conv of (b, c, h, w) maps x with a layer at (k, q), on the path
-    elastic.conv_runs_staged picks: staged through the factor slices, or
+    elastic.runs_staged picks: staged through the factor slices, or
     through the rebuilt kernel. The work runs channel-last; the result is
     a (b, o, h, w) view of channel-last memory, a layout elementwise ops
     keep, so the next conv layer reads its input without a copy."""
     x = x.transpose(0, 2, 3, 1)
-    if not elastic.conv_runs_staged(layer, k):
+    if not elastic.runs_staged(layer, k):
         y = _conv_same_value(x, elastic.effective_weight(layer, k, q))
         return y.transpose(0, 3, 1, 2)
     u_out, core, u_in = elastic._served_slices(layer, k, q)
@@ -476,9 +488,13 @@ def forward(net, x, profile=None):
     sequence as .pairs; q is None, a width, or a (u, core, v) triple of
     widths. x may be a single input or a leading-batch stack of inputs.
 
-    Dense layers multiply by the rebuilt weight. Conv layers run
-    channel-last with one GEMM per kernel tap, staged or through the
-    rebuilt kernel as elastic.conv_runs_staged picks.
+    Each layer runs staged through its served factor slices or through
+    its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
+    quantized factor is quantized afresh on every call. Dense layers
+    compute ((x @ v) * sigma) @ u.T or x @ W.T; conv layers run
+    channel-last with one GEMM per kernel tap. A dense layer at rank
+    min(m, n), so at profile None after from_dense, always runs the
+    rebuilt weight.
     """
     entries = _normalize_profile(net, profile)
     a, single = _promote_input(net, x)
@@ -493,7 +509,7 @@ def forward(net, x, profile=None):
                 pre = (pre * blk.gamma[:, None, None]
                        + blk.beta[:, None, None])
         else:
-            pre = a @ elastic.effective_weight(blk.elastic, k, q).T
+            pre = _dense_layer_value(blk.elastic, k, q, a)
             if blk.elastic.bias is not None:
                 pre = pre + blk.elastic.bias
             if blk.gamma is not None:

@@ -10,6 +10,7 @@ log-scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "quantize",
     "dequantize",
     "quantize_dequantize",
+    "round_trip",
     "ste_gradient",
 ]
 
@@ -83,22 +85,40 @@ def _scale(spec):
     return spec.scales[0]
 
 
+def _max_range_scale(t, g):
+    """s = max|T| / g for a non-empty tensor; an all-zero tensor gets
+    scale 1 so division stays defined. NaN or inf when an entry is not
+    finite."""
+    s = float(np.abs(t).max()) / g
+    return s if s != 0.0 else 1.0
+
+
+def _grid_codes(t, s, g):
+    """The one rounding formula: clip(round(T/s), -g, g), rounding half to
+    even, as float codes."""
+    return np.rint(t / s).clip(-g, g)
+
+
+def _served_values(t, s, g):
+    # + 0.0 turns the -0.0 of negative entries that round to code 0 into
+    # the +0.0 that dequantizing an integer code gives
+    return _grid_codes(t, s, g) * s + 0.0
+
+
 def calibrate_scale(t, spec):
     """Fill in the scale: s = max|T| / (2^(q-1) - 1). An all-zero tensor
     gets scale 1 so division stays defined."""
     t = _check_tensor(t)
-    s = float(np.max(np.abs(t))) / grid_limit(spec.bits)
-    return QuantSpec(bits=spec.bits, scales=(s if s != 0.0 else 1.0,))
+    return QuantSpec(bits=spec.bits,
+                     scales=(_max_range_scale(t, grid_limit(spec.bits)),))
 
 
 def quantize(t, spec):
     """Codes = clip(round(T/s), -g, g) on the symmetric grid, rounding
     half to even."""
     t = _check_tensor(t)
-    s = _scale(spec)
-    g = grid_limit(spec.bits)
-    codes = np.clip(np.rint(t / s), -g, g).astype(np.int64)
-    return QuantizedFactor(codes=codes, spec=spec)
+    codes = _grid_codes(t, _scale(spec), grid_limit(spec.bits))
+    return QuantizedFactor(codes=codes.astype(np.int64), spec=spec)
 
 
 def dequantize(qf):
@@ -107,8 +127,28 @@ def dequantize(qf):
 
 
 def quantize_dequantize(t, spec):
-    """The served values of t: quantize then dequantize in one call."""
-    return dequantize(quantize(t, spec))
+    """The served values of t, dequantize(quantize(t, spec)) bit for bit,
+    without the integer codes."""
+    t = _check_tensor(t)
+    return _served_values(t, _scale(spec), grid_limit(spec.bits))
+
+
+def round_trip(t, bits):
+    """calibrate_scale, quantize and dequantize at `bits` in one numpy pass.
+
+    Bit-identical to dequantize(quantize(t, calibrate_scale(t, spec))),
+    signed zeros included, and raises the same ValueErrors: for bits < 2,
+    an empty tensor, or a non-finite entry (max|T| is finite exactly when
+    every entry is).
+    """
+    g = grid_limit(bits)
+    t = np.asarray(t, dtype=np.float64)
+    if t.size == 0:
+        raise ValueError("tensor must be non-empty")
+    s = _max_range_scale(t, g)
+    if not math.isfinite(s):
+        raise ValueError("tensor contains non-finite entries")
+    return _served_values(t, s, g)
 
 
 def ste_gradient(upstream, t, spec):

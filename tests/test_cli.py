@@ -308,3 +308,20 @@ def test_unknown_layer_kind_exits_1_with_a_message(tmp_path):
     assert code == cli.EXIT_ERROR
     assert "unknown layer kind 'dense_cp'" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_malformed_stored_pair_exits_1_with_a_message(tmp_path):
+    raw, el, cert, out = (tmp_path / n for n in (
+        "raw.json", "el.json", "cert.json", "out.json"))
+    _write_wide_raw(raw)
+    assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
+    assert _cli("certify", el, "--profiles", "8,16:8", "--out", cert,
+                "--calib-size", 16) == cli.EXIT_OK
+    doc = json.loads(cert.read_text())
+    doc["profiles"]["r8"]["pairs"][0] = 5
+    cert.write_text(manifest.canonical_json(doc))
+    code, stdout, err = _cli_output("certify", cert, "--out", out,
+                                    "--calib-size", 16)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == "error: stored pair 5 is not a [rank, bits] pair\n"
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""Flop/byte accounting, break-even thresholds, proxy fitting."""
+"""Flop/byte accounting, the staged-or-rebuilt break-even, proxy fitting."""
 
 import numpy as np
 import pytest
@@ -124,7 +124,7 @@ class TestLayerCost:
         for lay in (_conv_layer(4, 3, 3, 3), _conv_layer(4, 8, 1, 1),
                     _conv_layer(6, 6, 3, 1)):
             c_o, c_i, kh, kw = elastic.truncate(lay, lay.k_max).shape
-            assert not elastic.conv_runs_staged(lay, lay.k_max)
+            assert not elastic.runs_staged(lay, lay.k_max)
             assert cost.layer_cost(lay, lay.k_max, spatial=(5, 7)).flops \
                 == 2 * 5 * 7 * c_o * c_i * kh * kw
 
@@ -146,35 +146,39 @@ class TestLayerCost:
 
 
 class TestThresholdRankDense:
+    """The dense half of elastic.runs_staged: a layer runs staged exactly
+    below its break-even rank, where flops_dense_svd < 2mn."""
+
     def test_square_case(self):
-        assert cost.threshold_rank_dense(64, 64) == 32
+        lay = _dense_layer(64, 64)
+        assert elastic.runs_staged(lay, 31)
+        assert not elastic.runs_staged(lay, 32)
 
     def test_skinny_case_never_beneficial(self):
-        assert cost.threshold_rank_dense(100, 1) == 0
+        assert not elastic.runs_staged(_dense_layer(100, 1), 1)
 
     def test_one_sided_guarantees_exhaustive(self):
         for m in range(1, 13):
             for n in range(1, 13):
-                th = cost.threshold_rank_dense(m, n)
-                full = 2 * m * n
+                lay = _dense_layer(m, n, seed=m * 13 + n)
                 for k in range(1, min(m, n) + 1):
-                    fl = cost.flops_dense_svd(m, n, k)
-                    if k < th:
-                        assert fl < full
-                    if k > th:
-                        assert fl > full
+                    assert elastic.runs_staged(lay, k) \
+                        == (cost.flops_dense_svd(m, n, k) < 2 * m * n)
+                # the full rank always keeps the rebuilt weight
+                assert not elastic.runs_staged(lay, lay.k_max)
 
     def test_exact_break_even_iff_on_divisible_shapes(self):
-        # when (m+n) divides m*n the floor threshold is exact
+        # when (m+n) divides m*n, staged wins exactly below m*n/(m+n)
         for d in (2, 4, 6, 8, 10, 12):
-            th = cost.threshold_rank_dense(d, d)
-            full = 2 * d * d
+            lay = _dense_layer(d, d, seed=d)
             for k in range(1, d + 1):
-                assert (cost.flops_dense_svd(d, d, k) < full) == (k < th)
+                assert elastic.runs_staged(lay, k) == (k < d // 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            cost.threshold_rank_dense(0, 4)
+        lay = _dense_layer(4, 3)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="outside"):
+                elastic.runs_staged(lay, k)
 
 
 class TestNnls:

@@ -10,7 +10,7 @@ import stat
 import numpy as np
 import pytest
 
-from elastiq import certificate, elastic, manifest, network, quant
+from elastiq import certificate, elastic, linalg, manifest, network, quant
 from oracles import slow_pack_codes, slow_unpack_codes
 
 
@@ -238,3 +238,104 @@ class TestCertificateVerification:
         problems = manifest.verify_manifest(doc, calibration_inputs=xs)
         assert any("certificate r4 layer 0: sensitivity" in p
                    for p in problems), problems
+
+
+def _three_layer_net(seed):
+    rng = _rng(seed)
+    dims = (5, 6, 6, 3)
+    return network.Network(tuple(
+        network.Block(elastic=elastic.from_dense(
+            rng.standard_normal((dims[i + 1], dims[i]))),
+            activation=network.RELU if i < 2 else network.IDENTITY)
+        for i in range(3)))
+
+
+_FOUR_PROFILES = {f"r{k}": [(k, 8), (k, None), (min(k, 3), 4)]
+                  for k in (1, 2, 3, 5)}
+
+
+class TestCertifyWork:
+    """certificate_section and verify_manifest do the profile-independent
+    work once per call, and still match one ledger per profile."""
+
+    def test_sampled_section_builds_tail_jacobians_once(self, monkeypatch):
+        net = _three_layer_net(9)
+        xs = _rng(10).standard_normal((16, 5))
+        stats = certificate.calibrate(net, xs)
+        calls = []
+        jacobians = certificate._tail_jacobians
+
+        def counted(*args):
+            calls.append(args)
+            return jacobians(*args)
+
+        monkeypatch.setattr(certificate, "_tail_jacobians", counted)
+        sec = manifest.certificate_section(
+            net, stats, _FOUR_PROFILES, certificate.SAMPLED,
+            calibration_inputs=xs)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for name, pairs in _FOUR_PROFILES.items():
+            rows = certificate.ledger(net, stats, pairs, certificate.SAMPLED,
+                                      xs)
+            assert manifest._parse_list(sec["profiles"][name]["sensitivity"]) \
+                == tuple(r[0] for r in rows)
+
+    def test_stored_weight_gain_once_per_layer_per_pass(self, tmp_path,
+                                                        monkeypatch):
+        net = _three_layer_net(11)
+        stats = certificate.calibrate(net, _rng(12).standard_normal((16, 5)))
+        stored = [elastic.truncate(b.elastic, b.elastic.k_max)
+                  for b in net.blocks]
+        seen = []
+        norm = linalg.spectral_norm
+
+        def counted(a):
+            seen.append(np.array(a, dtype=np.float64))
+            return norm(a)
+
+        def stored_counts():
+            counts = [sum(a.shape == w.shape and np.array_equal(a, w)
+                          for a in seen) for w in stored]
+            seen.clear()
+            return counts
+
+        # the first block's gain multiplies no sensitivity
+        once = [0, 1, 1]
+        monkeypatch.setattr(linalg, "spectral_norm", counted)
+        doc = manifest.network_to_doc(net)
+        for name, pairs in _FOUR_PROFILES.items():
+            manifest.add_profile(doc, net, name, pairs)
+        doc["calibration"] = manifest.stats_to_doc(stats)
+        seen.clear()
+        doc["certificate"] = manifest.certificate_section(
+            net, stats, _FOUR_PROFILES)
+        assert stored_counts() == once
+        path = tmp_path / "m.json"
+        manifest.write_manifest(doc, path)
+        seen.clear()
+        assert manifest.verify_manifest(manifest.read_manifest(path)) == []
+        assert stored_counts() == once
+        monkeypatch.undo()
+        for name, pairs in _FOUR_PROFILES.items():
+            rows = certificate.ledger(net, stats, pairs)
+            entry = doc["certificate"]["profiles"][name]
+            assert manifest._parse_list(entry["sensitivity"]) \
+                == tuple(r[0] for r in rows)
+            assert manifest.parse_float(entry["delta_hat"]) \
+                == certificate.ledger_total(rows)
+
+
+class TestStoredPairs:
+    def test_well_formed_pairs_parse(self):
+        assert manifest.pairs_from_doc(
+            [[3, None], [2, 8], [1, [8, None, 6]]]) \
+            == ((3, None), (2, 8), (1, (8, None, 6)))
+
+    @pytest.mark.parametrize("entries", [
+        5, [5], [[2]], [[2, 8, 1]], [(2, 8)], [[0, None]], [[2.0, None]],
+        [[True, None]], [[2, "8"]], [[2, 8.0]], [[2, [8, 8]]],
+        [[2, [8, "4", 6]]]])
+    def test_malformed_pairs_raise_manifest_error(self, entries):
+        with pytest.raises(manifest.ManifestError):
+            manifest.pairs_from_doc(entries)

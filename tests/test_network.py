@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastiq import certificate, cost, elastic, network, quant
-from oracles import counted_tucker2_conv, naive_conv2d_same, \
+from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
     naive_dense_forward, straight_line_quant_surrogate, tucker2_recompose
 
 
@@ -216,8 +216,11 @@ class TestForward:
         e1 = np.zeros(4)
         e1[0] = 1.0
         w_eff = elastic.effective_weight(net.blocks[0].elastic, 2)
+        # rank 2 of 4 runs staged, ((e1 @ v) * sigma) @ u.T, which rounds
+        # differently from reading the rebuilt column (2.2e-16 apart here)
+        assert elastic.runs_staged(net.blocks[0].elastic, 2)
         got = network.forward(net, e1, [(2, None)]).logits
-        assert np.array_equal(got, w_eff[:, 0])
+        np.testing.assert_allclose(got, w_eff[:, 0], rtol=1e-13, atol=0)
 
     def test_two_layer_relu_matches_naive_oracle(self):
         net = _dense_net(23, (6, 5, 3), (network.RELU, network.IDENTITY),
@@ -375,7 +378,7 @@ class TestConvExecution:
         for blk, (k, q), shape in zip(net.blocks, profile, kernels):
             lay = blk.elastic
             u_out, core, u_in = _quantized_slices(lay, k, q)
-            staged = elastic.conv_runs_staged(lay, k)
+            staged = elastic.runs_staged(lay, k)
             # the executed kernel is the core when staged, else rebuilt
             assert shape[:2] == (core.shape[:2] if staged
                                  else (lay.out_features, lay.in_features))
@@ -403,6 +406,98 @@ class TestConvExecution:
         want = a[0] if batch == 1 else a
         assert np.linalg.norm(got - want) \
             <= 1e-12 * np.linalg.norm(want)
+
+
+def _dense_stack(seed, n_layers):
+    """Random dense stack: relu or gelu hidden blocks, a frozen norm and a
+    skip connection where a draw asks (skips only on square layers)."""
+    rng = _rng(seed)
+    dims = [int(d) for d in rng.integers(1, 9, n_layers + 1)]
+    blocks = []
+    for i in range(n_layers):
+        m, n = dims[i + 1], dims[i]
+        head = i == n_layers - 1
+        blocks.append(network.Block(
+            elastic=elastic.from_dense(rng.standard_normal((m, n)),
+                                       bias=0.1 * rng.standard_normal(m)),
+            activation=network.IDENTITY if head
+            else (network.RELU, network.GELU)[int(rng.integers(2))],
+            gamma=0.5 + rng.random(m) if rng.random() < 0.5 else None,
+            residual=m == n and rng.random() < 0.5))
+    return network.Network(tuple(blocks)), dims[0]
+
+
+def _quantized_weight(lay, k, q):
+    """Rank-k dense weight rebuilt from factor slices quantized with the
+    three-call quantizer."""
+    f = lay.factors
+    bits = q if isinstance(q, tuple) else (q, q, q)
+    u, s, v = (
+        t if b is None else quant.dequantize(quant.quantize(
+            t, quant.calibrate_scale(t, quant.QuantSpec(bits=b))))
+        for t, b in zip((f.u[:, :k], f.sigma[:k], f.v[:, :k]), bits))
+    return u @ np.diag(s) @ v.T
+
+
+class TestDenseExecution:
+    @given(seed=st.integers(0, 2 ** 16), n_layers=st.integers(1, 3),
+           batch=st.sampled_from([1, 3]), data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_forward_matches_naive_oracles(self, seed, n_layers, batch,
+                                           data):
+        net, n0 = _dense_stack(seed, n_layers)
+        bits = st.sampled_from([None, 4, 8, (8, 4, 6)])
+        profile = [(data.draw(st.integers(1, b.elastic.k_max)),
+                    data.draw(bits)) for b in net.blocks]
+        x = _rng(seed + 1).standard_normal((batch, n0))
+        rebuilt = []
+        real = elastic.effective_weight
+
+        def spy(lay, *args):
+            rebuilt.append(lay)
+            return real(lay, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(elastic, "effective_weight", spy)
+            got = network.forward(net, x[0] if batch == 1 else x,
+                                  profile).logits
+
+        # the executed path follows runs_staged: only layers it leaves
+        # unstaged rebuild their weight
+        assert [id(lay) for lay in rebuilt] == [
+            id(b.elastic) for b, (k, _) in zip(net.blocks, profile)
+            if not elastic.runs_staged(b.elastic, k)]
+        weights = [_quantized_weight(b.elastic, k, q)
+                   for b, (k, q) in zip(net.blocks, profile)]
+        want = naive_dense_forward(
+            weights, [b.elastic.bias for b in net.blocks],
+            [lambda z, a=b.activation: _act_apply(a, z) for b in net.blocks],
+            x, norms=[None if b.gamma is None else (b.gamma, b.beta)
+                      for b in net.blocks],
+            residual=[b.residual for b in net.blocks])
+        want = want[0] if batch == 1 else want
+        assert np.linalg.norm(got - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    def test_full_profile_runs_the_rebuilt_weight_bit_for_bit(self):
+        net = _dense_net(60, (7, 9, 9, 4),
+                         (network.GELU, network.RELU, network.IDENTITY),
+                         gamma_on=(1,), residual_on=(1,))
+        xs = _rng(61).standard_normal((5, 7))
+        for x in (xs, xs[2]):
+            tr = network.forward(net, x, None)
+            a = x
+            for i, blk in enumerate(net.blocks):
+                lay = blk.elastic
+                assert not elastic.runs_staged(lay, lay.k_max)
+                assert np.array_equal(tr.inputs[i], a)
+                pre = a @ elastic.effective_weight(lay, lay.k_max).T \
+                    + lay.bias
+                if blk.gamma is not None:
+                    pre = pre * blk.gamma + blk.beta
+                h = network._act_value(blk.activation, pre)
+                a = h + a if blk.residual else h
+            assert np.array_equal(tr.logits, a)
 
 
 class TestLogitDrift:

@@ -16,8 +16,6 @@ PACKAGE = pathlib.Path(elastiq.__file__).resolve().parent
 UNREFERENCED = {
     "certificate.pointwise_bound":
         "per-input certificate; the benchmark's bound checks call it",
-    "cost.threshold_rank_dense":
-        "dense staged-vs-dense crossover rank, for the staged serving path",
     "cost.write_device_table":
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":

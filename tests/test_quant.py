@@ -7,6 +7,7 @@ from elastiq.quant import (
     quantize,
     dequantize,
     quantize_dequantize,
+    round_trip,
     ste_gradient,
     grid_limit,
 )
@@ -88,6 +89,55 @@ class TestQuantizeDequantize:
     def test_requires_calibration(self):
         with pytest.raises(ValueError):
             quantize(np.ones(3), QuantSpec(bits=8))
+
+
+def _staged_round_trip(t, bits):
+    spec = calibrate_scale(t, QuantSpec(bits=bits))
+    return dequantize(quantize(t, spec))
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestRoundTrip:
+    """round_trip is calibrate_scale -> quantize -> dequantize in one pass,
+    bit for bit."""
+
+    def test_bitwise_equal_to_three_calls(self):
+        rng = np.random.default_rng(5)
+        tensors = [
+            rng.standard_normal((7, 3)),
+            rng.standard_normal(11) * 1e-3,
+            # entries that round to code 0 from below give -0.0 before
+            # dequantizing an integer code turns them into +0.0
+            np.array([-1e-9, 1e-9, -0.0, 0.0, 1.0, -1.0]),
+            np.zeros((2, 3)),
+            -np.zeros(4),
+            np.array([1e300, -1e-300, 3.0]),
+            np.array([-1e-300, 5e-324, 0.0]),
+            np.array([np.finfo(float).max, -1.0]) / 2,
+            rng.standard_normal((2, 3, 2, 2)),
+        ]
+        for t in tensors:
+            for bits in range(2, 9):
+                assert _bitwise_equal(round_trip(t, bits),
+                                      _staged_round_trip(t, bits)), (t, bits)
+                spec = calibrate_scale(t, QuantSpec(bits=bits))
+                assert _bitwise_equal(quantize_dequantize(t, spec),
+                                      _staged_round_trip(t, bits))
+
+    def test_same_errors_as_three_calls(self):
+        cases = [(np.array([]), 8), (np.array([1.0, np.nan]), 8),
+                 (np.array([np.inf, 0.0]), 4), (np.array([-np.inf]), 2),
+                 (np.ones(3), 1), (np.ones(3), 0)]
+        for t, bits in cases:
+            with pytest.raises(ValueError) as want:
+                _staged_round_trip(t, bits)
+            with pytest.raises(ValueError) as got:
+                round_trip(t, bits)
+            assert str(got.value) == str(want.value)
 
 
 class TestSteGradient:
