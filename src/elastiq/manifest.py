@@ -210,12 +210,12 @@ def encode_quantized(t, bits):
     the stored codes reproduces the served factor values bit for bit.
     """
     t = np.asarray(t, dtype=np.float64)
-    spec = quant.calibrate_scale(t, quant.QuantSpec(bits=int(bits)))
-    qf = quant.quantize(t, spec)
-    raw = pack_codes(qf.codes, spec.bits)
+    bits = int(bits)
+    s = quant.calibrate_scale(t, bits)
+    raw = pack_codes(quant.quantize(t, s, bits), bits)
     extra = {
-        "bits": int(spec.bits),
-        "scales": _fmt_list(spec.scales),
+        "bits": bits,
+        "scales": _fmt_list([s]),
         "granularity": _PER_TENSOR,
         "channel_axis": 0,
     }
@@ -261,27 +261,21 @@ def decode_payload(payload):
             raise ManifestError("payload shape does not match its data")
         return flat.reshape(shape).astype(np.float64)
     if dtype == _CODES:
-        qf = decode_codes(payload)
-        return quant.dequantize(qf)
+        if payload["granularity"] != _PER_TENSOR \
+                or payload["channel_axis"] != 0:
+            raise ManifestError("integer codes must use one per-tensor scale")
+        scales = _parse_list(payload["scales"])
+        if len(scales) != 1:
+            raise ManifestError(
+                f"integer codes need exactly one scale, got {len(scales)}")
+        s = scales[0]
+        if not (np.isfinite(s) and s > 0.0):
+            raise ManifestError("the scale of integer codes must be "
+                                "positive and finite")
+        bits = int(payload["bits"])
+        codes = unpack_codes(raw, bits, int(np.prod(shape)))
+        return quant.dequantize(codes.reshape(shape), s, bits)
     raise ManifestError(f"unknown payload dtype {dtype!r}")
-
-
-def decode_codes(payload):
-    """Rebuild the QuantizedFactor held by an integer-code payload."""
-    if payload["dtype"] != _CODES:
-        raise ManifestError("payload holds no integer codes")
-    shape = tuple(int(s) for s in payload["shape"])
-    count = int(np.prod(shape))
-    if payload["granularity"] != _PER_TENSOR \
-            or payload["channel_axis"] != 0:
-        raise ManifestError("integer codes must use one per-tensor scale")
-    scales = _parse_list(payload["scales"])
-    if len(scales) != 1:
-        raise ManifestError(
-            f"integer codes need exactly one scale, got {len(scales)}")
-    codes = unpack_codes(payload["data"], payload["bits"], count)
-    spec = quant.QuantSpec(bits=int(payload["bits"]), scales=scales)
-    return quant.QuantizedFactor(codes.reshape(shape), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ optional frozen affine norm, activation, optional skip connection):
   rebuilt kernel.
 * ``forward_tape`` builds the same computation for dense stacks on a small
   reverse-mode tape; ``backprop`` from a loss node then leaves gradients on
-  the trace's leaves: factors, biases, norm parameters, soft rank-mask
-  logits, and quantizer log-scales.
+  the trace's leaves: factors, biases, norm parameters and soft rank-mask
+  logits.
 
 The tape covers a fixed operator vocabulary: add, multiply, matmul, permute,
 reshape, narrow, gather, the activations, reductions, log-softmax, and a
@@ -340,24 +340,16 @@ def _conv_layer_value(layer, k, q, x):
     return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
 
 
-def v_quant_ste(t, log_scale, bits):
-    """Symmetric per-tensor quantize-dequantize with straight-through grads.
+def v_quant_ste(t, bits):
+    """Symmetric per-tensor quantize-dequantize, differentiated straight
+    through.
 
-    Forward is quant.quantize_dequantize at scale exp(log_scale); backward
-    is quant.ste_gradient, which passes upstream through entries whose
-    nearest code is inside the grid and routes s * upstream * (code - ratio)
-    into log_scale.
+    Forward is quant.round_trip at `bits`; backward passes upstream to t
+    unchanged. The scale comes from t itself, so every entry is in range
+    and the straight-through estimator is the identity.
     """
-    if log_scale.value.shape != (1,):
-        raise ValueError("log_scale must have shape (1,)")
-    spec = quant.QuantSpec(bits=bits,
-                           scales=(float(np.exp(log_scale.value)[0]),))
-    out = Var(quant.quantize_dequantize(t.value, spec), (t, log_scale))
-    def bk(g):
-        grad_t, grad_log_scale = quant.ste_gradient(g, t.value, spec)
-        _acc(t, grad_t)
-        _acc(log_scale, grad_log_scale)
-    out._backward = bk
+    out = Var(quant.round_trip(t.value, bits), (t,))
+    out._backward = lambda g: _acc(t, g)
     return out
 
 
@@ -571,19 +563,11 @@ def weight_gain(w):
 # differentiable forward
 
 
-def _tape_quant(ld, nodes, bits):
+def _tape_quant(nodes, bits):
     """The (u, core, v) nodes through the straight-through quantizer at
-    their widths, each calibrated log-scale leaf stored in ld under
-    scale_u, scale_core or scale_v; a node whose width is None passes."""
-    out = []
-    for name, node, b in zip(("u", "core", "v"), nodes, bits):
-        if b is not None:
-            spec = quant.calibrate_scale(node.value,
-                                         quant.QuantSpec(bits=int(b)))
-            ld["scale_" + name] = Var(np.log(np.asarray(spec.scales)))
-            node = v_quant_ste(node, ld["scale_" + name], int(b))
-        out.append(node)
-    return out
+    their widths; a node whose width is None passes."""
+    return [node if b is None else v_quant_ste(node, int(b))
+            for node, b in zip(nodes, bits)]
 
 
 def _tape_mask(leaf, mask, noise, k_target):
@@ -645,7 +629,7 @@ def forward_tape(net, x, profile=None, masks=None):
         uk = v_narrow(ld["u"], k, 1)
         sk = v_narrow(ld["core"], k, 0)
         vk = v_narrow(ld["v"], k, 1)
-        uk, sk, vk = _tape_quant(ld, (uk, sk, vk), bits)
+        uk, sk, vk = _tape_quant((uk, sk, vk), bits)
         if m is not None:
             sk = v_mul(sk, m)
         w = v_matmul(v_mul(uk, sk), v_t(vk))

@@ -244,7 +244,7 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
 
     Returns (LossTerms, grads) where grads is a per-layer list of
     name-to-array gradient dicts covering every tape leaf the step
-    touched (factors, bias, mask logits, quantizer scales). The
+    touched (factors, bias, norm parameters, mask logits). The
     compressed view shares arrays with the full view, so both tapes'
     contributions are summed. Any non-finite term aborts the step.
     """
@@ -663,8 +663,6 @@ def train_toy(config, seed, state=None, stop_after=None):
 
         for i, blk in enumerate(state.net.blocks):
             for name, grad in grads[i].items():
-                if name.startswith("scale_"):
-                    continue
                 if name == "mask_logits":
                     _apply_update(config, state.opt, f"l{i}:mask",
                                   state.masks[i].logits, grad)

@@ -166,23 +166,6 @@ def counted_tucker2_conv(u_out, core, u_in, x):
     return y, flops
 
 
-def straight_line_quant_surrogate(t, scale, bits):
-    """Frozen-residual linearization of the symmetric quantizer at (t, scale).
-
-    Returns (in_range_mask, residual) captured at the operating point. The
-    surrogate function for perturbed (t', s') is then
-        t' + s' * residual        on in-range entries
-        s  * clipped_code         frozen, on out-of-range entries
-    whose exact gradients equal the straight-through convention.
-    """
-    g = 2 ** (bits - 1) - 1
-    ratio = t / scale
-    code = np.rint(ratio)
-    in_range = np.abs(code) <= g
-    residual = code - ratio
-    return in_range, residual
-
-
 def naive_conv2d_same(x, kernel):
     """Quadruple-loop stride-1 zero-padded conv, output size = input size.
 

@@ -1,8 +1,9 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, manifests
 published only after self-verification, decompose on wide dense and
-bottleneck conv models, the whole pipeline on a conv model, and
-byte-identical reruns across BLAS thread counts."""
+bottleneck conv models, the whole pipeline on a conv model and on a sweep
+of tiny random models, quantized training, and byte-identical reruns
+across BLAS thread counts."""
 
 import contextlib
 import dataclasses
@@ -11,10 +12,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastiq import cli, elastic, manifest, network
+from elastiq import certificate, cli, elastic, manifest, network
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -325,3 +329,77 @@ def test_malformed_stored_pair_exits_1_with_a_message(tmp_path):
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == "error: stored pair 5 is not a [rank, bits] pair\n"
     assert not out.exists()
+
+
+def test_quantized_training_verifies(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_bits": 8, "steps": 20}))
+    code, out, err = _cli_output("train", "--out", tmp_path / "run",
+                                 "--config", config)
+    assert code == cli.EXIT_OK, err
+    assert "@@ verify problems=0" in out
+
+
+def _tiny_raw_model(data, conv):
+    """Weights of a 2- or 3-layer relu stack with an identity head: dense
+    widths 3-8, or conv channels 2-4 with 1x1 or 3x3 kernels."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    n_layers = data.draw(st.integers(2, 3))
+    if conv:
+        widths = data.draw(st.lists(st.integers(2, 4), min_size=n_layers + 1,
+                                    max_size=n_layers + 1))
+        sides = data.draw(st.lists(st.sampled_from([1, 3]),
+                                   min_size=n_layers, max_size=n_layers))
+        shapes = [(c_out, c_in, s, s) for c_in, c_out, s
+                  in zip(widths, widths[1:], sides)]
+        calib = rng.standard_normal((8, widths[0], 4, 4))
+    else:
+        widths = data.draw(st.lists(st.integers(3, 8), min_size=n_layers + 1,
+                                    max_size=n_layers + 1))
+        shapes = list(zip(widths[1:], widths))
+        calib = rng.standard_normal((16, widths[0]))
+    return _relu_stack(rng, shapes), calib
+
+
+@given(conv=st.booleans(), data=st.data())
+@settings(derandomize=True, deadline=None, max_examples=20)
+def test_pipeline_sweep_on_tiny_models(conv, data):
+    """decompose -> certify -> plan -> select -> audit on tiny random raw
+    models: documented exit codes, self-verifying manifests, and a
+    conservative bound that never undershoots the observed drift."""
+    model, xs = _tiny_raw_model(data, conv)
+    k = data.draw(st.integers(1, 3))
+    bits = data.draw(st.sampled_from([4, 8]))
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, calib, el, cert, plan = (os.path.join(tmp, n) for n in (
+            "raw.json", "calib.npz", "el.json", "cert.json", "plan.json"))
+        manifest.write_manifest(manifest.raw_model_to_doc(*model), raw)
+        np.savez(calib, x=xs)
+        assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
+        assert _cli("certify", el, "--profiles", f"{k},{k}:{bits},1:{bits}",
+                    "--epsilon", "1.0", "--out", cert,
+                    "--calib", calib) == cli.EXIT_OK
+        assert _cli("plan", cert, "--out", plan,
+                    "--calib", calib) == cli.EXIT_OK
+        doc = manifest.read_manifest(plan)
+        lattice = manifest.lattice_from_doc(doc["lattice"])
+        level = data.draw(st.integers(0, len(lattice.drift_bound) - 1))
+        lat, eps = (data.draw(st.sampled_from([0.5, 1.0, 2.0])) * v
+                    for v in (lattice.predicted_latency[level],
+                              lattice.drift_bound[level]))
+        assert _cli("select", plan, "--latency-ms", repr(lat),
+                    "--epsilon", repr(eps)) in (
+            cli.EXIT_OK, cli.EXIT_CERT_WARNING, cli.EXIT_INFEASIBLE)
+        # 4: a planned drift bound can rise with the budget (ROADMAP
+        # known defect 3)
+        assert _cli("audit", plan) in (cli.EXIT_OK,
+                                       cli.EXIT_AUDIT_VIOLATIONS)
+        for path in (el, cert, plan):
+            assert manifest.verify_manifest(path) == [], path
+
+        net = manifest.net_from_doc(doc)
+        stats = manifest.stats_from_doc(doc["calibration"])
+        for sec in doc["profiles"].values():
+            pairs = manifest.pairs_from_doc(sec["pairs"])
+            bound = certificate.pointwise_bound(net, stats, pairs, xs)
+            assert np.all(bound >= network.logit_drift(net, xs, pairs))

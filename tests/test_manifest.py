@@ -79,20 +79,27 @@ class TestCodePayload:
         payload = manifest.encode_quantized(t, 6)
         assert (payload["granularity"], payload["channel_axis"]) == \
             ("per_tensor", 0)
-        qf = manifest.decode_codes(payload)
-        assert qf.spec.scales == (float(np.max(np.abs(t))) / 31,)
+        assert payload["scales"] == [
+            manifest.fmt_float(float(np.max(np.abs(t))) / 31)]
         assert np.array_equal(manifest.decode_payload(payload),
-                              quant.quantize_dequantize(t, qf.spec))
+                              quant.round_trip(t, 6))
 
     @pytest.mark.parametrize("change", [
         {"granularity": "per_channel"}, {"channel_axis": 1},
-        {"scales": ["0.1", "0.2"]}],
-        ids=["per_channel", "channel_axis_1", "two_scales"])
+        {"scales": ["0.1", "0.2"]}, {"scales": ["0.0"]},
+        {"scales": ["-0.1"]}, {"scales": ["nan"]}, {"scales": ["inf"]}],
+        ids=["per_channel", "channel_axis_1", "two_scales", "zero_scale",
+             "negative_scale", "nan_scale", "inf_scale"])
     def test_other_layouts_rejected(self, change):
         payload = manifest.encode_quantized(_rng(4).standard_normal(5), 4)
         payload.update(change)
         with pytest.raises(manifest.ManifestError):
-            manifest.decode_codes(payload)
+            manifest.decode_payload(payload)
+
+    def test_overflowing_tensor_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            manifest.encode_quantized(
+                np.array([np.finfo(float).max, -1.0]), 8)
 
 
 class TestRoundTrip:

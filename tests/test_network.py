@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from elastiq import certificate, cost, elastic, network, quant
 from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
-    naive_dense_forward, straight_line_quant_surrogate, tucker2_recompose
+    naive_dense_forward, tucker2_recompose
 
 
 def _rng(seed):
@@ -113,51 +113,20 @@ class TestTapeOps:
                            naive_conv2d_same(x, k), atol=1e-12)
 
     def test_quant_ste_matches_quant_module(self):
-        t0 = 2.0 * _rng(5).standard_normal((4, 3))
-        spec = quant.calibrate_scale(t0, quant.QuantSpec(bits=4))
-        tv = network.Var(t0)
-        ls = network.Var(np.log(np.asarray(spec.scales)))
-        out = network.v_quant_ste(tv, ls, 4)
-        s = spec.scales[0]
-        assert np.array_equal(out.value, np.clip(np.rint(t0 / s), -7, 7) * s)
+        rng = _rng(5)
+        for bits in range(2, 17):
+            # entries near zero round to code 0 from both sides
+            t0 = rng.standard_normal((4, 3)) * 10.0 ** rng.uniform(-3, 3)
+            t0[0, 0] = -1e-9 * np.abs(t0).max()
+            tv = network.Var(t0)
+            out = network.v_quant_ste(tv, bits)
+            want = quant.round_trip(t0, bits)
+            assert np.array_equal(out.value, want)
+            assert np.array_equal(np.signbit(out.value), np.signbit(want))
 
-        upstream = _rng(6).standard_normal((4, 3))
-        network.backprop(out, upstream)
-        want_t, want_ls = quant.ste_gradient(upstream, t0, spec)
-        assert np.allclose(tv.grad, want_t, atol=0)
-        assert np.allclose(ls.grad, want_ls, rtol=1e-12)
-
-    def test_quant_ste_fd_on_frozen_surrogate(self):
-        bits = 5
-        t0 = _rng(7).standard_normal((3, 4))
-        spec = quant.calibrate_scale(t0, quant.QuantSpec(bits=bits))
-        s0 = spec.scales[0]
-        w0 = _rng(8).standard_normal((3, 4))
-        in_range, resid = straight_line_quant_surrogate(t0, s0, bits)
-        g = 2 ** (bits - 1) - 1
-        frozen = s0 * np.clip(np.rint(t0 / s0), -g, g)
-
-        def sur_loss(t, log_s):
-            s = np.exp(log_s[0])
-            val = np.where(in_range, t + s * resid, frozen)
-            return float(np.sum(val * w0))
-
-        tv = network.Var(t0)
-        ls = network.Var(np.log([s0]))
-        out = network.v_quant_ste(tv, ls, bits)
-        network.backprop(network.v_sum(network.v_mul(out, network.Var(w0))))
-
-        h = 1e-6
-        for pos in [(0, 0), (1, 2), (2, 3)]:
-            tp, tm = t0.copy(), t0.copy()
-            tp[pos] += h
-            tm[pos] -= h
-            want = (sur_loss(tp, [np.log(s0)]) -
-                    sur_loss(tm, [np.log(s0)])) / (2 * h)
-            assert tv.grad[pos] == pytest.approx(want, rel=1e-6, abs=1e-9)
-        want = (sur_loss(t0, [np.log(s0) + h]) -
-                sur_loss(t0, [np.log(s0) - h])) / (2 * h)
-        assert ls.grad[0] == pytest.approx(want, rel=1e-6)
+            upstream = rng.standard_normal((4, 3))
+            network.backprop(out, upstream)
+            assert np.array_equal(tv.grad, upstream)
 
 
 class TestNetworkStructure:
@@ -343,8 +312,7 @@ def _quantized_slices(lay, k, q):
     r_o, r_i = elastic.conv_rank_schedule(lay, k)
     bits = q if isinstance(q, tuple) else (q, q, q)
     return tuple(
-        t if b is None else quant.quantize_dequantize(
-            t, quant.calibrate_scale(t, quant.QuantSpec(bits=b)))
+        t if b is None else quant.round_trip(t, b)
         for t, b in zip((f.u_out[:, :r_o], f.core[:r_o, :r_i],
                          f.u_in[:, :r_i]), bits))
 
@@ -427,14 +395,18 @@ def _dense_stack(seed, n_layers):
     return network.Network(tuple(blocks)), dims[0]
 
 
+def _three_call_round_trip(t, b):
+    s = quant.calibrate_scale(t, b)
+    return quant.dequantize(quant.quantize(t, s, b), s, b)
+
+
 def _quantized_weight(lay, k, q):
     """Rank-k dense weight rebuilt from factor slices quantized with the
     three-call quantizer."""
     f = lay.factors
     bits = q if isinstance(q, tuple) else (q, q, q)
     u, s, v = (
-        t if b is None else quant.dequantize(quant.quantize(
-            t, quant.calibrate_scale(t, quant.QuantSpec(bits=b))))
+        t if b is None else _three_call_round_trip(t, b)
         for t, b in zip((f.u[:, :k], f.sigma[:k], f.v[:, :k]), bits))
     return u @ np.diag(s) @ v.T
 
@@ -476,6 +448,22 @@ class TestDenseExecution:
                       for b in net.blocks],
             residual=[b.residual for b in net.blocks])
         want = want[0] if batch == 1 else want
+        assert np.linalg.norm(got - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    @given(seed=st.integers(0, 2 ** 16), n_layers=st.integers(1, 3),
+           batch=st.sampled_from([1, 3]), data=st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_tape_logits_match_forward(self, seed, n_layers, batch, data):
+        # the training tape quantizes each factor exactly as serving does
+        net, n0 = _dense_stack(seed, n_layers)
+        bits = st.sampled_from([None, 2, 4, 8, (8, 4, 6)])
+        profile = [(data.draw(st.integers(1, b.elastic.k_max)),
+                    data.draw(bits)) for b in net.blocks]
+        x = _rng(seed + 1).standard_normal((batch, n0))
+        x = x[0] if batch == 1 else x
+        want = network.forward(net, x, profile).logits
+        got = network.forward_tape(net, x, profile).logits
         assert np.linalg.norm(got - want) \
             <= 1e-12 * np.linalg.norm(want)
 
@@ -740,35 +728,32 @@ class TestBackward:
         tr = network.forward_tape(net, x, profile)
         grads = _tape_grads(tr, 2.0 * tr.logits)
 
+        # the straight-through surrogate: u plus its rounding residual,
+        # frozen at the operating point
         f = lay.factors
-        spec = quant.calibrate_scale(f.u[:, :k],
-                                     quant.QuantSpec(bits=bits))
-        s0 = spec.scales[0]
-        in_range, resid = straight_line_quant_surrogate(f.u[:, :k], s0, bits)
         glim = 2 ** (bits - 1) - 1
-        frozen = s0 * np.clip(np.rint(f.u[:, :k] / s0), -glim, glim)
+        s0 = np.max(np.abs(f.u[:, :k])) / glim
+        resid = np.clip(np.rint(f.u[:, :k] / s0), -glim, glim) * s0 \
+            - f.u[:, :k]
 
-        def sur_loss(u_full, log_s):
-            s = np.exp(log_s)
-            uq = np.where(in_range, u_full[:, :k] + s * resid, frozen)
+        def sur_loss(u_full):
+            uq = u_full[:, :k] + resid
             weff = (uq * f.sigma[:k]) @ f.v[:, :k].T
             z = weff @ x + lay.bias
             return float(np.sum(z ** 2))
 
-        assert "scale_u" in grads[0] and "scale_core" not in grads[0]
+        assert sur_loss(f.u) == pytest.approx(float(np.sum(tr.logits ** 2)),
+                                              rel=1e-12)
+        assert sorted(grads[0]) == ["bias", "core", "u", "v"]
         h = 1e-6
         for pos in [(0, 0), (2, 1), (3, 2)]:
             up, um = f.u.copy(), f.u.copy()
             up[pos] += h
             um[pos] -= h
-            want = (sur_loss(up, np.log(s0))
-                    - sur_loss(um, np.log(s0))) / (2 * h)
+            want = (sur_loss(up) - sur_loss(um)) / (2 * h)
             assert grads[0]["u"][pos] == pytest.approx(want, rel=1e-5,
                                                        abs=1e-9)
         assert np.all(grads[0]["u"][:, k:] == 0.0)
-        want = (sur_loss(f.u, np.log(s0) + h)
-                - sur_loss(f.u, np.log(s0) - h)) / (2 * h)
-        assert grads[0]["scale_u"][0] == pytest.approx(want, rel=1e-5)
 
     def test_soft_mask_limit_matches_hard_forward(self):
         net = _dense_net(71, (5, 4, 3), (network.RELU, network.IDENTITY))

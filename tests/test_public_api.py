@@ -3,7 +3,9 @@ src/elastiq itself, or is listed below with the reason it stays.
 
 A use is a reference by name or attribute. A name that the enclosing
 function binds itself, as a parameter or an assigned local, refers to that
-binding, so it is not a use of the module-level function it shadows."""
+binding, so it is not a use of the module-level function it shadows.
+
+Every function that perfbench's tracer names is defined in src/elastiq."""
 
 import ast
 import pathlib
@@ -71,3 +73,38 @@ def _unreferenced():
 
 def test_no_public_api_reached_only_from_outside_src():
     assert _unreferenced() == sorted(UNREFERENCED)
+
+
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+
+# traced names whose function is gone, each with why the name stays
+UNDEFINED_TRACED = {
+    "controller.isotonic_hinge":
+        "its per-layer metric always reads 0; the next benchmark change "
+        "drops it",
+}
+
+
+def _traced_names():
+    """Every module.function that perfbench's PER_FUNCTION and HASHED
+    tables name."""
+    names = set()
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("PER_FUNCTION", "HASHED")
+                for t in node.targets):
+            names |= {c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant)
+                      and isinstance(c.value, str) and "." in c.value}
+    return names
+
+
+def test_every_traced_function_is_defined():
+    # a rename would otherwise zero a traced metric without a failure
+    defined = {f"{p.stem}.{node.name}"
+               for p in PACKAGE.glob("*.py")
+               for node in ast.parse(p.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    traced = _traced_names()
+    assert "quant.calibrate_scale" in traced
+    assert sorted(traced - defined) == sorted(UNDEFINED_TRACED)
