@@ -4,8 +4,7 @@ A layer stores a factorization once (truncated SVD for dense layers,
 channel Tucker-2 for conv kernels) and can then be evaluated at any rank k
 in [k_min, k_max] without refitting, with an optional bit width per factor.
 runs_staged says whether a layer at rank k is cheaper to run staged through
-its factor slices or through its rebuilt weight. Soft rank masks make the
-rank choice differentiable during training; the bit map ties quantizer
+its factor slices or through its rebuilt weight. The bit map ties quantizer
 widths to rank.
 """
 
@@ -254,56 +253,6 @@ def residual_norm(layer, k, q=None):
     if resid.ndim == 4:
         resid = resid.reshape(resid.shape[0], -1)
     return linalg.spectral_norm(resid)
-
-
-# ---------------------------------------------------------------------------
-# rank masks
-
-
-@dataclass
-class RankMask:
-    """Trainable rank selector over the first k_max factor components.
-
-    Mutable on purpose: one training context owns and updates it.
-    """
-
-    logits: np.ndarray
-    temperature: float
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 1 or self.logits.size == 0:
-            raise ValueError("logits must be a non-empty vector")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sample_gumbel(size, rng):
-    """Standard Gumbel draws from a numpy Generator."""
-    u = np.clip(rng.random(size), 1e-12, 1.0 - 1e-12)
-    return -np.log(-np.log(u))
-
-
-def anneal_temperature(t, total_steps, tau0=2.0, tau_min=0.3, alpha=0.5):
-    """Geometric cooling with a floor: max(tau_min, tau0 * alpha**(t/T))."""
-    if not tau0 > tau_min > 0.0:
-        raise ValueError("need tau0 > tau_min > 0")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if int(total_steps) < 1:
-        raise ValueError("total_steps must be >= 1")
-    if t < 0:
-        raise ValueError("step must be >= 0")
-    return float(max(tau_min, tau0 * alpha ** (t / int(total_steps))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ optional frozen affine norm, activation, optional skip connection):
   (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
   rebuilt kernel.
 * ``forward_tape`` builds the same computation for dense stacks on a small
-  reverse-mode tape; ``backprop`` from a loss node then leaves gradients on
-  the trace's leaves: factors, biases, norm parameters and soft rank-mask
-  logits.
+  reverse-mode tape at hard truncation ranks; ``backprop`` from a loss
+  node then leaves gradients on the trace's leaves: factors, biases and
+  norm parameters.
 
 The tape covers a fixed operator vocabulary: add, multiply, matmul, permute,
 reshape, narrow, gather, the activations, reductions, log-softmax, and a
@@ -226,13 +226,6 @@ def v_relu(a):
 
 def v_gelu(a):
     return _v_activation(a, GELU)
-
-
-def v_sigmoid(a):
-    y = elastic._sigmoid(a.value)
-    out = Var(y, (a,))
-    out._backward = lambda g: _acc(a, g * y * (1.0 - y))
-    return out
 
 
 def v_exp(a):
@@ -570,68 +563,23 @@ def _tape_quant(nodes, bits):
             for node, b in zip(nodes, bits)]
 
 
-def _tape_mask(leaf, mask, noise, k_target):
-    """Relaxed top-k indicator node over the logits leaf: scores
-    g = logits + noise, each entry sigmoid((g_i - theta) / temperature)
-    with theta mid-gap between the k-th and (k+1)-th ranked scores, or
-    below the smallest one when k_target = k_max."""
-    tau = float(mask.temperature)
-    if not tau > 0.0:
-        raise ValueError("temperature must be positive")
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != leaf.value.shape:
-        raise ValueError("noise shape must match logits")
-    k_max = leaf.value.shape[0]
-    k = int(k_target)
-    if not 1 <= k <= k_max:
-        raise ValueError("k_target out of range")
-    g = v_add(leaf, Var(noise))
-    order = np.argsort(-g.value, kind="stable")
-    if k == k_max:
-        theta = v_shift(v_gather(g, [order[-1]]), -1.0)
-    else:
-        theta = v_scale(
-            v_add(v_gather(g, [order[k - 1]]), v_gather(g, [order[k]])), 0.5)
-    return v_sigmoid(v_scale(v_sub(g, theta), 1.0 / tau))
-
-
-def forward_tape(net, x, profile=None, masks=None):
-    """Differentiable forward pass of a dense stack; returns a trace whose
-    logits node backprop seeds.
-
-    masks is an optional per-layer list; an entry (rank_mask, noise,
-    k_target) runs that layer through a soft rank mask over all servable
-    components instead of hard truncation (its plan rank is ignored; its
-    plan widths still apply).
-    """
+def forward_tape(net, x, profile=None):
+    """Differentiable forward pass of a dense stack under a hard per-layer
+    (rank, bits) plan; returns a trace whose logits node backprop seeds."""
     if net.blocks[0].is_conv:
         raise ValueError("forward_tape covers dense stacks only")
     entries = _normalize_profile(net, profile)
-    if masks is None:
-        masks = [None] * len(net.blocks)
-    if len(masks) != len(net.blocks):
-        raise ValueError("masks length does not match the layer count")
     a_np, single = _promote_input(net, x)
     a = Var(a_np)
     leaves, inputs = [], []
-    for i, (blk, (k, q)) in enumerate(zip(net.blocks, entries)):
+    for blk, (k, q) in zip(net.blocks, entries):
         lay = blk.elastic
         bits = elastic._split_bits(q)
         ld = {nm: Var(arr) for nm, arr in _factor_arrays(lay)}
-        m = None
-        if masks[i] is not None:
-            rank_mask, noise, k_target = masks[i]
-            if rank_mask.logits.shape != (lay.k_max,):
-                raise ValueError("mask length must equal the layer k_max")
-            ld["mask_logits"] = Var(rank_mask.logits)
-            m = _tape_mask(ld["mask_logits"], rank_mask, noise, k_target)
-            k = lay.k_max
         uk = v_narrow(ld["u"], k, 1)
         sk = v_narrow(ld["core"], k, 0)
         vk = v_narrow(ld["v"], k, 1)
         uk, sk, vk = _tape_quant((uk, sk, vk), bits)
-        if m is not None:
-            sk = v_mul(sk, m)
         w = v_matmul(v_mul(uk, sk), v_t(vk))
 
         inputs.append(a.value[0] if single else a.value)

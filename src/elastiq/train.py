@@ -3,13 +3,14 @@
 Each step runs the full-rank view and a rank-sampled compressed view of
 the same parameters, assembles a five-term objective (task cross-entropy,
 self-distillation, augmentation consistency, a drift cap, and a budget
-proxy), and differentiates it through the shared tape. Rank sampling
-anneals from uniform toward the deployment profiles, soft rank masks cool
-on a geometric temperature schedule, and the regularizer weights ramp up
-linearly. Certificate coefficients are refreshed periodically and smoothed
-with an EMA; factors are re-orthogonalized on a fixed cadence.
+proxy), and differentiates it through the shared tape. The compressed
+view truncates every layer to a hard sampled rank; rank sampling anneals
+from uniform toward the deployment profiles, and the regularizer weights
+ramp up linearly. Parameters take SGD-with-momentum steps. Certificate
+coefficients are refreshed periodically and smoothed with an EMA; factors
+are re-orthogonalized on a fixed cadence.
 
-Checkpoints serialize every parameter, optimizer buffer, and the RNG
+Checkpoints serialize every parameter, momentum buffer, and the RNG
 state, so a resumed run reproduces the original loss trajectory bit for
 bit.
 """
@@ -21,13 +22,6 @@ import json
 import numpy as np
 
 from . import certificate, controller, cost, elastic, linalg, network
-
-SGD = "sgd"
-ADAMW = "adamw"
-
-_ADAM_B1 = 0.9
-_ADAM_B2 = 0.999
-_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -235,8 +229,7 @@ def budget_overshoot(net, entries, cost_model, budget):
 
 
 def total_loss(net, batch, k, weights, *, coeffs, budget=None,
-               cost_model=None, masks=None, rng=None, aug_sigma=0.05,
-               bits=None):
+               cost_model=None, rng=None, aug_sigma=0.05, bits=None):
     """Five-term objective at sampled rank k, with parameter gradients.
 
     coeffs holds one certificate coefficient (sensitivity x alpha) per
@@ -244,7 +237,7 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
 
     Returns (LossTerms, grads) where grads is a per-layer list of
     name-to-array gradient dicts covering every tape leaf the step
-    touched (factors, bias, norm parameters, mask logits). The
+    touched (factors, bias, norm parameters). The
     compressed view shares arrays with the full view, so both tapes'
     contributions are summed. Any non-finite term aborts the step.
     """
@@ -259,7 +252,7 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
 
     traces = []
     tr_full = network.forward_tape(net, x, None)
-    tr_comp = network.forward_tape(net, x, entries, masks=masks)
+    tr_comp = network.forward_tape(net, x, entries)
     traces += [tr_full, tr_comp]
     logp_f = network.v_log_softmax(tr_full._z, axis=-1)
     logp_c = network.v_log_softmax(tr_comp._z, axis=-1)
@@ -284,7 +277,7 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
                              "generator")
         x_aug = x + aug_sigma * rng.standard_normal(x.shape)
         tr_fa = network.forward_tape(net, x_aug, None)
-        tr_ca = network.forward_tape(net, x_aug, entries, masks=masks)
+        tr_ca = network.forward_tape(net, x_aug, entries)
         traces += [tr_fa, tr_ca]
         aug = network.v_scale(
             _kl_node(network.v_log_softmax(tr_fa._z, axis=-1),
@@ -354,15 +347,10 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.02
     momentum: float = 0.9
-    optimizer: str = SGD
-    weight_decay: float = 0.0
     weights: LossWeights = field(default_factory=LossWeights)
     profiles: tuple = (4, 16, 32)
     profile_names: tuple = ("tiny", "med", "max")
     t_anneal: int = 0
-    tau0: float = 2.0
-    tau_min: float = 0.3
-    tau_alpha: float = 0.5
     aug_sigma: float = 0.05
     ema_decay: float = 0.9
     refresh_every: int = 10
@@ -371,7 +359,6 @@ class TrainConfig:
     curriculum_frac: float = 1.0 / 3.0
     clip_norm: float = 2.0
     budget_slack: float = 1.1
-    use_soft_masks: bool = True
     train_bits: int | None = None
     calib_size: int = 64
     device: str = "synth0"
@@ -381,8 +368,6 @@ class TrainConfig:
     csv_path: str | None = None
 
     def __post_init__(self):
-        if self.optimizer not in (SGD, ADAMW):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not self.steps >= 1:
             raise ValueError("steps must be at least 1")
         if not self.batch_size >= 1:
@@ -408,7 +393,6 @@ class TrainState:
 
     step: int
     net: network.Network
-    masks: list
     cert_coeffs: np.ndarray
     cost_model: cost.CostModel
     budgets: tuple
@@ -434,7 +418,7 @@ class TrainReport:
 
 _METRIC_FIELDS = ("step", "total", "task", "self_distill",
                   "aug_consistency", "drift_cap", "budget", "delta_hat",
-                  "tau", "gamma", "lam_sd", "lam_aug", "lam_cert", "k",
+                  "gamma", "lam_sd", "lam_aug", "lam_cert", "k",
                   "budget_index", "phase")
 
 
@@ -464,53 +448,25 @@ def _init_cost_and_budgets(config, net, rng_seed):
 
 def _init_state(config, seed):
     net = build_network(seed, config.dim, config.hidden, config.classes)
-    masks = [elastic.RankMask(np.zeros(b.elastic.k_max),
-                              temperature=config.tau0)
-             for b in net.blocks]
     model, budgets = _init_cost_and_budgets(config, net, seed)
     x_tr, _, _, _ = make_dataset(seed, config.n_train, config.n_eval,
                                  config.dim)
     calib = x_tr[:config.calib_size]
     stats = certificate.calibrate(net, calib)
     coeffs = _fresh_coeffs(net, stats, _proxy_mode(config), calib)
-    return TrainState(step=0, net=net, masks=masks,
-                      cert_coeffs=coeffs, cost_model=model,
+    return TrainState(step=0, net=net, cert_coeffs=coeffs, cost_model=model,
                       budgets=budgets, rng=np.random.default_rng(seed),
                       opt={}, metrics=[])
 
 
-def _sgd_update(opt, key, arr, grad, lr, momentum, weight_decay):
-    g = grad + weight_decay * arr if weight_decay else grad
+def _sgd_update(opt, key, arr, grad, lr, momentum):
     buf = opt.get(key)
     if buf is None:
         buf = np.zeros_like(arr)
         opt[key] = buf
     buf *= momentum
-    buf += g
+    buf += grad
     arr -= lr * buf
-
-
-def _adamw_update(opt, key, arr, grad, lr, weight_decay):
-    st = opt.get(key)
-    if st is None:
-        st = {"m": np.zeros_like(arr), "v": np.zeros_like(arr), "t": 0}
-        opt[key] = st
-    st["t"] += 1
-    st["m"] = _ADAM_B1 * st["m"] + (1 - _ADAM_B1) * grad
-    st["v"] = _ADAM_B2 * st["v"] + (1 - _ADAM_B2) * grad * grad
-    m_hat = st["m"] / (1 - _ADAM_B1 ** st["t"])
-    v_hat = st["v"] / (1 - _ADAM_B2 ** st["t"])
-    arr -= lr * (m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-                 + weight_decay * arr)
-
-
-def _apply_update(config, opt, key, arr, grad):
-    if config.optimizer == SGD:
-        _sgd_update(opt, key, arr, grad, config.lr, config.momentum,
-                    config.weight_decay)
-    else:
-        _adamw_update(opt, key, arr, grad, config.lr,
-                      config.weight_decay)
 
 
 def _clip_grads(grads, clip_norm):
@@ -586,8 +542,8 @@ def evaluate(net, x, y, profiles, names, epsilon, calib):
 def train_toy(config, seed, state=None, stop_after=None):
     """Run (or resume) the loop; returns (state, report).
 
-    The per-step draw order is fixed: batch indices, rank, per-layer
-    Gumbel noise, augmentation noise, budget pick.
+    The per-step draw order is fixed: batch indices, rank, augmentation
+    noise, budget pick.
     Resuming from a checkpoint therefore replays the exact trajectory,
     provided the resumed run uses the same config (every schedule
     constant derives from config.steps). stop_after pauses the loop
@@ -611,17 +567,6 @@ def train_toy(config, seed, state=None, stop_after=None):
         rng = state.rng
         idx = rng.integers(0, config.n_train, size=config.batch_size)
         k_t = sample_rank(sampler, t, rng)
-        tau_t = elastic.anneal_temperature(
-            t, config.anneal_steps, tau0=config.tau0,
-            tau_min=config.tau_min, alpha=config.tau_alpha)
-        masks = None
-        if config.use_soft_masks:
-            masks = []
-            for blk, mask in zip(state.net.blocks, state.masks):
-                mask.temperature = tau_t
-                noise = elastic.sample_gumbel(blk.elastic.k_max, rng)
-                masks.append((mask, noise,
-                              min(k_t, blk.elastic.k_max)))
         aug_noise = rng.standard_normal(
             (config.batch_size, config.dim))
         if t < phase_end:
@@ -641,9 +586,8 @@ def train_toy(config, seed, state=None, stop_after=None):
         terms, grads = total_loss(
             state.net, (x_tr[idx], y_tr[idx]), k_t, eff,
             coeffs=state.cert_coeffs, budget=state.budgets[b_idx],
-            cost_model=state.cost_model, masks=masks,
-            rng=_FixedNoise(aug_noise), aug_sigma=config.aug_sigma,
-            bits=config.train_bits)
+            cost_model=state.cost_model, rng=_FixedNoise(aug_noise),
+            aug_sigma=config.aug_sigma, bits=config.train_bits)
 
         grads = _clip_grads(grads, config.clip_norm)
 
@@ -663,14 +607,10 @@ def train_toy(config, seed, state=None, stop_after=None):
 
         for i, blk in enumerate(state.net.blocks):
             for name, grad in grads[i].items():
-                if name == "mask_logits":
-                    _apply_update(config, state.opt, f"l{i}:mask",
-                                  state.masks[i].logits, grad)
-                    continue
                 arr = _layer_param(blk, name)
                 if arr is not None:
-                    _apply_update(config, state.opt, f"l{i}:{name}",
-                                  arr, grad)
+                    _sgd_update(state.opt, f"l{i}:{name}", arr, grad,
+                                config.lr, config.momentum)
 
         state.step += 1
         if config.reortho_every and \
@@ -691,7 +631,7 @@ def train_toy(config, seed, state=None, stop_after=None):
                 "self_distill": terms.self_distill,
                 "aug_consistency": terms.aug_consistency,
                 "drift_cap": terms.drift_cap, "budget": terms.budget,
-                "delta_hat": terms.drift_surrogate, "tau": tau_t,
+                "delta_hat": terms.drift_surrogate,
                 "gamma": gamma, "lam_sd": lam_sd, "lam_aug": lam_aug,
                 "lam_cert": lam_cert, "k": k_t, "budget_index": b_idx,
                 "phase": phase})
@@ -745,21 +685,12 @@ def save_checkpoint(state, path):
         arrays[f"l{i}_v"] = f.v
         if lay.bias is not None:
             arrays[f"l{i}_bias"] = lay.bias
-        arrays[f"l{i}_mask"] = state.masks[i].logits
         layers_meta.append({
             "k_min": lay.k_min, "k_max": lay.k_max,
             "group_id": lay.group_id, "has_bias": lay.bias is not None,
             "activation": blk.activation})
-    opt_keys = []
-    for key, buf in state.opt.items():
-        j = len(opt_keys)
-        if isinstance(buf, dict):
-            arrays[f"opt{j}_m"] = buf["m"]
-            arrays[f"opt{j}_v"] = buf["v"]
-            opt_keys.append({"key": key, "kind": ADAMW, "t": buf["t"]})
-        else:
-            arrays[f"opt{j}"] = buf
-            opt_keys.append({"key": key, "kind": SGD})
+    for j, buf in enumerate(state.opt.values()):
+        arrays[f"opt{j}"] = buf
     meta = {
         "step": state.step,
         "rng": state.rng.bit_generator.state,
@@ -776,7 +707,7 @@ def save_checkpoint(state, path):
                      "bytes_target": b.bytes_target,
                      "energy_target": b.energy_target}
                     for b in state.budgets],
-        "opt_keys": opt_keys,
+        "opt_keys": list(state.opt),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
                                    dtype=np.uint8)
@@ -785,11 +716,21 @@ def save_checkpoint(state, path):
 
 
 def load_checkpoint(path):
-    """Rebuild a TrainState saved by save_checkpoint, bit for bit."""
+    """Rebuild a TrainState saved by save_checkpoint, bit for bit.
+
+    A checkpoint holding rank-mask arrays (l{i}_mask) comes from a trainer
+    with soft rank masks; its parameters, momentum buffers and metrics
+    rows do not fit this loop, so it is refused with a ValueError.
+    """
     with np.load(path) as zf:
         data = {key: zf[key] for key in zf.files}
+    stale = sorted(key for key in data if key.endswith("_mask"))
+    if stale:
+        raise ValueError(
+            f"checkpoint holds soft rank-mask arrays ({', '.join(stale)}) "
+            "written by an older trainer; train from scratch")
     meta = json.loads(bytes(data["meta"]).decode())
-    blocks, masks = [], []
+    blocks = []
     for i, lm in enumerate(meta["layers"]):
         lay = elastic.ElasticLayer(
             elastic.DENSE_SVD,
@@ -800,8 +741,6 @@ def load_checkpoint(path):
             data[f"l{i}_bias"] if lm["has_bias"] else None)
         blocks.append(network.Block(elastic=lay,
                                     activation=lm["activation"]))
-        masks.append(elastic.RankMask(data[f"l{i}_mask"],
-                                      temperature=1.0))
     net = network.Network(tuple(blocks))
     cm = meta["cost_model"]
     model = cost.CostModel(device=cm["device"],
@@ -811,17 +750,10 @@ def load_checkpoint(path):
                            mape_percent=cm["mape_percent"])
     budgets = tuple(controller.BudgetToken(**b)
                     for b in meta["budgets"])
-    opt = {}
-    for j, entry in enumerate(meta["opt_keys"]):
-        if entry["kind"] == ADAMW:
-            opt[entry["key"]] = {"m": data[f"opt{j}_m"],
-                                 "v": data[f"opt{j}_v"],
-                                 "t": entry["t"]}
-        else:
-            opt[entry["key"]] = data[f"opt{j}"]
+    opt = {key: data[f"opt{j}"] for j, key in enumerate(meta["opt_keys"])}
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
-    return TrainState(step=meta["step"], net=net, masks=masks,
+    return TrainState(step=meta["step"], net=net,
                       cert_coeffs=data["cert_coeffs"],
                       cost_model=model, budgets=budgets, rng=rng,
                       opt=opt, metrics=meta["metrics"],

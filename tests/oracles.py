@@ -44,11 +44,6 @@ def jacobi_gram_eigvals(w, iters=20000, tol=1e-14):
     return np.sort(np.diag(s))[::-1].copy()
 
 
-def hard_mask(k, size):
-    """Indicator vector: one for the first k entries, zero after."""
-    return (np.arange(size) < k).astype(np.float64)
-
-
 def tucker2_recompose(f):
     """Kernel represented by Tucker2Factors, by one plain einsum."""
     return np.einsum("rshw,or,is->oihw", f.core, f.u_out, f.u_in)
@@ -304,53 +299,35 @@ def greedy_allocation_replay(menus, benefit, groups, objective_of,
 
 def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
                             lam_bud, epsilon, coeffs, x_aug=None,
-                            mask_info=None, budget_value=0.0):
+                            budget_value=0.0):
     """Five-term training objective replayed with plain numpy.
 
-    Dense SVD stacks only. ranks is the per-layer compressed rank;
-    mask_info is an optional per-layer list of (logits, noise, k_target,
-    tau) tuples for soft-mask runs. Returns (total, per-term dict) with
-    each term already multiplied by its weight.
+    Dense SVD stacks only. ranks is the per-layer compressed rank. Returns
+    (total, per-term dict) with each term already multiplied by its
+    weight.
     """
     from scipy.special import log_softmax
 
-    def weight_at(blk, k, minfo):
-        f = blk.elastic.factors
-        kmax = blk.elastic.k_max
-        if minfo is None:
-            return (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
-        logits, noise, k_target, tau = minfo
-        g = np.asarray(logits, dtype=np.float64) + noise
-        ranked = np.sort(g)[::-1]
-        if int(k_target) == kmax:
-            theta = ranked[-1] - 1.0
-        else:
-            theta = 0.5 * (ranked[k_target - 1] + ranked[k_target])
-        m = 1.0 / (1.0 + np.exp(-(g - theta) / tau))
-        return (f.u[:, :kmax] * (f.sigma[:kmax] * m)) @ f.v[:, :kmax].T
-
-    def run(xb, ks, masks):
+    def run(xb, ks):
         a = xb
-        for blk, k, minfo in zip(net.blocks, ks, masks):
-            pre = a @ weight_at(blk, k, minfo).T
+        for blk, k in zip(net.blocks, ks):
+            f = blk.elastic.factors
+            pre = a @ ((f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T).T
             if blk.elastic.bias is not None:
                 pre = pre + blk.elastic.bias
             a = _act_apply(blk.activation, pre)
         return a
 
-    n = len(net.blocks)
     full = [b.elastic.k_max for b in net.blocks]
-    hard = [None] * n
-    soft = mask_info if mask_info is not None else hard
     b_sz = x.shape[0]
-    lp_f = log_softmax(run(x, full, hard), axis=-1)
-    lp_c = log_softmax(run(x, ranks, soft), axis=-1)
+    lp_f = log_softmax(run(x, full), axis=-1)
+    lp_c = log_softmax(run(x, ranks), axis=-1)
     task = -float(np.mean(lp_f[np.arange(b_sz), y]))
     sd = float(np.sum(np.exp(lp_f) * (lp_f - lp_c)) / b_sz)
     aug = 0.0
     if x_aug is not None:
-        la_f = log_softmax(run(x_aug, full, hard), axis=-1)
-        la_c = log_softmax(run(x_aug, ranks, soft), axis=-1)
+        la_f = log_softmax(run(x_aug, full), axis=-1)
+        la_c = log_softmax(run(x_aug, ranks), axis=-1)
         aug = float(np.sum(np.exp(la_f) * (la_f - la_c)) / b_sz)
     delta = 0.0
     for blk, k, c in zip(net.blocks, ranks, coeffs):

@@ -2,8 +2,8 @@
 documented exit code, the certify -> plan -> certify round trip, manifests
 published only after self-verification, decompose on wide dense and
 bottleneck conv models, the whole pipeline on a conv model and on a sweep
-of tiny random models, quantized training, and byte-identical reruns
-across BLAS thread counts."""
+of tiny random models, quantized and resumed training, and byte-identical
+reruns across BLAS thread counts."""
 
 import contextlib
 import dataclasses
@@ -126,6 +126,8 @@ def test_audit_exits_4_on_a_latency_inversion(tmp_path):
 
 def test_bad_train_configs_exit_1_with_a_message(tmp_path):
     for data, message in (({"stepz": 3}, "unknown config keys: stepz"),
+                          ({"use_soft_masks": False},
+                           "unknown config keys: use_soft_masks"),
                           ({"weights": {"isotonic": 0.1}},
                            "bad loss weights"),
                           ({"hidden": 5},
@@ -138,6 +140,53 @@ def test_bad_train_configs_exit_1_with_a_message(tmp_path):
         assert message in err
         assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_resumed_training_matches_an_uninterrupted_run(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 60}))
+    whole, paused, resumed = (tmp_path / n for n in (
+        "whole", "paused", "resumed"))
+    code, out_whole, _ = _cli_output("train", "--out", whole,
+                                     "--config", config)
+    assert code == cli.EXIT_OK
+    assert _cli("train", "--out", paused, "--config", config,
+                "--stop-after", 20) == cli.EXIT_OK
+    code, out_resumed, _ = _cli_output(
+        "train", "--out", resumed, "--config", config,
+        "--resume", paused / "checkpoint.npz")
+    assert code == cli.EXIT_OK
+    assert out_resumed.replace(str(resumed), "OUT") == \
+        out_whole.replace(str(whole), "OUT")
+    for name in ("model.json", "metrics.csv"):
+        assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+    with np.load(whole / "checkpoint.npz") as a, \
+            np.load(resumed / "checkpoint.npz") as b:
+        assert a.files == b.files
+        for key in a.files:
+            assert np.array_equal(a[key], b[key]), key
+
+
+def test_resume_refuses_a_soft_mask_checkpoint(tmp_path):
+    # checkpoints of the trainer with Gumbel soft rank masks carry
+    # l{i}_mask arrays and a tau metrics column
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 20}))
+    assert _cli("train", "--out", tmp_path / "old", "--config", config,
+                "--stop-after", 10) == cli.EXIT_OK
+    with np.load(tmp_path / "old" / "checkpoint.npz") as zf:
+        arrays = {key: zf[key] for key in zf.files}
+    arrays["l0_mask"] = np.zeros(16)
+    stale = tmp_path / "stale.npz"
+    np.savez(stale, **arrays)
+    run = tmp_path / "run"
+    code, out, err = _cli_output("train", "--out", run, "--config", config,
+                                 "--resume", stale)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: cannot resume: checkpoint holds soft "
+                          "rank-mask arrays (l0_mask)")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (run / "model.json").exists()
 
 
 def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):
@@ -340,45 +389,81 @@ def test_quantized_training_verifies(tmp_path):
     assert "@@ verify problems=0" in out
 
 
-def _tiny_raw_model(data, conv):
-    """Weights of a 2- or 3-layer relu stack with an identity head: dense
-    widths 3-8, or conv channels 2-4 with 1x1 or 3x3 kernels."""
+def _tiny_model(data, conv):
+    """A 2- or 3-layer relu stack with an identity head: dense widths 3-8,
+    or conv channels 2-4 with 1x1 or 3x3 kernels. At most one drawn block
+    keeps its width and carries a skip connection. Returns the
+    raw_model_to_doc arguments, calibration inputs and the generator."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     n_layers = data.draw(st.integers(2, 3))
+    lo, hi = (2, 4) if conv else (3, 8)
+    widths = data.draw(st.lists(st.integers(lo, hi), min_size=n_layers + 1,
+                                max_size=n_layers + 1))
+    skip = data.draw(st.integers(-1, n_layers - 1))
+    if skip >= 0:
+        widths[skip + 1] = widths[skip]
     if conv:
-        widths = data.draw(st.lists(st.integers(2, 4), min_size=n_layers + 1,
-                                    max_size=n_layers + 1))
         sides = data.draw(st.lists(st.sampled_from([1, 3]),
                                    min_size=n_layers, max_size=n_layers))
         shapes = [(c_out, c_in, s, s) for c_in, c_out, s
                   in zip(widths, widths[1:], sides)]
         calib = rng.standard_normal((8, widths[0], 4, 4))
     else:
-        widths = data.draw(st.lists(st.integers(3, 8), min_size=n_layers + 1,
-                                    max_size=n_layers + 1))
         shapes = list(zip(widths[1:], widths))
         calib = rng.standard_normal((16, widths[0]))
-    return _relu_stack(rng, shapes), calib
+    residuals = [i == skip for i in range(n_layers)]
+    return (*_relu_stack(rng, shapes), residuals), calib, rng
 
 
-@given(conv=st.booleans(), data=st.data())
+def _normed_net(model, rng):
+    """The factorized stack with a frozen affine norm on every relu block;
+    raw manifests carry no norms."""
+    blocks = []
+    for w, b, act, res in zip(*model):
+        maker = elastic.from_conv if w.ndim == 4 else elastic.from_dense
+        gamma = beta = None
+        if act == network.RELU:
+            gamma = 0.5 + rng.random(w.shape[0])
+            beta = 0.1 * rng.standard_normal(w.shape[0])
+        blocks.append(network.Block(elastic=maker(w, bias=b), activation=act,
+                                    gamma=gamma, beta=beta, residual=res))
+    return network.Network(tuple(blocks))
+
+
+@given(conv=st.booleans(), normed=st.booleans(), data=st.data())
 @settings(derandomize=True, deadline=None, max_examples=20)
-def test_pipeline_sweep_on_tiny_models(conv, data):
-    """decompose -> certify -> plan -> select -> audit on tiny random raw
-    models: documented exit codes, self-verifying manifests, and a
-    conservative bound that never undershoots the observed drift."""
-    model, xs = _tiny_raw_model(data, conv)
+def test_pipeline_sweep_on_tiny_models(conv, normed, data):
+    """decompose (or a written normed model) -> certify in both modes ->
+    plan -> select -> audit -> report on tiny random models with optional
+    skip connections: documented exit codes, self-verifying manifests, and
+    a conservative bound that never undershoots the observed drift."""
+    model, xs, rng = _tiny_model(data, conv)
     k = data.draw(st.integers(1, 3))
     bits = data.draw(st.sampled_from([4, 8]))
     with tempfile.TemporaryDirectory() as tmp:
-        raw, calib, el, cert, plan = (os.path.join(tmp, n) for n in (
-            "raw.json", "calib.npz", "el.json", "cert.json", "plan.json"))
-        manifest.write_manifest(manifest.raw_model_to_doc(*model), raw)
+        raw, calib, el, cert, sampled, plan = (
+            os.path.join(tmp, n) for n in (
+                "raw.json", "calib.npz", "el.json", "cert.json",
+                "sampled.json", "plan.json"))
         np.savez(calib, x=xs)
-        assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
-        assert _cli("certify", el, "--profiles", f"{k},{k}:{bits},1:{bits}",
-                    "--epsilon", "1.0", "--out", cert,
-                    "--calib", calib) == cli.EXIT_OK
+        if normed:
+            manifest.write_manifest(
+                manifest.network_to_doc(_normed_net(model, rng)), el)
+        else:
+            manifest.write_manifest(manifest.raw_model_to_doc(*model), raw)
+            assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
+        profiles = f"{k},{k}:{bits},1:{bits}"
+        for mode, out in (("conservative", cert), ("poweriter", sampled)):
+            code, _, err = _cli_output(
+                "certify", el, "--mode", mode, "--profiles", profiles,
+                "--epsilon", "1.0", "--out", out, "--calib", calib)
+            if conv and mode == "poweriter":
+                # the sampled proxy power-iterates dense Jacobians only
+                assert (code, err) == (cli.EXIT_ERROR, "error: sampled "
+                                       "proxy supports dense stacks only\n")
+                assert not os.path.exists(out)
+            else:
+                assert (code, err) == (cli.EXIT_OK, "")
         assert _cli("plan", cert, "--out", plan,
                     "--calib", calib) == cli.EXIT_OK
         doc = manifest.read_manifest(plan)
@@ -391,10 +476,13 @@ def test_pipeline_sweep_on_tiny_models(conv, data):
                     "--epsilon", repr(eps)) in (
             cli.EXIT_OK, cli.EXIT_CERT_WARNING, cli.EXIT_INFEASIBLE)
         # 4: a planned drift bound can rise with the budget (ROADMAP
-        # known defect 3)
+        # known defect 2)
         assert _cli("audit", plan) in (cli.EXIT_OK,
                                        cli.EXIT_AUDIT_VIOLATIONS)
-        for path in (el, cert, plan):
+        code, out, err = _cli_output("report", plan, "--calib", calib)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.count("@@ row ") == len(lattice.profiles)
+        for path in (el, cert, plan) + (() if conv else (sampled,)):
             assert manifest.verify_manifest(path) == [], path
 
         net = manifest.net_from_doc(doc)

@@ -558,6 +558,35 @@ class TestAuditMonotone:
         profiles = [controller.Profile(((1, 4),))] * 2
         with pytest.raises(ValueError, match="metrics"):
             controller.audit_monotone(profiles)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Direction H")
+    def test_rank_step_with_rising_weight_change_keeps_drift_monotone(self):
+        # the wide 64->96->96->96->10 relu model at seed 0, drawn as the
+        # benchmark draws it: W ~ N(0,1)/sqrt(fan_in), then b ~ 0.1 N(0,1)
+        rng = np.random.default_rng(0)
+        sizes = (64, 96, 96, 96, 10)
+        blocks = []
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
+            b = 0.1 * rng.standard_normal(fan_out)
+            blocks.append(network.Block(
+                elastic=elastic.from_dense(w, bias=b),
+                activation=network.RELU if i < 3 else network.IDENTITY))
+        net = network.Network(tuple(blocks))
+        # at 4 bits, layer 0's certified weight change rises from k 63 to
+        # k 64 (0.5907 -> 0.5932)
+        lay = net.blocks[0].elastic
+        rise = [elastic.residual_norm(lay, k, 4) for k in (63, 64)]
+        if not rise[0] < rise[1]:
+            pytest.fail(f"layer 0 residual no longer rises: {rise}")
+        full = [(b.elastic.k_max, None) for b in net.blocks[1:]]
+        chain = controller.enforce_monotone(
+            controller.Profile(((k, 4), *full)) for k in (63, 64))
+        stats = certificate.calibrate(net, _rng(1).standard_normal((32, 64)))
+        audit = controller.audit_monotone(chain, metrics=lambda i, p: {
+            "drift": certificate.expected_bound(net, stats, p)})
+        assert audit.drift_events == 0
         audit = controller.audit_monotone(
             profiles, metrics=lambda i, p: {"latency": float(i)})
         assert audit.latency_events == 0 and audit.pairs == 1

@@ -1,33 +1,18 @@
-"""Elastic layer behavior: truncation, residual norms, masks, bit maps."""
+"""Elastic layer behavior: construction, truncation, conv rank schedules,
+residual norms, bit maps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import elastic, linalg, network
+from elastiq import elastic, linalg
 
-from oracles import hard_mask, tucker2_recompose
+from oracles import tucker2_recompose
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _masked_weight(layer, mask, noise, k_target):
-    # the weight training sees through a soft rank mask, read back from a
-    # one-block identity network fed the standard basis
-    net = network.Network((network.Block(elastic=layer,
-                                         activation=network.IDENTITY),))
-    x = np.eye(layer.in_features)
-    return network.forward_tape(
-        net, x, masks=[(mask, noise, k_target)]).logits.T
-
-
-def _soft_mask(mask, noise, k_target):
-    # the value of the relaxed top-k mask the training tape builds
-    return network._tape_mask(network.Var(mask.logits), mask, noise,
-                              k_target).value
 
 
 def _independent_round_trip(t, bits):
@@ -225,123 +210,6 @@ class TestResidualNorm:
         layer = elastic.from_dense(np.eye(4))
         with pytest.raises(ValueError):
             elastic.residual_norm(layer, 2, 1)
-
-
-class TestSoftMask:
-    def test_sharp_temperature_hits_hard_indicator(self):
-        logits = np.arange(80.0, 0.0, -10.0)
-        mask = elastic.RankMask(logits=logits, temperature=0.001)
-        noise = elastic.sample_gumbel(8, _rng(50))
-        got = _soft_mask(mask, noise, k_target=3)
-        assert np.max(np.abs(got - hard_mask(3, 8))) < 1e-3
-
-    def test_high_temperature_flattens(self):
-        logits = _rng(51).standard_normal(10)
-        mask = elastic.RankMask(logits=logits, temperature=1e6)
-        got = _soft_mask(mask, np.zeros(10), k_target=4)
-        assert np.ptp(got) < 1e-3
-        assert np.max(np.abs(got - 0.5)) < 1e-3
-
-    def test_halving_temperature_contracts_toward_hard(self):
-        logits = _rng(52).standard_normal(12)
-        noise = elastic.sample_gumbel(12, _rng(53))
-        g = logits + noise
-        target = np.zeros(12)
-        target[np.argsort(-g)[:5]] = 1.0
-        dists = []
-        for tau in (2.0, 1.0, 0.5):
-            mask = elastic.RankMask(logits=logits, temperature=tau)
-            got = _soft_mask(mask, noise, k_target=5)
-            assert np.all(got >= 0.0) and np.all(got <= 1.0)
-            dists.append(np.abs(got - target))
-        assert np.all(dists[1] <= dists[0])
-        assert np.all(dists[2] <= dists[1])
-
-    def test_deterministic_given_noise(self):
-        mask = elastic.RankMask(logits=np.linspace(3, -3, 7), temperature=0.7)
-        noise = elastic.sample_gumbel(7, _rng(54))
-        a = _soft_mask(mask, noise, k_target=2)
-        b = _soft_mask(mask, noise, k_target=2)
-        assert np.array_equal(a, b)
-
-    def test_full_rank_target_saturates_to_ones(self):
-        mask = elastic.RankMask(logits=_rng(55).standard_normal(6),
-                                temperature=0.01)
-        got = _soft_mask(mask, np.zeros(6), k_target=6)
-        assert np.all(got >= 1.0 - 1e-3)
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            elastic.RankMask(logits=np.ones(4), temperature=0.0)
-        mask = elastic.RankMask(logits=np.ones(4), temperature=1.0)
-        mask.temperature = -1.0
-        with pytest.raises(ValueError, match="temperature"):
-            _soft_mask(mask, np.zeros(4), k_target=2)
-
-    def test_shape_and_target_validated(self):
-        mask = elastic.RankMask(logits=np.ones(4), temperature=1.0)
-        with pytest.raises(ValueError, match="shape"):
-            _soft_mask(mask, np.zeros(5), k_target=2)
-        for bad in (0, 5):
-            with pytest.raises(ValueError, match="k_target"):
-                _soft_mask(mask, np.zeros(4), k_target=bad)
-
-    def test_hard_mask_indicator(self):
-        assert np.array_equal(hard_mask(3, 5), [1.0, 1.0, 1.0, 0.0, 0.0])
-        assert np.array_equal(hard_mask(0, 3), np.zeros(3))
-
-    def test_masked_weight_matches_truncate_in_limit(self):
-        w = _rng(56).standard_normal((6, 5))
-        layer = elastic.from_dense(w)
-        logits = np.linspace(5.0, 1.0, 5)
-        mask = elastic.RankMask(logits=logits, temperature=1e-4)
-        soft_w = _masked_weight(layer, mask, np.zeros(5), k_target=3)
-        assert np.allclose(soft_w, elastic.truncate(layer, 3), atol=1e-8)
-
-    def test_masked_weight_all_ones_is_full(self):
-        layer = elastic.from_dense(_rng(57).standard_normal((5, 5)))
-        mask = elastic.RankMask(logits=np.zeros(5), temperature=1e-4)
-        got = _masked_weight(layer, mask, np.zeros(5), k_target=5)
-        assert np.array_equal(got, elastic.truncate(layer, 5))
-
-    def test_masked_weight_conv_rejected(self):
-        # the tape covers dense stacks only, masked or not
-        layer = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
-        net = network.Network((network.Block(elastic=layer,
-                                             activation=network.IDENTITY),))
-        mask = elastic.RankMask(logits=np.zeros(layer.k_max),
-                                temperature=1.0)
-        x = _rng(59).standard_normal((3, 5, 5))
-        for masks in (None, [(mask, np.zeros(layer.k_max), 1)]):
-            with pytest.raises(ValueError, match="dense stacks only"):
-                network.forward_tape(net, x, masks=masks)
-
-
-class TestAnnealTemperature:
-    def test_start_value(self):
-        assert elastic.anneal_temperature(0, 100) == 2.0
-
-    def test_one_period_value(self):
-        assert elastic.anneal_temperature(100, 100) == 1.0
-
-    def test_floor(self):
-        assert elastic.anneal_temperature(10_000, 100) == 0.3
-
-    def test_monotone_non_increasing(self):
-        vals = [elastic.anneal_temperature(t, 50) for t in range(0, 400, 7)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            elastic.anneal_temperature(0, 100, tau0=0.2, tau_min=0.3)
-        with pytest.raises(ValueError):
-            elastic.anneal_temperature(0, 100, tau_min=0.0)
-        with pytest.raises(ValueError):
-            elastic.anneal_temperature(0, 100, alpha=1.0)
-        with pytest.raises(ValueError):
-            elastic.anneal_temperature(0, 0)
-        with pytest.raises(ValueError):
-            elastic.anneal_temperature(-1, 100)
 
 
 class TestBitOfRank:

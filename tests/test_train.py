@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_softmax
 from scipy.stats import chi2
 
-from elastiq import certificate, controller, cost, elastic, network, train
+from elastiq import certificate, controller, cost, network, train
 from oracles import straight_line_objective
 
 
@@ -269,30 +269,6 @@ class TestTotalLoss:
             assert getattr(terms, name) == pytest.approx(
                 parts[name], rel=1e-10, abs=1e-12)
 
-    def test_matches_straight_line_with_soft_masks(self):
-        net, x, y, stats, coeffs = _small_setup(3)
-        k, tau = 2, 0.7
-        w = train.LossWeights(epsilon=0.05)
-        rng_m = np.random.default_rng(5)
-        masks, minfo = [], []
-        for blk in net.blocks:
-            km = blk.elastic.k_max
-            logits = rng_m.standard_normal(km)
-            gnoise = rng_m.standard_normal(km)
-            kt = min(k, km)
-            masks.append((elastic.RankMask(logits.copy(),
-                                           temperature=tau), gnoise, kt))
-            minfo.append((logits, gnoise, kt, tau))
-        noise = np.random.default_rng(9).standard_normal(x.shape)
-        terms, _ = train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    masks=masks,
-                                    rng=train._FixedNoise(noise))
-        total, _ = straight_line_objective(
-            net, x, y, _clamped_ranks(net, k), w.self_distill,
-            w.aug_consistency, w.drift_cap, 0.0, w.epsilon, coeffs,
-            x_aug=x + 0.05 * noise, mask_info=minfo)
-        assert terms.total == pytest.approx(total, rel=1e-10)
-
     def test_two_class_single_example_recomputation(self):
         net = train.build_network(11, dim=4, hidden=(5,), classes=2)
         x = np.array([[0.3, -0.7, 1.1, 0.2]])
@@ -330,33 +306,21 @@ class TestTotalLoss:
     def test_gradients_match_finite_differences(self):
         net, x, y, stats, coeffs = _small_setup(4, dim=5, hidden=(7,),
                                                 classes=3, n=6)
-        k, tau, h = 2, 0.7, 1e-6
+        k, h = 2, 1e-6
         w = train.LossWeights(epsilon=0.05)
-        rng_m = np.random.default_rng(54)
-        minfo = []
-        for blk in net.blocks:
-            km = blk.elastic.k_max
-            minfo.append([rng_m.standard_normal(km),
-                          rng_m.standard_normal(km),
-                          min(k, km), tau])
         noise = np.random.default_rng(7).standard_normal(x.shape)
 
         def run():
-            masks = [(elastic.RankMask(l.copy(), temperature=t), n_, kt)
-                     for (l, n_, kt, t) in minfo]
             return train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    masks=masks,
                                     rng=train._FixedNoise(noise))
 
         terms, grads = run()
         # margins: every nondifferentiable switch sits far from the
         # evaluation point relative to the step size h
         assert abs(terms.drift_surrogate - w.epsilon) > 1e-2
-        for i, blk in enumerate(net.blocks):
-            g = np.sort(minfo[i][0] + minfo[i][1])[::-1]
-            assert np.min(np.abs(np.diff(g))) > 1e-2
+        for blk in net.blocks:
             tail = np.sort(np.abs(
-                blk.elastic.factors.sigma[minfo[i][2]:]))[::-1]
+                blk.elastic.factors.sigma[k:]))[::-1]
             if tail.size > 1:
                 assert tail[0] - tail[1] > 1e-2
 
@@ -384,15 +348,6 @@ class TestTotalLoss:
                     assert an == pytest.approx(fd, rel=1e-4, abs=1e-8), \
                         f"layer {i} {name}[{idx}]"
                     checked += 1
-            logits = minfo[i][0]
-            for idx in list(np.ndindex(*logits.shape))[:6]:
-                fd = central(lambda l=logits: l,
-                             lambda j, v, l=logits: l.__setitem__(j, v),
-                             idx)
-                an = grads[i]["mask_logits"][idx]
-                assert an == pytest.approx(fd, rel=1e-4, abs=1e-8), \
-                    f"layer {i} mask_logits[{idx}]"
-                checked += 1
         assert checked >= 40
 
     def test_budget_overshoot_inside_total(self):
@@ -504,12 +459,6 @@ class TestSchedules:
             t = row["step"]
             assert row["gamma"] == pytest.approx(
                 train.gamma_schedule(sampler, t), rel=1e-12)
-            assert row["tau"] == pytest.approx(
-                elastic.anneal_temperature(t, cfg.anneal_steps,
-                                           tau0=cfg.tau0,
-                                           tau_min=cfg.tau_min,
-                                           alpha=cfg.tau_alpha),
-                rel=1e-12)
             assert row["lam_sd"] == pytest.approx(
                 train.lambda_warmup(w.self_distill, t,
                                     cfg.warmup_steps), rel=1e-12)
@@ -637,9 +586,8 @@ class TestEvaluate:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("opt", [train.SGD, train.ADAMW])
-    def test_round_trip_preserves_state(self, opt, tmp_path):
-        cfg = replace(train.TrainConfig(), steps=25, optimizer=opt)
+    def test_round_trip_preserves_state(self, tmp_path):
+        cfg = replace(train.TrainConfig(), steps=25)
         s1, _ = train.train_toy(cfg, 11, stop_after=25)
         path = str(tmp_path / "ck.npz")
         train.save_checkpoint(s1, path)
@@ -653,22 +601,11 @@ class TestCheckpoint:
             assert np.array_equal(b1.elastic.factors.v,
                                   b2.elastic.factors.v)
             assert np.array_equal(b1.elastic.bias, b2.elastic.bias)
-        for m1, m2 in zip(s1.masks, s2.masks):
-            assert np.array_equal(m1.logits, m2.logits)
         assert np.array_equal(s1.cert_coeffs, s2.cert_coeffs)
         assert s1.budgets == s2.budgets
-        assert set(s1.opt) == set(s2.opt)
+        assert list(s1.opt) == list(s2.opt)
         for key in s1.opt:
-            o1, o2 = s1.opt[key], s2.opt[key]
-            assert type(o1) is type(o2)
-            if isinstance(o1, dict):
-                for f1 in o1:
-                    if isinstance(o1[f1], np.ndarray):
-                        assert np.array_equal(o1[f1], o2[f1]), key
-                    else:
-                        assert o1[f1] == o2[f1], key
-            else:
-                assert np.array_equal(o1, o2), key
+            assert np.array_equal(s1.opt[key], s2.opt[key]), key
         # the generators continue identically
         a = s1.rng.integers(0, 1 << 30, 8)
         b = s2.rng.integers(0, 1 << 30, 8)
