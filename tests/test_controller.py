@@ -558,6 +558,9 @@ class TestAuditMonotone:
         profiles = [controller.Profile(((1, 4),))] * 2
         with pytest.raises(ValueError, match="metrics"):
             controller.audit_monotone(profiles)
+        audit = controller.audit_monotone(
+            profiles, metrics=lambda i, p: {"latency": float(i)})
+        assert audit.latency_events == 0 and audit.pairs == 1
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="Direction H")
@@ -587,9 +590,6 @@ class TestAuditMonotone:
         audit = controller.audit_monotone(chain, metrics=lambda i, p: {
             "drift": certificate.expected_bound(net, stats, p)})
         assert audit.drift_events == 0
-        audit = controller.audit_monotone(
-            profiles, metrics=lambda i, p: {"latency": float(i)})
-        assert audit.latency_events == 0 and audit.pairs == 1
 
 
 class TestBuildLattice:
