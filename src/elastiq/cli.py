@@ -241,14 +241,14 @@ def cmd_train(args):
     state = None
     if args.resume is not None:
         try:
-            state = train.load_checkpoint(args.resume)
+            state = train.load_checkpoint(args.resume, digest)
         except (OSError, KeyError, ValueError) as exc:
             raise CliError(f"cannot resume: {exc}") from exc
     state, report = train.train_toy(config, args.seed, state=state,
                                     stop_after=args.stop_after)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.npz")
-    train.save_checkpoint(state, ckpt)
+    train.save_checkpoint(state, ckpt, digest)
     metrics_csv = os.path.join(args.out, "metrics.csv")
     train.write_metrics_csv(state.metrics, metrics_csv)
 

@@ -1,18 +1,19 @@
 """Desk-scale training loop for elastic stacks on synthetic data.
 
 Each step runs the full-rank view and a rank-sampled compressed view of
-the same parameters, assembles a five-term objective (task cross-entropy,
-self-distillation, augmentation consistency, a drift cap, and a budget
-proxy), and differentiates it through the shared tape. The compressed
-view truncates every layer to a hard sampled rank; rank sampling anneals
-from uniform toward the deployment profiles, and the regularizer weights
-ramp up linearly. Parameters take SGD-with-momentum steps. Certificate
+the same parameters, assembles a four-term objective (task cross-entropy,
+self-distillation, augmentation consistency and a drift cap), and
+differentiates it through the shared tape. No budget enters training:
+plan and select apply it at serving time. The compressed view truncates
+every layer to a hard sampled rank; rank sampling anneals from uniform
+toward the deployment profiles, and the regularizer weights ramp up
+linearly. Parameters take SGD-with-momentum steps. Certificate
 coefficients are refreshed periodically and smoothed with an EMA; factors
 are re-orthogonalized on a fixed cadence.
 
-Checkpoints serialize every parameter, momentum buffer, and the RNG
-state, so a resumed run reproduces the original loss trajectory bit for
-bit.
+Checkpoints serialize every parameter, momentum buffer, the RNG state
+and the digest of the run's config, so a run resumed under that config
+reproduces the original loss trajectory bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -21,7 +22,7 @@ import json
 
 import numpy as np
 
-from . import certificate, controller, cost, elastic, linalg, network
+from . import certificate, elastic, linalg, network
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,11 @@ class LossWeights:
     self_distill: float = 0.5
     aug_consistency: float = 0.2
     drift_cap: float = 0.2
-    budget: float = 0.3
     epsilon: float = 0.15
     warmup_frac: float = 0.15
 
     def __post_init__(self):
-        for name in ("self_distill", "aug_consistency", "drift_cap",
-                     "budget"):
+        for name in ("self_distill", "aug_consistency", "drift_cap"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.epsilon > 0.0:
@@ -158,19 +157,6 @@ def rank_profile(net, k, bits=None):
     return [(min(k, b.elastic.k_max), bits) for b in net.blocks]
 
 
-class _FixedNoise:
-    """Hands total_loss a pre-drawn augmentation noise block so the
-    per-step draw order stays owned by the loop's generator."""
-
-    def __init__(self, noise):
-        self.noise = noise
-
-    def standard_normal(self, shape):
-        if tuple(shape) != self.noise.shape:
-            raise ValueError("noise shape mismatch")
-        return self.noise
-
-
 @dataclass(frozen=True)
 class LossTerms:
     """Weighted objective contributions; they sum to total exactly."""
@@ -180,13 +166,12 @@ class LossTerms:
     self_distill: float
     aug_consistency: float
     drift_cap: float
-    budget: float
     drift_surrogate: float
 
     def as_dict(self):
         return {"task": self.task, "self_distill": self.self_distill,
                 "aug_consistency": self.aug_consistency,
-                "drift_cap": self.drift_cap, "budget": self.budget}
+                "drift_cap": self.drift_cap}
 
 
 def _fresh_coeffs(net, stats, mode, calib):
@@ -219,21 +204,14 @@ def _drift_surrogate_node(net, entries, comp_leaves, coeffs):
     return total
 
 
-def budget_overshoot(net, entries, cost_model, budget):
-    """Predicted latency over the budget target, hinged at zero."""
-    if budget.latency_target is None:
-        raise ValueError("the budget proxy needs a latency target")
-    rows = cost.profile_costs(net, list(entries))
-    pred = cost.predict(cost_model, rows)
-    return max(0.0, pred / budget.latency_target - 1.0)
-
-
-def total_loss(net, batch, k, weights, *, coeffs, budget=None,
-               cost_model=None, rng=None, aug_sigma=0.05, bits=None):
-    """Five-term objective at sampled rank k, with parameter gradients.
+def total_loss(net, batch, k, weights, *, coeffs, noise=None,
+               aug_sigma=0.05, bits=None):
+    """Four-term objective at sampled rank k, with parameter gradients.
 
     coeffs holds one certificate coefficient (sensitivity x alpha) per
-    layer; the drift cap scales each layer's tail by it.
+    layer; the drift cap scales each layer's tail by it. noise is the
+    standard-normal block, one row per input, that augmentation
+    consistency scales by aug_sigma and adds to the batch.
 
     Returns (LossTerms, grads) where grads is a per-layer list of
     name-to-array gradient dicts covering every tape leaf the step
@@ -272,10 +250,10 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
 
     aug = None
     if weights.aug_consistency > 0.0:
-        if rng is None:
-            raise ValueError("augmentation consistency needs a random "
-                             "generator")
-        x_aug = x + aug_sigma * rng.standard_normal(x.shape)
+        if noise is None or np.shape(noise) != x.shape:
+            raise ValueError("augmentation consistency needs a noise "
+                             "array shaped like the inputs")
+        x_aug = x + aug_sigma * noise
         tr_fa = network.forward_tape(net, x_aug, None)
         tr_ca = network.forward_tape(net, x_aug, entries)
         traces += [tr_fa, tr_ca]
@@ -297,21 +275,12 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
                 weights.drift_cap)
             total = network.v_add(total, cert)
 
-    bud_value = 0.0
-    if weights.budget > 0.0 and budget is not None:
-        if cost_model is None:
-            raise ValueError("the budget proxy needs a cost model")
-        bud_value = weights.budget * budget_overshoot(net, entries,
-                                                      cost_model, budget)
-        total = network.v_shift(total, bud_value)
-
     terms = LossTerms(
         total=float(total.value),
         task=float(task.value),
         self_distill=0.0 if sd is None else float(sd.value),
         aug_consistency=0.0 if aug is None else float(aug.value),
         drift_cap=0.0 if cert is None else float(cert.value),
-        budget=bud_value,
         drift_surrogate=surrogate)
     bad = [name for name, v in (("total", terms.total),
                                 *terms.as_dict().items())
@@ -336,7 +305,9 @@ def total_loss(net, batch, k, weights, *, coeffs, budget=None,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that defines a run except the seed."""
+    """Everything that defines a run except the seed. A checkpoint
+    records the digest of the config that wrote it, and resumes only
+    under that digest."""
 
     dim: int = 16
     hidden: tuple = (32, 32)
@@ -356,16 +327,12 @@ class TrainConfig:
     refresh_every: int = 10
     reortho_every: int = 50
     log_every: int = 10
-    curriculum_frac: float = 1.0 / 3.0
     clip_norm: float = 2.0
-    budget_slack: float = 1.1
     train_bits: int | None = None
     calib_size: int = 64
-    device: str = "synth0"
     calibrated_proxy: bool = True
     divergence_factor: float = 10.0
     divergence_patience: int = 100
-    csv_path: str | None = None
 
     def __post_init__(self):
         if not self.steps >= 1:
@@ -374,8 +341,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if len(self.profiles) != len(self.profile_names):
             raise ValueError("profiles and profile_names must pair up")
-        if not 0.0 <= self.curriculum_frac <= 1.0:
-            raise ValueError("curriculum_frac must be in [0, 1]")
 
     @property
     def anneal_steps(self):
@@ -394,8 +359,6 @@ class TrainState:
     step: int
     net: network.Network
     cert_coeffs: np.ndarray
-    cost_model: cost.CostModel
-    budgets: tuple
     rng: np.random.Generator
     opt: dict
     metrics: list
@@ -413,50 +376,26 @@ class TrainReport:
     violation_rate: dict
     drift_bound: dict
     mean_drift: dict
-    csv_path: str | None
 
 
 _METRIC_FIELDS = ("step", "total", "task", "self_distill",
-                  "aug_consistency", "drift_cap", "budget", "delta_hat",
-                  "gamma", "lam_sd", "lam_aug", "lam_cert", "k",
-                  "budget_index", "phase")
+                  "aug_consistency", "drift_cap", "delta_hat", "gamma",
+                  "lam_sd", "lam_aug", "lam_cert", "k")
 
 
 def _global_k_max(net):
     return max(b.elastic.k_max for b in net.blocks)
 
 
-def _init_cost_and_budgets(config, net, rng_seed):
-    k_top = _global_k_max(net)
-    grid = sorted({int(k) for k in np.linspace(1, k_top, 8)})
-    row_sets = [cost.profile_costs(net, rank_profile(net, k))
-                for k in grid]
-    need = 2 * len(net.blocks) + 1
-    while len(row_sets) < need:
-        row_sets.append(row_sets[-1])
-    table, _ = cost.synth_device_table(row_sets, device=config.device,
-                                       seed=rng_seed)
-    model = cost.fit_cost_model(table, row_sets)
-    budgets = []
-    for k in config.profiles:
-        rows = cost.profile_costs(net, rank_profile(net, k))
-        target = config.budget_slack * cost.predict(model, rows)
-        budgets.append(controller.BudgetToken(
-            device=config.device, latency_target=float(target)))
-    return model, tuple(budgets)
-
-
 def _init_state(config, seed):
     net = build_network(seed, config.dim, config.hidden, config.classes)
-    model, budgets = _init_cost_and_budgets(config, net, seed)
     x_tr, _, _, _ = make_dataset(seed, config.n_train, config.n_eval,
                                  config.dim)
     calib = x_tr[:config.calib_size]
     stats = certificate.calibrate(net, calib)
     coeffs = _fresh_coeffs(net, stats, _proxy_mode(config), calib)
-    return TrainState(step=0, net=net, cert_coeffs=coeffs, cost_model=model,
-                      budgets=budgets, rng=np.random.default_rng(seed),
-                      opt={}, metrics=[])
+    return TrainState(step=0, net=net, cert_coeffs=coeffs,
+                      rng=np.random.default_rng(seed), opt={}, metrics=[])
 
 
 def _sgd_update(opt, key, arr, grad, lr, momentum):
@@ -543,7 +482,7 @@ def train_toy(config, seed, state=None, stop_after=None):
     """Run (or resume) the loop; returns (state, report).
 
     The per-step draw order is fixed: batch indices, rank, augmentation
-    noise, budget pick.
+    noise.
     Resuming from a checkpoint therefore replays the exact trajectory,
     provided the resumed run uses the same config (every schedule
     constant derives from config.steps). stop_after pauses the loop
@@ -557,7 +496,6 @@ def train_toy(config, seed, state=None, stop_after=None):
     w = config.weights
     sampler = RankSampler(1, _global_k_max(state.net),
                           config.anneal_steps, config.profiles)
-    phase_end = int(config.curriculum_frac * config.steps)
     end = config.steps if stop_after is None \
         else min(config.steps, int(stop_after))
     entry_step = state.step
@@ -567,14 +505,7 @@ def train_toy(config, seed, state=None, stop_after=None):
         rng = state.rng
         idx = rng.integers(0, config.n_train, size=config.batch_size)
         k_t = sample_rank(sampler, t, rng)
-        aug_noise = rng.standard_normal(
-            (config.batch_size, config.dim))
-        if t < phase_end:
-            b_idx = len(state.budgets) - 1
-            phase = 1
-        else:
-            b_idx = int(rng.integers(0, len(state.budgets)))
-            phase = 2
+        noise = rng.standard_normal((config.batch_size, config.dim))
 
         lam_sd = lambda_warmup(w.self_distill, t, config.warmup_steps)
         lam_aug = lambda_warmup(w.aug_consistency, t,
@@ -585,8 +516,7 @@ def train_toy(config, seed, state=None, stop_after=None):
 
         terms, grads = total_loss(
             state.net, (x_tr[idx], y_tr[idx]), k_t, eff,
-            coeffs=state.cert_coeffs, budget=state.budgets[b_idx],
-            cost_model=state.cost_model, rng=_FixedNoise(aug_noise),
+            coeffs=state.cert_coeffs, noise=noise,
             aug_sigma=config.aug_sigma, bits=config.train_bits)
 
         grads = _clip_grads(grads, config.clip_norm)
@@ -630,11 +560,10 @@ def train_toy(config, seed, state=None, stop_after=None):
                 "step": t, "total": terms.total, "task": terms.task,
                 "self_distill": terms.self_distill,
                 "aug_consistency": terms.aug_consistency,
-                "drift_cap": terms.drift_cap, "budget": terms.budget,
+                "drift_cap": terms.drift_cap,
                 "delta_hat": terms.drift_surrogate,
                 "gamma": gamma, "lam_sd": lam_sd, "lam_aug": lam_aug,
-                "lam_cert": lam_cert, "k": k_t, "budget_index": b_idx,
-                "phase": phase})
+                "lam_cert": lam_cert, "k": k_t})
 
     if state.step == config.steps and state.step > entry_step:
         # restore the exact-SVD parametrization once the run completes, so
@@ -652,11 +581,9 @@ def train_toy(config, seed, state=None, stop_after=None):
         final_loss=float(last.get("total", float("nan"))),
         final_terms={key: float(last[key]) for key in
                      ("task", "self_distill", "aug_consistency",
-                      "drift_cap", "budget") if key in last},
+                      "drift_cap") if key in last},
         accuracy=accuracy, violation_rate=violation, drift_bound=bound,
-        mean_drift=mean_drift, csv_path=config.csv_path)
-    if config.csv_path:
-        write_metrics_csv(state.metrics, config.csv_path)
+        mean_drift=mean_drift)
     return state, report
 
 
@@ -669,11 +596,10 @@ def write_metrics_csv(metrics, path):
             writer.writerow(row)
 
 
-def save_checkpoint(state, path):
-    """Serialize the full run state to one .npz archive."""
-    arrays = {"cert_coeffs": state.cert_coeffs,
-              "cm_comp": state.cost_model.comp,
-              "cm_mem": state.cost_model.mem}
+def save_checkpoint(state, path, config_digest):
+    """Serialize the full run state, and the digest of the config that
+    produced it, to one .npz archive."""
+    arrays = {"cert_coeffs": state.cert_coeffs}
     layers_meta = []
     for i, blk in enumerate(state.net.blocks):
         lay = blk.elastic
@@ -692,21 +618,13 @@ def save_checkpoint(state, path):
     for j, buf in enumerate(state.opt.values()):
         arrays[f"opt{j}"] = buf
     meta = {
+        "config_digest": config_digest,
         "step": state.step,
         "rng": state.rng.bit_generator.state,
         "initial_loss": state.initial_loss,
         "diverge_streak": state.diverge_streak,
         "metrics": state.metrics,
         "layers": layers_meta,
-        "cost_model": {"device": state.cost_model.device,
-                       "intercept": state.cost_model.intercept,
-                       "r_squared": state.cost_model.r_squared,
-                       "mape_percent": state.cost_model.mape_percent},
-        "budgets": [{"device": b.device,
-                     "latency_target": b.latency_target,
-                     "bytes_target": b.bytes_target,
-                     "energy_target": b.energy_target}
-                    for b in state.budgets],
         "opt_keys": list(state.opt),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
@@ -715,21 +633,23 @@ def save_checkpoint(state, path):
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, config_digest):
     """Rebuild a TrainState saved by save_checkpoint, bit for bit.
 
-    A checkpoint holding rank-mask arrays (l{i}_mask) comes from a trainer
-    with soft rank masks; its parameters, momentum buffers and metrics
-    rows do not fit this loop, so it is refused with a ValueError.
+    Only the config that wrote a checkpoint replays its trajectory, so a
+    checkpoint whose stored digest differs from config_digest, or that
+    stores none (an older trainer wrote it), is refused with a ValueError.
     """
     with np.load(path) as zf:
         data = {key: zf[key] for key in zf.files}
-    stale = sorted(key for key in data if key.endswith("_mask"))
-    if stale:
-        raise ValueError(
-            f"checkpoint holds soft rank-mask arrays ({', '.join(stale)}) "
-            "written by an older trainer; train from scratch")
     meta = json.loads(bytes(data["meta"]).decode())
+    stored = meta.get("config_digest")
+    if stored is None:
+        raise ValueError("checkpoint records no config digest; an older "
+                         "trainer wrote it, so train from scratch")
+    if stored != config_digest:
+        raise ValueError(f"checkpoint was written under config {stored}, "
+                         f"not this run's {config_digest}")
     blocks = []
     for i, lm in enumerate(meta["layers"]):
         lay = elastic.ElasticLayer(
@@ -742,20 +662,11 @@ def load_checkpoint(path):
         blocks.append(network.Block(elastic=lay,
                                     activation=lm["activation"]))
     net = network.Network(tuple(blocks))
-    cm = meta["cost_model"]
-    model = cost.CostModel(device=cm["device"],
-                           intercept=cm["intercept"],
-                           comp=data["cm_comp"], mem=data["cm_mem"],
-                           r_squared=cm["r_squared"],
-                           mape_percent=cm["mape_percent"])
-    budgets = tuple(controller.BudgetToken(**b)
-                    for b in meta["budgets"])
     opt = {key: data[f"opt{j}"] for j, key in enumerate(meta["opt_keys"])}
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]
     return TrainState(step=meta["step"], net=net,
-                      cert_coeffs=data["cert_coeffs"],
-                      cost_model=model, budgets=budgets, rng=rng,
+                      cert_coeffs=data["cert_coeffs"], rng=rng,
                       opt=opt, metrics=meta["metrics"],
                       initial_loss=meta["initial_loss"],
                       diverge_streak=meta["diverge_streak"])

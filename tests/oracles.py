@@ -298,9 +298,8 @@ def greedy_allocation_replay(menus, benefit, groups, objective_of,
 
 
 def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
-                            lam_bud, epsilon, coeffs, x_aug=None,
-                            budget_value=0.0):
-    """Five-term training objective replayed with plain numpy.
+                            epsilon, coeffs, x_aug=None):
+    """Four-term training objective replayed with plain numpy.
 
     Dense SVD stacks only. ranks is the per-layer compressed rank. Returns
     (total, per-term dict) with each term already multiplied by its
@@ -337,8 +336,7 @@ def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
     cert = max(0.0, delta - epsilon)
     terms = {"task": task, "self_distill": lam_sd * sd,
              "aug_consistency": lam_aug * aug,
-             "drift_cap": lam_cert * cert,
-             "budget": lam_bud * budget_value}
+             "drift_cap": lam_cert * cert}
     return sum(terms.values()), terms
 
 

@@ -130,6 +130,10 @@ def test_bad_train_configs_exit_1_with_a_message(tmp_path):
                            "unknown config keys: use_soft_masks"),
                           ({"weights": {"isotonic": 0.1}},
                            "bad loss weights"),
+                          ({"curriculum_frac": 0.5},
+                           "unknown config keys: curriculum_frac"),
+                          ({"weights": {"budget": 0.3}},
+                           "bad loss weights"),
                           ({"hidden": 5},
                            "bad config: 'int' object is not iterable")):
         config = tmp_path / "config.json"
@@ -167,26 +171,49 @@ def test_resumed_training_matches_an_uninterrupted_run(tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
+def _refused_resume(tmp_path, config, checkpoint):
+    """stderr of a resume that must exit 1 with one line and create no
+    output directory."""
+    run = tmp_path / "run"
+    code, out, err = _cli_output("train", "--out", run, "--config", config,
+                                 "--resume", checkpoint)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (run / "model.json").exists()
+    assert not run.exists()
+    return err
+
+
 def test_resume_refuses_a_soft_mask_checkpoint(tmp_path):
-    # checkpoints of the trainer with Gumbel soft rank masks carry
-    # l{i}_mask arrays and a tau metrics column
+    # the trainer with Gumbel soft rank masks wrote l{i}_mask arrays and
+    # recorded no config digest
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"steps": 20}))
     assert _cli("train", "--out", tmp_path / "old", "--config", config,
                 "--stop-after", 10) == cli.EXIT_OK
     with np.load(tmp_path / "old" / "checkpoint.npz") as zf:
         arrays = {key: zf[key] for key in zf.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    del meta["config_digest"]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     arrays["l0_mask"] = np.zeros(16)
     stale = tmp_path / "stale.npz"
     np.savez(stale, **arrays)
-    run = tmp_path / "run"
-    code, out, err = _cli_output("train", "--out", run, "--config", config,
-                                 "--resume", stale)
-    assert (code, out) == (cli.EXIT_ERROR, "")
-    assert err.startswith("error: cannot resume: checkpoint holds soft "
-                          "rank-mask arrays (l0_mask)")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (run / "model.json").exists()
+    err = _refused_resume(tmp_path, config, stale)
+    assert err.startswith("error: cannot resume: checkpoint records no "
+                          "config digest")
+
+
+def test_resume_refuses_a_checkpoint_of_another_config(tmp_path):
+    paused, other = tmp_path / "paused.json", tmp_path / "other.json"
+    paused.write_text(json.dumps({"steps": 60}))
+    other.write_text(json.dumps({"steps": 40, "lr": 0.5}))
+    assert _cli("train", "--out", tmp_path / "old", "--config", paused,
+                "--stop-after", 20) == cli.EXIT_OK
+    err = _refused_resume(tmp_path, other,
+                          tmp_path / "old" / "checkpoint.npz")
+    assert err.startswith("error: cannot resume: checkpoint was written "
+                          "under config ")
 
 
 def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):

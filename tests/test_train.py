@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_softmax
 from scipy.stats import chi2
 
-from elastiq import certificate, controller, cost, network, train
+from elastiq import certificate, network, train
 from oracles import straight_line_objective
 
 
@@ -36,13 +36,12 @@ class TestLossWeights:
         assert 0.3 <= w.self_distill <= 1.0
         assert 0.1 <= w.aug_consistency <= 0.5
         assert 0.05 <= w.drift_cap <= 0.5
-        assert 0.1 <= w.budget <= 1.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             train.LossWeights(self_distill=-0.1)
         with pytest.raises(ValueError, match="non-negative"):
-            train.LossWeights(budget=-1.0)
+            train.LossWeights(drift_cap=-1.0)
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -211,43 +210,21 @@ class TestTotalLoss:
         w = train.LossWeights()
         noise = np.random.default_rng(1).standard_normal(x.shape)
         terms, _ = train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(noise))
+                                    noise=noise)
         assert terms.self_distill == 0.0
         assert terms.aug_consistency == 0.0
         assert terms.drift_cap == 0.0
-        assert terms.budget == 0.0
         assert terms.total == terms.task
         lp = log_softmax(network.forward(net, x).logits, axis=-1)
         ce = -float(np.mean(lp[np.arange(x.shape[0]), y]))
         assert terms.task == pytest.approx(ce, rel=1e-12)
-
-    def test_full_profile_collapse_keeps_budget_term(self):
-        net, x, y, stats, coeffs = _small_setup(0)
-        k = max(b.elastic.k_max for b in net.blocks)
-        grid = sorted({int(g) for g in np.linspace(1, 8, 8)})
-        rows = [cost.profile_costs(net, train.rank_profile(net, g))
-                for g in grid]
-        table, _ = cost.synth_device_table(rows, device="dev", seed=3)
-        cm = cost.fit_cost_model(table, rows)
-        pred = cost.predict(cm, cost.profile_costs(
-            net, train.rank_profile(net, k)))
-        tok = controller.BudgetToken(device="dev",
-                                     latency_target=pred / 3)
-        w = train.LossWeights()
-        noise = np.random.default_rng(1).standard_normal(x.shape)
-        terms, _ = train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    budget=tok, cost_model=cm,
-                                    rng=train._FixedNoise(noise))
-        assert terms.budget == pytest.approx(w.budget * 2.0, rel=1e-12)
-        assert terms.total == pytest.approx(terms.task + terms.budget,
-                                            rel=1e-12)
 
     def test_hinge_exactly_zero_under_tolerance(self):
         net, x, y, stats, coeffs = _small_setup(1)
         w = train.LossWeights(epsilon=1e9)
         noise = np.random.default_rng(1).standard_normal(x.shape)
         terms, _ = train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(noise))
+                                    noise=noise)
         assert terms.drift_cap == 0.0
         assert terms.drift_surrogate > 0.0
 
@@ -258,10 +235,10 @@ class TestTotalLoss:
         w = train.LossWeights(epsilon=0.05)
         noise = np.random.default_rng(77).standard_normal(x.shape)
         terms, _ = train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(noise))
+                                    noise=noise)
         total, parts = straight_line_objective(
             net, x, y, _clamped_ranks(net, k), w.self_distill,
-            w.aug_consistency, w.drift_cap, 0.0, w.epsilon, coeffs,
+            w.aug_consistency, w.drift_cap, w.epsilon, coeffs,
             x_aug=x + 0.05 * noise)
         assert terms.total == pytest.approx(total, rel=1e-10)
         for name in ("task", "self_distill", "aug_consistency",
@@ -279,11 +256,10 @@ class TestTotalLoss:
             certificate.lipschitz_proxy(net), stats.alpha)])
         w = train.LossWeights(epsilon=0.05)
         terms, _ = train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(
-                                        np.zeros((1, 4))))
+                                    noise=np.zeros((1, 4)))
         total, parts = straight_line_objective(
             net, x, y, _clamped_ranks(net, 2), w.self_distill,
-            w.aug_consistency, w.drift_cap, 0.0, w.epsilon, coeffs,
+            w.aug_consistency, w.drift_cap, w.epsilon, coeffs,
             x_aug=x)
         assert terms.total == pytest.approx(total, rel=1e-10)
         z = network.forward(net, x).logits[0]
@@ -295,12 +271,12 @@ class TestTotalLoss:
         w = train.LossWeights(epsilon=0.05)
         noise = np.random.default_rng(4).standard_normal(x.shape)
         terms, _ = train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(noise))
+                                    noise=noise)
         s = sum(terms.as_dict().values()) + terms.task
-        # as_dict holds the four weighted penalty terms, task is separate
+        # as_dict holds all four weighted terms, task included
         assert terms.total == pytest.approx(
             terms.task + terms.self_distill + terms.aug_consistency
-            + terms.drift_cap + terms.budget, rel=1e-12)
+            + terms.drift_cap, rel=1e-12)
         assert s == pytest.approx(terms.total + terms.task, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -312,7 +288,7 @@ class TestTotalLoss:
 
         def run():
             return train.total_loss(net, (x, y), k, w, coeffs=coeffs,
-                                    rng=train._FixedNoise(noise))
+                                    noise=noise)
 
         terms, grads = run()
         # margins: every nondifferentiable switch sits far from the
@@ -350,24 +326,6 @@ class TestTotalLoss:
                     checked += 1
         assert checked >= 40
 
-    def test_budget_overshoot_inside_total(self):
-        net, x, y, stats, coeffs = _small_setup(0)
-        grid = sorted({int(g) for g in np.linspace(1, 8, 8)})
-        rows = [cost.profile_costs(net, train.rank_profile(net, g))
-                for g in grid]
-        table, _ = cost.synth_device_table(rows, device="dev", seed=3)
-        cm = cost.fit_cost_model(table, rows)
-        entries = train.rank_profile(net, 3)
-        pred = cost.predict(cm, cost.profile_costs(net, list(entries)))
-        tok = controller.BudgetToken(device="dev",
-                                     latency_target=pred / 2)
-        w = train.LossWeights(epsilon=0.05)
-        noise = np.random.default_rng(1).standard_normal(x.shape)
-        terms, _ = train.total_loss(net, (x, y), 3, w, coeffs=coeffs,
-                                    budget=tok, cost_model=cm,
-                                    rng=train._FixedNoise(noise))
-        assert terms.budget == pytest.approx(w.budget * 1.0, rel=1e-12)
-
     def test_non_finite_loss_aborts(self):
         net, x, y, stats, coeffs = _small_setup(0)
         net.blocks[0].elastic.factors.u[0, 0] = np.inf
@@ -376,11 +334,11 @@ class TestTotalLoss:
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite"):
                 train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
-                                 rng=train._FixedNoise(noise))
+                                 noise=noise)
 
     def test_augmentation_requires_generator(self):
         net, x, y, stats, coeffs = _small_setup(0)
-        with pytest.raises(ValueError, match="random generator"):
+        with pytest.raises(ValueError, match="noise array"):
             train.total_loss(net, (x, y), 2,
                              train.LossWeights(epsilon=0.05),
                              coeffs=coeffs)
@@ -392,17 +350,7 @@ class TestTotalLoss:
         with pytest.raises(TypeError, match="coeffs"):
             train.total_loss(net, (x, y), 2,
                              train.LossWeights(epsilon=0.05),
-                             rng=train._FixedNoise(noise))
-
-    def test_budget_requires_cost_model(self):
-        net, x, y, stats, coeffs = _small_setup(0)
-        tok = controller.BudgetToken(device="dev", latency_target=1.0)
-        noise = np.random.default_rng(1).standard_normal(x.shape)
-        with pytest.raises(ValueError, match="cost model"):
-            train.total_loss(net, (x, y), 2,
-                             train.LossWeights(epsilon=0.05),
-                             coeffs=coeffs, budget=tok,
-                             rng=train._FixedNoise(noise))
+                             noise=noise)
 
     def test_bad_batch_shape_rejected(self):
         net, x, y, stats, coeffs = _small_setup(0)
@@ -410,42 +358,6 @@ class TestTotalLoss:
             train.total_loss(net, (x, y[:-1]), 2,
                              train.LossWeights(epsilon=0.05),
                              coeffs=coeffs)
-
-
-class TestBudgetOvershoot:
-    def _model(self, net):
-        grid = sorted({int(g) for g in np.linspace(1, 8, 8)})
-        rows = [cost.profile_costs(net, train.rank_profile(net, g))
-                for g in grid]
-        table, _ = cost.synth_device_table(rows, device="dev", seed=3)
-        return cost.fit_cost_model(table, rows)
-
-    def test_loose_budget_is_zero(self):
-        net = train.build_network(0, dim=6, hidden=(8,), classes=3)
-        cm = self._model(net)
-        entries = train.rank_profile(net, 3)
-        pred = cost.predict(cm, cost.profile_costs(net, list(entries)))
-        tok = controller.BudgetToken(device="dev",
-                                     latency_target=pred * 2)
-        assert train.budget_overshoot(net, entries, cm, tok) == 0.0
-
-    def test_tight_budget_matches_replay(self):
-        net = train.build_network(0, dim=6, hidden=(8,), classes=3)
-        cm = self._model(net)
-        entries = train.rank_profile(net, 3)
-        pred = cost.predict(cm, cost.profile_costs(net, list(entries)))
-        tok = controller.BudgetToken(device="dev",
-                                     latency_target=pred / 2)
-        got = train.budget_overshoot(net, entries, cm, tok)
-        assert got == pytest.approx(pred / (pred / 2) - 1.0, rel=1e-12)
-
-    def test_needs_latency_target(self):
-        net = train.build_network(0, dim=6, hidden=(8,), classes=3)
-        cm = self._model(net)
-        tok = controller.BudgetToken(device="dev", bytes_target=10 ** 9)
-        with pytest.raises(ValueError, match="latency target"):
-            train.budget_overshoot(net, train.rank_profile(net, 3), cm,
-                                   tok)
 
 
 class TestSchedules:
@@ -469,18 +381,6 @@ class TestSchedules:
                 train.lambda_warmup(w.drift_cap, t, cfg.warmup_steps),
                 rel=1e-12)
 
-    def test_curriculum_phases(self):
-        cfg = replace(train.TrainConfig(), steps=60, log_every=1)
-        state, _ = train.train_toy(cfg, 3407)
-        phase_end = int(cfg.curriculum_frac * cfg.steps)
-        for row in state.metrics:
-            if row["step"] < phase_end:
-                assert row["phase"] == 1
-                # loosest budget is the last one
-                assert row["budget_index"] == len(cfg.profiles) - 1
-            else:
-                assert row["phase"] == 2
-
     def test_rank_support_after_anneal(self):
         cfg = replace(train.TrainConfig(), steps=90, log_every=1)
         state, _ = train.train_toy(cfg, 3407)
@@ -503,8 +403,8 @@ class TestTrainToy:
         sa, ra = train.train_toy(cfg, 3407)
         s1, _ = train.train_toy(cfg, 3407, stop_after=30)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path)
-        s2 = train.load_checkpoint(path)
+        train.save_checkpoint(s1, path, "cfg")
+        s2 = train.load_checkpoint(path, "cfg")
         s3, r3 = train.train_toy(cfg, 3407, state=s2)
         rows_a = [r for r in sa.metrics if r["step"] >= 30]
         rows_b = [r for r in s3.metrics if r["step"] >= 30]
@@ -528,9 +428,9 @@ class TestTrainToy:
 
     def test_csv_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        cfg = replace(train.TrainConfig(), steps=30, csv_path=path)
-        state, report = train.train_toy(cfg, 3407)
-        assert report.csv_path == path
+        cfg = replace(train.TrainConfig(), steps=30)
+        state, _ = train.train_toy(cfg, 3407)
+        train.write_metrics_csv(state.metrics, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(train._METRIC_FIELDS)
@@ -590,8 +490,8 @@ class TestCheckpoint:
         cfg = replace(train.TrainConfig(), steps=25)
         s1, _ = train.train_toy(cfg, 11, stop_after=25)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path)
-        s2 = train.load_checkpoint(path)
+        train.save_checkpoint(s1, path, "cfg")
+        s2 = train.load_checkpoint(path, "cfg")
         assert s2.step == s1.step
         for b1, b2 in zip(s1.net.blocks, s2.net.blocks):
             assert np.array_equal(b1.elastic.factors.u,
@@ -602,7 +502,6 @@ class TestCheckpoint:
                                   b2.elastic.factors.v)
             assert np.array_equal(b1.elastic.bias, b2.elastic.bias)
         assert np.array_equal(s1.cert_coeffs, s2.cert_coeffs)
-        assert s1.budgets == s2.budgets
         assert list(s1.opt) == list(s2.opt)
         for key in s1.opt:
             assert np.array_equal(s1.opt[key], s2.opt[key]), key
@@ -615,8 +514,8 @@ class TestCheckpoint:
         cfg = replace(train.TrainConfig(), steps=30)
         s1, _ = train.train_toy(cfg, 5, stop_after=15)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path)
-        s2 = train.load_checkpoint(path)
+        train.save_checkpoint(s1, path, "cfg")
+        s2 = train.load_checkpoint(path, "cfg")
         assert s2.initial_loss == s1.initial_loss
         assert s2.diverge_streak == s1.diverge_streak
         assert s2.metrics == s1.metrics
