@@ -11,10 +11,11 @@ its calibration-set RMS gives the expected-drift aggregate.
 Two sensitivity proxies are available, named by the mode strings the
 manifests and ``certify --mode`` use. ``CONSERVATIVE`` multiplies
 per-block Lipschitz bounds and is a guarantee: for any profile, observed
-drift never exceeds the pointwise bound. ``SAMPLED`` power-iterates the
-exact downstream Jacobian at calibration inputs and smooths the
-estimates with an exponential moving average; it is tighter but can
-undershoot, so nothing downstream treats it as certified.
+drift never exceeds the pointwise bound. ``SAMPLED`` takes the exact
+downstream Jacobians at calibration inputs from one ``network.forward``
+and one ``network.backward`` sweep seeded with the identity, power-iterates
+each, and smooths the estimates with an exponential moving average; it is
+tighter but can undershoot, so nothing downstream treats it as certified.
 
 Tail gains are evaluated at both the stored and the compressed weights and
 the larger is used. Truncation alone cannot grow a spectral norm here, but
@@ -179,29 +180,12 @@ def _conservative_multipliers(net, stored, entries=None):
 def _tail_jacobians(net, xs):
     """Exact Jacobians of the logits w.r.t. the signal just after each
     block's weight multiply, full stored weights, at a (rows, features)
-    batch: one (rows, logits, width) stack per block, accumulated in one
-    sweep from the logits back to the first block."""
+    batch: one (rows, logits, width) stack per block, from network.backward
+    seeded with the identity."""
     tr = network.forward(net, xs, None)
-    jacs = [None] * len(net.blocks)
-    # d logits / d (output of block j), starting at the logits themselves
-    head = np.eye(tr.logits.shape[1])
-    for j in reversed(range(len(net.blocks))):
-        blk = net.blocks[j]
-        lay = blk.elastic
-        w = elastic.effective_weight(lay, lay.k_max)
-        u = tr.inputs[j] @ w.T
-        if lay.bias is not None:
-            u = u + lay.bias
-        scale = 1.0
-        z = u
-        if blk.gamma is not None:
-            scale = blk.gamma
-            z = scale * u + blk.beta
-        d = network._act_grad(blk.activation, z) * scale
-        jacs[j] = head * d[:, None, :]
-        down = jacs[j] @ w
-        head = down + head if blk.residual else down
-    return jacs
+    rows, c = tr.logits.shape
+    return network.backward(net, tr, None,
+                            np.broadcast_to(np.eye(c), (rows, c, c)))
 
 
 def _jacobian_norm_estimates(jac, steps):

@@ -224,7 +224,7 @@ def _load_train_config(path):
     if "weights" in data:
         try:
             data["weights"] = train.LossWeights(**data["weights"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
     try:
         for name in _TUPLE_FIELDS:
@@ -241,14 +241,14 @@ def cmd_train(args):
     state = None
     if args.resume is not None:
         try:
-            state = train.load_checkpoint(args.resume, digest)
+            state = train.load_checkpoint(args.resume, digest, args.seed)
         except (OSError, KeyError, ValueError) as exc:
             raise CliError(f"cannot resume: {exc}") from exc
     state, report = train.train_toy(config, args.seed, state=state,
                                     stop_after=args.stop_after)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.npz")
-    train.save_checkpoint(state, ckpt, digest)
+    train.save_checkpoint(state, ckpt, digest, args.seed)
     metrics_csv = os.path.join(args.out, "metrics.csv")
     train.write_metrics_csv(state.metrics, metrics_csv)
 
@@ -680,7 +680,8 @@ def build_parser():
     p.add_argument("--stop-after", type=int, default=None,
                    help="pause after this many steps (checkpoint resumes)")
     p.add_argument("--resume", default=None, metavar="CKPT",
-                   help="resume from a checkpoint (same config required)")
+                   help="resume from a checkpoint (same config and seed "
+                        "required)")
     _add_seed(p)
     p.set_defaults(func=cmd_train)
 
@@ -773,8 +774,8 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (manifest.ManifestError, RuntimeError, OSError,
-            ValueError) as exc:
+    except (manifest.ManifestError, RuntimeError, OSError, ValueError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

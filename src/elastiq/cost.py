@@ -125,15 +125,10 @@ def profile_costs(net, profile, spatial=None):
 
 @dataclass(frozen=True)
 class DeviceTable:
-    """Per-profile latency (and optional energy) measurements.
-
-    Synthesized tables carry the noise model they were drawn from;
-    imported ones carry None.
-    """
+    """Per-profile latency (and optional energy) measurements."""
 
     device: str
     entries: tuple
-    noise_model: dict | None = None
 
     def __post_init__(self):
         for pid, lat, energy in self.entries:
@@ -179,10 +174,7 @@ def synth_device_table(cost_rows, device="synthetic-device", seed=0):
         lat *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
         en *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
         entries.append((f"p{i:04d}", float(lat), float(en)))
-    table = DeviceTable(
-        device=device, entries=tuple(entries),
-        noise_model={"kind": "lognormal", "sigma": _SYNTH_NOISE_SIGMA,
-                     "seed": int(seed)})
+    table = DeviceTable(device=device, entries=tuple(entries))
     planted = {"intercept": float(intercept),
                "comp": tuple(float(v) for v in comp),
                "mem": tuple(float(v) for v in mem)}
@@ -303,7 +295,7 @@ def predict(model, cost_row):
 
 def write_device_table(table, path):
     """CSV export: header profile_id,latency_ms,energy_mj; energy blank
-    when absent. Device id and noise model are not part of the format."""
+    when absent. The device id is not part of the format."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["profile_id", "latency_ms", "energy_mj"])

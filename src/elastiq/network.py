@@ -1,31 +1,29 @@
-"""Feed-forward execution and reverse-mode gradients at desk scale.
+"""Feed-forward execution and its reverse sweep at desk scale.
 
-Two forward paths share one block semantics (linear map, optional bias,
-optional frozen affine norm, activation, optional skip connection):
+One forward pass carries the block semantics (linear map, optional bias,
+optional frozen affine norm, activation, optional skip connection), and
+one reverse sweep differentiates it:
 
 * ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan and
-  records each block's input. Each layer runs staged through its served
-  factor slices when ``elastic.runs_staged`` says that takes fewer FLOPs,
-  otherwise through the rebuilt weight: dense layers as
-  ``((x @ v) * sigma) @ u.T`` or one matmul, conv layers on channel-last
-  maps with one GEMM per kernel tap, staged through the Tucker-2 factors
-  (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
-  rebuilt kernel.
-* ``forward_tape`` builds the same computation for dense stacks on a small
-  reverse-mode tape at hard truncation ranks; ``backprop`` from a loss
-  node then leaves gradients on the trace's leaves: factors, biases and
-  norm parameters.
-
-The tape covers a fixed operator vocabulary: add, multiply, matmul, permute,
-reshape, narrow, gather, the activations, reductions, log-softmax, and a
-straight-through quantizer.
+  records each block's input and, in a dense stack, its post-norm
+  pre-activation. Each layer runs staged through its served factor slices
+  when ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise
+  through the rebuilt weight: dense layers as ``((x @ v) * sigma) @ u.T``
+  or one matmul, conv layers on channel-last maps with one GEMM per kernel
+  tap, staged through the Tucker-2 factors (1x1 reduce, spatial conv with
+  the core, 1x1 expand) or through the rebuilt kernel.
+* ``backward`` walks a dense stack's forward trace from the logits back
+  and returns, per block, the derivative at the signal right after the
+  weight multiply. Seeded with the identity it gives the Jacobians of the
+  logits; seeded with a loss's logit gradient it gives the gradient the
+  trainer turns into factor and bias gradients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import elastic, linalg, quant
+from . import elastic, linalg
 
 RELU = "relu"
 GELU = "gelu"
@@ -37,155 +35,6 @@ GELU_LIPSCHITZ = 1.1
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-# ---------------------------------------------------------------------------
-# reverse-mode tape
-
-
-class Var:
-    """Tape node: float64 value, accumulated gradient, parent links."""
-
-    __slots__ = ("value", "grad", "parents", "_backward")
-
-    def __init__(self, value, parents=(), backward=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.parents = tuple(parents)
-        self._backward = backward
-
-
-def _acc(node, g):
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
-
-
-def _unbroadcast(g, shape):
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def backprop(root, seed=None):
-    """Accumulate gradients of root into every reachable node."""
-    topo, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    if seed is None:
-        seed = np.ones_like(root.value)
-    seed = np.asarray(seed, dtype=np.float64)
-    if seed.shape != root.value.shape:
-        raise ValueError("seed shape does not match root value")
-    root.grad = seed.copy()
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-
-
-def v_add(a, b):
-    out = Var(a.value + b.value, (a, b))
-    def bk(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(g, b.value.shape))
-    out._backward = bk
-    return out
-
-
-def v_mul(a, b):
-    out = Var(a.value * b.value, (a, b))
-    def bk(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
-    out._backward = bk
-    return out
-
-
-def v_scale(a, c):
-    c = float(c)
-    out = Var(a.value * c, (a,))
-    out._backward = lambda g: _acc(a, g * c)
-    return out
-
-
-def v_shift(a, c):
-    out = Var(a.value + float(c), (a,))
-    out._backward = lambda g: _acc(a, g)
-    return out
-
-
-def v_sub(a, b):
-    return v_add(a, v_scale(b, -1.0))
-
-
-def v_matmul(a, b):
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul nodes must be 2-D")
-    out = Var(a.value @ b.value, (a, b))
-    def bk(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
-    out._backward = bk
-    return out
-
-
-def v_permute(a, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = Var(a.value.transpose(axes), (a,))
-    out._backward = lambda g: _acc(a, g.transpose(inv))
-    return out
-
-
-def v_t(a):
-    return v_permute(a, (1, 0))
-
-
-def v_reshape(a, shape):
-    shape = tuple(shape)
-    out = Var(a.value.reshape(shape), (a,))
-    out._backward = lambda g: _acc(a, g.reshape(a.value.shape))
-    return out
-
-
-def v_narrow(a, k, axis):
-    """First k entries along one axis; gradient zero-pads the rest."""
-    idx = tuple(slice(None) if i != axis else slice(0, k)
-                for i in range(a.value.ndim))
-    out = Var(a.value[idx], (a,))
-    def bk(g):
-        full = np.zeros_like(a.value)
-        full[idx] = g
-        _acc(a, full)
-    out._backward = bk
-    return out
-
-
-def v_gather(a, indices):
-    if a.value.ndim != 1:
-        raise ValueError("gather expects a vector node")
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Var(a.value[idx], (a,))
-    def bk(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        _acc(a, full)
-    out._backward = bk
-    return out
 
 
 def _gelu_gate(x):
@@ -212,58 +61,6 @@ def _act_grad(name, x):
         phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return 0.5 * _gelu_gate(x) + x * phi
     return np.ones_like(x)
-
-
-def _v_activation(a, name):
-    out = Var(_act_value(name, a.value), (a,))
-    out._backward = lambda g: _acc(a, g * _act_grad(name, a.value))
-    return out
-
-
-def v_relu(a):
-    return _v_activation(a, RELU)
-
-
-def v_gelu(a):
-    return _v_activation(a, GELU)
-
-
-def v_exp(a):
-    y = np.exp(a.value)
-    out = Var(y, (a,))
-    out._backward = lambda g: _acc(a, g * y)
-    return out
-
-
-def v_sum(a):
-    out = Var(np.sum(a.value), (a,))
-    out._backward = lambda g: _acc(a, np.broadcast_to(g, a.value.shape))
-    return out
-
-
-def v_max(a):
-    """Max over all entries; subgradient goes to the first argmax."""
-    flat_idx = int(np.argmax(a.value))
-    out = Var(np.max(a.value), (a,))
-    def bk(g):
-        full = np.zeros_like(a.value)
-        full.flat[flat_idx] = g
-        _acc(a, full)
-    out._backward = bk
-    return out
-
-
-def v_log_softmax(a, axis=-1):
-    x = a.value
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Var(y, (a,))
-    def bk(g):
-        _acc(a, g - np.exp(y) * np.sum(g, axis=axis, keepdims=True))
-    out._backward = bk
-    return out
 
 
 def _conv_same_value(x, k):
@@ -333,26 +130,11 @@ def _conv_layer_value(layer, k, q, x):
     return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
 
 
-def v_quant_ste(t, bits):
-    """Symmetric per-tensor quantize-dequantize, differentiated straight
-    through.
-
-    Forward is quant.round_trip at `bits`; backward passes upstream to t
-    unchanged. The scale comes from t itself, so every entry is in range
-    and the straight-through estimator is the identity.
-    """
-    out = Var(quant.round_trip(t.value, bits), (t,))
-    out._backward = lambda g: _acc(t, g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # network structure
 
 
 _ACT_LIPSCHITZ = {RELU: 1.0, IDENTITY: 1.0, GELU: GELU_LIPSCHITZ}
-
-_ACT_NODE = {RELU: v_relu, GELU: v_gelu, IDENTITY: lambda a: a}
 
 
 @dataclass(frozen=True)
@@ -421,16 +203,14 @@ class Network:
 
 @dataclass
 class ForwardTrace:
-    """Per-block inputs plus the final logits.
-
-    Traces built by forward_tape also carry the gradient tape: the logits
-    node and, per layer, the leaf nodes backprop leaves gradients on.
-    """
+    """Per-block inputs and post-norm pre-activations, plus the final
+    logits. inputs and logits drop the batch axis of a single input; pre
+    keeps it, as backward reads it. pre is empty for conv stacks, which
+    backward does not cover: keeping their maps slowed batch serving."""
 
     inputs: list
+    pre: list
     logits: np.ndarray
-    _z: Var | None = field(default=None, repr=False)
-    _leaves: list | None = field(default=None, repr=False)
 
 
 def _factor_arrays(layer):
@@ -483,28 +263,61 @@ def forward(net, x, profile=None):
     """
     entries = _normalize_profile(net, profile)
     a, single = _promote_input(net, x)
-    inputs = []
+    inputs, pres = [], []
     for blk, (k, q) in zip(net.blocks, entries):
         inputs.append(a[0] if single else a)
+        # the layer value is a fresh array, so bias and norm apply in
+        # place; a dense trace keeps pre for backward, and allocating one
+        # array less per block offsets that in batch serving
         if blk.is_conv:
             pre = _conv_layer_value(blk.elastic, k, q, a)
             if blk.elastic.bias is not None:
-                pre = pre + blk.elastic.bias[:, None, None]
+                pre += blk.elastic.bias[:, None, None]
             if blk.gamma is not None:
-                pre = (pre * blk.gamma[:, None, None]
-                       + blk.beta[:, None, None])
+                pre *= blk.gamma[:, None, None]
+                pre += blk.beta[:, None, None]
         else:
             pre = _dense_layer_value(blk.elastic, k, q, a)
             if blk.elastic.bias is not None:
-                pre = pre + blk.elastic.bias
+                pre += blk.elastic.bias
             if blk.gamma is not None:
-                pre = pre * blk.gamma + blk.beta
+                pre *= blk.gamma
+                pre += blk.beta
+            pres.append(pre)
         h = _act_value(blk.activation, pre)
         if blk.residual:
             h = h + a
         a = h
     logits = a[0] if single else a
-    return ForwardTrace(inputs=inputs, logits=logits)
+    return ForwardTrace(inputs=inputs, pre=pres, logits=logits)
+
+
+def backward(net, trace, profile, seed):
+    """Reverse sweep of a dense stack through a batched forward trace.
+
+    seed is a derivative with respect to the logits with one extra axis,
+    (rows, m, classes): the identity per row for the Jacobians, or a
+    loss's logit gradient as (rows, 1, classes). profile must be the one
+    trace was run under. Returns, per block, the (rows, m, width)
+    derivative at the signal right after the block's weight multiply,
+    carried upstream through each block's weight at its (k, q) entry.
+    """
+    if net.blocks[0].is_conv:
+        raise ValueError("backward covers dense stacks only")
+    entries = _normalize_profile(net, profile)
+    head = np.asarray(seed, dtype=np.float64)
+    grads = [None] * len(net.blocks)
+    for j in reversed(range(len(net.blocks))):
+        blk = net.blocks[j]
+        d = _act_grad(blk.activation, trace.pre[j])
+        if blk.gamma is not None:
+            d = d * blk.gamma
+        grads[j] = head * d[:, None, :]
+        if j:
+            down = grads[j] @ elastic.effective_weight(blk.elastic,
+                                                       *entries[j])
+            head = down + head if blk.residual else down
+    return grads
 
 
 def logit_drift(net, x, profile):
@@ -550,51 +363,3 @@ def weight_gain(w):
     if w.ndim != 2:
         raise ValueError("weight must be 2-d or 4-d")
     return float(linalg.spectral_norm(w))
-
-
-# ---------------------------------------------------------------------------
-# differentiable forward
-
-
-def _tape_quant(nodes, bits):
-    """The (u, core, v) nodes through the straight-through quantizer at
-    their widths; a node whose width is None passes."""
-    return [node if b is None else v_quant_ste(node, int(b))
-            for node, b in zip(nodes, bits)]
-
-
-def forward_tape(net, x, profile=None):
-    """Differentiable forward pass of a dense stack under a hard per-layer
-    (rank, bits) plan; returns a trace whose logits node backprop seeds."""
-    if net.blocks[0].is_conv:
-        raise ValueError("forward_tape covers dense stacks only")
-    entries = _normalize_profile(net, profile)
-    a_np, single = _promote_input(net, x)
-    a = Var(a_np)
-    leaves, inputs = [], []
-    for blk, (k, q) in zip(net.blocks, entries):
-        lay = blk.elastic
-        bits = elastic._split_bits(q)
-        ld = {nm: Var(arr) for nm, arr in _factor_arrays(lay)}
-        uk = v_narrow(ld["u"], k, 1)
-        sk = v_narrow(ld["core"], k, 0)
-        vk = v_narrow(ld["v"], k, 1)
-        uk, sk, vk = _tape_quant((uk, sk, vk), bits)
-        w = v_matmul(v_mul(uk, sk), v_t(vk))
-
-        inputs.append(a.value[0] if single else a.value)
-        pre = v_matmul(a, v_t(w))
-        if lay.bias is not None:
-            ld["bias"] = Var(lay.bias)
-            pre = v_add(pre, ld["bias"])
-        if blk.gamma is not None:
-            ld["gamma"] = Var(blk.gamma)
-            ld["beta"] = Var(blk.beta)
-            pre = v_add(v_mul(pre, ld["gamma"]), ld["beta"])
-        h = _ACT_NODE[blk.activation](pre)
-        if blk.residual:
-            h = v_add(h, a)
-        leaves.append(ld)
-        a = h
-    z = v_reshape(a, a.value.shape[1:]) if single else a
-    return ForwardTrace(inputs=inputs, logits=z.value, _z=z, _leaves=leaves)

@@ -7,10 +7,12 @@ formula, clip(round(T/s), -g, g) with .5 ties to even. Served values are
 code * s.
 
 Training differentiates the quantizer straight through, as the identity:
-each tensor's scale is calibrated from that tensor, so no entry lies
-outside the grid and the in-range mask of the straight-through estimator
-is all true. The scale is recalibrated on every call rather than learned,
-so it carries no gradient.
+the trainer (``train.total_loss``) hands the gradient of each served,
+quantized factor slice to the stored factor unchanged. That is exact for
+the straight-through estimator here: each tensor's scale is calibrated
+from that tensor, so no entry lies outside the grid and the estimator's
+in-range mask is all true. The scale is recalibrated on every call rather
+than learned, so it carries no gradient.
 """
 
 from __future__ import annotations

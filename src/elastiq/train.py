@@ -1,28 +1,43 @@
 """Desk-scale training loop for elastic stacks on synthetic data.
 
 Each step runs the full-rank view and a rank-sampled compressed view of
-the same parameters, assembles a four-term objective (task cross-entropy,
-self-distillation, augmentation consistency and a drift cap), and
-differentiates it through the shared tape. No budget enters training:
-plan and select apply it at serving time. The compressed view truncates
+the same parameters through network.forward, on the batch and on an
+augmented copy, and assembles a four-term objective (task cross-entropy,
+self-distillation, augmentation consistency and a drift cap). Its
+gradient at each view's logits is written out in numpy, carried back
+through the blocks by one network.backward sweep, and turned into factor
+and bias gradients of the served slices; a quantized slice's gradient
+passes to the stored factor unchanged. No budget enters training: plan
+and select apply it at serving time. The compressed view truncates
 every layer to a hard sampled rank; rank sampling anneals from uniform
 toward the deployment profiles, and the regularizer weights ramp up
 linearly. Parameters take SGD-with-momentum steps. Certificate
 coefficients are refreshed periodically and smoothed with an EMA; factors
 are re-orthogonalized on a fixed cadence.
 
-Checkpoints serialize every parameter, momentum buffer, the RNG state
-and the digest of the run's config, so a run resumed under that config
-reproduces the original loss trajectory bit for bit.
+Checkpoints serialize every parameter, momentum buffer, the RNG state,
+the digest of the run's config and its seed, so a run resumed under that
+config and seed reproduces the original loss trajectory bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 
 from . import certificate, elastic, linalg, network
+
+
+def _is_number(v, integer=False):
+    """True for an int, or a float unless integer is set, that a float64
+    holds finitely; bools are neither."""
+    kinds = (int, np.integer) if integer \
+        else (int, float, np.integer, np.floating)
+    return isinstance(v, kinds) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,11 @@ class LossWeights:
     warmup_frac: float = 0.15
 
     def __post_init__(self):
+        for name in ("self_distill", "aug_consistency", "drift_cap",
+                     "epsilon", "warmup_frac"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got "
+                                 f"{getattr(self, name)!r}")
         for name in ("self_distill", "aug_consistency", "drift_cap"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -179,29 +199,53 @@ def _fresh_coeffs(net, stats, mode, calib):
     return np.array([sens * alpha for sens, _, alpha in rows])
 
 
-def _kl_node(logp_teacher, logp_student, batch_size):
-    p = network.v_exp(logp_teacher)
-    gap = network.v_sub(logp_teacher, logp_student)
-    return network.v_scale(network.v_sum(network.v_mul(p, gap)),
-                           1.0 / batch_size)
+def _log_softmax(z):
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _drift_surrogate_node(net, entries, comp_leaves, coeffs):
-    """Tape node for the certified-drift stand-in: per layer, the largest
-    tail factor magnitude past the served rank, scaled by the EMA
-    certificate coefficient. Empty tails contribute nothing."""
-    total = None
-    for i, (blk, (k, _)) in enumerate(zip(net.blocks, entries)):
-        k_max = blk.elastic.k_max
-        if k >= k_max:
-            continue
-        core = comp_leaves[i]["core"]
-        tail = network.v_gather(core, np.arange(k, k_max))
-        mag = network.v_add(network.v_relu(tail),
-                            network.v_relu(network.v_scale(tail, -1.0)))
-        term = network.v_scale(network.v_max(mag), float(coeffs[i]))
-        total = term if total is None else network.v_add(total, term)
-    return total
+def _log_softmax_grad(g, logp):
+    """Gradient at the logits from g, the gradient at log_softmax's
+    output logp."""
+    return g - np.exp(logp) * np.sum(g, axis=-1, keepdims=True)
+
+
+def _kl(logp_teacher, logp_student, scale):
+    """scale x KL(teacher || student) summed over rows, with its gradients
+    at both log-probabilities; the teacher is not detached."""
+    p = np.exp(logp_teacher)
+    gap = logp_teacher - logp_student
+    sp = scale * p
+    return float(np.sum(p * gap)) * scale, sp * gap + sp, -sp
+
+
+def _layer_grads(net, trace, entries, dlogits):
+    """u/core/v/bias gradients of one view from the loss's logit gradient.
+
+    Each block's gradient after its weight multiply gives the gradient of
+    the served weight u diag(core) v^T; its (k, q) slices differentiate
+    that product, and each slice's gradient passes to the stored factor
+    unchanged (the identity straight-through estimator), zero past rank
+    k.
+    """
+    out = []
+    for blk, (k, q), a, g in zip(
+            net.blocks, entries, trace.inputs,
+            network.backward(net, trace, entries, dlogits[:, None, :])):
+        g = g[:, 0, :]
+        lay = blk.elastic
+        u, core, v = elastic._served_slices(lay, k, q)
+        gw = g.T @ a
+        gus = gw @ v
+        grads = {name: np.zeros_like(arr)
+                 for name, arr in network._factor_arrays(lay)}
+        grads["u"][:, :k] = gus * core
+        grads["core"][:k] = np.sum(gus * u, axis=0)
+        grads["v"][:, :k] = gw.T @ (u * core)
+        if lay.bias is not None:
+            grads["bias"] = np.sum(g, axis=0)
+        out.append(grads)
+    return out
 
 
 def total_loss(net, batch, k, weights, *, coeffs, noise=None,
@@ -213,11 +257,11 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
     standard-normal block, one row per input, that augmentation
     consistency scales by aug_sigma and adds to the batch.
 
-    Returns (LossTerms, grads) where grads is a per-layer list of
-    name-to-array gradient dicts covering every tape leaf the step
-    touched (factors, bias, norm parameters). The
-    compressed view shares arrays with the full view, so both tapes'
-    contributions are summed. Any non-finite term aborts the step.
+    Each view (full and compressed, on the batch and on its augmented
+    copy) runs through network.forward; the objective's gradient at its
+    logits goes through network.backward. Returns (LossTerms, grads)
+    where grads is a per-layer dict of u, core, v and bias gradients,
+    summed over the views. Any non-finite term aborts the step.
     """
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
@@ -226,62 +270,55 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
         raise ValueError("batch must be (inputs, labels) with one label "
                          "per row")
     entries = rank_profile(net, k, bits)
+    full = network.resolve_profile(net, None)
     b_sz = x.shape[0]
 
-    traces = []
-    tr_full = network.forward_tape(net, x, None)
-    tr_comp = network.forward_tape(net, x, entries)
-    traces += [tr_full, tr_comp]
-    logp_f = network.v_log_softmax(tr_full._z, axis=-1)
-    logp_c = network.v_log_softmax(tr_comp._z, axis=-1)
-
-    onehot = np.zeros((b_sz, net.blocks[-1].elastic.out_features))
+    tr_full = network.forward(net, x, full)
+    logp_f = _log_softmax(tr_full.logits)
+    onehot = np.zeros_like(logp_f)
     onehot[np.arange(b_sz), y] = 1.0
-    task = network.v_scale(
-        network.v_sum(network.v_mul(network.Var(onehot), logp_f)),
-        -1.0 / b_sz)
-    total = task
+    task = float(np.sum(onehot * logp_f)) * (-1.0 / b_sz)
+    g_f = onehot * (-1.0 / b_sz)
+    # (trace, profile, log-probabilities, loss gradient at them) per view
+    views = [(tr_full, full, logp_f, g_f)]
 
-    sd = None
+    sd = 0.0
     if weights.self_distill > 0.0:
-        sd = network.v_scale(_kl_node(logp_f, logp_c, b_sz),
-                             weights.self_distill)
-        total = network.v_add(total, sd)
+        tr_comp = network.forward(net, x, entries)
+        logp_c = _log_softmax(tr_comp.logits)
+        sd, g_t, g_s = _kl(logp_f, logp_c, weights.self_distill / b_sz)
+        g_f += g_t
+        views.append((tr_comp, entries, logp_c, g_s))
 
-    aug = None
+    aug = 0.0
     if weights.aug_consistency > 0.0:
         if noise is None or np.shape(noise) != x.shape:
             raise ValueError("augmentation consistency needs a noise "
                              "array shaped like the inputs")
         x_aug = x + aug_sigma * noise
-        tr_fa = network.forward_tape(net, x_aug, None)
-        tr_ca = network.forward_tape(net, x_aug, entries)
-        traces += [tr_fa, tr_ca]
-        aug = network.v_scale(
-            _kl_node(network.v_log_softmax(tr_fa._z, axis=-1),
-                     network.v_log_softmax(tr_ca._z, axis=-1), b_sz),
-            weights.aug_consistency)
-        total = network.v_add(total, aug)
+        tr_fa = network.forward(net, x_aug, full)
+        tr_ca = network.forward(net, x_aug, entries)
+        logp_fa = _log_softmax(tr_fa.logits)
+        logp_ca = _log_softmax(tr_ca.logits)
+        aug, g_t, g_s = _kl(logp_fa, logp_ca,
+                            weights.aug_consistency / b_sz)
+        views += [(tr_fa, full, logp_fa, g_t),
+                  (tr_ca, entries, logp_ca, g_s)]
 
-    cert = None
-    surrogate = 0.0
-    if weights.drift_cap > 0.0:
-        delta = _drift_surrogate_node(net, entries, tr_comp._leaves,
-                                      coeffs)
-        if delta is not None:
-            surrogate = float(delta.value)
-            cert = network.v_scale(
-                network.v_relu(network.v_shift(delta, -weights.epsilon)),
-                weights.drift_cap)
-            total = network.v_add(total, cert)
+    # drift surrogate: per layer, the largest stored tail magnitude past
+    # the served rank, scaled by the EMA certificate coefficient
+    tails = [(i, kk, blk.elastic.factors.sigma[kk:blk.elastic.k_max])
+             for i, (blk, (kk, _)) in enumerate(zip(net.blocks, entries))
+             if kk < blk.elastic.k_max]
+    cert = surrogate = 0.0
+    if weights.drift_cap > 0.0 and tails:
+        surrogate = sum(float(np.max(np.abs(t))) * float(coeffs[i])
+                        for i, _, t in tails)
+        cert = max(surrogate - weights.epsilon, 0.0) * weights.drift_cap
 
-    terms = LossTerms(
-        total=float(total.value),
-        task=float(task.value),
-        self_distill=0.0 if sd is None else float(sd.value),
-        aug_consistency=0.0 if aug is None else float(aug.value),
-        drift_cap=0.0 if cert is None else float(cert.value),
-        drift_surrogate=surrogate)
+    terms = LossTerms(total=task + sd + aug + cert, task=task,
+                      self_distill=sd, aug_consistency=aug,
+                      drift_cap=cert, drift_surrogate=surrogate)
     bad = [name for name, v in (("total", terms.total),
                                 *terms.as_dict().items())
            if not np.isfinite(v)]
@@ -289,25 +326,38 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
         raise FloatingPointError(
             f"non-finite loss terms {bad}: {terms!r}")
 
-    network.backprop(total)
-    grads = [dict() for _ in net.blocks]
-    for tr in traces:
-        for i, ld in enumerate(tr._leaves):
-            for name, leaf in ld.items():
-                if leaf.grad is None:
-                    continue
-                if name in grads[i]:
-                    grads[i][name] = grads[i][name] + leaf.grad
-                else:
-                    grads[i][name] = leaf.grad.copy()
+    grads = None
+    for tr, prof, logp, g in views:
+        view = _layer_grads(net, tr, prof, _log_softmax_grad(g, logp))
+        grads = view if grads is None else [
+            {name: acc[name] + gv[name] for name in acc}
+            for acc, gv in zip(grads, view)]
+    if surrogate > weights.epsilon:
+        # the hinge's subgradient reaches each tail's first largest entry
+        for i, kk, t in tails:
+            j = int(np.argmax(np.abs(t)))
+            grads[i]["core"][kk + j] += \
+                weights.drift_cap * float(coeffs[i]) * np.sign(t[j])
     return terms, grads
+
+
+# TrainConfig's integer fields with their smallest values, its real fields
+# with their closed ranges, and the real fields that must be positive
+_INT_FLOORS = (("dim", 3), ("classes", 2), ("n_train", 1), ("n_eval", 1),
+               ("steps", 1), ("batch_size", 1), ("t_anneal", 0),
+               ("refresh_every", 0), ("reortho_every", 0), ("log_every", 1),
+               ("calib_size", 1), ("divergence_patience", 1))
+_REAL_RANGES = (("momentum", 0.0, 1.0), ("aug_sigma", 0.0, math.inf),
+                ("ema_decay", 0.0, 1.0), ("clip_norm", 0.0, math.inf))
+_POSITIVE = ("lr", "divergence_factor")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything that defines a run except the seed. A checkpoint
-    records the digest of the config that wrote it, and resumes only
-    under that digest."""
+    records the digest of the config and the seed that wrote it, and
+    resumes only under both. Every numeric field is checked for type and
+    range here, so a bad config fails before training starts."""
 
     dim: int = 16
     hidden: tuple = (32, 32)
@@ -335,12 +385,35 @@ class TrainConfig:
     divergence_patience: int = 100
 
     def __post_init__(self):
-        if not self.steps >= 1:
-            raise ValueError("steps must be at least 1")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be at least 1")
+        for name, low in _INT_FLOORS:
+            v = getattr(self, name)
+            if not (_is_number(v, integer=True) and v >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {v!r}")
+        for name, low, high in _REAL_RANGES:
+            v = getattr(self, name)
+            if not (_is_number(v) and low <= v <= high):
+                raise ValueError(f"{name} must be a number in [{low}, "
+                                 f"{high}], got {v!r}")
+        for name in _POSITIVE:
+            v = getattr(self, name)
+            if not (_is_number(v) and v > 0.0):
+                raise ValueError(f"{name} must be a positive number, "
+                                 f"got {v!r}")
+        for name in ("hidden", "profiles"):
+            if not all(_is_number(v, integer=True) and v >= 1
+                       for v in getattr(self, name)):
+                raise ValueError(f"{name} must hold integers >= 1")
+        if not all(isinstance(n, str) for n in self.profile_names):
+            raise ValueError("profile_names must hold strings")
         if len(self.profiles) != len(self.profile_names):
             raise ValueError("profiles and profile_names must pair up")
+        if self.train_bits is not None and not (
+                _is_number(self.train_bits, integer=True)
+                and self.train_bits >= 2):
+            raise ValueError("train_bits must be null or an integer >= 2")
+        if not isinstance(self.calibrated_proxy, bool):
+            raise ValueError("calibrated_proxy must be true or false")
 
     @property
     def anneal_steps(self):
@@ -426,15 +499,8 @@ def _clip_grads(grads, clip_norm):
 
 def _layer_param(blk, name):
     f = blk.elastic.factors
-    if name == "u":
-        return f.u
-    if name == "core":
-        return f.sigma
-    if name == "v":
-        return f.v
-    if name == "bias":
-        return blk.elastic.bias
-    return None
+    return {"u": f.u, "core": f.sigma, "v": f.v,
+            "bias": blk.elastic.bias}[name]
 
 
 def _reorthogonalize(net):
@@ -537,10 +603,9 @@ def train_toy(config, seed, state=None, stop_after=None):
 
         for i, blk in enumerate(state.net.blocks):
             for name, grad in grads[i].items():
-                arr = _layer_param(blk, name)
-                if arr is not None:
-                    _sgd_update(state.opt, f"l{i}:{name}", arr, grad,
-                                config.lr, config.momentum)
+                _sgd_update(state.opt, f"l{i}:{name}",
+                            _layer_param(blk, name), grad, config.lr,
+                            config.momentum)
 
         state.step += 1
         if config.reortho_every and \
@@ -596,9 +661,9 @@ def write_metrics_csv(metrics, path):
             writer.writerow(row)
 
 
-def save_checkpoint(state, path, config_digest):
-    """Serialize the full run state, and the digest of the config that
-    produced it, to one .npz archive."""
+def save_checkpoint(state, path, config_digest, seed):
+    """Serialize the full run state, with the digest of the config and the
+    seed that produced it, to one .npz archive."""
     arrays = {"cert_coeffs": state.cert_coeffs}
     layers_meta = []
     for i, blk in enumerate(state.net.blocks):
@@ -619,6 +684,7 @@ def save_checkpoint(state, path, config_digest):
         arrays[f"opt{j}"] = buf
     meta = {
         "config_digest": config_digest,
+        "seed": int(seed),
         "step": state.step,
         "rng": state.rng.bit_generator.state,
         "initial_loss": state.initial_loss,
@@ -633,12 +699,13 @@ def save_checkpoint(state, path, config_digest):
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path, config_digest):
+def load_checkpoint(path, config_digest, seed):
     """Rebuild a TrainState saved by save_checkpoint, bit for bit.
 
-    Only the config that wrote a checkpoint replays its trajectory, so a
-    checkpoint whose stored digest differs from config_digest, or that
-    stores none (an older trainer wrote it), is refused with a ValueError.
+    Only the config and seed that wrote a checkpoint replay its
+    trajectory, so a checkpoint whose stored digest differs from
+    config_digest, or that stores none (an older trainer wrote it), or
+    whose stored seed differs from seed, is refused with a ValueError.
     """
     with np.load(path) as zf:
         data = {key: zf[key] for key in zf.files}
@@ -650,6 +717,9 @@ def load_checkpoint(path, config_digest):
     if stored != config_digest:
         raise ValueError(f"checkpoint was written under config {stored}, "
                          f"not this run's {config_digest}")
+    if meta.get("seed") != seed:
+        raise ValueError(f"checkpoint was written at seed "
+                         f"{meta.get('seed')}, not this run's seed {seed}")
     blocks = []
     for i, lm in enumerate(meta["layers"]):
         lay = elastic.ElasticLayer(

@@ -1,9 +1,10 @@
 """Command-line entry points: import cost, module execution, every
-documented exit code, the certify -> plan -> certify round trip, manifests
-published only after self-verification, decompose on wide dense and
-bottleneck conv models, the whole pipeline on a conv model and on a sweep
-of tiny random models, quantized and resumed training, and byte-identical
-reruns across BLAS thread counts."""
+documented exit code, the certify -> plan -> certify round trip, plans
+from a device CSV and energy budgets, manifests published only after
+self-verification, decompose on wide dense and bottleneck conv models,
+the whole pipeline on a conv model and on a sweep of tiny random models,
+quantized and resumed training, and byte-identical reruns across BLAS
+thread counts."""
 
 import contextlib
 import dataclasses
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import certificate, cli, elastic, manifest, network
+from elastiq import certificate, cli, cost, elastic, manifest, network
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -111,6 +112,62 @@ def test_select_exit_codes(tmp_path):
     assert select(lat[0] / 2, drift[0]) == cli.EXIT_INFEASIBLE
 
 
+def _device_csv(tmp_path, cert, energy=True):
+    """The device table plain plan synthesizes for cert (device synth0,
+    seed 0), written as CSV; energy=False blanks its energy column."""
+    net = manifest.net_from_doc(manifest.read_manifest(cert))
+    rows = [cost.profile_costs(net, pairs, None)
+            for pairs in cli._canonical_grid(net)]
+    table, _ = cost.synth_device_table(rows, device="synth0", seed=0)
+    if not energy:
+        table = cost.DeviceTable(device=table.device, entries=tuple(
+            (pid, lat, None) for pid, lat, _ in table.entries))
+    path = tmp_path / ("device.csv" if energy else "device_no_energy.csv")
+    cost.write_device_table(table, path)
+    return path
+
+
+def test_plan_from_the_synthesized_device_csv_matches_plain_plan(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    cert, imported = tmp_path / "cert.json", tmp_path / "imported.json"
+    code, out, err = _cli_output(
+        "plan", cert, "--out", imported, "--calib-size", 64,
+        "--device-csv", _device_csv(tmp_path, cert), "--device", "synth0")
+    assert (code, err) == (cli.EXIT_OK, "")
+    code, out_plain, _ = _cli_output("plan", cert, "--out", plan,
+                                     "--calib-size", 64)
+    assert code == cli.EXIT_OK
+    assert out.replace(str(imported), "OUT") == \
+        out_plain.replace(str(plan), "OUT")
+    assert imported.read_bytes() == plan.read_bytes()
+
+
+def test_energy_budgets_in_plan_and_select(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    cert = tmp_path / "cert.json"
+    energy = manifest.lattice_from_doc(
+        manifest.read_manifest(plan)["lattice"]).energy
+    assert min(energy) > 0.0
+    assert _cli("select", plan, "--energy-mj",
+                repr(2.0 * max(energy))) == cli.EXIT_OK
+    assert _cli("select", plan, "--energy-mj",
+                repr(min(energy) / 2.0)) == cli.EXIT_INFEASIBLE
+
+    no_energy = _device_csv(tmp_path, cert, energy=False)
+    blind = tmp_path / "blind.json"
+    code, _, err = _cli_output("plan", cert, "--out", tmp_path / "x.json",
+                                 "--calib-size", 64, "--device-csv",
+                                 no_energy, "--energy-mj", "1.0")
+    assert code == cli.EXIT_ERROR and err.count("\n") == 1
+    assert err.startswith("error: energy budgets need a device table")
+    assert not (tmp_path / "x.json").exists()
+    assert _cli("plan", cert, "--out", blind, "--calib-size", 64,
+                "--device-csv", no_energy) == cli.EXIT_OK
+    code, out, err = _cli_output("select", blind, "--energy-mj", "1.0")
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == "error: lattice carries no energy predictions\n"
+
+
 def test_audit_exits_4_on_a_latency_inversion(tmp_path):
     plan = _planned_small_model(tmp_path)
     assert _cli("audit", plan) == cli.EXIT_OK
@@ -135,7 +192,19 @@ def test_bad_train_configs_exit_1_with_a_message(tmp_path):
                           ({"weights": {"budget": 0.3}},
                            "bad loss weights"),
                           ({"hidden": 5},
-                           "bad config: 'int' object is not iterable")):
+                           "bad config: 'int' object is not iterable"),
+                          ({"log_every": 0},
+                           "bad config: log_every must be an integer >= 1"),
+                          ({"lr": "x"},
+                           "bad config: lr must be a positive number"),
+                          ({"momentum": None},
+                           "bad config: momentum must be a number in"),
+                          ({"ema_decay": "a"},
+                           "bad config: ema_decay must be a number in"),
+                          ({"classes": 1},
+                           "bad config: classes must be an integer >= 2"),
+                          ({"weights": {"drift_cap": 1e308}, "steps": 2},
+                           "non-finite loss terms")):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         code, _, err = _cli_output("train", "--out", tmp_path / "run",
@@ -171,12 +240,12 @@ def test_resumed_training_matches_an_uninterrupted_run(tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
-def _refused_resume(tmp_path, config, checkpoint):
+def _refused_resume(tmp_path, config, checkpoint, *extra):
     """stderr of a resume that must exit 1 with one line and create no
     output directory."""
     run = tmp_path / "run"
     code, out, err = _cli_output("train", "--out", run, "--config", config,
-                                 "--resume", checkpoint)
+                                 "--resume", checkpoint, *extra)
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (run / "model.json").exists()
@@ -214,6 +283,17 @@ def test_resume_refuses_a_checkpoint_of_another_config(tmp_path):
                           tmp_path / "old" / "checkpoint.npz")
     assert err.startswith("error: cannot resume: checkpoint was written "
                           "under config ")
+
+
+def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 60}))
+    assert _cli("train", "--out", tmp_path / "old", "--config", config,
+                "--stop-after", 20) == cli.EXIT_OK
+    err = _refused_resume(tmp_path, config,
+                          tmp_path / "old" / "checkpoint.npz", "--seed", 5)
+    assert err == "error: cannot resume: checkpoint was written at seed " \
+        "0, not this run's seed 5\n"
 
 
 def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):

@@ -327,8 +327,7 @@ class TestPredict:
         test_idx = [i for i in range(len(rows)) if i % 3 == 0]
         train = cost.DeviceTable(
             device=table.device,
-            entries=[table.entries[i] for i in train_idx],
-            noise_model=table.noise_model)
+            entries=[table.entries[i] for i in train_idx])
         model = cost.fit_cost_model(train, [rows[i] for i in train_idx])
         preds = np.array([cost.predict(model, rows[i]) for i in test_idx])
         lats = np.array([table.entries[i][1] for i in test_idx])
@@ -370,7 +369,6 @@ class TestDeviceTableIo:
         cost.write_device_table(table, path)
         back = cost.read_device_table(path, device="d")
         assert back.entries == entries
-        assert back.noise_model is None
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,5 @@
-"""Forward execution, conservative tail sensitivities, and reverse-mode
-gradients."""
+"""Forward execution, conservative tail sensitivities, and the reverse
+sweep."""
 
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import certificate, cost, elastic, network, quant
+from elastiq import certificate, cost, elastic, network, quant, train
 from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
     naive_dense_forward, tucker2_recompose
 
@@ -32,100 +32,6 @@ def _dense_net(seed, dims, acts, bias=True, gamma_on=(), residual_on=()):
             elastic=layer, activation=acts[i], gamma=gamma, beta=beta,
             residual=i in residual_on))
     return network.Network(tuple(blocks))
-
-
-def _central_diff(val, arrs, ai, pos, h=1e-5):
-    plus = [a.copy() for a in arrs]
-    minus = [a.copy() for a in arrs]
-    plus[ai][pos] += h
-    minus[ai][pos] -= h
-    return (val(plus) - val(minus)) / (2.0 * h)
-
-
-class TestTapeOps:
-    def _gradcheck(self, build, arrs, spots, h=1e-6, tol=1e-6):
-        arrs = [np.asarray(a, dtype=np.float64) for a in arrs]
-        root, leaves = build(arrs)
-        network.backprop(root)
-        def val(xs):
-            r, _ = build(xs)
-            return float(r.value)
-        for ai, pos in spots:
-            want = _central_diff(val, arrs, ai, pos, h)
-            got = leaves[ai].grad[pos]
-            assert got == pytest.approx(want, rel=tol, abs=1e-9)
-
-    def test_matmul_add_mul_gelu(self):
-        rng = _rng(0)
-        arrs = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
-                rng.standard_normal(2)]
-        def build(xs):
-            a, b, c = (network.Var(x) for x in xs)
-            y = network.v_gelu(network.v_add(network.v_matmul(a, b), c))
-            return network.v_sum(network.v_mul(y, y)), [a, b, c]
-        self._gradcheck(build, arrs,
-                        [(0, (1, 2)), (0, (0, 0)), (1, (3, 1)), (2, (0,))])
-
-    def test_relu_exp_log(self):
-        rng = _rng(1)
-        base = rng.standard_normal(6)
-        base = np.where(np.abs(base) < 0.1, base + 0.25, base)
-        def build(xs):
-            a = network.Var(xs[0])
-            y = network.v_relu(a)
-            y = network.v_log_softmax(network.v_exp(network.v_scale(y, 0.5)))
-            return network.v_scale(network.v_sum(network.v_mul(y, y)),
-                                   1.0 / 6), [a]
-        self._gradcheck(build, [base], [(0, (i,)) for i in range(6)])
-
-    def test_log_softmax_max_gather(self):
-        vals = np.array([0.3, -1.2, 2.0, 0.9, -0.4])
-        def build(xs):
-            a = network.Var(xs[0])
-            ls = network.v_log_softmax(a)
-            picked = network.v_gather(ls, [2, 0, 2])
-            top = network.v_max(a)
-            return network.v_add(network.v_sum(picked), top), [a]
-        self._gradcheck(build, [vals], [(0, (i,)) for i in range(5)])
-
-    def test_narrow_permute_reshape(self):
-        rng = _rng(2)
-        arrs = [rng.standard_normal((4, 5))]
-        def build(xs):
-            a = network.Var(xs[0])
-            y = network.v_narrow(a, 3, 1)
-            y = network.v_permute(y, (1, 0))
-            y = network.v_reshape(y, (12,))
-            return network.v_sum(network.v_mul(y, y)), [a]
-        root, leaves = build(arrs)
-        network.backprop(root)
-        assert np.all(leaves[0].grad[:, 3:] == 0.0)
-        self._gradcheck(build, arrs, [(0, (0, 0)), (0, (3, 2)), (0, (1, 4))])
-
-    def test_conv2d_value_matches_naive_loops(self):
-        # the channel-last per-tap GEMM conv forward serves conv layers with
-        rng = _rng(3)
-        x = rng.standard_normal((2, 3, 5, 4))
-        k = rng.standard_normal((4, 3, 3, 3))
-        got = network._conv_same_value(x.transpose(0, 2, 3, 1), k)
-        assert np.allclose(got.transpose(0, 3, 1, 2),
-                           naive_conv2d_same(x, k), atol=1e-12)
-
-    def test_quant_ste_matches_quant_module(self):
-        rng = _rng(5)
-        for bits in range(2, 17):
-            # entries near zero round to code 0 from both sides
-            t0 = rng.standard_normal((4, 3)) * 10.0 ** rng.uniform(-3, 3)
-            t0[0, 0] = -1e-9 * np.abs(t0).max()
-            tv = network.Var(t0)
-            out = network.v_quant_ste(tv, bits)
-            want = quant.round_trip(t0, bits)
-            assert np.array_equal(out.value, want)
-            assert np.array_equal(np.signbit(out.value), np.signbit(want))
-
-            upstream = rng.standard_normal((4, 3))
-            network.backprop(out, upstream)
-            assert np.array_equal(tv.grad, upstream)
 
 
 class TestNetworkStructure:
@@ -317,6 +223,15 @@ def _quantized_slices(lay, k, q):
 
 
 class TestConvExecution:
+    def test_conv2d_value_matches_naive_loops(self):
+        # the channel-last per-tap GEMM conv that serves conv layers
+        rng = _rng(3)
+        x = rng.standard_normal((2, 3, 5, 4))
+        k = rng.standard_normal((4, 3, 3, 3))
+        got = network._conv_same_value(x.transpose(0, 2, 3, 1), k)
+        assert np.allclose(got.transpose(0, 3, 1, 2),
+                           naive_conv2d_same(x, k), atol=1e-12)
+
     @given(arch=st.sampled_from(["3x3", "1x1", "bottleneck", "residual"]),
            seed=st.integers(0, 2 ** 16), side=st.tuples(
                st.integers(1, 4), st.integers(1, 4)),
@@ -450,22 +365,6 @@ class TestDenseExecution:
         assert np.linalg.norm(got - want) \
             <= 1e-12 * np.linalg.norm(want)
 
-    @given(seed=st.integers(0, 2 ** 16), n_layers=st.integers(1, 3),
-           batch=st.sampled_from([1, 3]), data=st.data())
-    @settings(deadline=None, max_examples=60)
-    def test_tape_logits_match_forward(self, seed, n_layers, batch, data):
-        # the training tape quantizes each factor exactly as serving does
-        net, n0 = _dense_stack(seed, n_layers)
-        bits = st.sampled_from([None, 2, 4, 8, (8, 4, 6)])
-        profile = [(data.draw(st.integers(1, b.elastic.k_max)),
-                    data.draw(bits)) for b in net.blocks]
-        x = _rng(seed + 1).standard_normal((batch, n0))
-        x = x[0] if batch == 1 else x
-        want = network.forward(net, x, profile).logits
-        got = network.forward_tape(net, x, profile).logits
-        assert np.linalg.norm(got - want) \
-            <= 1e-12 * np.linalg.norm(want)
-
     def test_full_profile_runs_the_rebuilt_weight_bit_for_bit(self):
         net = _dense_net(60, (7, 9, 9, 4),
                          (network.GELU, network.RELU, network.IDENTITY),
@@ -596,113 +495,92 @@ class TestPostlayerLipschitz:
 
 
 def _rebuilt(net, bi, attr, new, where="factor"):
+    """net with one factor (where="factor") or layer attribute
+    (where="layer") of block bi replaced."""
     blocks = list(net.blocks)
-    blk = blocks[bi]
-    lay = blk.elastic
+    lay = blocks[bi].elastic
     if where == "factor":
-        lay = dataclasses.replace(lay,
-                                  factors=dataclasses.replace(
-                                      lay.factors, **{attr: new}))
-        blk = dataclasses.replace(blk, elastic=lay)
-    elif where == "layer":
-        lay = dataclasses.replace(lay, **{attr: new})
-        blk = dataclasses.replace(blk, elastic=lay)
+        lay = dataclasses.replace(lay, factors=dataclasses.replace(
+            lay.factors, **{attr: new}))
     else:
-        blk = dataclasses.replace(blk, **{attr: new})
-    blocks[bi] = blk
+        lay = dataclasses.replace(lay, **{attr: new})
+    blocks[bi] = dataclasses.replace(blocks[bi], elastic=lay)
     return network.Network(tuple(blocks))
 
 
-def _tape_grads(tr, upstream):
-    """Seed a tape trace's logits with upstream and read each layer's leaf
-    gradients, zeros where the loss does not reach a leaf."""
-    network.backprop(tr._z, upstream)
-    return [{nm: np.zeros_like(v.value) if v.grad is None else v.grad
-             for nm, v in ld.items()} for ld in tr._leaves]
+def _sweep_grads(net, x, profile, upstream_of):
+    """Forward a (rows, features) batch under profile, then turn the
+    reverse sweep seeded with upstream_of(logits) into each layer's
+    u/core/v/bias gradients, as the trainer does."""
+    tr = network.forward(net, x, profile)
+    return tr, train._layer_grads(net, tr, network.resolve_profile(
+        net, profile), upstream_of(tr.logits))
 
 
 class TestBackward:
     def test_identity_net_bias_grad_equals_upstream(self):
         lay = elastic.from_dense(np.eye(3), bias=np.zeros(3))
         net = network.Network((network.Block(elastic=lay),))
-        x = _rng(60).standard_normal(3)
-        tr = network.forward_tape(net, x)
+        x = _rng(60).standard_normal((1, 3))
         y = np.array([0.5, -1.0, 2.0])
-        upstream = 2.0 * (tr.logits - y)
-        grads = _tape_grads(tr, upstream)
-        assert np.allclose(grads[0]["bias"], upstream, atol=0)
+        tr, grads = _sweep_grads(net, x, None, lambda z: 2.0 * (z - y))
+        assert np.allclose(grads[0]["bias"], 2.0 * (tr.logits[0] - y),
+                           atol=0)
 
     def test_zero_upstream_all_zero(self):
         net = _dense_net(61, (4, 4, 2), (network.GELU, network.IDENTITY),
                          gamma_on=(0,))
-        x = _rng(62).standard_normal(4)
-        tr = network.forward_tape(net, x, profile=[(3, 5), (2, None)])
-        grads = _tape_grads(tr, np.zeros(2))
+        x = _rng(62).standard_normal((1, 4))
+        _, grads = _sweep_grads(net, x, [(3, 5), (2, None)],
+                                np.zeros_like)
         for layer_grads in grads:
+            assert sorted(layer_grads) == ["bias", "core", "u", "v"]
             for g in layer_grads.values():
                 assert np.all(g == 0.0)
 
-    def test_tape_logits_match_eval_forward(self):
-        net = _dense_net(63, (5, 4, 3), (network.RELU, network.GELU),
-                         gamma_on=(1,), residual_on=())
-        x = _rng(64).standard_normal(5)
-        profile = [(3, 6), (2, None)]
-        zt = network.forward_tape(net, x, profile).logits
-        ze = network.forward(net, x, profile).logits
-        assert np.allclose(zt, ze, atol=1e-12)
-        # the tape covers dense stacks only
+    def test_conv_nets_rejected(self):
         lay = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
         conv = network.Network((network.Block(elastic=lay),))
+        x = _rng(59).standard_normal((1, 3, 5, 5))
+        tr = network.forward(conv, x)
         with pytest.raises(ValueError, match="dense stacks only"):
-            network.forward_tape(conv, _rng(59).standard_normal((3, 5, 5)))
+            network.backward(conv, tr, None, np.ones((1, 1, 4)))
 
     def test_finite_difference_all_parameter_classes(self):
         net = _dense_net(65, (4, 5, 3), (network.GELU, network.GELU),
                          gamma_on=(0,))
-        x = _rng(67).standard_normal(4)
+        x = _rng(67).standard_normal((1, 4))
+        # layer 0 truncated to rank 3 of 4, as the compressed view
+        profile = [(3, None), (3, None)]
 
-        def loss_parts(a_net):
-            # layer 0 truncated to rank 3 of 4, as the compressed view
-            tr = network.forward_tape(a_net, x, [(3, None), (3, None)])
-            return tr, float(np.sum(tr.logits ** 2))
+        def loss(a_net):
+            return float(np.sum(network.forward(a_net, x, profile).logits
+                                ** 2))
 
-        tr, _ = loss_parts(net)
-        grads = _tape_grads(tr, 2.0 * tr.logits)
+        _, grads = _sweep_grads(net, x, profile, lambda z: 2.0 * z)
 
         spots = [
             (0, "u", "factor", (1, 2)),
             (0, "u", "factor", (1, 3)),
             (0, "core", "factor", (0,)),
             (0, "v", "factor", (2, 1)),
+            (0, "bias", "layer", (0,)),
             (1, "u", "factor", (0, 2)),
             (1, "core", "factor", (2,)),
             (1, "v", "factor", (1, 0)),
+            (1, "bias", "layer", (1,)),
         ]
         h = 1e-5
-        attr_of = {"u": "u", "core": "sigma", "v": "v"}
+        attr_of = {"u": "u", "core": "sigma", "v": "v", "bias": "bias"}
         for bi, key, where, pos in spots:
-            arr = dict(network._factor_arrays(net.blocks[bi].elastic))[key]
+            lay = net.blocks[bi].elastic
+            arr = lay.bias if key == "bias" \
+                else dict(network._factor_arrays(lay))[key]
             ap, am = arr.copy(), arr.copy()
             ap[pos] += h
             am[pos] -= h
-            _, lp = loss_parts(_rebuilt(net, bi, attr_of[key], ap))
-            _, lm = loss_parts(_rebuilt(net, bi, attr_of[key], am))
-            want = (lp - lm) / (2 * h)
-            assert grads[bi][key][pos] == pytest.approx(want, rel=1e-4,
-                                                        abs=1e-9)
-
-        for bi, key, where, pos in [(0, "gamma", "block", (2,)),
-                                    (0, "beta", "block", (0,)),
-                                    (1, "bias", "layer", (1,))]:
-            base = getattr(net.blocks[bi], key) if where == "block" \
-                else net.blocks[bi].elastic.bias
-            ap, am = base.copy(), base.copy()
-            ap[pos] += h
-            am[pos] -= h
-            _, lp = loss_parts(_rebuilt(net, bi, key if where == "block"
-                                        else "bias", ap, where))
-            _, lm = loss_parts(_rebuilt(net, bi, key if where == "block"
-                                        else "bias", am, where))
+            lp = loss(_rebuilt(net, bi, attr_of[key], ap, where))
+            lm = loss(_rebuilt(net, bi, attr_of[key], am, where))
             want = (lp - lm) / (2 * h)
             assert grads[bi][key][pos] == pytest.approx(want, rel=1e-4,
                                                         abs=1e-9)
@@ -712,11 +590,10 @@ class TestBackward:
         w = rng.standard_normal((4, 5))
         lay = elastic.from_dense(w, bias=0.1 * rng.standard_normal(4))
         net = network.Network((network.Block(elastic=lay),))
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         k, bits = 3, 6
         profile = [(k, (bits, None, None))]
-        tr = network.forward_tape(net, x, profile)
-        grads = _tape_grads(tr, 2.0 * tr.logits)
+        tr, grads = _sweep_grads(net, x, profile, lambda z: 2.0 * z)
 
         # the straight-through surrogate: u plus its rounding residual,
         # frozen at the operating point
@@ -729,12 +606,12 @@ class TestBackward:
         def sur_loss(u_full):
             uq = u_full[:, :k] + resid
             weff = (uq * f.sigma[:k]) @ f.v[:, :k].T
-            z = weff @ x + lay.bias
+            z = weff @ x[0] + lay.bias
             return float(np.sum(z ** 2))
 
         assert sur_loss(f.u) == pytest.approx(float(np.sum(tr.logits ** 2)),
                                               rel=1e-12)
-        assert sorted(grads[0]) == ["bias", "core", "u", "v"]
+        assert list(grads[0]) == ["u", "core", "v", "bias"]
         h = 1e-6
         for pos in [(0, 0), (2, 1), (3, 2)]:
             up, um = f.u.copy(), f.u.copy()

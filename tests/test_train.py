@@ -403,8 +403,8 @@ class TestTrainToy:
         sa, ra = train.train_toy(cfg, 3407)
         s1, _ = train.train_toy(cfg, 3407, stop_after=30)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path, "cfg")
-        s2 = train.load_checkpoint(path, "cfg")
+        train.save_checkpoint(s1, path, "cfg", 3407)
+        s2 = train.load_checkpoint(path, "cfg", 3407)
         s3, r3 = train.train_toy(cfg, 3407, state=s2)
         rows_a = [r for r in sa.metrics if r["step"] >= 30]
         rows_b = [r for r in s3.metrics if r["step"] >= 30]
@@ -490,8 +490,8 @@ class TestCheckpoint:
         cfg = replace(train.TrainConfig(), steps=25)
         s1, _ = train.train_toy(cfg, 11, stop_after=25)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path, "cfg")
-        s2 = train.load_checkpoint(path, "cfg")
+        train.save_checkpoint(s1, path, "cfg", 11)
+        s2 = train.load_checkpoint(path, "cfg", 11)
         assert s2.step == s1.step
         for b1, b2 in zip(s1.net.blocks, s2.net.blocks):
             assert np.array_equal(b1.elastic.factors.u,
@@ -514,8 +514,8 @@ class TestCheckpoint:
         cfg = replace(train.TrainConfig(), steps=30)
         s1, _ = train.train_toy(cfg, 5, stop_after=15)
         path = str(tmp_path / "ck.npz")
-        train.save_checkpoint(s1, path, "cfg")
-        s2 = train.load_checkpoint(path, "cfg")
+        train.save_checkpoint(s1, path, "cfg", 5)
+        s2 = train.load_checkpoint(path, "cfg", 5)
         assert s2.initial_loss == s1.initial_loss
         assert s2.diverge_streak == s1.diverge_streak
         assert s2.metrics == s1.metrics
