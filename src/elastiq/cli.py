@@ -7,8 +7,10 @@ decompose   factorize a raw-weight manifest into servable elastic factors
 certify     attach calibration statistics and a drift-certificate ledger
 plan        fit a device cost model and attach a budget-ordered lattice
 select      pick the fastest stored profile meeting budget and certificate
+            on the lattice's device
 report      per-profile quality/cost/drift table (text, optional CSV)
-audit       scan the stored lattice for monotonicity violations
+audit       count predicted-latency drops and drift-bound rises between
+            adjacent levels of the stored lattice
 
 The intended order is train (or decompose) -> certify -> plan -> select /
 report / audit; certify requires a loadable model, plan requires a
@@ -507,9 +509,8 @@ def cmd_plan(args):
         net, stats, named, mode, epsilon=_ledger_epsilon(doc),
         calibration_inputs=calib)
     audit = controller.audit_monotone(lattice)
-    say("audit", pairs=audit.pairs, accuracy=audit.accuracy_events,
-        latency=audit.latency_events, drift=audit.drift_events,
-        violation_percent=audit.violation_percent)
+    say("audit", pairs=audit.pairs, latency=audit.latency_events,
+        drift=audit.drift_events, violation_percent=audit.violation_percent)
     for j, prof in enumerate(lattice.profiles):
         say("level", profile=prof.name,
             predicted_latency_ms=lattice.predicted_latency[j],
@@ -553,9 +554,8 @@ def cmd_select(args):
             and args.energy_mj is None:
         raise CliError("give at least one of --latency-ms, --bytes, "
                        "--energy-mj")
-    device = args.device or lattice.device or "device"
     budget = controller.BudgetToken(
-        device=device, latency_target=args.latency_ms,
+        device=lattice.device or "device", latency_target=args.latency_ms,
         bytes_target=args.bytes, energy_target=args.energy_mj)
     result = controller.select_runtime(lattice, budget, epsilon)
     say("select", profile=result.profile.name, index=result.index,
@@ -623,9 +623,8 @@ def cmd_report(args):
             mean_drift=diag["mean_drift"],
             delta_hat_p95=diag["delta_hat_p95"])
     audit = controller.audit_monotone(lattice)
-    say("audit", pairs=audit.pairs, accuracy=audit.accuracy_events,
-        latency=audit.latency_events, drift=audit.drift_events,
-        violation_percent=audit.violation_percent)
+    say("audit", pairs=audit.pairs, latency=audit.latency_events,
+        drift=audit.drift_events, violation_percent=audit.violation_percent)
 
     if args.out:
         import csv as _csv
@@ -644,11 +643,9 @@ def cmd_audit(args):
     doc = manifest.read_manifest(args.model)
     lattice = _stored_lattice(doc)
     audit = controller.audit_monotone(lattice)
-    say("audit", pairs=audit.pairs, accuracy=audit.accuracy_events,
-        latency=audit.latency_events, drift=audit.drift_events,
-        violation_percent=audit.violation_percent)
-    events = (audit.accuracy_events + audit.latency_events
-              + audit.drift_events)
+    say("audit", pairs=audit.pairs, latency=audit.latency_events,
+        drift=audit.drift_events, violation_percent=audit.violation_percent)
+    events = audit.latency_events + audit.drift_events
     return EXIT_AUDIT_VIOLATIONS if events else EXIT_OK
 
 
@@ -690,7 +687,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output manifest path")
     p.add_argument("--k-min", type=int, default=1,
                    help="smallest servable rank (default 1)")
-    _add_seed(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("certify",
@@ -730,13 +726,12 @@ def build_parser():
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("select",
-                       help="pick the fastest stored profile for a budget")
+                       help="pick the fastest stored profile for a budget "
+                            "on the lattice's device")
     p.add_argument("model", help="planned model manifest")
     p.add_argument("--latency-ms", type=float, default=None)
     p.add_argument("--bytes", type=int, default=None)
     p.add_argument("--energy-mj", type=float, default=None)
-    p.add_argument("--device", default=None,
-                   help="budget device id (default: the lattice's)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="drift tolerance (default: the ledger's)")
     p.set_defaults(func=cmd_select)
@@ -755,8 +750,8 @@ def build_parser():
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("audit",
-                       help="scan the stored lattice for monotonicity "
-                            "violations")
+                       help="count predicted-latency drops and drift-bound "
+                            "rises along the stored lattice")
     p.add_argument("model", help="planned model manifest")
     p.set_defaults(func=cmd_audit)
 

@@ -3,9 +3,11 @@
 A budget token names a deployment target (latency, size, energy, device).
 This module turns such tokens into deployable per-layer (rank, bits)
 profiles: a greedy allocator trades certificate mass against predicted
-cost over per-layer menus, a monotonicity pass guarantees that looser
-budgets never shrink any layer, and a runtime selector gates the
-resulting lattice by predicted latency and certified drift.
+cost over per-layer menus, holding one menu position per layer; a
+monotonicity pass guarantees that looser budgets never shrink any layer;
+a runtime selector gates the resulting lattice by predicted latency and
+certified drift; and an audit counts the lattice's predicted-latency
+drops and drift-bound rises.
 """
 
 import dataclasses
@@ -96,11 +98,6 @@ class Profile:
         object.__setattr__(self, "pairs", tuple(pairs))
 
 
-def tied_groups(net):
-    """Per-layer tied-budget labels (None where a layer is untied)."""
-    return tuple(b.elastic.group_id for b in net.blocks)
-
-
 def _check_menu(menu, where):
     menu = [(int(k), None if q is None else int(q)) for k, q in menu]
     if not menu:
@@ -116,22 +113,6 @@ def _check_menus(menus, n_layers):
     if len(menus) != n_layers:
         raise ValueError("menu count does not match the layer count")
     return [_check_menu(menu, f"layer {i}") for i, menu in enumerate(menus)]
-
-
-def _group_members(groups):
-    """Group layers by tied label; untied layers form singleton groups.
-
-    Result preserves layer order via each group's lead (lowest) index.
-    """
-    members = {}
-    order = []
-    for i, gid in enumerate(groups):
-        key = ("layer", i) if gid is None else ("group", gid)
-        if key not in members:
-            members[key] = []
-            order.append(key)
-        members[key].append(i)
-    return [members[key] for key in order]
 
 
 def enforce_monotone(profiles):
@@ -195,25 +176,15 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
 class KnapsackResult:
     """Greedy allocation outcome.
 
-    trace lists the applied upgrades as (lead layer index, new menu
-    position); feasible is False when even the all-minimum profile
-    exceeds the budget, in which case that minimum profile is returned.
+    trace lists the applied upgrades as (layer index, new menu position);
+    feasible is False when even the all-minimum profile exceeds the
+    budget, in which case that minimum profile is returned.
     """
 
     profile: Profile
     feasible: bool
     trace: tuple
     predicted: dict
-
-
-def _predicted_costs(net, entries, cost_model, energy_model, spatial):
-    rows = cost.profile_costs(net, entries, spatial)
-    out = {"weight_bytes": int(sum(r.weight_bytes for r in rows))}
-    out["latency_ms"] = (None if cost_model is None
-                         else cost.predict(cost_model, rows))
-    out["energy_mj"] = (None if energy_model is None
-                        else cost.predict(energy_model, rows))
-    return out
 
 
 def _within_budget(predicted, budget):
@@ -238,9 +209,9 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     certificate mass per unit of predicted cost (latency when a latency
     model is given, otherwise energy, otherwise weight bytes); free or
     cost-neutral upgrades rank highest, and ratio ties go to the lowest
-    layer index. Tied-budget groups (tied_groups) step as one unit and
-    must share identical menus. benefit[ell][i] is the certificate mass
-    of layer ell at menu entry i, as built by certificate_mass.
+    layer index. benefit[ell][i] is the certificate mass of layer ell at
+    menu entry i, as built by certificate_mass. Each menu entry is
+    priced once with cost.layer_cost.
     """
     n = len(net.blocks)
     menus = _check_menus(menus, n)
@@ -254,11 +225,6 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     for model in (cost_model, energy_model):
         if model is not None and model.device != budget.device:
             raise ValueError("budget device does not match the model")
-    grouped = _group_members(tied_groups(net))
-    for members in grouped:
-        first = menus[members[0]]
-        if any(menus[m] != first for m in members[1:]):
-            raise ValueError("tied-group layers must share one menu")
 
     if cost_model is not None:
         objective = "latency_ms"
@@ -267,47 +233,49 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     else:
         objective = "weight_bytes"
 
-    position = [0] * len(grouped)
+    priced = [[cost.layer_cost(blk.elastic, k, q, spatial) for k, q in menu]
+              for blk, menu in zip(net.blocks, menus)]
 
-    def entries_at(position):
-        ent = [None] * n
-        for g, members in enumerate(grouped):
-            for m in members:
-                ent[m] = menus[m][position[g]]
-        return ent
+    def predicted_at(position):
+        rows = [priced[ell][i] for ell, i in enumerate(position)]
+        return {"weight_bytes": int(sum(r.weight_bytes for r in rows)),
+                "latency_ms": None if cost_model is None
+                else cost.predict(cost_model, rows),
+                "energy_mj": None if energy_model is None
+                else cost.predict(energy_model, rows)}
 
-    predicted = _predicted_costs(net, entries_at(position), cost_model,
-                                 energy_model, spatial)
+    def profile_at(position):
+        return Profile(tuple(menus[ell][i] for ell, i in enumerate(position)),
+                       name=name)
+
+    position = [0] * n
+    predicted = predicted_at(position)
     if not _within_budget(predicted, budget):
-        prof = Profile(tuple(entries_at(position)), name=name)
-        return KnapsackResult(prof, False, (), predicted)
+        return KnapsackResult(profile_at(position), False, (), predicted)
 
     trace = []
     while True:
         best = None
-        for g, members in enumerate(grouped):
-            pos = position[g]
-            if pos + 1 >= len(menus[members[0]]):
+        for ell, pos in enumerate(position):
+            if pos + 1 >= len(menus[ell]):
                 continue
             trial = list(position)
-            trial[g] = pos + 1
-            trial_pred = _predicted_costs(
-                net, entries_at(trial), cost_model, energy_model, spatial)
+            trial[ell] = pos + 1
+            trial_pred = predicted_at(trial)
             if not _within_budget(trial_pred, budget):
                 continue
-            dbenefit = sum(benefit[m][pos] - benefit[m][pos + 1]
-                           for m in members)
+            dbenefit = benefit[ell][pos] - benefit[ell][pos + 1]
             dcost = trial_pred[objective] - predicted[objective]
             ratio = math.inf if dcost <= 0.0 else dbenefit / dcost
-            key = (-ratio, members[0])
+            key = (-ratio, ell)
             if best is None or key < best[0]:
-                best = (key, g, trial, trial_pred)
+                best = (key, ell, trial, trial_pred)
         if best is None:
             break
-        _, g, position, predicted = best
-        trace.append((grouped[g][0], position[g]))
-    prof = Profile(tuple(entries_at(position)), name=name)
-    return KnapsackResult(prof, True, tuple(trace), predicted)
+        _, ell, position, predicted = best
+        trace.append((ell, position[ell]))
+    return KnapsackResult(profile_at(position), True, tuple(trace),
+                          predicted)
 
 
 @dataclass(frozen=True)
@@ -315,16 +283,14 @@ class ProfileLattice:
     """Budget-ordered deployable profile chain with per-profile costs.
 
     Profiles must grow componentwise along the chain; that total order
-    is what makes runtime downshifts safe. measured_latency carries
-    synthetic-device observations when available; energy is optional.
-    spatial is the (H, W) conv layers were priced at; dense nets have none.
+    is what makes runtime downshifts safe. energy is optional. spatial is
+    the (H, W) conv layers were priced at; dense nets have none.
     """
 
     profiles: tuple
     predicted_latency: tuple
     weight_bytes: tuple
     drift_bound: tuple
-    measured_latency: tuple | None = None
     energy: tuple | None = None
     device: str | None = None
     spatial: tuple | None = None
@@ -335,7 +301,7 @@ class ProfileLattice:
             raise ValueError("lattice needs at least one profile")
         object.__setattr__(self, "profiles", profiles)
         for name in ("predicted_latency", "weight_bytes", "drift_bound",
-                     "measured_latency", "energy"):
+                     "energy"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -367,8 +333,7 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
     allocator per budget, raises the chain to monotonicity with
     enforce_monotone, then attaches predicted latency, weight bytes, the
     aggregate drift bound, and optional energy. Three budgets are named
-    tiny/med/max, any other count s1, s2, ...; no measured latencies are
-    attached.
+    tiny/med/max, any other count s1, s2, ....
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -457,52 +422,25 @@ def select_runtime(lattice, budget, epsilon):
 
 @dataclass(frozen=True)
 class MonotoneAudit:
-    """Adjacent-pair scan results over a budget-ordered chain."""
+    """Adjacent-pair scan results over a budget-ordered lattice."""
 
-    accuracy_events: int
     latency_events: int
     drift_events: int
     pairs: int
     violation_percent: float
 
 
-def audit_monotone(subject, metrics=None):
-    """Count order inversions along an ordered profile chain.
+def audit_monotone(lattice):
+    """Count order inversions along a ProfileLattice.
 
-    subject is a ProfileLattice (its predicted latency and drift bound
-    feed the scan) or a plain profile sequence; metrics(i, profile) may
-    supply or override per-point values for the keys accuracy, latency,
-    and drift. An event is an accuracy or latency DROP, or a drift RISE,
-    from one budget point to the next looser one; only keys present at
-    every point are scanned.
+    An event is a predicted-latency DROP or a drift-bound RISE from one
+    budget point to the next looser one; violation_percent is the share
+    of the 2 * pairs checks that found one.
     """
-    if isinstance(subject, ProfileLattice):
-        profiles = subject.profiles
-        rows = [{"latency": subject.predicted_latency[i],
-                 "drift": subject.drift_bound[i]}
-                for i in range(len(subject))]
-    else:
-        profiles = list(subject)
-        rows = [{} for _ in profiles]
-        if metrics is None:
-            raise ValueError("profile sequences need a metrics callable")
-    if metrics is not None:
-        for i, prof in enumerate(profiles):
-            extra = metrics(i, prof)
-            if extra:
-                rows[i].update(extra)
-    keys = [key for key in ("accuracy", "latency", "drift")
-            if all(key in row for row in rows)]
-    counts = dict.fromkeys(("accuracy", "latency", "drift"), 0)
-    pairs = max(len(profiles) - 1, 0)
-    for prev, nxt in zip(rows, rows[1:]):
-        for key in keys:
-            if key == "drift":
-                counts[key] += nxt[key] > prev[key]
-            else:
-                counts[key] += nxt[key] < prev[key]
-    total = sum(counts[key] for key in keys)
-    checks = pairs * len(keys)
-    percent = 100.0 * total / checks if checks else 0.0
-    return MonotoneAudit(counts["accuracy"], counts["latency"],
-                         counts["drift"], pairs, percent)
+    lat, drift = lattice.predicted_latency, lattice.drift_bound
+    latency = sum(b < a for a, b in zip(lat, lat[1:]))
+    rises = sum(b > a for a, b in zip(drift, drift[1:]))
+    pairs = len(lattice) - 1
+    checks = 2 * pairs
+    percent = 100.0 * (latency + rises) / checks if checks else 0.0
+    return MonotoneAudit(latency, rises, pairs, percent)

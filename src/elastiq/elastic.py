@@ -42,16 +42,14 @@ def stored_rank(kind, factors):
 class ElasticLayer:
     """Immutable factorized layer snapshot.
 
-    kind selects the factor form; k_min/k_max bound the servable ranks.
-    Layers sharing a group_id are meant to be truncated with identical k
-    (the planner enforces this); bias vectors ride along untouched.
+    kind selects the factor form; k_min/k_max bound the servable ranks,
+    which the planner picks per layer; bias vectors ride along untouched.
     """
 
     kind: str
     factors: object
     k_min: int
     k_max: int
-    group_id: str | None = None
     bias: np.ndarray | None = None
 
     def __post_init__(self):
@@ -84,15 +82,15 @@ class ElasticLayer:
         return int(self.factors.v.shape[0])
 
 
-def from_dense(w, k_min=1, k_max=None, group_id=None, bias=None):
+def from_dense(w, k_min=1, k_max=None, bias=None):
     """Factorize a dense weight matrix into an elastic SVD layer."""
     f = linalg.svd_full(w)
     if k_max is None:
         k_max = f.rank_cap
-    return ElasticLayer(DENSE_SVD, f, k_min, k_max, group_id, bias)
+    return ElasticLayer(DENSE_SVD, f, k_min, k_max, bias)
 
 
-def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None):
+def from_conv(w4, k_min=1, k_max=None, bias=None):
     """Factorize a conv kernel (c_out, c_in, h, w) into a Tucker-2 layer.
 
     Each channel rank is clamped to the rank of its unfolding, so a layer
@@ -105,7 +103,7 @@ def from_conv(w4, k_min=1, k_max=None, group_id=None, bias=None):
     f = linalg.tucker2_fit(w4, r_out, r_in)
     if k_max is None:
         k_max = max(r_out, r_in)
-    return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, group_id, bias)
+    return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, bias)
 
 
 def _check_k(layer, k):

@@ -56,8 +56,6 @@ _SIDECAR = "sidecar"
 _F64 = "f64"
 _F32 = "f32"
 _CODES = "codes"
-# integer codes carry one scale per tensor; the payload names that layout
-_PER_TENSOR = "per_tensor"
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "bytes", "sha256", "data"))
 _FACTOR_NAMES = ("u", "core", "v")
@@ -213,12 +211,7 @@ def encode_quantized(t, bits):
     bits = int(bits)
     s = quant.calibrate_scale(t, bits)
     raw = pack_codes(quant.quantize(t, s, bits), bits)
-    extra = {
-        "bits": bits,
-        "scales": _fmt_list([s]),
-        "granularity": _PER_TENSOR,
-        "channel_axis": 0,
-    }
+    extra = {"bits": bits, "scales": _fmt_list([s])}
     return _new_payload(raw, _CODES, t.shape, extra)
 
 
@@ -261,9 +254,6 @@ def decode_payload(payload):
             raise ManifestError("payload shape does not match its data")
         return flat.reshape(shape).astype(np.float64)
     if dtype == _CODES:
-        if payload["granularity"] != _PER_TENSOR \
-                or payload["channel_axis"] != 0:
-            raise ManifestError("integer codes must use one per-tensor scale")
         scales = _parse_list(payload["scales"])
         if len(scales) != 1:
             raise ManifestError(
@@ -290,7 +280,6 @@ def _topology_layer(blk):
         "out_features": int(lay.out_features),
         "k_min": int(lay.k_min),
         "k_max": int(lay.k_max),
-        "group_id": lay.group_id,
         "activation": blk.activation,
         "residual": bool(blk.residual),
     }
@@ -357,12 +346,13 @@ def net_from_doc(doc, check_fingerprint=True):
         raise ManifestError("topology and model layer counts differ")
     blocks = []
     for spec, entry in zip(topo, model):
+        if spec.get("group_id") is not None:
+            raise ManifestError("tied-budget layer groups are not supported")
         factors = _factors_from_entry(spec["kind"], entry)
         bias = decode_payload(entry["bias"]) if "bias" in entry else None
         lay = elastic.ElasticLayer(
             kind=spec["kind"], factors=factors,
-            k_min=int(spec["k_min"]), k_max=int(spec["k_max"]),
-            group_id=spec["group_id"], bias=bias)
+            k_min=int(spec["k_min"]), k_max=int(spec["k_max"]), bias=bias)
         gamma = decode_payload(entry["gamma"]) if "gamma" in entry else None
         beta = decode_payload(entry["beta"]) if "beta" in entry else None
         blocks.append(network.Block(
@@ -529,8 +519,6 @@ def lattice_to_doc(lattice):
         "predicted_latency": _fmt_list(lattice.predicted_latency),
         "weight_bytes": [int(b) for b in lattice.weight_bytes],
         "drift_bound": _fmt_list(lattice.drift_bound),
-        "measured_latency": None if lattice.measured_latency is None
-        else _fmt_list(lattice.measured_latency),
         "energy": None if lattice.energy is None
         else _fmt_list(lattice.energy),
     }
@@ -548,8 +536,6 @@ def lattice_from_doc(sec):
         predicted_latency=_parse_list(sec["predicted_latency"]),
         weight_bytes=tuple(int(b) for b in sec["weight_bytes"]),
         drift_bound=_parse_list(sec["drift_bound"]),
-        measured_latency=None if sec.get("measured_latency") is None
-        else _parse_list(sec["measured_latency"]),
         energy=None if sec.get("energy") is None
         else _parse_list(sec["energy"]),
         device=sec.get("device"),

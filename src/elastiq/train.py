@@ -511,8 +511,7 @@ def _reorthogonalize(net):
         lay = blk.elastic
         w = elastic.effective_weight(lay, lay.k_max)
         blocks.append(replace(blk, elastic=elastic.from_dense(
-            w, k_min=lay.k_min, k_max=lay.k_max, group_id=lay.group_id,
-            bias=lay.bias)))
+            w, k_min=lay.k_min, k_max=lay.k_max, bias=lay.bias)))
     return network.Network(tuple(blocks))
 
 
@@ -678,7 +677,7 @@ def save_checkpoint(state, path, config_digest, seed):
             arrays[f"l{i}_bias"] = lay.bias
         layers_meta.append({
             "k_min": lay.k_min, "k_max": lay.k_max,
-            "group_id": lay.group_id, "has_bias": lay.bias is not None,
+            "has_bias": lay.bias is not None,
             "activation": blk.activation})
     for j, buf in enumerate(state.opt.values()):
         arrays[f"opt{j}"] = buf
@@ -727,7 +726,7 @@ def load_checkpoint(path, config_digest, seed):
             linalg.SvdFactors(u=data[f"l{i}_u"],
                               sigma=data[f"l{i}_core"],
                               v=data[f"l{i}_v"]),
-            lm["k_min"], lm["k_max"], lm["group_id"],
+            lm["k_min"], lm["k_max"],
             data[f"l{i}_bias"] if lm["has_bias"] else None)
         blocks.append(network.Block(elastic=lay,
                                     activation=lm["activation"]))

@@ -240,61 +240,44 @@ def dense_block_jacobians(weights, biases, gammas, betas, acts, residuals, x):
     return full_jacs, post_w_jacs
 
 
-def greedy_allocation_replay(menus, benefit, groups, objective_of,
-                             feasible_at):
+def greedy_allocation_replay(menus, benefit, objective_of, feasible_at):
     """Independent replay of benefit-per-cost menu allocation.
 
-    Plain-loop reference: start every group at entry 0, repeatedly apply
+    Plain-loop reference: start every layer at entry 0, repeatedly apply
     the feasible single-step upgrade with the largest benefit-drop per
     unit objective increase (free steps rank as infinite), ties to the
-    lowest lead layer. objective_of and feasible_at consume a per-layer
-    entry list. Returns (positions per group, trace, feasible_flag).
+    lowest layer. objective_of and feasible_at consume a per-layer entry
+    list. Returns (positions per layer, trace, feasible_flag).
     """
-    grouped = []
-    seen = {}
-    for i, gid in enumerate(groups):
-        if gid is None:
-            grouped.append([i])
-        elif gid in seen:
-            grouped[seen[gid]].append(i)
-        else:
-            seen[gid] = len(grouped)
-            grouped.append([i])
-
     def entries(pos):
-        out = [None] * len(menus)
-        for g, members in enumerate(grouped):
-            for m in members:
-                out[m] = menus[m][pos[g]]
-        return out
+        return [menus[m][pos[m]] for m in range(len(menus))]
 
-    pos = [0] * len(grouped)
+    pos = [0] * len(menus)
     if not feasible_at(entries(pos)):
         return pos, [], False
     trace = []
     cur_obj = objective_of(entries(pos))
     while True:
         best = None
-        for g, members in enumerate(grouped):
-            if pos[g] + 1 >= len(menus[members[0]]):
+        for m in range(len(menus)):
+            if pos[m] + 1 >= len(menus[m]):
                 continue
             trial = list(pos)
-            trial[g] += 1
+            trial[m] += 1
             ent = entries(trial)
             if not feasible_at(ent):
                 continue
-            gain = sum(benefit[m][pos[g]] - benefit[m][pos[g] + 1]
-                       for m in members)
+            gain = benefit[m][pos[m]] - benefit[m][pos[m] + 1]
             delta = objective_of(ent) - cur_obj
             ratio = float("inf") if delta <= 0.0 else gain / delta
-            key = (-ratio, members[0])
+            key = (-ratio, m)
             if best is None or key < best[0]:
-                best = (key, g, trial)
+                best = (key, m, trial)
         if best is None:
             return pos, trace, True
-        _, g, pos = best
+        _, m, pos = best
         cur_obj = objective_of(entries(pos))
-        trace.append((grouped[g][0], pos[g]))
+        trace.append((m, pos[m]))
 
 
 def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,

@@ -423,8 +423,6 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
          "manifest does not hold a raw model"),
         (("select", plan, "--latency-ms", "-1"),
          "latency_target must be positive and finite"),
-        (("select", plan, "--latency-ms", "1", "--device", "other"),
-         "budget device does not match the lattice"),
         (("plan", plan, "--device-csv", empty, "--out", out),
          "unrecognized device table header"),
         (("plan", plan, "--device-csv", short, "--out", out),
@@ -468,6 +466,19 @@ def test_unknown_layer_kind_exits_1_with_a_message(tmp_path):
     assert code == cli.EXIT_ERROR
     assert "unknown layer kind 'dense_cp'" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_tied_layer_group_exits_1_with_a_message(tmp_path):
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    _small_model(model)
+    doc = json.loads(model.read_text())
+    doc["topology"]["layers"][0]["group_id"] = "g"
+    model.write_text(manifest.canonical_json(doc))
+    code, stdout, err = _cli_output("certify", model, "--profiles", "2,3:8",
+                                    "--calib-size", 16, "--out", out)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == "error: tied-budget layer groups are not supported\n"
+    assert not out.exists()
 
 
 def test_malformed_stored_pair_exits_1_with_a_message(tmp_path):

@@ -77,19 +77,16 @@ class TestCodePayload:
     def test_one_per_tensor_scale_round_trips(self):
         t = _rng(3).standard_normal((4, 3))
         payload = manifest.encode_quantized(t, 6)
-        assert (payload["granularity"], payload["channel_axis"]) == \
-            ("per_tensor", 0)
         assert payload["scales"] == [
             manifest.fmt_float(float(np.max(np.abs(t))) / 31)]
         assert np.array_equal(manifest.decode_payload(payload),
                               quant.round_trip(t, 6))
 
     @pytest.mark.parametrize("change", [
-        {"granularity": "per_channel"}, {"channel_axis": 1},
         {"scales": ["0.1", "0.2"]}, {"scales": ["0.0"]},
         {"scales": ["-0.1"]}, {"scales": ["nan"]}, {"scales": ["inf"]}],
-        ids=["per_channel", "channel_axis_1", "two_scales", "zero_scale",
-             "negative_scale", "nan_scale", "inf_scale"])
+        ids=["two_scales", "zero_scale", "negative_scale", "nan_scale",
+             "inf_scale"])
     def test_other_layouts_rejected(self, change):
         payload = manifest.encode_quantized(_rng(4).standard_normal(5), 4)
         payload.update(change)
