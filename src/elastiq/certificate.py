@@ -60,7 +60,6 @@ def network_fingerprint(net):
         h.update(lay.kind.encode())
         h.update(blk.activation.encode())
         h.update(b"r" if blk.residual else b".")
-        h.update(np.asarray([lay.k_min, lay.k_max], dtype=np.int64).tobytes())
         arrays = [a for _, a in network._factor_arrays(lay)]
         arrays += [lay.bias, blk.gamma, blk.beta]
         for a in arrays:

@@ -3,7 +3,8 @@
 Commands
 --------
 train       train the synthetic-task model and export a manifest
-decompose   factorize a raw-weight manifest into servable elastic factors
+decompose   factorize a raw-weight manifest into servable elastic factors;
+            each layer then serves any rank from 1 to its stored rank
 certify     attach calibration statistics and a drift-certificate ledger
 plan        fit a device cost model and attach a budget-ordered lattice
 select      pick the fastest stored profile meeting budget and certificate
@@ -287,8 +288,7 @@ def cmd_decompose(args):
         maker = elastic.from_conv if entry["kind"] == "conv" \
             else elastic.from_dense
         try:
-            lay = maker(entry["weight"], k_min=args.k_min,
-                        bias=entry["bias"])
+            lay = maker(entry["weight"], bias=entry["bias"])
         except ValueError as exc:
             raise CliError(f"layer {len(blocks)}: {exc}") from exc
         blocks.append(network.Block(elastic=lay,
@@ -346,8 +346,9 @@ def cmd_certify(args):
     probes = _probe_inputs(net, args.calib_size, args.seed, args.calib)
     stats = certificate.calibrate(net, probes)
     if doc.get("profiles"):
-        profiles = {name: manifest.pairs_from_doc(sec["pairs"])
-                    for name, sec in sorted(doc["profiles"].items())}
+        with manifest._malformed("profiles"):
+            profiles = {name: manifest.pairs_from_doc(sec["pairs"])
+                        for name, sec in sorted(doc["profiles"].items())}
     elif args.profiles:
         profiles = {}
         for name, k, bits in _parse_profile_flag(args.profiles):
@@ -685,8 +686,6 @@ def build_parser():
     p = sub.add_parser("decompose", help="factorize a raw-weight manifest")
     p.add_argument("model", help="raw model manifest (json)")
     p.add_argument("--out", required=True, help="output manifest path")
-    p.add_argument("--k-min", type=int, default=1,
-                   help="smallest servable rank (default 1)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("certify",

@@ -57,16 +57,13 @@ def _tensor_bytes(count, bits):
 
 
 def bytes_of(layer, k, q=None):
-    """Serialized weight bytes of a layer at rank k, bit widths q.
+    """Serialized weight bytes of a layer at rank k and bit width q.
 
-    q is None (32-bit floats), a single width, or a (u, core, v) triple.
-    Each factor is rounded up to whole bytes on its own, matching the
+    q is None (32-bit floats) or one width for all three factors. Each
+    factor is rounded up to whole bytes on its own, matching the
     bit-packed export payloads.
     """
-    bu, bc, bv = elastic._split_bits(q)
-    bu = UNQUANTIZED_BITS if bu is None else bu
-    bc = UNQUANTIZED_BITS if bc is None else bc
-    bv = UNQUANTIZED_BITS if bv is None else bv
+    bits = UNQUANTIZED_BITS if q is None else int(q)
     if layer.kind == elastic.CONV_TUCKER2:
         r_o, r_i = elastic.conv_rank_schedule(layer, k)
         c_o, c_i = layer.out_features, layer.in_features
@@ -76,8 +73,7 @@ def bytes_of(layer, k, q=None):
         elastic._check_k(layer, k)
         m, n = layer.out_features, layer.in_features
         counts = (m * k, k, n * k)
-    return (_tensor_bytes(counts[0], bu) + _tensor_bytes(counts[1], bc)
-            + _tensor_bytes(counts[2], bv))
+    return sum(_tensor_bytes(c, bits) for c in counts)
 
 
 def layer_cost(layer, k, q=None, spatial=None):

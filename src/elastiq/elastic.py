@@ -1,15 +1,16 @@
 """Elastic factorized layers.
 
 A layer stores a factorization once (truncated SVD for dense layers,
-channel Tucker-2 for conv kernels) and can then be evaluated at any rank k
-in [k_min, k_max] without refitting, with an optional bit width per factor.
-runs_staged says whether a layer at rank k is cheaper to run staged through
-its factor slices or through its rebuilt weight. The bit map ties quantizer
-widths to rank.
+channel Tucker-2 for conv kernels) and can then be evaluated without
+refitting at any operating point (k, q): a rank k from 1 to the stored
+rank k_max, and q either None (float factors) or one bit width that
+quantizes all three factor slices. runs_staged says whether a layer at
+rank k is cheaper to run staged through its factor slices or through its
+rebuilt weight. The bit map ties a width to rank.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +20,10 @@ from . import quant
 DENSE_SVD = "dense_svd"
 CONV_TUCKER2 = "conv_tucker2"
 
-FACTOR_U = "u"
-FACTOR_CORE = "core"
-FACTOR_V = "v"
-
 _KIND_FACTORS = {
     DENSE_SVD: linalg.SvdFactors,
     CONV_TUCKER2: linalg.Tucker2Factors,
 }
-_FACTOR_SLOT = {FACTOR_U: 0, FACTOR_CORE: 1, FACTOR_V: 2}
 
 
 def stored_rank(kind, factors):
@@ -42,15 +38,16 @@ def stored_rank(kind, factors):
 class ElasticLayer:
     """Immutable factorized layer snapshot.
 
-    kind selects the factor form; k_min/k_max bound the servable ranks,
-    which the planner picks per layer; bias vectors ride along untouched.
+    kind selects the factor form; k_max, the stored rank, is the largest
+    rank the planner can pick for the layer; bias vectors ride along
+    untouched.
     """
 
     kind: str
     factors: object
-    k_min: int
-    k_max: int
     bias: np.ndarray | None = None
+    # a field set once, not a property: every served layer reads it
+    k_max: int = field(init=False)
 
     def __post_init__(self):
         want = _KIND_FACTORS.get(self.kind)
@@ -58,11 +55,8 @@ class ElasticLayer:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if not isinstance(self.factors, want):
             raise TypeError(f"{self.kind} layer needs {want.__name__}")
-        cap = stored_rank(self.kind, self.factors)
-        if not 1 <= int(self.k_min) <= int(self.k_max) <= cap:
-            raise ValueError(
-                f"need 1 <= k_min <= k_max <= {cap}, "
-                f"got ({self.k_min}, {self.k_max})")
+        object.__setattr__(self, "k_max", stored_rank(self.kind,
+                                                      self.factors))
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=np.float64)
             if b.ndim != 1 or b.shape[0] != self.out_features:
@@ -82,15 +76,12 @@ class ElasticLayer:
         return int(self.factors.v.shape[0])
 
 
-def from_dense(w, k_min=1, k_max=None, bias=None):
+def from_dense(w, bias=None):
     """Factorize a dense weight matrix into an elastic SVD layer."""
-    f = linalg.svd_full(w)
-    if k_max is None:
-        k_max = f.rank_cap
-    return ElasticLayer(DENSE_SVD, f, k_min, k_max, bias)
+    return ElasticLayer(DENSE_SVD, linalg.svd_full(w), bias)
 
 
-def from_conv(w4, k_min=1, k_max=None, bias=None):
+def from_conv(w4, bias=None):
     """Factorize a conv kernel (c_out, c_in, h, w) into a Tucker-2 layer.
 
     Each channel rank is clamped to the rank of its unfolding, so a layer
@@ -98,19 +89,15 @@ def from_conv(w4, k_min=1, k_max=None, bias=None):
     """
     w4 = np.asarray(w4, dtype=np.float64)
     c_out, c_in, kh, kw = (int(d) for d in w4.shape)
-    r_out = min(c_out, c_in * kh * kw)
-    r_in = min(c_in, c_out * kh * kw)
-    f = linalg.tucker2_fit(w4, r_out, r_in)
-    if k_max is None:
-        k_max = max(r_out, r_in)
-    return ElasticLayer(CONV_TUCKER2, f, k_min, k_max, bias)
+    f = linalg.tucker2_fit(w4, min(c_out, c_in * kh * kw),
+                           min(c_in, c_out * kh * kw))
+    return ElasticLayer(CONV_TUCKER2, f, bias)
 
 
 def _check_k(layer, k):
     k = int(k)
-    if not layer.k_min <= k <= layer.k_max:
-        raise ValueError(
-            f"k={k} outside [{layer.k_min}, {layer.k_max}]")
+    if not 1 <= k <= layer.k_max:
+        raise ValueError(f"k={k} outside [1, {layer.k_max}]")
     return k
 
 
@@ -131,17 +118,6 @@ def conv_rank_schedule(layer, k):
     return int(r_o), int(r_i)
 
 
-def _split_bits(factor_bits):
-    if factor_bits is None:
-        return None, None, None
-    if isinstance(factor_bits, (tuple, list)):
-        if len(factor_bits) != 3:
-            raise ValueError("factor_bits triple must be (u, core, v)")
-        return tuple(factor_bits)
-    b = int(factor_bits)
-    return b, b, b
-
-
 def _round_trip(t, bits):
     return t if bits is None else quant.round_trip(t, int(bits))
 
@@ -157,12 +133,11 @@ def _rank_slices(layer, k):
     return f.u[:, :k], f.sigma[:k], f.v[:, :k]
 
 
-def _served_slices(layer, k, factor_bits=None):
+def _served_slices(layer, k, q=None):
     """Rank-k (u, core, v) factor slices as served: each one through the
-    quantizer round trip at its width, unchanged where it has none."""
+    quantizer round trip at width q, unchanged where q is None."""
     u, core, v = _rank_slices(layer, k)
-    bu, bc, bv = _split_bits(factor_bits)
-    return _round_trip(u, bu), _round_trip(core, bc), _round_trip(v, bv)
+    return _round_trip(u, q), _round_trip(core, q), _round_trip(v, q)
 
 
 def runs_staged(layer, k):
@@ -188,14 +163,13 @@ def runs_staged(layer, k):
     return c_i * r_i + r_o * r_i * kh * kw + c_o * r_o < c_o * c_i * kh * kw
 
 
-def effective_weight(layer, k, factor_bits=None):
+def effective_weight(layer, k, q=None):
     """Reconstruction at rank k, optionally through quantized factors.
 
-    factor_bits is None (exact), a single width for all factors, or a
-    (u, core, v) triple of widths applied to the rank-k factor slices.
+    q is None (exact) or one width applied to each rank-k factor slice.
     A conv kernel is rebuilt with two matrix products.
     """
-    u, core, v = _served_slices(layer, k, factor_bits)
+    u, core, v = _served_slices(layer, k, q)
     if layer.kind != CONV_TUCKER2:
         return (u * core) @ v.T
     r_o, r_i, kh, kw = core.shape
@@ -236,8 +210,7 @@ def residual_norm(layer, k, q=None):
     case — quantized factors, other kinds, or factors perturbed away from
     orthonormality by training — materializes the residual and takes its
     ``linalg.spectral_norm``. Either way the result is an upper bound.
-    Conv residuals are measured on the (c_out, c_in*h*w) unfolding. q may
-    be a single width or a (u, core, v) triple.
+    Conv residuals are measured on the (c_out, c_in*h*w) unfolding.
     """
     k = _check_k(layer, k)
     if q is None and k == layer.k_max:
@@ -259,47 +232,23 @@ def residual_norm(layer, k, q=None):
 
 @dataclass(frozen=True)
 class BitMap:
-    """Monotone rank-to-bits map with small per-factor offsets.
-
-    Base width is min(q_max, floor(a * ln k + b)); each factor adds its
-    offset and the sum is clamped to [2, q_max]. a >= 0 keeps the map
-    non-decreasing in k.
-    """
+    """Monotone rank-to-bits map: min(q_max, floor(a * ln k + b)),
+    clamped below at 2. a >= 0 keeps the map non-decreasing in k."""
 
     a: float
     b: float
     q_max: int
-    offsets: tuple = (1, 0, 1)
 
     def __post_init__(self):
         if not float(self.a) >= 0.0:
             raise ValueError("slope a must be >= 0 to keep bits monotone")
         if int(self.q_max) < 2:
             raise ValueError("q_max must be >= 2")
-        off = tuple(int(o) for o in self.offsets)
-        if len(off) != 3:
-            raise ValueError("offsets must be (u, core, v)")
-        object.__setattr__(self, "offsets", off)
 
 
 def base_bits(bm, k):
-    """Shared width before offsets: min(q_max, floor(a * ln k + b))."""
+    """Width at rank k: min(q_max, floor(a * ln k + b)), at least 2."""
     if int(k) < 1:
         raise ValueError("rank index must be >= 1")
-    return int(min(int(bm.q_max),
-                   math.floor(float(bm.a) * math.log(int(k)) + float(bm.b))))
-
-
-def bit_of_rank(bm, k, factor):
-    """Width for one factor at rank k, clamped to [2, q_max]."""
-    slot = _FACTOR_SLOT.get(factor)
-    if slot is None:
-        raise ValueError(f"unknown factor {factor!r}")
-    q = base_bits(bm, k) + bm.offsets[slot]
+    q = math.floor(float(bm.a) * math.log(int(k)) + float(bm.b))
     return int(min(int(bm.q_max), max(2, q)))
-
-
-def factor_bits(bm, k):
-    """(u, core, v) widths at rank k, one bit_of_rank call per factor."""
-    return tuple(bit_of_rank(bm, k, f) for f in (FACTOR_U, FACTOR_CORE,
-                                                 FACTOR_V))

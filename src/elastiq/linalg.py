@@ -66,10 +66,6 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
 
-    @property
-    def rank_cap(self):
-        return self.sigma.shape[0]
-
 
 @dataclass
 class Tucker2Factors:

@@ -26,6 +26,7 @@ Rules that keep writes reproducible:
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -63,6 +64,17 @@ _FACTOR_NAMES = ("u", "core", "v")
 
 class ManifestError(Exception):
     """Raised on malformed, corrupt, or inconsistent manifests."""
+
+
+@contextlib.contextmanager
+def _malformed(section):
+    """Report a missing key or a wrongly typed node met while decoding a
+    section as one ManifestError naming that section."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ManifestError(f"malformed {section} ({type(exc).__name__}: "
+                            f"{exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +290,6 @@ def _topology_layer(blk):
         "kind": lay.kind,
         "in_features": int(lay.in_features),
         "out_features": int(lay.out_features),
-        "k_min": int(lay.k_min),
-        "k_max": int(lay.k_max),
         "activation": blk.activation,
         "residual": bool(blk.residual),
     }
@@ -336,28 +346,35 @@ def net_from_doc(doc, check_fingerprint=True):
     """Rebuild the full-precision network from an elastic manifest.
 
     With check_fingerprint the decoded parameters must hash back to the
-    manifest's stored fingerprint; a mismatch refuses to load.
+    manifest's stored fingerprint; a mismatch refuses to load. A topology
+    that names a per-layer rank window is refused: a layer serves every
+    rank from 1 to its stored rank.
     """
     if doc.get("kind") != KIND_ELASTIC:
         raise ManifestError("manifest does not hold a factorized model")
-    topo = doc["topology"]["layers"]
-    model = doc["model"]["layers"]
-    if len(topo) != len(model):
-        raise ManifestError("topology and model layer counts differ")
-    blocks = []
-    for spec, entry in zip(topo, model):
-        if spec.get("group_id") is not None:
-            raise ManifestError("tied-budget layer groups are not supported")
-        factors = _factors_from_entry(spec["kind"], entry)
-        bias = decode_payload(entry["bias"]) if "bias" in entry else None
-        lay = elastic.ElasticLayer(
-            kind=spec["kind"], factors=factors,
-            k_min=int(spec["k_min"]), k_max=int(spec["k_max"]), bias=bias)
-        gamma = decode_payload(entry["gamma"]) if "gamma" in entry else None
-        beta = decode_payload(entry["beta"]) if "beta" in entry else None
-        blocks.append(network.Block(
-            elastic=lay, activation=spec["activation"],
-            gamma=gamma, beta=beta, residual=bool(spec["residual"])))
+    with _malformed("model"):
+        topo = doc["topology"]["layers"]
+        model = doc["model"]["layers"]
+        if len(topo) != len(model):
+            raise ManifestError("topology and model layer counts differ")
+        blocks = []
+        for spec, entry in zip(topo, model):
+            if spec.get("group_id") is not None:
+                raise ManifestError(
+                    "tied-budget layer groups are not supported")
+            if "k_min" in spec or "k_max" in spec:
+                raise ManifestError("per-layer rank windows (k_min, k_max) "
+                                    "are not supported")
+            factors = _factors_from_entry(spec["kind"], entry)
+            bias = decode_payload(entry["bias"]) if "bias" in entry else None
+            lay = elastic.ElasticLayer(kind=spec["kind"], factors=factors,
+                                       bias=bias)
+            gamma = decode_payload(entry["gamma"]) if "gamma" in entry \
+                else None
+            beta = decode_payload(entry["beta"]) if "beta" in entry else None
+            blocks.append(network.Block(
+                elastic=lay, activation=spec["activation"],
+                gamma=gamma, beta=beta, residual=bool(spec["residual"])))
     net = network.Network(blocks=tuple(blocks))
     if check_fingerprint:
         got = certificate.network_fingerprint(net)
@@ -416,16 +433,17 @@ def raw_from_doc(doc):
     if doc.get("kind") != KIND_RAW:
         raise ManifestError("manifest does not hold a raw model")
     out = []
-    for spec, entry in zip(doc["topology"]["layers"],
-                           doc["model"]["layers"]):
-        out.append({
-            "kind": spec["kind"],
-            "weight": decode_payload(entry["weight"]),
-            "bias": decode_payload(entry["bias"]) if "bias" in entry
-            else None,
-            "activation": spec["activation"],
-            "residual": bool(spec["residual"]),
-        })
+    with _malformed("raw model"):
+        for spec, entry in zip(doc["topology"]["layers"],
+                               doc["model"]["layers"]):
+            out.append({
+                "kind": spec["kind"],
+                "weight": decode_payload(entry["weight"]),
+                "bias": decode_payload(entry["bias"]) if "bias" in entry
+                else None,
+                "activation": spec["activation"],
+                "residual": bool(spec["residual"]),
+            })
     return out
 
 
@@ -434,18 +452,8 @@ def raw_from_doc(doc):
 
 
 def pairs_to_doc(pairs):
-    """Serialize per-layer (rank, bits) pairs; bits may be None, a width,
-    or a (u, core, v) triple."""
-    out = []
-    for k, q in pairs:
-        if q is None:
-            enc = None
-        elif isinstance(q, (tuple, list)):
-            enc = [None if b is None else int(b) for b in q]
-        else:
-            enc = int(q)
-        out.append([int(k), enc])
-    return out
+    """Serialize per-layer (rank, bits) pairs; bits is None or a width."""
+    return [[int(k), None if q is None else int(q)] for k, q in pairs]
 
 
 def _is_int(x):
@@ -454,9 +462,8 @@ def _is_int(x):
 
 def pairs_from_doc(entries):
     """Per-layer (rank, bits) pairs from their stored form: a list of
-    [k, q] entries, k an integer >= 1 and q None, a width, or a
-    [u, core, v] list of widths (each None or an integer). Raises
-    ManifestError on anything else."""
+    [k, q] entries, k an integer >= 1 and q None or an integer width.
+    Raises ManifestError on anything else."""
     if not isinstance(entries, list):
         raise ManifestError(f"stored pairs {entries!r} are not a list")
     pairs = []
@@ -467,20 +474,10 @@ def pairs_from_doc(entries):
         k, q = entry
         if not (_is_int(k) and k >= 1):
             raise ManifestError(f"stored rank {k!r} is not an integer >= 1")
-        if isinstance(q, list) and len(q) == 3 \
-                and all(b is None or _is_int(b) for b in q):
-            q = tuple(q)
-        elif not (q is None or _is_int(q)):
-            raise ManifestError(f"stored bits {q!r} are not None, a width "
-                                f"or a [u, core, v] triple")
+        if not (q is None or _is_int(q)):
+            raise ManifestError(f"stored bits {q!r} are not None or a width")
         pairs.append((k, q))
     return tuple(pairs)
-
-
-def _profile_slices(layer, k, q):
-    """Factor slices served at (k, q): (name, values, bits) triples."""
-    return tuple(zip(_FACTOR_NAMES, elastic._rank_slices(layer, k),
-                     elastic._split_bits(q)))
 
 
 def add_profile(doc, net, name, pairs):
@@ -494,11 +491,12 @@ def add_profile(doc, net, name, pairs):
     layers = []
     for blk, (k, q) in zip(net.blocks, entries):
         entry = {}
-        for fname, values, bits in _profile_slices(blk.elastic, k, q):
-            if bits is None:
+        for fname, values in zip(_FACTOR_NAMES,
+                                 elastic._rank_slices(blk.elastic, k)):
+            if q is None:
                 entry[fname] = encode_array(values, _F32)
             else:
-                entry[fname] = encode_quantized(values, bits)
+                entry[fname] = encode_quantized(values, q)
         layers.append(entry)
     doc["profiles"][str(name)] = {
         "pairs": pairs_to_doc(entries),
@@ -553,11 +551,12 @@ def stats_to_doc(stats):
 
 
 def stats_from_doc(sec):
-    return certificate.CalibrationStats(
-        alpha=_parse_list(sec["alpha"]),
-        max_norm=_parse_list(sec["max_norm"]),
-        count=int(sec["count"]),
-        fingerprint=sec["fingerprint"])
+    with _malformed("calibration"):
+        return certificate.CalibrationStats(
+            alpha=_parse_list(sec["alpha"]),
+            max_norm=_parse_list(sec["max_norm"]),
+            count=int(sec["count"]),
+            fingerprint=sec["fingerprint"])
 
 
 def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
@@ -757,13 +756,17 @@ def _close(a, b, tol):
 def _verify_profile_payloads(doc, net, problems, tol):
     for name, sec in sorted(doc.get("profiles", {}).items()):
         pairs = pairs_from_doc(sec["pairs"])
-        if len(pairs) != len(net.blocks):
-            problems.append(f"profile {name}: wrong layer count")
+        if not len(pairs) == len(sec["layers"]) == len(net.blocks):
+            problems.append(
+                f"profile {name}: {len(pairs)} pairs and "
+                f"{len(sec['layers'])} payload layers for "
+                f"{len(net.blocks)} layers")
             continue
         for i, ((k, q), entry) in enumerate(zip(pairs, sec["layers"])):
             lay = net.blocks[i].elastic
             total = 0
-            for fname, values, bits in _profile_slices(lay, k, q):
+            for fname, values in zip(_FACTOR_NAMES,
+                                     elastic._rank_slices(lay, k)):
                 payload = entry[fname]
                 got_shape = tuple(int(s) for s in payload["shape"])
                 if got_shape != values.shape:
@@ -771,7 +774,7 @@ def _verify_profile_payloads(doc, net, problems, tol):
                         f"profile {name} layer {i} {fname}: shape "
                         f"{got_shape} != served {values.shape}")
                     continue
-                width = cost.UNQUANTIZED_BITS if bits is None else bits
+                width = cost.UNQUANTIZED_BITS if q is None else q
                 want = cost._tensor_bytes(values.size, width)
                 if int(payload["bytes"]) != want:
                     problems.append(
@@ -784,11 +787,11 @@ def _verify_profile_payloads(doc, net, problems, tol):
                     problems.append(
                         f"profile {name} layer {i} {fname}: {exc}")
                     continue
-                served = values if bits is None \
-                    else quant.round_trip(values, bits)
+                served = values if q is None \
+                    else quant.round_trip(values, q)
                 scale = float(np.max(np.abs(served))) if served.size else 1.0
                 err = float(np.max(np.abs(decoded - served)))
-                limit = tol if bits is not None \
+                limit = tol if q is not None \
                     else 1e-6 * max(1.0, scale)
                 if err > limit:
                     problems.append(

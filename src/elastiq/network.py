@@ -220,7 +220,8 @@ def _factor_arrays(layer):
     return (("u", f.u_out), ("core", f.core), ("v", f.u_in))
 
 
-def _normalize_profile(net, profile):
+def resolve_profile(net, profile):
+    """Expand any accepted profile form to one (k, q) pair per layer."""
     if profile is None:
         return [(b.elastic.k_max, None) for b in net.blocks]
     pairs = list(getattr(profile, "pairs", profile))
@@ -250,8 +251,9 @@ def forward(net, x, profile=None):
 
     profile is None (stored reconstruction at k_max, unquantized), a
     sequence of one (k, q) pair per layer, or any object exposing such a
-    sequence as .pairs; q is None, a width, or a (u, core, v) triple of
-    widths. x may be a single input or a leading-batch stack of inputs.
+    sequence as .pairs; k runs from 1 to the layer's stored rank k_max,
+    and q is None or one bit width for all three factor slices. x may be
+    a single input or a leading-batch stack of inputs.
 
     Each layer runs staged through its served factor slices or through
     its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
@@ -261,7 +263,7 @@ def forward(net, x, profile=None):
     min(m, n), so at profile None after from_dense, always runs the
     rebuilt weight.
     """
-    entries = _normalize_profile(net, profile)
+    entries = resolve_profile(net, profile)
     a, single = _promote_input(net, x)
     inputs, pres = [], []
     for blk, (k, q) in zip(net.blocks, entries):
@@ -304,7 +306,7 @@ def backward(net, trace, profile, seed):
     """
     if net.blocks[0].is_conv:
         raise ValueError("backward covers dense stacks only")
-    entries = _normalize_profile(net, profile)
+    entries = resolve_profile(net, profile)
     head = np.asarray(seed, dtype=np.float64)
     grads = [None] * len(net.blocks)
     for j in reversed(range(len(net.blocks))):
@@ -342,11 +344,6 @@ def activation_lipschitz(name):
     if name not in _ACT_LIPSCHITZ:
         raise ValueError(f"unknown activation {name!r}")
     return _ACT_LIPSCHITZ[name]
-
-
-def resolve_profile(net, profile):
-    """Expand any accepted profile form to one (k, q) pair per layer."""
-    return _normalize_profile(net, profile)
 
 
 def weight_gain(w):

@@ -67,26 +67,25 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class RankSampler:
-    """Annealed rank distribution: uniform early, profiles late."""
+    """Annealed distribution over ranks 1..k_max: uniform early, profiles
+    late."""
 
-    k_min: int
     k_max: int
     t_anneal: int
     profiles: tuple
 
     def __post_init__(self):
-        if not 1 <= int(self.k_min) <= int(self.k_max):
-            raise ValueError("need 1 <= k_min <= k_max")
+        if not int(self.k_max) >= 1:
+            raise ValueError("k_max must be at least 1")
         if not int(self.t_anneal) >= 1:
             raise ValueError("t_anneal must be at least 1")
         profs = tuple(sorted({int(p) for p in self.profiles}))
         if not profs:
             raise ValueError("profiles must not be empty")
         for p in profs:
-            if not self.k_min <= p <= self.k_max:
+            if not 1 <= p <= self.k_max:
                 raise ValueError(f"profile rank {p} outside "
-                                 f"[{self.k_min}, {self.k_max}]")
-        object.__setattr__(self, "k_min", int(self.k_min))
+                                 f"[1, {self.k_max}]")
         object.__setattr__(self, "k_max", int(self.k_max))
         object.__setattr__(self, "t_anneal", int(self.t_anneal))
         object.__setattr__(self, "profiles", profs)
@@ -100,18 +99,18 @@ def gamma_schedule(sampler, t):
 
 
 def rank_probabilities(sampler, t):
-    """Probability of each rank in [k_min, k_max] at step t."""
+    """Probability of each rank in [1, k_max] at step t."""
     gamma = gamma_schedule(sampler, t)
-    n = sampler.k_max - sampler.k_min + 1
+    n = sampler.k_max
     p = np.full(n, gamma / n)
     for prof in sampler.profiles:
-        p[prof - sampler.k_min] += (1.0 - gamma) / len(sampler.profiles)
+        p[prof - 1] += (1.0 - gamma) / len(sampler.profiles)
     return p
 
 
 def sample_rank(sampler, t, rng):
     """One rank draw from the annealed mixture."""
-    ks = np.arange(sampler.k_min, sampler.k_max + 1)
+    ks = np.arange(1, sampler.k_max + 1)
     return int(rng.choice(ks, p=rank_probabilities(sampler, t)))
 
 
@@ -170,7 +169,7 @@ def build_network(seed, dim=16, hidden=(32, 32), classes=2):
 
 def rank_profile(net, k, bits=None):
     """Per-layer (rank, bits) entries for a global rank clamped to each
-    layer's servable window."""
+    layer's stored rank."""
     k = int(k)
     if k < 1:
         raise ValueError("rank must be at least 1")
@@ -510,8 +509,7 @@ def _reorthogonalize(net):
     for blk in net.blocks:
         lay = blk.elastic
         w = elastic.effective_weight(lay, lay.k_max)
-        blocks.append(replace(blk, elastic=elastic.from_dense(
-            w, k_min=lay.k_min, k_max=lay.k_max, bias=lay.bias)))
+        blocks.append(replace(blk, elastic=elastic.from_dense(w, lay.bias)))
     return network.Network(tuple(blocks))
 
 
@@ -559,7 +557,7 @@ def train_toy(config, seed, state=None, stop_after=None):
     if state is None:
         state = _init_state(config, seed)
     w = config.weights
-    sampler = RankSampler(1, _global_k_max(state.net),
+    sampler = RankSampler(_global_k_max(state.net),
                           config.anneal_steps, config.profiles)
     end = config.steps if stop_after is None \
         else min(config.steps, int(stop_after))
@@ -676,7 +674,6 @@ def save_checkpoint(state, path, config_digest, seed):
         if lay.bias is not None:
             arrays[f"l{i}_bias"] = lay.bias
         layers_meta.append({
-            "k_min": lay.k_min, "k_max": lay.k_max,
             "has_bias": lay.bias is not None,
             "activation": blk.activation})
     for j, buf in enumerate(state.opt.values()):
@@ -726,7 +723,6 @@ def load_checkpoint(path, config_digest, seed):
             linalg.SvdFactors(u=data[f"l{i}_u"],
                               sigma=data[f"l{i}_core"],
                               v=data[f"l{i}_v"]),
-            lm["k_min"], lm["k_max"],
             data[f"l{i}_bias"] if lm["has_bias"] else None)
         blocks.append(network.Block(elastic=lay,
                                     activation=lm["activation"]))

@@ -134,7 +134,7 @@ class TestCompressionGain:
         net = _dense_net(31, (6, 5, 4), (network.RELU, network.IDENTITY))
         for ell in range(2):
             lay = net.blocks[ell].elastic
-            for k in range(lay.k_min, lay.k_max):
+            for k in range(1, lay.k_max):
                 assert certificate.compression_gain(net, ell, k) \
                     == pytest.approx(elastic.residual_norm(lay, k),
                                      rel=1e-12)
@@ -277,7 +277,7 @@ class TestLipschitzProxy:
 def _random_profile(rng, net, bits_pool=(None, None, 3, 5, 8)):
     prof = []
     for blk in net.blocks:
-        k = int(rng.integers(blk.elastic.k_min, blk.elastic.k_max + 1))
+        k = int(rng.integers(1, blk.elastic.k_max + 1))
         q = bits_pool[rng.integers(len(bits_pool))]
         prof.append((k, q))
     return prof

@@ -1,25 +1,30 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, plans
-from a device CSV and energy budgets, manifests published only after
-self-verification, decompose on wide dense and bottleneck conv models,
-the whole pipeline on a conv model and on a sweep of tiny random models,
-quantized and resumed training, and byte-identical reruns across BLAS
-thread counts."""
+from a device CSV, energy and byte budgets, manifests published only after
+self-verification, one error line for every malformed manifest, decompose
+on wide dense and bottleneck conv models, the whole pipeline on a conv
+model and on a sweep of tiny random models, quantized and resumed
+training, byte-identical reruns across BLAS thread counts, and every
+option exercised by a test or a benchmark stage."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import certificate, cli, cost, elastic, manifest, network
+from elastiq import certificate, cli, controller, cost, elastic, manifest
+from elastiq import network
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -166,6 +171,35 @@ def test_energy_budgets_in_plan_and_select(tmp_path):
     code, out, err = _cli_output("select", blind, "--energy-mj", "1.0")
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err == "error: lattice carries no energy predictions\n"
+
+
+def test_byte_budgets_in_plan_and_select(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, plan = tmp_path / "cert.json", tmp_path / "bytes.json"
+    code, out, err = _cli_output("plan", cert, "--out", plan,
+                                 "--bytes", "60,120,240,600")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert "@@ budgets source=flags count=4" in out
+    lattice = manifest.lattice_from_doc(
+        manifest.read_manifest(plan)["lattice"])
+    sizes = lattice.weight_bytes
+    assert len(sizes) == 4
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+    # enforce_monotone can lift a level over its own budget, so no level
+    # is checked against the budget it was planned for
+    epsilon = max(lattice.drift_bound)
+    code, out, err = _cli_output("select", plan, "--bytes", min(sizes) - 1,
+                                 "--epsilon", repr(epsilon))
+    assert (code, err) == (cli.EXIT_INFEASIBLE, "")
+    code, out, err = _cli_output("select", plan, "--bytes", min(sizes),
+                                 "--epsilon", repr(epsilon))
+    assert (code, err) == (cli.EXIT_OK, "")
+    pick = controller.select_runtime(lattice, controller.BudgetToken(
+        device=lattice.device, bytes_target=min(sizes)), epsilon)
+    assert pick.status == controller.OK
+    assert lattice.weight_bytes[pick.index] == min(sizes)
+    assert f"@@ select profile={pick.profile.name} index={pick.index} " \
+        in out
 
 
 def test_audit_exits_4_on_a_latency_inversion(tmp_path):
@@ -479,6 +513,112 @@ def test_tied_layer_group_exits_1_with_a_message(tmp_path):
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == "error: tied-budget layer groups are not supported\n"
     assert not out.exists()
+
+
+def test_rank_windows_are_refused(tmp_path):
+    # every manifest written before layers lost their rank windows names
+    # k_min and k_max in its topology
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    _small_model(model)
+    doc = json.loads(model.read_text())
+    doc["topology"]["layers"][0].update(k_min=1, k_max=6)
+    model.write_text(manifest.canonical_json(doc))
+    code, stdout, err = _cli_output("certify", model, "--profiles", "2",
+                                    "--calib-size", 16, "--out", out)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == "error: per-layer rank windows (k_min, k_max) are not " \
+        "supported\n"
+    raw = tmp_path / "raw.json"
+    manifest.write_manifest(manifest.raw_model_to_doc([np.eye(3)]), raw)
+    code, stdout, err = _cli_output("decompose", raw, "--out", out,
+                                    "--k-min", 2)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unrecognized arguments: --k-min 2" in err
+    assert not out.exists()
+
+
+def _drop(*path):
+    """A document edit deleting the entry at path."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
+
+
+_CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
+
+
+@pytest.mark.parametrize("argv, source, edit, message", [
+    (_CERTIFY, "model.json", _drop("topology", "layers", 0, "activation"),
+     "malformed model (KeyError: 'activation')"),
+    (_CERTIFY, "model.json", _drop("model", "layers", 0, "u"),
+     "malformed model (KeyError: 'u')"),
+    (_CERTIFY, "model.json", lambda doc: doc.update(topology=[]),
+     "malformed model (TypeError: list indices must be integers or "
+     "slices, not str)"),
+    (("decompose",), "raw.json", _drop("topology", "layers", 0, "activation"),
+     "malformed raw model (KeyError: 'activation')"),
+    (("plan",), "cert.json", _drop("calibration", "alpha"),
+     "malformed calibration (KeyError: 'alpha')"),
+    (_CERTIFY, "cert.json", _drop("profiles", "r2", "pairs"),
+     "malformed profiles (KeyError: 'pairs')"),
+], ids=["topology-activation", "model-u", "topology-list", "raw-activation",
+        "calibration-alpha", "profile-pairs"])
+def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
+                                                   edit, message):
+    _planned_small_model(tmp_path)
+    manifest.write_manifest(manifest.raw_model_to_doc(
+        [np.eye(3), np.ones((2, 3))], activations=["relu", "identity"]),
+        tmp_path / "raw.json")
+    path, out = tmp_path / source, tmp_path / "out.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(manifest.canonical_json(doc))
+    code, stdout, err = _cli_output(argv[0], path, *argv[1:], "--out", out)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_truncated_profile_payloads_fail_verification(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    doc = json.loads(cert.read_text())
+    doc["profiles"]["r2"]["layers"].pop()
+    cert.write_text(manifest.canonical_json(doc))
+    assert manifest.verify_manifest(str(cert)) == [
+        "profile r2: 2 pairs and 1 payload layers for 2 layers"]
+    code, _, err = _cli_output("certify", cert, "--out", out,
+                               "--calib-size", 16)
+    assert code == cli.EXIT_ERROR
+    assert err.endswith("error: written manifest failed self-verification\n")
+    assert not out.exists()
+
+
+def _defined_options():
+    """Every option string the parser defines, but -h/--help."""
+    parser = cli.build_parser()
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    opts = set()
+    for p in [parser] + [sp for a in subs for sp in a.choices.values()]:
+        for action in p._actions:
+            opts |= set(action.option_strings)
+    return opts - {"-h", "--help"}
+
+
+def test_every_option_is_exercised():
+    # an option no test and no benchmark stage passes is an option
+    # nothing checks
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = "\n".join(p.read_text() for p in [
+        *sorted((root / "tests").glob("*.py")),
+        root / "perfbench" / "workloads.py"])
+    missing = sorted(opt for opt in _defined_options()
+                     if f'"{opt}"' not in text and f"'{opt}'" not in text)
+    assert missing == []
 
 
 def test_malformed_stored_pair_exits_1_with_a_message(tmp_path):

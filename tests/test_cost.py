@@ -80,11 +80,6 @@ class TestBytes:
         lay = _dense_layer(8, 8)
         assert cost.bytes_of(lay, 2, 4) == 17
 
-    def test_per_factor_widths(self):
-        lay = _dense_layer(8, 8)
-        # u: 16 els * 8b = 16B, core: 2 els * 4b -> ceil(1) = 1B, v: 16B
-        assert cost.bytes_of(lay, 2, (8, 4, 8)) == 33
-
     def test_per_tensor_ceiling(self):
         lay = _dense_layer(3, 3)
         # 3-bit: u 3 els -> ceil(9/8)=2, core 1 el -> 1, v -> 2

@@ -1,5 +1,5 @@
 """Elastic layer behavior: construction, truncation, conv rank schedules,
-residual norms, bit maps."""
+residual norms, the rank-to-bits map."""
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ class TestElasticLayerType:
         w = _rng(0).standard_normal((7, 5))
         layer = elastic.from_dense(w)
         assert layer.kind == elastic.DENSE_SVD
-        assert (layer.k_min, layer.k_max) == (1, 5)
+        assert layer.k_max == 5
         assert layer.out_features == 7
         assert layer.in_features == 5
 
@@ -38,21 +38,12 @@ class TestElasticLayerType:
         w = _rng(1).standard_normal((4, 4))
         f = linalg.svd_full(w)
         with pytest.raises(TypeError):
-            elastic.ElasticLayer(elastic.CONV_TUCKER2, f, 1, 4)
+            elastic.ElasticLayer(elastic.CONV_TUCKER2, f)
 
     def test_unknown_kind_rejected(self):
         f = linalg.svd_full(np.eye(3))
         with pytest.raises(ValueError, match="unknown layer kind"):
-            elastic.ElasticLayer("dense", f, 1, 3)
-
-    def test_rank_bounds_validated(self):
-        f = linalg.svd_full(_rng(2).standard_normal((5, 4)))
-        with pytest.raises(ValueError):
-            elastic.ElasticLayer(elastic.DENSE_SVD, f, 0, 4)
-        with pytest.raises(ValueError):
-            elastic.ElasticLayer(elastic.DENSE_SVD, f, 1, 5)
-        with pytest.raises(ValueError):
-            elastic.ElasticLayer(elastic.DENSE_SVD, f, 3, 2)
+            elastic.ElasticLayer("dense", f)
 
     def test_bias_shape_validated(self):
         w = _rng(3).standard_normal((6, 4))
@@ -83,8 +74,8 @@ class TestTruncate:
         assert err == pytest.approx(layer.factors.sigma[2], rel=1e-7)
 
     def test_out_of_range_rejected(self):
-        layer = elastic.from_dense(_rng(12).standard_normal((5, 5)), k_min=2)
-        for bad in (0, 1, 6):
+        layer = elastic.from_dense(_rng(12).standard_normal((5, 5)))
+        for bad in (0, -1, 6):
             with pytest.raises(ValueError, match="outside"):
                 elastic.truncate(layer, bad)
 
@@ -162,18 +153,6 @@ class TestResidualNorm:
         want = np.linalg.norm(full - approx, 2)
         assert got == pytest.approx(want, rel=1e-6)
 
-    def test_quantized_triple_widths(self):
-        layer = elastic.from_dense(_rng(23).standard_normal((7, 5)))
-        k, widths = 3, (6, 5, 6)
-        got = elastic.residual_norm(layer, k, widths)
-        f = layer.factors
-        full = f.u @ np.diag(f.sigma) @ f.v.T
-        approx = (_independent_round_trip(f.u[:, :k], 6)
-                  @ np.diag(_independent_round_trip(f.sigma[:k], 5))
-                  @ _independent_round_trip(f.v[:, :k], 6).T)
-        want = np.linalg.norm(full - approx, 2)
-        assert got == pytest.approx(want, rel=1e-6)
-
     def test_conv_quantized_matches_unfolded_oracle(self):
         kernel = _rng(24).standard_normal((5, 4, 3, 3))
         layer = elastic.from_conv(kernel)
@@ -213,10 +192,12 @@ class TestResidualNorm:
 
 
 class TestBitOfRank:
+    """elastic.base_bits: the width BitMap assigns to a rank."""
+
     def test_constant_map(self):
-        bm = elastic.BitMap(a=0.0, b=8.0, q_max=8, offsets=(0, 0, 0))
+        bm = elastic.BitMap(a=0.0, b=8.0, q_max=8)
         for k in (1, 2, 7, 64):
-            assert elastic.bit_of_rank(bm, k, elastic.FACTOR_CORE) == 8
+            assert elastic.base_bits(bm, k) == 8
 
     def test_log_map_hand_values(self):
         bm = elastic.BitMap(a=1.0, b=4.0, q_max=8)
@@ -224,21 +205,21 @@ class TestBitOfRank:
         assert elastic.base_bits(bm, 54) == 7
         assert elastic.base_bits(bm, 55) == 8
 
-    def test_offsets_clamp_at_q_max(self):
-        bm = elastic.BitMap(a=0.0, b=8.0, q_max=8)
-        assert elastic.factor_bits(bm, 3) == (8, 8, 8)
+    def test_upper_clamp_at_q_max(self):
+        # floor(ln 3 + 8) = 9
+        bm = elastic.BitMap(a=1.0, b=8.0, q_max=8)
+        assert elastic.base_bits(bm, 3) == 8
 
     def test_lower_clamp(self):
         bm = elastic.BitMap(a=0.0, b=0.0, q_max=8)
-        assert elastic.bit_of_rank(bm, 5, elastic.FACTOR_U) == 2
-        assert elastic.bit_of_rank(bm, 5, elastic.FACTOR_CORE) == 2
+        assert elastic.base_bits(bm, 5) == 2
+        bm = elastic.BitMap(a=1.0, b=-3.0, q_max=8)
+        assert elastic.base_bits(bm, 1) == 2
 
     def test_validation(self):
         bm = elastic.BitMap(a=1.0, b=4.0, q_max=8)
-        with pytest.raises(ValueError, match="factor"):
-            elastic.bit_of_rank(bm, 3, "w")
-        with pytest.raises(ValueError):
-            elastic.bit_of_rank(bm, 0, elastic.FACTOR_U)
+        with pytest.raises(ValueError, match="rank"):
+            elastic.base_bits(bm, 0)
         with pytest.raises(ValueError, match="slope"):
             elastic.BitMap(a=-0.5, b=4.0, q_max=8)
         with pytest.raises(ValueError, match="q_max"):
@@ -248,15 +229,10 @@ class TestBitOfRank:
         a=st.floats(min_value=0.0, max_value=4.0),
         b=st.floats(min_value=-3.0, max_value=10.0),
         q_max=st.integers(min_value=2, max_value=16),
-        off=st.tuples(st.integers(-2, 2), st.integers(-2, 2),
-                      st.integers(-2, 2)),
     )
     @settings(deadline=None, max_examples=200)
-    def test_monotone_for_random_admissible_maps(self, a, b, q_max, off):
-        bm = elastic.BitMap(a=a, b=b, q_max=q_max, offsets=off)
-        for factor in (elastic.FACTOR_U, elastic.FACTOR_CORE,
-                       elastic.FACTOR_V):
-            qs = [elastic.bit_of_rank(bm, k, factor) for k in range(1, 41)]
-            assert all(q1 <= q2 for q1, q2 in zip(qs, qs[1:]))
-            assert all(2 <= q <= q_max for q in qs)
-
+    def test_monotone_for_random_admissible_maps(self, a, b, q_max):
+        bm = elastic.BitMap(a=a, b=b, q_max=q_max)
+        qs = [elastic.base_bits(bm, k) for k in range(1, 41)]
+        assert all(q1 <= q2 for q1, q2 in zip(qs, qs[1:]))
+        assert all(2 <= q <= q_max for q in qs)

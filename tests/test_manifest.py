@@ -332,14 +332,13 @@ class TestCertifyWork:
 
 class TestStoredPairs:
     def test_well_formed_pairs_parse(self):
-        assert manifest.pairs_from_doc(
-            [[3, None], [2, 8], [1, [8, None, 6]]]) \
-            == ((3, None), (2, 8), (1, (8, None, 6)))
+        assert manifest.pairs_from_doc([[3, None], [2, 8]]) \
+            == ((3, None), (2, 8))
 
     @pytest.mark.parametrize("entries", [
         5, [5], [[2]], [[2, 8, 1]], [(2, 8)], [[0, None]], [[2.0, None]],
         [[True, None]], [[2, "8"]], [[2, 8.0]], [[2, [8, 8]]],
-        [[2, [8, "4", 6]]]])
+        [[2, [8, "4", 6]]], [[1, [8, None, 6]]]])
     def test_malformed_pairs_raise_manifest_error(self, entries):
         with pytest.raises(manifest.ManifestError):
             manifest.pairs_from_doc(entries)

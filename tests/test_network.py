@@ -215,11 +215,9 @@ def _quantized_slices(lay, k, q):
     """Rank-k Tucker-2 slices through the package round trip."""
     f = lay.factors
     r_o, r_i = elastic.conv_rank_schedule(lay, k)
-    bits = q if isinstance(q, tuple) else (q, q, q)
     return tuple(
-        t if b is None else quant.round_trip(t, b)
-        for t, b in zip((f.u_out[:, :r_o], f.core[:r_o, :r_i],
-                         f.u_in[:, :r_i]), bits))
+        t if q is None else quant.round_trip(t, q)
+        for t in (f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i]))
 
 
 class TestConvExecution:
@@ -240,7 +238,7 @@ class TestConvExecution:
     def test_forward_matches_naive_oracles(self, arch, seed, side, batch,
                                            data):
         net, c0 = _conv_stack(arch, seed)
-        bits = st.sampled_from([None, 4, 8, (8, 4, 6)])
+        bits = st.sampled_from([None, 4, 6, 8])
         profile = [(data.draw(st.integers(1, b.elastic.k_max)),
                     data.draw(bits)) for b in net.blocks]
         x = _rng(seed + 1).standard_normal((batch, c0) + side)
@@ -318,10 +316,9 @@ def _quantized_weight(lay, k, q):
     """Rank-k dense weight rebuilt from factor slices quantized with the
     three-call quantizer."""
     f = lay.factors
-    bits = q if isinstance(q, tuple) else (q, q, q)
     u, s, v = (
-        t if b is None else _three_call_round_trip(t, b)
-        for t, b in zip((f.u[:, :k], f.sigma[:k], f.v[:, :k]), bits))
+        t if q is None else _three_call_round_trip(t, q)
+        for t in (f.u[:, :k], f.sigma[:k], f.v[:, :k]))
     return u @ np.diag(s) @ v.T
 
 
@@ -332,7 +329,7 @@ class TestDenseExecution:
     def test_forward_matches_naive_oracles(self, seed, n_layers, batch,
                                            data):
         net, n0 = _dense_stack(seed, n_layers)
-        bits = st.sampled_from([None, 4, 8, (8, 4, 6)])
+        bits = st.sampled_from([None, 4, 6, 8])
         profile = [(data.draw(st.integers(1, b.elastic.k_max)),
                     data.draw(bits)) for b in net.blocks]
         x = _rng(seed + 1).standard_normal((batch, n0))
@@ -592,32 +589,40 @@ class TestBackward:
         net = network.Network((network.Block(elastic=lay),))
         x = rng.standard_normal((1, 5))
         k, bits = 3, 6
-        profile = [(k, (bits, None, None))]
-        tr, grads = _sweep_grads(net, x, profile, lambda z: 2.0 * z)
+        tr, grads = _sweep_grads(net, x, [(k, bits)], lambda z: 2.0 * z)
 
-        # the straight-through surrogate: u plus its rounding residual,
-        # frozen at the operating point
+        # the straight-through surrogate: each factor slice plus its
+        # rounding residual, all three frozen at the operating point
         f = lay.factors
         glim = 2 ** (bits - 1) - 1
-        s0 = np.max(np.abs(f.u[:, :k])) / glim
-        resid = np.clip(np.rint(f.u[:, :k] / s0), -glim, glim) * s0 \
-            - f.u[:, :k]
 
-        def sur_loss(u_full):
-            uq = u_full[:, :k] + resid
-            weff = (uq * f.sigma[:k]) @ f.v[:, :k].T
+        def residual(t):
+            s0 = np.max(np.abs(t)) / glim
+            return np.clip(np.rint(t / s0), -glim, glim) * s0 - t
+
+        stored = {"u": f.u, "core": f.sigma, "v": f.v}
+        resid = {"u": residual(f.u[:, :k]), "core": residual(f.sigma[:k]),
+                 "v": residual(f.v[:, :k])}
+
+        def sur_loss(name, value):
+            served = {key: arr[..., :k] + resid[key] for key, arr in
+                      dict(stored, **{name: value}).items()}
+            weff = (served["u"] * served["core"]) @ served["v"].T
             z = weff @ x[0] + lay.bias
             return float(np.sum(z ** 2))
 
-        assert sur_loss(f.u) == pytest.approx(float(np.sum(tr.logits ** 2)),
-                                              rel=1e-12)
+        assert sur_loss("u", f.u) == pytest.approx(
+            float(np.sum(tr.logits ** 2)), rel=1e-12)
         assert list(grads[0]) == ["u", "core", "v", "bias"]
         h = 1e-6
-        for pos in [(0, 0), (2, 1), (3, 2)]:
-            up, um = f.u.copy(), f.u.copy()
-            up[pos] += h
-            um[pos] -= h
-            want = (sur_loss(up) - sur_loss(um)) / (2 * h)
-            assert grads[0]["u"][pos] == pytest.approx(want, rel=1e-5,
-                                                       abs=1e-9)
-        assert np.all(grads[0]["u"][:, k:] == 0.0)
+        for name, positions in (("u", [(0, 0), (2, 1), (3, 2)]),
+                                ("core", [(0,), (2,)]),
+                                ("v", [(0, 0), (4, 2)])):
+            for pos in positions:
+                up, um = stored[name].copy(), stored[name].copy()
+                up[pos] += h
+                um[pos] -= h
+                want = (sur_loss(name, up) - sur_loss(name, um)) / (2 * h)
+                assert grads[0][name][pos] == pytest.approx(
+                    want, rel=1e-5, abs=1e-9)
+            assert np.all(grads[0][name][..., k:] == 0.0)

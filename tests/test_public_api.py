@@ -22,8 +22,8 @@ UNREFERENCED = {
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":
         "the paper's rank-tied precision; wiring it into certify is open",
-    "elastic.factor_bits":
-        "BitMap's per-factor widths; wiring BitMap into certify is open",
+    "elastic.base_bits":
+        "BitMap's width at a rank; wiring BitMap into certify is open",
     "manifest.raw_model_to_doc":
         "how raw models are written; the benchmark's inputs use it",
 }

@@ -54,21 +54,22 @@ class TestLossWeights:
 
 class TestRankSampler:
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="k_min"):
-            train.RankSampler(5, 4, 10, (4,))
+        with pytest.raises(ValueError, match="k_max"):
+            train.RankSampler(0, 10, (1,))
         with pytest.raises(ValueError, match="t_anneal"):
-            train.RankSampler(1, 8, 0, (4,))
+            train.RankSampler(8, 0, (4,))
         with pytest.raises(ValueError, match="empty"):
-            train.RankSampler(1, 8, 10, ())
-        with pytest.raises(ValueError, match="outside"):
-            train.RankSampler(1, 8, 10, (9,))
+            train.RankSampler(8, 10, ())
+        for bad in (0, 9):
+            with pytest.raises(ValueError, match="outside"):
+                train.RankSampler(8, 10, (bad,))
 
     def test_profiles_sorted_and_deduped(self):
-        s = train.RankSampler(1, 8, 10, (8, 4, 4, 2))
+        s = train.RankSampler(8, 10, (8, 4, 4, 2))
         assert s.profiles == (2, 4, 8)
 
     def test_gamma_schedule_closed_form(self):
-        s = train.RankSampler(1, 8, 100, (4,))
+        s = train.RankSampler(8, 100, (4,))
         assert train.gamma_schedule(s, 0) == 1.0
         assert train.gamma_schedule(s, 50) == 0.5
         assert train.gamma_schedule(s, 100) == 0.0
@@ -77,7 +78,7 @@ class TestRankSampler:
             train.gamma_schedule(s, -1)
 
     def test_probabilities_sum_to_one(self):
-        s = train.RankSampler(1, 32, 100, (4, 16, 32))
+        s = train.RankSampler(32, 100, (4, 16, 32))
         for t in (0, 17, 50, 99, 100, 1000):
             p = train.rank_probabilities(s, t)
             assert p.shape == (32,)
@@ -85,7 +86,7 @@ class TestRankSampler:
             assert np.all(p >= 0)
 
     def test_uniform_at_start_chi_squared(self):
-        s = train.RankSampler(1, 32, 100, (4, 16, 32))
+        s = train.RankSampler(32, 100, (4, 16, 32))
         rng = np.random.default_rng(123)
         draws = np.array([train.sample_rank(s, 0, rng)
                           for _ in range(10000)])
@@ -95,7 +96,7 @@ class TestRankSampler:
         assert stat < chi2.ppf(0.999, df=31)
 
     def test_profiles_only_after_anneal(self):
-        s = train.RankSampler(1, 32, 100, (4, 16, 32))
+        s = train.RankSampler(32, 100, (4, 16, 32))
         rng = np.random.default_rng(7)
         support = {train.sample_rank(s, 100, rng) for _ in range(2000)}
         assert support == {4, 16, 32}
@@ -105,7 +106,7 @@ class TestRankSampler:
 
     def test_half_annealed_mixture_frequencies(self):
         # at gamma = 0.5 the in-profile mass is 0.5*|P|/n + 0.5
-        s = train.RankSampler(1, 32, 100, (4, 16, 32))
+        s = train.RankSampler(32, 100, (4, 16, 32))
         assert train.gamma_schedule(s, 50) == 0.5
         p = train.rank_probabilities(s, 50)
         p_in = sum(p[k - 1] for k in s.profiles)
@@ -364,7 +365,7 @@ class TestSchedules:
     def test_logged_rows_match_closed_forms(self):
         cfg = replace(train.TrainConfig(), steps=60, log_every=5)
         state, _ = train.train_toy(cfg, 3407)
-        sampler = train.RankSampler(1, 32, cfg.anneal_steps,
+        sampler = train.RankSampler(32, cfg.anneal_steps,
                                     cfg.profiles)
         w = cfg.weights
         for row in state.metrics:
