@@ -6,7 +6,11 @@ train       train the synthetic-task model and export a manifest
 decompose   factorize a raw-weight manifest into servable elastic factors;
             each layer then serves any rank from 1 to its stored rank
 certify     attach calibration statistics and a drift-certificate ledger
-plan        fit a device cost model and attach a budget-ordered lattice
+plan        fit a device cost model and attach a budget-ordered lattice:
+            one level per budget, all on one axis (--latency-ms, --bytes
+            or --energy-mj; three latency budgets by default), each the
+            assignment of least certificate mass that fits its budget
+            among those nested under the next looser level
 select      pick the fastest stored profile meeting budget and certificate
             on the lattice's device
 report      per-profile quality/cost/drift table (text, optional CSV)
@@ -147,9 +151,9 @@ def _ledger_mode(doc):
 
 
 def _ledger_epsilon(doc):
-    cert = doc.get("certificate") or {}
-    eps = cert.get("epsilon")
-    return None if eps is None else manifest.parse_float(eps)
+    with manifest._malformed("certificate"):
+        eps = (doc.get("certificate") or {}).get("epsilon")
+        return None if eps is None else manifest.parse_float(eps)
 
 
 def _stored_stats(doc):
@@ -283,6 +287,8 @@ def cmd_train(args):
 def cmd_decompose(args):
     doc = manifest.read_manifest(args.model)
     layers = manifest.raw_from_doc(doc)
+    with manifest._malformed("provenance"):
+        seed = doc.get("provenance", {}).get("seed")
     blocks = []
     for entry in layers:
         maker = elastic.from_conv if entry["kind"] == "conv" \
@@ -309,7 +315,6 @@ def cmd_decompose(args):
         raise CliError(f"full-rank reconstruction error {worst!r} exceeds "
                        f"{_DECOMPOSE_RECON_LIMIT!r}")
 
-    seed = doc.get("provenance", {}).get("seed")
     out = manifest.network_to_doc(net, seed=seed, source="decompose")
     with _publish(out, args.out):
         say("decompose", layers=len(net.blocks), recon_rel_max=worst)
@@ -406,36 +411,34 @@ def _canonical_grid(net):
     return grid
 
 
-def _parse_budget_lists(args):
-    def parse(flag, text, conv):
-        if text is None:
-            return None
-        try:
-            return [conv(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise CliError(f"bad {flag} list: {text!r}") from exc
+_BUDGET_FLAGS = (("--latency-ms", "latency_ms", "latency_target", float),
+                 ("--bytes", "bytes", "bytes_target", int),
+                 ("--energy-mj", "energy_mj", "energy_target", float))
 
-    lat = parse("--latency-ms", args.latency_ms, float)
-    byt = parse("--bytes", args.bytes, int)
-    eng = parse("--energy-mj", args.energy_mj, float)
-    present = [lst for lst in (lat, byt, eng) if lst is not None]
-    if not present:
+
+def _parse_budget_list(args):
+    """plan's one budget axis: (BudgetToken field, values), or None when
+    no budget flag is given."""
+    given = [spec for spec in _BUDGET_FLAGS
+             if getattr(args, spec[1]) is not None]
+    if not given:
         return None
-    n = max(len(lst) for lst in present)
-    for lst in present:
-        if len(lst) not in (1, n):
-            raise CliError("budget lists must share one length "
-                           "(or give a single value)")
-
-    def pick(lst, j):
-        if lst is None:
-            return None
-        return lst[0] if len(lst) == 1 else lst[j]
-
-    return [(pick(lat, j), pick(byt, j), pick(eng, j)) for j in range(n)]
+    if len(given) > 1:
+        raise CliError("plan takes one budget axis: give one of "
+                       "--latency-ms, --bytes, --energy-mj")
+    flag, attr, field, conv = given[0]
+    text = getattr(args, attr)
+    try:
+        values = [conv(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise CliError(f"bad {flag} list: {text!r}") from exc
+    if not values:
+        raise CliError(f"{flag} names no budgets")
+    return field, values
 
 
 def cmd_plan(args):
+    axis = _parse_budget_list(args)
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
     stats = _stored_stats(doc)
@@ -472,34 +475,28 @@ def cmd_plan(args):
         r_squared=cost_model.r_squared,
         mape_percent=cost_model.mape_percent, energy=has_energy)
 
-    triples = _parse_budget_lists(args)
-    if triples is None:
+    if axis is None:
         full = [(blk.elastic.k_max, None) for blk in net.blocks]
         base = cost.predict(cost_model,
                             cost.profile_costs(net, full, spatial))
-        lats = sorted({f * base * _AUTO_BUDGET_SLACK
-                       for f in _AUTO_BUDGET_FRACS})
-        triples = [(lat, None, None) for lat in lats]
-        say("budgets", source="auto", count=len(triples))
+        axis = "latency_target", sorted({f * base * _AUTO_BUDGET_SLACK
+                                         for f in _AUTO_BUDGET_FRACS})
+        say("budgets", source="auto", count=len(axis[1]))
     else:
-        say("budgets", source="flags", count=len(triples))
-    budgets = []
-    for lat, byt, eng in triples:
-        if eng is not None and energy_model is None:
-            raise CliError("energy budgets need a device table with an "
-                           "energy column")
-        budgets.append(controller.BudgetToken(
-            device=cost_model.device, latency_target=lat,
-            bytes_target=byt, energy_target=eng))
-
-    tightest = controller.greedy_knapsack(net, menus, budgets[0], benefit,
-                                          cost_model, energy_model, spatial)
-    say("plan", budgets=len(budgets),
-        smallest_budget_feasible=tightest.feasible)
+        say("budgets", source="flags", count=len(axis[1]))
+    field, values = axis
+    if field == "energy_target" and energy_model is None:
+        raise CliError("energy budgets need a device table with an "
+                       "energy column")
+    budgets = [controller.BudgetToken(device=cost_model.device,
+                                      **{field: v}) for v in values]
     lattice = controller.build_lattice(
         net, menus, budgets, benefit, stats, cost_model,
         energy_model=energy_model, spatial=spatial, mode=mode,
         calibration_inputs=calib)
+    # a level meets its own budget exactly when its allocation was feasible
+    say("plan", budgets=len(budgets),
+        smallest_budget_feasible=lattice.meets(0, budgets[0]))
 
     named = {}
     for prof in lattice.profiles:

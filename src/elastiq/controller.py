@@ -2,15 +2,16 @@
 
 A budget token names a deployment target (latency, size, energy, device).
 This module turns such tokens into deployable per-layer (rank, bits)
-profiles: a greedy allocator trades certificate mass against predicted
-cost over per-layer menus, holding one menu position per layer; a
-monotonicity pass guarantees that looser budgets never shrink any layer;
-a runtime selector gates the resulting lattice by predicted latency and
-certified drift; and an audit counts the lattice's predicted-latency
-drops and drift-bound rises.
+profiles: an exact allocator minimizes certificate mass over per-layer
+menus under one predicted-cost target; a lattice plans one level per
+budget, each on a single budget axis, from the loosest to the tightest,
+nesting every level under the looser one, so looser budgets never shrink
+any layer and every feasible level meets its own budget; a runtime
+selector gates the lattice by predicted latency and certified drift,
+under any mix of targets; and an audit counts the lattice's
+predicted-latency drops and drift-bound rises.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,11 @@ _TARGETS = ("latency_target", "bytes_target", "energy_target")
 
 def _q_ord(q):
     return _UNQUANTIZED_ORD if q is None else int(q)
+
+
+def _at_or_below(entry, bound):
+    """Componentwise order of (k, q) pairs, bits None counting as 32."""
+    return entry[0] <= bound[0] and _q_ord(entry[1]) <= _q_ord(bound[1])
 
 
 @dataclass(frozen=True)
@@ -115,52 +121,14 @@ def _check_menus(menus, n_layers):
     return [_check_menu(menu, f"layer {i}") for i, menu in enumerate(menus)]
 
 
-def enforce_monotone(profiles):
-    """Minimal upward correction of a budget-ordered profile chain.
-
-    Each layer's rank and bit sequences are replaced by their running
-    maxima (bits None counts as 32), so every adjacent pair ends up
-    componentwise ordered and no assignment ever decreases. Returns the
-    corrected profiles as a tuple; build_lattice has already checked that
-    the budgets behind them are ordered.
-    """
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("profile chain is empty")
-    n = len(profiles[0].pairs)
-    if any(len(p.pairs) != n for p in profiles):
-        raise ValueError("profiles disagree on the layer count")
-    cur_k = [0] * n
-    cur_q = [(2, 2)] * n  # (ordinal, stored value); overwritten below
-    out = []
-    for pos, prof in enumerate(profiles):
-        pairs = []
-        for ell, (k, q) in enumerate(prof.pairs):
-            if pos == 0:
-                cur_k[ell] = k
-                cur_q[ell] = (_q_ord(q), q)
-            else:
-                if k < cur_k[ell]:
-                    k = cur_k[ell]
-                else:
-                    cur_k[ell] = k
-                if _q_ord(q) < cur_q[ell][0]:
-                    q = cur_q[ell][1]
-                else:
-                    cur_q[ell] = (_q_ord(q), q)
-            pairs.append((k, q))
-        out.append(dataclasses.replace(prof, pairs=tuple(pairs)))
-    return tuple(out)
-
-
 def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
                      calibration_inputs=None):
     """Per-layer, per-menu-entry certified drift contribution.
 
-    mass[ell][i] multiplies the layer's logit sensitivity, the weight
-    change the entry causes, and the calibrated input-norm scale. The
-    table drives greedy allocation; certified reports always come from
-    the certificate module itself.
+    mass[ell][i] multiplies the layer's logit sensitivity at the full
+    profile, the weight change the entry causes, and the calibrated
+    input-norm scale. The table is allocate's objective; certified
+    reports always come from the certificate module itself.
     """
     menus = _check_menus(menus, len(net.blocks))
     rows = certificate.ledger(net, stats, None, mode, calibration_inputs)
@@ -172,52 +140,37 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
     return table
 
 
-@dataclass(frozen=True)
-class KnapsackResult:
-    """Greedy allocation outcome.
+def allocate(net, menus, budget, benefit, cost_model=None, energy_model=None,
+             spatial=None, name="", upper=None):
+    """Least certificate mass under a one-target budget token, exactly.
 
-    trace lists the applied upgrades as (layer index, new menu position);
-    feasible is False when even the all-minimum profile exceeds the
-    budget, in which case that minimum profile is returned.
-    """
+    benefit[ell][i] is the certificate mass of layer ell at menu entry i,
+    as built by certificate_mass; each menu entry is priced once with
+    cost.layer_cost. The token sets exactly one target: predicted latency
+    (needs cost_model), predicted energy (needs energy_model) or weight
+    bytes. upper, when given, holds one (k, q) per layer and admits only
+    entries at or below it in rank and in width (bits None counts as 32).
 
-    profile: Profile
-    feasible: bool
-    trace: tuple
-    predicted: dict
+    The sweep extends partial assignments layer by layer, accumulating
+    cost in cost.predict's order, so a final cost is exactly the predicted
+    value. After each layer it keeps, in order of cost, only assignments
+    within the budget whose mass is below every cheaper one's. Cost terms
+    are non-negative and float addition is monotone, so no dropped
+    assignment completes to a better one. Mass ties go to the cheaper
+    assignment.
 
-
-def _within_budget(predicted, budget):
-    if budget.latency_target is not None \
-            and predicted["latency_ms"] > budget.latency_target:
-        return False
-    if budget.bytes_target is not None \
-            and predicted["weight_bytes"] > budget.bytes_target:
-        return False
-    if budget.energy_target is not None \
-            and predicted["energy_mj"] > budget.energy_target:
-        return False
-    return True
-
-
-def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
-                    energy_model=None, spatial=None, name=""):
-    """Benefit-per-cost menu allocation under a budget token.
-
-    Starts every layer at its smallest menu entry and repeatedly applies
-    the feasible single-step upgrade with the largest drop in
-    certificate mass per unit of predicted cost (latency when a latency
-    model is given, otherwise energy, otherwise weight bytes); free or
-    cost-neutral upgrades rank highest, and ratio ties go to the lowest
-    layer index. benefit[ell][i] is the certificate mass of layer ell at
-    menu entry i, as built by certificate_mass. Each menu entry is
-    priced once with cost.layer_cost.
+    Returns (Profile, feasible). When no admitted assignment fits, every
+    layer takes its first admitted entry and feasible is False.
     """
     n = len(net.blocks)
     menus = _check_menus(menus, n)
     benefit = [list(map(float, b)) for b in benefit]
     if [len(b) for b in benefit] != [len(m) for m in menus]:
         raise ValueError("benefit table does not match the menus")
+    targets = [t for t in _TARGETS if getattr(budget, t) is not None]
+    if len(targets) != 1:
+        raise ValueError("allocation needs a budget token with exactly one "
+                         "target")
     if budget.latency_target is not None and cost_model is None:
         raise ValueError("latency target needs a fitted cost model")
     if budget.energy_target is not None and energy_model is None:
@@ -225,57 +178,47 @@ def greedy_knapsack(net, menus, budget, benefit, cost_model=None,
     for model in (cost_model, energy_model):
         if model is not None and model.device != budget.device:
             raise ValueError("budget device does not match the model")
+    if upper is not None and len(upper) != n:
+        raise ValueError("upper bound does not match the layer count")
 
-    if cost_model is not None:
-        objective = "latency_ms"
-    elif energy_model is not None:
-        objective = "energy_mj"
-    else:
-        objective = "weight_bytes"
+    cap = getattr(budget, targets[0])
+    model = {"latency_target": cost_model,
+             "energy_target": energy_model}.get(targets[0])
+    if model is not None and len(model.comp) != n:
+        raise ValueError("profile layer count does not match the model")
+    steps, allowed = [], []
+    for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
+        row = [cost.layer_cost(blk.elastic, k, q, spatial) for k, q in menu]
+        steps.append([(c.weight_bytes,) if model is None else
+                      (model.comp[ell] * c.flops,
+                       model.mem[ell] * (c.weight_bytes + c.activation_bytes))
+                      for c in row])
+        allowed.append([i for i, entry in enumerate(menu)
+                        if upper is None or _at_or_below(entry, upper[ell])])
+        if not allowed[ell]:
+            raise ValueError(f"layer {ell}: no menu entry at or below the "
+                             f"upper bound")
 
-    priced = [[cost.layer_cost(blk.elastic, k, q, spatial) for k, q in menu]
-              for blk, menu in zip(net.blocks, menus)]
-
-    def predicted_at(position):
-        rows = [priced[ell][i] for ell, i in enumerate(position)]
-        return {"weight_bytes": int(sum(r.weight_bytes for r in rows)),
-                "latency_ms": None if cost_model is None
-                else cost.predict(cost_model, rows),
-                "energy_mj": None if energy_model is None
-                else cost.predict(energy_model, rows)}
-
-    def profile_at(position):
-        return Profile(tuple(menus[ell][i] for ell, i in enumerate(position)),
-                       name=name)
-
-    position = [0] * n
-    predicted = predicted_at(position)
-    if not _within_budget(predicted, budget):
-        return KnapsackResult(profile_at(position), False, (), predicted)
-
-    trace = []
-    while True:
-        best = None
-        for ell, pos in enumerate(position):
-            if pos + 1 >= len(menus[ell]):
-                continue
-            trial = list(position)
-            trial[ell] = pos + 1
-            trial_pred = predicted_at(trial)
-            if not _within_budget(trial_pred, budget):
-                continue
-            dbenefit = benefit[ell][pos] - benefit[ell][pos + 1]
-            dcost = trial_pred[objective] - predicted[objective]
-            ratio = math.inf if dcost <= 0.0 else dbenefit / dcost
-            key = (-ratio, ell)
-            if best is None or key < best[0]:
-                best = (key, ell, trial, trial_pred)
-        if best is None:
-            break
-        _, ell, position, predicted = best
-        trace.append((ell, position[ell]))
-    return KnapsackResult(profile_at(position), True, tuple(trace),
-                          predicted)
+    states = [(0 if model is None else model.intercept, 0.0, ())]
+    for ell in range(n):
+        grown = []
+        for total, mass, picks in states:
+            for i in allowed[ell]:
+                c = total
+                for term in steps[ell][i]:
+                    c += term
+                grown.append((c, mass + benefit[ell][i], picks + (i,)))
+        grown.sort()
+        states = []
+        for state in grown:
+            if state[0] > cap:
+                break
+            if not states or state[1] < states[-1][1]:
+                states.append(state)
+    feasible = bool(states)
+    picks = states[-1][2] if feasible else [a[0] for a in allowed]
+    return Profile(tuple(menu[i] for menu, i in zip(menus, picks)),
+                   name=name), feasible
 
 
 @dataclass(frozen=True)
@@ -315,25 +258,36 @@ class ProfileLattice:
         if any(len(p.pairs) != n for p in profiles):
             raise ValueError("profiles disagree on the layer count")
         for a, b in zip(profiles, profiles[1:]):
-            for (ka, qa), (kb, qb) in zip(a.pairs, b.pairs):
-                if kb < ka or _q_ord(qb) < _q_ord(qa):
-                    raise ValueError(
-                        "lattice profiles must grow componentwise")
+            if not all(map(_at_or_below, a.pairs, b.pairs)):
+                raise ValueError("lattice profiles must grow componentwise")
 
     def __len__(self):
         return len(self.profiles)
+
+    def meets(self, j, budget):
+        """True when level j meets every cost target budget sets."""
+        for target, values in (("latency_target", self.predicted_latency),
+                               ("bytes_target", self.weight_bytes),
+                               ("energy_target", self.energy)):
+            cap = getattr(budget, target)
+            if cap is not None and values[j] > cap:
+                return False
+        return True
 
 
 def build_lattice(net, menus, budgets, benefit, stats, cost_model,
                   energy_model=None, spatial=None,
                   mode=certificate.CONSERVATIVE, calibration_inputs=None):
-    """Greedy profiles at each budget level, ordered and priced.
+    """Exact nested profiles at each budget level, ordered and priced.
 
-    Checks that the budgets are ordered tightest first, runs the greedy
-    allocator per budget, raises the chain to monotonicity with
-    enforce_monotone, then attaches predicted latency, weight bytes, the
-    aggregate drift bound, and optional energy. Three budgets are named
-    tiny/med/max, any other count s1, s2, ....
+    Checks that the budgets are ordered tightest first, then allocates
+    from the loosest budget to the tightest, passing each level's pairs to
+    the next as its upper bound: the chain grows componentwise by
+    construction, and every feasible level meets its own budget. Attaches
+    predicted latency, weight bytes, optional energy and the aggregate
+    drift bound, all levels' ledgers built in one certificate.ledgers
+    pass. Three budgets are named tiny/med/max, any other count s1, s2,
+    ....
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -343,19 +297,22 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
             raise ValueError("budgets must be ordered tightest first")
     names = ("tiny", "med", "max") if len(budgets) == 3 \
         else tuple(f"s{j + 1}" for j in range(len(budgets)))
-    profiles = enforce_monotone(
-        greedy_knapsack(net, menus, budget, benefit, cost_model,
-                        energy_model, spatial, name=label).profile
-        for budget, label in zip(budgets, names))
-    lat, wbytes, drift, energy = [], [], [], []
+    profiles, upper = [], None
+    for budget, label in zip(budgets[::-1], names[::-1]):
+        prof, _ = allocate(net, menus, budget, benefit, cost_model,
+                           energy_model, spatial, label, upper)
+        profiles.insert(0, prof)
+        upper = prof.pairs
+    lat, wbytes, energy = [], [], []
     for prof in profiles:
         rows = cost.profile_costs(net, prof, spatial)
         lat.append(cost.predict(cost_model, rows))
         wbytes.append(int(sum(r.weight_bytes for r in rows)))
-        drift.append(certificate.expected_bound(
-            net, stats, prof, mode, calibration_inputs))
         if energy_model is not None:
             energy.append(cost.predict(energy_model, rows))
+    drift = [float(certificate.ledger_total(rows)) for rows in
+             certificate.ledgers(net, stats, profiles, mode,
+                                 calibration_inputs)]
     return ProfileLattice(
         profiles=profiles,
         predicted_latency=tuple(lat),
@@ -391,30 +348,17 @@ def select_runtime(lattice, budget, epsilon):
         raise ValueError("lattice carries no energy predictions")
     epsilon = float(epsilon)
     n = len(lattice)
-
-    def cost_ok(j):
-        if budget.latency_target is not None \
-                and lattice.predicted_latency[j] > budget.latency_target:
-            return False
-        if budget.bytes_target is not None \
-                and lattice.weight_bytes[j] > budget.bytes_target:
-            return False
-        if budget.energy_target is not None \
-                and lattice.energy[j] > budget.energy_target:
-            return False
-        return True
-
     order = sorted(range(n), key=lambda j: (lattice.predicted_latency[j],
                                             j))
-    feasible = [j for j in order
-                if cost_ok(j) and lattice.drift_bound[j] <= epsilon]
+    feasible = [j for j in order if lattice.meets(j, budget)
+                and lattice.drift_bound[j] <= epsilon]
     if feasible:
         j = feasible[0]
         status = OK
     else:
         j = order[0]
-        status = CERT_WARNING if any(cost_ok(i) for i in range(n)) \
-            else INFEASIBLE
+        status = CERT_WARNING if any(lattice.meets(i, budget)
+                                     for i in range(n)) else INFEASIBLE
     return SelectionResult(j, lattice.profiles[j], status,
                            float(lattice.predicted_latency[j]),
                            float(lattice.drift_bound[j]))

@@ -1,11 +1,11 @@
 """Compute and memory accounting plus a fitted latency/energy proxy.
 
-Closed-form multiply-add counts and byte footprints for the factorized
-forward paths (for conv layers, the path network.forward executes) and a
-nonnegative-least-squares latency model over (FLOPs, bytes) features. No hardware is touched: device tables are
-synthesized from a planted linear model with multiplicative log-normal
-noise, clearly labeled as such, so the fit/predict loop stays testable on
-a desk.
+Closed-form multiply-add counts and byte footprints for the forward path
+network.forward executes (staged factors or the rebuilt weight) and a
+nonnegative-least-squares latency model over (FLOPs, bytes) features. No
+hardware is touched: device tables are synthesized from a planted linear
+model with multiplicative log-normal noise, clearly labeled as such, so
+the fit/predict loop stays testable on a desk.
 
 Counting conventions: one multiply-accumulate = 2 FLOPs, accumulators
 start at zero, diagonal scaling is 1 FLOP per element. Bytes are rounded
@@ -80,15 +80,12 @@ def layer_cost(layer, k, q=None, spatial=None):
     """Full accounting for one layer at one operating point.
 
     Dense layers need no spatial size; conv layers require
-    spatial=(H, W) of the feature map. Conv FLOPs are those of the path
-    network.forward executes, which elastic.runs_staged picks: the
-    staged Tucker-2 conv, or the rebuilt kernel's
-    2*H*W*c_o*c_i*kh*kw, whichever is fewer. Dense FLOPs are always the
-    staged count flops_dense_svd, also at ranks where forward runs the
-    rebuilt weight (2mn): pricing those at min(staged, dense) moves the
-    planner's choices, so it waits for a rework of the planner's cost
-    rows. Activation bytes cover one input read plus one output write at
-    ACTIVATION_BITS.
+    spatial=(H, W) of the feature map. FLOPs are those of the path
+    network.forward executes, which elastic.runs_staged picks, whichever
+    is fewer: for dense layers the staged flops_dense_svd or the rebuilt
+    weight's 2mn, for conv layers the staged Tucker-2 conv or the rebuilt
+    kernel's 2*H*W*c_o*c_i*kh*kw. Activation bytes cover one input read
+    plus one output write at ACTIVATION_BITS.
     """
     if layer.kind == elastic.CONV_TUCKER2:
         if spatial is None:
@@ -104,8 +101,10 @@ def layer_cost(layer, k, q=None, spatial=None):
             fl = 2 * height * width * c_o * c_i * kh * kw
         act_elems = (layer.in_features + layer.out_features) * height * width
     else:
-        fl = flops_dense_svd(layer.out_features, layer.in_features, k)
-        act_elems = layer.in_features + layer.out_features
+        m, n = layer.out_features, layer.in_features
+        fl = flops_dense_svd(m, n, k) if elastic.runs_staged(layer, k) \
+            else 2 * m * n
+        act_elems = m + n
     return LayerCost(flops=int(fl),
                      weight_bytes=int(bytes_of(layer, k, q)),
                      activation_bytes=int(_tensor_bytes(act_elems,

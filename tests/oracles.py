@@ -5,6 +5,8 @@ Everything in here is deliberately written as straight-line, obvious code
 with src/. Slow is fine.
 """
 
+import itertools
+
 import numpy as np
 import scipy.special
 
@@ -240,44 +242,37 @@ def dense_block_jacobians(weights, biases, gammas, betas, acts, residuals, x):
     return full_jacs, post_w_jacs
 
 
-def greedy_allocation_replay(menus, benefit, objective_of, feasible_at):
-    """Independent replay of benefit-per-cost menu allocation.
+def exhaustive_allocation(menus, benefit, cost_of, cap, upper=None):
+    """Least-mass menu assignment by enumerating every combination.
 
-    Plain-loop reference: start every layer at entry 0, repeatedly apply
-    the feasible single-step upgrade with the largest benefit-drop per
-    unit objective increase (free steps rank as infinite), ties to the
-    lowest layer. objective_of and feasible_at consume a per-layer entry
-    list. Returns (positions per layer, trace, feasible_flag).
+    Plain-loop reference: tries every product of per-layer menu positions
+    whose entries lie at or below upper (rank and width, width None as
+    32), sums mass in layer order, prices the entry list with cost_of, and
+    keeps the smallest (mass, cost) among those with cost <= cap. Returns
+    (mass, cost, entries), or None when nothing fits.
     """
-    def entries(pos):
-        return [menus[m][pos[m]] for m in range(len(menus))]
+    def admitted(entry, bound):
+        if bound is None:
+            return True
+        width = 32 if entry[1] is None else entry[1]
+        bound_width = 32 if bound[1] is None else bound[1]
+        return entry[0] <= bound[0] and width <= bound_width
 
-    pos = [0] * len(menus)
-    if not feasible_at(entries(pos)):
-        return pos, [], False
-    trace = []
-    cur_obj = objective_of(entries(pos))
-    while True:
-        best = None
-        for m in range(len(menus)):
-            if pos[m] + 1 >= len(menus[m]):
-                continue
-            trial = list(pos)
-            trial[m] += 1
-            ent = entries(trial)
-            if not feasible_at(ent):
-                continue
-            gain = benefit[m][pos[m]] - benefit[m][pos[m] + 1]
-            delta = objective_of(ent) - cur_obj
-            ratio = float("inf") if delta <= 0.0 else gain / delta
-            key = (-ratio, m)
-            if best is None or key < best[0]:
-                best = (key, m, trial)
-        if best is None:
-            return pos, trace, True
-        _, m, pos = best
-        cur_obj = objective_of(entries(pos))
-        trace.append((m, pos[m]))
+    bounds = upper if upper is not None else [None] * len(menus)
+    best = None
+    for picks in itertools.product(*(range(len(m)) for m in menus)):
+        entries = [menus[m][i] for m, i in enumerate(picks)]
+        if not all(admitted(e, b) for e, b in zip(entries, bounds)):
+            continue
+        total = cost_of(entries)
+        if total > cap:
+            continue
+        mass = 0.0
+        for m, i in enumerate(picks):
+            mass += benefit[m][i]
+        if best is None or (mass, total) < best[:2]:
+            best = (mass, total, entries)
+    return best
 
 
 def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,

@@ -185,8 +185,8 @@ def test_byte_budgets_in_plan_and_select(tmp_path):
     sizes = lattice.weight_bytes
     assert len(sizes) == 4
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-    # enforce_monotone can lift a level over its own budget, so no level
-    # is checked against the budget it was planned for
+    assert all(size <= budget for size, budget in zip(sizes,
+                                                      (60, 120, 240, 600)))
     epsilon = max(lattice.drift_bound)
     code, out, err = _cli_output("select", plan, "--bytes", min(sizes) - 1,
                                  "--epsilon", repr(epsilon))
@@ -200,6 +200,17 @@ def test_byte_budgets_in_plan_and_select(tmp_path):
     assert lattice.weight_bytes[pick.index] == min(sizes)
     assert f"@@ select profile={pick.profile.name} index={pick.index} " \
         in out
+
+    # one budget axis per plan, naming at least one budget
+    bad = tmp_path / "bad.json"
+    for flags, message in (
+            (("--latency-ms", "1.0", "--bytes", "600"),
+             "plan takes one budget axis: give one of --latency-ms, "
+             "--bytes, --energy-mj"),
+            (("--bytes", ","), "--bytes names no budgets")):
+        code, out, err = _cli_output("plan", cert, "--out", bad, *flags)
+        assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: {message}\n")
+        assert not bad.exists()
 
 
 def test_audit_exits_4_on_a_latency_inversion(tmp_path):
@@ -564,8 +575,16 @@ _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
      "malformed calibration (KeyError: 'alpha')"),
     (_CERTIFY, "cert.json", _drop("profiles", "r2", "pairs"),
      "malformed profiles (KeyError: 'pairs')"),
+    (("select", "--latency-ms", "1.0"), "plan.json",
+     lambda doc: doc["certificate"].update(epsilon=[1.0]),
+     "malformed certificate (TypeError: float() argument must be a string "
+     "or a real number, not 'list')"),
+    (("decompose",), "raw.json", lambda doc: doc.update(provenance=[]),
+     "malformed provenance (AttributeError: 'list' object has no "
+     "attribute 'get')"),
 ], ids=["topology-activation", "model-u", "topology-list", "raw-activation",
-        "calibration-alpha", "profile-pairs"])
+        "calibration-alpha", "profile-pairs", "certificate-epsilon",
+        "raw-provenance"])
 def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
                                                    edit, message):
     _planned_small_model(tmp_path)
@@ -576,7 +595,9 @@ def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(manifest.canonical_json(doc))
-    code, stdout, err = _cli_output(argv[0], path, *argv[1:], "--out", out)
+    # select writes no file, so it takes no --out
+    extra = () if argv[0] == "select" else ("--out", out)
+    code, stdout, err = _cli_output(argv[0], path, *argv[1:], *extra)
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == f"error: {message}\n"
     assert not out.exists()

@@ -1,5 +1,5 @@
-"""Budget tokens, profiles, menu snapping, monotonicity, certificate mass, greedy
-allocation, the profile lattice, and runtime profile selection."""
+"""Budget tokens, profiles, menu snapping, certificate mass, exact
+allocation, the nested profile lattice, and runtime profile selection."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elastiq import certificate, controller, cost, elastic, network
-from oracles import greedy_allocation_replay
+from oracles import exhaustive_allocation
 
 
 def _rng(seed):
@@ -103,7 +103,7 @@ class TestProfile:
 
 class TestSnap:
     """Menu snapping: a planned profile holds only entries of each layer's
-    menu, and a tied group takes one common rank."""
+    menu."""
 
     def test_membership_holds_for_random_proposals(self):
         rng = _rng(11)
@@ -121,77 +121,18 @@ class TestSnap:
                 benefit.append(sorted(rng.uniform(0, 5, len(ks)))[::-1])
             top = _menu_bytes(net, [m[-1] for m in menus])
             size = int(rng.integers(1, top + 2))
-            res = controller.greedy_knapsack(net, menus, _token(size=size),
-                                             benefit)
-            for entry, menu in zip(res.profile.pairs, menus):
+            prof, _ = controller.allocate(net, menus, _token(size=size),
+                                          benefit)
+            for entry, menu in zip(prof.pairs, menus):
                 assert entry in menu
 
     def test_menus_must_be_sorted_and_non_empty(self):
         net = _dense_net(13, (6, 5))
         with pytest.raises(ValueError, match="ascending"):
-            controller.greedy_knapsack(net, [[(2, 4), (1, 4)]],
-                                       _token(size=100), [[1.0, 0.0]])
+            controller.allocate(net, [[(2, 4), (1, 4)]], _token(size=100),
+                                [[1.0, 0.0]])
         with pytest.raises(ValueError, match="empty"):
-            controller.greedy_knapsack(net, [[]], _token(size=100), [[]])
-
-
-class TestEnforceMonotone:
-    def _profiles(self, chains):
-        # chains[layer] = list over budgets of (k, q)
-        n_budgets = len(chains[0])
-        out = []
-        for j in range(n_budgets):
-            pairs = tuple(chain[j] for chain in chains)
-            out.append(controller.Profile(pairs, name=f"b{j}"))
-        return out
-
-    def test_already_monotone_is_unchanged(self):
-        profs = self._profiles([[(1, 4), (2, 4), (3, 8)]])
-        result = controller.enforce_monotone(profs)
-        assert isinstance(result, tuple)
-        assert [p.pairs for p in result] == [p.pairs for p in profs]
-
-    def test_single_inversion_is_pooled_upward(self):
-        profs = self._profiles([[(4, 4), (3, 4), (5, 4)]])
-        result = controller.enforce_monotone(profs)
-        assert [p.pairs[0][0] for p in result] == [4, 4, 5]
-
-    def test_matches_running_max_oracle(self):
-        rng = _rng(21)
-        q_pool = [2, 4, 8, 16, None]
-        for _ in range(20):
-            n_layers, n_budgets = rng.integers(1, 4), rng.integers(2, 7)
-            chains = [[(int(rng.integers(1, 9)),
-                        q_pool[rng.integers(len(q_pool))])
-                       for _ in range(n_budgets)]
-                      for _ in range(n_layers)]
-            result = controller.enforce_monotone(self._profiles(chains))
-            for ell, chain in enumerate(chains):
-                got_k = [p.pairs[ell][0] for p in result]
-                want_k = np.maximum.accumulate([k for k, _ in chain])
-                assert got_k == list(want_k)
-                ords = [32 if q is None else q for _, q in chain]
-                want_q = np.maximum.accumulate(ords)
-                got_q = [32 if p.pairs[ell][1] is None else p.pairs[ell][1]
-                         for p in result]
-                assert got_q == list(want_q)
-
-    def test_output_is_pairwise_monotone(self):
-        rng = _rng(22)
-        for _ in range(10):
-            chains = [[(int(rng.integers(1, 9)),
-                        int(rng.choice([2, 4, 8, 16])))
-                       for _ in range(6)] for _ in range(3)]
-            result = controller.enforce_monotone(self._profiles(chains))
-            for a, b in zip(result, result[1:]):
-                for (ka, qa), (kb, qb) in zip(a.pairs, b.pairs):
-                    assert kb >= ka and qb >= qa
-
-    def test_layer_count_mismatch_rejected(self):
-        profs = [controller.Profile(((1, 4),)),
-                 controller.Profile(((1, 4), (2, 4)))]
-        with pytest.raises(ValueError, match="layer count"):
-            controller.enforce_monotone(profs)
+            controller.allocate(net, [[]], _token(size=100), [[]])
 
 
 def _calibrated(seed, dims, **kw):
@@ -238,7 +179,7 @@ class TestCertificateMass:
             controller.certificate_mass(other, stats, [[(1, None)]])
 
 
-def _greedy_net():
+def _hand_net():
     rng = _rng(50)
     blocks = []
     dims = (6, 8, 4)
@@ -249,8 +190,8 @@ def _greedy_net():
     return network.Network(tuple(blocks))
 
 
-_GREEDY_MENUS = [[(1, 4), (2, 4), (3, 4)], [(1, 4), (2, 4), (3, 4)]]
-_GREEDY_BENEFIT = [[10.0, 4.0, 1.0], [8.0, 5.0, 4.0]]
+_HAND_MENUS = [[(1, 4), (2, 4), (3, 4)], [(1, 4), (2, 4), (3, 4)]]
+_HAND_BENEFIT = [[10.0, 4.0, 1.0], [8.0, 5.0, 4.0]]
 
 
 def _menu_bytes(net, entries):
@@ -258,112 +199,149 @@ def _menu_bytes(net, entries):
     return sum(r.weight_bytes for r in rows)
 
 
-class TestGreedyKnapsack:
+def _random_instance(rng, seed, cross=False):
+    """A 2-3 layer dense net with random masses (with ties) and latency
+    and energy models. Each menu holds 1-4 random ascending entries, or
+    with cross=True, 1-2 ranks crossed with 1-2 widths, as plan's menus
+    cross a rank ladder with widths."""
+    n_layers = int(rng.integers(2, 4))
+    dims = [int(d) for d in rng.integers(3, 8, size=n_layers + 1)]
+    net = _dense_net(seed, dims, acts=[network.IDENTITY] * n_layers)
+    menus, benefit = [], []
+    for blk in net.blocks:
+        ks = range(1, blk.elastic.k_max + 1)
+        qs = (3, 4, 8, None)
+        if cross:
+            ks = sorted(rng.choice(ks, size=min(len(ks), int(
+                rng.integers(1, 3))), replace=False))
+            qs = [qs[i] for i in sorted(rng.choice(4, size=int(
+                rng.integers(1, 3)), replace=False))]
+        pool = [(int(k), q) for k in ks for q in qs]
+        picks = range(len(pool)) if cross else sorted(rng.choice(
+            len(pool), size=min(len(pool), int(rng.integers(1, 5))),
+            replace=False))
+        menus.append([pool[i] for i in picks])
+        benefit.append([float(v) for v in rng.integers(0, 6, len(picks))])
+    models = [_hand_model(rng.uniform(1e-4, 1e-3, n_layers),
+                          rng.uniform(1e-4, 1e-3, n_layers),
+                          intercept=float(rng.uniform(0.0, 0.02)))
+              for _ in range(2)]
+    return net, menus, benefit, models
+
+
+def _mass(menus, benefit, pairs):
+    """Certificate mass of a planned profile, summed in layer order."""
+    mass = 0.0
+    for ell, entry in enumerate(pairs):
+        mass += benefit[ell][menus[ell].index(entry)]
+    return mass
+
+
+class TestAllocate:
     def test_unbounded_budget_reaches_the_maximum_profile(self):
-        net = _greedy_net()
-        res = controller.greedy_knapsack(
-            net, _GREEDY_MENUS, _token(size=10 ** 9), _GREEDY_BENEFIT)
-        assert res.profile.pairs == ((3, 4), (3, 4))
-        assert res.feasible
-        # ratio order: L0 6/7, then L1 3/6, then L0 3/8, then L1 1/7
-        assert res.trace == ((0, 1), (1, 1), (0, 2), (1, 2))
+        net = _hand_net()
+        prof, feasible = controller.allocate(
+            net, _HAND_MENUS, _token(size=10 ** 9), _HAND_BENEFIT)
+        assert prof.pairs == ((3, 4), (3, 4))
+        assert feasible
 
     def test_budget_at_minimum_cost_keeps_the_minimum_profile(self):
-        net = _greedy_net()
-        floor = _menu_bytes(net, [m[0] for m in _GREEDY_MENUS])
-        res = controller.greedy_knapsack(
-            net, _GREEDY_MENUS, _token(size=floor), _GREEDY_BENEFIT)
-        assert res.profile.pairs == ((1, 4), (1, 4))
-        assert res.feasible and res.trace == ()
+        net = _hand_net()
+        floor = _menu_bytes(net, [m[0] for m in _HAND_MENUS])
+        prof, feasible = controller.allocate(
+            net, _HAND_MENUS, _token(size=floor), _HAND_BENEFIT)
+        assert prof.pairs == ((1, 4), (1, 4))
+        assert feasible
 
     def test_below_minimum_budget_is_flagged_infeasible(self):
-        net = _greedy_net()
-        floor = _menu_bytes(net, [m[0] for m in _GREEDY_MENUS])
-        res = controller.greedy_knapsack(
-            net, _GREEDY_MENUS, _token(size=floor - 1), _GREEDY_BENEFIT)
-        assert not res.feasible
-        assert res.profile.pairs == ((1, 4), (1, 4))
-        assert res.trace == ()
+        net = _hand_net()
+        floor = _menu_bytes(net, [m[0] for m in _HAND_MENUS])
+        prof, feasible = controller.allocate(
+            net, _HAND_MENUS, _token(size=floor - 1), _HAND_BENEFIT,
+            name="tight")
+        assert not feasible
+        assert prof.pairs == ((1, 4), (1, 4)) and prof.name == "tight"
 
     def test_hand_instance_matches_exhaustive_search(self):
-        net = _greedy_net()
-        res = controller.greedy_knapsack(
-            net, _GREEDY_MENUS, _token(size=28), _GREEDY_BENEFIT)
-        assert res.trace == ((0, 1), (1, 1))
+        net = _hand_net()
+        prof, feasible = controller.allocate(
+            net, _HAND_MENUS, _token(size=28), _HAND_BENEFIT)
         best, best_mass = None, None
         for picks in itertools.product(range(3), range(3)):
-            entries = [_GREEDY_MENUS[ell][i]
+            entries = [_HAND_MENUS[ell][i]
                        for ell, i in enumerate(picks)]
             if _menu_bytes(net, entries) > 28:
                 continue
-            mass = sum(_GREEDY_BENEFIT[ell][i]
+            mass = sum(_HAND_BENEFIT[ell][i]
                        for ell, i in enumerate(picks))
             if best_mass is None or mass < best_mass:
                 best, best_mass = entries, mass
-        assert res.profile.pairs == tuple(best)
+        assert feasible and prof.pairs == tuple(best) == ((2, 4), (2, 4))
 
-    def test_matches_independent_replay_on_random_instances(self):
+    def test_equals_brute_force_on_random_menus(self):
+        # every target kind, budgets from below the cheapest assignment
+        # to above the dearest, so the infeasible fallback is drawn too
         rng = _rng(51)
-        for case in range(10):
-            dims = [int(d) for d in rng.integers(4, 9, size=4)]
-            net = _dense_net(500 + case, dims,
-                             acts=[network.IDENTITY] * 3)
-            menus, benefit = [], []
-            for blk in net.blocks:
-                k_max = blk.elastic.k_max
-                n_entries = int(rng.integers(2, 5))
-                ks = sorted(rng.choice(np.arange(1, k_max + 1),
-                                       size=min(n_entries, k_max),
-                                       replace=False))
-                menus.append([(int(k), int(rng.choice([3, 4, 8])))
-                              for k in ks])
-                drops = np.sort(rng.uniform(0, 5, len(ks)))[::-1]
-                benefit.append([float(v) for v in drops])
-            model = _hand_model(rng.uniform(1e-4, 1e-3, 3),
-                                rng.uniform(1e-4, 1e-3, 3))
-            rows_max = cost.profile_costs(net, [m[-1] for m in menus])
-            target = float(rng.uniform(model.intercept,
-                                       cost.predict(model, rows_max)))
-            budget = _token(lat=target)
-            res = controller.greedy_knapsack(net, menus, budget,
-                                             benefit, cost_model=model)
+        infeasible = 0
+        for case in range(40):
+            net, menus, benefit, (lat_model, e_model) = \
+                _random_instance(rng, 500 + case)
+            kind = ("bytes", "latency", "energy")[case % 3]
+            model = {"latency": lat_model, "energy": e_model}.get(kind)
 
-            def objective(entries):
-                return cost.predict(model,
-                                    cost.profile_costs(net, entries))
+            def cost_of(entries):
+                rows = cost.profile_costs(net, entries)
+                if model is None:
+                    return sum(r.weight_bytes for r in rows)
+                return cost.predict(model, rows)
 
-            def feasible(entries):
-                return objective(entries) <= target
+            costs = [cost_of(entries)
+                     for entries in itertools.product(*menus)]
+            cap = float(rng.uniform(0.8 * min(costs), 1.1 * max(costs)))
+            if kind == "bytes":
+                cap = int(cap)
+            budget = _token(**{"bytes": {"size": cap},
+                               "latency": {"lat": cap},
+                               "energy": {"energy": cap}}[kind])
+            prof, feasible = controller.allocate(
+                net, menus, budget, benefit, cost_model=lat_model,
+                energy_model=e_model)
+            want = exhaustive_allocation(menus, benefit, cost_of, cap)
+            if want is None:
+                infeasible += 1
+                assert not feasible
+                assert prof.pairs == tuple(m[0] for m in menus)
+                continue
+            assert feasible
+            assert (_mass(menus, benefit, prof.pairs),
+                    cost_of(prof.pairs)) == want[:2]
+        assert 0 < infeasible < 40
 
-            pos, trace, flag = greedy_allocation_replay(
-                menus, benefit, objective, feasible)
-            want = tuple(menus[ell][i] for ell, i in enumerate(pos))
-            assert res.profile.pairs == want
-            assert res.trace == tuple(trace)
-            assert res.feasible == flag
-            if flag:
-                assert res.predicted["latency_ms"] <= target
+    def test_one_target_per_token(self):
+        net = _hand_net()
+        model = _hand_model((1e-3, 1e-3), (1e-4, 1e-4))
+        with pytest.raises(ValueError, match="exactly one target"):
+            controller.allocate(net, _HAND_MENUS, _token(lat=1.0, size=100),
+                                _HAND_BENEFIT, cost_model=model)
 
     def test_latency_target_requires_a_model(self):
-        net = _greedy_net()
+        net = _hand_net()
         with pytest.raises(ValueError, match="cost model"):
-            controller.greedy_knapsack(net, _GREEDY_MENUS,
-                                       _token(lat=1.0), _GREEDY_BENEFIT)
+            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
+                                _HAND_BENEFIT)
 
     def test_budget_device_must_match_the_model(self):
-        net = _greedy_net()
+        net = _hand_net()
         model = _hand_model((1e-3, 1e-3), (1e-4, 1e-4), device="other")
         with pytest.raises(ValueError, match="device"):
-            controller.greedy_knapsack(net, _GREEDY_MENUS,
-                                       _token(lat=1.0), _GREEDY_BENEFIT,
-                                       cost_model=model)
+            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
+                                _HAND_BENEFIT, cost_model=model)
 
     def test_benefit_table_shape_checked(self):
-        net = _greedy_net()
+        net = _hand_net()
         with pytest.raises(ValueError, match="benefit table"):
-            controller.greedy_knapsack(net, _GREEDY_MENUS,
-                                       _token(size=100),
-                                       [[1.0], [1.0, 0.5, 0.1]])
+            controller.allocate(net, _HAND_MENUS, _token(size=100),
+                                [[1.0], [1.0, 0.5, 0.1]])
 
 
 def _hand_lattice(lat=(0.5, 1.0, 2.0), drift=(0.3, 0.2, 0.1),
@@ -376,6 +354,14 @@ def _hand_lattice(lat=(0.5, 1.0, 2.0), drift=(0.3, 0.2, 0.1),
 
 
 class TestProfileLattice:
+    def test_meets_checks_every_target_the_budget_sets(self):
+        lattice = _hand_lattice(energy=(0.1, 0.2, 0.3))
+        assert lattice.meets(1, _token(lat=1.0))
+        assert not lattice.meets(2, _token(lat=1.0))
+        assert lattice.meets(1, _token(lat=1.0, size=200, energy=0.2))
+        assert not lattice.meets(1, _token(lat=1.0, size=199))
+        assert not lattice.meets(1, _token(energy=0.19))
+
     def test_requires_componentwise_growth(self):
         profiles = (controller.Profile(((2, 4),)),
                     controller.Profile(((1, 4),)))
@@ -528,8 +514,7 @@ class TestAuditMonotone:
         if not rise[0] < rise[1]:
             pytest.fail(f"layer 0 residual no longer rises: {rise}")
         full = [(b.elastic.k_max, None) for b in net.blocks[1:]]
-        chain = controller.enforce_monotone(
-            controller.Profile(((k, 4), *full)) for k in (63, 64))
+        chain = [controller.Profile(((k, 4), *full)) for k in (63, 64)]
         stats = certificate.calibrate(net, _rng(1).standard_normal((32, 64)))
         bound_63, bound_64 = (certificate.expected_bound(net, stats, p)
                               for p in chain)
@@ -571,8 +556,44 @@ class TestBuildLattice:
                                            benefit, stats, model)
         for j, prof in enumerate(lattice.profiles):
             want = certificate.expected_bound(net, stats, prof.pairs)
-            assert lattice.drift_bound[j] == pytest.approx(want,
-                                                           rel=1e-12)
+            assert lattice.drift_bound[j] == want
+
+    def test_nested_levels_are_exact_and_within_their_budgets(self):
+        # each level is the least-mass assignment within its own budget
+        # among those at or below the next looser level; on crossed menus,
+        # whose costs grow with rank and width, a budget that admits any
+        # assignment admits a nested one
+        rng = _rng(76)
+        for case in range(20):
+            net, menus, benefit, (model, _) = _random_instance(
+                rng, 700 + case, cross=True)
+            stats = certificate.calibrate(
+                net, _rng(case).standard_normal((8, net.blocks[0].elastic
+                                                 .in_features)))
+
+            def latency(entries):
+                return cost.predict(model, cost.profile_costs(net, entries))
+
+            costs = [latency(e) for e in itertools.product(*menus)]
+            caps = sorted(float(v) for v in rng.uniform(
+                min(costs), max(costs), int(rng.integers(1, 5))))
+            lattice = controller.build_lattice(
+                net, menus, [_token(lat=c) for c in caps], benefit, stats,
+                model)
+            upper = None
+            for j in reversed(range(len(caps))):
+                pairs = lattice.profiles[j].pairs
+                assert lattice.predicted_latency[j] <= caps[j]
+                assert lattice.meets(j, _token(lat=caps[j]))
+                want = exhaustive_allocation(menus, benefit, latency,
+                                             caps[j], upper)
+                assert (_mass(menus, benefit, pairs),
+                        lattice.predicted_latency[j]) == want[:2]
+                upper = pairs
+            for a, b in zip(lattice.profiles, lattice.profiles[1:]):
+                for (ka, qa), (kb, qb) in zip(a.pairs, b.pairs):
+                    assert ka <= kb and (32 if qa is None else qa) <= \
+                        (32 if qb is None else qb)
 
     def test_latency_matches_the_cost_route(self):
         net, stats, menus, benefit, model, budgets = self._setup(72)

@@ -136,8 +136,9 @@ class TestLayerCost:
         rows = cost.profile_costs(net, [(2, 8), (1, 4)])
         assert len(rows) == 2
         assert rows[0].flops == cost.flops_dense_svd(6, 4, 2)
+        # full rank runs the rebuilt weight, priced at the dense 2mn
         full = cost.profile_costs(net, None)
-        assert full[1].flops == cost.flops_dense_svd(3, 6, 3)
+        assert full[1].flops == 2 * 3 * 6
 
 
 class TestThresholdRankDense:
