@@ -22,18 +22,18 @@ the larger is used. Truncation alone cannot grow a spectral norm here, but
 low-bit quantization can, and a tail evaluated only at stored weights
 would silently void the guarantee.
 
-Every bound is read off one ledger. ``ledger`` checks once that the
-calibration statistics belong to the network, evaluates all layer
-sensitivities in a single ``lipschitz_proxy`` pass, and returns one
-(sensitivity, weight-change norm, alpha) row per layer; ``ledger_terms``
-multiplies each row out and ``ledger_total`` sums the products in layer
-order; ``ledgers`` builds the ledgers of several profiles and does the
-profile-independent work once (``sensitivities``: one sampled pass, one
-stored-weight gain per block). The expected and pointwise bounds, the
-manifest's certificate section, the planner's tables and the trainer's
-coefficients are all read off ``ledger`` or ``ledgers``; manifest
-verification recomputes the same columns with ``sensitivities`` and
-``compression_gain`` and re-sums the stored rows with ``ledger_total``.
+Every certified number is read off one ledger builder. ``ledgers`` checks
+once that the calibration statistics belong to the network, takes the
+sensitivities of all its profiles from one ``lipschitz_proxy`` call (one
+sampled pass, one stored-weight gain per block) and returns, per profile,
+one (sensitivity, ``weight_change``, alpha) row per layer;
+``ledger_total`` sums the rows' products in layer order, which is the
+expected-drift bound, and ``pointwise_bound`` swaps alpha for the signal
+norms at given inputs. The manifest's certificate section, the planner's
+objective and lattice bounds and the trainer's coefficients all come
+from ``ledgers``; manifest verification recomputes the same columns with
+``lipschitz_proxy`` and ``weight_change`` and re-sums the stored rows
+with ``ledger_total``.
 """
 
 import hashlib
@@ -152,26 +152,24 @@ def _stored_gains(net):
         for b in net.blocks[1:]]
 
 
-def _tail_gain(block, stored_gain, entry):
+def _tail_gain(block, stored_gain, k, q):
     wg = stored_gain
-    if entry is not None:
-        k, q = entry
-        if k != block.elastic.k_max or q is not None:
-            comp = elastic.effective_weight(block.elastic, k, q)
-            wg = max(wg, network.weight_gain(comp))
+    if k != block.elastic.k_max or q is not None:
+        comp = elastic.effective_weight(block.elastic, k, q)
+        wg = max(wg, network.weight_gain(comp))
     g = _local_scale(block) * wg
     return 1.0 + g if block.residual else g
 
 
-def _conservative_multipliers(net, stored, entries=None):
-    """Per-layer certified sensitivities: local scale times the product of
-    downstream block gains, gains taken at the worse of stored (the
-    _stored_gains list) and compressed weights."""
+def _conservative_multipliers(net, stored, pairs):
+    """Per-layer certified sensitivities at one profile's (k, q) pairs:
+    local scale times the product of downstream block gains, gains taken
+    at the worse of stored (the _stored_gains list) and compressed
+    weights."""
     n = len(net.blocks)
     suffix = [1.0] * (n + 1)
     for i in range(n - 1, 0, -1):
-        gain = _tail_gain(net.blocks[i], stored[i],
-                          entries[i] if entries else None)
+        gain = _tail_gain(net.blocks[i], stored[i], *pairs[i])
         suffix[i] = gain * suffix[i + 1]
     return [_local_scale(net.blocks[i]) * suffix[i + 1] for i in range(n)]
 
@@ -199,27 +197,28 @@ def _jacobian_norm_estimates(jac, steps):
     return np.linalg.norm(np.einsum("roi,ri->ro", jac, v), axis=1)
 
 
-def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
-                    profile=None, stored_gains=None):
+def lipschitz_proxy(net, profiles, mode=CONSERVATIVE, calibration_inputs=None):
     """Per-layer sensitivity of the logits to a perturbation injected right
-    after each layer's weight multiply; one entry per layer, in order.
+    after each layer's weight multiply: one list per profile, one entry
+    per layer, in order. A profile of None is the full profile.
 
     Conservative mode multiplies per-block Lipschitz bounds downstream of
     each injection point (guaranteed upper bounds; with the final block a
-    plain linear head, the last layer's value is exactly 1). SAMPLED
-    mode power-iterates the exact downstream Jacobian at each calibration
-    input and EMA-smooths the estimates; it can undershoot and is never
-    treated as certified. The optional profile widens conservative tail
-    gains to cover the compressed weights; stored_gains, the
-    _stored_gains of net, spares a caller that evaluates several profiles
-    recomputing them.
+    plain linear head, the last layer's value is exactly 1), widening each
+    tail gain to cover the profile's compressed weights; the stored-weight
+    gains are evaluated once per call. SAMPLED mode power-iterates the
+    exact downstream Jacobian at each calibration input and EMA-smooths
+    the estimates; it ignores the profile, runs once per call, can
+    undershoot and is never treated as certified.
     """
+    profiles = list(profiles)
+    if not profiles:
+        return []
     if mode == CONSERVATIVE:
-        if stored_gains is None:
-            stored_gains = _stored_gains(net)
-        entries = network.resolve_profile(net, profile) \
-            if profile is not None else None
-        return _conservative_multipliers(net, stored_gains, entries)
+        stored = _stored_gains(net)
+        return [_conservative_multipliers(
+                    net, stored, network.resolve_profile(net, p))
+                for p in profiles]
     if mode != SAMPLED:
         raise ValueError("mode must be CONSERVATIVE or SAMPLED")
     if any(b.is_conv for b in net.blocks):
@@ -236,26 +235,12 @@ def lipschitz_proxy(net, mode=CONSERVATIVE, calibration_inputs=None,
             ema = est if ema is None \
                 else _EMA_DECAY * ema + (1.0 - _EMA_DECAY) * est
         sens.append(float(ema))
-    return sens
+    return [list(sens) for _ in profiles]
 
 
-def sensitivities(net, profiles, mode=CONSERVATIVE, calibration_inputs=None):
-    """lipschitz_proxy of each profile, with the profile-independent work
-    done once per call: the sampled proxy ignores the profile, so it runs
-    once for all of them, and conservative tails take each stored-weight
-    gain once."""
-    if not profiles:
-        return []
-    if mode != CONSERVATIVE:
-        sens = lipschitz_proxy(net, mode, calibration_inputs)
-        return [list(sens) for _ in profiles]
-    stored = _stored_gains(net)
-    return [lipschitz_proxy(net, mode, profile=p, stored_gains=stored)
-            for p in profiles]
-
-
-def _delta_gain(block, k, q):
-    """Operator-norm bound on (stored full weight - profile weight)."""
+def weight_change(block, k, q=None):
+    """Operator-norm bound on (stored full weight - the weight the block
+    serves at rank k with q-bit factors); q=None keeps float factors."""
     lay = block.elastic
     if k == lay.k_max and q is None:
         return 0.0
@@ -266,50 +251,30 @@ def _delta_gain(block, k, q):
     return network.weight_gain(delta)
 
 
-def compression_gain(net, ell, k, q=None):
-    """Operator-norm bound on the weight change layer ell undergoes when
-    executed at rank k with q-bit factors (q=None keeps float factors)."""
-    n = len(net.blocks)
-    if not 0 <= int(ell) < n:
-        raise ValueError("layer index out of range")
-    return _delta_gain(net.blocks[int(ell)], int(k), q)
-
-
-def ledger(net, stats, profile, mode=CONSERVATIVE,
-           calibration_inputs=None):
-    """Certificate rows of one profile: (sensitivity, weight-change norm,
-    alpha) per layer, in layer order.
-
-    Errors on stats measured on a different network. Sensitivities come
-    from one lipschitz_proxy pass; conservative ones cover the profile's
-    compressed weights.
-    """
-    return ledgers(net, stats, [profile], mode, calibration_inputs)[0]
-
-
 def ledgers(net, stats, profiles, mode=CONSERVATIVE,
             calibration_inputs=None):
-    """The ledger of each profile, with the sensitivities of all of them
-    from one sensitivities call."""
+    """Certificate rows of each profile: (sensitivity, weight-change norm,
+    alpha) per layer, in layer order.
+
+    Errors on stats measured on a different network. The sensitivities of
+    all profiles come from one lipschitz_proxy call; conservative ones
+    cover each profile's compressed weights.
+    """
     check_fresh(net, stats)
     entries = [network.resolve_profile(net, p) for p in profiles]
-    sens = sensitivities(net, entries, mode, calibration_inputs)
-    return [[(s[i], _delta_gain(blk, k, q), float(stats.alpha[i]))
+    sens = lipschitz_proxy(net, entries, mode, calibration_inputs)
+    return [[(s[i], weight_change(blk, k, q), float(stats.alpha[i]))
              for i, (blk, (k, q)) in enumerate(zip(net.blocks, pairs))]
             for s, pairs in zip(sens, entries)]
 
 
-def ledger_terms(rows):
-    """Per-row drift contributions: sensitivity x weight change x alpha.
-    The alpha column may hold per-input norm arrays instead."""
-    return [sens * change * alpha for sens, change, alpha in rows]
-
-
 def ledger_total(rows):
-    """Sum of the row contributions, accumulated in layer order."""
+    """Sum of the rows' drift contributions, sensitivity x weight change x
+    alpha, accumulated in layer order. The alpha column may hold
+    per-input norm arrays instead."""
     total = 0.0
-    for term in ledger_terms(rows):
-        total += term
+    for sens, change, alpha in rows:
+        total += sens * change * alpha
     return total
 
 
@@ -317,7 +282,7 @@ def pointwise_bound(net, stats, profile, x, mode=CONSERVATIVE,
                     calibration_inputs=None):
     """Certified drift bound at one input (or a batch, one bound per row),
     evaluated with the full model's layer-input norms."""
-    rows = ledger(net, stats, profile, mode, calibration_inputs)
+    rows = ledgers(net, stats, [profile], mode, calibration_inputs)[0]
     first = net.blocks[0]
     want = 3 if first.is_conv else 1
     single = np.asarray(x).ndim == want
@@ -325,52 +290,3 @@ def pointwise_bound(net, stats, profile, x, mode=CONSERVATIVE,
     total = ledger_total([(sens, change, _row_norms(a, single))
                           for (sens, change, _), a in zip(rows, tr.inputs)])
     return float(total[0]) if single else total
-
-
-def expected_bound(net, stats, profile, mode=CONSERVATIVE,
-                   calibration_inputs=None):
-    """Aggregate expected-drift bound: sum over layers of sensitivity x
-    weight-change norm x input-norm RMS. Errors on stats measured on a
-    different network."""
-    return float(ledger_total(
-        ledger(net, stats, profile, mode, calibration_inputs)))
-
-
-def diagnostics(net, stats, profiles, eval_inputs, epsilon,
-                mode=CONSERVATIVE, calibration_inputs=None):
-    """Coverage, bound-vs-drift correlation, and drift summaries.
-
-    Coverage is the percentage of (profile, input) pairs whose observed
-    drift stays within epsilon. Correlation pairs each profile's aggregate
-    bound with its mean observed drift; with fewer than two distinct
-    aggregate values it is undefined and reported as such.
-    """
-    profiles = list(profiles)
-    if len(profiles) < 2:
-        raise ValueError("diagnostics needs at least two profiles")
-    check_fresh(net, stats)
-    xs = np.asarray(eval_inputs, dtype=np.float64)
-    delta_hats, mean_drifts, all_drifts = [], [], []
-    for prof in profiles:
-        delta_hats.append(expected_bound(net, stats, prof, mode,
-                                         calibration_inputs))
-        d = np.atleast_1d(network.logit_drift(net, xs, prof))
-        mean_drifts.append(float(np.mean(d)))
-        all_drifts.append(d)
-    flat = np.concatenate(all_drifts)
-    dh = np.asarray(delta_hats)
-    md = np.asarray(mean_drifts)
-    sx = float(np.std(dh))
-    sy = float(np.std(md))
-    if sx == 0.0 or sy == 0.0:
-        corr, defined = None, False
-    else:
-        corr = float(np.mean((dh - dh.mean()) * (md - md.mean())) / (sx * sy))
-        defined = True
-    return {
-        "coverage_percent": float(100.0 * np.mean(flat <= epsilon)),
-        "pearson_correlation": corr,
-        "correlation_defined": defined,
-        "mean_drift": float(np.mean(flat)),
-        "delta_hat_p95": float(np.percentile(dh, 95)),
-    }

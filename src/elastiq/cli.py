@@ -56,6 +56,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -145,9 +146,16 @@ def _ledger_mode(doc):
     cert = doc.get("certificate")
     if cert is None:
         raise CliError("manifest carries no certificate; run certify first")
-    if cert.get("mode") == certificate.CONSERVATIVE:
-        return certificate.CONSERVATIVE
-    return certificate.SAMPLED
+    with manifest._malformed("certificate"):
+        conservative = cert.get("mode") == certificate.CONSERVATIVE
+    return certificate.CONSERVATIVE if conservative else certificate.SAMPLED
+
+
+def _check_epsilon(epsilon):
+    """A drift tolerance is a finite float >= 0; returns it."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise CliError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return epsilon
 
 
 def _ledger_epsilon(doc):
@@ -346,6 +354,8 @@ def _parse_profile_flag(spec):
 
 
 def cmd_certify(args):
+    if args.epsilon is not None:
+        _check_epsilon(args.epsilon)
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
     probes = _probe_inputs(net, args.calib_size, args.seed, args.calib)
@@ -363,11 +373,11 @@ def cmd_certify(args):
                 doc["profiles"][name]["pairs"])
     else:
         raise CliError("manifest stores no profiles; pass --profiles")
-    mode = args.mode
+    ledgers = certificate.ledgers(net, stats, list(profiles.values()),
+                                  args.mode, calibration_inputs=probes)
     doc["calibration"] = manifest.stats_to_doc(stats)
     doc["certificate"] = manifest.certificate_section(
-        net, stats, profiles, mode, epsilon=args.epsilon,
-        calibration_inputs=probes)
+        stats, profiles, ledgers, args.mode, epsilon=args.epsilon)
     # a lattice's drift bounds come from the ledger just replaced
     doc.pop("lattice", None)
     cert = doc["certificate"]
@@ -490,7 +500,7 @@ def cmd_plan(args):
                        "energy column")
     budgets = [controller.BudgetToken(device=cost_model.device,
                                       **{field: v}) for v in values]
-    lattice = controller.build_lattice(
+    lattice, ledgers = controller.build_lattice(
         net, menus, budgets, benefit, stats, cost_model,
         energy_model=energy_model, spatial=spatial, mode=mode,
         calibration_inputs=calib)
@@ -504,8 +514,7 @@ def cmd_plan(args):
         named[prof.name] = prof.pairs
     doc["lattice"] = manifest.lattice_to_doc(lattice)
     doc["certificate"] = manifest.certificate_section(
-        net, stats, named, mode, epsilon=_ledger_epsilon(doc),
-        calibration_inputs=calib)
+        stats, named, ledgers, mode, epsilon=_ledger_epsilon(doc))
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)
@@ -536,12 +545,12 @@ def _stored_lattice(doc):
 
 def _select_epsilon(args, doc):
     if args.epsilon is not None:
-        return float(args.epsilon)
+        return _check_epsilon(float(args.epsilon))
     eps = _ledger_epsilon(doc)
     if eps is None:
         raise CliError("no epsilon stored in the certificate; "
                        "pass --epsilon")
-    return eps
+    return _check_epsilon(eps)
 
 
 def cmd_select(args):
@@ -575,19 +584,17 @@ def cmd_report(args):
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
     lattice = _stored_lattice(doc)
-    stats = _stored_stats(doc)
-    mode = _ledger_mode(doc)
     epsilon = _select_epsilon(args, doc)
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
-    calib = xs if mode == certificate.SAMPLED else None
 
     full = network.forward(net, xs, None)
     full_top = np.argmax(np.atleast_2d(full.logits), axis=-1)
-    rows = []
+    rows, drifts_by_level = [], []
     for j, prof in enumerate(lattice.profiles):
         trace = network.forward(net, xs, prof)
         top = np.argmax(np.atleast_2d(trace.logits), axis=-1)
         drifts = np.atleast_1d(network.logit_drift(net, xs, prof))
+        drifts_by_level.append(drifts)
         coverage = float(100.0 * np.mean(drifts <= epsilon))
         rows.append({
             "profile": prof.name,
@@ -612,14 +619,7 @@ def cmd_report(args):
         say("row", **r)
 
     if len(lattice.profiles) >= 2:
-        diag = certificate.diagnostics(net, stats, list(lattice.profiles),
-                                       xs, epsilon, mode, calib)
-        say("diagnostics", epsilon=epsilon,
-            coverage_percent=diag["coverage_percent"],
-            pearson=diag["pearson_correlation"],
-            correlation_defined=diag["correlation_defined"],
-            mean_drift=diag["mean_drift"],
-            delta_hat_p95=diag["delta_hat_p95"])
+        _say_diagnostics(lattice.drift_bound, drifts_by_level, epsilon)
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)
@@ -635,6 +635,25 @@ def cmd_report(args):
                                  for key, v in r.items()})
         say("csv", path=args.out)
     return EXIT_OK
+
+
+def _say_diagnostics(bounds, drifts_by_level, epsilon):
+    """Coverage (the share of (level, probe) drifts within epsilon), the
+    Pearson correlation of each level's stored bound with its mean drift
+    (undefined when either is constant), the mean drift and the 95th
+    percentile of the bounds."""
+    flat = np.concatenate(drifts_by_level)
+    dh = np.asarray(bounds)
+    md = np.asarray([float(np.mean(d)) for d in drifts_by_level])
+    sx, sy = float(np.std(dh)), float(np.std(md))
+    defined = sx != 0.0 and sy != 0.0
+    pearson = float(np.mean((dh - dh.mean()) * (md - md.mean()))
+                    / (sx * sy)) if defined else None
+    say("diagnostics", epsilon=epsilon,
+        coverage_percent=float(100.0 * np.mean(flat <= epsilon)),
+        pearson=pearson, correlation_defined=defined,
+        mean_drift=float(np.mean(flat)),
+        delta_hat_p95=float(np.percentile(dh, 95)))
 
 
 def cmd_audit(args):

@@ -131,13 +131,11 @@ def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
     reports always come from the certificate module itself.
     """
     menus = _check_menus(menus, len(net.blocks))
-    rows = certificate.ledger(net, stats, None, mode, calibration_inputs)
-    table = []
-    for ell, ((sens, _, alpha), menu) in enumerate(zip(rows, menus)):
-        table.append(certificate.ledger_terms(
-            [(sens, certificate.compression_gain(net, ell, k, q), alpha)
-             for k, q in menu]))
-    return table
+    rows = certificate.ledgers(net, stats, [None], mode,
+                               calibration_inputs)[0]
+    return [[sens * certificate.weight_change(blk, k, q) * alpha
+             for k, q in menu]
+            for blk, (sens, _, alpha), menu in zip(net.blocks, rows, menus)]
 
 
 def allocate(net, menus, budget, benefit, cost_model=None, energy_model=None,
@@ -287,7 +285,9 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
     predicted latency, weight bytes, optional energy and the aggregate
     drift bound, all levels' ledgers built in one certificate.ledgers
     pass. Three budgets are named tiny/med/max, any other count s1, s2,
-    ....
+    .... Returns (lattice, ledgers), the ledgers in level order, so a
+    caller can store the rows the bounds were summed from without
+    building them again.
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -310,9 +310,9 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         wbytes.append(int(sum(r.weight_bytes for r in rows)))
         if energy_model is not None:
             energy.append(cost.predict(energy_model, rows))
-    drift = [float(certificate.ledger_total(rows)) for rows in
-             certificate.ledgers(net, stats, profiles, mode,
-                                 calibration_inputs)]
+    ledgers = certificate.ledgers(net, stats, profiles, mode,
+                                  calibration_inputs)
+    drift = [float(certificate.ledger_total(rows)) for rows in ledgers]
     return ProfileLattice(
         profiles=profiles,
         predicted_latency=tuple(lat),
@@ -320,7 +320,7 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         drift_bound=tuple(drift),
         energy=tuple(energy) if energy_model is not None else None,
         device=cost_model.device,
-        spatial=None if spatial is None else tuple(spatial))
+        spatial=None if spatial is None else tuple(spatial)), ledgers
 
 
 @dataclass(frozen=True)

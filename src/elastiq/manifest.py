@@ -559,15 +559,18 @@ def stats_from_doc(sec):
             fingerprint=sec["fingerprint"])
 
 
-def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
-                        epsilon=None, calibration_inputs=None):
+def certificate_section(stats, profiles, ledgers,
+                        mode=certificate.CONSERVATIVE, epsilon=None):
     """Drift-certificate ledger over named profiles.
 
-    Stores, per profile, the sensitivity and weight-change columns of
-    certificate.ledger and their alpha-weighted sum (certificate.
-    ledger_total), which is the expected-drift bound. Only the
-    conservative mode is marked certified — the sampled power-iteration
-    proxy can undershoot and is recorded for reference only.
+    profiles maps each name to its (k, q) pairs, and ledgers holds the
+    certificate.ledgers rows of the same profiles, in the same order; the
+    section stores, per profile, the rows' sensitivity and weight-change
+    columns and their alpha-weighted sum (certificate.ledger_total), which
+    is the expected-drift bound. It only serializes: no ledger is built
+    here. Only the conservative mode is marked certified — the sampled
+    power-iteration proxy can undershoot and is recorded for reference
+    only.
     """
     sec = {
         "mode": mode,
@@ -576,11 +579,7 @@ def certificate_section(net, stats, profiles, mode=certificate.CONSERVATIVE,
         "alpha": _fmt_list(stats.alpha),
         "profiles": {},
     }
-    entries = [network.resolve_profile(net, list(pairs))
-               for pairs in profiles.values()]
-    all_rows = certificate.ledgers(net, stats, entries, mode,
-                                   calibration_inputs)
-    for name, pairs, rows in zip(profiles, entries, all_rows):
+    for (name, pairs), rows in zip(profiles.items(), ledgers, strict=True):
         sec["profiles"][str(name)] = {
             "pairs": pairs_to_doc(pairs),
             "sensitivity": _fmt_list([sens for sens, _, _ in rows]),
@@ -871,8 +870,8 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
             problems.append(
                 f"certificate {name}: delta_hat is not the sum of its "
                 f"ledger rows")
-        for i, (k, q) in enumerate(pairs):
-            fresh = certificate.compression_gain(net, i, k, q)
+        for i, (blk, (k, q)) in enumerate(zip(net.blocks, pairs)):
+            fresh = certificate.weight_change(blk, k, q)
             if not _close(fresh, change[i], tol):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
@@ -880,7 +879,7 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
         stored[name] = (pairs, sens)
     if not conservative and calibration_inputs is None:
         return
-    recomputed = certificate.sensitivities(
+    recomputed = certificate.lipschitz_proxy(
         net, [pairs for pairs, _ in stored.values()], mode,
         calibration_inputs)
     for (name, (_, sens)), fresh_sens in zip(stored.items(), recomputed):
@@ -898,9 +897,9 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     counts, fingerprint round-trip, served-factor agreement, cost-model
     byte accounting, lattice consistency, and — for conservative
     certificates — full recomputation of every ledger quantity from the
-    decoded parameters: the sensitivities of certificate.sensitivities
+    decoded parameters: the sensitivities of certificate.lipschitz_proxy
     (one call for all profiles), the weight-change norms of
-    certificate.compression_gain, and each delta_hat as
+    certificate.weight_change, and each delta_hat as
     certificate.ledger_total of the stored rows, the same functions
     certificate.ledgers builds the ledgers from. Power-iteration
     ledgers are data-dependent, so their sensitivities are only recomputed

@@ -194,7 +194,7 @@ class LossTerms:
 
 
 def _fresh_coeffs(net, stats, mode, calib):
-    rows = certificate.ledger(net, stats, None, mode, calib)
+    rows = certificate.ledgers(net, stats, [None], mode, calib)[0]
     return np.array([sens * alpha for sens, _, alpha in rows])
 
 
@@ -527,17 +527,17 @@ def _refresh_coeffs(state, config, calib, decay):
 def evaluate(net, x, y, profiles, names, epsilon, calib):
     """Accuracy, drift-violation rate, and certified bound per profile."""
     stats = certificate.calibrate(net, calib)
+    entries = [rank_profile(net, k) for k in profiles]
+    ledgers = certificate.ledgers(net, stats, entries)
     accuracy, violation, bound, mean_drift = {}, {}, {}, {}
-    for name, k in zip(names, profiles):
-        entries = rank_profile(net, k)
-        trace = network.forward(net, x, entries)
+    for name, pairs, rows in zip(names, entries, ledgers):
+        trace = network.forward(net, x, pairs)
         pred = np.argmax(trace.logits, axis=-1)
-        drifts = np.asarray(network.logit_drift(net, x, entries))
+        drifts = np.asarray(network.logit_drift(net, x, pairs))
         accuracy[name] = float(np.mean(pred == y))
         violation[name] = float(np.mean(drifts > epsilon))
         mean_drift[name] = float(np.mean(drifts))
-        bound[name] = float(certificate.expected_bound(net, stats,
-                                                       entries))
+        bound[name] = float(certificate.ledger_total(rows))
     return accuracy, violation, bound, mean_drift
 
 

@@ -1,0 +1,12 @@
+"""The expected-drift bound of one profile, built the way every certified
+number is: the profile's certificate.ledgers rows, summed by
+certificate.ledger_total."""
+
+from elastiq import certificate
+
+
+def expected_bound(net, stats, profile, mode=certificate.CONSERVATIVE,
+                   calibration_inputs=None):
+    rows = certificate.ledgers(net, stats, [profile], mode,
+                               calibration_inputs)[0]
+    return float(certificate.ledger_total(rows))

@@ -1,11 +1,10 @@
-"""Calibration statistics, drift-bound soundness, ledgers, diagnostics."""
-
-import json
+"""Calibration statistics, drift-bound soundness and ledgers."""
 
 import numpy as np
 import pytest
 
 from elastiq import certificate, elastic, network
+from bounds import expected_bound
 from oracles import dense_block_jacobians
 
 
@@ -130,33 +129,31 @@ class TestFingerprint:
 
 
 class TestCompressionGain:
+    """certificate.weight_change: the norm of the change a block's weight
+    undergoes when served at a compressed operating point."""
+
     def test_matches_truncation_residual_on_dense_layers(self):
         net = _dense_net(31, (6, 5, 4), (network.RELU, network.IDENTITY))
-        for ell in range(2):
-            lay = net.blocks[ell].elastic
+        for blk in net.blocks:
+            lay = blk.elastic
             for k in range(1, lay.k_max):
-                assert certificate.compression_gain(net, ell, k) \
+                assert certificate.weight_change(blk, k) \
                     == pytest.approx(elastic.residual_norm(lay, k),
                                      rel=1e-12)
 
     def test_full_profile_changes_nothing(self):
         net = _dense_net(32, (5, 3), (network.IDENTITY,))
-        k_max = net.blocks[0].elastic.k_max
-        assert certificate.compression_gain(net, 0, k_max) == 0.0
-
-    def test_rejects_bad_layer_index(self):
-        net = _dense_net(33, (5, 3), (network.IDENTITY,))
-        with pytest.raises(ValueError, match="layer index"):
-            certificate.compression_gain(net, 1, 1)
+        blk = net.blocks[0]
+        assert certificate.weight_change(blk, blk.elastic.k_max) == 0.0
 
 
 class TestLipschitzProxy:
     def test_linear_head_gives_one_in_both_modes(self):
         net = _dense_net(9, (4, 5, 3), (network.RELU, network.IDENTITY))
         xs = _rng(10).standard_normal((4, 4))
-        cons = certificate.lipschitz_proxy(net)[1]
+        cons = certificate.lipschitz_proxy(net, [None])[0][1]
         samp = certificate.lipschitz_proxy(
-            net, certificate.SAMPLED, calibration_inputs=xs)[1]
+            net, [None], certificate.SAMPLED, calibration_inputs=xs)[0][1]
         assert cons == pytest.approx(1.0, abs=1e-12)
         assert samp == pytest.approx(1.0, abs=1e-12)
 
@@ -173,9 +170,9 @@ class TestLipschitzProxy:
         )
         net = network.Network(blocks)
         xs = rng.standard_normal((5, 4))
-        cons = certificate.lipschitz_proxy(net)[1]
+        cons = certificate.lipschitz_proxy(net, [None])[0][1]
         samp = certificate.lipschitz_proxy(
-            net, certificate.SAMPLED, calibration_inputs=xs)[1]
+            net, [None], certificate.SAMPLED, calibration_inputs=xs)[0][1]
         want = np.linalg.norm(w2, 2)
         assert cons == pytest.approx(want, rel=1e-4)
         assert samp == pytest.approx(want, rel=1e-4)
@@ -192,9 +189,9 @@ class TestLipschitzProxy:
             _from_matrix(q),
         ))
         xs = rng.standard_normal((3, 5))
-        cons = certificate.lipschitz_proxy(net)[0]
+        cons = certificate.lipschitz_proxy(net, [None])[0][0]
         samp = certificate.lipschitz_proxy(
-            net, certificate.SAMPLED, calibration_inputs=xs)[0]
+            net, [None], certificate.SAMPLED, calibration_inputs=xs)[0][0]
         assert cons == pytest.approx(2.0, rel=1e-4)
         assert samp == pytest.approx(2.0, rel=1e-4)
 
@@ -241,9 +238,10 @@ class TestLipschitzProxy:
                              gamma_on=gamma_on, residual_on=residual_on)
             ell = int(rng.integers(depth))
             xs = rng.standard_normal((6, 5))
-            cons = certificate.lipschitz_proxy(net)[ell]
+            cons = certificate.lipschitz_proxy(net, [None])[0][ell]
             samp = certificate.lipschitz_proxy(
-                net, certificate.SAMPLED, calibration_inputs=xs)[ell]
+                net, [None], certificate.SAMPLED,
+                calibration_inputs=xs)[0][ell]
             assert cons >= samp * (1.0 - 1e-9)
             worst = max(np.linalg.norm(_oracle_tail_jacobian(net, ell, x), 2)
                         for x in xs)
@@ -253,24 +251,24 @@ class TestLipschitzProxy:
         net = _dense_net(15, (4, 5, 3), (network.RELU, network.IDENTITY))
         k_max = net.blocks[1].elastic.k_max
         prof = [(net.blocks[0].elastic.k_max, None), (k_max, 2)]
-        plain = certificate.lipschitz_proxy(net)[0]
-        aware = certificate.lipschitz_proxy(net, profile=prof)[0]
+        plain = certificate.lipschitz_proxy(net, [None])[0][0]
+        aware = certificate.lipschitz_proxy(net, [prof])[0][0]
         assert aware >= plain * (1.0 - 1e-12)
 
     def test_validation(self):
         net = _dense_net(16, (4, 3), (network.RELU,))
         with pytest.raises(ValueError, match="length"):
-            certificate.lipschitz_proxy(net, profile=[(1, None)] * 2)
+            certificate.lipschitz_proxy(net, [[(1, None)] * 2])
         with pytest.raises(ValueError, match="calibration"):
-            certificate.lipschitz_proxy(net, certificate.SAMPLED)
+            certificate.lipschitz_proxy(net, [None], certificate.SAMPLED)
         with pytest.raises(ValueError, match="mode"):
-            certificate.lipschitz_proxy(net, "fast")
+            certificate.lipschitz_proxy(net, [None], "fast")
         conv = network.Network((network.Block(
             elastic=elastic.from_conv(
                 _rng(17).standard_normal((3, 3, 3, 3)))),))
         with pytest.raises(ValueError, match="dense"):
             certificate.lipschitz_proxy(
-                conv, certificate.SAMPLED,
+                conv, [None], certificate.SAMPLED,
                 calibration_inputs=np.zeros((2, 3, 4, 4)))
 
 
@@ -377,14 +375,14 @@ class TestPointwiseBound:
         with pytest.raises(ValueError, match="stale"):
             certificate.pointwise_bound(other, stats, None, np.zeros(4))
         with pytest.raises(ValueError, match="stale"):
-            certificate.expected_bound(other, stats, None)
+            certificate.ledgers(other, stats, [None])
 
 
 class TestExpectedBound:
     def test_full_profile_is_exactly_zero(self):
         net = _dense_net(32, (4, 3), (network.RELU,))
         stats = certificate.calibrate(net, _rng(33).standard_normal((4, 4)))
-        assert certificate.expected_bound(net, stats, None) == 0.0
+        assert expected_bound(net, stats, None) == 0.0
 
     def test_one_layer_formula_and_rms_drift_domination(self):
         rng = _rng(34)
@@ -393,7 +391,7 @@ class TestExpectedBound:
         xs = rng.standard_normal((12, 6))
         stats = certificate.calibrate(net, xs)
         k = 2
-        got = certificate.expected_bound(net, stats, [(k, None)])
+        got = expected_bound(net, stats, [(k, None)])
 
         norms = np.linalg.norm(xs, axis=1)
         alpha = np.sqrt(np.mean(norms ** 2))
@@ -410,9 +408,9 @@ class TestExpectedBound:
                          bias=False)
         xs = _rng(36).standard_normal((8, 4))
         prof = [(2, None), (1, None)]
-        one = certificate.expected_bound(
+        one = expected_bound(
             net, certificate.calibrate(net, xs), prof)
-        two = certificate.expected_bound(
+        two = expected_bound(
             net, certificate.calibrate(net, 2.0 * xs), prof)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
@@ -422,7 +420,7 @@ class TestExpectedBound:
         xs = _rng(38).standard_normal((16, 5))
         stats = certificate.calibrate(net, xs)
         prof = [(3, 6), (2, None)]
-        agg = certificate.expected_bound(net, stats, prof)
+        agg = expected_bound(net, stats, prof)
         pw = certificate.pointwise_bound(net, stats, prof, xs)
         assert np.sqrt(np.mean(pw ** 2)) <= agg * (1.0 + 1e-12)
         drifts = network.logit_drift(net, xs, prof)
@@ -431,7 +429,7 @@ class TestExpectedBound:
     def test_monotone_in_rank_unquantized(self):
         net = _dense_net(39, (6, 6, 6), (network.RELU, network.IDENTITY))
         stats = certificate.calibrate(net, _rng(40).standard_normal((6, 6)))
-        vals = [certificate.expected_bound(net, stats, [(k, None), (k, None)])
+        vals = [expected_bound(net, stats, [(k, None), (k, None)])
                 for k in range(1, 7)]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi * (1.0 + 1e-12)
@@ -446,7 +444,7 @@ class TestExpectedBound:
         w = u @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25]) @ v.T
         net = network.Network((_from_matrix(w),))
         stats = certificate.calibrate(net, rng.standard_normal((5, 6)))
-        vals = [certificate.expected_bound(net, stats, [(k, 8)])
+        vals = [expected_bound(net, stats, [(k, 8)])
                 for k in range(1, 7)]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo <= hi * (1.0 + 1e-12)
@@ -458,7 +456,8 @@ class TestLedger:
         xs = _rng(seed + 1).standard_normal((10, 5))
         stats = certificate.calibrate(net, xs)
         prof = [(2, 6), (1, None)]
-        return net, stats, prof, xs, certificate.ledger(net, stats, prof)
+        return net, stats, prof, xs, \
+            certificate.ledgers(net, stats, [prof])[0]
 
     def test_aggregate_is_exactly_the_row_sum(self):
         _, _, _, _, rows = self._ledger()
@@ -470,7 +469,7 @@ class TestLedger:
     def test_matches_expected_bound_exactly(self):
         net, stats, prof, _, rows = self._ledger()
         assert certificate.ledger_total(rows) \
-            == certificate.expected_bound(net, stats, prof)
+            == expected_bound(net, stats, prof)
 
     def test_rows_shape_and_nonnegativity(self):
         net, stats, prof, _, rows = self._ledger()
@@ -479,72 +478,11 @@ class TestLedger:
             assert len(row) == 3
             assert all(v >= 0.0 for v in row)
         assert [r[0] for r in rows] \
-            == certificate.lipschitz_proxy(net, profile=prof)
+            == certificate.lipschitz_proxy(net, [prof])[0]
         assert [r[1] for r in rows] == [
-            certificate.compression_gain(net, i, k, q)
-            for i, (k, q) in enumerate(prof)]
+            certificate.weight_change(blk, k, q)
+            for blk, (k, q) in zip(net.blocks, prof)]
         assert [r[2] for r in rows] == list(stats.alpha)
-
-
-class TestDiagnostics:
-    def test_bound_threshold_gives_full_coverage(self):
-        net = _dense_net(50, (4, 4, 3), (network.RELU, network.IDENTITY))
-        x = _rng(51).standard_normal(4)
-        xs = np.tile(x, (8, 1))
-        stats = certificate.calibrate(net, xs)
-        profiles = [[(2, None), (2, None)], [(3, None), (1, None)]]
-        eps = max(certificate.expected_bound(net, stats, p)
-                  for p in profiles)
-        rep = certificate.diagnostics(net, stats, profiles, xs, eps)
-        assert rep["coverage_percent"] == 100.0
-
-    def test_identical_profiles_flag_undefined_correlation(self):
-        net = _dense_net(52, (4, 3), (network.RELU,))
-        xs = _rng(53).standard_normal((6, 4))
-        stats = certificate.calibrate(net, xs)
-        rep = certificate.diagnostics(net, stats, [[(2, None)]] * 2, xs,
-                                      1.0)
-        assert rep["pearson_correlation"] is None
-        assert rep["correlation_defined"] is False
-
-    def test_ordered_residuals_order_drift_on_a_linear_net(self):
-        rng = _rng(54)
-        net = network.Network((_from_matrix(rng.standard_normal((6, 5))),))
-        xs = rng.standard_normal((12, 5))
-        stats = certificate.calibrate(net, xs)
-        rep = certificate.diagnostics(
-            net, stats, [[(1, None)], [(3, None)]], xs, 1e-9)
-        d1 = float(np.mean(network.logit_drift(net, xs, [(1, None)])))
-        d3 = float(np.mean(network.logit_drift(net, xs, [(3, None)])))
-        b1 = certificate.expected_bound(net, stats, [(1, None)])
-        b3 = certificate.expected_bound(net, stats, [(3, None)])
-        assert d1 > d3 and b1 > b3
-        assert rep["pearson_correlation"] == pytest.approx(1.0, rel=1e-9)
-
-    def test_report_serializes_and_cross_checks(self):
-        net = _dense_net(55, (4, 4, 3), (network.GELU, network.IDENTITY))
-        xs = _rng(56).standard_normal((9, 4))
-        stats = certificate.calibrate(net, xs)
-        profiles = [[(k, None)] * 2 for k in (1, 2, 3)]
-        eps = 0.5
-        rep = certificate.diagnostics(net, stats, profiles, xs, eps)
-        json.dumps(rep)
-
-        drifts = np.concatenate(
-            [network.logit_drift(net, xs, p) for p in profiles])
-        assert rep["coverage_percent"] == pytest.approx(
-            100.0 * np.mean(drifts <= eps), rel=1e-12)
-        assert rep["mean_drift"] == pytest.approx(np.mean(drifts), rel=1e-12)
-        dh = [certificate.expected_bound(net, stats, p) for p in profiles]
-        assert rep["delta_hat_p95"] == pytest.approx(
-            np.percentile(dh, 95), rel=1e-12)
-
-    def test_needs_two_profiles(self):
-        net = _dense_net(57, (4, 3), (network.RELU,))
-        xs = _rng(58).standard_normal((4, 4))
-        stats = certificate.calibrate(net, xs)
-        with pytest.raises(ValueError, match="two profiles"):
-            certificate.diagnostics(net, stats, [[(2, None)]], xs, 1.0)
 
 
 class TestSingleLayerReplacement:
@@ -567,7 +505,7 @@ class TestSingleLayerReplacement:
             delta = elastic.effective_weight(lay, lay.k_max) \
                 - elastic.effective_weight(lay, k)
             tr = network.forward(net, x, None)
-            manual = certificate.lipschitz_proxy(net, profile=prof)[ell] \
+            manual = certificate.lipschitz_proxy(net, [prof])[0][ell] \
                 * np.linalg.norm(delta, 2) \
                 * np.linalg.norm(np.ravel(tr.inputs[ell]))
             assert bound == pytest.approx(manual, rel=1e-7)

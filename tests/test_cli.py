@@ -1,7 +1,9 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, plans
 from a device CSV, energy and byte budgets, manifests published only after
-self-verification, one error line for every malformed manifest, decompose
+self-verification, one error line for every malformed manifest and every
+drift tolerance that is not finite and >= 0, report's diagnostics line,
+the ledger passes plan and report make, decompose
 on wide dense and bottleneck conv models, the whole pipeline on a conv
 model and on a sweep of tiny random models, quantized and resumed
 training, byte-identical reruns across BLAS thread counts, and every
@@ -226,6 +228,135 @@ def test_audit_exits_4_on_a_latency_inversion(tmp_path):
     assert _cli("audit", bad) == cli.EXIT_AUDIT_VIOLATIONS
 
 
+def _sentinel(out, topic):
+    """key -> value text of the one ``@@ topic`` line of out, or None when
+    out holds no such line."""
+    lines = [line for line in out.splitlines()
+             if line.startswith(f"@@ {topic} ")]
+    assert len(lines) <= 1, lines
+    if not lines:
+        return None
+    return dict(field.split("=", 1) for field in lines[0].split()[2:])
+
+
+def _report_probes(tmp_path, plan):
+    """Seeded probes written for report --calib, the stored lattice, and
+    each level's observed drifts at those probes."""
+    doc = manifest.read_manifest(plan)
+    net = manifest.net_from_doc(doc)
+    lattice = manifest.lattice_from_doc(doc["lattice"])
+    xs = np.random.default_rng(11).standard_normal(
+        (32, net.blocks[0].elastic.in_features))
+    calib = tmp_path / "probes.npz"
+    np.savez(calib, x=xs)
+    drifts = [np.atleast_1d(network.logit_drift(net, xs, prof))
+              for prof in lattice.profiles]
+    return calib, lattice, drifts
+
+
+def _diagnostics(plan, calib, epsilon):
+    code, out, err = _cli_output("report", plan, "--calib", calib,
+                                 "--epsilon", repr(epsilon))
+    assert (code, err) == (cli.EXIT_OK, "")
+    return _sentinel(out, "diagnostics")
+
+
+def test_report_coverage_is_the_share_of_drifts_within_epsilon(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    calib, _, drifts = _report_probes(tmp_path, plan)
+    flat = np.concatenate(drifts)
+    # a tolerance equal to an observed drift counts that drift as covered
+    eps = float(np.sort(flat)[2 * len(flat) // 3])
+    share = 100.0 * np.mean(flat <= eps)
+    assert 0.0 < share < 100.0
+    diag = _diagnostics(plan, calib, eps)
+    assert float(diag["coverage_percent"]) == share
+    assert float(diag["epsilon"]) == eps
+    assert float(_diagnostics(plan, calib, float(np.max(flat)))
+                 ["coverage_percent"]) == 100.0
+
+
+def test_report_pearson_correlates_stored_bounds_with_mean_drift(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    calib, lattice, drifts = _report_probes(tmp_path, plan)
+    diag = _diagnostics(plan, calib, 1.0)
+    means = [float(np.mean(d)) for d in drifts]
+    assert diag["correlation_defined"] == "true"
+    assert float(diag["pearson"]) == pytest.approx(
+        np.corrcoef(lattice.drift_bound, means)[0, 1], rel=1e-9)
+
+
+def test_report_identical_levels_leave_the_correlation_undefined(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, same = tmp_path / "cert.json", tmp_path / "same.json"
+    # budgets above the full profile's bytes all plan the same level
+    assert _cli("plan", cert, "--out", same,
+                "--bytes", "100000,200000,300000") == cli.EXIT_OK
+    calib, lattice, _ = _report_probes(tmp_path, same)
+    assert len({prof.pairs for prof in lattice.profiles}) == 1
+    diag = _diagnostics(same, calib, 1.0)
+    assert (diag["pearson"], diag["correlation_defined"]) == ("none", "false")
+
+
+def test_report_delta_hat_p95_is_the_stored_bounds_percentile(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    calib, lattice, _ = _report_probes(tmp_path, plan)
+    diag = _diagnostics(plan, calib, 1.0)
+    assert float(diag["delta_hat_p95"]) \
+        == float(np.percentile(lattice.drift_bound, 95))
+
+
+def test_report_mean_drift_is_the_mean_of_all_drifts(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    calib, _, drifts = _report_probes(tmp_path, plan)
+    diag = _diagnostics(plan, calib, 1.0)
+    assert float(diag["mean_drift"]) == pytest.approx(
+        float(np.mean(np.concatenate(drifts))), rel=1e-12)
+
+
+def test_report_one_level_lattice_prints_no_diagnostics(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, one = tmp_path / "cert.json", tmp_path / "one.json"
+    assert _cli("plan", cert, "--out", one, "--bytes", "100000") \
+        == cli.EXIT_OK
+    calib, lattice, _ = _report_probes(tmp_path, one)
+    assert len(lattice.profiles) == 1
+    code, out, err = _cli_output("report", one, "--calib", calib)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.count("@@ row ") == 1
+    assert _sentinel(out, "diagnostics") is None
+
+
+@pytest.mark.parametrize("command, value", [
+    ("certify", "nan"), ("certify", "-1"), ("certify", "inf"),
+    ("select", "nan"), ("select", "-0.5"), ("report", "nan"),
+    ("report", "-inf"), ("stored", "-1"),
+])
+def test_drift_tolerance_must_be_finite_and_non_negative(tmp_path, command,
+                                                         value):
+    plan = _planned_small_model(tmp_path)
+    out = tmp_path / "out.json"
+    if command == "stored":
+        # a tolerance certify stored before it checked one
+        doc = json.loads(plan.read_text())
+        doc["certificate"]["epsilon"] = value
+        plan.write_text(manifest.canonical_json(doc))
+        argv = ("select", plan, "--latency-ms", "1.0")
+    else:
+        argv = {"certify": ("certify", tmp_path / "model.json",
+                            "--profiles", "2", "--calib-size", 16,
+                            "--out", out),
+                "select": ("select", plan, "--latency-ms", "1.0"),
+                "report": ("report", plan, "--out", out)}[command]
+        # the = form, since argparse reads a bare "-inf" as an option
+        argv += (f"--epsilon={value}",)
+    code, stdout, err = _cli_output(*argv)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == f"error: epsilon must be finite and >= 0, got " \
+        f"{float(value)!r}\n"
+    assert not out.exists()
+
+
 def test_bad_train_configs_exit_1_with_a_message(tmp_path):
     for data, message in (({"stepz": 3}, "unknown config keys: stepz"),
                           ({"use_soft_masks": False},
@@ -405,6 +536,40 @@ def test_decompose_wide_dense_model(tmp_path):
         == cli.EXIT_OK
 
 
+def test_plan_builds_ledgers_twice_and_report_none(tmp_path, monkeypatch):
+    raw, el, cert, plan = (tmp_path / n for n in (
+        "raw.json", "el.json", "cert.json", "plan.json"))
+    _write_wide_raw(raw)
+    assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
+    assert _cli("certify", el, "--profiles", "8,16:8", "--epsilon", "1.0",
+                "--out", cert, "--calib-size", 16) == cli.EXIT_OK
+    calls, at_verify = [], []
+    ledgers, proxy = certificate.ledgers, certificate.lipschitz_proxy
+    verify = manifest.verify_manifest
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def verify_counted(*args, **kwargs):
+        at_verify.append(calls.count("ledgers"))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "ledgers", counted(ledgers, "ledgers"))
+    monkeypatch.setattr(manifest, "verify_manifest", verify_counted)
+    # one pass prices the planner's menus; one gives the lattice its
+    # bounds and the certificate section its rows
+    assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
+    assert at_verify == [2]
+    calls.clear()
+    monkeypatch.setattr(certificate, "lipschitz_proxy",
+                        counted(proxy, "lipschitz_proxy"))
+    assert _cli("report", plan) == cli.EXIT_OK
+    assert calls == []
+
+
 def _write_conv_bottleneck(tmp_path):
     """Raw 3x3 8->16->16->8 stack, then a 1x1 8->4 bottleneck whose input
     unfolding has rank 4 < c_in = 8, and 16 calibration maps of 8x8."""
@@ -582,9 +747,15 @@ _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
     (("decompose",), "raw.json", lambda doc: doc.update(provenance=[]),
      "malformed provenance (AttributeError: 'list' object has no "
      "attribute 'get')"),
+    (("plan",), "cert.json", lambda doc: doc.update(certificate=["x"]),
+     "malformed certificate (AttributeError: 'list' object has no "
+     "attribute 'get')"),
+    (("report",), "plan.json", lambda doc: doc.update(certificate=["x"]),
+     "malformed certificate (AttributeError: 'list' object has no "
+     "attribute 'get')"),
 ], ids=["topology-activation", "model-u", "topology-list", "raw-activation",
         "calibration-alpha", "profile-pairs", "certificate-epsilon",
-        "raw-provenance"])
+        "raw-provenance", "certificate-list", "report-certificate-list"])
 def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
                                                    edit, message):
     _planned_small_model(tmp_path)

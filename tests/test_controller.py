@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from elastiq import certificate, controller, cost, elastic, network
+from bounds import expected_bound
 from oracles import exhaustive_allocation
 
 
@@ -152,7 +153,7 @@ class TestCertificateMass:
             picks = [int(rng.integers(len(menu))) for menu in menus]
             prof = [menus[ell][i] for ell, i in enumerate(picks)]
             total = sum(mass[ell][i] for ell, i in enumerate(picks))
-            bound = certificate.expected_bound(net, stats, prof)
+            bound = expected_bound(net, stats, prof)
             assert total == pytest.approx(bound, rel=1e-9)
 
     def test_never_exceeds_the_certified_bound(self):
@@ -163,7 +164,7 @@ class TestCertificateMass:
         for picks in itertools.product(*(range(3),) * len(net.blocks)):
             prof = [menus[ell][i] for ell, i in enumerate(picks)]
             total = sum(mass[ell][i] for ell, i in enumerate(picks))
-            bound = certificate.expected_bound(net, stats, prof)
+            bound = expected_bound(net, stats, prof)
             assert total <= bound * (1.0 + 1e-12)
 
     def test_full_entries_carry_zero_mass(self):
@@ -516,7 +517,7 @@ class TestAuditMonotone:
         full = [(b.elastic.k_max, None) for b in net.blocks[1:]]
         chain = [controller.Profile(((k, 4), *full)) for k in (63, 64)]
         stats = certificate.calibrate(net, _rng(1).standard_normal((32, 64)))
-        bound_63, bound_64 = (certificate.expected_bound(net, stats, p)
+        bound_63, bound_64 = (expected_bound(net, stats, p)
                               for p in chain)
         assert bound_64 <= bound_63
 
@@ -534,8 +535,8 @@ class TestBuildLattice:
 
     def test_three_step_lattice_is_ordered_and_named(self):
         net, stats, menus, benefit, model, budgets = self._setup()
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model)
+        lattice, _ = controller.build_lattice(net, menus, budgets,
+                                              benefit, stats, model)
         assert len(lattice) == 3
         assert [p.name for p in lattice.profiles] == \
             ["tiny", "med", "max"]
@@ -552,10 +553,14 @@ class TestBuildLattice:
 
     def test_drift_matches_the_certificate_route(self):
         net, stats, menus, benefit, model, budgets = self._setup(71)
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model)
+        lattice, ledgers = controller.build_lattice(net, menus, budgets,
+                                                    benefit, stats, model)
+        assert len(ledgers) == len(lattice.profiles)
         for j, prof in enumerate(lattice.profiles):
-            want = certificate.expected_bound(net, stats, prof.pairs)
+            # the returned rows are the ones the bound was summed from
+            assert ledgers[j] == certificate.ledgers(net, stats,
+                                                     [prof.pairs])[0]
+            want = expected_bound(net, stats, prof.pairs)
             assert lattice.drift_bound[j] == want
 
     def test_nested_levels_are_exact_and_within_their_budgets(self):
@@ -577,7 +582,7 @@ class TestBuildLattice:
             costs = [latency(e) for e in itertools.product(*menus)]
             caps = sorted(float(v) for v in rng.uniform(
                 min(costs), max(costs), int(rng.integers(1, 5))))
-            lattice = controller.build_lattice(
+            lattice, _ = controller.build_lattice(
                 net, menus, [_token(lat=c) for c in caps], benefit, stats,
                 model)
             upper = None
@@ -597,8 +602,8 @@ class TestBuildLattice:
 
     def test_latency_matches_the_cost_route(self):
         net, stats, menus, benefit, model, budgets = self._setup(72)
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model)
+        lattice, _ = controller.build_lattice(net, menus, budgets,
+                                              benefit, stats, model)
         for j, prof in enumerate(lattice.profiles):
             rows = cost.profile_costs(net, list(prof.pairs))
             assert lattice.predicted_latency[j] == pytest.approx(
@@ -611,9 +616,9 @@ class TestBuildLattice:
         e_model = _hand_model([5e-5] * len(net.blocks),
                               [5e-5] * len(net.blocks),
                               intercept=0.002)
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model,
-                                           energy_model=e_model)
+        lattice, _ = controller.build_lattice(net, menus, budgets,
+                                              benefit, stats, model,
+                                              energy_model=e_model)
         assert lattice.energy is not None and len(lattice.energy) == 3
 
     def test_budget_chain_must_be_ordered(self):
@@ -641,8 +646,8 @@ class TestBuildLattice:
 
     def test_selection_composes_with_the_lattice(self):
         net, stats, menus, benefit, model, budgets = self._setup(79)
-        lattice = controller.build_lattice(net, menus, budgets,
-                                           benefit, stats, model)
+        lattice, _ = controller.build_lattice(net, menus, budgets,
+                                              benefit, stats, model)
         sel = controller.select_runtime(lattice, _token(lat=10 ** 6),
                                         epsilon=10 ** 6)
         assert sel.status == controller.OK

@@ -47,7 +47,8 @@ def _certified_doc():
     stats = certificate.calibrate(net, rng.standard_normal((16, 5)))
     doc["calibration"] = manifest.stats_to_doc(stats)
     doc["certificate"] = manifest.certificate_section(
-        net, stats, profiles, epsilon=1.0)
+        stats, profiles, certificate.ledgers(net, stats, profiles.values()),
+        epsilon=1.0)
     return doc
 
 
@@ -196,7 +197,7 @@ class TestCertificateVerification:
         stats = manifest.stats_from_doc(certified["calibration"])
         entry = certified["certificate"]["profiles"]["mid"]
         pairs = manifest.pairs_from_doc(entry["pairs"])
-        rows = certificate.ledger(net, stats, pairs)
+        rows = certificate.ledgers(net, stats, [pairs])[0]
         assert manifest._parse_list(entry["sensitivity"]) \
             == tuple(r[0] for r in rows)
         assert manifest._parse_list(entry["weight_change"]) \
@@ -221,8 +222,9 @@ class TestCertificateVerification:
         stats = certificate.calibrate(net, xs)
         doc["calibration"] = manifest.stats_to_doc(stats)
         doc["certificate"] = manifest.certificate_section(
-            net, stats, profiles, certificate.SAMPLED,
-            calibration_inputs=xs)
+            stats, profiles, certificate.ledgers(
+                net, stats, profiles.values(), certificate.SAMPLED, xs),
+            certificate.SAMPLED)
         path = tmp_path / "m.json"
         manifest.write_manifest(doc, path)
         doc = manifest.read_manifest(path)
@@ -259,8 +261,9 @@ _FOUR_PROFILES = {f"r{k}": [(k, 8), (k, None), (min(k, 3), 4)]
 
 
 class TestCertifyWork:
-    """certificate_section and verify_manifest do the profile-independent
-    work once per call, and still match one ledger per profile."""
+    """certificate.ledgers and verify_manifest do the profile-independent
+    work once per call, and still match one ledger per profile;
+    certificate_section only serializes the rows it is given."""
 
     def test_sampled_section_builds_tail_jacobians_once(self, monkeypatch):
         net = _three_layer_net(9)
@@ -274,14 +277,16 @@ class TestCertifyWork:
             return jacobians(*args)
 
         monkeypatch.setattr(certificate, "_tail_jacobians", counted)
-        sec = manifest.certificate_section(
-            net, stats, _FOUR_PROFILES, certificate.SAMPLED,
-            calibration_inputs=xs)
+        ledgers = certificate.ledgers(net, stats, _FOUR_PROFILES.values(),
+                                      certificate.SAMPLED, xs)
+        assert len(calls) == 1
+        sec = manifest.certificate_section(stats, _FOUR_PROFILES, ledgers,
+                                           certificate.SAMPLED)
         assert len(calls) == 1
         monkeypatch.undo()
         for name, pairs in _FOUR_PROFILES.items():
-            rows = certificate.ledger(net, stats, pairs, certificate.SAMPLED,
-                                      xs)
+            rows = certificate.ledgers(net, stats, [pairs],
+                                       certificate.SAMPLED, xs)[0]
             assert manifest._parse_list(sec["profiles"][name]["sensitivity"]) \
                 == tuple(r[0] for r in rows)
 
@@ -313,7 +318,8 @@ class TestCertifyWork:
         doc["calibration"] = manifest.stats_to_doc(stats)
         seen.clear()
         doc["certificate"] = manifest.certificate_section(
-            net, stats, _FOUR_PROFILES)
+            stats, _FOUR_PROFILES,
+            certificate.ledgers(net, stats, _FOUR_PROFILES.values()))
         assert stored_counts() == once
         path = tmp_path / "m.json"
         manifest.write_manifest(doc, path)
@@ -322,7 +328,7 @@ class TestCertifyWork:
         assert stored_counts() == once
         monkeypatch.undo()
         for name, pairs in _FOUR_PROFILES.items():
-            rows = certificate.ledger(net, stats, pairs)
+            rows = certificate.ledgers(net, stats, [pairs])[0]
             entry = doc["certificate"]["profiles"][name]
             assert manifest._parse_list(entry["sensitivity"]) \
                 == tuple(r[0] for r in rows)

@@ -431,12 +431,13 @@ class TestWeightGain:
 
 
 class TestPostlayerLipschitz:
-    """Conservative sensitivities: lipschitz_proxy(net)[ell] is block ell's
-    local scale times the product of the downstream block gains."""
+    """Conservative sensitivities: lipschitz_proxy(net, [None])[0][ell] is
+    block ell's local scale times the product of the downstream block
+    gains."""
 
     def test_identity_tail_is_one(self):
         net = _dense_net(50, (4, 3), (network.RELU,))
-        assert certificate.lipschitz_proxy(net) == [1.0]
+        assert certificate.lipschitz_proxy(net, [None]) == [[1.0]]
 
     def test_diagonal_tail_value(self):
         l1 = elastic.from_dense(_rng(51).standard_normal((3, 3)))
@@ -444,15 +445,15 @@ class TestPostlayerLipschitz:
         net = network.Network((network.Block(elastic=l1),
                                network.Block(elastic=l2)))
         # tail gains carry spectral_norm's 1e-8 relative upper-bound slack
-        assert certificate.lipschitz_proxy(net)[0] == pytest.approx(
-            3.0 * (1.0 + 1e-8), rel=1e-9)
+        assert certificate.lipschitz_proxy(net, [None])[0][0] \
+            == pytest.approx(3.0 * (1.0 + 1e-8), rel=1e-9)
 
     def test_gelu_uses_conservative_slope(self):
         eye = elastic.from_dense(np.eye(3))
         net = network.Network((network.Block(elastic=eye),
                                network.Block(elastic=eye,
                                              activation=network.GELU)))
-        head, tail = certificate.lipschitz_proxy(net)
+        head, tail = certificate.lipschitz_proxy(net, [None])[0]
         assert tail == pytest.approx(1.1, rel=1e-12)
         assert head == pytest.approx(1.1, rel=1e-7)
 
@@ -462,7 +463,7 @@ class TestPostlayerLipschitz:
                          gamma_on=(1,))
         # block 0 is a relu without norm, so its local scale is 1 and its
         # sensitivity bounds the gain from block 1's input to the logits
-        bound = certificate.lipschitz_proxy(net)[0]
+        bound = certificate.lipschitz_proxy(net, [None])[0][0]
         tail = network.Network(net.blocks[1:])
         rng = _rng(53)
         h = rng.standard_normal((1000, 6))
@@ -476,11 +477,11 @@ class TestPostlayerLipschitz:
 
     def test_residual_never_decreases_bound(self):
         net = _dense_net(54, (4, 4, 4), (network.RELU, network.IDENTITY))
-        plain = certificate.lipschitz_proxy(net)[0]
+        plain = certificate.lipschitz_proxy(net, [None])[0][0]
         blocks = list(net.blocks)
         blocks[1] = dataclasses.replace(blocks[1], residual=True)
         boosted = certificate.lipschitz_proxy(
-            network.Network(tuple(blocks)))[0]
+            network.Network(tuple(blocks)), [None])[0][0]
         assert boosted >= plain
 
     def test_index_range_validated(self):
@@ -488,7 +489,7 @@ class TestPostlayerLipschitz:
         net = _dense_net(55, (4, 3), (network.RELU,))
         for bad in ([], [(1, None)] * 2):
             with pytest.raises(ValueError, match="layer count"):
-                certificate.lipschitz_proxy(net, profile=bad)
+                certificate.lipschitz_proxy(net, [bad])
 
 
 def _rebuilt(net, bi, attr, new, where="factor"):
