@@ -58,6 +58,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -93,7 +94,16 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so bad usage exits 1."""
+    """argparse that raises instead of exiting, so bad usage exits 1.
+
+    A token starting with "-" and then a digit, ".digit", "inf" or "nan"
+    is a value, so "--epsilon -1e-3" reaches the command's own checks.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
@@ -172,30 +182,20 @@ def _stored_stats(doc):
     return manifest.stats_from_doc(sec)
 
 
-def _remove(path):
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-
-
 @contextlib.contextmanager
 def _publish(doc, path, calibration_inputs=None):
     """Write a manifest under a sibling temporary name, run the body (the
-    command's report lines), self-verify, and only then move the files
-    onto path: the sidecar first (or a stale one removed), the manifest
-    last. On any failure the temporary files go and path is untouched.
+    command's report lines), self-verify, and only then rename it onto
+    path. On any failure the temporary file goes and path is untouched.
     """
     path = str(path)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)),
         prefix=f".{os.path.basename(path)}.", suffix=".tmp")
     os.close(fd)
-    side = manifest.sidecar_path(tmp)
     try:
-        files = manifest.write_manifest(doc, tmp)
-        say("manifest", path=path, sha256=_file_sha256(tmp),
-            files=len(files))
+        manifest.write_manifest(doc, tmp)
+        say("manifest", path=path, sha256=_file_sha256(tmp))
         yield
         problems = manifest.verify_manifest(
             tmp, calibration_inputs=calibration_inputs)
@@ -204,14 +204,10 @@ def _publish(doc, path, calibration_inputs=None):
             print(f"verify: {p}", file=sys.stderr)
         if problems:
             raise CliError("written manifest failed self-verification")
-        if side in files:
-            os.replace(side, manifest.sidecar_path(path))
-        else:
-            _remove(manifest.sidecar_path(path))
         os.replace(tmp, path)
     except BaseException:
-        _remove(side)
-        _remove(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -251,6 +247,9 @@ def _load_train_config(path):
 
 
 def cmd_train(args):
+    if args.stop_after is not None and args.stop_after < 1:
+        raise CliError(f"--stop-after must be at least 1, got "
+                       f"{args.stop_after}")
     config = _load_train_config(args.config)
     digest = manifest.config_hash(dataclasses.asdict(config))
     state = None
@@ -587,13 +586,13 @@ def cmd_report(args):
     epsilon = _select_epsilon(args, doc)
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
 
-    full = network.forward(net, xs, None)
-    full_top = np.argmax(np.atleast_2d(full.logits), axis=-1)
+    full = network.forward(net, xs, None).logits
+    full_top = np.argmax(np.atleast_2d(full), axis=-1)
     rows, drifts_by_level = [], []
     for j, prof in enumerate(lattice.profiles):
-        trace = network.forward(net, xs, prof)
-        top = np.argmax(np.atleast_2d(trace.logits), axis=-1)
-        drifts = np.atleast_1d(network.logit_drift(net, xs, prof))
+        logits = network.forward(net, xs, prof).logits
+        top = np.argmax(np.atleast_2d(logits), axis=-1)
+        drifts = np.atleast_1d(network._drift(net, xs, logits, full))
         drifts_by_level.append(drifts)
         coverage = float(100.0 * np.mean(drifts <= epsilon))
         rows.append({

@@ -7,9 +7,8 @@ their quantizer scales, or float32 tensors where a profile keeps float
 factors), the deployable profile lattice with predicted costs, the
 drift-certificate ledger, calibration statistics, and provenance.
 
-Binary tensor data is base64-embedded; once the total payload size
-crosses ``SIDECAR_THRESHOLD`` bytes it is spilled to a single sidecar
-file written next to the manifest (same name plus ``.bin``).
+Binary tensor data is base64-embedded, so a manifest is always exactly
+one file.
 
 Rules that keep writes reproducible:
 
@@ -17,7 +16,7 @@ Rules that keep writes reproducible:
   which round-trips IEEE binary64 exactly;
 * JSON is emitted with sorted keys, two-space indentation, ASCII escapes,
   and a trailing newline; no timestamps or environment data are recorded;
-* files are written to a temporary name in the target directory and
+* the file is written to a temporary name in the target directory and
   atomically renamed into place;
 * writing back what ``read_manifest`` returned produces byte-identical
   files.
@@ -48,10 +47,7 @@ VERSION = 1
 KIND_RAW = "raw"
 KIND_ELASTIC = "elastic"
 
-SIDECAR_THRESHOLD = 1 << 20  # embedded payload budget, bytes
-
-_EMBED = "b64"
-_SIDECAR = "sidecar"
+_EMBED = "b64"  # the one payload encoding
 
 # payload dtype tags
 _F64 = "f64"
@@ -656,56 +652,36 @@ def _atomic_write(path, data):
 
 
 def sidecar_path(path):
-    """The payload sidecar belonging to a manifest path."""
+    """Where a manifest's payload sidecar sat when large payloads spilled
+    out of the JSON; manifests are one file now, so none is written."""
     return str(path) + ".bin"
 
 
 def write_manifest(doc, path):
-    """Write a manifest atomically; returns the list of files written.
+    """Write a manifest atomically as one file.
 
-    Payload bytes are base64-embedded while their total stays at or under
-    SIDECAR_THRESHOLD; above it every payload moves to one sidecar file
-    (the manifest path plus ".bin") and the JSON stores (offset, length)
-    references. The encoding choice is a pure function of the payload
-    bytes and the document never mentions its own filename, so rewriting
-    a read manifest reproduces the original bytes exactly.
+    Every payload's bytes are base64-embedded under ``"encoding": "b64"``.
+    The document never mentions its own filename, so rewriting a read
+    manifest reproduces the original bytes exactly.
     """
     doc = _serializable(doc)
-    payloads = list(_walk_payloads(doc))
-    for p in payloads:
+    for p in _walk_payloads(doc):
         raw = p["data"]
         if not isinstance(raw, (bytes, bytearray)):
             raise ManifestError("payload data must be bytes when writing")
         if len(raw) != int(p["bytes"]):
             raise ManifestError("payload byte count mismatch")
-    total = sum(int(p["bytes"]) for p in payloads)
-    path = str(path)
-    side = sidecar_path(path)
-    written = []
-    if total > SIDECAR_THRESHOLD:
-        blob = bytearray()
-        for p in payloads:
-            raw = bytes(p["data"])
-            p["encoding"] = _SIDECAR
-            p["data"] = {"offset": len(blob), "length": len(raw)}
-            blob.extend(raw)
-        _atomic_write(side, bytes(blob))
-        written.append(side)
-    else:
-        for p in payloads:
-            raw = bytes(p["data"])
-            p["encoding"] = _EMBED
-            p["data"] = base64.b64encode(raw).decode("ascii")
-        if os.path.exists(side):
-            os.unlink(side)
-    _atomic_write(path, canonical_json(doc).encode("ascii"))
-    written.append(path)
-    return written
+        p["encoding"] = _EMBED
+        p["data"] = base64.b64encode(raw).decode("ascii")
+    _atomic_write(str(path), canonical_json(doc).encode("ascii"))
 
 
 def read_manifest(path):
-    """Load a manifest, rehydrating and checksum-verifying every payload."""
-    path = str(path)
+    """Load a manifest, rehydrating and checksum-verifying every payload.
+
+    Only base64-embedded payloads are read; a payload in any other
+    encoding (such as an older manifest's ``"sidecar"``) is refused.
+    """
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("ascii"))
@@ -716,31 +692,18 @@ def read_manifest(path):
     if doc.get("version") != VERSION:
         raise ManifestError(f"unsupported manifest version "
                             f"{doc.get('version')!r}")
-    blob = None
-    for p in _walk_payloads(doc):
-        encoding = p.get("encoding")
-        if encoding == _EMBED:
+    with _malformed("payload"):
+        for p in _walk_payloads(doc):
+            encoding = p.get("encoding")
+            if encoding != _EMBED:
+                raise ManifestError(
+                    f"unsupported payload encoding {encoding!r}")
             raw = base64.b64decode(p["data"], validate=True)
-        elif encoding == _SIDECAR:
-            if blob is None:
-                try:
-                    with open(sidecar_path(path), "rb") as fh:
-                        blob = fh.read()
-                except OSError as exc:
-                    raise ManifestError(
-                        f"cannot read payload sidecar: {exc}") from exc
-            ref = p["data"]
-            start, length = int(ref["offset"]), int(ref["length"])
-            if start < 0 or start + length > len(blob):
-                raise ManifestError("sidecar reference out of range")
-            raw = blob[start:start + length]
-        else:
-            raise ManifestError(f"unknown payload encoding {encoding!r}")
-        if len(raw) != int(p["bytes"]):
-            raise ManifestError("payload byte count mismatch")
-        if hashlib.sha256(raw).hexdigest() != p["sha256"]:
-            raise ManifestError("payload checksum mismatch")
-        p["data"] = raw
+            if len(raw) != int(p["bytes"]):
+                raise ManifestError("payload byte count mismatch")
+            if hashlib.sha256(raw).hexdigest() != p["sha256"]:
+                raise ManifestError("payload checksum mismatch")
+            p["data"] = raw
     return doc
 
 

@@ -328,12 +328,14 @@ def logit_drift(net, x, profile):
     Returns a float for a single input and a per-sample vector for a
     batched input.
     """
-    z_full = forward(net, x, None).logits
-    z_prof = forward(net, x, profile).logits
+    return _drift(net, x, forward(net, x, profile).logits,
+                  forward(net, x, None).logits)
+
+
+def _drift(net, x, z_prof, z_full):
+    """logit_drift from the profile and full logits already run on x."""
     diff = z_prof - z_full
-    a, single = _promote_input(net, x)
-    del a
-    if single:
+    if _promote_input(net, x)[1]:
         return float(np.linalg.norm(diff.ravel()))
     axes = tuple(range(1, diff.ndim))
     return np.sqrt(np.sum(diff * diff, axis=axes))

@@ -529,11 +529,12 @@ def evaluate(net, x, y, profiles, names, epsilon, calib):
     stats = certificate.calibrate(net, calib)
     entries = [rank_profile(net, k) for k in profiles]
     ledgers = certificate.ledgers(net, stats, entries)
+    full = network.forward(net, x, None).logits
     accuracy, violation, bound, mean_drift = {}, {}, {}, {}
     for name, pairs, rows in zip(names, entries, ledgers):
-        trace = network.forward(net, x, pairs)
-        pred = np.argmax(trace.logits, axis=-1)
-        drifts = np.asarray(network.logit_drift(net, x, pairs))
+        logits = network.forward(net, x, pairs).logits
+        pred = np.argmax(logits, axis=-1)
+        drifts = np.asarray(network._drift(net, x, logits, full))
         accuracy[name] = float(np.mean(pred == y))
         violation[name] = float(np.mean(drifts > epsilon))
         mean_drift[name] = float(np.mean(drifts))

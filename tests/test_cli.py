@@ -1,17 +1,18 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, plans
-from a device CSV, energy and byte budgets, manifests published only after
-self-verification, one error line for every malformed manifest and every
-drift tolerance that is not finite and >= 0, report's diagnostics line,
-the ledger passes plan and report make, decompose
-on wide dense and bottleneck conv models, the whole pipeline on a conv
-model and on a sweep of tiny random models, quantized and resumed
+from a device CSV, energy and byte budgets, manifests published as one
+file only after self-verification, one error line for every malformed
+manifest and every drift tolerance that is not finite and >= 0, report's
+diagnostics line, the ledger passes and forwards plan and report make,
+decompose on wide dense and bottleneck conv models, the whole pipeline on
+a conv model and on a sweep of tiny random models, quantized and resumed
 training, byte-identical reruns across BLAS thread counts, and every
 option exercised by a test or a benchmark stage."""
 
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -330,7 +331,8 @@ def test_report_one_level_lattice_prints_no_diagnostics(tmp_path):
 @pytest.mark.parametrize("command, value", [
     ("certify", "nan"), ("certify", "-1"), ("certify", "inf"),
     ("select", "nan"), ("select", "-0.5"), ("report", "nan"),
-    ("report", "-inf"), ("stored", "-1"),
+    ("report", "-inf"), ("stored", "-1"), ("report", "-1e-3"),
+    ("select", "-.5"), ("certify", "-NaN"),
 ])
 def test_drift_tolerance_must_be_finite_and_non_negative(tmp_path, command,
                                                          value):
@@ -341,19 +343,38 @@ def test_drift_tolerance_must_be_finite_and_non_negative(tmp_path, command,
         doc = json.loads(plan.read_text())
         doc["certificate"]["epsilon"] = value
         plan.write_text(manifest.canonical_json(doc))
-        argv = ("select", plan, "--latency-ms", "1.0")
+        spellings = [("select", plan, "--latency-ms", "1.0")]
     else:
         argv = {"certify": ("certify", tmp_path / "model.json",
                             "--profiles", "2", "--calib-size", 16,
                             "--out", out),
                 "select": ("select", plan, "--latency-ms", "1.0"),
                 "report": ("report", plan, "--out", out)}[command]
-        # the = form, since argparse reads a bare "-inf" as an option
-        argv += (f"--epsilon={value}",)
-    code, stdout, err = _cli_output(*argv)
+        # a bare negative number is a value, as is the = form
+        spellings = [(*argv, f"--epsilon={value}"),
+                     (*argv, "--epsilon", value)]
+    for argv in spellings:
+        code, stdout, err = _cli_output(*argv)
+        assert (code, stdout) == (cli.EXIT_ERROR, "")
+        assert err == f"error: epsilon must be finite and >= 0, got " \
+            f"{float(value)!r}\n"
+        assert not out.exists()
+
+
+def test_bare_negative_budget_reaches_the_budget_check(tmp_path):
+    plan = _planned_small_model(tmp_path)
+    code, stdout, err = _cli_output("select", plan, "--latency-ms", "-1e3")
     assert (code, stdout) == (cli.EXIT_ERROR, "")
-    assert err == f"error: epsilon must be finite and >= 0, got " \
-        f"{float(value)!r}\n"
+    assert err == "error: latency_target must be positive and finite\n"
+
+
+@pytest.mark.parametrize("steps", ["-3", "0"])
+def test_train_stop_after_must_be_positive(tmp_path, steps):
+    out = tmp_path / "run"
+    code, stdout, err = _cli_output("train", "--out", out,
+                                    "--stop-after", steps)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == f"error: --stop-after must be at least 1, got {steps}\n"
     assert not out.exists()
 
 
@@ -486,21 +507,14 @@ def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
-def test_sidecar_published_with_its_manifest(tmp_path, monkeypatch):
+def test_certify_in_place_publishes_one_file(tmp_path):
     model = tmp_path / "model.json"
-    side = tmp_path / "model.json.bin"
     _small_model(model)
-    monkeypatch.setattr(manifest, "SIDECAR_THRESHOLD", 0)
     code, out, _ = _cli_output("certify", model, "--profiles", "2",
                                "--calib-size", 16)
     assert code == cli.EXIT_OK
-    assert f"@@ manifest path={model} " in out and "files=2" in out
-    assert side.exists()
-    assert manifest.verify_manifest(str(model)) == []
-    # back under the threshold, the rewrite embeds and drops the sidecar
-    monkeypatch.undo()
-    assert _cli("certify", model, "--calib-size", 16) == cli.EXIT_OK
-    assert not side.exists()
+    sha = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert f"@@ manifest path={model} sha256={sha}\n" in out
     assert manifest.verify_manifest(str(model)) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
@@ -568,6 +582,23 @@ def test_plan_builds_ledgers_twice_and_report_none(tmp_path, monkeypatch):
                         counted(proxy, "lipschitz_proxy"))
     assert _cli("report", plan) == cli.EXIT_OK
     assert calls == []
+
+
+def test_report_runs_one_forward_per_level_and_one_full(tmp_path,
+                                                        monkeypatch):
+    plan = _planned_small_model(tmp_path)
+    levels = len(manifest.lattice_from_doc(
+        manifest.read_manifest(plan)["lattice"]).profiles)
+    profiles, forward = [], network.forward
+
+    def counted(net, x, profile=None):
+        profiles.append(profile)
+        return forward(net, x, profile)
+
+    monkeypatch.setattr(network, "forward", counted)
+    assert _cli("report", plan) == cli.EXIT_OK
+    assert len(profiles) == levels + 1 and levels >= 2
+    assert profiles.count(None) == 1
 
 
 def _write_conv_bottleneck(tmp_path):
@@ -753,9 +784,22 @@ _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
     (("report",), "plan.json", lambda doc: doc.update(certificate=["x"]),
      "malformed certificate (AttributeError: 'list' object has no "
      "attribute 'get')"),
+    (("audit",), "plan.json",
+     lambda doc: doc["model"]["layers"][0]["u"].update(data=5),
+     "malformed payload (TypeError: argument should be a bytes-like object "
+     "or ASCII string, not 'int')"),
+    (("plan",), "cert.json",
+     lambda doc: doc["model"]["layers"][0]["u"].update(bytes=[1]),
+     "malformed payload (TypeError: int() argument must be a string, a "
+     "bytes-like object or a real number, not 'list')"),
+    (("audit",), "plan.json",
+     lambda doc: doc["model"]["layers"][0]["u"].update(
+         encoding="sidecar", data={"offset": 0, "length": 1}),
+     "unsupported payload encoding 'sidecar'"),
 ], ids=["topology-activation", "model-u", "topology-list", "raw-activation",
         "calibration-alpha", "profile-pairs", "certificate-epsilon",
-        "raw-provenance", "certificate-list", "report-certificate-list"])
+        "raw-provenance", "certificate-list", "report-certificate-list",
+        "payload-data", "payload-bytes", "sidecar-encoding"])
 def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
                                                    edit, message):
     _planned_small_model(tmp_path)
@@ -766,8 +810,8 @@ def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(manifest.canonical_json(doc))
-    # select writes no file, so it takes no --out
-    extra = () if argv[0] == "select" else ("--out", out)
+    # select and audit write no file, so they take no --out
+    extra = () if argv[0] in ("select", "audit") else ("--out", out)
     code, stdout, err = _cli_output(argv[0], path, *argv[1:], *extra)
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == f"error: {message}\n"

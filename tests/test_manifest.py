@@ -101,21 +101,17 @@ class TestCodePayload:
 
 
 class TestRoundTrip:
-    # 360 and 363 put the payload just under and just over the threshold
-    @pytest.mark.parametrize("side, sidecar", [(360, False), (363, True)])
-    def test_rewrite_reproduces_bytes(self, tmp_path, side, sidecar):
+    # 360 and 363 put the payload just under and just over 1 MiB, the size
+    # at which payloads once spilled to a sidecar file
+    @pytest.mark.parametrize("side, over", [(360, False), (363, True)])
+    def test_rewrite_reproduces_bytes(self, tmp_path, side, over):
         doc = _raw_doc(side)
-        assert (_payload_bytes(doc) > manifest.SIDECAR_THRESHOLD) == sidecar
+        assert (_payload_bytes(doc) > 1 << 20) == over
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         manifest.write_manifest(doc, first)
-        side_a = manifest.sidecar_path(first)
-        assert os.path.exists(side_a) == sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
         manifest.write_manifest(manifest.read_manifest(first), second)
         assert first.read_bytes() == second.read_bytes()
-        if sidecar:
-            with open(side_a, "rb") as fa, \
-                    open(manifest.sidecar_path(second), "rb") as fb:
-                assert fa.read() == fb.read()
 
     def test_certified_rewrite_reproduces_bytes(self, tmp_path, certified):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -135,29 +131,28 @@ class TestRoundTrip:
         with pytest.raises(manifest.ManifestError, match="checksum"):
             manifest.read_manifest(path)
 
-    def test_flipped_sidecar_byte_raises(self, tmp_path):
+    def test_sidecar_encoded_payload_refused(self, tmp_path):
         path = tmp_path / "m.json"
-        manifest.write_manifest(_raw_doc(363), path)
-        side = manifest.sidecar_path(path)
-        with open(side, "r+b") as fh:
-            fh.seek(1000)
-            byte = fh.read(1)
-            fh.seek(1000)
-            fh.write(bytes([byte[0] ^ 0x80]))
-        with pytest.raises(manifest.ManifestError, match="checksum"):
+        manifest.write_manifest(_raw_doc(4), path)
+        doc = json.loads(path.read_text())
+        payload = doc["model"]["layers"][0]["weight"]
+        payload.update(encoding="sidecar",
+                       data={"offset": 0, "length": payload["bytes"]})
+        path.write_text(manifest.canonical_json(doc))
+        with pytest.raises(manifest.ManifestError,
+                           match="unsupported payload encoding 'sidecar'"):
             manifest.read_manifest(path)
 
 
 class TestFileMode:
-    def test_manifest_and_sidecar_follow_the_umask(self, tmp_path):
+    def test_manifest_follows_the_umask(self, tmp_path):
         old = os.umask(0o022)
         try:
             path = tmp_path / "m.json"
-            manifest.write_manifest(_raw_doc(363), path)
+            manifest.write_manifest(_raw_doc(4), path)
         finally:
             os.umask(old)
-        for f in (path, manifest.sidecar_path(path)):
-            assert stat.S_IMODE(os.stat(f).st_mode) == 0o644
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
 
 def _scaled(text, factor=1.001):

@@ -26,6 +26,12 @@ UNREFERENCED = {
         "BitMap's width at a rank; wiring BitMap into certify is open",
     "manifest.raw_model_to_doc":
         "how raw models are written; the benchmark's inputs use it",
+    "manifest.sidecar_path":
+        "perfbench's harness digests a manifest's sidecar; the next "
+        "benchmark change drops it",
+    "network.logit_drift":
+        "one profile's observed drift; the benchmark's bound checks call "
+        "it, while report and evaluate reuse logits already run",
 }
 
 

@@ -486,6 +486,23 @@ class TestEvaluate:
         # served-rank ceiling: drift at the widest profile is zero
         assert drift["big"] <= bound["big"] + 1e-12
 
+    def test_one_forward_per_profile_and_one_full(self, monkeypatch):
+        net = train.build_network(2, dim=6, hidden=(8,), classes=3)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 6))
+        y = rng.integers(0, 3, size=40)
+        profiles, forward = [], network.forward
+
+        def counted(net, xs, profile=None):
+            if xs is x:
+                profiles.append(profile)
+            return forward(net, xs, profile)
+
+        monkeypatch.setattr(network, "forward", counted)
+        train.evaluate(net, x, y, (2, 4, 8), ("a", "b", "c"), 0.5,
+                       rng.standard_normal((16, 6)))
+        assert len(profiles) == 4 and profiles.count(None) == 1
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_state(self, tmp_path):
