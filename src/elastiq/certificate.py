@@ -77,9 +77,10 @@ class CalibrationStats:
     """Per-layer input-norm statistics over a calibration set.
 
     alpha[i] is the root-mean-square of the l2 norm of the signal entering
-    block i; max_norm[i] is the running maximum of the same norms, kept for
-    conservative fallbacks. fingerprint ties the stats to the exact network
-    parameters they were measured on.
+    block i; max_norm[i] is the running maximum of the same norms. No
+    bound reads max_norm: it is only checked against alpha and carried in
+    the manifest's calibration section. fingerprint ties the stats to the
+    exact network parameters they were measured on.
     """
 
     alpha: tuple

@@ -60,7 +60,7 @@ import math
 import os
 import re
 import sys
-import tempfile
+import zipfile
 
 import numpy as np
 
@@ -126,9 +126,9 @@ def say(topic, **fields):
     print(" ".join(parts))
 
 
-def _file_sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+# what reading a missing, truncated, empty or malformed .npz file raises
+_NPZ_ERRORS = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError,
+               ValueError)
 
 
 def _probe_inputs(net, n, seed, calib_path=None):
@@ -137,7 +137,7 @@ def _probe_inputs(net, n, seed, calib_path=None):
         try:
             with np.load(calib_path) as data:
                 xs = np.asarray(data["x"], dtype=np.float64)
-        except (OSError, KeyError, ValueError) as exc:
+        except _NPZ_ERRORS as exc:
             raise CliError(f"cannot load calibration inputs: {exc}") from exc
         if xs.shape[0] < 1:
             raise CliError("calibration file holds no inputs")
@@ -189,13 +189,9 @@ def _publish(doc, path, calibration_inputs=None):
     path. On any failure the temporary file goes and path is untouched.
     """
     path = str(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)),
-        prefix=f".{os.path.basename(path)}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        manifest.write_manifest(doc, tmp)
-        say("manifest", path=path, sha256=_file_sha256(tmp))
+    with manifest._atomic_write(path) as tmp:
+        data = manifest.write_manifest(doc, tmp)
+        say("manifest", path=path, sha256=hashlib.sha256(data).hexdigest())
         yield
         problems = manifest.verify_manifest(
             tmp, calibration_inputs=calibration_inputs)
@@ -204,11 +200,6 @@ def _publish(doc, path, calibration_inputs=None):
             print(f"verify: {p}", file=sys.stderr)
         if problems:
             raise CliError("written manifest failed self-verification")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,7 @@ def cmd_train(args):
     if args.resume is not None:
         try:
             state = train.load_checkpoint(args.resume, digest, args.seed)
-        except (OSError, KeyError, ValueError) as exc:
+        except _NPZ_ERRORS as exc:
             raise CliError(f"cannot resume: {exc}") from exc
     state, report = train.train_toy(config, args.seed, state=state,
                                     stop_after=args.stop_after)

@@ -1,15 +1,18 @@
 """Compute and memory accounting plus a fitted latency/energy proxy.
 
-Closed-form multiply-add counts and byte footprints for the forward path
-network.forward executes (staged factors or the rebuilt weight) and a
-nonnegative-least-squares latency model over (FLOPs, bytes) features. No
-hardware is touched: device tables are synthesized from a planted linear
-model with multiplicative log-normal noise, clearly labeled as such, so
-the fit/predict loop stays testable on a desk.
+Multiply-add counts and byte footprints of the path network.forward
+executes at each operating point, both read from elastic: FLOPs from
+elastic.served_flops (the cheaper of the staged factors and the rebuilt
+weight, the one elastic.runs_staged picks) and bytes from the factor
+slices of elastic._rank_slices, which manifest verification checks each
+payload against. A nonnegative-least-squares latency model is fitted
+over (FLOPs, bytes) features. No hardware is touched: device tables are
+synthesized from a planted linear model with multiplicative log-normal
+noise, clearly labeled as such, so the fit/predict loop stays testable
+on a desk.
 
-Counting conventions: one multiply-accumulate = 2 FLOPs, accumulators
-start at zero, diagonal scaling is 1 FLOP per element. Bytes are rounded
-up per tensor. Unquantized factors are counted at 32 bits.
+Bytes are rounded up per tensor. Unquantized factors are counted at 32
+bits.
 """
 
 import csv
@@ -37,43 +40,24 @@ class LayerCost:
             raise ValueError("costs must be non-negative")
 
 
-def flops_dense_svd(m, n, k):
-    """Staged factorized matvec cost: project (2nk), scale (k), expand
-    (2mk)."""
-    if k < 1:
-        raise ValueError("rank must be at least 1")
-    return 2 * n * k + k + 2 * m * k
-
-
-def flops_conv_tucker2(c_o, c_i, h, w, height, width, r_o, r_i):
-    """Staged conv cost: 1x1 reduce, small spatial conv, 1x1 expand."""
-    if not (1 <= r_o <= c_o and 1 <= r_i <= c_i):
-        raise ValueError("ranks must lie within the channel counts")
-    return 2 * height * width * (c_i * r_i + r_o * r_i * h * w + c_o * r_o)
-
-
 def _tensor_bytes(count, bits):
     return -(-count * bits // 8)
 
 
-def bytes_of(layer, k, q=None):
-    """Serialized weight bytes of a layer at rank k and bit width q.
-
-    q is None (32-bit floats) or one width for all three factors. Each
-    factor is rounded up to whole bytes on its own, matching the
-    bit-packed export payloads.
-    """
+def factor_bytes(layer, k, q=None):
+    """Serialized bytes of each rank-k factor slice (u, core, v) at bit
+    width q: None (32-bit floats) or one width for all three. Each slice
+    is rounded up to whole bytes on its own, matching the bit-packed
+    export payloads."""
     bits = UNQUANTIZED_BITS if q is None else int(q)
-    if layer.kind == elastic.CONV_TUCKER2:
-        r_o, r_i = elastic.conv_rank_schedule(layer, k)
-        c_o, c_i = layer.out_features, layer.in_features
-        _, _, kh, kw = layer.factors.core.shape
-        counts = (c_o * r_o, r_o * r_i * kh * kw, c_i * r_i)
-    else:
-        elastic._check_k(layer, k)
-        m, n = layer.out_features, layer.in_features
-        counts = (m * k, k, n * k)
-    return sum(_tensor_bytes(c, bits) for c in counts)
+    return tuple(_tensor_bytes(t.size, bits)
+                 for t in elastic._rank_slices(layer, k))
+
+
+def bytes_of(layer, k, q=None):
+    """Serialized weight bytes of a layer at rank k and bit width q: the
+    sum of factor_bytes."""
+    return sum(factor_bytes(layer, k, q))
 
 
 def layer_cost(layer, k, q=None, spatial=None):
@@ -81,31 +65,18 @@ def layer_cost(layer, k, q=None, spatial=None):
 
     Dense layers need no spatial size; conv layers require
     spatial=(H, W) of the feature map. FLOPs are those of the path
-    network.forward executes, which elastic.runs_staged picks, whichever
-    is fewer: for dense layers the staged flops_dense_svd or the rebuilt
-    weight's 2mn, for conv layers the staged Tucker-2 conv or the rebuilt
-    kernel's 2*H*W*c_o*c_i*kh*kw. Activation bytes cover one input read
-    plus one output write at ACTIVATION_BITS.
+    network.forward executes: the fewer of elastic.served_flops' two
+    counts per output position, times H*W for a conv layer. Activation
+    bytes cover one input read plus one output write at ACTIVATION_BITS.
     """
+    positions = 1
     if layer.kind == elastic.CONV_TUCKER2:
         if spatial is None:
             raise ValueError("conv layers need spatial=(H, W)")
-        height, width = spatial
-        c_o, c_i = layer.out_features, layer.in_features
-        _, _, kh, kw = layer.factors.core.shape
-        if elastic.runs_staged(layer, k):
-            r_o, r_i = elastic.conv_rank_schedule(layer, k)
-            fl = flops_conv_tucker2(c_o, c_i, kh, kw, height, width,
-                                    r_o, r_i)
-        else:
-            fl = 2 * height * width * c_o * c_i * kh * kw
-        act_elems = (layer.in_features + layer.out_features) * height * width
-    else:
-        m, n = layer.out_features, layer.in_features
-        fl = flops_dense_svd(m, n, k) if elastic.runs_staged(layer, k) \
-            else 2 * m * n
-        act_elems = m + n
-    return LayerCost(flops=int(fl),
+        positions = spatial[0] * spatial[1]
+    act_elems = (layer.in_features + layer.out_features) * positions
+    return LayerCost(flops=int(min(elastic.served_flops(layer, k))
+                               * positions),
                      weight_bytes=int(bytes_of(layer, k, q)),
                      activation_bytes=int(_tensor_bytes(act_elems,
                                                         ACTIVATION_BITS)))

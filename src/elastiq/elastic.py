@@ -1,12 +1,15 @@
 """Elastic factorized layers.
 
-A layer stores a factorization once (truncated SVD for dense layers,
-channel Tucker-2 for conv kernels) and can then be evaluated without
-refitting at any operating point (k, q): a rank k from 1 to the stored
-rank k_max, and q either None (float factors) or one bit width that
-quantizes all three factor slices. runs_staged says whether a layer at
-rank k is cheaper to run staged through its factor slices or through its
-rebuilt weight. The bit map ties a width to rank.
+A layer stores one factor triple ``linalg.Factors(u, core, v)`` (a
+truncated SVD for dense layers, a channel Tucker-2 fit for conv kernels)
+and can then be evaluated without refitting at any operating point
+(k, q): a rank k from 1 to the stored rank k_max, and q either None
+(float factors) or one bit width that quantizes all three factor slices.
+This module is the one place that knows what a layer at rank k stores
+(_rank_slices) and runs: served_flops counts both forward paths, the
+staged factor slices and the rebuilt weight, and runs_staged picks the
+cheaper one for network.forward and the cost model alike. The bit map
+ties a width to rank.
 """
 
 import math
@@ -20,18 +23,8 @@ from . import quant
 DENSE_SVD = "dense_svd"
 CONV_TUCKER2 = "conv_tucker2"
 
-_KIND_FACTORS = {
-    DENSE_SVD: linalg.SvdFactors,
-    CONV_TUCKER2: linalg.Tucker2Factors,
-}
-
-
-def stored_rank(kind, factors):
-    """Largest rank the stored factors can serve."""
-    if kind == DENSE_SVD:
-        return int(factors.sigma.shape[0])
-    # conv kernels have two channel ranks; k indexes the larger one
-    return max(int(factors.core.shape[0]), int(factors.core.shape[1]))
+# axes of the core: an SVD spectrum, a Tucker-2 (r_out, r_in, h, w) core
+_CORE_NDIM = {DENSE_SVD: 1, CONV_TUCKER2: 4}
 
 
 @dataclass(frozen=True)
@@ -39,24 +32,27 @@ class ElasticLayer:
     """Immutable factorized layer snapshot.
 
     kind selects the factor form; k_max, the stored rank, is the largest
-    rank the planner can pick for the layer; bias vectors ride along
-    untouched.
+    rank the planner can pick for the layer (for a conv layer, the larger
+    of its two channel ranks); bias vectors ride along untouched.
     """
 
     kind: str
-    factors: object
+    factors: linalg.Factors
     bias: np.ndarray | None = None
     # a field set once, not a property: every served layer reads it
     k_max: int = field(init=False)
 
     def __post_init__(self):
-        want = _KIND_FACTORS.get(self.kind)
-        if want is None:
+        ndim = _CORE_NDIM.get(self.kind)
+        if ndim is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if not isinstance(self.factors, want):
-            raise TypeError(f"{self.kind} layer needs {want.__name__}")
-        object.__setattr__(self, "k_max", stored_rank(self.kind,
-                                                      self.factors))
+        if not isinstance(self.factors, linalg.Factors):
+            raise TypeError(f"{self.kind} layer needs linalg.Factors")
+        core = self.factors.core
+        if core.ndim != ndim:
+            raise ValueError(f"{self.kind} layer needs a {ndim}-axis core, "
+                             f"got shape {core.shape}")
+        object.__setattr__(self, "k_max", int(max(core.shape[:2])))
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=np.float64)
             if b.ndim != 1 or b.shape[0] != self.out_features:
@@ -65,14 +61,10 @@ class ElasticLayer:
 
     @property
     def out_features(self):
-        if self.kind == CONV_TUCKER2:
-            return int(self.factors.u_out.shape[0])
         return int(self.factors.u.shape[0])
 
     @property
     def in_features(self):
-        if self.kind == CONV_TUCKER2:
-            return int(self.factors.u_in.shape[0])
         return int(self.factors.v.shape[0])
 
 
@@ -112,7 +104,7 @@ def conv_rank_schedule(layer, k):
         raise ValueError("rank schedule only applies to conv layers")
     k = _check_k(layer, k)
     f = layer.factors
-    c_out, c_in = f.u_out.shape[0], f.u_in.shape[0]
+    c_out, c_in = f.u.shape[0], f.v.shape[0]
     r_o = min(f.core.shape[0], -(-k * c_out // layer.k_max))
     r_i = min(f.core.shape[1], -(-k * c_in // layer.k_max))
     return int(r_o), int(r_i)
@@ -128,9 +120,9 @@ def _rank_slices(layer, k):
     f = layer.factors
     if layer.kind == CONV_TUCKER2:
         r_o, r_i = conv_rank_schedule(layer, k)
-        return f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i]
+        return f.u[:, :r_o], f.core[:r_o, :r_i], f.v[:, :r_i]
     k = _check_k(layer, k)
-    return f.u[:, :k], f.sigma[:k], f.v[:, :k]
+    return f.u[:, :k], f.core[:k], f.v[:, :k]
 
 
 def _served_slices(layer, k, q=None):
@@ -140,27 +132,35 @@ def _served_slices(layer, k, q=None):
     return _round_trip(u, q), _round_trip(core, q), _round_trip(v, q)
 
 
-def runs_staged(layer, k):
-    """True when network.forward runs the layer at rank k staged through
-    its factor slices, because that takes fewer multiply-adds than the
-    rebuilt weight; otherwise the rebuilt weight runs.
+def served_flops(layer, k):
+    """FLOPs per output position (a dense row or a conv pixel) of the two
+    forward paths of a layer at rank k, as (staged, rebuilt).
 
-    Dense (m x n): ((x @ v) * sigma) @ u.T costs k (2m + 2n + 1) FLOPs per
-    row (cost.flops_dense_svd) against 2mn for the dense matvec; a rank
-    near min(m, n) never wins, so the full profile keeps the rebuilt
-    weight. Conv: 1x1 reduce with u_in^T, spatial conv with the core, 1x1
-    expand with u_out costs c_i r_i + r_o r_i kh kw + c_o r_o
-    multiply-adds per output pixel against c_o c_i kh kw; cost.layer_cost
-    counts the conv path this picks.
+    One multiply-add is 2 FLOPs and a diagonal scaling 1 per element.
+    Dense (m x n): staged ((x @ v) * core) @ u.T costs k (2m + 2n + 1)
+    against 2mn for the rebuilt matvec. Conv: a 1x1 reduce with v, the
+    spatial conv with the (r_o, r_i, kh, kw) core and a 1x1 expand with u
+    cost 2 (c_i r_i + r_o r_i kh kw + c_o r_o) against 2 c_o c_i kh kw.
+    Computed from shapes alone, without slicing a factor.
     """
+    f = layer.factors
+    m, n = f.u.shape[0], f.v.shape[0]
     if layer.kind == DENSE_SVD:
         k = _check_k(layer, k)
-        m, n = layer.factors.u.shape[0], layer.factors.v.shape[0]
-        return k * (2 * m + 2 * n + 1) < 2 * m * n
+        return k * (2 * m + 2 * n + 1), 2 * m * n
     r_o, r_i = conv_rank_schedule(layer, k)
-    c_o, c_i = layer.out_features, layer.in_features
-    _, _, kh, kw = layer.factors.core.shape
-    return c_i * r_i + r_o * r_i * kh * kw + c_o * r_o < c_o * c_i * kh * kw
+    taps = f.core.shape[2] * f.core.shape[3]
+    return 2 * (n * r_i + r_o * r_i * taps + m * r_o), 2 * m * n * taps
+
+
+def runs_staged(layer, k):
+    """True when network.forward runs the layer at rank k staged through
+    its factor slices, because served_flops counts fewer FLOPs there than
+    through the rebuilt weight; otherwise the rebuilt weight runs. A dense
+    rank near min(m, n) never wins, so the full profile keeps the rebuilt
+    weight."""
+    staged, rebuilt = served_flops(layer, k)
+    return staged < rebuilt
 
 
 def effective_weight(layer, k, q=None):
@@ -173,7 +173,7 @@ def effective_weight(layer, k, q=None):
     if layer.kind != CONV_TUCKER2:
         return (u * core) @ v.T
     r_o, r_i, kh, kw = core.shape
-    # (c_o, r_i, kh*kw) contracted with u_in over r_i -> (c_o, c_i, kh*kw)
+    # (c_o, r_i, kh*kw) contracted with v over r_i -> (c_o, c_i, kh*kw)
     t = (u @ core.reshape(r_o, -1)).reshape(u.shape[0], r_i, kh * kw)
     return np.matmul(v, t).reshape(u.shape[0], v.shape[0], kh, kw)
 
@@ -186,10 +186,10 @@ def truncate(layer, k):
 def _spectrum_trustworthy(layer, tol=1e-10):
     """True when the stored factors form a genuine SVD: orthonormal factor
     columns and a non-negative, non-increasing spectrum. Gradient updates
-    break this between re-orthogonalizations, at which point sigma entries
+    break this between re-orthogonalizations, at which point core entries
     stop being the residual's singular values."""
     f = layer.factors
-    s = f.sigma
+    s = f.core
     if s.size and (float(s.min()) < 0.0 or np.any(s[1:] > s[:-1])):
         return False
     for a in (f.u, f.v):
@@ -200,30 +200,29 @@ def _spectrum_trustworthy(layer, tol=1e-10):
 
 
 def residual_norm(layer, k, q=None):
-    """Spectral norm of (full reconstruction - rank-k reconstruction).
+    """Upper bound on the spectral norm of (full reconstruction - rank-k
+    reconstruction) of a dense layer.
 
-    Without quantization a dense SVD layer whose stored factors still form
-    a genuine SVD answers from its spectrum: the first discarded singular
+    Without quantization a layer whose stored factors still form a
+    genuine SVD answers from its spectrum: the first discarded singular
     value times 1 + ``linalg._NORM_SLACK``, the slack of
     ``linalg.spectral_norm``, because LAPACK's norm of the materialized
-    residual can exceed that singular value by a few ulps. Every other
-    case — quantized factors, other kinds, or factors perturbed away from
-    orthonormality by training — materializes the residual and takes its
-    ``linalg.spectral_norm``. Either way the result is an upper bound.
-    Conv residuals are measured on the (c_out, c_in*h*w) unfolding.
+    residual can exceed that singular value by a few ulps. Quantized
+    factors, or factors perturbed away from orthonormality by training,
+    materialize the residual and take its ``linalg.spectral_norm``.
+    Conv layers are refused: the norm of a kernel's unfolding does not
+    bound the operator norm of its convolution, which
+    ``network.weight_gain`` bounds instead.
     """
+    if layer.kind != DENSE_SVD:
+        raise ValueError("residual_norm covers dense layers only")
     k = _check_k(layer, k)
     if q is None and k == layer.k_max:
         return 0.0
-    if q is None and layer.kind == DENSE_SVD \
-            and _spectrum_trustworthy(layer):
-        return float(layer.factors.sigma[k]) * (1.0 + linalg._NORM_SLACK)
-    full = effective_weight(layer, layer.k_max)
-    approx = effective_weight(layer, k, q)
-    resid = full - approx
-    if resid.ndim == 4:
-        resid = resid.reshape(resid.shape[0], -1)
-    return linalg.spectral_norm(resid)
+    if q is None and _spectrum_trustworthy(layer):
+        return float(layer.factors.core[k]) * (1.0 + linalg._NORM_SLACK)
+    return linalg.spectral_norm(effective_weight(layer, layer.k_max)
+                                - effective_weight(layer, k, q))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Thin SVD and spectral norms from LAPACK (``np.linalg.svd`` and
 ``np.linalg.norm(w, 2)``) and Tucker-2 fitting for conv kernels (HOSVD
-init + alternating updates). The SVD has a fixed sign convention and every
-spectral norm carries one relative slack that makes it an upper bound, so
-certificates built on these norms never rest on an estimate approaching
-from below.
+init + alternating updates). Both return the one factor triple
+``Factors(u, core, v)``: the output-side factor, the core (the spectrum
+of an SVD, the 4-axis core of a Tucker-2 fit) and the input-side factor.
+The SVD has a fixed sign convention and every spectral norm carries one
+relative slack that makes it an upper bound, so certificates built on
+these norms never rest on an estimate approaching from below.
 Everything is float64 and deterministic at a fixed BLAS thread count.
 """
 
@@ -24,8 +26,7 @@ import numpy as np
 _NORM_SLACK = 1e-8
 
 __all__ = [
-    "SvdFactors",
-    "Tucker2Factors",
+    "Factors",
     "svd_full",
     "spectral_norm",
     "tucker2_fit",
@@ -55,30 +56,21 @@ def _as_tensor4(w, name="w"):
 
 
 @dataclass
-class SvdFactors:
-    """Full-rank SVD of a weight matrix: w = u @ diag(sigma) @ v.T.
+class Factors:
+    """A factorized weight: output-side u, core, input-side v.
 
-    u is (m, r), sigma is (r,) non-negative descending, v is (n, r),
-    with r = min(m, n). Columns of u and v are orthonormal.
+    SVD of an (m, n) matrix: u is (m, r), core is the (r,) non-negative
+    descending spectrum, v is (n, r), r = min(m, n), and
+    w = u @ diag(core) @ v.T.
+    Tucker-2 of a (c_out, c_in, h, w) kernel: u is (c_out, r_out), v is
+    (c_in, r_in), core is (r_out, r_in, h, w), and
+    kernel ~= einsum('rshw,or,is->oihw', core, u, v).
+    Columns of u and v are orthonormal.
     """
 
     u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
-class Tucker2Factors:
-    """Channel-mode Tucker decomposition of a conv kernel.
-
-    kernel ~= einsum('rshw,or,is->oihw', core, u_out, u_in)
-    u_out is (c_out, r_out), u_in is (c_in, r_in), both orthonormal columns;
-    core is (r_out, r_in, h, w).
-    """
-
-    u_out: np.ndarray
     core: np.ndarray
-    u_in: np.ndarray
+    v: np.ndarray
 
 
 def svd_full(w):
@@ -91,9 +83,9 @@ def svd_full(w):
 
     Returns
     -------
-    SvdFactors
-        Orthonormal u (m, r) and v (n, r), sigma (r,) descending,
-        r = min(m, n), with w ~= u @ diag(sigma) @ v.T to close to
+    Factors
+        Orthonormal u (m, r) and v (n, r), core (r,) descending,
+        r = min(m, n), with w ~= u @ diag(core) @ v.T to close to
         machine precision. Each singular pair is fixed only up to a joint
         sign flip, so the largest-magnitude entry of every u column is
         made positive (the first such entry on ties) and v follows.
@@ -102,8 +94,8 @@ def svd_full(w):
     u, sigma, vt = np.linalg.svd(w, full_matrices=False)
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     signs = np.where(pivots < 0.0, -1.0, 1.0)
-    return SvdFactors(u=np.ascontiguousarray(u * signs), sigma=sigma,
-                      v=np.ascontiguousarray(vt.T * signs))
+    return Factors(u=np.ascontiguousarray(u * signs), core=sigma,
+                   v=np.ascontiguousarray(vt.T * signs))
 
 
 def spectral_norm(w):
@@ -160,4 +152,4 @@ def tucker2_fit(w4, r_out, r_in, sweeps=3):
             np.transpose(contracted, (1, 0, 2, 3)).reshape(c_in, -1), r_in
         )
     core = np.einsum("oihw,or,is->rshw", w4, u_out, u_in)
-    return Tucker2Factors(u_out=u_out, core=core, u_in=u_in)
+    return Factors(u=u_out, core=core, v=u_in)

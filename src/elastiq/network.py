@@ -8,7 +8,7 @@ one reverse sweep differentiates it:
   records each block's input and, in a dense stack, its post-norm
   pre-activation. Each layer runs staged through its served factor slices
   when ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise
-  through the rebuilt weight: dense layers as ``((x @ v) * sigma) @ u.T``
+  through the rebuilt weight: dense layers as ``((x @ v) * core) @ u.T``
   or one matmul, conv layers on channel-last maps with one GEMM per kernel
   tap, staged through the Tucker-2 factors (1x1 reduce, spatial conv with
   the core, 1x1 expand) or through the rebuilt kernel.
@@ -104,7 +104,7 @@ def _conv_same_value(x, k):
 
 def _dense_layer_value(layer, k, q, x):
     """(b, n) rows x through a dense layer at (k, q), on the path
-    elastic.runs_staged picks: ((x @ v) * sigma) @ u.T on the served
+    elastic.runs_staged picks: ((x @ v) * core) @ u.T on the served
     factor slices, or x times the rebuilt weight."""
     if not elastic.runs_staged(layer, k):
         return x @ elastic.effective_weight(layer, k, q).T
@@ -122,11 +122,10 @@ def _conv_layer_value(layer, k, q, x):
     if not elastic.runs_staged(layer, k):
         y = _conv_same_value(x, elastic.effective_weight(layer, k, q))
         return y.transpose(0, 3, 1, 2)
-    u_out, core, u_in = elastic._served_slices(layer, k, q)
+    u, core, v = elastic._served_slices(layer, k, q)
     b, h, w, c = x.shape
-    t = _conv_same_value((x.reshape(-1, c) @ u_in).reshape(b, h, w, -1),
-                         core)
-    y = t.reshape(-1, t.shape[-1]) @ u_out.T
+    t = _conv_same_value((x.reshape(-1, c) @ v).reshape(b, h, w, -1), core)
+    y = t.reshape(-1, t.shape[-1]) @ u.T
     return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
 
 
@@ -215,9 +214,7 @@ class ForwardTrace:
 
 def _factor_arrays(layer):
     f = layer.factors
-    if layer.kind == elastic.DENSE_SVD:
-        return (("u", f.u), ("core", f.sigma), ("v", f.v))
-    return (("u", f.u_out), ("core", f.core), ("v", f.u_in))
+    return (("u", f.u), ("core", f.core), ("v", f.v))
 
 
 def resolve_profile(net, profile):
@@ -258,7 +255,7 @@ def forward(net, x, profile=None):
     Each layer runs staged through its served factor slices or through
     its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
     quantized factor is quantized afresh on every call. Dense layers
-    compute ((x @ v) * sigma) @ u.T or x @ W.T; conv layers run
+    compute ((x @ v) * core) @ u.T or x @ W.T; conv layers run
     channel-last with one GEMM per kernel tap. A dense layer at rank
     min(m, n), so at profile None after from_dense, always runs the
     rebuilt weight.

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import certificate, elastic, linalg, network
+from . import certificate, elastic, linalg, manifest, network
 
 
 def _is_number(v, integer=False):
@@ -306,7 +306,7 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
 
     # drift surrogate: per layer, the largest stored tail magnitude past
     # the served rank, scaled by the EMA certificate coefficient
-    tails = [(i, kk, blk.elastic.factors.sigma[kk:blk.elastic.k_max])
+    tails = [(i, kk, blk.elastic.factors.core[kk:blk.elastic.k_max])
              for i, (blk, (kk, _)) in enumerate(zip(net.blocks, entries))
              if kk < blk.elastic.k_max]
     cert = surrogate = 0.0
@@ -497,9 +497,9 @@ def _clip_grads(grads, clip_norm):
 
 
 def _layer_param(blk, name):
-    f = blk.elastic.factors
-    return {"u": f.u, "core": f.sigma, "v": f.v,
-            "bias": blk.elastic.bias}[name]
+    if name == "bias":
+        return blk.elastic.bias
+    return getattr(blk.elastic.factors, name)
 
 
 def _reorthogonalize(net):
@@ -668,10 +668,8 @@ def save_checkpoint(state, path, config_digest, seed):
         lay = blk.elastic
         if lay.kind != elastic.DENSE_SVD:
             raise ValueError("checkpoints cover dense SVD stacks only")
-        f = lay.factors
-        arrays[f"l{i}_u"] = f.u
-        arrays[f"l{i}_core"] = f.sigma
-        arrays[f"l{i}_v"] = f.v
+        for name, arr in network._factor_arrays(lay):
+            arrays[f"l{i}_{name}"] = arr
         if lay.bias is not None:
             arrays[f"l{i}_bias"] = lay.bias
         layers_meta.append({
@@ -692,7 +690,7 @@ def save_checkpoint(state, path, config_digest, seed):
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
                                    dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with manifest._atomic_write(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
 
 
@@ -707,6 +705,8 @@ def load_checkpoint(path, config_digest, seed):
     with np.load(path) as zf:
         data = {key: zf[key] for key in zf.files}
     meta = json.loads(bytes(data["meta"]).decode())
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint meta is not a JSON object")
     stored = meta.get("config_digest")
     if stored is None:
         raise ValueError("checkpoint records no config digest; an older "
@@ -721,9 +721,8 @@ def load_checkpoint(path, config_digest, seed):
     for i, lm in enumerate(meta["layers"]):
         lay = elastic.ElasticLayer(
             elastic.DENSE_SVD,
-            linalg.SvdFactors(u=data[f"l{i}_u"],
-                              sigma=data[f"l{i}_core"],
-                              v=data[f"l{i}_v"]),
+            linalg.Factors(*(data[f"l{i}_{name}"]
+                             for name in manifest._FACTOR_NAMES)),
             data[f"l{i}_bias"] if lm["has_bias"] else None)
         blocks.append(network.Block(elastic=lay,
                                     activation=lm["activation"]))

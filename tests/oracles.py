@@ -47,8 +47,8 @@ def jacobi_gram_eigvals(w, iters=20000, tol=1e-14):
 
 
 def tucker2_recompose(f):
-    """Kernel represented by Tucker2Factors, by one plain einsum."""
-    return np.einsum("rshw,or,is->oihw", f.core, f.u_out, f.u_in)
+    """Kernel represented by Tucker-2 Factors, by one plain einsum."""
+    return np.einsum("rshw,or,is->oihw", f.core, f.u, f.v)
 
 
 def naive_dense_forward(weights, biases, acts, x, norms=None, residual=None):
@@ -190,6 +190,23 @@ def naive_conv2d_same(x, kernel):
                     out[bi, oi, y, xx] = acc
     return out
 
+def conv_matrix(kernel, hh, ww):
+    """The stride-1 zero-padded conv of an (hh, ww) map with kernel
+    (c_out, c_in, kh, kw), odd sides, as one explicit matrix acting on
+    the (c_in, hh, ww) input flattened in C order."""
+    k = np.asarray(kernel, dtype=np.float64)
+    o, c, kh, kw = k.shape
+    mat = np.zeros((o, hh, ww, c, hh, ww))
+    for y in range(hh):
+        for x in range(ww):
+            for dy in range(kh):
+                for dx in range(kw):
+                    yy, xx = y + dy - kh // 2, x + dx - kw // 2
+                    if 0 <= yy < hh and 0 <= xx < ww:
+                        mat[:, y, x, :, yy, xx] += k[:, :, dy, dx]
+    return mat.reshape(o * hh * ww, c * hh * ww)
+
+
 def _act_apply(name, z):
     if name == "relu":
         return np.maximum(z, 0.0)
@@ -289,7 +306,7 @@ def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
         a = xb
         for blk, k in zip(net.blocks, ks):
             f = blk.elastic.factors
-            pre = a @ ((f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T).T
+            pre = a @ ((f.u[:, :k] * f.core[:k]) @ f.v[:, :k].T).T
             if blk.elastic.bias is not None:
                 pre = pre + blk.elastic.bias
             a = _act_apply(blk.activation, pre)
@@ -308,7 +325,7 @@ def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
         aug = float(np.sum(np.exp(la_f) * (la_f - la_c)) / b_sz)
     delta = 0.0
     for blk, k, c in zip(net.blocks, ranks, coeffs):
-        tail = blk.elastic.factors.sigma[int(k):blk.elastic.k_max]
+        tail = blk.elastic.factors.core[int(k):blk.elastic.k_max]
         if tail.size:
             delta += float(c) * float(np.max(np.abs(tail)))
     cert = max(0.0, delta - epsilon)

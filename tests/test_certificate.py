@@ -5,7 +5,7 @@ import pytest
 
 from elastiq import certificate, elastic, network
 from bounds import expected_bound
-from oracles import dense_block_jacobians
+from oracles import conv_matrix, dense_block_jacobians
 
 
 def _rng(seed):
@@ -140,6 +140,23 @@ class TestCompressionGain:
                 assert certificate.weight_change(blk, k) \
                     == pytest.approx(elastic.residual_norm(lay, k),
                                      rel=1e-12)
+
+    def test_conv_bounds_the_explicit_operator_norm(self):
+        # the exact operator norm of a conv layer's change is the spectral
+        # norm of its explicit zero-padded convolution matrix; the norm of
+        # the (c_out, c_in*h*w) kernel unfolding falls below it, which is
+        # why elastic.residual_norm refuses conv layers
+        rng = _rng(33)
+        for c_o, c_i in ((8, 6), (6, 8), (16, 8)):
+            lay = elastic.from_conv(rng.standard_normal((c_o, c_i, 3, 3))
+                                    / np.sqrt(c_i * 9))
+            blk = network.Block(elastic=lay)
+            full = elastic.truncate(lay, lay.k_max)
+            for k, q in ((2, None), (4, 8), (lay.k_max, 4)):
+                delta = full - elastic.effective_weight(lay, k, q)
+                exact = np.linalg.norm(conv_matrix(delta, 8, 8), 2)
+                assert certificate.weight_change(blk, k, q) >= exact
+                assert np.linalg.norm(delta.reshape(c_o, -1), 2) < exact
 
     def test_full_profile_changes_nothing(self):
         net = _dense_net(32, (5, 3), (network.IDENTITY,))

@@ -1,12 +1,14 @@
 """Command-line entry points: import cost, module execution, every
 documented exit code, the certify -> plan -> certify round trip, plans
 from a device CSV, energy and byte budgets, manifests published as one
-file only after self-verification, one error line for every malformed
+file through one temporary file and one rename, only after
+self-verification, one error line for every malformed
 manifest and every drift tolerance that is not finite and >= 0, report's
 diagnostics line, the ledger passes and forwards plan and report make,
 decompose on wide dense and bottleneck conv models, the whole pipeline on
 a conv model and on a sweep of tiny random models, quantized and resumed
-training, byte-identical reruns across BLAS thread counts, and every
+training (and one error line for a damaged checkpoint or calibration
+file), byte-identical reruns across BLAS thread counts, and every
 option exercised by a test or a benchmark stage."""
 
 import argparse
@@ -17,6 +19,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -491,6 +494,92 @@ def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
                           tmp_path / "old" / "checkpoint.npz", "--seed", 5)
     assert err == "error: cannot resume: checkpoint was written at seed " \
         "0, not this run's seed 5\n"
+
+
+def _corrupt_checkpoint(path, how):
+    """Rewrite a checkpoint in place: cut short, emptied, or with a meta
+    record of the wrong shape."""
+    data = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(data[:min(20000, len(data) // 2)])
+        return
+    if how == "empty":
+        path.write_bytes(b"")
+        return
+    with np.load(path) as zf:
+        arrays = {key: zf[key] for key in zf.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta = [meta] if how == "meta-list" else dict(meta, layers=5)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("how", ["truncated", "empty", "meta-list",
+                                 "meta-layers"])
+def test_resume_from_a_damaged_checkpoint_exits_1(tmp_path, how):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 20}))
+    assert _cli("train", "--out", tmp_path / "old", "--config", config,
+                "--stop-after", 10) == cli.EXIT_OK
+    ckpt = tmp_path / "old" / "checkpoint.npz"
+    _corrupt_checkpoint(ckpt, how)
+    err = _refused_resume(tmp_path, config, ckpt)
+    assert err.startswith("error: cannot resume: ")
+
+
+@pytest.mark.parametrize("name", ["cut.npz", "empty.npz", "array.npy"])
+def test_damaged_calibration_file_exits_1(tmp_path, name):
+    model, calib = tmp_path / "model.json", tmp_path / name
+    _small_model(model)
+    if name == "array.npy":
+        np.save(calib, np.zeros((4, 8)))
+    else:
+        np.savez(calib, x=np.zeros((4, 8)))
+        calib.write_bytes(calib.read_bytes()[:100 if name == "cut.npz" else 0])
+    code, out, err = _cli_output("certify", model, "--profiles", "2",
+                                 "--calib", calib, "--out",
+                                 tmp_path / "cert.json")
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.startswith("error: cannot load calibration inputs: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_certify_out_writes_one_temporary_file_and_one_rename(
+        tmp_path, monkeypatch):
+    model, out = tmp_path / "model.json", tmp_path / "cert.json"
+    _small_model(model)
+    made, moved, synced = [], [], []
+    real_mkstemp, real_replace, real_fsync = \
+        tempfile.mkstemp, os.replace, os.fsync
+
+    def mkstemp(*args, **kwargs):
+        fd, name = real_mkstemp(*args, **kwargs)
+        made.append(name)
+        return fd, name
+
+    def replace(src, dst):
+        moved.append((src, dst))
+        real_replace(src, dst)
+
+    def fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert _cli("certify", model, "--profiles", "2", "--calib-size", 16,
+                "--out", out) == cli.EXIT_OK
+    assert len(made) == 1
+    assert moved == [(made[0], str(out))]
+    # the file, then the directory that holds the rename
+    assert len(synced) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["cert.json", "model.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
 
 
 def test_failed_verification_keeps_the_original(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from elastiq import cost, elastic, network
+from elastiq import cost, elastic, linalg, network
 from oracles import counted_svd_matvec, counted_tucker2_conv
 
 
@@ -20,13 +20,19 @@ def _conv_layer(c_o, c_i, kh, kw, seed=0):
     return elastic.from_conv(_rng(seed).standard_normal((c_o, c_i, kh, kw)))
 
 
+def _factored(kind, u, core, v):
+    return elastic.ElasticLayer(kind, linalg.Factors(u, core, v))
+
+
 class TestFlopsDense:
+    """elastic.served_flops of dense layers, per input row."""
+
     def test_hand_value(self):
-        assert cost.flops_dense_svd(4, 4, 1) == 17
+        assert elastic.served_flops(_dense_layer(4, 4), 1) == (17, 32)
 
     def test_zero_rank_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            cost.flops_dense_svd(4, 4, 0)
+        with pytest.raises(ValueError, match="outside"):
+            elastic.served_flops(_dense_layer(4, 4), 0)
 
     def test_matches_instrumented_forward(self):
         for m, n, k, seed in [(5, 6, 3, 1), (4, 4, 1, 2), (7, 3, 2, 3),
@@ -37,21 +43,27 @@ class TestFlopsDense:
             v = rng.standard_normal((n, k))
             x = rng.standard_normal(n)
             _, counted = counted_svd_matvec(u, sigma, v, x)
-            assert counted == cost.flops_dense_svd(m, n, k)
+            lay = _factored(elastic.DENSE_SVD, u, sigma, v)
+            assert elastic.served_flops(lay, k)[0] == counted
 
 
 class TestFlopsConv:
+    """elastic.served_flops of conv layers, per output pixel."""
+
     def test_hand_value(self):
-        assert cost.flops_conv_tucker2(4, 4, 3, 3, 8, 8, 1, 1) == 2176
+        rng = _rng(4)
+        lay = _factored(elastic.CONV_TUCKER2, rng.standard_normal((4, 1)),
+                        rng.standard_normal((1, 1, 3, 3)),
+                        rng.standard_normal((4, 1)))
+        assert elastic.served_flops(lay, 1) == (34, 288)
+        assert cost.layer_cost(lay, 1, spatial=(8, 8)).flops == 2176
 
     def test_full_rank_exceeds_dense_conv(self):
-        c_o = c_i = 4
-        h = w = 3
-        height = width = 8
-        staged = cost.flops_conv_tucker2(c_o, c_i, h, w, height, width,
-                                         c_o, c_i)
-        full = 2 * c_o * c_i * h * w * height * width
-        assert staged > full
+        lay = _conv_layer(4, 4, 3, 3)
+        assert elastic.conv_rank_schedule(lay, lay.k_max) == (4, 4)
+        staged, rebuilt = elastic.served_flops(lay, lay.k_max)
+        assert rebuilt == 2 * 4 * 4 * 3 * 3
+        assert staged > rebuilt
 
     def test_matches_instrumented_forward(self):
         rng = _rng(5)
@@ -61,14 +73,46 @@ class TestFlopsConv:
         u_in = rng.standard_normal((c_i, r_i))
         x = rng.standard_normal((c_i, 5, 6))
         _, counted = counted_tucker2_conv(u_out, core, u_in, x)
-        assert counted == cost.flops_conv_tucker2(c_o, c_i, kh, kw, 5, 6,
-                                                  r_o, r_i)
+        lay = _factored(elastic.CONV_TUCKER2, u_out, core, u_in)
+        assert elastic.conv_rank_schedule(lay, 2) == (r_o, r_i)
+        assert elastic.served_flops(lay, 2)[0] * 5 * 6 == counted
 
     def test_rank_validation(self):
-        with pytest.raises(ValueError, match="ranks"):
-            cost.flops_conv_tucker2(4, 4, 3, 3, 8, 8, 5, 1)
-        with pytest.raises(ValueError, match="ranks"):
-            cost.flops_conv_tucker2(4, 4, 3, 3, 8, 8, 1, 0)
+        lay = _conv_layer(4, 4, 3, 3)
+        for k in (0, lay.k_max + 1):
+            with pytest.raises(ValueError, match="outside"):
+                elastic.served_flops(lay, k)
+
+
+class TestServedPath:
+    """runs_staged and layer_cost both read served_flops, checked on
+    every rank of small shapes against closed forms written here."""
+
+    def test_dense_exhaustive(self):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                lay = _dense_layer(m, n, seed=m * 7 + n)
+                for k in range(1, lay.k_max + 1):
+                    staged, rebuilt = elastic.served_flops(lay, k)
+                    assert (staged, rebuilt) \
+                        == (k * (2 * m + 2 * n + 1), 2 * m * n)
+                    assert elastic.runs_staged(lay, k) == (staged < rebuilt)
+                    assert cost.layer_cost(lay, k).flops \
+                        == min(staged, rebuilt)
+
+    def test_conv_exhaustive(self):
+        for c_o, c_i, kh, kw in [(4, 3, 3, 3), (2, 5, 1, 1), (6, 6, 3, 1),
+                                 (3, 8, 1, 3), (5, 2, 3, 3)]:
+            lay = _conv_layer(c_o, c_i, kh, kw, seed=c_o * c_i)
+            for k in range(1, lay.k_max + 1):
+                r_o, r_i = elastic.conv_rank_schedule(lay, k)
+                staged, rebuilt = elastic.served_flops(lay, k)
+                assert staged == 2 * (c_i * r_i + r_o * r_i * kh * kw
+                                      + c_o * r_o)
+                assert rebuilt == 2 * c_o * c_i * kh * kw
+                assert elastic.runs_staged(lay, k) == (staged < rebuilt)
+                assert cost.layer_cost(lay, k, spatial=(3, 5)).flops \
+                    == 15 * min(staged, rebuilt)
 
 
 class TestBytes:
@@ -83,6 +127,7 @@ class TestBytes:
     def test_per_tensor_ceiling(self):
         lay = _dense_layer(3, 3)
         # 3-bit: u 3 els -> ceil(9/8)=2, core 1 el -> 1, v -> 2
+        assert cost.factor_bytes(lay, 1, 3) == (2, 1, 2)
         assert cost.bytes_of(lay, 1, 3) == 5
 
     def test_unquantized_counts_32_bit(self):
@@ -101,7 +146,7 @@ class TestBytes:
 class TestLayerCost:
     def test_dense_fields(self):
         lc = cost.layer_cost(_dense_layer(8, 4), 2, 8)
-        assert lc.flops == cost.flops_dense_svd(8, 4, 2)
+        assert lc.flops == 2 * (2 * 8 + 2 * 4 + 1)
         assert lc.weight_bytes == cost.bytes_of(_dense_layer(8, 4), 2, 8)
         assert lc.activation_bytes == 12
 
@@ -111,8 +156,7 @@ class TestLayerCost:
             cost.layer_cost(lay, 2, 8)
         lc = cost.layer_cost(lay, 2, 8, spatial=(8, 8))
         r_o, r_i = elastic.conv_rank_schedule(lay, 2)
-        assert lc.flops == cost.flops_conv_tucker2(4, 3, 3, 3, 8, 8,
-                                                   r_o, r_i)
+        assert lc.flops == 2 * 8 * 8 * (3 * r_i + r_o * r_i * 9 + 4 * r_o)
         assert lc.activation_bytes == (3 + 4) * 64
 
     def test_full_rank_conv_runs_and_is_priced_dense(self):
@@ -135,7 +179,7 @@ class TestLayerCost:
         ))
         rows = cost.profile_costs(net, [(2, 8), (1, 4)])
         assert len(rows) == 2
-        assert rows[0].flops == cost.flops_dense_svd(6, 4, 2)
+        assert rows[0].flops == 2 * (2 * 6 + 2 * 4 + 1)
         # full rank runs the rebuilt weight, priced at the dense 2mn
         full = cost.profile_costs(net, None)
         assert full[1].flops == 2 * 3 * 6
@@ -143,7 +187,7 @@ class TestLayerCost:
 
 class TestThresholdRankDense:
     """The dense half of elastic.runs_staged: a layer runs staged exactly
-    below its break-even rank, where flops_dense_svd < 2mn."""
+    below its break-even rank, where k (2m + 2n + 1) < 2mn."""
 
     def test_square_case(self):
         lay = _dense_layer(64, 64)
@@ -159,7 +203,7 @@ class TestThresholdRankDense:
                 lay = _dense_layer(m, n, seed=m * 13 + n)
                 for k in range(1, min(m, n) + 1):
                     assert elastic.runs_staged(lay, k) \
-                        == (cost.flops_dense_svd(m, n, k) < 2 * m * n)
+                        == (k * (2 * m + 2 * n + 1) < 2 * m * n)
                 # the full rank always keeps the rebuilt weight
                 assert not elastic.runs_staged(lay, lay.k_max)
 

@@ -35,10 +35,18 @@ class TestElasticLayerType:
         assert layer.in_features == 5
 
     def test_kind_factor_mismatch_rejected(self):
-        w = _rng(1).standard_normal((4, 4))
-        f = linalg.svd_full(w)
+        # the core's axis count must match the kind: 1 for an SVD
+        # spectrum, 4 for a Tucker-2 core
+        svd = linalg.svd_full(_rng(1).standard_normal((4, 4)))
+        tucker = linalg.tucker2_fit(_rng(2).standard_normal((4, 3, 3, 3)),
+                                    2, 2)
+        with pytest.raises(ValueError, match="4-axis core"):
+            elastic.ElasticLayer(elastic.CONV_TUCKER2, svd)
+        with pytest.raises(ValueError, match="1-axis core"):
+            elastic.ElasticLayer(elastic.DENSE_SVD, tucker)
         with pytest.raises(TypeError):
-            elastic.ElasticLayer(elastic.CONV_TUCKER2, f)
+            elastic.ElasticLayer(elastic.DENSE_SVD,
+                                 (svd.u, svd.core, svd.v))
 
     def test_unknown_kind_rejected(self):
         f = linalg.svd_full(np.eye(3))
@@ -58,7 +66,7 @@ class TestTruncate:
         w = _rng(10).standard_normal((8, 6))
         layer = elastic.from_dense(w)
         f = layer.factors
-        expected = (f.u * f.sigma) @ f.v.T
+        expected = (f.u * f.core) @ f.v.T
         assert np.array_equal(elastic.truncate(layer, layer.k_max), expected)
 
     def test_diagonal_rank_one(self):
@@ -71,7 +79,7 @@ class TestTruncate:
         layer = elastic.from_dense(w)
         full = elastic.truncate(layer, layer.k_max)
         err = np.linalg.norm(full - elastic.truncate(layer, 2), 2)
-        assert err == pytest.approx(layer.factors.sigma[2], rel=1e-7)
+        assert err == pytest.approx(layer.factors.core[2], rel=1e-7)
 
     def test_out_of_range_rejected(self):
         layer = elastic.from_dense(_rng(12).standard_normal((5, 5)))
@@ -89,6 +97,19 @@ class TestTruncate:
         assert np.allclose(got, want, rtol=1e-13,
                            atol=1e-13 * np.max(np.abs(want)))
         assert np.allclose(got, kernel, atol=1e-8)
+
+    def test_conv_quantized_matches_independent_oracle(self):
+        layer = elastic.from_conv(_rng(24).standard_normal((5, 4, 3, 3)))
+        k, q = 3, 6
+        f = layer.factors
+        r_o, r_i = elastic.conv_rank_schedule(layer, k)
+        want = tucker2_recompose(linalg.Factors(
+            _independent_round_trip(f.u[:, :r_o], q),
+            _independent_round_trip(f.core[:r_o, :r_i], q),
+            _independent_round_trip(f.v[:, :r_i], q)))
+        got = elastic.effective_weight(layer, k, q)
+        assert np.allclose(got, want, rtol=1e-13,
+                           atol=1e-13 * np.max(np.abs(want)))
 
     def test_conv_ranks_clamped_to_unfolding_ranks(self):
         # 1x1 8->4: the input unfolding (8, 4) has rank 4, not c_in = 8
@@ -123,7 +144,7 @@ class TestResidualNorm:
         layer = elastic.from_dense(_rng(21).standard_normal((8, 7)))
         for k in range(1, 7):
             assert elastic.residual_norm(layer, k) == float(
-                layer.factors.sigma[k]) * (1.0 + linalg._NORM_SLACK)
+                layer.factors.core[k]) * (1.0 + linalg._NORM_SLACK)
 
     def test_bounds_lapack_norm_of_materialized_residual(self):
         # LAPACK's norm of full - truncated exceeds the stored sigma[k] by
@@ -146,28 +167,11 @@ class TestResidualNorm:
         got = elastic.residual_norm(layer, k, q)
 
         f = layer.factors
-        full = f.u @ np.diag(f.sigma) @ f.v.T
+        full = f.u @ np.diag(f.core) @ f.v.T
         approx = (_independent_round_trip(f.u[:, :k], q)
-                  @ np.diag(_independent_round_trip(f.sigma[:k], q))
+                  @ np.diag(_independent_round_trip(f.core[:k], q))
                   @ _independent_round_trip(f.v[:, :k], q).T)
         want = np.linalg.norm(full - approx, 2)
-        assert got == pytest.approx(want, rel=1e-6)
-
-    def test_conv_quantized_matches_unfolded_oracle(self):
-        kernel = _rng(24).standard_normal((5, 4, 3, 3))
-        layer = elastic.from_conv(kernel)
-        k, q = 3, 6
-        got = elastic.residual_norm(layer, k, q)
-
-        f = layer.factors
-        r_o, r_i = elastic.conv_rank_schedule(layer, k)
-        approx = np.einsum(
-            "rshw,or,is->oihw",
-            _independent_round_trip(f.core[:r_o, :r_i], q),
-            _independent_round_trip(f.u_out[:, :r_o], q),
-            _independent_round_trip(f.u_in[:, :r_i], q))
-        resid = tucker2_recompose(f) - approx
-        want = np.linalg.norm(resid.reshape(resid.shape[0], -1), 2)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_monotone_in_rank_unquantized(self):
@@ -178,12 +182,12 @@ class TestResidualNorm:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             assert vals[-1] == 0.0
 
-    def test_conv_and_cp_fixtures_monotone(self):
+    def test_conv_refused(self):
+        # the norm of a kernel's unfolding is no bound on its convolution's
+        # operator norm; certificate.weight_change bounds conv layers
         conv = elastic.from_conv(_rng(40).standard_normal((6, 5, 3, 3)))
-        vals = [elastic.residual_norm(conv, k)
-                for k in range(1, conv.k_max + 1)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] <= 1e-10
+        with pytest.raises(ValueError, match="dense layers only"):
+            elastic.residual_norm(conv, 2)
 
     def test_bad_width_rejected(self):
         layer = elastic.from_dense(np.eye(4))

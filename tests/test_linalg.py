@@ -26,14 +26,14 @@ class TestSvdFull:
             w = _rand(m, n, seed)
             f = svd_full(w)
             evals = jacobi_gram_eigvals(w if m >= n else w.T)
-            assert np.allclose(f.sigma**2, np.maximum(evals, 0.0), atol=1e-9 * max(1.0, evals[0]))
+            assert np.allclose(f.core**2, np.maximum(evals, 0.0), atol=1e-9 * max(1.0, evals[0]))
 
     def test_matches_numpy_reference(self):
         for seed in range(6):
             w = _rand(11, 9, seed + 10)
             f = svd_full(w)
             ref = np.linalg.svd(w, compute_uv=False)
-            assert np.allclose(f.sigma, ref, rtol=1e-10, atol=1e-12)
+            assert np.allclose(f.core, ref, rtol=1e-10, atol=1e-12)
 
     def test_orthonormal_factors_and_reconstruction(self):
         for seed, (m, n) in [(0, (16, 12)), (1, (12, 16)), (2, (9, 9))]:
@@ -43,26 +43,26 @@ class TestSvdFull:
             assert f.u.shape == (m, r) and f.v.shape == (n, r)
             assert np.allclose(f.u.T @ f.u, np.eye(r), atol=1e-8)
             assert np.allclose(f.v.T @ f.v, np.eye(r), atol=1e-8)
-            recon = f.u @ np.diag(f.sigma) @ f.v.T
+            recon = f.u @ np.diag(f.core) @ f.v.T
             assert np.linalg.norm(recon - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_sigma_descending_nonnegative(self):
         w = _rand(10, 14, 31)
         f = svd_full(w)
-        assert np.all(f.sigma >= 0)
-        assert np.all(np.diff(f.sigma) <= 1e-12)
+        assert np.all(f.core >= 0)
+        assert np.all(np.diff(f.core) <= 1e-12)
 
     def test_identity(self):
         f = svd_full(np.eye(8))
-        assert np.allclose(f.sigma, np.ones(8), atol=1e-12)
+        assert np.allclose(f.core, np.ones(8), atol=1e-12)
 
     def test_diagonal(self):
         f = svd_full(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(f.sigma, [3.0, 2.0, 1.0], atol=1e-12)
+        assert np.allclose(f.core, [3.0, 2.0, 1.0], atol=1e-12)
 
     def test_zero_matrix(self):
         f = svd_full(np.zeros((5, 4)))
-        assert np.allclose(f.sigma, 0.0)
+        assert np.allclose(f.core, 0.0)
         assert np.allclose(f.u.T @ f.u, np.eye(4), atol=1e-10)
         assert np.allclose(f.v.T @ f.v, np.eye(4), atol=1e-10)
 
@@ -72,30 +72,30 @@ class TestSvdFull:
         b = rng.standard_normal((3, 8))
         w = a @ b
         f = svd_full(w)
-        assert np.all(f.sigma[3:] <= 1e-10 * f.sigma[0])
+        assert np.all(f.core[3:] <= 1e-10 * f.core[0])
         assert np.allclose(f.u.T @ f.u, np.eye(8), atol=1e-8)
-        recon = f.u @ np.diag(f.sigma) @ f.v.T
+        recon = f.u @ np.diag(f.core) @ f.v.T
         assert np.linalg.norm(recon - w) <= 1e-8 * np.linalg.norm(w)
 
     def test_transpose_invariance(self):
         w = _rand(13, 6, 77)
-        assert np.allclose(svd_full(w).sigma, svd_full(w.T).sigma, rtol=1e-12, atol=1e-12)
+        assert np.allclose(svd_full(w).core, svd_full(w.T).core, rtol=1e-12, atol=1e-12)
 
     def test_eckart_young_small(self):
         w = _rand(10, 8, 42)
         f = svd_full(w)
         for k in range(1, 8):
-            wk = f.u[:, :k] @ np.diag(f.sigma[:k]) @ f.v[:, :k].T
+            wk = f.u[:, :k] @ np.diag(f.core[:k]) @ f.v[:, :k].T
             resid = np.linalg.svd(w - wk, compute_uv=False)[0]
-            target = f.sigma[k] if k < 8 else 0.0
-            assert abs(resid - target) <= 1e-9 * max(1.0, f.sigma[0])
+            target = f.core[k] if k < 8 else 0.0
+            assert abs(resid - target) <= 1e-9 * max(1.0, f.core[0])
 
     def test_deterministic(self):
         w = _rand(9, 9, 3)
         f1 = svd_full(w)
         f2 = svd_full(w)
         assert np.array_equal(f1.u, f2.u)
-        assert np.array_equal(f1.sigma, f2.sigma)
+        assert np.array_equal(f1.core, f2.core)
         assert np.array_equal(f1.v, f2.v)
 
     def test_sign_convention(self):
@@ -108,7 +108,7 @@ class TestSvdFull:
             assert np.all(f.u[rows, np.arange(f.u.shape[1])] > 0)
             assert np.allclose(g.u, f.u, rtol=0.0, atol=1e-12)
             assert np.allclose(g.v, -f.v, rtol=0.0, atol=1e-12)
-            assert np.allclose(g.sigma, f.sigma, rtol=1e-14, atol=0.0)
+            assert np.allclose(g.core, f.core, rtol=1e-14, atol=0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -169,8 +169,8 @@ class TestTucker2:
         rng = np.random.Generator(np.random.PCG64(13))
         w4 = rng.standard_normal((6, 5, 3, 3))
         f = tucker2_fit(w4, 3, 2, sweeps=3)
-        assert np.allclose(f.u_out.T @ f.u_out, np.eye(3), atol=1e-8)
-        assert np.allclose(f.u_in.T @ f.u_in, np.eye(2), atol=1e-8)
+        assert np.allclose(f.u.T @ f.u, np.eye(3), atol=1e-8)
+        assert np.allclose(f.v.T @ f.v, np.eye(2), atol=1e-8)
 
     def test_error_monotone_in_sweeps(self):
         rng = np.random.Generator(np.random.PCG64(14))

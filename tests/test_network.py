@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import certificate, cost, elastic, network, quant, train
+from elastiq import certificate, cost, elastic, linalg, network, quant, train
 from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
     naive_dense_forward, tucker2_recompose
 
@@ -106,7 +106,7 @@ class TestForward:
         weights = []
         for blk, (k, _) in zip(net.blocks, profile):
             f = blk.elastic.factors
-            weights.append(f.u[:, :k] @ np.diag(f.sigma[:k]) @ f.v[:, :k].T)
+            weights.append(f.u[:, :k] @ np.diag(f.core[:k]) @ f.v[:, :k].T)
         biases = [b.elastic.bias for b in net.blocks]
         norms = [None if b.gamma is None else (b.gamma, b.beta)
                  for b in net.blocks]
@@ -118,7 +118,7 @@ class TestForward:
         net = _dense_net(25, (4, 4), (network.RELU,), residual_on=(0,))
         x = _rng(26).standard_normal(4)
         f = net.blocks[0].elastic.factors
-        w = (f.u * f.sigma) @ f.v.T
+        w = (f.u * f.core) @ f.v.T
         want = np.maximum(w @ x + net.blocks[0].elastic.bias, 0.0) + x
         assert np.allclose(network.forward(net, x).logits, want, atol=1e-12)
 
@@ -217,7 +217,7 @@ def _quantized_slices(lay, k, q):
     r_o, r_i = elastic.conv_rank_schedule(lay, k)
     return tuple(
         t if q is None else quant.round_trip(t, q)
-        for t in (f.u_out[:, :r_o], f.core[:r_o, :r_i], f.u_in[:, :r_i]))
+        for t in (f.u[:, :r_o], f.core[:r_o, :r_i], f.v[:, :r_i]))
 
 
 class TestConvExecution:
@@ -257,7 +257,7 @@ class TestConvExecution:
         a = x
         for blk, (k, q), shape in zip(net.blocks, profile, kernels):
             lay = blk.elastic
-            u_out, core, u_in = _quantized_slices(lay, k, q)
+            u, core, v = _quantized_slices(lay, k, q)
             staged = elastic.runs_staged(lay, k)
             # the executed kernel is the core when staged, else rebuilt
             assert shape[:2] == (core.shape[:2] if staged
@@ -265,16 +265,16 @@ class TestConvExecution:
             c = cost.layer_cost(lay, k, q, spatial=side)
             dense_flops = 2 * np.prod(side) * lay.out_features \
                 * lay.in_features * np.prod(core.shape[2:])
-            staged_flops = cost.flops_conv_tucker2(
-                lay.out_features, lay.in_features, *core.shape[2:],
-                *side, *core.shape[:2])
+            (r_o, r_i, kh, kw), (c_o, c_i) = core.shape, \
+                (lay.out_features, lay.in_features)
+            staged_flops = 2 * np.prod(side) * (c_i * r_i + r_o * r_i * kh
+                                                * kw + c_o * r_o)
             assert staged == (staged_flops < dense_flops)
             assert c.flops == min(staged_flops, dense_flops)
             if staged:
-                _, counted = counted_tucker2_conv(u_out, core, u_in, a[0])
+                _, counted = counted_tucker2_conv(u, core, v, a[0])
                 assert counted == c.flops
-            kernel = tucker2_recompose(type(lay.factors)(
-                u_out=u_out, core=core, u_in=u_in))
+            kernel = tucker2_recompose(linalg.Factors(u, core, v))
             pre = naive_conv2d_same(a, kernel) + lay.bias[:, None, None]
             if blk.gamma is not None:
                 pre = pre * blk.gamma[:, None, None] \
@@ -318,7 +318,7 @@ def _quantized_weight(lay, k, q):
     f = lay.factors
     u, s, v = (
         t if q is None else _three_call_round_trip(t, q)
-        for t in (f.u[:, :k], f.sigma[:k], f.v[:, :k]))
+        for t in (f.u[:, :k], f.core[:k], f.v[:, :k]))
     return u @ np.diag(s) @ v.T
 
 
@@ -397,10 +397,10 @@ class TestLogitDrift:
         got = network.logit_drift(net, x, profile)
 
         f = net.blocks[0].elastic.factors
-        w_full = (f.u * f.sigma) @ f.v.T
-        w_trunc = f.sigma[0] * np.outer(f.u[:, 0], f.v[:, 0])
+        w_full = (f.u * f.core) @ f.v.T
+        w_trunc = f.core[0] * np.outer(f.u[:, 0], f.v[:, 0])
         f2 = net.blocks[1].elastic.factors
-        w2 = (f2.u * f2.sigma) @ f2.v.T
+        w2 = (f2.u * f2.core) @ f2.v.T
         tail = net.blocks[1].gamma * (w2 @ ((w_trunc - w_full) @ x))
         assert got == pytest.approx(np.linalg.norm(tail), rel=1e-10)
 
@@ -569,7 +569,6 @@ class TestBackward:
             (1, "bias", "layer", (1,)),
         ]
         h = 1e-5
-        attr_of = {"u": "u", "core": "sigma", "v": "v", "bias": "bias"}
         for bi, key, where, pos in spots:
             lay = net.blocks[bi].elastic
             arr = lay.bias if key == "bias" \
@@ -577,8 +576,8 @@ class TestBackward:
             ap, am = arr.copy(), arr.copy()
             ap[pos] += h
             am[pos] -= h
-            lp = loss(_rebuilt(net, bi, attr_of[key], ap, where))
-            lm = loss(_rebuilt(net, bi, attr_of[key], am, where))
+            lp = loss(_rebuilt(net, bi, key, ap, where))
+            lm = loss(_rebuilt(net, bi, key, am, where))
             want = (lp - lm) / (2 * h)
             assert grads[bi][key][pos] == pytest.approx(want, rel=1e-4,
                                                         abs=1e-9)
@@ -601,8 +600,8 @@ class TestBackward:
             s0 = np.max(np.abs(t)) / glim
             return np.clip(np.rint(t / s0), -glim, glim) * s0 - t
 
-        stored = {"u": f.u, "core": f.sigma, "v": f.v}
-        resid = {"u": residual(f.u[:, :k]), "core": residual(f.sigma[:k]),
+        stored = {"u": f.u, "core": f.core, "v": f.v}
+        resid = {"u": residual(f.u[:, :k]), "core": residual(f.core[:k]),
                  "v": residual(f.v[:, :k])}
 
         def sur_loss(name, value):

@@ -182,8 +182,8 @@ class TestBuildNetwork:
         for ba, bb in zip(a.blocks, b.blocks):
             assert np.array_equal(ba.elastic.factors.u,
                                   bb.elastic.factors.u)
-            assert np.array_equal(ba.elastic.factors.sigma,
-                                  bb.elastic.factors.sigma)
+            assert np.array_equal(ba.elastic.factors.core,
+                                  bb.elastic.factors.core)
 
 
 class TestRankProfile:
@@ -298,7 +298,7 @@ class TestTotalLoss:
         assert abs(terms.drift_surrogate - w.epsilon) > 1e-2
         for blk in net.blocks:
             tail = np.sort(np.abs(
-                blk.elastic.factors.sigma[k:]))[::-1]
+                blk.elastic.factors.core[k:]))[::-1]
             if tail.size > 1:
                 assert tail[0] - tail[1] > 1e-2
 
@@ -314,7 +314,7 @@ class TestTotalLoss:
         checked = 0
         for i, blk in enumerate(net.blocks):
             f = blk.elastic.factors
-            leaves = {"u": f.u, "core": f.sigma, "v": f.v,
+            leaves = {"u": f.u, "core": f.core, "v": f.v,
                       "bias": blk.elastic.bias}
             for name, arr in leaves.items():
                 coords = list(np.ndindex(*arr.shape))[:6]
@@ -515,8 +515,8 @@ class TestCheckpoint:
         for b1, b2 in zip(s1.net.blocks, s2.net.blocks):
             assert np.array_equal(b1.elastic.factors.u,
                                   b2.elastic.factors.u)
-            assert np.array_equal(b1.elastic.factors.sigma,
-                                  b2.elastic.factors.sigma)
+            assert np.array_equal(b1.elastic.factors.core,
+                                  b2.elastic.factors.core)
             assert np.array_equal(b1.elastic.factors.v,
                                   b2.elastic.factors.v)
             assert np.array_equal(b1.elastic.bias, b2.elastic.bias)
