@@ -77,27 +77,19 @@ class CalibrationStats:
     """Per-layer input-norm statistics over a calibration set.
 
     alpha[i] is the root-mean-square of the l2 norm of the signal entering
-    block i; max_norm[i] is the running maximum of the same norms. No
-    bound reads max_norm: it is only checked against alpha and carried in
-    the manifest's calibration section. fingerprint ties the stats to the
-    exact network parameters they were measured on.
+    block i. fingerprint ties the stats to the exact network parameters
+    they were measured on.
     """
 
     alpha: tuple
-    max_norm: tuple
     count: int
     fingerprint: str
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
-        if len(self.alpha) != len(self.max_norm):
-            raise ValueError("alpha and max_norm lengths differ")
-        for a, m in zip(self.alpha, self.max_norm):
-            if a < 0.0:
-                raise ValueError("alpha entries must be non-negative")
-            if a > m * (1.0 + 1e-12) + 1e-300:
-                raise ValueError("alpha cannot exceed the running max")
+        if any(a < 0.0 for a in self.alpha):
+            raise ValueError("alpha entries must be non-negative")
 
 
 def _row_norms(a, single):
@@ -108,7 +100,7 @@ def _row_norms(a, single):
 
 
 def calibrate(net, inputs):
-    """Measure per-layer input-norm RMS and maxima on the full model."""
+    """Measure per-layer input-norm RMS on the full model."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.size == 0:
         raise ValueError("calibration set is empty")
@@ -117,13 +109,11 @@ def calibrate(net, inputs):
     if x.ndim == want:
         x = x[None, ...]
     tr = network.forward(net, x, None)
-    alpha, mx = [], []
+    alpha = []
     for layer_in in tr.inputs:
         norms = _row_norms(layer_in, single=False)
         alpha.append(float(np.sqrt(np.mean(norms ** 2))))
-        mx.append(float(np.max(norms)))
-    return CalibrationStats(alpha=tuple(alpha), max_norm=tuple(mx),
-                            count=int(x.shape[0]),
+    return CalibrationStats(alpha=tuple(alpha), count=int(x.shape[0]),
                             fingerprint=network_fingerprint(net))
 
 

@@ -350,18 +350,17 @@ def cmd_certify(args):
     net = manifest.net_from_doc(doc)
     probes = _probe_inputs(net, args.calib_size, args.seed, args.calib)
     stats = certificate.calibrate(net, probes)
-    if doc.get("profiles"):
-        with manifest._malformed("profiles"):
-            profiles = {name: manifest.pairs_from_doc(sec["pairs"])
-                        for name, sec in sorted(doc["profiles"].items())}
-    elif args.profiles:
-        profiles = {}
+    with manifest._malformed("profiles"):
+        profiles = {name: manifest.pairs_from_doc(sec["pairs"])
+                    for name, sec in sorted(doc.get("profiles", {}).items())}
+    if profiles and args.profiles:
+        raise CliError("manifest already stores profiles; certify them "
+                       "without --profiles")
+    if args.profiles:
         for name, k, bits in _parse_profile_flag(args.profiles):
-            pairs = train.rank_profile(net, k, bits)
-            manifest.add_profile(doc, net, name, pairs)
-            profiles[name] = manifest.pairs_from_doc(
-                doc["profiles"][name]["pairs"])
-    else:
+            profiles[name] = manifest.add_profile(
+                doc, net, name, train.rank_profile(net, k, bits))
+    elif not profiles:
         raise CliError("manifest stores no profiles; pass --profiles")
     ledgers = certificate.ledgers(net, stats, list(profiles.values()),
                                   args.mode, calibration_inputs=probes)
@@ -704,8 +703,9 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=None,
                    help="drift tolerance recorded in the ledger")
     p.add_argument("--profiles", default=None, metavar="K[:BITS],...",
-                   help="uniform-rank profiles to certify when the "
-                        "manifest stores none")
+                   help="uniform-rank profiles to store and certify, each "
+                        "rank K at BITS from 2 to 32 (default: float); "
+                        "only for a manifest that stores none")
     _add_calib(p)
     _add_seed(p)
     p.set_defaults(func=cmd_certify)

@@ -4,12 +4,11 @@ Multiply-add counts and byte footprints of the path network.forward
 executes at each operating point, both read from elastic: FLOPs from
 elastic.served_flops (the cheaper of the staged factors and the rebuilt
 weight, the one elastic.runs_staged picks) and bytes from the factor
-slices of elastic._rank_slices, which manifest verification checks each
-payload against. A nonnegative-least-squares latency model is fitted
-over (FLOPs, bytes) features. No hardware is touched: device tables are
-synthesized from a planted linear model with multiplicative log-normal
-noise, clearly labeled as such, so the fit/predict loop stays testable
-on a desk.
+slices of elastic._rank_slices at the profile's bit width. A
+nonnegative-least-squares latency model is fitted over (FLOPs, bytes)
+features. No hardware is touched: device tables are synthesized from a
+planted linear model with multiplicative log-normal noise, clearly
+labeled as such, so the fit/predict loop stays testable on a desk.
 
 Bytes are rounded up per tensor. Unquantized factors are counted at 32
 bits.
@@ -44,20 +43,13 @@ def _tensor_bytes(count, bits):
     return -(-count * bits // 8)
 
 
-def factor_bytes(layer, k, q=None):
-    """Serialized bytes of each rank-k factor slice (u, core, v) at bit
-    width q: None (32-bit floats) or one width for all three. Each slice
-    is rounded up to whole bytes on its own, matching the bit-packed
-    export payloads."""
-    bits = UNQUANTIZED_BITS if q is None else int(q)
-    return tuple(_tensor_bytes(t.size, bits)
-                 for t in elastic._rank_slices(layer, k))
-
-
 def bytes_of(layer, k, q=None):
-    """Serialized weight bytes of a layer at rank k and bit width q: the
-    sum of factor_bytes."""
-    return sum(factor_bytes(layer, k, q))
+    """Weight bytes of a layer at rank k and bit width q: its rank-k
+    factor slices (u, core, v) at q bits per value, q None counting 32-bit
+    floats. Each slice is rounded up to whole bytes on its own."""
+    bits = UNQUANTIZED_BITS if q is None else int(q)
+    return sum(_tensor_bytes(t.size, bits)
+               for t in elastic._rank_slices(layer, k))
 
 
 def layer_cost(layer, k, q=None, spatial=None):

@@ -2,13 +2,14 @@
 
 A manifest is one JSON document carrying everything needed to load, serve,
 and independently re-check a compressed model: the stored factors at full
-precision, per-profile factor payloads (bit-packed integer codes plus
-their quantizer scales, or float32 tensors where a profile keeps float
-factors), the deployable profile lattice with predicted costs, the
-drift-certificate ledger, calibration statistics, and provenance.
+precision, the named profiles, the deployable profile lattice with
+predicted costs, the drift-certificate ledger, calibration statistics, and
+provenance. A named profile is its per-layer (rank, bits) pairs and
+nothing else: every profile serves from the one stored float64 model,
+which elastic slices and quantizes on demand.
 
-Binary tensor data is base64-embedded, so a manifest is always exactly
-one file.
+Binary tensor data (float64 only) is base64-embedded, so a manifest is
+always exactly one file.
 
 Rules that keep writes reproducible:
 
@@ -40,7 +41,6 @@ from . import cost
 from . import elastic
 from . import linalg
 from . import network
-from . import quant
 
 FORMAT = "elastiq-manifest"
 VERSION = 1
@@ -49,14 +49,13 @@ KIND_RAW = "raw"
 KIND_ELASTIC = "elastic"
 
 _EMBED = "b64"  # the one payload encoding
-
-# payload dtype tags
-_F64 = "f64"
-_F32 = "f32"
-_CODES = "codes"
+_F64 = "f64"  # the one payload dtype
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "bytes", "sha256", "data"))
 _FACTOR_NAMES = ("u", "core", "v")
+# stored bit widths: 2 is the narrowest symmetric grid (quant.grid_limit),
+# and a width above 32 would cost more bytes than a float factor
+_MIN_BITS, _MAX_BITS = 2, 32
 
 
 class ManifestError(Exception):
@@ -127,101 +126,20 @@ def config_hash(obj):
 
 
 # ---------------------------------------------------------------------------
-# bit-packed integer codes
-
-
-def pack_codes(codes, bits):
-    """Pack signed integer codes into bytes, `bits` per value.
-
-    Values are written in C order as `bits`-wide two's-complement fields,
-    most significant bit first, and the final byte is zero-padded. The
-    result is exactly ceil(n * bits / 8) bytes long, matching the
-    per-factor byte accounting of the cost model.
-    """
-    b = int(bits)
-    if not 1 <= b <= 32:
-        raise ManifestError("bit width must lie in [1, 32]")
-    flat = np.asarray(codes).ravel(order="C")
-    if flat.size == 0:
-        raise ManifestError("cannot pack an empty code tensor")
-    flat = flat.astype(np.int64)
-    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
-    if flat.min() < lo or flat.max() > hi:
-        raise ManifestError(f"codes overflow {b}-bit two's complement")
-    unsigned = np.where(flat < 0, flat + (1 << b), flat).astype(np.uint64)
-    shifts = np.arange(b - 1, -1, -1, dtype=np.uint64)
-    bitmat = ((unsigned[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    return np.packbits(bitmat.ravel()).tobytes()
-
-
-def unpack_codes(buf, bits, count):
-    """Inverse of pack_codes; returns a flat int64 array of `count` values.
-
-    The buffer length must be exactly ceil(count * bits / 8) and any
-    padding bits in the final byte must be zero.
-    """
-    b = int(bits)
-    if not 1 <= b <= 32:
-        raise ManifestError("bit width must lie in [1, 32]")
-    n = int(count)
-    if n < 1:
-        raise ManifestError("count must be positive")
-    want = cost._tensor_bytes(n, b)
-    if len(buf) != want:
-        raise ManifestError(f"expected {want} packed bytes, got {len(buf)}")
-    bitstream = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
-    used = n * b
-    if np.any(bitstream[used:]):
-        raise ManifestError("padding bits past the last code must be zero")
-    bitmat = bitstream[:used].reshape(n, b).astype(np.int64)
-    weights = np.left_shift(np.int64(1), np.arange(b - 1, -1, -1,
-                                                   dtype=np.int64))
-    vals = bitmat @ weights
-    vals = np.where(vals >= np.int64(1) << (b - 1), vals - (np.int64(1) << b),
-                    vals)
-    return vals.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
 # tensor payloads
 
 
-def _new_payload(raw, dtype, shape, extra=None):
-    payload = {
-        "dtype": dtype,
-        "shape": [int(s) for s in shape],
+def encode_array(arr):
+    """Payload for a float tensor stored raw as little-endian float64."""
+    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64), dtype="<f8")
+    raw = a.tobytes()
+    return {
+        "dtype": _F64,
+        "shape": [int(s) for s in a.shape],
         "bytes": len(raw),
         "sha256": hashlib.sha256(raw).hexdigest(),
         "data": raw,
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def encode_array(arr, dtype=_F64):
-    """Payload for a float tensor stored raw (little-endian)."""
-    if dtype not in (_F64, _F32):
-        raise ManifestError(f"unknown float payload dtype {dtype!r}")
-    np_dtype = "<f8" if dtype == _F64 else "<f4"
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64)
-                             .astype(np_dtype))
-    return _new_payload(a.tobytes(), dtype, a.shape)
-
-
-def encode_quantized(t, bits):
-    """Payload for a tensor pushed through the serving quantizer.
-
-    Calibration matches the serving reconstruction path: symmetric
-    max-range per-tensor scales with nearest rounding, so dequantizing
-    the stored codes reproduces the served factor values bit for bit.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    bits = int(bits)
-    s = quant.calibrate_scale(t, bits)
-    raw = pack_codes(quant.quantize(t, s, bits), bits)
-    extra = {"bits": bits, "scales": _fmt_list([s])}
-    return _new_payload(raw, _CODES, t.shape, extra)
 
 
 def _is_payload(node):
@@ -242,11 +160,7 @@ def _walk_payloads(node):
 
 
 def decode_payload(payload):
-    """Decode any payload back to a float64 array.
-
-    Integer-code payloads are dequantized with their stored scales, which
-    reproduces the serving-path factor values exactly.
-    """
+    """Decode a float64 payload back to its array."""
     raw = payload["data"]
     if not isinstance(raw, (bytes, bytearray)):
         raise ManifestError("payload data is not materialized bytes")
@@ -254,27 +168,13 @@ def decode_payload(payload):
         raise ManifestError("payload byte count mismatch")
     if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
         raise ManifestError("payload checksum mismatch")
+    if payload["dtype"] != _F64:
+        raise ManifestError(f"unknown payload dtype {payload['dtype']!r}")
     shape = tuple(int(s) for s in payload["shape"])
-    dtype = payload["dtype"]
-    if dtype in (_F64, _F32):
-        np_dtype = "<f8" if dtype == _F64 else "<f4"
-        flat = np.frombuffer(raw, dtype=np_dtype)
-        if flat.size != int(np.prod(shape)):
-            raise ManifestError("payload shape does not match its data")
-        return flat.reshape(shape).astype(np.float64)
-    if dtype == _CODES:
-        scales = _parse_list(payload["scales"])
-        if len(scales) != 1:
-            raise ManifestError(
-                f"integer codes need exactly one scale, got {len(scales)}")
-        s = scales[0]
-        if not (np.isfinite(s) and s > 0.0):
-            raise ManifestError("the scale of integer codes must be "
-                                "positive and finite")
-        bits = int(payload["bits"])
-        codes = unpack_codes(raw, bits, int(np.prod(shape)))
-        return quant.dequantize(codes.reshape(shape), s, bits)
-    raise ManifestError(f"unknown payload dtype {dtype!r}")
+    flat = np.frombuffer(raw, dtype="<f8")
+    if flat.size != int(np.prod(shape)):
+        raise ManifestError("payload shape does not match its data")
+    return flat.reshape(shape).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +208,7 @@ def network_to_doc(net, seed=None, config_digest=None, source=None):
     """Base manifest document for a factorized network.
 
     Carries topology, full-precision factors, and the parameter
-    fingerprint; profile payloads, lattice, certificate, and calibration
+    fingerprint; the named profiles, lattice, certificate, and calibration
     sections are attached by the dedicated helpers.
     """
     doc = {
@@ -435,7 +335,7 @@ def raw_from_doc(doc):
 
 
 # ---------------------------------------------------------------------------
-# profile payloads
+# profiles
 
 
 def pairs_to_doc(pairs):
@@ -449,8 +349,8 @@ def _is_int(x):
 
 def pairs_from_doc(entries):
     """Per-layer (rank, bits) pairs from their stored form: a list of
-    [k, q] entries, k an integer >= 1 and q None or an integer width.
-    Raises ManifestError on anything else."""
+    [k, q] entries, k an integer >= 1 and q None or an integer width from
+    2 to 32. Raises ManifestError on anything else."""
     if not isinstance(entries, list):
         raise ManifestError(f"stored pairs {entries!r} are not a list")
     pairs = []
@@ -461,35 +361,22 @@ def pairs_from_doc(entries):
         k, q = entry
         if not (_is_int(k) and k >= 1):
             raise ManifestError(f"stored rank {k!r} is not an integer >= 1")
-        if not (q is None or _is_int(q)):
-            raise ManifestError(f"stored bits {q!r} are not None or a width")
+        if not (q is None or (_is_int(q) and _MIN_BITS <= q <= _MAX_BITS)):
+            raise ManifestError(f"stored bits {q!r} are not None or a width "
+                                f"in [{_MIN_BITS}, {_MAX_BITS}]")
         pairs.append((k, q))
     return tuple(pairs)
 
 
 def add_profile(doc, net, name, pairs):
-    """Attach deployable factor payloads for one named profile.
-
-    Quantized factors ship as bit-packed codes plus scales; factors a
-    profile keeps in float ship as float32 tensors. Byte sizes therefore
-    agree exactly with the cost model's per-factor accounting.
-    """
-    entries = network.resolve_profile(net, list(pairs))
-    layers = []
-    for blk, (k, q) in zip(net.blocks, entries):
-        entry = {}
-        for fname, values in zip(_FACTOR_NAMES,
-                                 elastic._rank_slices(blk.elastic, k)):
-            if q is None:
-                entry[fname] = encode_array(values, _F32)
-            else:
-                entry[fname] = encode_quantized(values, q)
-        layers.append(entry)
-    doc["profiles"][str(name)] = {
-        "pairs": pairs_to_doc(entries),
-        "layers": layers,
-    }
-    return doc
+    """Store one named profile as its per-layer (rank, bits) pairs, and
+    return them as pairs_from_doc reads them back, so a width that
+    verification would refuse is refused here. Every profile serves from
+    the model section's factors, so nothing else is stored."""
+    stored = pairs_to_doc(network.resolve_profile(net, list(pairs)))
+    parsed = pairs_from_doc(stored)
+    doc.setdefault("profiles", {})[str(name)] = {"pairs": stored}
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +418,6 @@ def lattice_from_doc(sec):
 def stats_to_doc(stats):
     return {
         "alpha": _fmt_list(stats.alpha),
-        "max_norm": _fmt_list(stats.max_norm),
         "count": int(stats.count),
         "fingerprint": stats.fingerprint,
     }
@@ -541,7 +427,6 @@ def stats_from_doc(sec):
     with _malformed("calibration"):
         return certificate.CalibrationStats(
             alpha=_parse_list(sec["alpha"]),
-            max_norm=_parse_list(sec["max_norm"]),
             count=int(sec["count"]),
             fingerprint=sec["fingerprint"])
 
@@ -726,47 +611,21 @@ def _close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _verify_profile_payloads(doc, net, problems, tol):
+def _verify_profiles(doc, net, problems):
     for name, sec in sorted(doc.get("profiles", {}).items()):
+        extra = sorted(set(sec) - {"pairs"})
+        if extra:
+            problems.append(f"profile {name}: stores {', '.join(extra)} "
+                            f"besides its pairs")
         pairs = pairs_from_doc(sec["pairs"])
-        if not len(pairs) == len(sec["layers"]) == len(net.blocks):
-            problems.append(
-                f"profile {name}: {len(pairs)} pairs and "
-                f"{len(sec['layers'])} payload layers for "
-                f"{len(net.blocks)} layers")
+        if len(pairs) != len(net.blocks):
+            problems.append(f"profile {name}: {len(pairs)} pairs for "
+                            f"{len(net.blocks)} layers")
             continue
-        for i, ((k, q), entry) in enumerate(zip(pairs, sec["layers"])):
-            lay = net.blocks[i].elastic
-            for fname, values, want in zip(_FACTOR_NAMES,
-                                           elastic._rank_slices(lay, k),
-                                           cost.factor_bytes(lay, k, q)):
-                payload = entry[fname]
-                got_shape = tuple(int(s) for s in payload["shape"])
-                if got_shape != values.shape:
-                    problems.append(
-                        f"profile {name} layer {i} {fname}: shape "
-                        f"{got_shape} != served {values.shape}")
-                    continue
-                if int(payload["bytes"]) != want:
-                    problems.append(
-                        f"profile {name} layer {i} {fname}: {payload['bytes']}"
-                        f" bytes, cost model says {want}")
-                try:
-                    decoded = decode_payload(payload)
-                except ManifestError as exc:
-                    problems.append(
-                        f"profile {name} layer {i} {fname}: {exc}")
-                    continue
-                served = values if q is None \
-                    else quant.round_trip(values, q)
-                scale = float(np.max(np.abs(served))) if served.size else 1.0
-                err = float(np.max(np.abs(decoded - served)))
-                limit = tol if q is not None \
-                    else 1e-6 * max(1.0, scale)
-                if err > limit:
-                    problems.append(
-                        f"profile {name} layer {i} {fname}: decoded factor "
-                        f"deviates from the serving path by {err:.3e}")
+        for i, (blk, (k, _)) in enumerate(zip(net.blocks, pairs)):
+            if k > blk.elastic.k_max:
+                problems.append(f"profile {name} layer {i}: rank {k} above "
+                                f"the stored rank {blk.elastic.k_max}")
 
 
 def _verify_lattice(doc, net, problems, tol):
@@ -780,13 +639,13 @@ def _verify_lattice(doc, net, problems, tol):
         return
     for j, prof in enumerate(lattice.profiles):
         if prof.name not in doc.get("profiles", {}):
-            problems.append(f"lattice profile {prof.name}: no factor "
-                            f"payloads stored")
+            problems.append(f"lattice profile {prof.name}: not among the "
+                            f"stored profiles")
         else:
             stored = pairs_from_doc(doc["profiles"][prof.name]["pairs"])
             if stored != prof.pairs:
                 problems.append(f"lattice profile {prof.name}: pairs "
-                                f"disagree with its payload section")
+                                f"disagree with its stored profile")
         want = sum(cost.bytes_of(b.elastic, k, q)
                    for b, (k, q) in zip(net.blocks, prof.pairs))
         if int(lattice.weight_bytes[j]) != want:
@@ -860,7 +719,8 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     """Independently re-check a manifest; returns a list of problems.
 
     An empty list means every check passed: payload checksums and byte
-    counts, fingerprint round-trip, served-factor agreement, cost-model
+    counts, fingerprint round-trip, stored profiles that hold only their
+    pairs, one per layer and none above the layer's stored rank, cost-model
     byte accounting, lattice consistency, and — for conservative
     certificates — full recomputation of every ledger quantity from the
     decoded parameters: the sensitivities of certificate.lipschitz_proxy
@@ -919,7 +779,7 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
                 problems.append("calibration: fingerprint does not match "
                                 "the stored model")
     try:
-        _verify_profile_payloads(doc, net, problems, tol)
+        _verify_profiles(doc, net, problems)
         _verify_lattice(doc, net, problems, tol)
         _verify_certificate(doc, net, problems, tol, calibration_inputs)
     except (ManifestError, KeyError, ValueError, TypeError) as exc:

@@ -45,9 +45,10 @@ def _gelu_gate(x):
 
 
 def _act_value(name, x):
-    """A named activation applied elementwise."""
+    """A named activation applied elementwise. relu overwrites x, which
+    must be a fresh array, and returns it."""
     if name == RELU:
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if name == GELU:
         return 0.5 * x * _gelu_gate(x)
     return x
@@ -204,8 +205,11 @@ class Network:
 class ForwardTrace:
     """Per-block inputs and post-norm pre-activations, plus the final
     logits. inputs and logits drop the batch axis of a single input; pre
-    keeps it, as backward reads it. pre is empty for conv stacks, which
-    backward does not cover: keeping their maps slowed batch serving."""
+    keeps it, as backward reads it. For a relu block, pre holds the
+    block's activation output, since relu runs in place: backward reads
+    only where pre is positive, which relu keeps. pre is empty for
+    conv stacks, which backward does not cover: keeping their maps slowed
+    batch serving."""
 
     inputs: list
     pre: list
@@ -265,9 +269,9 @@ def forward(net, x, profile=None):
     inputs, pres = [], []
     for blk, (k, q) in zip(net.blocks, entries):
         inputs.append(a[0] if single else a)
-        # the layer value is a fresh array, so bias and norm apply in
-        # place; a dense trace keeps pre for backward, and allocating one
-        # array less per block offsets that in batch serving
+        # the layer value is a fresh array, so bias, norm and relu apply
+        # in place; a dense trace keeps pre for backward, and allocating
+        # one array less per block offsets that in batch serving
         if blk.is_conv:
             pre = _conv_layer_value(blk.elastic, k, q, a)
             if blk.elastic.bias is not None:

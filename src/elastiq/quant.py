@@ -24,8 +24,6 @@ import numpy as np
 __all__ = [
     "grid_limit",
     "calibrate_scale",
-    "quantize",
-    "dequantize",
     "round_trip",
 ]
 
@@ -37,13 +35,17 @@ def grid_limit(bits):
     return 2 ** (int(bits) - 1) - 1
 
 
-def _codes(t, s, g):
-    """The one rounding formula, as float codes."""
-    return np.rint(t / s).clip(-g, g)
+def calibrate_scale(t, bits):
+    """s = max|T| / (2^(q-1) - 1). A tensor for which that is 0 (all
+    zero, or so small that it underflows) gets scale 1 so division stays
+    defined.
 
-
-def _scale(t, g):
-    """The one scale formula, for a float64 tensor t and largest code g."""
+    Raises ValueError for bits < 2, an empty tensor, a non-finite entry
+    (max|T| is finite exactly when every entry is), or a tensor so large
+    that the top code's value g * s overflows.
+    """
+    g = grid_limit(bits)
+    t = np.asarray(t, dtype=np.float64)
     if t.size == 0:
         raise ValueError("tensor must be non-empty")
     top = float(np.abs(t).max())
@@ -57,42 +59,12 @@ def _scale(t, g):
     return s
 
 
-def calibrate_scale(t, bits):
-    """s = max|T| / (2^(q-1) - 1). A tensor for which that is 0 (all
-    zero, or so small that it underflows) gets scale 1 so division stays
-    defined.
-
-    Raises ValueError for bits < 2, an empty tensor, a non-finite entry
-    (max|T| is finite exactly when every entry is), or a tensor so large
-    that the top code's value g * s overflows.
-    """
-    return _scale(np.asarray(t, dtype=np.float64), grid_limit(bits))
-
-
-def quantize(t, s, bits):
-    """int64 codes of t at scale s on the symmetric q-bit grid."""
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor contains non-finite entries")
-    return _codes(t, s, grid_limit(bits)).astype(np.int64)
-
-
-def dequantize(codes, s, bits):
-    """Back to values: s * code per element. Codes read from outside, such
-    as a manifest, must lie on the symmetric q-bit grid."""
-    codes = np.asarray(codes)
-    if np.any(np.abs(codes) > grid_limit(bits)):
-        raise ValueError("codes outside the symmetric grid")
-    return codes.astype(np.float64) * s
-
-
 def round_trip(t, bits):
-    """The served values of t at `bits`: dequantize(quantize(t, s, bits),
-    s, bits) with s = calibrate_scale(t, bits), bit for bit, in one pass
-    without the integer codes."""
+    """The served values of t at `bits`: each entry rounded to its code
+    on the symmetric grid at scale s = calibrate_scale(t, bits), times s."""
     g = grid_limit(bits)
     t = np.asarray(t, dtype=np.float64)
-    s = _scale(t, g)
+    s = calibrate_scale(t, bits)
     # + 0.0 turns the -0.0 of negative entries that round to code 0 into
-    # the +0.0 that dequantizing an integer code gives
-    return _codes(t, s, g) * s + 0.0
+    # the +0.0 of an integer code times s
+    return np.rint(t / s).clip(-g, g) * s + 0.0

@@ -335,32 +335,18 @@ def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
     return sum(terms.values()), terms
 
 
-def slow_pack_codes(codes, bits):
-    """Bit-string reference for the two's-complement payload packers.
+def stepwise_round_trip(t, bits):
+    """The symmetric max-range quantizer in three separate steps.
 
-    Flattens in C order, writes each value as `bits` binary digits
-    MSB-first, zero-pads the final byte. Dog-slow on purpose.
+    The scale is max|t| / g with g = 2^(bits-1) - 1 the largest code (1
+    where that is 0), the codes are round(t / s) as int64, ties to even,
+    clipped to [-g, g], and the served values are code * s. Expects a
+    non-empty finite tensor and bits >= 2; checks nothing.
     """
-    b = int(bits)
-    stream = ""
-    for v in np.asarray(codes).ravel(order="C"):
-        v = int(v)
-        if v < 0:
-            v += 1 << b
-        stream += format(v, f"0{b}b")
-    if len(stream) % 8:
-        stream += "0" * (8 - len(stream) % 8)
-    return bytes(int(stream[i:i + 8], 2) for i in range(0, len(stream), 8))
-
-
-def slow_unpack_codes(buf, bits, count):
-    """Inverse of slow_pack_codes; returns a flat int64 array."""
-    b = int(bits)
-    stream = "".join(format(byte, "08b") for byte in buf)
-    out = []
-    for i in range(int(count)):
-        v = int(stream[i * b:(i + 1) * b], 2)
-        if v >= 1 << (b - 1):
-            v -= 1 << b
-        out.append(v)
-    return np.array(out, dtype=np.int64)
+    t = np.asarray(t, dtype=np.float64)
+    g = 2 ** (int(bits) - 1) - 1
+    s = float(np.max(np.abs(t))) / g
+    if s == 0.0:
+        s = 1.0
+    codes = np.clip(np.rint(t / s), -g, g).astype(np.int64)
+    return codes.astype(np.float64) * s

@@ -911,14 +911,80 @@ def test_truncated_profile_payloads_fail_verification(tmp_path):
     _planned_small_model(tmp_path)
     cert, out = tmp_path / "cert.json", tmp_path / "out.json"
     doc = json.loads(cert.read_text())
-    doc["profiles"]["r2"]["layers"].pop()
+    doc["profiles"]["r2"]["pairs"].pop()
     cert.write_text(manifest.canonical_json(doc))
     assert manifest.verify_manifest(str(cert)) == [
-        "profile r2: 2 pairs and 1 payload layers for 2 layers"]
-    code, _, err = _cli_output("certify", cert, "--out", out,
-                               "--calib-size", 16)
+        "profile r2: 1 pairs for 2 layers"]
+    code, stdout, err = _cli_output("certify", cert, "--out", out,
+                                    "--calib-size", 16)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == "error: profile length does not match the layer count\n"
+    assert not out.exists()
+
+
+def test_stale_profile_payloads_fail_verification(tmp_path):
+    # a profile that still carries the factor payloads older manifests
+    # stored beside its pairs
+    _planned_small_model(tmp_path)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    doc = manifest.read_manifest(cert)
+    doc["profiles"]["r3b8"]["layers"] = [
+        {"u": manifest.encode_array(np.zeros((6, 3)))},
+        {"u": manifest.encode_array(np.zeros((4, 3)))}]
+    manifest.write_manifest(doc, cert)
+    problem = "profile r3b8: stores layers besides its pairs"
+    assert manifest.verify_manifest(str(cert)) == [problem]
+    code, stdout, err = _cli_output("certify", cert, "--out", out,
+                                    "--calib-size", 16)
     assert code == cli.EXIT_ERROR
-    assert err.endswith("error: written manifest failed self-verification\n")
+    assert "@@ verify problems=1" in stdout
+    assert err == (f"verify: {problem}\n"
+                   "error: written manifest failed self-verification\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, argv, bits", [
+    ("model.json", ("--profiles", "4:40"), 40),
+    ("model.json", ("--profiles", "4:1"), 1),
+    ("cert.json", (), 40),
+], ids=["flag-40", "flag-1", "stored-40"])
+def test_widths_outside_2_to_32_exit_1(tmp_path, source, argv, bits):
+    _planned_small_model(tmp_path)
+    path, out = tmp_path / source, tmp_path / "out.json"
+    if source == "cert.json":
+        doc = json.loads(path.read_text())
+        doc["profiles"]["r2"]["pairs"][0] = [2, bits]
+        path.write_text(manifest.canonical_json(doc))
+    code, stdout, err = _cli_output("certify", path, *argv, "--out", out,
+                                    "--calib-size", 16)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == (f"error: stored bits {bits} are not None or a width in "
+                   f"[2, 32]\n")
+    assert not out.exists()
+
+
+def test_certify_stores_profiles_in_a_manifest_without_the_section(
+        tmp_path):
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    _small_model(model)
+    doc = json.loads(model.read_text())
+    del doc["profiles"]
+    model.write_text(manifest.canonical_json(doc))
+    code, _, err = _cli_output("certify", model, "--profiles", "2",
+                               "--out", out, "--calib-size", 16)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert manifest.read_manifest(out)["profiles"] == {
+        "r2": {"pairs": [[2, None], [2, None]]}}
+
+
+def test_certify_refuses_profiles_on_a_manifest_that_stores_some(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    code, stdout, err = _cli_output("certify", cert, "--profiles", "2",
+                                    "--out", out, "--calib-size", 16)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == ("error: manifest already stores profiles; certify them "
+                   "without --profiles\n")
     assert not out.exists()
 
 

@@ -126,9 +126,9 @@ class TestBytes:
 
     def test_per_tensor_ceiling(self):
         lay = _dense_layer(3, 3)
-        # 3-bit: u 3 els -> ceil(9/8)=2, core 1 el -> 1, v -> 2
-        assert cost.factor_bytes(lay, 1, 3) == (2, 1, 2)
-        assert cost.bytes_of(lay, 1, 3) == 5
+        # 3-bit: u 3 els -> ceil(9/8)=2, core 1 el -> 1, v -> 2; rounding
+        # the 7 values together would give ceil(21/8)=3
+        assert cost.bytes_of(lay, 1, 3) == 2 + 1 + 2
 
     def test_unquantized_counts_32_bit(self):
         lay = _dense_layer(8, 8)

@@ -1,5 +1,6 @@
-"""Manifest format: bit packing, byte-identical rewrites, payload checksums,
-file modes, and re-verification of every certificate ledger quantity."""
+"""Manifest format: byte-identical rewrites, payload checksums, file modes,
+profiles stored as their pairs, and re-verification of every certificate
+ledger quantity."""
 
 import base64
 import copy
@@ -10,8 +11,7 @@ import stat
 import numpy as np
 import pytest
 
-from elastiq import certificate, elastic, linalg, manifest, network, quant
-from oracles import slow_pack_codes, slow_unpack_codes
+from elastiq import certificate, elastic, linalg, manifest, network
 
 
 def _rng(seed):
@@ -57,47 +57,6 @@ def certified(tmp_path_factory):
     path = tmp_path_factory.mktemp("cert") / "m.json"
     manifest.write_manifest(_certified_doc(), path)
     return manifest.read_manifest(path)
-
-
-class TestPackCodes:
-    @pytest.mark.parametrize("bits", range(1, 33))
-    def test_matches_bit_string_oracle(self, bits):
-        rng = _rng(bits)
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        for n in (1, 7, 13):
-            codes = rng.integers(lo, hi, size=n, endpoint=True)
-            codes[0] = lo
-            buf = manifest.pack_codes(codes, bits)
-            assert buf == slow_pack_codes(codes, bits)
-            got = manifest.unpack_codes(buf, bits, n)
-            assert np.array_equal(got, slow_unpack_codes(buf, bits, n))
-            assert np.array_equal(got, codes)
-
-
-class TestCodePayload:
-    def test_one_per_tensor_scale_round_trips(self):
-        t = _rng(3).standard_normal((4, 3))
-        payload = manifest.encode_quantized(t, 6)
-        assert payload["scales"] == [
-            manifest.fmt_float(float(np.max(np.abs(t))) / 31)]
-        assert np.array_equal(manifest.decode_payload(payload),
-                              quant.round_trip(t, 6))
-
-    @pytest.mark.parametrize("change", [
-        {"scales": ["0.1", "0.2"]}, {"scales": ["0.0"]},
-        {"scales": ["-0.1"]}, {"scales": ["nan"]}, {"scales": ["inf"]}],
-        ids=["two_scales", "zero_scale", "negative_scale", "nan_scale",
-             "inf_scale"])
-    def test_other_layouts_rejected(self, change):
-        payload = manifest.encode_quantized(_rng(4).standard_normal(5), 4)
-        payload.update(change)
-        with pytest.raises(manifest.ManifestError):
-            manifest.decode_payload(payload)
-
-    def test_overflowing_tensor_refused(self):
-        with pytest.raises(ValueError, match="overflows"):
-            manifest.encode_quantized(
-                np.array([np.finfo(float).max, -1.0]), 8)
 
 
 class TestRoundTrip:
@@ -339,7 +298,40 @@ class TestStoredPairs:
     @pytest.mark.parametrize("entries", [
         5, [5], [[2]], [[2, 8, 1]], [(2, 8)], [[0, None]], [[2.0, None]],
         [[True, None]], [[2, "8"]], [[2, 8.0]], [[2, [8, 8]]],
-        [[2, [8, "4", 6]]], [[1, [8, None, 6]]]])
+        [[2, [8, "4", 6]]], [[1, [8, None, 6]]], [[2, 1]], [[2, 33]],
+        [[2, 0]], [[2, -8]]])
     def test_malformed_pairs_raise_manifest_error(self, entries):
         with pytest.raises(manifest.ManifestError):
             manifest.pairs_from_doc(entries)
+
+    def test_widths_from_2_to_32_parse(self):
+        entries = [[1, q] for q in range(2, 33)]
+        assert manifest.pairs_from_doc(entries) \
+            == tuple((1, q) for q in range(2, 33))
+
+
+class TestStoredProfiles:
+    def test_a_profile_is_its_pairs(self, certified):
+        net = manifest.net_from_doc(certified)
+        assert certified["profiles"] == {
+            "low": {"pairs": [[2, 8], [1, None]]},
+            "mid": {"pairs": [[3, None], [2, 4]]}}
+        doc = manifest.network_to_doc(net)
+        assert manifest.add_profile(doc, net, "p", [(1, 32), (2, 2)]) \
+            == ((1, 32), (2, 2))
+        assert doc["profiles"] == {"p": {"pairs": [[1, 32], [2, 2]]}}
+
+    def test_only_float64_payloads_decode(self):
+        payload = manifest.encode_array(np.arange(3.0))
+        assert payload["dtype"] == "f64"
+        for dtype in ("f32", "codes"):
+            with pytest.raises(manifest.ManifestError,
+                               match=f"unknown payload dtype '{dtype}'"):
+                manifest.decode_payload(dict(payload, dtype=dtype))
+
+    def test_a_rank_above_the_stored_rank_fails_verification(self,
+                                                             certified):
+        doc = copy.deepcopy(certified)
+        doc["profiles"]["low"]["pairs"][1][0] = 4
+        assert "profile low layer 1: rank 4 above the stored rank 3" \
+            in manifest.verify_manifest(doc)

@@ -2,6 +2,7 @@
 sweep."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from elastiq import certificate, cost, elastic, linalg, network, quant, train
 from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
-    naive_dense_forward, tucker2_recompose
+    naive_dense_forward, stepwise_round_trip, tucker2_recompose
 
 
 def _rng(seed):
@@ -307,17 +308,12 @@ def _dense_stack(seed, n_layers):
     return network.Network(tuple(blocks)), dims[0]
 
 
-def _three_call_round_trip(t, b):
-    s = quant.calibrate_scale(t, b)
-    return quant.dequantize(quant.quantize(t, s, b), s, b)
-
-
 def _quantized_weight(lay, k, q):
     """Rank-k dense weight rebuilt from factor slices quantized with the
-    three-call quantizer."""
+    stepwise quantizer."""
     f = lay.factors
     u, s, v = (
-        t if q is None else _three_call_round_trip(t, q)
+        t if q is None else stepwise_round_trip(t, q)
         for t in (f.u[:, :k], f.core[:k], f.v[:, :k]))
     return u @ np.diag(s) @ v.T
 
@@ -381,6 +377,41 @@ class TestDenseExecution:
                 h = network._act_value(blk.activation, pre)
                 a = h + a if blk.residual else h
             assert np.array_equal(tr.logits, a)
+
+
+class TestForwardMemory:
+    def test_batch_forward_retains_one_activation_per_relu_block(self):
+        # relu runs in place, so a dense trace holds each relu block's
+        # output once, as the next block's input and as backward's pre.
+        # A second copy per block doubled what a batch forward retains,
+        # which then passed glibc's heap trim threshold once the largest
+        # buffer freed so far (a manifest's text) was small: dropping the
+        # trace returned its memory to the OS, and the next call
+        # page-faulted it back in
+        rng = _rng(70)
+        dims = (64, 96, 96, 96, 10)
+        net = network.Network(tuple(
+            network.Block(
+                elastic=elastic.from_dense(
+                    rng.standard_normal((m, n)) / np.sqrt(n),
+                    bias=0.1 * rng.standard_normal(m)),
+                activation=network.RELU if m != dims[-1]
+                else network.IDENTITY)
+            for n, m in zip(dims, dims[1:])))
+        x = rng.standard_normal((256, dims[0]))
+        network.forward(net, x)
+        tracemalloc.start()
+        try:
+            trace = network.forward(net, x)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        activation = x.shape[0] * 96 * 8
+        relu_blocks = len(dims) - 2
+        # one activation more covers the logits; 4 KiB the trace's lists
+        assert retained <= (relu_blocks + 1) * activation + 4096
+        assert all(trace.pre[i] is trace.inputs[i + 1]
+                   for i in range(relu_blocks))
 
 
 class TestLogitDrift:

@@ -3,11 +3,10 @@ import pytest
 
 from elastiq.quant import (
     calibrate_scale,
-    quantize,
-    dequantize,
     round_trip,
     grid_limit,
 )
+from oracles import stepwise_round_trip
 
 
 class TestCalibrate:
@@ -25,55 +24,57 @@ class TestCalibrate:
             calibrate_scale(np.array([]), 8)
 
 
+def _codes(t, bits):
+    """The integer codes behind round_trip(t, bits)."""
+    return np.rint(round_trip(t, bits) / calibrate_scale(t, bits))
+
+
 class TestQuantizeDequantize:
+    """round_trip quantizes to the symmetric grid and dequantizes again."""
+
     def test_grid_points_exact(self):
         g = grid_limit(6)
         codes = np.arange(-g, g + 1, dtype=np.float64)
-        s = 0.37
+        # a dyadic scale, so that max|t| / g gives it back exactly
+        s = 0.375
         t = s * codes
-        got = quantize(t, s, 6)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, codes.astype(np.int64))
-        assert np.allclose(dequantize(got, s, 6), t, atol=0.0)
+        assert calibrate_scale(t, 6) == s
+        assert np.array_equal(round_trip(t, 6), t)
 
     def test_tie_rounds_to_even(self):
-        # dyadic scale so the .5 ties are exact in binary floating point
-        codes = quantize(np.array([1.375, 1.125, -1.375, -1.125]), 0.25, 8)
-        assert codes.tolist() == [6, 4, -6, -4]
+        # the top entry 127 * 0.25 sets the scale to 0.25, a dyadic scale
+        # so the .5 ties are exact in binary floating point
+        t = np.array([1.375, 1.125, -1.375, -1.125, 31.75])
+        assert round_trip(t, 8).tolist() == [1.5, 1.0, -1.5, -1.0, 31.75]
 
     def test_saturation(self):
-        assert quantize(np.array([100.0, -100.0]), 0.5, 4).tolist() \
-            == [7, -7]
+        # the largest entry lands on the top code and none goes past it
+        rng = np.random.Generator(np.random.PCG64(3))
+        for bits in range(2, 17):
+            t = rng.standard_normal(9) * 10.0 ** rng.uniform(-200, 200)
+            codes = _codes(t, bits)
+            assert np.max(np.abs(codes)) == grid_limit(bits)
+            assert codes[np.argmax(np.abs(t))] \
+                == np.sign(t[np.argmax(np.abs(t))]) * grid_limit(bits)
 
     def test_in_range_error_at_most_half_scale(self):
         # exhaustive fine sweep across the representable range
         g = grid_limit(6)
         t = np.linspace(-g * 0.13, g * 0.13, 7001)
-        err = np.abs(t - dequantize(quantize(t, 0.13, 6), 0.13, 6))
-        assert np.max(err) <= 0.13 / 2 + 1e-12
+        s = calibrate_scale(t, 6)
+        err = np.abs(t - round_trip(t, 6))
+        assert np.max(err) <= s / 2 + 1e-12
 
     def test_negation_symmetry(self):
         rng = np.random.Generator(np.random.PCG64(1))
         t = rng.standard_normal((5, 7))
-        s = calibrate_scale(t, 5)
-        assert np.array_equal(quantize(-t, s, 5), -quantize(t, s, 5))
+        assert np.array_equal(round_trip(-t, 5), -round_trip(t, 5))
 
     def test_second_pass_idempotent(self):
         rng = np.random.Generator(np.random.PCG64(2))
         t = rng.standard_normal((6, 6)) * 3.0
         once = round_trip(t, 8)
         assert np.array_equal(once, round_trip(once, 8))
-
-    def test_codes_off_the_grid_rejected(self):
-        with pytest.raises(ValueError, match="outside the symmetric grid"):
-            dequantize(np.array([0, 8]), 0.5, 4)
-        with pytest.raises(ValueError, match="outside the symmetric grid"):
-            dequantize(np.array([-8]), 0.5, 4)
-
-
-def _staged_round_trip(t, bits):
-    s = calibrate_scale(t, bits)
-    return dequantize(quantize(t, s, bits), s, bits)
 
 
 def _bitwise_equal(a, b):
@@ -82,8 +83,8 @@ def _bitwise_equal(a, b):
 
 
 class TestRoundTrip:
-    """round_trip is calibrate_scale -> quantize -> dequantize in one pass,
-    bit for bit."""
+    """round_trip is the scale, the integer codes and code * s in one pass,
+    bit for bit, and refuses what its scale step refuses."""
 
     def test_bitwise_equal_to_three_calls(self):
         rng = np.random.default_rng(5)
@@ -91,7 +92,7 @@ class TestRoundTrip:
             rng.standard_normal((7, 3)),
             rng.standard_normal(11) * 1e-3,
             # entries that round to code 0 from below give -0.0 before
-            # dequantizing an integer code turns them into +0.0
+            # an integer code times s turns them into +0.0
             np.array([-1e-9, 1e-9, -0.0, 0.0, 1.0, -1.0]),
             np.zeros((2, 3)),
             -np.zeros(4),
@@ -103,9 +104,10 @@ class TestRoundTrip:
         for t in tensors:
             for bits in range(2, 9):
                 assert _bitwise_equal(round_trip(t, bits),
-                                      _staged_round_trip(t, bits)), (t, bits)
+                                      stepwise_round_trip(t, bits)), (t, bits)
 
     def test_same_errors_as_three_calls(self):
+        # the three-step quantizer raised only in its scale step
         cases = [(np.array([]), 8), (np.array([1.0, np.nan]), 8),
                  (np.array([np.inf, 0.0]), 4), (np.array([-np.inf]), 2),
                  (np.ones(3), 1), (np.ones(3), 0),
@@ -115,7 +117,7 @@ class TestRoundTrip:
         for t, bits in cases:
             with np.errstate(all="raise"):
                 with pytest.raises(ValueError) as want:
-                    _staged_round_trip(t, bits)
+                    calibrate_scale(t, bits)
                 with pytest.raises(ValueError) as got:
                     round_trip(t, bits)
             assert str(got.value) == str(want.value)
