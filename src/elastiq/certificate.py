@@ -15,7 +15,10 @@ drift never exceeds the pointwise bound. ``SAMPLED`` takes the exact
 downstream Jacobians at calibration inputs from one ``network.forward``
 and one ``network.backward`` sweep seeded with the identity, power-iterates
 each, and smooths the estimates with an exponential moving average; it is
-tighter but can undershoot, so nothing downstream treats it as certified.
+tighter but can undershoot, so it serves only the trainer's coefficients
+and the reference ledger ``certify --mode poweriter`` records. Planning,
+pointwise bounds and everything else downstream use the conservative
+ledger alone.
 
 Tail gains are evaluated at both the stored and the compressed weights and
 the larger is used. Truncation alone cannot grow a spectral norm here, but
@@ -78,18 +81,23 @@ class CalibrationStats:
 
     alpha[i] is the root-mean-square of the l2 norm of the signal entering
     block i. fingerprint ties the stats to the exact network parameters
-    they were measured on.
+    they were measured on. spatial is the (H, W) of a conv model's
+    calibration maps, at which alpha holds; None for a dense model.
     """
 
     alpha: tuple
     count: int
     fingerprint: str
+    spatial: tuple | None = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
         if any(a < 0.0 for a in self.alpha):
             raise ValueError("alpha entries must be non-negative")
+        if self.spatial is not None and not (
+                len(self.spatial) == 2 and min(self.spatial) >= 1):
+            raise ValueError("spatial must be a positive (H, W) pair")
 
 
 def _row_norms(a, single):
@@ -100,21 +108,20 @@ def _row_norms(a, single):
 
 
 def calibrate(net, inputs):
-    """Measure per-layer input-norm RMS on the full model."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.size == 0:
+    """Measure per-layer input-norm RMS on the full model, and a conv
+    model's calibration map size."""
+    if np.size(inputs) == 0:
         raise ValueError("calibration set is empty")
-    first = net.blocks[0]
-    want = 3 if first.is_conv else 1
-    if x.ndim == want:
-        x = x[None, ...]
+    x, _ = network._promote_input(net, inputs)
     tr = network.forward(net, x, None)
     alpha = []
     for layer_in in tr.inputs:
         norms = _row_norms(layer_in, single=False)
         alpha.append(float(np.sqrt(np.mean(norms ** 2))))
     return CalibrationStats(alpha=tuple(alpha), count=int(x.shape[0]),
-                            fingerprint=network_fingerprint(net))
+                            fingerprint=network_fingerprint(net),
+                            spatial=x.shape[-2:] if net.blocks[0].is_conv
+                            else None)
 
 
 def check_fresh(net, stats):
@@ -139,7 +146,8 @@ def _stored_gains(net):
     block: its gain multiplies no sensitivity, because no injection point
     lies upstream of it."""
     return [None] + [
-        network.weight_gain(elastic.truncate(b.elastic, b.elastic.k_max))
+        network.weight_gain(elastic.effective_weight(b.elastic,
+                                                     b.elastic.k_max))
         for b in net.blocks[1:]]
 
 
@@ -237,7 +245,7 @@ def weight_change(block, k, q=None):
         return 0.0
     if not block.is_conv:
         return float(elastic.residual_norm(lay, k, q))
-    delta = elastic.truncate(lay, lay.k_max) \
+    delta = elastic.effective_weight(lay, lay.k_max) \
         - elastic.effective_weight(lay, k, q)
     return network.weight_gain(delta)
 
@@ -269,14 +277,11 @@ def ledger_total(rows):
     return total
 
 
-def pointwise_bound(net, stats, profile, x, mode=CONSERVATIVE,
-                    calibration_inputs=None):
+def pointwise_bound(net, stats, profile, x):
     """Certified drift bound at one input (or a batch, one bound per row),
     evaluated with the full model's layer-input norms."""
-    rows = ledgers(net, stats, [profile], mode, calibration_inputs)[0]
-    first = net.blocks[0]
-    want = 3 if first.is_conv else 1
-    single = np.asarray(x).ndim == want
+    rows = ledgers(net, stats, [profile])[0]
+    single = network._promote_input(net, x)[1]
     tr = network.forward(net, x, None)
     total = ledger_total([(sens, change, _row_norms(a, single))
                           for (sens, change, _), a in zip(rows, tr.inputs)])

@@ -41,12 +41,12 @@ round differently when the thread count changes on large matrices.
 
 Calibration probes
 ------------------
-Commands that need model inputs (certify, plan with a sampled proxy,
-report) draw standard-normal probes from --seed by default — matching
-the standardized synthetic task — or load array ``x`` from an .npz file
-given via --calib. Dense stacks only; conv models must supply --calib,
-plan included: it prices conv layers at the (H, W) of those inputs and
-records that size in the lattice.
+Commands that need model inputs (certify, report) draw standard-normal
+probes from --seed by default — matching the standardized synthetic task
+— or load array ``x`` from an .npz file given via --calib. Dense stacks
+only; conv models must supply --calib. certify records a conv model's
+map size (H, W); plan reads no inputs and prices conv layers at that
+size, and report refuses conv inputs of any other size.
 """
 
 from __future__ import annotations
@@ -152,15 +152,6 @@ def _probe_inputs(net, n, seed, calib_path=None):
     return rng.standard_normal((int(n), first.elastic.in_features))
 
 
-def _ledger_mode(doc):
-    cert = doc.get("certificate")
-    if cert is None:
-        raise CliError("manifest carries no certificate; run certify first")
-    with manifest._malformed("certificate"):
-        conservative = cert.get("mode") == certificate.CONSERVATIVE
-    return certificate.CONSERVATIVE if conservative else certificate.SAMPLED
-
-
 def _check_epsilon(epsilon):
     """A drift tolerance is a finite float >= 0; returns it."""
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
@@ -180,6 +171,14 @@ def _stored_stats(doc):
         raise CliError("manifest carries no calibration statistics; "
                        "run certify first")
     return manifest.stats_from_doc(sec)
+
+
+def _certified_spatial(net, stats):
+    """The (H, W) a conv model was calibrated at; None for a dense one."""
+    if net.blocks[0].is_conv and stats.spatial is None:
+        raise CliError("calibration statistics record no feature-map size "
+                       "(an older certify wrote them); run certify again")
+    return stats.spatial
 
 
 @contextlib.contextmanager
@@ -262,10 +261,7 @@ def cmd_train(args):
     for name, k in zip(config.profile_names, config.profiles):
         pairs = train.rank_profile(state.net, k, config.train_bits)
         manifest.add_profile(doc, state.net, name, pairs)
-    x_tr = train.make_dataset(args.seed, config.n_train, config.n_eval,
-                              config.dim)[0]
-    stats = certificate.calibrate(state.net, x_tr[:config.calib_size])
-    doc["calibration"] = manifest.stats_to_doc(stats)
+    doc["calibration"] = manifest.stats_to_doc(report.stats)
     with _publish(doc, os.path.join(args.out, "model.json")):
         say("train", seed=args.seed, steps=state.step,
             final_loss=report.final_loss, config_hash=digest,
@@ -303,7 +299,7 @@ def cmd_decompose(args):
     worst = 0.0
     for i, (entry, blk) in enumerate(zip(layers, net.blocks)):
         w = entry["weight"]
-        recon = elastic.truncate(blk.elastic, blk.elastic.k_max)
+        recon = elastic.effective_weight(blk.elastic, blk.elastic.k_max)
         denom = max(float(np.linalg.norm(w)), 1e-300)
         rel = float(np.linalg.norm(w - recon)) / denom
         worst = max(worst, rel)
@@ -436,22 +432,27 @@ def _parse_budget_list(args):
     return field, values
 
 
+def _check_certified(doc):
+    """Refuse a sampled ledger: its bounds can undershoot."""
+    cert = doc.get("certificate")
+    if cert is None:
+        raise CliError("manifest carries no certificate; run certify first")
+    with manifest._malformed("certificate"):
+        if cert.get("certified") is not True:
+            raise CliError(f"the {cert.get('mode')} ledger is not "
+                           f"certified; run certify --mode conservative")
+
+
 def cmd_plan(args):
     axis = _parse_budget_list(args)
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
     stats = _stored_stats(doc)
-    mode = _ledger_mode(doc)
-    conv = net.blocks[0].is_conv
-    calib = spatial = None
-    if conv or mode == certificate.SAMPLED:
-        xs = _probe_inputs(net, args.calib_size, args.seed, args.calib)
-        calib = xs if mode == certificate.SAMPLED else None
-        # conv FLOPs scale with the feature-map size of the inputs
-        spatial = tuple(int(d) for d in xs.shape[-2:]) if conv else None
+    _check_certified(doc)
+    spatial = _certified_spatial(net, stats)
 
     menus = _canonical_menus(net)
-    benefit = controller.certificate_mass(net, stats, menus, mode, calib)
+    benefit = controller.certificate_mass(net, stats, menus)
     grid = _canonical_grid(net)
     grid_rows = [cost.profile_costs(net, pairs, spatial) for pairs in grid]
     device = args.device
@@ -491,8 +492,7 @@ def cmd_plan(args):
                                       **{field: v}) for v in values]
     lattice, ledgers = controller.build_lattice(
         net, menus, budgets, benefit, stats, cost_model,
-        energy_model=energy_model, spatial=spatial, mode=mode,
-        calibration_inputs=calib)
+        energy_model=energy_model, spatial=spatial)
     # a level meets its own budget exactly when its allocation was feasible
     say("plan", budgets=len(budgets),
         smallest_budget_feasible=lattice.meets(0, budgets[0]))
@@ -503,7 +503,7 @@ def cmd_plan(args):
         named[prof.name] = prof.pairs
     doc["lattice"] = manifest.lattice_to_doc(lattice)
     doc["certificate"] = manifest.certificate_section(
-        stats, named, ledgers, mode, epsilon=_ledger_epsilon(doc))
+        stats, named, ledgers, epsilon=_ledger_epsilon(doc))
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)
@@ -512,7 +512,7 @@ def cmd_plan(args):
             predicted_latency_ms=lattice.predicted_latency[j],
             weight_bytes=lattice.weight_bytes[j],
             drift_bound=lattice.drift_bound[j])
-    with _publish(doc, args.out or args.model, calibration_inputs=calib):
+    with _publish(doc, args.out or args.model):
         pass
     return EXIT_OK
 
@@ -575,6 +575,13 @@ def cmd_report(args):
     lattice = _stored_lattice(doc)
     epsilon = _select_epsilon(args, doc)
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
+    if net.blocks[0].is_conv:
+        spatial = _certified_spatial(net, _stored_stats(doc))
+        h, w = network._promote_input(net, xs)[0].shape[-2:]
+        if (h, w) != spatial:
+            raise CliError(f"inputs are {h}x{w} maps, but the lattice's "
+                           f"bounds hold at the certified "
+                           f"{spatial[0]}x{spatial[1]}")
 
     full = network.forward(net, xs, None).logits
     full_top = np.argmax(np.atleast_2d(full), axis=-1)
@@ -664,13 +671,6 @@ def _add_seed(p):
                    help="seed for every stochastic choice (default 0)")
 
 
-def _add_calib(p):
-    p.add_argument("--calib", default=None, metavar="NPZ",
-                   help="optional .npz with array 'x' of model inputs")
-    p.add_argument("--calib-size", type=int, default=256,
-                   help="synthesized probe count (default 256)")
-
-
 def build_parser():
     parser = _Parser(prog="elastiq",
                      description="train-once, steer-at-test-time tensor "
@@ -706,7 +706,10 @@ def build_parser():
                    help="uniform-rank profiles to store and certify, each "
                         "rank K at BITS from 2 to 32 (default: float); "
                         "only for a manifest that stores none")
-    _add_calib(p)
+    p.add_argument("--calib", default=None, metavar="NPZ",
+                   help="optional .npz with array 'x' of model inputs")
+    p.add_argument("--calib-size", type=int, default=256,
+                   help="synthesized probe count (default 256)")
     _add_seed(p)
     p.set_defaults(func=cmd_certify)
 
@@ -726,7 +729,6 @@ def build_parser():
                    help="comma-separated weight-byte budgets")
     p.add_argument("--energy-mj", default=None,
                    help="comma-separated energy budgets")
-    _add_calib(p)
     _add_seed(p)
     p.set_defaults(func=cmd_plan)
 

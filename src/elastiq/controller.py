@@ -121,18 +121,16 @@ def _check_menus(menus, n_layers):
     return [_check_menu(menu, f"layer {i}") for i, menu in enumerate(menus)]
 
 
-def certificate_mass(net, stats, menus, mode=certificate.CONSERVATIVE,
-                     calibration_inputs=None):
+def certificate_mass(net, stats, menus):
     """Per-layer, per-menu-entry certified drift contribution.
 
-    mass[ell][i] multiplies the layer's logit sensitivity at the full
-    profile, the weight change the entry causes, and the calibrated
-    input-norm scale. The table is allocate's objective; certified
-    reports always come from the certificate module itself.
+    mass[ell][i] multiplies the layer's conservative logit sensitivity at
+    the full profile, the weight change the entry causes, and the
+    calibrated input-norm scale. The table is allocate's objective;
+    certified reports always come from the certificate module itself.
     """
     menus = _check_menus(menus, len(net.blocks))
-    rows = certificate.ledgers(net, stats, [None], mode,
-                               calibration_inputs)[0]
+    rows = certificate.ledgers(net, stats, [None])[0]
     return [[sens * certificate.weight_change(blk, k, q) * alpha
              for k, q in menu]
             for blk, (sens, _, alpha), menu in zip(net.blocks, rows, menus)]
@@ -224,8 +222,7 @@ class ProfileLattice:
     """Budget-ordered deployable profile chain with per-profile costs.
 
     Profiles must grow componentwise along the chain; that total order
-    is what makes runtime downshifts safe. energy is optional. spatial is
-    the (H, W) conv layers were priced at; dense nets have none.
+    is what makes runtime downshifts safe. energy is optional.
     """
 
     profiles: tuple
@@ -234,7 +231,6 @@ class ProfileLattice:
     drift_bound: tuple
     energy: tuple | None = None
     device: str | None = None
-    spatial: tuple | None = None
 
     def __post_init__(self):
         profiles = tuple(self.profiles)
@@ -274,20 +270,20 @@ class ProfileLattice:
 
 
 def build_lattice(net, menus, budgets, benefit, stats, cost_model,
-                  energy_model=None, spatial=None,
-                  mode=certificate.CONSERVATIVE, calibration_inputs=None):
+                  energy_model=None, spatial=None):
     """Exact nested profiles at each budget level, ordered and priced.
 
     Checks that the budgets are ordered tightest first, then allocates
     from the loosest budget to the tightest, passing each level's pairs to
     the next as its upper bound: the chain grows componentwise by
     construction, and every feasible level meets its own budget. Attaches
-    predicted latency, weight bytes, optional energy and the aggregate
-    drift bound, all levels' ledgers built in one certificate.ledgers
-    pass. Three budgets are named tiny/med/max, any other count s1, s2,
-    .... Returns (lattice, ledgers), the ledgers in level order, so a
-    caller can store the rows the bounds were summed from without
-    building them again.
+    predicted latency, weight bytes, optional energy and the conservative
+    aggregate drift bound, all levels' ledgers built in one
+    certificate.ledgers pass. Conv layers are priced at spatial, the
+    (H, W) the stats were calibrated at. Three budgets are named
+    tiny/med/max, any other count s1, s2, .... Returns (lattice,
+    ledgers), the ledgers in level order, so a caller can store the rows
+    the bounds were summed from without building them again.
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -310,8 +306,7 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         wbytes.append(int(sum(r.weight_bytes for r in rows)))
         if energy_model is not None:
             energy.append(cost.predict(energy_model, rows))
-    ledgers = certificate.ledgers(net, stats, profiles, mode,
-                                  calibration_inputs)
+    ledgers = certificate.ledgers(net, stats, profiles)
     drift = [float(certificate.ledger_total(rows)) for rows in ledgers]
     return ProfileLattice(
         profiles=profiles,
@@ -319,8 +314,7 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         weight_bytes=tuple(wbytes),
         drift_bound=tuple(drift),
         energy=tuple(energy) if energy_model is not None else None,
-        device=cost_model.device,
-        spatial=None if spatial is None else tuple(spatial)), ledgers
+        device=cost_model.device), ledgers
 
 
 @dataclass(frozen=True)

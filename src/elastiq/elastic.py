@@ -166,7 +166,8 @@ def runs_staged(layer, k):
 def effective_weight(layer, k, q=None):
     """Reconstruction at rank k, optionally through quantized factors.
 
-    q is None (exact) or one width applied to each rank-k factor slice.
+    q is None (exact) or one width applied to each rank-k factor slice;
+    k = k_max with q None reproduces the full weight.
     A conv kernel is rebuilt with two matrix products.
     """
     u, core, v = _served_slices(layer, k, q)
@@ -176,11 +177,6 @@ def effective_weight(layer, k, q=None):
     # (c_o, r_i, kh*kw) contracted with v over r_i -> (c_o, c_i, kh*kw)
     t = (u @ core.reshape(r_o, -1)).reshape(u.shape[0], r_i, kh * kw)
     return np.matmul(v, t).reshape(u.shape[0], v.shape[0], kh, kw)
-
-
-def truncate(layer, k):
-    """Hard rank-k reconstruction; k = k_max reproduces the full weight."""
-    return effective_weight(layer, k, None)
 
 
 def _spectrum_trustworthy(layer, tol=1e-10):

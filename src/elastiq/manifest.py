@@ -384,7 +384,7 @@ def add_profile(doc, net, name, pairs):
 
 
 def lattice_to_doc(lattice):
-    sec = {
+    return {
         "device": lattice.device,
         "profiles": [{"name": p.name, "pairs": pairs_to_doc(p.pairs)}
                      for p in lattice.profiles],
@@ -394,9 +394,6 @@ def lattice_to_doc(lattice):
         "energy": None if lattice.energy is None
         else _fmt_list(lattice.energy),
     }
-    if lattice.spatial is not None:
-        sec["spatial"] = [int(d) for d in lattice.spatial]
-    return sec
 
 
 def lattice_from_doc(sec):
@@ -410,17 +407,20 @@ def lattice_from_doc(sec):
         drift_bound=_parse_list(sec["drift_bound"]),
         energy=None if sec.get("energy") is None
         else _parse_list(sec["energy"]),
-        device=sec.get("device"),
-        spatial=None if sec.get("spatial") is None
-        else tuple(int(d) for d in sec["spatial"]))
+        device=sec.get("device"))
 
 
 def stats_to_doc(stats):
-    return {
+    """The calibration section. Only a conv model's section names its
+    calibration map size (spatial); a dense model's holds no such entry."""
+    sec = {
         "alpha": _fmt_list(stats.alpha),
         "count": int(stats.count),
         "fingerprint": stats.fingerprint,
     }
+    if stats.spatial is not None:
+        sec["spatial"] = [int(d) for d in stats.spatial]
+    return sec
 
 
 def stats_from_doc(sec):
@@ -428,7 +428,9 @@ def stats_from_doc(sec):
         return certificate.CalibrationStats(
             alpha=_parse_list(sec["alpha"]),
             count=int(sec["count"]),
-            fingerprint=sec["fingerprint"])
+            fingerprint=sec["fingerprint"],
+            spatial=tuple(map(int, sec["spatial"])) if "spatial" in sec
+            else None)
 
 
 def certificate_section(stats, profiles, ledgers,

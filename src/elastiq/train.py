@@ -440,14 +440,15 @@ class TrainState:
 
 @dataclass(frozen=True)
 class TrainReport:
-    seed: int
-    steps: int
+    """Final logged loss, per-profile evaluation, and the calibration
+    statistics of the trained net that the evaluation used."""
+
     final_loss: float
-    final_terms: dict
     accuracy: dict
     violation_rate: dict
     drift_bound: dict
     mean_drift: dict
+    stats: certificate.CalibrationStats
 
 
 _METRIC_FIELDS = ("step", "total", "task", "self_distill",
@@ -524,9 +525,9 @@ def _refresh_coeffs(state, config, calib, decay):
     state.cert_coeffs = decay * state.cert_coeffs + (1 - decay) * fresh
 
 
-def evaluate(net, x, y, profiles, names, epsilon, calib):
-    """Accuracy, drift-violation rate, and certified bound per profile."""
-    stats = certificate.calibrate(net, calib)
+def evaluate(net, x, y, profiles, names, epsilon, stats):
+    """Accuracy, drift-violation rate, and certified bound per profile;
+    stats are the net's calibration statistics."""
     entries = [rank_profile(net, k) for k in profiles]
     ledgers = certificate.ledgers(net, stats, entries)
     full = network.forward(net, x, None).logits
@@ -635,18 +636,15 @@ def train_toy(config, seed, state=None, stop_after=None):
         # this at the same step with the same parameters
         state.net = _reorthogonalize(state.net)
 
+    stats = certificate.calibrate(state.net, calib)
     accuracy, violation, bound, mean_drift = evaluate(
         state.net, x_ev, y_ev, config.profiles, config.profile_names,
-        w.epsilon, calib)
+        w.epsilon, stats)
     last = state.metrics[-1] if state.metrics else {}
     report = TrainReport(
-        seed=seed, steps=state.step,
         final_loss=float(last.get("total", float("nan"))),
-        final_terms={key: float(last[key]) for key in
-                     ("task", "self_distill", "aug_consistency",
-                      "drift_cap") if key in last},
         accuracy=accuracy, violation_rate=violation, drift_bound=bound,
-        mean_drift=mean_drift)
+        mean_drift=mean_drift, stats=stats)
     return state, report
 
 

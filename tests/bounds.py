@@ -5,8 +5,6 @@ certificate.ledger_total."""
 from elastiq import certificate
 
 
-def expected_bound(net, stats, profile, mode=certificate.CONSERVATIVE,
-                   calibration_inputs=None):
-    rows = certificate.ledgers(net, stats, [profile], mode,
-                               calibration_inputs)[0]
+def expected_bound(net, stats, profile):
+    rows = certificate.ledgers(net, stats, [profile])[0]
     return float(certificate.ledger_total(rows))

@@ -103,6 +103,9 @@ class TestCalibration:
             certificate.CalibrationStats((1.0,), 0, "f")
         with pytest.raises(ValueError, match="non-negative"):
             certificate.CalibrationStats((-1.0,), 1, "f")
+        for spatial in ((8,), (8, 0), (1, 2, 3)):
+            with pytest.raises(ValueError, match="spatial"):
+                certificate.CalibrationStats((1.0,), 1, "f", spatial)
 
 
 class TestFingerprint:
@@ -145,7 +148,7 @@ class TestCompressionGain:
             lay = elastic.from_conv(rng.standard_normal((c_o, c_i, 3, 3))
                                     / np.sqrt(c_i * 9))
             blk = network.Block(elastic=lay)
-            full = elastic.truncate(lay, lay.k_max)
+            full = elastic.effective_weight(lay, lay.k_max)
             for k, q in ((2, None), (4, 8), (lay.k_max, 4)):
                 delta = full - elastic.effective_weight(lay, k, q)
                 exact = np.linalg.norm(conv_matrix(delta, 8, 8), 2)
@@ -365,19 +368,6 @@ class TestPointwiseBound:
             got = certificate.pointwise_bound(net, stats, prof, row)
             assert isinstance(got, float)
             assert got == pytest.approx(want, rel=1e-12)
-
-    def test_sampled_mode_never_exceeds_conservative(self):
-        net = _dense_net(26, (5, 5, 5), (network.RELU, network.IDENTITY),
-                         gamma_on=(0,))
-        xs = _rng(27).standard_normal((6, 5))
-        stats = certificate.calibrate(net, xs)
-        x = _rng(28).standard_normal(5)
-        prof = [(3, 6), (2, None)]
-        cons = certificate.pointwise_bound(net, stats, prof, x)
-        samp = certificate.pointwise_bound(
-            net, stats, prof, x, certificate.SAMPLED,
-            calibration_inputs=xs)
-        assert samp <= cons * (1.0 + 1e-9)
 
     def test_stale_stats_rejected(self):
         net = _dense_net(29, (4, 3), (network.RELU,))

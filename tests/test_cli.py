@@ -3,8 +3,10 @@ documented exit code, the certify -> plan -> certify round trip, plans
 from a device CSV, energy and byte budgets, manifests published as one
 file through one temporary file and one rename, only after
 self-verification, one error line for every malformed
-manifest and every drift tolerance that is not finite and >= 0, report's
-diagnostics line, the ledger passes and forwards plan and report make,
+manifest and every drift tolerance that is not finite and >= 0, plan's
+refusal of an uncertified ledger, report's refusal of conv inputs at
+another map size, report's diagnostics line, the ledger passes and
+forwards plan and report make,
 decompose on wide dense and bottleneck conv models, the whole pipeline on
 a conv model and on a sweep of tiny random models, quantized and resumed
 training (and one error line for a damaged checkpoint or calibration
@@ -90,8 +92,7 @@ def _planned_small_model(tmp_path):
     _small_model(model)
     assert _cli("certify", model, "--profiles", "2,3:8", "--epsilon", "1.0",
                 "--out", cert, "--calib-size", 64) == cli.EXIT_OK
-    assert _cli("plan", cert, "--out", plan,
-                "--calib-size", 64) == cli.EXIT_OK
+    assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
     return plan
 
 
@@ -142,11 +143,10 @@ def test_plan_from_the_synthesized_device_csv_matches_plain_plan(tmp_path):
     plan = _planned_small_model(tmp_path)
     cert, imported = tmp_path / "cert.json", tmp_path / "imported.json"
     code, out, err = _cli_output(
-        "plan", cert, "--out", imported, "--calib-size", 64,
+        "plan", cert, "--out", imported,
         "--device-csv", _device_csv(tmp_path, cert), "--device", "synth0")
     assert (code, err) == (cli.EXIT_OK, "")
-    code, out_plain, _ = _cli_output("plan", cert, "--out", plan,
-                                     "--calib-size", 64)
+    code, out_plain, _ = _cli_output("plan", cert, "--out", plan)
     assert code == cli.EXIT_OK
     assert out.replace(str(imported), "OUT") == \
         out_plain.replace(str(plan), "OUT")
@@ -167,12 +167,12 @@ def test_energy_budgets_in_plan_and_select(tmp_path):
     no_energy = _device_csv(tmp_path, cert, energy=False)
     blind = tmp_path / "blind.json"
     code, _, err = _cli_output("plan", cert, "--out", tmp_path / "x.json",
-                                 "--calib-size", 64, "--device-csv",
-                                 no_energy, "--energy-mj", "1.0")
+                               "--device-csv", no_energy, "--energy-mj",
+                               "1.0")
     assert code == cli.EXIT_ERROR and err.count("\n") == 1
     assert err.startswith("error: energy budgets need a device table")
     assert not (tmp_path / "x.json").exists()
-    assert _cli("plan", cert, "--out", blind, "--calib-size", 64,
+    assert _cli("plan", cert, "--out", blind,
                 "--device-csv", no_energy) == cli.EXIT_OK
     code, out, err = _cli_output("select", blind, "--energy-mj", "1.0")
     assert (code, out) == (cli.EXIT_ERROR, "")
@@ -703,36 +703,97 @@ def _write_conv_bottleneck(tmp_path):
     return raw, calib
 
 
-def test_conv_bottleneck_decomposes_and_certifies(tmp_path):
+def _certified_conv_bottleneck(tmp_path):
+    """The bottleneck stack decomposed and certified at its 8x8 maps;
+    returns the calibration file and the certified manifest."""
     raw, calib = _write_conv_bottleneck(tmp_path)
     el, cert = tmp_path / "el.json", tmp_path / "cert.json"
     assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
     assert _cli("certify", el, "--profiles", "2,4:8", "--epsilon", "1.0",
                 "--out", cert, "--calib", calib) == cli.EXIT_OK
+    return calib, cert
+
+
+def test_conv_bottleneck_decomposes_and_certifies(tmp_path):
+    _, cert = _certified_conv_bottleneck(tmp_path)
     assert manifest.verify_manifest(str(cert)) == []
 
 
-def test_conv_model_plans_selects_and_audits(tmp_path):
-    raw, calib = _write_conv_bottleneck(tmp_path)
-    el, cert, plan = (tmp_path / n for n in ("el.json", "cert.json",
-                                             "plan.json"))
-    assert _cli("decompose", raw, "--out", el) == cli.EXIT_OK
-    assert _cli("certify", el, "--profiles", "2,4:8", "--epsilon", "1.0",
-                "--out", cert, "--calib", calib) == cli.EXIT_OK
-    # conv FLOPs need the feature-map size, which only --calib gives
-    code, _, err = _cli_output("plan", cert, "--out", plan)
-    assert code == cli.EXIT_ERROR and "conv models need --calib" in err
-    assert "Traceback" not in err and not plan.exists()
-    code, out, _ = _cli_output("plan", cert, "--out", plan, "--calib", calib)
+def test_conv_model_plans_selects_and_audits(tmp_path, monkeypatch):
+    calib, cert = _certified_conv_bottleneck(tmp_path)
+    plan = tmp_path / "plan.json"
+    # plan reads no inputs: conv FLOPs take the map size certify recorded
+    code, _, err = _cli_output("plan", cert, "--out", plan, "--calib", calib)
+    assert code == cli.EXIT_ERROR and err.count("\n") == 1
+    assert "unrecognized arguments: --calib" in err and not plan.exists()
+    priced, layer_cost = set(), cost.layer_cost
+
+    def recorded(layer, k, q=None, spatial=None):
+        priced.add(spatial)
+        return layer_cost(layer, k, q, spatial)
+
+    monkeypatch.setattr(cost, "layer_cost", recorded)
+    code, out, _ = _cli_output("plan", cert, "--out", plan)
     assert code == cli.EXIT_OK and "@@ verify problems=0" in out
+    assert priced == {(8, 8)}
     assert manifest.verify_manifest(str(plan)) == []
-    lattice = manifest.lattice_from_doc(
-        manifest.read_manifest(plan)["lattice"])
-    assert lattice.spatial == (8, 8)
+    doc = manifest.read_manifest(plan)
+    assert doc["calibration"]["spatial"] == [8, 8]
+    assert "spatial" not in doc["lattice"]
+    lattice = manifest.lattice_from_doc(doc["lattice"])
     assert _cli("select", plan, "--latency-ms",
                 repr(lattice.predicted_latency[1]), "--epsilon",
                 repr(lattice.drift_bound[1])) == cli.EXIT_OK
     assert _cli("audit", plan) == cli.EXIT_OK
+
+
+def test_plan_refuses_a_conv_manifest_without_a_map_size(tmp_path):
+    # a conv manifest certified before the calibration section recorded
+    # the map size
+    _, cert = _certified_conv_bottleneck(tmp_path)
+    plan = tmp_path / "plan.json"
+    doc = json.loads(cert.read_text())
+    del doc["calibration"]["spatial"]
+    cert.write_text(manifest.canonical_json(doc))
+    code, out, err = _cli_output("plan", cert, "--out", plan)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == ("error: calibration statistics record no feature-map "
+                   "size (an older certify wrote them); run certify "
+                   "again\n")
+    assert not plan.exists()
+
+
+def test_report_refuses_maps_of_another_size(tmp_path):
+    calib, cert = _certified_conv_bottleneck(tmp_path)
+    plan, small, csv = (tmp_path / n for n in ("plan.json", "small.npz",
+                                               "report.csv"))
+    assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
+    np.savez(small, x=np.random.default_rng(2).standard_normal(
+        (4, 8, 6, 6)))
+    code, out, err = _cli_output("report", plan, "--calib", small,
+                                 "--out", csv)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == ("error: inputs are 6x6 maps, but the lattice's bounds "
+                   "hold at the certified 8x8\n")
+    assert not csv.exists()
+    assert _cli("report", plan, "--calib", calib) == cli.EXIT_OK
+
+
+def test_plan_refuses_an_uncertified_ledger(tmp_path):
+    model, sampled, plan = (tmp_path / n for n in (
+        "model.json", "sampled.json", "plan.json"))
+    _small_model(model)
+    assert _cli("certify", model, "--mode", "poweriter", "--profiles",
+                "2,3:8", "--epsilon", "1.0", "--out", sampled,
+                "--calib-size", 16) == cli.EXIT_OK
+    before = sampled.read_bytes()
+    for out in (("--out", plan), ()):
+        code, stdout, err = _cli_output("plan", sampled, *out)
+        assert (code, stdout) == (cli.EXIT_ERROR, "")
+        assert err == ("error: the poweriter ledger is not certified; "
+                       "run certify --mode conservative\n")
+    assert not plan.exists()
+    assert sampled.read_bytes() == before
 
 
 def test_stray_value_errors_exit_1_with_a_message(tmp_path):
@@ -1113,8 +1174,7 @@ def test_pipeline_sweep_on_tiny_models(conv, normed, data):
                 assert not os.path.exists(out)
             else:
                 assert (code, err) == (cli.EXIT_OK, "")
-        assert _cli("plan", cert, "--out", plan,
-                    "--calib", calib) == cli.EXIT_OK
+        assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
         doc = manifest.read_manifest(plan)
         lattice = manifest.lattice_from_doc(doc["lattice"])
         level = data.draw(st.integers(0, len(lattice.drift_bound) - 1))

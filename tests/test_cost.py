@@ -162,7 +162,7 @@ class TestLayerCost:
     def test_full_rank_conv_runs_and_is_priced_dense(self):
         for lay in (_conv_layer(4, 3, 3, 3), _conv_layer(4, 8, 1, 1),
                     _conv_layer(6, 6, 3, 1)):
-            c_o, c_i, kh, kw = elastic.truncate(lay, lay.k_max).shape
+            c_o, c_i, kh, kw = elastic.effective_weight(lay, lay.k_max).shape
             assert not elastic.runs_staged(lay, lay.k_max)
             assert cost.layer_cost(lay, lay.k_max, spatial=(5, 7)).flops \
                 == 2 * 5 * 7 * c_o * c_i * kh * kw

@@ -67,30 +67,31 @@ class TestTruncate:
         layer = elastic.from_dense(w)
         f = layer.factors
         expected = (f.u * f.core) @ f.v.T
-        assert np.array_equal(elastic.truncate(layer, layer.k_max), expected)
+        assert np.array_equal(elastic.effective_weight(layer, layer.k_max),
+                              expected)
 
     def test_diagonal_rank_one(self):
         layer = elastic.from_dense(np.diag([5.0, 3.0, 1.0]))
-        got = elastic.truncate(layer, 1)
+        got = elastic.effective_weight(layer, 1)
         assert np.array_equal(got, np.diag([5.0, 0.0, 0.0]))
 
     def test_spectral_error_matches_next_singular(self):
         w = _rng(11).standard_normal((9, 6))
         layer = elastic.from_dense(w)
-        full = elastic.truncate(layer, layer.k_max)
-        err = np.linalg.norm(full - elastic.truncate(layer, 2), 2)
+        full = elastic.effective_weight(layer, layer.k_max)
+        err = np.linalg.norm(full - elastic.effective_weight(layer, 2), 2)
         assert err == pytest.approx(layer.factors.core[2], rel=1e-7)
 
     def test_out_of_range_rejected(self):
         layer = elastic.from_dense(_rng(12).standard_normal((5, 5)))
         for bad in (0, -1, 6):
             with pytest.raises(ValueError, match="outside"):
-                elastic.truncate(layer, bad)
+                elastic.effective_weight(layer, bad)
 
     def test_conv_full_rank_bit_exact(self):
         kernel = _rng(13).standard_normal((4, 3, 3, 3))
         layer = elastic.from_conv(kernel)
-        got = elastic.truncate(layer, layer.k_max)
+        got = elastic.effective_weight(layer, layer.k_max)
         # two matmuls rebuild the kernel in another summation order than
         # the einsum oracle: measured 4.4e-16 apart at most
         want = tucker2_recompose(layer.factors)
@@ -118,7 +119,8 @@ class TestTruncate:
         assert layer.factors.core.shape == (4, 4, 1, 1)
         assert layer.k_max == 4
         assert elastic.conv_rank_schedule(layer, 4) == (4, 4)
-        assert np.allclose(elastic.truncate(layer, 4), kernel, atol=1e-12)
+        assert np.allclose(elastic.effective_weight(layer, 4), kernel,
+                           atol=1e-12)
 
     def test_conv_schedule_hand_values(self):
         kernel = _rng(14).standard_normal((6, 4, 3, 3))
@@ -154,9 +156,9 @@ class TestResidualNorm:
             for shape in ((8, 7), (12, 12), (5, 16)):
                 layer = elastic.from_dense(
                     _rng(300 + seed).standard_normal(shape))
-                full = elastic.truncate(layer, layer.k_max)
+                full = elastic.effective_weight(layer, layer.k_max)
                 for k in range(1, layer.k_max):
-                    resid = full - elastic.truncate(layer, k)
+                    resid = full - elastic.effective_weight(layer, k)
                     assert elastic.residual_norm(layer, k) \
                         >= np.linalg.norm(resid, 2)
 

@@ -248,7 +248,7 @@ class TestCertifyWork:
                                                         monkeypatch):
         net = _three_layer_net(11)
         stats = certificate.calibrate(net, _rng(12).standard_normal((16, 5)))
-        stored = [elastic.truncate(b.elastic, b.elastic.k_max)
+        stored = [elastic.effective_weight(b.elastic, b.elastic.k_max)
                   for b in net.blocks]
         seen = []
         norm = linalg.spectral_norm
@@ -288,6 +288,26 @@ class TestCertifyWork:
                 == tuple(r[0] for r in rows)
             assert manifest.parse_float(entry["delta_hat"]) \
                 == certificate.ledger_total(rows)
+
+
+class TestCalibrationSection:
+    @pytest.mark.parametrize("conv", [False, True], ids=["dense", "conv"])
+    def test_stats_round_trip(self, conv):
+        rng = _rng(9)
+        if conv:
+            lay = elastic.from_conv(rng.standard_normal((4, 3, 3, 3)))
+            xs = rng.standard_normal((5, 3, 6, 7))
+        else:
+            lay = elastic.from_dense(rng.standard_normal((4, 3)))
+            xs = rng.standard_normal((5, 3))
+        net = network.Network((network.Block(elastic=lay),))
+        stats = certificate.calibrate(net, xs)
+        # the map size is recorded for conv models only
+        assert stats.spatial == ((6, 7) if conv else None)
+        sec = json.loads(manifest.canonical_json(
+            manifest.stats_to_doc(stats)))
+        assert ("spatial" in sec) == conv
+        assert manifest.stats_from_doc(sec) == stats
 
 
 class TestStoredPairs:

@@ -448,9 +448,11 @@ class TestTrainToy:
         cfg = replace(train.TrainConfig(), steps=40)
         state, report = train.train_toy(cfg, 3407)
         x_tr, _, x_ev, y_ev = train.make_dataset(3407)
+        stats = certificate.calibrate(state.net, x_tr[:cfg.calib_size])
+        assert report.stats == stats
         acc, viol, bound, drift = train.evaluate(
             state.net, x_ev, y_ev, cfg.profiles, cfg.profile_names,
-            cfg.weights.epsilon, x_tr[:cfg.calib_size])
+            cfg.weights.epsilon, stats)
         assert report.accuracy == acc
         assert report.violation_rate == viol
         assert report.drift_bound == bound
@@ -470,9 +472,9 @@ class TestEvaluate:
         y = rng.integers(0, 3, size=40)
         calib = rng.standard_normal((16, 6))
         eps = 0.5
-        acc, viol, bound, drift = train.evaluate(
-            net, x, y, (2, 8), ("small", "big"), eps, calib)
         stats = certificate.calibrate(net, calib)
+        acc, viol, bound, drift = train.evaluate(
+            net, x, y, (2, 8), ("small", "big"), eps, stats)
         for name, k in (("small", 2), ("big", 8)):
             entries = train.rank_profile(net, k)
             logits = network.forward(net, x, entries).logits
@@ -499,8 +501,8 @@ class TestEvaluate:
             return forward(net, xs, profile)
 
         monkeypatch.setattr(network, "forward", counted)
-        train.evaluate(net, x, y, (2, 4, 8), ("a", "b", "c"), 0.5,
-                       rng.standard_normal((16, 6)))
+        stats = certificate.calibrate(net, rng.standard_normal((16, 6)))
+        train.evaluate(net, x, y, (2, 4, 8), ("a", "b", "c"), 0.5, stats)
         assert len(profiles) == 4 and profiles.count(None) == 1
 
 
