@@ -21,7 +21,9 @@ The intended order is train (or decompose) -> certify -> plan -> select /
 report / audit; certify requires a loadable model, plan requires a
 certified manifest, and select/report/audit require a planned lattice.
 certify drops a stored lattice, whose drift bounds came from the ledger it
-replaces, so plan runs again after it.
+replaces, so plan runs again after it. select, report and audit verify the
+manifest they read (manifest.verify_manifest) and refuse a lattice beside a
+ledger that is not certified before they trust its bounds.
 
 Exit codes
 ----------
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import json
@@ -70,7 +73,7 @@ from . import cost
 from . import elastic
 from . import manifest
 from . import network
-from . import train
+from . import quant
 
 # exit codes
 EXIT_OK = 0
@@ -209,6 +212,8 @@ _TUPLE_FIELDS = ("hidden", "profiles", "profile_names")
 
 
 def _load_train_config(path):
+    from . import train
+
     if path is None:
         return train.TrainConfig()
     try:
@@ -237,6 +242,9 @@ def _load_train_config(path):
 
 
 def cmd_train(args):
+    # imported here, so only train pays for importing the trainer
+    from . import train
+
     if args.stop_after is not None and args.stop_after < 1:
         raise CliError(f"--stop-after must be at least 1, got "
                        f"{args.stop_after}")
@@ -259,7 +267,7 @@ def cmd_train(args):
     doc = manifest.network_to_doc(state.net, seed=args.seed,
                                   config_digest=digest, source="train")
     for name, k in zip(config.profile_names, config.profiles):
-        pairs = train.rank_profile(state.net, k, config.train_bits)
+        pairs = network.rank_profile(state.net, k, config.train_bits)
         manifest.add_profile(doc, state.net, name, pairs)
     doc["calibration"] = manifest.stats_to_doc(report.stats)
     with _publish(doc, os.path.join(args.out, "model.json")):
@@ -355,7 +363,7 @@ def cmd_certify(args):
     if args.profiles:
         for name, k, bits in _parse_profile_flag(args.profiles):
             profiles[name] = manifest.add_profile(
-                doc, net, name, train.rank_profile(net, k, bits))
+                doc, net, name, network.rank_profile(net, k, bits))
     elif not profiles:
         raise CliError("manifest stores no profiles; pass --profiles")
     ledgers = certificate.ledgers(net, stats, list(profiles.values()),
@@ -522,14 +530,16 @@ def cmd_plan(args):
 
 
 def _stored_lattice(doc):
+    """The planned lattice of a manifest that verifies, beside a
+    certified ledger; anything else is refused."""
     sec = doc.get("lattice")
     if sec is None:
         raise CliError("manifest carries no profile lattice; run plan first")
-    try:
-        return manifest.lattice_from_doc(sec)
-    except (manifest.ManifestError, KeyError, ValueError,
-            TypeError) as exc:
-        raise CliError(f"stored lattice is invalid: {exc}") from exc
+    _check_certified(doc)
+    problems = manifest.verify_manifest(doc)
+    if problems:
+        raise CliError(f"manifest fails verification: {'; '.join(problems)}")
+    return manifest.lattice_from_doc(sec)
 
 
 def _select_epsilon(args, doc):
@@ -621,9 +631,8 @@ def cmd_report(args):
         drift=audit.drift_events, violation_percent=audit.violation_percent)
 
     if args.out:
-        import csv as _csv
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
             writer.writeheader()
             for r in rows:
                 writer.writerow({key: (repr(v) if isinstance(v, float)
@@ -704,7 +713,8 @@ def build_parser():
                    help="drift tolerance recorded in the ledger")
     p.add_argument("--profiles", default=None, metavar="K[:BITS],...",
                    help="uniform-rank profiles to store and certify, each "
-                        "rank K at BITS from 2 to 32 (default: float); "
+                        f"rank K at BITS from {quant.MIN_BITS} to "
+                        f"{cost.UNQUANTIZED_BITS} (default: float); "
                         "only for a manifest that stores none")
     p.add_argument("--calib", default=None, metavar="NPZ",
                    help="optional .npz with array 'x' of model inputs")

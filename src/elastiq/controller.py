@@ -15,21 +15,18 @@ predicted-latency drops and drift-bound rises.
 import math
 from dataclasses import dataclass
 
-from . import certificate, cost
+from . import certificate, cost, quant
 
 OK = "ok"
 CERT_WARNING = "cert_warning"
 INFEASIBLE = "infeasible"
 
-# numeric stand-in for "unquantized" when bit-widths are compared or
-# averaged; matches the float32 accounting used by the cost module
-_UNQUANTIZED_ORD = 32
-
 _TARGETS = ("latency_target", "bytes_target", "energy_target")
 
 
 def _q_ord(q):
-    return _UNQUANTIZED_ORD if q is None else int(q)
+    # "unquantized" compares as the cost module's float accounting
+    return cost.UNQUANTIZED_BITS if q is None else int(q)
 
 
 def _at_or_below(entry, bound):
@@ -98,8 +95,10 @@ class Profile:
                 raise ValueError("ranks must be at least 1")
             if q is not None:
                 q = int(q)
-                if not 2 <= q <= _UNQUANTIZED_ORD:
-                    raise ValueError("bit-widths must lie in [2, 32]")
+                if not quant.MIN_BITS <= q <= cost.UNQUANTIZED_BITS:
+                    raise ValueError(f"bit-widths must lie in "
+                                     f"[{quant.MIN_BITS}, "
+                                     f"{cost.UNQUANTIZED_BITS}]")
             pairs.append((k, q))
         object.__setattr__(self, "pairs", tuple(pairs))
 

@@ -23,6 +23,8 @@ import numpy as np
 from . import elastic, network
 
 ACTIVATION_BITS = 8
+# an unquantized factor's bits, and so the widest stored width: a wider one
+# would cost more bytes than the float factor
 UNQUANTIZED_BITS = 32
 # log-normal sigma of the synthetic device table's measurement noise
 _SYNTH_NOISE_SIGMA = 0.03

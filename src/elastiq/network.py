@@ -231,6 +231,15 @@ def resolve_profile(net, profile):
     return [(int(k), q) for k, q in pairs]
 
 
+def rank_profile(net, k, bits=None):
+    """Per-layer (rank, bits) entries for a global rank clamped to each
+    layer's stored rank."""
+    k = int(k)
+    if k < 1:
+        raise ValueError("rank must be at least 1")
+    return [(min(k, b.elastic.k_max), bits) for b in net.blocks]
+
+
 def _promote_input(net, x):
     x = np.asarray(x, dtype=np.float64)
     first = net.blocks[0]

@@ -27,11 +27,15 @@ __all__ = [
     "round_trip",
 ]
 
+# the narrowest width with a symmetric grid: 2 bits give the codes -1, 0, 1
+MIN_BITS = 2
+
 
 def grid_limit(bits):
     """Largest code magnitude for a symmetric q-bit grid."""
-    if not isinstance(bits, (int, np.integer)) or bits < 2:
-        raise ValueError(f"bits must be an integer >= 2, got {bits!r}")
+    if not isinstance(bits, (int, np.integer)) or bits < MIN_BITS:
+        raise ValueError(f"bits must be an integer >= {MIN_BITS}, "
+                         f"got {bits!r}")
     return 2 ** (int(bits) - 1) - 1
 
 

@@ -167,15 +167,6 @@ def build_network(seed, dim=16, hidden=(32, 32), classes=2):
     return network.Network(tuple(blocks))
 
 
-def rank_profile(net, k, bits=None):
-    """Per-layer (rank, bits) entries for a global rank clamped to each
-    layer's stored rank."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("rank must be at least 1")
-    return [(min(k, b.elastic.k_max), bits) for b in net.blocks]
-
-
 @dataclass(frozen=True)
 class LossTerms:
     """Weighted objective contributions; they sum to total exactly."""
@@ -268,7 +259,7 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("batch must be (inputs, labels) with one label "
                          "per row")
-    entries = rank_profile(net, k, bits)
+    entries = network.rank_profile(net, k, bits)
     full = network.resolve_profile(net, None)
     b_sz = x.shape[0]
 
@@ -528,7 +519,7 @@ def _refresh_coeffs(state, config, calib, decay):
 def evaluate(net, x, y, profiles, names, epsilon, stats):
     """Accuracy, drift-violation rate, and certified bound per profile;
     stats are the net's calibration statistics."""
-    entries = [rank_profile(net, k) for k in profiles]
+    entries = [network.rank_profile(net, k) for k in profiles]
     ledgers = certificate.ledgers(net, stats, entries)
     full = network.forward(net, x, None).logits
     accuracy, violation, bound, mean_drift = {}, {}, {}, {}

@@ -1,20 +1,22 @@
-"""Command-line entry points: import cost, module execution, every
-documented exit code, the certify -> plan -> certify round trip, plans
-from a device CSV, energy and byte budgets, manifests published as one
-file through one temporary file and one rename, only after
-self-verification, one error line for every malformed
-manifest and every drift tolerance that is not finite and >= 0, plan's
-refusal of an uncertified ledger, report's refusal of conv inputs at
-another map size, report's diagnostics line, the ledger passes and
-forwards plan and report make,
-decompose on wide dense and bottleneck conv models, the whole pipeline on
-a conv model and on a sweep of tiny random models, quantized and resumed
-training (and one error line for a damaged checkpoint or calibration
-file), byte-identical reruns across BLAS thread counts, and every
-option exercised by a test or a benchmark stage."""
+"""Command-line entry points: import cost (no trainer outside train),
+module execution, every documented exit code, the certify -> plan ->
+certify round trip, plans from a device CSV and its row count, energy
+and byte budgets, manifests published as one file through one temporary
+file and one rename, only after self-verification, one error line for
+every malformed manifest and every drift tolerance that is not finite
+and >= 0, plan's refusal of an uncertified ledger, select, report and
+audit's refusal of a lattice that fails verification, report's refusal
+of conv inputs at another map size, report's diagnostics line and CSV,
+the ledger passes and forwards plan and report make, decompose on wide
+dense and bottleneck conv models, the whole pipeline on a conv model and
+on a sweep of tiny random models, quantized and resumed training (and
+one error line for a damaged checkpoint or calibration file),
+byte-identical reruns across BLAS thread counts, and every option
+exercised by a test or a benchmark stage."""
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -62,6 +64,14 @@ def _cli_output(*argv):
 def test_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, elastiq; "
                              "print('scipy.special' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_the_trainer_out():
+    # only train imports the trainer
+    proc = _run_python("-c", "import sys, elastiq.cli; "
+                             "print('elastiq.train' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -667,10 +677,13 @@ def test_plan_builds_ledgers_twice_and_report_none(tmp_path, monkeypatch):
     assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
     assert at_verify == [2]
     calls.clear()
+    at_verify.clear()
     monkeypatch.setattr(certificate, "lipschitz_proxy",
                         counted(proxy, "lipschitz_proxy"))
     assert _cli("report", plan) == cli.EXIT_OK
-    assert calls == []
+    # report builds no ledger; verifying the manifest it read recomputes
+    # the sensitivities once
+    assert calls == ["lipschitz_proxy"] and at_verify == [0]
 
 
 def test_report_runs_one_forward_per_level_and_one_full(tmp_path,
@@ -794,6 +807,108 @@ def test_plan_refuses_an_uncertified_ledger(tmp_path):
                        "run certify --mode conservative\n")
     assert not plan.exists()
     assert sampled.read_bytes() == before
+
+
+def _edit_json(*path, edit):
+    """A plan.json edit applying edit to the node at path."""
+    def apply(plan):
+        doc = json.loads(plan.read_text())
+        node = doc
+        for key in path:
+            node = node[key]
+        edit(node)
+        plan.write_text(manifest.canonical_json(doc))
+    return apply
+
+
+def _swap_stored_pairs(profiles):
+    profiles["tiny"]["pairs"], profiles["med"]["pairs"] = \
+        profiles["med"]["pairs"], profiles["tiny"]["pairs"]
+
+
+def _sampled_ledger(plan):
+    """plan's lattice beside a sampled (poweriter) ledger of its levels,
+    carrying that ledger's bounds, as a planner that read sampled ledgers
+    wrote it."""
+    doc = manifest.read_manifest(plan)
+    net = manifest.net_from_doc(doc)
+    stats = manifest.stats_from_doc(doc["calibration"])
+    lattice = manifest.lattice_from_doc(doc["lattice"])
+    named = {prof.name: prof.pairs for prof in lattice.profiles}
+    xs = np.random.default_rng(5).standard_normal((16, 8))
+    ledgers = certificate.ledgers(net, stats, named.values(),
+                                  certificate.SAMPLED, xs)
+    doc["certificate"] = manifest.certificate_section(
+        stats, named, ledgers, certificate.SAMPLED, epsilon=1.0)
+    doc["lattice"] = manifest.lattice_to_doc(dataclasses.replace(
+        lattice, drift_bound=[certificate.ledger_total(r) for r in ledgers]))
+    manifest.write_manifest(doc, plan)
+
+
+_FAILS = "manifest fails verification: lattice profile"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_json("lattice", "drift_bound",
+                edit=lambda bounds: bounds.__setitem__(0, "0.001")),
+     f"{_FAILS} tiny: drift bound disagrees with the certificate ledger"),
+    (_edit_json("lattice", "weight_bytes",
+                edit=lambda sizes: sizes.__setitem__(0, sizes[0] + 8)),
+     f"{_FAILS} tiny: weight_bytes 22 != recomputed 14"),
+    (_edit_json("profiles", edit=_swap_stored_pairs),
+     f"{_FAILS} tiny: pairs disagree with its stored profile; lattice "
+     f"profile med: pairs disagree with its stored profile"),
+    (_edit_json("lattice", "profiles", 0,
+                edit=lambda level: level.update(name="small")),
+     f"{_FAILS} small: not among the stored profiles"),
+    (_sampled_ledger,
+     "the poweriter ledger is not certified; run certify --mode "
+     "conservative"),
+], ids=["drift-bound", "weight-bytes", "swapped-pairs", "renamed-level",
+        "sampled-ledger"])
+def test_readers_refuse_a_lattice_that_fails_verification(tmp_path, edit,
+                                                          message):
+    plan = _planned_small_model(tmp_path)
+    select = ("select", plan, "--latency-ms", "1e9", "--epsilon", "1e9")
+    assert _cli(*select) == cli.EXIT_OK
+    edit(plan)
+    for argv in (select, ("report", plan), ("audit", plan)):
+        code, stdout, err = _cli_output(*argv)
+        assert (code, stdout, err) == (
+            cli.EXIT_ERROR, "", f"error: {message}\n"), argv[0]
+
+
+def test_report_out_writes_the_rows_it_prints(tmp_path):
+    plan, table = _planned_small_model(tmp_path), tmp_path / "report.csv"
+    code, out, err = _cli_output("report", plan, "--out", table)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert f"@@ csv path={table}\n" in out
+    printed = [dict(field.split("=", 1) for field in line.split()[2:])
+               for line in out.splitlines() if line.startswith("@@ row ")]
+    with open(table, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == cli._REPORT_COLUMNS
+        written = list(reader)
+    assert len(written) == len(printed) == 3
+    for row, line in zip(written, printed):
+        assert row == line
+        for key in ("accuracy_percent", "predicted_latency_ms",
+                    "drift_bound", "coverage_percent", "violation_percent"):
+            assert float(row[key]) == float(line[key])
+
+
+def test_device_table_of_another_row_count_exits_1(tmp_path):
+    _planned_small_model(tmp_path)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    table = _device_csv(tmp_path, cert)
+    lines = table.read_text().splitlines(keepends=True)
+    table.write_text("".join(lines[:-1]))
+    code, stdout, err = _cli_output("plan", cert, "--device-csv", table,
+                                    "--out", out)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == ("error: device table rows (29) must match the canonical "
+                   "probe grid (30 profiles)\n")
+    assert not out.exists()
 
 
 def test_stray_value_errors_exit_1_with_a_message(tmp_path):
@@ -990,8 +1105,7 @@ def test_stale_profile_payloads_fail_verification(tmp_path):
     cert, out = tmp_path / "cert.json", tmp_path / "out.json"
     doc = manifest.read_manifest(cert)
     doc["profiles"]["r3b8"]["layers"] = [
-        {"u": manifest.encode_array(np.zeros((6, 3)))},
-        {"u": manifest.encode_array(np.zeros((4, 3)))}]
+        {"u": np.zeros((6, 3))}, {"u": np.zeros((4, 3))}]
     manifest.write_manifest(doc, cert)
     problem = "profile r3b8: stores layers besides its pairs"
     assert manifest.verify_manifest(str(cert)) == [problem]

@@ -1,6 +1,7 @@
-"""Manifest format: byte-identical rewrites, payload checksums, file modes,
-profiles stored as their pairs, and re-verification of every certificate
-ledger quantity."""
+"""Manifest format: byte-identical rewrites, arrays in memory and payloads
+checked once on read, file modes, profiles stored as their pairs, and
+re-verification of every certificate ledger quantity, lattice and model
+section."""
 
 import base64
 import copy
@@ -11,7 +12,8 @@ import stat
 import numpy as np
 import pytest
 
-from elastiq import certificate, elastic, linalg, manifest, network
+from elastiq import certificate, controller, cost, elastic, linalg, manifest
+from elastiq import network
 
 
 def _rng(seed):
@@ -27,7 +29,15 @@ def _raw_doc(side, seed=0):
 
 
 def _payload_bytes(doc):
-    return sum(int(p["bytes"]) for p in manifest._walk_payloads(doc))
+    return sum(a.nbytes for entry in doc["model"]["layers"]
+               for a in entry.values())
+
+
+def _edited(path, edit):
+    """Rewrite the manifest at path with edit applied to its JSON form."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(manifest.canonical_json(doc))
 
 
 def _certified_doc():
@@ -78,6 +88,14 @@ class TestRoundTrip:
         manifest.write_manifest(manifest.read_manifest(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_read_holds_arrays(self, tmp_path):
+        doc = _raw_doc(4)
+        path = tmp_path / "m.json"
+        manifest.write_manifest(doc, path)
+        weight = manifest.read_manifest(path)["model"]["layers"][0]["weight"]
+        assert weight.dtype == np.float64 and weight.flags.writeable
+        assert np.array_equal(weight, doc["model"]["layers"][0]["weight"])
+
     def test_flipped_embedded_byte_raises(self, tmp_path):
         path = tmp_path / "m.json"
         manifest.write_manifest(_raw_doc(4), path)
@@ -89,6 +107,25 @@ class TestRoundTrip:
         path.write_text(manifest.canonical_json(doc))
         with pytest.raises(manifest.ManifestError, match="checksum"):
             manifest.read_manifest(path)
+
+    # one file per refused payload field; test_only_float64_payloads_decode
+    # refuses the dtype
+    @pytest.mark.parametrize("field, value, message", [
+        ("encoding", "hex", "unsupported payload encoding 'hex'"),
+        ("data", "@AAA", "malformed payload (Error: Only base64 data is "
+                         "allowed)"),
+        ("bytes", 136, "payload byte count mismatch"),
+        ("sha256", "0" * 64, "payload checksum mismatch"),
+        ("shape", [4, 5], "payload shape does not match its data"),
+    ])
+    def test_refused_payload_field(self, tmp_path, field, value, message):
+        path = tmp_path / "m.json"
+        manifest.write_manifest(_raw_doc(4), path)
+        _edited(path, lambda doc: doc["model"]["layers"][0]["weight"]
+                .update({field: value}))
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.read_manifest(path)
+        assert str(err.value) == message
 
     def test_sidecar_encoded_payload_refused(self, tmp_path):
         path = tmp_path / "m.json"
@@ -198,6 +235,81 @@ class TestCertificateVerification:
         problems = manifest.verify_manifest(doc, calibration_inputs=xs)
         assert any("certificate r4 layer 0: sensitivity" in p
                    for p in problems), problems
+
+
+def _planned(doc):
+    """doc with a one-level lattice over its profile low, at low's bytes
+    and certified bound."""
+    net = manifest.net_from_doc(doc)
+    pairs = manifest.pairs_from_doc(doc["profiles"]["low"]["pairs"])
+    doc["lattice"] = manifest.lattice_to_doc(controller.ProfileLattice(
+        profiles=(controller.Profile(pairs, name="low"),),
+        predicted_latency=(1.0,),
+        weight_bytes=(sum(cost.bytes_of(b.elastic, k, q)
+                          for b, (k, q) in zip(net.blocks, pairs)),),
+        drift_bound=(manifest.parse_float(
+            doc["certificate"]["profiles"]["low"]["delta_hat"]),)))
+    return doc
+
+
+def _raw_with_weight(value):
+    def edit(_):
+        doc = _raw_doc(3)
+        doc["model"]["layers"][0]["weight"] = value
+        return doc
+    return edit
+
+
+def _set(*path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+        return doc
+    return edit
+
+
+class TestVerifyBranches:
+    """One edit of a planned document per problem verify_manifest
+    reports, each with its exact problem text."""
+
+    @pytest.mark.parametrize("edit, problems", [
+        (lambda doc: doc, []),
+        (_set("lattice", "drift_bound", value=lambda b: b[:0]),
+         ["lattice: fails to reconstruct (malformed lattice (ValueError: "
+          "drift_bound does not match the profiles))"]),
+        (_set("lattice", "profiles", 0, "name", value="high"),
+         ["lattice profile high: not among the stored profiles"]),
+        (_set("profiles", "low", "pairs", 0, value=[1, 8]),
+         ["lattice profile low: pairs disagree with its stored profile"]),
+        (_set("lattice", "weight_bytes", 0, value=lambda b: b + 8),
+         ["lattice profile low: weight_bytes 72 != recomputed 64"]),
+        (_set("lattice", "drift_bound", 0, value="0.001"),
+         ["lattice profile low: drift bound disagrees with the certificate "
+          "ledger"]),
+        (_set("certificate", "certified", value=False),
+         ["lattice: no certified ledger backs its drift bounds",
+          "certificate: only the conservative mode may be marked "
+          "certified"]),
+        (_set("certificate", "mode", value=certificate.SAMPLED),
+         ["certificate: only the conservative mode may be marked "
+          "certified"]),
+        (_set("certificate", "alpha", value=lambda a: a[:1]),
+         ["certificate: alpha length mismatch"]),
+        (_set("fingerprint", value="0" * 64),
+         ["fingerprint: decoded parameters hash differently"]),
+        (_raw_with_weight(np.eye(3)), []),
+        # a payload without its checksum is read as a plain object
+        (_raw_with_weight({"dtype": "f64", "shape": [1], "bytes": 8}),
+         ["raw model: weight is not a tensor payload"]),
+    ], ids=["untouched", "lattice-reconstruct", "lattice-name",
+            "lattice-pairs", "lattice-bytes", "lattice-drift",
+            "lattice-uncertified", "sampled-certified", "alpha-length",
+            "fingerprint", "raw", "raw-non-array"])
+    def test_problem(self, certified, edit, problems):
+        doc = edit(_planned(copy.deepcopy(certified)))
+        assert manifest.verify_manifest(doc) == problems
 
 
 def _three_layer_net(seed):
@@ -341,13 +453,18 @@ class TestStoredProfiles:
             == ((1, 32), (2, 2))
         assert doc["profiles"] == {"p": {"pairs": [[1, 32], [2, 2]]}}
 
-    def test_only_float64_payloads_decode(self):
-        payload = manifest.encode_array(np.arange(3.0))
-        assert payload["dtype"] == "f64"
+    def test_only_float64_payloads_decode(self, tmp_path):
         for dtype in ("f32", "codes"):
+            path = tmp_path / f"{dtype}.json"
+            manifest.write_manifest(_raw_doc(4), path)
+            payload = json.loads(path.read_text())["model"]["layers"][0][
+                "weight"]
+            assert payload["dtype"] == "f64"
+            _edited(path, lambda doc: doc["model"]["layers"][0]["weight"]
+                    .update(dtype=dtype))
             with pytest.raises(manifest.ManifestError,
                                match=f"unknown payload dtype '{dtype}'"):
-                manifest.decode_payload(dict(payload, dtype=dtype))
+                manifest.read_manifest(path)
 
     def test_a_rank_above_the_stored_rank_fails_verification(self,
                                                              certified):

@@ -189,20 +189,20 @@ class TestBuildNetwork:
 class TestRankProfile:
     def test_clamps_to_each_layer(self):
         net = train.build_network(0)
-        assert train.rank_profile(net, 4) == [(4, None), (4, None),
-                                              (2, None)]
-        assert train.rank_profile(net, 32) == [(16, None), (32, None),
-                                               (2, None)]
+        assert network.rank_profile(net, 4) == [(4, None), (4, None),
+                                                (2, None)]
+        assert network.rank_profile(net, 32) == [(16, None), (32, None),
+                                                 (2, None)]
 
     def test_bits_pass_through(self):
         net = train.build_network(0)
-        assert train.rank_profile(net, 4, bits=8) == [(4, 8), (4, 8),
-                                                      (2, 8)]
+        assert network.rank_profile(net, 4, bits=8) == [(4, 8), (4, 8),
+                                                        (2, 8)]
 
     def test_rank_floor(self):
         net = train.build_network(0)
         with pytest.raises(ValueError, match="at least 1"):
-            train.rank_profile(net, 0)
+            network.rank_profile(net, 0)
 
 
 class TestTotalLoss:
@@ -476,7 +476,7 @@ class TestEvaluate:
         acc, viol, bound, drift = train.evaluate(
             net, x, y, (2, 8), ("small", "big"), eps, stats)
         for name, k in (("small", 2), ("big", 8)):
-            entries = train.rank_profile(net, k)
+            entries = network.rank_profile(net, k)
             logits = network.forward(net, x, entries).logits
             d = np.asarray(network.logit_drift(net, x, entries))
             assert acc[name] == pytest.approx(
