@@ -9,9 +9,10 @@ one reverse sweep differentiates it:
   pre-activation. Each layer runs staged through its served factor slices
   when ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise
   through the rebuilt weight: dense layers as ``((x @ v) * core) @ u.T``
-  or one matmul, conv layers on channel-last maps with one GEMM per kernel
-  tap, staged through the Tucker-2 factors (1x1 reduce, spatial conv with
-  the core, 1x1 expand) or through the rebuilt kernel.
+  or one matmul, conv layers on channel-last maps as one im2col GEMM per
+  cache-sized block of output rows, staged through the Tucker-2 factors
+  (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
+  rebuilt kernel.
 * ``backward`` walks a dense stack's forward trace from the logits back
   and returns, per block, the derivative at the signal right after the
   weight multiply. Seeded with the identity it gives the Jacobians of the
@@ -64,42 +65,71 @@ def _act_grad(name, x):
     return np.ones_like(x)
 
 
+# byte budget of one conv block's patch columns: a 512 KiB buffer stays in
+# cache, and whole-batch im2col ran slower
+_CONV_BLOCK_BYTES = 512 * 1024
+
+
+def _copy_rows(x, lo, hi, dst):
+    """Copy rows lo..hi of x's flattened (b*h) row axis into dst, a
+    (hi - lo, w, c) view: at most three slice copies whatever x's
+    strides, so a channel-last view of channel-first maps is never
+    copied whole."""
+    h = x.shape[1]
+    i, y = divmod(lo, h)
+    j, z = divmod(hi - 1, h)
+    if i == j:
+        dst[...] = x[i, y:z + 1]
+        return
+    head, mid = h - y, (j - i - 1) * h
+    dst[:head] = x[i, y:]
+    # splitting dst's row axis into (images, h) is always a view
+    dst[head:head + mid].reshape(j - i - 1, h, *dst.shape[1:])[...] = \
+        x[i + 1:j]
+    dst[head + mid:] = x[j, :z + 1]
+
+
 def _conv_same_value(x, k):
     """Stride-1 zero-padded conv keeping H, W (odd kernel sides) on
     channel-last maps: x is (b, h, w, c), the result (b, h, w, o).
 
-    One GEMM per tap over every pixel of the unpadded input. Tap (dy, dx)
-    lands sy = dy - kh//2 rows and sx = dx - kw//2 columns away, which in
-    each image's flattened (h*w*o) map is one shift; the |sx| product
-    columns that would wrap into the next row are zeroed first. Besides
-    the output, the only temporary is one per-tap product.
+    Blocked im2col. The output rows of the flattened (b*h) axis are taken
+    in blocks of as many whole rows as fit _CONV_BLOCK_BYTES of patch
+    columns; a row larger than that is a block alone. A block's input
+    rows and their kh//2-row halo are copied into a padded block with
+    kw//2 zero columns each side, its (kh, kw, c) patches are gathered
+    from there into one column buffer, the taps whose row falls off the
+    output row's own image are zeroed, and one GEMM with the kernel laid
+    out as (kh*kw*c, o) writes the block's output. Besides the output,
+    the only temporaries are that column buffer and the padded block.
     """
     o, c, kh, kw = k.shape
     b, h, w, _ = x.shape
     ph, pw = kh // 2, kw // 2
-    rows = x.reshape(-1, c)
-    taps = np.ascontiguousarray(k.transpose(2, 3, 1, 0))
-    # the centre tap reaches every output pixel and starts the sum
-    out = rows @ taps[ph, pw]
-    prod = np.empty_like(out)
-    n = h * w * o
-    acc, part = out.reshape(b, n), prod.reshape(b, n)
-    grid = prod.reshape(b, h, w, o)
-    for dy in range(kh):
-        for dx in range(kw):
-            sy, sx = dy - ph, dx - pw
-            if (sy == 0 and sx == 0) or abs(sy) >= h or abs(sx) >= w:
-                continue
-            np.matmul(rows, taps[dy, dx], out=prod)
-            if sx > 0:
-                grid[:, :, :sx] = 0.0
-            elif sx < 0:
-                grid[:, :, sx:] = 0.0
-            d = (sy * w + sx) * o
-            if d > 0:
-                acc[:, :n - d] += part[:, d:]
-            else:
-                acc[:, -d:] += part[:, :n + d]
+    n_rows, depth = b * h, kh * kw * c
+    step = min(n_rows, max(1, _CONV_BLOCK_BYTES // (w * depth * 8)))
+    weight = k.transpose(2, 3, 1, 0).reshape(depth, o)
+    out = np.empty((n_rows * w, o))
+    cols = np.empty((step * w, depth))
+    # the zero side columns are never written; halo rows beyond the
+    # batch keep stale values, but every tap reading them is zeroed
+    pad = np.zeros((step + 2 * ph, w + 2 * pw, c))
+    inner = pad[:, pw:pw + w]
+    s0, s1, s2 = pad.strides
+    windows = np.lib.stride_tricks.as_strided(
+        pad, (step, w, kh, kw, c), (s0, s1, s0, s1, s2), writeable=False)
+    patches = cols.reshape(step, w, kh, kw, c)
+    # (kernel row, output row in its image) of each tap row off the map
+    edges = [(dy, y) for dy in range(kh) for y in range(h)
+             if not 0 <= y + dy - ph < h]
+    for g0 in range(0, n_rows, step):
+        n = min(step, n_rows - g0)
+        lo, hi = max(g0 - ph, 0), min(g0 + n + ph, n_rows)
+        _copy_rows(x, lo, hi, inner[lo - g0 + ph:hi - g0 + ph])
+        patches[:n] = windows[:n]
+        for dy, y in edges:
+            patches[(y - g0) % h:n:h, :, dy] = 0.0
+        np.matmul(cols[:n * w], weight, out=out[g0 * w:(g0 + n) * w])
     return out.reshape(b, h, w, o)
 
 
@@ -269,9 +299,9 @@ def forward(net, x, profile=None):
     its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
     quantized factor is quantized afresh on every call. Dense layers
     compute ((x @ v) * core) @ u.T or x @ W.T; conv layers run
-    channel-last with one GEMM per kernel tap. A dense layer at rank
-    min(m, n), so at profile None after from_dense, always runs the
-    rebuilt weight.
+    channel-last as one im2col GEMM per cache-sized block of output rows
+    (_conv_same_value). A dense layer at rank min(m, n), so at profile
+    None after from_dense, always runs the rebuilt weight.
     """
     entries = resolve_profile(net, profile)
     a, single = _promote_input(net, x)

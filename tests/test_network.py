@@ -223,13 +223,82 @@ def _quantized_slices(lay, k, q):
 
 class TestConvExecution:
     def test_conv2d_value_matches_naive_loops(self):
-        # the channel-last per-tap GEMM conv that serves conv layers
+        # the channel-last blocked im2col GEMM conv that serves conv layers
         rng = _rng(3)
         x = rng.standard_normal((2, 3, 5, 4))
         k = rng.standard_normal((4, 3, 3, 3))
         got = network._conv_same_value(x.transpose(0, 2, 3, 1), k)
         assert np.allclose(got.transpose(0, 3, 1, 2),
                            naive_conv2d_same(x, k), atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape, k_shape, block_rows", [
+        # 25 rows in blocks of 3: eight blocks, most across an image
+        # boundary, and a 1-row remainder
+        ((5, 3, 5, 4), (4, 3, 3, 3), 3),
+        # a 9-row map in blocks of 2: runs of rows inside one image, each
+        # with a 2-row halo of the 5x5 kernel
+        ((1, 2, 9, 6), (3, 2, 5, 5), 2),
+        # a budget below one row: every row is a block alone
+        ((2, 3, 4, 3), (2, 3, 3, 3), 0),
+        # maps smaller than the kernel
+        ((3, 2, 1, 1), (4, 2, 3, 3), None),
+        ((3, 2, 1, 4), (4, 2, 3, 3), None),
+        ((3, 2, 2, 1), (4, 2, 3, 3), None),
+        ((2, 2, 1, 4), (3, 2, 5, 5), None),
+        ((2, 2, 2, 1), (3, 2, 5, 5), 1),
+        # 1x1 and 5x5 kernels, also across blocks
+        ((4, 5, 3, 4), (6, 5, 1, 1), None),
+        ((4, 5, 3, 4), (6, 5, 1, 1), 5),
+        ((3, 2, 6, 7), (3, 2, 5, 5), None),
+        ((3, 2, 6, 7), (3, 2, 5, 5), 4),
+        ((2, 2, 6, 7), (3, 2, 5, 3), 4),
+    ])
+    def test_blocked_conv_matches_naive_loops(self, x_shape, k_shape,
+                                              block_rows, monkeypatch):
+        rng = _rng(sum(x_shape) + sum(k_shape))
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        if block_rows is not None:
+            _, c, kh, kw = k_shape
+            # the budget holds block_rows output rows of patch columns
+            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES",
+                                block_rows * x_shape[3] * kh * kw * c * 8)
+        want = naive_conv2d_same(x, k)
+        # a channel-last view of channel-first maps, as the first conv
+        # layer reads it, and contiguous channel-last maps, as later
+        # layers do
+        for xs in (x.transpose(0, 2, 3, 1),
+                   np.ascontiguousarray(x.transpose(0, 2, 3, 1))):
+            got = network._conv_same_value(xs, k).transpose(0, 3, 1, 2)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape", [(256, 16, 8, 8), (16, 64, 64)])
+    def test_forward_memory_is_bounded_by_one_block(self, x_shape):
+        # no whole-batch im2col: a forward peaks at its output plus one
+        # column buffer and one padded block
+        rng = _rng(7)
+        c = 16
+        lay = elastic.from_conv(rng.standard_normal((c, c, 3, 3)),
+                                bias=0.1 * rng.standard_normal(c))
+        assert not elastic.runs_staged(lay, lay.k_max)
+        net = network.Network((network.Block(
+            elastic=lay, activation=network.RELU),))
+        x = rng.standard_normal(x_shape)
+        network.forward(net, x)
+        tracemalloc.start()
+        try:
+            logits = network.forward(net, x).logits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block budget stays cache-sized, far below the 18.9 MB and
+        # 4.7 MB whole-batch column buffers of these two inputs
+        budget = network._CONV_BLOCK_BYTES
+        assert budget <= 512 * 1024
+        w = x_shape[-1]
+        rows = budget // (w * 9 * c * 8)
+        padded_block = (rows + 2) * (w + 2) * c * 8
+        assert peak <= logits.nbytes + budget + padded_block + 64 * 1024
 
     @given(arch=st.sampled_from(["3x3", "1x1", "bottleneck", "residual"]),
            seed=st.integers(0, 2 ** 16), side=st.tuples(
