@@ -2,7 +2,9 @@
 
 Commands
 --------
-train       train the synthetic-task model and export a manifest
+train       train the synthetic-task model and export a manifest; --config
+            sets any of steps, lr, weights, log_every, train_bits,
+            divergence_factor and divergence_patience
 decompose   factorize a raw-weight manifest into servable elastic factors;
             each layer then serves any rank from 1 to its stored rank
 certify     attach calibration statistics and a drift-certificate ledger
@@ -208,9 +210,6 @@ def _publish(doc, path, calibration_inputs=None):
 # train
 
 
-_TUPLE_FIELDS = ("hidden", "profiles", "profile_names")
-
-
 def _load_train_config(path):
     from . import train
 
@@ -233,9 +232,6 @@ def _load_train_config(path):
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
     try:
-        for name in _TUPLE_FIELDS:
-            if name in data:
-                data[name] = tuple(data[name])
         return train.TrainConfig(**data)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config: {exc}") from exc
@@ -254,7 +250,7 @@ def cmd_train(args):
     if args.resume is not None:
         try:
             state = train.load_checkpoint(args.resume, digest, args.seed)
-        except _NPZ_ERRORS as exc:
+        except (*_NPZ_ERRORS, manifest.ManifestError) as exc:
             raise CliError(f"cannot resume: {exc}") from exc
     state, report = train.train_toy(config, args.seed, state=state,
                                     stop_after=args.stop_after)
@@ -266,7 +262,7 @@ def cmd_train(args):
 
     doc = manifest.network_to_doc(state.net, seed=args.seed,
                                   config_digest=digest, source="train")
-    for name, k in zip(config.profile_names, config.profiles):
+    for name, k in zip(train.PROFILE_NAMES, train.PROFILES):
         pairs = network.rank_profile(state.net, k, config.train_bits)
         manifest.add_profile(doc, state.net, name, pairs)
     doc["calibration"] = manifest.stats_to_doc(report.stats)
@@ -274,7 +270,7 @@ def cmd_train(args):
         say("train", seed=args.seed, steps=state.step,
             final_loss=report.final_loss, config_hash=digest,
             checkpoint=ckpt, metrics=metrics_csv)
-        for name in config.profile_names:
+        for name in train.PROFILE_NAMES:
             say("eval", profile=name, accuracy=report.accuracy[name],
                 violation_rate=report.violation_rate[name],
                 drift_bound=report.drift_bound[name],
@@ -688,7 +684,10 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the synthetic task and export")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None, help="JSON training config")
+    p.add_argument("--config", default=None,
+                   help="JSON object of training settings, any of steps, "
+                        "lr, weights, log_every, train_bits, "
+                        "divergence_factor, divergence_patience")
     p.add_argument("--stop-after", type=int, default=None,
                    help="pause after this many steps (checkpoint resumes)")
     p.add_argument("--resume", default=None, metavar="CKPT",

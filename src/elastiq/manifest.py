@@ -11,9 +11,10 @@ which elastic slices and quantizes on demand.
 In memory a document holds each tensor as a numpy array; only the file
 holds its payload: the little-endian float64 bytes base64-embedded with
 their dtype, shape, byte count and sha256, so a manifest is always
-exactly one file. ``write_manifest`` encodes every array and
-``read_manifest`` decodes and checks every payload, each exactly once,
-at the file boundary.
+exactly one file. ``_dumps`` (under ``write_manifest``) encodes every
+array and ``_loads`` (under ``read_manifest``) decodes and checks every
+payload, each exactly once, at the file boundary; a training checkpoint
+stores its network as the same bytes.
 
 Rules that keep writes reproducible:
 
@@ -520,16 +521,21 @@ def sidecar_path(path):
     return str(path) + ".bin"
 
 
-def write_manifest(doc, path):
-    """Write a manifest as one file and return the bytes written.
+def _dumps(doc):
+    """A manifest's bytes: every array becomes its payload,
+    base64-embedded under ``"encoding": "b64"``."""
+    return canonical_json(_serializable(doc)).encode("ascii")
 
-    Every array is written as its payload, base64-embedded under
-    ``"encoding": "b64"``. The document never mentions its own filename,
-    so rewriting a read manifest reproduces the original bytes exactly.
-    The write itself is plain; the CLI publishes through
-    ``_atomic_write``.
+
+def write_manifest(doc, path):
+    """Write a manifest (``_dumps``) as one file and return the bytes
+    written.
+
+    The document never mentions its own filename, so rewriting a read
+    manifest reproduces the original bytes exactly. The write itself is
+    plain; the CLI publishes through ``_atomic_write``.
     """
-    data = canonical_json(_serializable(doc)).encode("ascii")
+    data = _dumps(doc)
     with open(path, "wb") as fh:
         fh.write(data)
     return data
@@ -561,13 +567,12 @@ def _array(node):
         return flat.reshape(shape).astype(np.float64)
 
 
-def read_manifest(path):
-    """Load a manifest with every payload decoded, and checked once, into
-    its array."""
+def _loads(data):
+    """Inverse of _dumps: the document of a manifest's bytes, with every
+    payload decoded, and checked once, into its array."""
     try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("ascii"), object_hook=_array)
-    except (OSError, ValueError) as exc:
+        doc = json.loads(data.decode("ascii"), object_hook=_array)
+    except ValueError as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ManifestError("not a model manifest")
@@ -575,6 +580,16 @@ def read_manifest(path):
         raise ManifestError(f"unsupported manifest version "
                             f"{doc.get('version')!r}")
     return doc
+
+
+def read_manifest(path):
+    """Load a manifest file (``_loads``)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest: {exc}") from exc
+    return _loads(data)
 
 
 # ---------------------------------------------------------------------------

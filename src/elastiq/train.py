@@ -15,20 +15,38 @@ linearly. Parameters take SGD-with-momentum steps. Certificate
 coefficients are refreshed periodically and smoothed with an EMA; factors
 are re-orthogonalized on a fixed cadence.
 
-Checkpoints serialize every parameter, momentum buffer, the RNG state,
-the digest of the run's config and its seed, so a run resumed under that
-config and seed reproduces the original loss trajectory bit for bit.
+Checkpoints store the network as its manifest, every momentum buffer,
+the RNG state, the digest of the run's config and its seed, so a run
+resumed under that config and seed reproduces the original loss
+trajectory bit for bit.
 """
 
 from dataclasses import dataclass, field, replace
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import certificate, elastic, linalg, manifest, network
+from . import certificate, cost, elastic, manifest, network, quant
+
+# what every run shares: the task, the network, the optimizer, the
+# deployment profiles and the refresh cadence; TrainConfig holds the rest
+DIM = 16
+HIDDEN = (32, 32)
+CLASSES = 2
+N_TRAIN = 2000
+N_EVAL = 500
+BATCH_SIZE = 64
+MOMENTUM = 0.9
+PROFILES = (4, 16, 32)
+PROFILE_NAMES = ("tiny", "med", "max")
+AUG_SIGMA = 0.05
+EMA_DECAY = 0.9
+REFRESH_EVERY = 10
+REORTHO_EVERY = 50
+CLIP_NORM = 2.0
+CALIB_SIZE = 64
 
 
 def _is_number(v, integer=False):
@@ -125,7 +143,7 @@ def lambda_warmup(base, t, warmup_steps):
     return float(base) * min(1.0, float(t) / float(warmup_steps))
 
 
-def make_dataset(seed, n_train=2000, n_eval=500, dim=16):
+def make_dataset(seed, n_train=N_TRAIN, n_eval=N_EVAL, dim=DIM):
     """Two interleaved Gaussian-mixture classes embedded in dim axes.
 
     Class centers form an XOR layout in a 2-D plane; the remaining axes
@@ -152,7 +170,7 @@ def make_dataset(seed, n_train=2000, n_eval=500, dim=16):
             x[n_train:], y[n_train:].astype(np.int64))
 
 
-def build_network(seed, dim=16, hidden=(32, 32), classes=2):
+def build_network(seed, dim=DIM, hidden=HIDDEN, classes=CLASSES):
     """Elastic dense stack with ReLU bodies and a linear output layer."""
     rng = np.random.default_rng(seed)
     dims = (int(dim),) + tuple(int(h) for h in hidden) + (int(classes),)
@@ -184,8 +202,12 @@ class LossTerms:
                 "drift_cap": self.drift_cap}
 
 
-def _fresh_coeffs(net, stats, mode, calib):
-    rows = certificate.ledgers(net, stats, [None], mode, calib)[0]
+def _fresh_coeffs(net, calib):
+    """One certificate coefficient (sensitivity x alpha) per layer, from
+    the sampled proxy at the calibration rows."""
+    stats = certificate.calibrate(net, calib)
+    rows = certificate.ledgers(net, stats, [None], certificate.SAMPLED,
+                               calib)[0]
     return np.array([sens * alpha for sens, _, alpha in rows])
 
 
@@ -238,14 +260,13 @@ def _layer_grads(net, trace, entries, dlogits):
     return out
 
 
-def total_loss(net, batch, k, weights, *, coeffs, noise=None,
-               aug_sigma=0.05, bits=None):
+def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
     """Four-term objective at sampled rank k, with parameter gradients.
 
     coeffs holds one certificate coefficient (sensitivity x alpha) per
     layer; the drift cap scales each layer's tail by it. noise is the
     standard-normal block, one row per input, that augmentation
-    consistency scales by aug_sigma and adds to the batch.
+    consistency scales by AUG_SIGMA and adds to the batch.
 
     Each view (full and compressed, on the batch and on its augmented
     copy) runs through network.forward; the objective's gradient at its
@@ -285,7 +306,7 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
         if noise is None or np.shape(noise) != x.shape:
             raise ValueError("augmentation consistency needs a noise "
                              "array shaped like the inputs")
-        x_aug = x + aug_sigma * noise
+        x_aug = x + AUG_SIGMA * noise
         tr_fa = network.forward(net, x_aug, full)
         tr_ca = network.forward(net, x_aug, entries)
         logp_fa = _log_softmax(tr_fa.logits)
@@ -331,46 +352,25 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None,
     return terms, grads
 
 
-# TrainConfig's integer fields with their smallest values, its real fields
-# with their closed ranges, and the real fields that must be positive
-_INT_FLOORS = (("dim", 3), ("classes", 2), ("n_train", 1), ("n_eval", 1),
-               ("steps", 1), ("batch_size", 1), ("t_anneal", 0),
-               ("refresh_every", 0), ("reortho_every", 0), ("log_every", 1),
-               ("calib_size", 1), ("divergence_patience", 1))
-_REAL_RANGES = (("momentum", 0.0, 1.0), ("aug_sigma", 0.0, math.inf),
-                ("ema_decay", 0.0, 1.0), ("clip_norm", 0.0, math.inf))
+# TrainConfig's integer fields with their smallest values, and its real
+# fields that must be positive
+_INT_FLOORS = (("steps", 1), ("log_every", 1), ("divergence_patience", 1))
 _POSITIVE = ("lr", "divergence_factor")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that defines a run except the seed. A checkpoint
-    records the digest of the config and the seed that wrote it, and
-    resumes only under both. Every numeric field is checked for type and
-    range here, so a bad config fails before training starts."""
+    """What a run may change besides its seed; the module constants fix
+    the rest. A checkpoint records the digest of the config and the seed
+    that wrote it, and resumes only under both. Every numeric field is
+    checked for type and range here, so a bad config fails before
+    training starts."""
 
-    dim: int = 16
-    hidden: tuple = (32, 32)
-    classes: int = 2
-    n_train: int = 2000
-    n_eval: int = 500
     steps: int = 400
-    batch_size: int = 64
     lr: float = 0.02
-    momentum: float = 0.9
     weights: LossWeights = field(default_factory=LossWeights)
-    profiles: tuple = (4, 16, 32)
-    profile_names: tuple = ("tiny", "med", "max")
-    t_anneal: int = 0
-    aug_sigma: float = 0.05
-    ema_decay: float = 0.9
-    refresh_every: int = 10
-    reortho_every: int = 50
     log_every: int = 10
-    clip_norm: float = 2.0
     train_bits: int | None = None
-    calib_size: int = 64
-    calibrated_proxy: bool = True
     divergence_factor: float = 10.0
     divergence_patience: int = 100
 
@@ -380,35 +380,22 @@ class TrainConfig:
             if not (_is_number(v, integer=True) and v >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, "
                                  f"got {v!r}")
-        for name, low, high in _REAL_RANGES:
-            v = getattr(self, name)
-            if not (_is_number(v) and low <= v <= high):
-                raise ValueError(f"{name} must be a number in [{low}, "
-                                 f"{high}], got {v!r}")
         for name in _POSITIVE:
             v = getattr(self, name)
             if not (_is_number(v) and v > 0.0):
                 raise ValueError(f"{name} must be a positive number, "
                                  f"got {v!r}")
-        for name in ("hidden", "profiles"):
-            if not all(_is_number(v, integer=True) and v >= 1
-                       for v in getattr(self, name)):
-                raise ValueError(f"{name} must hold integers >= 1")
-        if not all(isinstance(n, str) for n in self.profile_names):
-            raise ValueError("profile_names must hold strings")
-        if len(self.profiles) != len(self.profile_names):
-            raise ValueError("profiles and profile_names must pair up")
         if self.train_bits is not None and not (
                 _is_number(self.train_bits, integer=True)
-                and self.train_bits >= 2):
-            raise ValueError("train_bits must be null or an integer >= 2")
-        if not isinstance(self.calibrated_proxy, bool):
-            raise ValueError("calibrated_proxy must be true or false")
+                and quant.MIN_BITS <= self.train_bits
+                <= cost.UNQUANTIZED_BITS):
+            raise ValueError(f"train_bits must be null or an integer in "
+                             f"[{quant.MIN_BITS}, {cost.UNQUANTIZED_BITS}]"
+                             f", got {self.train_bits!r}")
 
     @property
     def anneal_steps(self):
-        return self.t_anneal if self.t_anneal > 0 else \
-            max(1, self.steps // 3)
+        return max(1, self.steps // 3)
 
     @property
     def warmup_steps(self):
@@ -451,14 +438,9 @@ def _global_k_max(net):
     return max(b.elastic.k_max for b in net.blocks)
 
 
-def _init_state(config, seed):
-    net = build_network(seed, config.dim, config.hidden, config.classes)
-    x_tr, _, _, _ = make_dataset(seed, config.n_train, config.n_eval,
-                                 config.dim)
-    calib = x_tr[:config.calib_size]
-    stats = certificate.calibrate(net, calib)
-    coeffs = _fresh_coeffs(net, stats, _proxy_mode(config), calib)
-    return TrainState(step=0, net=net, cert_coeffs=coeffs,
+def _init_state(seed, calib):
+    net = build_network(seed)
+    return TrainState(step=0, net=net, cert_coeffs=_fresh_coeffs(net, calib),
                       rng=np.random.default_rng(seed), opt={}, metrics=[])
 
 
@@ -472,18 +454,16 @@ def _sgd_update(opt, key, arr, grad, lr, momentum):
     arr -= lr * buf
 
 
-def _clip_grads(grads, clip_norm):
+def _clip_grads(grads):
     """Global-norm gradient clipping across every array in the step."""
-    if not clip_norm > 0.0:
-        return grads
     sq = 0.0
     for layer in grads:
         for g in layer.values():
             sq += float(np.sum(g * g))
     norm = np.sqrt(sq)
-    if norm <= clip_norm:
+    if norm <= CLIP_NORM:
         return grads
-    scale = clip_norm / norm
+    scale = CLIP_NORM / norm
     return [{name: g * scale for name, g in layer.items()}
             for layer in grads]
 
@@ -505,14 +485,8 @@ def _reorthogonalize(net):
     return network.Network(tuple(blocks))
 
 
-def _proxy_mode(config):
-    return certificate.SAMPLED if config.calibrated_proxy \
-        else certificate.CONSERVATIVE
-
-
-def _refresh_coeffs(state, config, calib, decay):
-    stats = certificate.calibrate(state.net, calib)
-    fresh = _fresh_coeffs(state.net, stats, _proxy_mode(config), calib)
+def _refresh_coeffs(state, calib, decay):
+    fresh = _fresh_coeffs(state.net, calib)
     state.cert_coeffs = decay * state.cert_coeffs + (1 - decay) * fresh
 
 
@@ -544,14 +518,13 @@ def train_toy(config, seed, state=None, stop_after=None):
     constant derives from config.steps). stop_after pauses the loop
     after that step count so a checkpoint can be taken mid-run.
     """
-    x_tr, y_tr, x_ev, y_ev = make_dataset(seed, config.n_train,
-                                          config.n_eval, config.dim)
-    calib = x_tr[:config.calib_size]
+    x_tr, y_tr, x_ev, y_ev = make_dataset(seed)
+    calib = x_tr[:CALIB_SIZE]
     if state is None:
-        state = _init_state(config, seed)
+        state = _init_state(seed, calib)
     w = config.weights
     sampler = RankSampler(_global_k_max(state.net),
-                          config.anneal_steps, config.profiles)
+                          config.anneal_steps, PROFILES)
     end = config.steps if stop_after is None \
         else min(config.steps, int(stop_after))
     entry_step = state.step
@@ -559,9 +532,9 @@ def train_toy(config, seed, state=None, stop_after=None):
     while state.step < end:
         t = state.step
         rng = state.rng
-        idx = rng.integers(0, config.n_train, size=config.batch_size)
+        idx = rng.integers(0, N_TRAIN, size=BATCH_SIZE)
         k_t = sample_rank(sampler, t, rng)
-        noise = rng.standard_normal((config.batch_size, config.dim))
+        noise = rng.standard_normal((BATCH_SIZE, DIM))
 
         lam_sd = lambda_warmup(w.self_distill, t, config.warmup_steps)
         lam_aug = lambda_warmup(w.aug_consistency, t,
@@ -572,10 +545,9 @@ def train_toy(config, seed, state=None, stop_after=None):
 
         terms, grads = total_loss(
             state.net, (x_tr[idx], y_tr[idx]), k_t, eff,
-            coeffs=state.cert_coeffs, noise=noise,
-            aug_sigma=config.aug_sigma, bits=config.train_bits)
+            coeffs=state.cert_coeffs, noise=noise, bits=config.train_bits)
 
-        grads = _clip_grads(grads, config.clip_norm)
+        grads = _clip_grads(grads)
 
         if state.initial_loss is None:
             state.initial_loss = terms.total
@@ -595,19 +567,17 @@ def train_toy(config, seed, state=None, stop_after=None):
             for name, grad in grads[i].items():
                 _sgd_update(state.opt, f"l{i}:{name}",
                             _layer_param(blk, name), grad, config.lr,
-                            config.momentum)
+                            MOMENTUM)
 
         state.step += 1
-        if config.reortho_every and \
-                state.step % config.reortho_every == 0:
+        if state.step % REORTHO_EVERY == 0:
             state.net = _reorthogonalize(state.net)
             for i in range(len(state.net.blocks)):
                 for name in ("u", "core", "v"):
                     state.opt.pop(f"l{i}:{name}", None)
-            _refresh_coeffs(state, config, calib, 0.0)
-        elif config.refresh_every and \
-                state.step % config.refresh_every == 0:
-            _refresh_coeffs(state, config, calib, config.ema_decay)
+            _refresh_coeffs(state, calib, 0.0)
+        elif state.step % REFRESH_EVERY == 0:
+            _refresh_coeffs(state, calib, EMA_DECAY)
 
         if t % config.log_every == 0 or state.step == config.steps:
             gamma = gamma_schedule(sampler, t)
@@ -629,8 +599,7 @@ def train_toy(config, seed, state=None, stop_after=None):
 
     stats = certificate.calibrate(state.net, calib)
     accuracy, violation, bound, mean_drift = evaluate(
-        state.net, x_ev, y_ev, config.profiles, config.profile_names,
-        w.epsilon, stats)
+        state.net, x_ev, y_ev, PROFILES, PROFILE_NAMES, w.epsilon, stats)
     last = state.metrics[-1] if state.metrics else {}
     report = TrainReport(
         final_loss=float(last.get("total", float("nan"))),
@@ -650,20 +619,11 @@ def write_metrics_csv(metrics, path):
 
 def save_checkpoint(state, path, config_digest, seed):
     """Serialize the full run state, with the digest of the config and the
-    seed that produced it, to one .npz archive."""
-    arrays = {"cert_coeffs": state.cert_coeffs}
-    layers_meta = []
-    for i, blk in enumerate(state.net.blocks):
-        lay = blk.elastic
-        if lay.kind != elastic.DENSE_SVD:
-            raise ValueError("checkpoints cover dense SVD stacks only")
-        for name, arr in network._factor_arrays(lay):
-            arrays[f"l{i}_{name}"] = arr
-        if lay.bias is not None:
-            arrays[f"l{i}_bias"] = lay.bias
-        layers_meta.append({
-            "has_bias": lay.bias is not None,
-            "activation": blk.activation})
+    seed that produced it, to one .npz archive; the network is stored as
+    its manifest's bytes."""
+    arrays = {"cert_coeffs": state.cert_coeffs,
+              "model": np.frombuffer(manifest._dumps(
+                  manifest.network_to_doc(state.net)), dtype=np.uint8)}
     for j, buf in enumerate(state.opt.values()):
         arrays[f"opt{j}"] = buf
     meta = {
@@ -674,7 +634,6 @@ def save_checkpoint(state, path, config_digest, seed):
         "initial_loss": state.initial_loss,
         "diverge_streak": state.diverge_streak,
         "metrics": state.metrics,
-        "layers": layers_meta,
         "opt_keys": list(state.opt),
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
@@ -689,7 +648,9 @@ def load_checkpoint(path, config_digest, seed):
     Only the config and seed that wrote a checkpoint replay its
     trajectory, so a checkpoint whose stored digest differs from
     config_digest, or that stores none (an older trainer wrote it), or
-    whose stored seed differs from seed, is refused with a ValueError.
+    whose stored seed differs from seed, is refused with a ValueError. A
+    stored network that fails the manifest's payload or fingerprint
+    checks raises ManifestError.
     """
     with np.load(path) as zf:
         data = {key: zf[key] for key in zf.files}
@@ -706,16 +667,7 @@ def load_checkpoint(path, config_digest, seed):
     if meta.get("seed") != seed:
         raise ValueError(f"checkpoint was written at seed "
                          f"{meta.get('seed')}, not this run's seed {seed}")
-    blocks = []
-    for i, lm in enumerate(meta["layers"]):
-        lay = elastic.ElasticLayer(
-            elastic.DENSE_SVD,
-            linalg.Factors(*(data[f"l{i}_{name}"]
-                             for name in manifest._FACTOR_NAMES)),
-            data[f"l{i}_bias"] if lm["has_bias"] else None)
-        blocks.append(network.Block(elastic=lay,
-                                    activation=lm["activation"]))
-    net = network.Network(tuple(blocks))
+    net = manifest.net_from_doc(manifest._loads(bytes(data["model"])))
     opt = {key: data[f"opt{j}"] for j, key in enumerate(meta["opt_keys"])}
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng"]

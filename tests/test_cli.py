@@ -11,8 +11,8 @@ the ledger passes and forwards plan and report make, decompose on wide
 dense and bottleneck conv models, the whole pipeline on a conv model and
 on a sweep of tiny random models, quantized and resumed training (and
 one error line for a damaged checkpoint or calibration file),
-byte-identical reruns across BLAS thread counts, and every option
-exercised by a test or a benchmark stage."""
+byte-identical reruns across BLAS thread counts, and every option and
+every training config field exercised by a test or a benchmark stage."""
 
 import argparse
 import contextlib
@@ -401,18 +401,19 @@ def test_bad_train_configs_exit_1_with_a_message(tmp_path):
                            "unknown config keys: curriculum_frac"),
                           ({"weights": {"budget": 0.3}},
                            "bad loss weights"),
-                          ({"hidden": 5},
-                           "bad config: 'int' object is not iterable"),
+                          ({"hidden": 5}, "unknown config keys: hidden"),
                           ({"log_every": 0},
                            "bad config: log_every must be an integer >= 1"),
                           ({"lr": "x"},
                            "bad config: lr must be a positive number"),
                           ({"momentum": None},
-                           "bad config: momentum must be a number in"),
+                           "unknown config keys: momentum"),
                           ({"ema_decay": "a"},
-                           "bad config: ema_decay must be a number in"),
-                          ({"classes": 1},
-                           "bad config: classes must be an integer >= 2"),
+                           "unknown config keys: ema_decay"),
+                          ({"classes": 1}, "unknown config keys: classes"),
+                          ({"train_bits": 40},
+                           "bad config: train_bits must be null or an "
+                           "integer in [2, 32], got 40"),
                           ({"weights": {"drift_cap": 1e308}, "steps": 2},
                            "non-finite loss terms")):
         config = tmp_path / "config.json"
@@ -507,8 +508,9 @@ def test_resume_refuses_a_checkpoint_of_another_seed(tmp_path):
 
 
 def _corrupt_checkpoint(path, how):
-    """Rewrite a checkpoint in place: cut short, emptied, or with a meta
-    record of the wrong shape."""
+    """Rewrite a checkpoint in place: cut short, emptied, with a meta
+    record of the wrong shape, or with one base64 character of the stored
+    model's first payload changed."""
     data = path.read_bytes()
     if how == "truncated":
         path.write_bytes(data[:min(20000, len(data) // 2)])
@@ -518,14 +520,20 @@ def _corrupt_checkpoint(path, how):
         return
     with np.load(path) as zf:
         arrays = {key: zf[key] for key in zf.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta = [meta] if how == "meta-list" else dict(meta, layers=5)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    if how == "meta-list":
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays["meta"] = np.frombuffer(json.dumps([meta]).encode(),
+                                       np.uint8)
+    else:
+        model = bytearray(arrays["model"].tobytes())
+        at = model.index(b'"data": "') + len(b'"data": "')
+        model[at] = ord("B") if model[at] == ord("A") else ord("A")
+        arrays["model"] = np.frombuffer(bytes(model), np.uint8)
     np.savez(path, **arrays)
 
 
 @pytest.mark.parametrize("how", ["truncated", "empty", "meta-list",
-                                 "meta-layers"])
+                                 "model-byte"])
 def test_resume_from_a_damaged_checkpoint_exits_1(tmp_path, how):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"steps": 20}))
@@ -535,6 +543,8 @@ def test_resume_from_a_damaged_checkpoint_exits_1(tmp_path, how):
     _corrupt_checkpoint(ckpt, how)
     err = _refused_resume(tmp_path, config, ckpt)
     assert err.startswith("error: cannot resume: ")
+    if how == "model-byte":
+        assert err == "error: cannot resume: payload checksum mismatch\n"
 
 
 @pytest.mark.parametrize("name", ["cut.npz", "empty.npz", "array.npy"])
@@ -1184,6 +1194,21 @@ def test_every_option_is_exercised():
         root / "perfbench" / "workloads.py"])
     missing = sorted(opt for opt in _defined_options()
                      if f'"{opt}"' not in text and f"'{opt}'" not in text)
+    assert missing == []
+
+
+def test_every_config_field_is_exercised():
+    # a training setting no test and no benchmark stage sets is a
+    # setting nothing checks
+    from elastiq import train
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = "\n".join(p.read_text() for p in [
+        *sorted((root / "tests").glob("*.py")),
+        root / "perfbench" / "workloads.py"])
+    missing = sorted(f.name for f in dataclasses.fields(train.TrainConfig)
+                     if not any(form in text for form in (
+                         f'"{f.name}"', f"'{f.name}'", f"{f.name}=")))
     assert missing == []
 
 

@@ -366,8 +366,7 @@ class TestSchedules:
     def test_logged_rows_match_closed_forms(self):
         cfg = replace(train.TrainConfig(), steps=60, log_every=5)
         state, _ = train.train_toy(cfg, 3407)
-        sampler = train.RankSampler(32, cfg.anneal_steps,
-                                    cfg.profiles)
+        sampler = train.RankSampler(32, cfg.anneal_steps, train.PROFILES)
         w = cfg.weights
         for row in state.metrics:
             t = row["step"]
@@ -388,7 +387,7 @@ class TestSchedules:
         state, _ = train.train_toy(cfg, 3407)
         late = [row["k"] for row in state.metrics
                 if row["step"] >= cfg.anneal_steps]
-        assert late and set(late) <= set(cfg.profiles)
+        assert late and set(late) <= set(train.PROFILES)
 
 
 class TestTrainToy:
@@ -448,10 +447,10 @@ class TestTrainToy:
         cfg = replace(train.TrainConfig(), steps=40)
         state, report = train.train_toy(cfg, 3407)
         x_tr, _, x_ev, y_ev = train.make_dataset(3407)
-        stats = certificate.calibrate(state.net, x_tr[:cfg.calib_size])
+        stats = certificate.calibrate(state.net, x_tr[:train.CALIB_SIZE])
         assert report.stats == stats
         acc, viol, bound, drift = train.evaluate(
-            state.net, x_ev, y_ev, cfg.profiles, cfg.profile_names,
+            state.net, x_ev, y_ev, train.PROFILES, train.PROFILE_NAMES,
             cfg.weights.epsilon, stats)
         assert report.accuracy == acc
         assert report.violation_rate == viol
@@ -462,6 +461,17 @@ class TestTrainToy:
         cfg = replace(train.TrainConfig(), steps=80)
         state, _ = train.train_toy(cfg, 3407, stop_after=20)
         assert state.step == 20
+
+    def test_a_fresh_run_draws_the_dataset_once(self, monkeypatch):
+        calls, draw = [], train.make_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(train, "make_dataset", counted)
+        train.train_toy(replace(train.TrainConfig(), steps=2), 3407)
+        assert calls == [(3407,)]
 
 
 class TestEvaluate:
@@ -514,6 +524,9 @@ class TestCheckpoint:
         train.save_checkpoint(s1, path, "cfg", 11)
         s2 = train.load_checkpoint(path, "cfg", 11)
         assert s2.step == s1.step
+        # the fingerprint covers activations, residuals and norms too
+        assert certificate.network_fingerprint(s2.net) == \
+            certificate.network_fingerprint(s1.net)
         for b1, b2 in zip(s1.net.blocks, s2.net.blocks):
             assert np.array_equal(b1.elastic.factors.u,
                                   b2.elastic.factors.u)
