@@ -1,8 +1,8 @@
 """elastiq: train-once elastic low-rank + mixed-precision compression.
 
 Factorize once at full rank, then serve any rank/bit-width operating point
-at test time. Ships layerwise logit-drift certificates, a fitted latency
-cost model, and a budget-token controller that picks per-layer profiles.
+at test time. Ships layerwise logit-drift certificates, per-layer device
+price tables, and a budget-token controller that picks per-layer profiles.
 """
 
 __version__ = "0.1.0"

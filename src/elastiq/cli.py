@@ -8,7 +8,8 @@ train       train the synthetic-task model and export a manifest; --config
 decompose   factorize a raw-weight manifest into servable elastic factors;
             each layer then serves any rank from 1 to its stored rank
 certify     attach calibration statistics and a drift-certificate ledger
-plan        fit a device cost model and attach a budget-ordered lattice:
+plan        price each layer's menu entries on a device (a seeded synthetic
+            table, or --device-csv) and attach a budget-ordered lattice:
             one level per budget, all on one axis (--latency-ms, --bytes
             or --energy-mj; three latency budgets by default), each the
             assignment of least certificate mass that fits its budget
@@ -89,7 +90,6 @@ SENTINEL = "@@"
 _DECOMPOSE_RECON_LIMIT = 1e-7
 _MENU_FRACS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _MENU_BITS = (4, 8, None)
-_GRID_FRACS = tuple((j + 1) / 10 for j in range(10))
 _AUTO_BUDGET_FRACS = (0.25, 0.5, 1.0)
 _AUTO_BUDGET_SLACK = 1.05
 
@@ -399,17 +399,6 @@ def _canonical_menus(net):
     return menus
 
 
-def _canonical_grid(net):
-    """Deterministic profile grid used to pair device measurements with
-    cost rows: global rank fractions crossed with bit widths."""
-    grid = []
-    for frac in _GRID_FRACS:
-        for bits in _MENU_BITS:
-            grid.append([(max(1, round(frac * b.elastic.k_max)), bits)
-                         for b in net.blocks])
-    return grid
-
-
 _BUDGET_FLAGS = (("--latency-ms", "latency_ms", "latency_target", float),
                  ("--bytes", "bytes", "bytes_target", int),
                  ("--energy-mj", "energy_mj", "energy_target", float))
@@ -457,46 +446,30 @@ def cmd_plan(args):
 
     menus = _canonical_menus(net)
     benefit = controller.certificate_mass(net, stats, menus)
-    grid = _canonical_grid(net)
-    grid_rows = [cost.profile_costs(net, pairs, spatial) for pairs in grid]
-    device = args.device
     if args.device_csv is not None:
         table = cost.read_device_table(args.device_csv,
-                                       device=device or "imported")
-        if len(table.entries) != len(grid):
-            raise CliError(
-                f"device table rows ({len(table.entries)}) must match the "
-                f"canonical probe grid ({len(grid)} profiles)")
+                                       device=args.device or "imported")
     else:
-        table, _ = cost.synth_device_table(grid_rows,
-                                           device=device or "synth0",
-                                           seed=args.seed)
-    cost_model = cost.fit_cost_model(table, grid_rows)
-    has_energy = all(e[2] is not None for e in table.entries)
-    energy_model = cost.fit_cost_model(table, grid_rows, target="energy") \
-        if has_energy else None
-    say("costmodel", device=cost_model.device,
-        r_squared=cost_model.r_squared,
-        mape_percent=cost_model.mape_percent, energy=has_energy)
+        table = cost.synth_device_table(net, menus, spatial,
+                                        device=args.device or "synth0",
+                                        seed=args.seed)
 
+    source = "flags"
     if axis is None:
         full = [(blk.elastic.k_max, None) for blk in net.blocks]
-        base = cost.predict(cost_model,
-                            cost.profile_costs(net, full, spatial))
+        base = cost.profile_price(table, full)
         axis = "latency_target", sorted({f * base * _AUTO_BUDGET_SLACK
                                          for f in _AUTO_BUDGET_FRACS})
-        say("budgets", source="auto", count=len(axis[1]))
-    else:
-        say("budgets", source="flags", count=len(axis[1]))
+        source = "auto"
     field, values = axis
-    if field == "energy_target" and energy_model is None:
+    if field == "energy_target" and not table.has_energy:
         raise CliError("energy budgets need a device table with an "
                        "energy column")
-    budgets = [controller.BudgetToken(device=cost_model.device,
-                                      **{field: v}) for v in values]
-    lattice, ledgers = controller.build_lattice(
-        net, menus, budgets, benefit, stats, cost_model,
-        energy_model=energy_model, spatial=spatial)
+    budgets = [controller.BudgetToken(device=table.device, **{field: v})
+               for v in values]
+    lattice, ledgers = controller.build_lattice(net, menus, budgets,
+                                                benefit, stats, table)
+    say("budgets", source=source, count=len(budgets))
     # a level meets its own budget exactly when its allocation was feasible
     say("plan", budgets=len(budgets),
         smallest_budget_feasible=lattice.meets(0, budgets[0]))
@@ -723,13 +696,13 @@ def build_parser():
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("plan",
-                       help="fit a cost model and build the profile lattice")
+                       help="price menu entries and build the lattice")
     p.add_argument("model", help="certified model manifest")
     p.add_argument("--out", default=None,
                    help="output path (default: rewrite in place)")
     p.add_argument("--device-csv", default=None,
-                   help="measured device table (profile_id,latency_ms,"
-                        "energy_mj) over the canonical probe grid")
+                   help="per-layer device table (layer,rank,bits,latency_"
+                        "ms,energy_mj); default: synthesized from --seed")
     p.add_argument("--device", default=None,
                    help="device id (default synth0 / imported)")
     p.add_argument("--latency-ms", default=None,
@@ -782,11 +755,8 @@ def main(argv=None):
             parser.print_help()
             return EXIT_ERROR
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (manifest.ManifestError, RuntimeError, OSError, ValueError,
-            FloatingPointError) as exc:
+    except (CliError, manifest.ManifestError, RuntimeError, OSError,
+            ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

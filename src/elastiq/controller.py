@@ -3,13 +3,13 @@
 A budget token names a deployment target (latency, size, energy, device).
 This module turns such tokens into deployable per-layer (rank, bits)
 profiles: an exact allocator minimizes certificate mass over per-layer
-menus under one predicted-cost target; a lattice plans one level per
-budget, each on a single budget axis, from the loosest to the tightest,
-nesting every level under the looser one, so looser budgets never shrink
-any layer and every feasible level meets its own budget; a runtime
-selector gates the lattice by predicted latency and certified drift,
-under any mix of targets; and an audit counts the lattice's
-predicted-latency drops and drift-bound rises.
+menus under one cost target, in device-table prices or weight bytes; a
+lattice plans one level per budget, each on a single budget axis, from
+the loosest to the tightest, nesting every level under the looser one,
+so looser budgets never shrink any layer and every feasible level meets
+its own budget; a runtime selector gates the lattice by predicted
+latency and certified drift, under any mix of targets; and an audit
+counts the lattice's predicted-latency drops and drift-bound rises.
 """
 
 import math
@@ -135,22 +135,21 @@ def certificate_mass(net, stats, menus):
             for blk, (sens, _, alpha), menu in zip(net.blocks, rows, menus)]
 
 
-def allocate(net, menus, budget, benefit, cost_model=None, energy_model=None,
-             spatial=None, name="", upper=None):
+def allocate(net, menus, budget, benefit, table=None, name="", upper=None):
     """Least certificate mass under a one-target budget token, exactly.
 
     benefit[ell][i] is the certificate mass of layer ell at menu entry i,
-    as built by certificate_mass; each menu entry is priced once with
-    cost.layer_cost. The token sets exactly one target: predicted latency
-    (needs cost_model), predicted energy (needs energy_model) or weight
-    bytes. upper, when given, holds one (k, q) per layer and admits only
-    entries at or below it in rank and in width (bits None counts as 32).
+    as built by certificate_mass. The token sets exactly one target:
+    latency or energy, priced by the cost.DeviceTable table, or weight
+    bytes (cost.bytes_of). upper, when given, holds one (k, q) per layer
+    and admits only entries at or below it in rank and in width (bits None
+    counts as 32).
 
     The sweep extends partial assignments layer by layer, accumulating
-    cost in cost.predict's order, so a final cost is exactly the predicted
-    value. After each layer it keeps, in order of cost, only assignments
-    within the budget whose mass is below every cheaper one's. Cost terms
-    are non-negative and float addition is monotone, so no dropped
+    cost in cost.profile_price's order, so a final cost is exactly the
+    profile's price. After each layer it keeps, in order of cost, only
+    assignments within the budget whose mass is below every cheaper one's.
+    Prices are positive and float addition is monotone, so no dropped
     assignment completes to a better one. Mass ties go to the cheaper
     assignment.
 
@@ -166,43 +165,34 @@ def allocate(net, menus, budget, benefit, cost_model=None, energy_model=None,
     if len(targets) != 1:
         raise ValueError("allocation needs a budget token with exactly one "
                          "target")
-    if budget.latency_target is not None and cost_model is None:
-        raise ValueError("latency target needs a fitted cost model")
-    if budget.energy_target is not None and energy_model is None:
-        raise ValueError("energy target needs a fitted energy model")
-    for model in (cost_model, energy_model):
-        if model is not None and model.device != budget.device:
-            raise ValueError("budget device does not match the model")
+    column = {"latency_target": cost.LATENCY,
+              "energy_target": cost.ENERGY}.get(targets[0])
+    if table is not None and table.device != budget.device:
+        raise ValueError("budget device does not match the device table")
+    if column is not None and table is None:
+        raise ValueError("latency and energy targets need a device table")
+    if column == cost.ENERGY and not table.has_energy:
+        raise ValueError("energy target needs a device table with energy "
+                         "prices")
     if upper is not None and len(upper) != n:
         raise ValueError("upper bound does not match the layer count")
 
     cap = getattr(budget, targets[0])
-    model = {"latency_target": cost_model,
-             "energy_target": energy_model}.get(targets[0])
-    if model is not None and len(model.comp) != n:
-        raise ValueError("profile layer count does not match the model")
     steps, allowed = [], []
     for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
-        row = [cost.layer_cost(blk.elastic, k, q, spatial) for k, q in menu]
-        steps.append([(c.weight_bytes,) if model is None else
-                      (model.comp[ell] * c.flops,
-                       model.mem[ell] * (c.weight_bytes + c.activation_bytes))
-                      for c in row])
+        steps.append([cost.bytes_of(blk.elastic, k, q) if column is None
+                      else table.price(ell, (k, q), column)
+                      for k, q in menu])
         allowed.append([i for i, entry in enumerate(menu)
                         if upper is None or _at_or_below(entry, upper[ell])])
         if not allowed[ell]:
             raise ValueError(f"layer {ell}: no menu entry at or below the "
                              f"upper bound")
 
-    states = [(0 if model is None else model.intercept, 0.0, ())]
+    states = [(0 if column is None else table.overhead[column], 0.0, ())]
     for ell in range(n):
-        grown = []
-        for total, mass, picks in states:
-            for i in allowed[ell]:
-                c = total
-                for term in steps[ell][i]:
-                    c += term
-                grown.append((c, mass + benefit[ell][i], picks + (i,)))
+        grown = [(total + steps[ell][i], mass + benefit[ell][i], picks + (i,))
+                 for total, mass, picks in states for i in allowed[ell]]
         grown.sort()
         states = []
         for state in grown:
@@ -268,21 +258,20 @@ class ProfileLattice:
         return True
 
 
-def build_lattice(net, menus, budgets, benefit, stats, cost_model,
-                  energy_model=None, spatial=None):
+def build_lattice(net, menus, budgets, benefit, stats, table):
     """Exact nested profiles at each budget level, ordered and priced.
 
     Checks that the budgets are ordered tightest first, then allocates
     from the loosest budget to the tightest, passing each level's pairs to
     the next as its upper bound: the chain grows componentwise by
     construction, and every feasible level meets its own budget. Attaches
-    predicted latency, weight bytes, optional energy and the conservative
+    each level's price on the cost.DeviceTable table (latency, and energy
+    when the table prices it), its weight bytes and the conservative
     aggregate drift bound, all levels' ledgers built in one
-    certificate.ledgers pass. Conv layers are priced at spatial, the
-    (H, W) the stats were calibrated at. Three budgets are named
-    tiny/med/max, any other count s1, s2, .... Returns (lattice,
-    ledgers), the ledgers in level order, so a caller can store the rows
-    the bounds were summed from without building them again.
+    certificate.ledgers pass. Three budgets are named tiny/med/max, any
+    other count s1, s2, .... Returns (lattice, ledgers), the ledgers in
+    level order, so a caller can store the rows the bounds were summed
+    from without building them again.
     """
     budgets = list(budgets)
     if not 1 <= len(budgets) <= 8:
@@ -294,26 +283,23 @@ def build_lattice(net, menus, budgets, benefit, stats, cost_model,
         else tuple(f"s{j + 1}" for j in range(len(budgets)))
     profiles, upper = [], None
     for budget, label in zip(budgets[::-1], names[::-1]):
-        prof, _ = allocate(net, menus, budget, benefit, cost_model,
-                           energy_model, spatial, label, upper)
+        prof, _ = allocate(net, menus, budget, benefit, table, label, upper)
         profiles.insert(0, prof)
         upper = prof.pairs
-    lat, wbytes, energy = [], [], []
-    for prof in profiles:
-        rows = cost.profile_costs(net, prof, spatial)
-        lat.append(cost.predict(cost_model, rows))
-        wbytes.append(int(sum(r.weight_bytes for r in rows)))
-        if energy_model is not None:
-            energy.append(cost.predict(energy_model, rows))
+    energy = tuple(cost.profile_price(table, p.pairs, cost.ENERGY)
+                   for p in profiles) if table.has_energy else None
     ledgers = certificate.ledgers(net, stats, profiles)
-    drift = [float(certificate.ledger_total(rows)) for rows in ledgers]
     return ProfileLattice(
         profiles=profiles,
-        predicted_latency=tuple(lat),
-        weight_bytes=tuple(wbytes),
-        drift_bound=tuple(drift),
-        energy=tuple(energy) if energy_model is not None else None,
-        device=cost_model.device), ledgers
+        predicted_latency=tuple(cost.profile_price(table, p.pairs)
+                                for p in profiles),
+        weight_bytes=tuple(sum(cost.bytes_of(b.elastic, k, q)
+                               for b, (k, q) in zip(net.blocks, p.pairs))
+                           for p in profiles),
+        drift_bound=tuple(float(certificate.ledger_total(rows))
+                          for rows in ledgers),
+        energy=energy,
+        device=table.device), ledgers
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
-"""Compute and memory accounting plus a fitted latency/energy proxy.
+"""Compute and memory accounting, and per-layer device prices.
 
 Multiply-add counts and byte footprints of the path network.forward
 executes at each operating point, both read from elastic: FLOPs from
 elastic.served_flops (the cheaper of the staged factors and the rebuilt
 weight, the one elastic.runs_staged picks) and bytes from the factor
-slices of elastic._rank_slices at the profile's bit width. A
-nonnegative-least-squares latency model is fitted over (FLOPs, bytes)
-features. No hardware is touched: device tables are synthesized from a
-planted linear model with multiplicative log-normal noise, clearly
-labeled as such, so the fit/predict loop stays testable on a desk.
+slices of elastic._rank_slices at the profile's bit width.
+
+A DeviceTable prices each layer's menu entries on one device, plus one
+per-forward overhead, and a profile costs their sum (profile_price). No
+hardware is touched: synth_device_table prices entries from a planted
+linear model over their FLOPs and bytes, so planning runs on a desk.
 
 Bytes are rounded up per tensor. Unquantized factors are counted at 32
 bits.
@@ -26,8 +27,10 @@ ACTIVATION_BITS = 8
 # an unquantized factor's bits, and so the widest stored width: a wider one
 # would cost more bytes than the float factor
 UNQUANTIZED_BITS = 32
-# log-normal sigma of the synthetic device table's measurement noise
-_SYNTH_NOISE_SIGMA = 0.03
+# a device table's price columns
+LATENCY, ENERGY = 0, 1
+_CSV_HEADER = ["layer", "rank", "bits", "latency_ms", "energy_mj"]
+_OVERHEAD = "overhead"
 
 
 @dataclass(frozen=True)
@@ -85,198 +88,147 @@ def profile_costs(net, profile, spatial=None):
 
 @dataclass(frozen=True)
 class DeviceTable:
-    """Per-profile latency (and optional energy) measurements."""
+    """Per-layer prices on one device.
+
+    overhead is the (latency_ms, energy_mj) of one forward pass apart from
+    its layers; layers[ell] maps a menu entry (k, q), q None for float
+    factors, to layer ell's (latency_ms, energy_mj) at that entry. Energy
+    is None in every price or in none.
+    """
 
     device: str
-    entries: tuple
+    overhead: tuple
+    layers: tuple
 
     def __post_init__(self):
-        for pid, lat, energy in self.entries:
-            if not lat > 0.0:
-                raise ValueError(f"latency for {pid} must be positive")
-            if energy is not None and not energy > 0.0:
-                raise ValueError(f"energy for {pid} must be positive")
+        priced = [("the overhead", self.overhead)] + [
+            (f"layer {ell} at {entry}", price)
+            for ell, prices in enumerate(self.layers)
+            for entry, price in prices.items()]
+        for where, price in priced:
+            for name, value in zip(("latency", "energy"), price):
+                if value is not None and not (math.isfinite(value)
+                                              and value > 0.0):
+                    raise ValueError(f"{name} of {where} must be positive "
+                                     f"and finite")
+            if (price[ENERGY] is None) != (self.overhead[ENERGY] is None):
+                raise ValueError("energy must be priced everywhere or "
+                                 "nowhere")
+
+    @property
+    def has_energy(self):
+        return self.overhead[ENERGY] is not None
+
+    def price(self, ell, entry, column=LATENCY):
+        """Layer ell's price of menu entry (k, q) in one column."""
+        k, q = entry
+        try:
+            return self.layers[ell][(k, q)][column]
+        except (IndexError, KeyError):
+            width = "float" if q is None else f"{q} bits"
+            raise ValueError(f"device table has no price for layer {ell} at "
+                             f"rank {k}, {width}") from None
 
 
-def synth_device_table(cost_rows, device="synthetic-device", seed=0):
-    """Draw a synthetic latency and energy table from a planted linear model.
+def profile_price(table, pairs, column=LATENCY):
+    """A profile's price on the table's device: the overhead, then each
+    layer's entry, added in layer order. controller.allocate accumulates
+    in the same order, so the two agree bit for bit."""
+    pairs = list(pairs)
+    if column == ENERGY and not table.has_energy:
+        raise ValueError("device table prices no energy")
+    if len(pairs) != len(table.layers):
+        raise ValueError(f"device table prices {len(table.layers)} layers, "
+                         f"the profile has {len(pairs)}")
+    total = table.overhead[column]
+    for ell, entry in enumerate(pairs):
+        total += table.price(ell, entry, column)
+    return total
 
-    Per-layer compute and memory coefficients are log-uniform, a global
-    kernel-launch intercept is added, and every profile's clean value is
-    scaled by exp(_SYNTH_NOISE_SIGMA * z). Returns (table, planted) where
-    planted holds the latency model's true coefficients for
-    plant-and-recover checks.
+
+def synth_device_table(net, menus, spatial=None, device="synth0", seed=0):
+    """Price each layer's menu entries from a planted linear model.
+
+    The coefficients are drawn from default_rng(seed) in this order: a
+    log-uniform kernel-launch intercept, which is the overhead, then
+    per-layer compute and memory coefficients, then the same three for
+    energy. An entry's latency is comp * flops + mem * (weight_bytes +
+    activation_bytes) of its layer_cost at spatial, energy likewise, so
+    prices never fall along a layer's componentwise menu order.
     """
-    rows = [list(r) for r in cost_rows]
-    if not rows:
-        raise ValueError("need at least one profile")
-    n_layers = len(rows[0])
-    if any(len(r) != n_layers for r in rows):
-        raise ValueError("ragged cost rows")
-    # coefficient ranges sized so desk-scale feature counts contribute on
-    # the order of the intercept: the grid's latency variation must carry
-    # signal, not just noise
+    n = len(net.blocks)
+    # ranges sized so desk-scale FLOP and byte counts cost on the order of
+    # the overhead
     rng = np.random.default_rng(seed)
     intercept = 10.0 ** rng.uniform(-2.0, -1.0)
-    comp = 10.0 ** rng.uniform(-4.0, -3.0, n_layers)
-    mem = 10.0 ** rng.uniform(-4.0, -3.0, n_layers)
+    comp = 10.0 ** rng.uniform(-4.0, -3.0, n)
+    mem = 10.0 ** rng.uniform(-4.0, -3.0, n)
     e_intercept = 10.0 ** rng.uniform(-1.0, 0.0)
-    e_comp = 10.0 ** rng.uniform(-4.0, -3.0, n_layers)
-    e_mem = 10.0 ** rng.uniform(-4.0, -3.0, n_layers)
-    entries = []
-    for i, row in enumerate(rows):
-        lat = intercept
-        en = e_intercept
-        for j, c in enumerate(row):
+    e_comp = 10.0 ** rng.uniform(-4.0, -3.0, n)
+    e_mem = 10.0 ** rng.uniform(-4.0, -3.0, n)
+    layers = []
+    for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
+        prices = {}
+        for k, q in menu:
+            c = layer_cost(blk.elastic, k, q, spatial)
             b = c.weight_bytes + c.activation_bytes
-            lat += comp[j] * c.flops + mem[j] * b
-            en += e_comp[j] * c.flops + e_mem[j] * b
-        lat *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
-        en *= math.exp(_SYNTH_NOISE_SIGMA * rng.standard_normal())
-        entries.append((f"p{i:04d}", float(lat), float(en)))
-    table = DeviceTable(device=device, entries=tuple(entries))
-    planted = {"intercept": float(intercept),
-               "comp": tuple(float(v) for v in comp),
-               "mem": tuple(float(v) for v in mem)}
-    return table, planted
-
-
-def nnls(a, b):
-    """Nonnegative least squares, active-set style.
-
-    Minimizes ||a x - b||_2 subject to x >= 0 in at most 3n + 10 outer
-    steps. Returns (x, residual_norm). Deterministic: ties in the gradient
-    pick the lowest index.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    tol = 10.0 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
-    for _ in range(3 * n + 10):
-        w = a.T @ (b - a @ x)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            break
-        passive[j] = True
-        while True:
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if np.all(z[passive] > tol):
-                x = z
-                break
-            bad = passive & (z <= tol)
-            # largest feasible step toward z that keeps x nonnegative
-            alpha = np.min(x[bad] / (x[bad] - z[bad]))
-            x = x + alpha * (z - x)
-            passive &= x > tol
-            x[~passive] = 0.0
-    return x, float(np.linalg.norm(b - a @ x))
-
-
-def _design_matrix(cost_rows):
-    rows = [list(r) for r in cost_rows]
-    n_layers = len(rows[0])
-    feats = []
-    for row in rows:
-        feat = [1.0]
-        for c in row:
-            feat.append(float(c.flops))
-            feat.append(float(c.weight_bytes + c.activation_bytes))
-        feats.append(feat)
-    return np.asarray(feats), n_layers
-
-
-@dataclass(frozen=True)
-class CostModel:
-    device: str
-    intercept: float
-    comp: tuple
-    mem: tuple
-    r_squared: float
-    mape_percent: float
-
-    def __post_init__(self):
-        if self.intercept < 0.0 or min(self.comp + self.mem, default=0) < 0:
-            raise ValueError("coefficients must be non-negative")
-        if len(self.comp) != len(self.mem):
-            raise ValueError("comp and mem lengths differ")
-
-
-def fit_cost_model(table, cost_rows, target="latency"):
-    """Fit the linear latency (or energy) proxy on a profile grid.
-
-    Needs at least as many profiles as coefficients (1 + 2 per layer) and
-    every feature column to vary. Goodness of fit is reported on the grid
-    itself as R^2 and mean absolute percentage error.
-    """
-    rows = [list(r) for r in cost_rows]
-    if len(rows) != len(table.entries):
-        raise ValueError("cost rows do not match the table entries")
-    if target == "latency":
-        y = np.array([e[1] for e in table.entries])
-    elif target == "energy":
-        if any(e[2] is None for e in table.entries):
-            raise ValueError("table has no energy measurements")
-        y = np.array([e[2] for e in table.entries])
-    else:
-        raise ValueError("target must be latency or energy")
-    x_mat, n_layers = _design_matrix(rows)
-    if x_mat.shape[0] < x_mat.shape[1]:
-        raise ValueError("underdetermined: need at least as many profiles "
-                         "as coefficients")
-    if np.any(np.all(x_mat[:, 1:] == 0.0, axis=0)):
-        raise ValueError("all-zero feature column")
-    coef, _ = nnls(x_mat, y)
-    pred = x_mat @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    mape = float(100.0 * np.mean(np.abs(pred - y) / y))
-    return CostModel(device=table.device, intercept=float(coef[0]),
-                     comp=tuple(float(c) for c in coef[1::2]),
-                     mem=tuple(float(c) for c in coef[2::2]),
-                     r_squared=r2, mape_percent=mape)
-
-
-def predict(model, cost_row):
-    """Latency estimate of one profile under a fitted model."""
-    row = list(cost_row)
-    if len(row) != len(model.comp):
-        raise ValueError("profile layer count does not match the model")
-    total = model.intercept
-    for j, c in enumerate(row):
-        total += model.comp[j] * c.flops
-        total += model.mem[j] * (c.weight_bytes + c.activation_bytes)
-    return float(total)
+            prices[(k, q)] = (float(comp[ell] * c.flops + mem[ell] * b),
+                              float(e_comp[ell] * c.flops + e_mem[ell] * b))
+        layers.append(prices)
+    return DeviceTable(device, (float(intercept), float(e_intercept)),
+                       tuple(layers))
 
 
 def write_device_table(table, path):
-    """CSV export: header profile_id,latency_ms,energy_mj; energy blank
-    when absent. The device id is not part of the format."""
+    """CSV export: header layer,rank,bits,latency_ms,energy_mj, an overhead
+    row (layer "overhead", rank and bits blank), then each layer's entries.
+    Blank bits are float factors, a blank energy_mj none. The device id is
+    not part of the format."""
+    def cells(price):
+        return [repr(float(v)) if v is not None else "" for v in price]
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["profile_id", "latency_ms", "energy_mj"])
-        for pid, lat, energy in table.entries:
-            writer.writerow([pid, repr(float(lat)),
-                             "" if energy is None else repr(float(energy))])
+        writer.writerow(_CSV_HEADER)
+        writer.writerow([_OVERHEAD, "", "", *cells(table.overhead)])
+        for ell, prices in enumerate(table.layers):
+            for (k, q), price in prices.items():
+                writer.writerow([ell, k, "" if q is None else q,
+                                 *cells(price)])
 
 
 def read_device_table(path, device="imported"):
-    entries = []
+    """Inverse of write_device_table; refuses a bad header, a row of
+    another length or with unparsable numbers, an entry or overhead given
+    twice, no overhead row, and layers not numbered 0, 1, ..."""
+    prices = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["profile_id", "latency_ms"]:
+        if next(reader, []) != _CSV_HEADER:
             raise ValueError("unrecognized device table header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"device table row {row[0]!r} has no "
-                                 f"latency_ms")
-            energy = float(row[2]) if len(row) > 2 and row[2] else None
-            entries.append((row[0], float(row[1]), energy))
-    return DeviceTable(device=device, entries=tuple(entries))
+        for row in filter(None, reader):
+            text = ",".join(row)
+            if len(row) != len(_CSV_HEADER):
+                raise ValueError(f"device table row {text!r} needs "
+                                 f"{len(_CSV_HEADER)} fields")
+            where, k, q, lat, energy = row
+            try:
+                key = where if where == _OVERHEAD else \
+                    (int(where), int(k), int(q) if q else None)
+                price = (float(lat), float(energy) if energy else None)
+            except ValueError as exc:
+                raise ValueError(f"device table row {text!r}: {exc}") \
+                    from None
+            if key in prices:
+                raise ValueError(f"device table row {text!r} prices its "
+                                 f"entry twice")
+            prices[key] = price
+    if _OVERHEAD not in prices:
+        raise ValueError("device table has no overhead row")
+    overhead = prices.pop(_OVERHEAD)
+    n = len({key[0] for key in prices})
+    if any(not 0 <= key[0] < n for key in prices):
+        raise ValueError("device table layers must be numbered 0, 1, ...")
+    return DeviceTable(device, overhead, tuple(
+        {key[1:]: p for key, p in prices.items() if key[0] == ell}
+        for ell in range(n)))

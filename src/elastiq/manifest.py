@@ -677,9 +677,16 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
         problems.append("certificate: alpha differs from the calibration "
                         "section")
     mode = certificate.CONSERVATIVE if conservative else certificate.SAMPLED
+    profiles = doc.get("profiles", {})
     stored = {}
     for name, entry in sorted(sec["profiles"].items()):
         pairs = pairs_from_doc(entry["pairs"])
+        if name not in profiles:
+            problems.append(f"certificate {name}: no stored profile of "
+                            f"that name")
+        elif pairs_from_doc(profiles[name]["pairs"]) != pairs:
+            problems.append(f"certificate {name}: pairs disagree with its "
+                            f"stored profile")
         sens = _parse_list(entry["sensitivity"])
         change = _parse_list(entry["weight_change"])
         if not len(pairs) == len(sens) == len(change) == len(net.blocks):
@@ -718,11 +725,12 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     already read or built, whose tensors are arrays. An empty list means
     every check passed: fingerprint round-trip, stored profiles that hold
     only their pairs, one per layer and none above the layer's stored
-    rank, cost-model byte accounting, lattice consistency with the stored
-    profiles and a certified ledger, and — for conservative certificates
-    — full recomputation of every ledger quantity from the decoded
-    parameters: the sensitivities of certificate.lipschitz_proxy (one
-    call for all profiles), the weight-change norms of
+    rank, byte accounting, lattice consistency with the stored profiles
+    and a certified ledger, certificate entries whose pairs are those of
+    the stored profile of the same name, and — for conservative
+    certificates — full recomputation of every ledger quantity from the
+    decoded parameters: the sensitivities of certificate.lipschitz_proxy
+    (one call for all profiles), the weight-change norms of
     certificate.weight_change, and each delta_hat as
     certificate.ledger_total of the stored rows, the same functions
     certificate.ledgers builds the ledgers from. Power-iteration ledgers
@@ -750,17 +758,19 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     except ManifestError as exc:
         return [f"model: fails to decode ({exc})"]
     problems = []
-    if certificate.network_fingerprint(net) != doc.get("fingerprint"):
+    fingerprint = certificate.network_fingerprint(net)
+    if fingerprint != doc.get("fingerprint"):
         problems.append("fingerprint: decoded parameters hash differently")
     calib = doc.get("calibration")
     if calib is not None:
         try:
-            certificate.check_fresh(net, stats_from_doc(calib))
+            stats = stats_from_doc(calib)
         except ManifestError as exc:
             problems.append(f"calibration: fails to reconstruct ({exc})")
-        except ValueError:
-            problems.append("calibration: fingerprint does not match "
-                            "the stored model")
+        else:
+            if stats.fingerprint != fingerprint:
+                problems.append("calibration: fingerprint does not match "
+                                "the stored model")
     try:
         _verify_profiles(doc, net, problems)
         _verify_lattice(doc, net, problems, tol)

@@ -1,6 +1,7 @@
 """Command-line entry points: import cost (no trainer outside train),
 module execution, every documented exit code, the certify -> plan ->
-certify round trip, plans from a device CSV and its row count, energy
+certify round trip, plans from a per-layer device CSV (dense and conv)
+and its refusal of an unpriced menu entry, energy
 and byte budgets, manifests published as one file through one temporary
 file and one rename, only after self-verification, one error line for
 every malformed manifest and every drift tolerance that is not finite
@@ -136,22 +137,27 @@ def test_select_exit_codes(tmp_path):
 
 def _device_csv(tmp_path, cert, energy=True):
     """The device table plain plan synthesizes for cert (device synth0,
-    seed 0), written as CSV; energy=False blanks its energy column."""
-    net = manifest.net_from_doc(manifest.read_manifest(cert))
-    rows = [cost.profile_costs(net, pairs, None)
-            for pairs in cli._canonical_grid(net)]
-    table, _ = cost.synth_device_table(rows, device="synth0", seed=0)
+    seed 0, conv layers priced at the certified map size), written as
+    CSV; energy=False blanks its energy column."""
+    doc = manifest.read_manifest(cert)
+    net = manifest.net_from_doc(doc)
+    spatial = manifest.stats_from_doc(doc["calibration"]).spatial
+    table = cost.synth_device_table(net, cli._canonical_menus(net), spatial,
+                                    device="synth0", seed=0)
     if not energy:
-        table = cost.DeviceTable(device=table.device, entries=tuple(
-            (pid, lat, None) for pid, lat, _ in table.entries))
+        table = cost.DeviceTable(
+            table.device, (table.overhead[0], None),
+            tuple({entry: (price[0], None) for entry, price in prices.items()}
+                  for prices in table.layers))
     path = tmp_path / ("device.csv" if energy else "device_no_energy.csv")
     cost.write_device_table(table, path)
     return path
 
 
-def test_plan_from_the_synthesized_device_csv_matches_plain_plan(tmp_path):
-    plan = _planned_small_model(tmp_path)
-    cert, imported = tmp_path / "cert.json", tmp_path / "imported.json"
+def _plans_alike_from_the_device_csv(tmp_path, cert):
+    """plan from the CSV of the table plain plan synthesizes writes the
+    same manifest bytes and stdout as plain plan, apart from the path."""
+    plan, imported = tmp_path / "plan.json", tmp_path / "imported.json"
     code, out, err = _cli_output(
         "plan", cert, "--out", imported,
         "--device-csv", _device_csv(tmp_path, cert), "--device", "synth0")
@@ -161,6 +167,11 @@ def test_plan_from_the_synthesized_device_csv_matches_plain_plan(tmp_path):
     assert out.replace(str(imported), "OUT") == \
         out_plain.replace(str(plan), "OUT")
     assert imported.read_bytes() == plan.read_bytes()
+
+
+def test_plan_from_the_synthesized_device_csv_matches_plain_plan(tmp_path):
+    _planned_small_model(tmp_path)
+    _plans_alike_from_the_device_csv(tmp_path, tmp_path / "cert.json")
 
 
 def test_energy_budgets_in_plan_and_select(tmp_path):
@@ -742,6 +753,12 @@ def test_conv_bottleneck_decomposes_and_certifies(tmp_path):
     assert manifest.verify_manifest(str(cert)) == []
 
 
+def test_conv_plan_from_the_synthesized_device_csv_matches_plain_plan(
+        tmp_path):
+    _, cert = _certified_conv_bottleneck(tmp_path)
+    _plans_alike_from_the_device_csv(tmp_path, cert)
+
+
 def test_conv_model_plans_selects_and_audits(tmp_path, monkeypatch):
     calib, cert = _certified_conv_bottleneck(tmp_path)
     plan = tmp_path / "plan.json"
@@ -855,6 +872,16 @@ def _sampled_ledger(plan):
     manifest.write_manifest(doc, plan)
 
 
+def _ledger_of_max_as_tiny(plan):
+    """plan whose certificate entry tiny carries max's pairs and ledger,
+    and whose lattice gives tiny max's bound."""
+    doc = json.loads(plan.read_text())
+    entries = doc["certificate"]["profiles"]
+    entries["tiny"] = entries["max"]
+    doc["lattice"]["drift_bound"][0] = entries["max"]["delta_hat"]
+    plan.write_text(manifest.canonical_json(doc))
+
+
 _FAILS = "manifest fails verification: lattice profile"
 
 
@@ -867,15 +894,20 @@ _FAILS = "manifest fails verification: lattice profile"
      f"{_FAILS} tiny: weight_bytes 22 != recomputed 14"),
     (_edit_json("profiles", edit=_swap_stored_pairs),
      f"{_FAILS} tiny: pairs disagree with its stored profile; lattice "
-     f"profile med: pairs disagree with its stored profile"),
+     f"profile med: pairs disagree with its stored profile; certificate "
+     f"med: pairs disagree with its stored profile; certificate tiny: "
+     f"pairs disagree with its stored profile"),
+    (_ledger_of_max_as_tiny,
+     "manifest fails verification: certificate tiny: pairs disagree with "
+     "its stored profile"),
     (_edit_json("lattice", "profiles", 0,
                 edit=lambda level: level.update(name="small")),
      f"{_FAILS} small: not among the stored profiles"),
     (_sampled_ledger,
      "the poweriter ledger is not certified; run certify --mode "
      "conservative"),
-], ids=["drift-bound", "weight-bytes", "swapped-pairs", "renamed-level",
-        "sampled-ledger"])
+], ids=["drift-bound", "weight-bytes", "swapped-pairs",
+        "ledger-of-another-profile", "renamed-level", "sampled-ledger"])
 def test_readers_refuse_a_lattice_that_fails_verification(tmp_path, edit,
                                                           message):
     plan = _planned_small_model(tmp_path)
@@ -907,17 +939,22 @@ def test_report_out_writes_the_rows_it_prints(tmp_path):
             assert float(row[key]) == float(line[key])
 
 
-def test_device_table_of_another_row_count_exits_1(tmp_path):
+@pytest.mark.parametrize("flags", [(), ("--latency-ms", "1,100")],
+                         ids=["auto", "latency"])
+def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags):
+    # the small model's layer 1 menu holds rank 1 at 4 bits; the full
+    # profile, which prices the automatic budgets, does not
     _planned_small_model(tmp_path)
     cert, out = tmp_path / "cert.json", tmp_path / "out.json"
     table = _device_csv(tmp_path, cert)
     lines = table.read_text().splitlines(keepends=True)
-    table.write_text("".join(lines[:-1]))
+    table.write_text("".join(line for line in lines
+                             if not line.startswith("1,1,4,")))
     code, stdout, err = _cli_output("plan", cert, "--device-csv", table,
-                                    "--out", out)
+                                    "--out", out, *flags)
     assert (code, stdout) == (cli.EXIT_ERROR, "")
-    assert err == ("error: device table rows (29) must match the canonical "
-                   "probe grid (30 profiles)\n")
+    assert err == ("error: device table has no price for layer 1 at rank "
+                   "1, 4 bits\n")
     assert not out.exists()
 
 
@@ -928,7 +965,7 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
     manifest.write_manifest(manifest.raw_model_to_doc([np.eye(3)]), raw)
     empty, short = tmp_path / "empty.csv", tmp_path / "short.csv"
     empty.write_text("")
-    short.write_text("profile_id,latency_ms\np0000\n")
+    short.write_text("layer,rank,bits,latency_ms,energy_mj\n0,1,4,0.5\n")
     out = tmp_path / "out.json"
     cases = (
         (("certify", model, "--profiles", "0", "--calib-size", 16),
@@ -942,7 +979,7 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
         (("plan", plan, "--device-csv", empty, "--out", out),
          "unrecognized device table header"),
         (("plan", plan, "--device-csv", short, "--out", out),
-         "device table row 'p0000' has no latency_ms"),
+         "device table row '0,1,4,0.5' needs 5 fields"),
         (("report", plan, "--probes", 0),
          "probe count must be at least 1, got 0"),
     )
@@ -1100,7 +1137,8 @@ def test_truncated_profile_payloads_fail_verification(tmp_path):
     doc["profiles"]["r2"]["pairs"].pop()
     cert.write_text(manifest.canonical_json(doc))
     assert manifest.verify_manifest(str(cert)) == [
-        "profile r2: 1 pairs for 2 layers"]
+        "profile r2: 1 pairs for 2 layers",
+        "certificate r2: pairs disagree with its stored profile"]
     code, stdout, err = _cli_output("certify", cert, "--out", out,
                                     "--calib-size", 16)
     assert (code, stdout) == (cli.EXIT_ERROR, "")

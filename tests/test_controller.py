@@ -31,10 +31,24 @@ def _token(device="dev", lat=None, size=None, energy=None):
                                   bytes_target=size, energy_target=energy)
 
 
-def _hand_model(comp, mem, intercept=0.01, device="dev"):
-    return cost.CostModel(device=device, intercept=intercept,
-                          comp=tuple(comp), mem=tuple(mem),
-                          r_squared=1.0, mape_percent=0.0)
+def _hand_table(net, menus, lat, energy=None, device="dev"):
+    """A device table pricing every menu entry by hand: lat and energy are
+    (comp, mem, overhead) triples, and layer ell's entry costs comp[ell] *
+    flops + mem[ell] * (weight + activation bytes) of its layer_cost."""
+    def price(model, ell, c):
+        if model is None:
+            return None
+        comp, mem, _ = model
+        return float(comp[ell] * c.flops
+                     + mem[ell] * (c.weight_bytes + c.activation_bytes))
+
+    layers = []
+    for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
+        rows = {(k, q): cost.layer_cost(blk.elastic, k, q) for k, q in menu}
+        layers.append({entry: (price(lat, ell, c), price(energy, ell, c))
+                       for entry, c in rows.items()})
+    return cost.DeviceTable(device, (float(lat[2]), None if energy is None
+                                     else float(energy[2])), tuple(layers))
 
 
 class TestBudgetToken:
@@ -201,10 +215,10 @@ def _menu_bytes(net, entries):
 
 
 def _random_instance(rng, seed, cross=False):
-    """A 2-3 layer dense net with random masses (with ties) and latency
-    and energy models. Each menu holds 1-4 random ascending entries, or
-    with cross=True, 1-2 ranks crossed with 1-2 widths, as plan's menus
-    cross a rank ladder with widths."""
+    """A 2-3 layer dense net with random masses (with ties) and a device
+    table with latency and energy prices. Each menu holds 1-4 random
+    ascending entries, or with cross=True, 1-2 ranks crossed with 1-2
+    widths, as plan's menus cross a rank ladder with widths."""
     n_layers = int(rng.integers(2, 4))
     dims = [int(d) for d in rng.integers(3, 8, size=n_layers + 1)]
     net = _dense_net(seed, dims, acts=[network.IDENTITY] * n_layers)
@@ -223,11 +237,10 @@ def _random_instance(rng, seed, cross=False):
             replace=False))
         menus.append([pool[i] for i in picks])
         benefit.append([float(v) for v in rng.integers(0, 6, len(picks))])
-    models = [_hand_model(rng.uniform(1e-4, 1e-3, n_layers),
-                          rng.uniform(1e-4, 1e-3, n_layers),
-                          intercept=float(rng.uniform(0.0, 0.02)))
-              for _ in range(2)]
-    return net, menus, benefit, models
+    lat, energy = ((rng.uniform(1e-4, 1e-3, n_layers),
+                    rng.uniform(1e-4, 1e-3, n_layers),
+                    rng.uniform(0.0, 0.02)) for _ in range(2))
+    return net, menus, benefit, _hand_table(net, menus, lat, energy)
 
 
 def _mass(menus, benefit, pairs):
@@ -285,16 +298,16 @@ class TestAllocate:
         rng = _rng(51)
         infeasible = 0
         for case in range(40):
-            net, menus, benefit, (lat_model, e_model) = \
-                _random_instance(rng, 500 + case)
+            net, menus, benefit, table = _random_instance(rng, 500 + case)
             kind = ("bytes", "latency", "energy")[case % 3]
-            model = {"latency": lat_model, "energy": e_model}.get(kind)
+            column = {"latency": cost.LATENCY,
+                      "energy": cost.ENERGY}.get(kind)
 
             def cost_of(entries):
-                rows = cost.profile_costs(net, entries)
-                if model is None:
-                    return sum(r.weight_bytes for r in rows)
-                return cost.predict(model, rows)
+                if column is None:
+                    return sum(r.weight_bytes
+                               for r in cost.profile_costs(net, entries))
+                return cost.profile_price(table, entries, column)
 
             costs = [cost_of(entries)
                      for entries in itertools.product(*menus)]
@@ -304,9 +317,8 @@ class TestAllocate:
             budget = _token(**{"bytes": {"size": cap},
                                "latency": {"lat": cap},
                                "energy": {"energy": cap}}[kind])
-            prof, feasible = controller.allocate(
-                net, menus, budget, benefit, cost_model=lat_model,
-                energy_model=e_model)
+            prof, feasible = controller.allocate(net, menus, budget,
+                                                 benefit, table)
             want = exhaustive_allocation(menus, benefit, cost_of, cap)
             if want is None:
                 infeasible += 1
@@ -320,23 +332,41 @@ class TestAllocate:
 
     def test_one_target_per_token(self):
         net = _hand_net()
-        model = _hand_model((1e-3, 1e-3), (1e-4, 1e-4))
+        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
+                                               0.01))
         with pytest.raises(ValueError, match="exactly one target"):
             controller.allocate(net, _HAND_MENUS, _token(lat=1.0, size=100),
-                                _HAND_BENEFIT, cost_model=model)
+                                _HAND_BENEFIT, table)
 
     def test_latency_target_requires_a_model(self):
         net = _hand_net()
-        with pytest.raises(ValueError, match="cost model"):
+        with pytest.raises(ValueError, match="need a device table"):
             controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
                                 _HAND_BENEFIT)
+        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
+                                               0.01))
+        with pytest.raises(ValueError, match="with energy prices"):
+            controller.allocate(net, _HAND_MENUS, _token(energy=1.0),
+                                _HAND_BENEFIT, table)
+        # every menu entry must be priced
+        with pytest.raises(ValueError, match="no price for layer 1 at rank "
+                                             "1, 4 bits"):
+            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
+                                _HAND_BENEFIT, cost.DeviceTable(
+                                    "dev", table.overhead, table.layers[:1]))
+        del table.layers[1][(2, 4)]
+        with pytest.raises(ValueError, match="no price for layer 1 at rank "
+                                             "2, 4 bits"):
+            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
+                                _HAND_BENEFIT, table)
 
     def test_budget_device_must_match_the_model(self):
         net = _hand_net()
-        model = _hand_model((1e-3, 1e-3), (1e-4, 1e-4), device="other")
+        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
+                                               0.01), device="other")
         with pytest.raises(ValueError, match="device"):
             controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
-                                _HAND_BENEFIT, cost_model=model)
+                                _HAND_BENEFIT, table)
 
     def test_benefit_table_shape_checked(self):
         net = _hand_net()
@@ -528,15 +558,16 @@ class TestBuildLattice:
         menus = [[(1, 4), (2, 8), (blk.elastic.k_max, None)]
                  for blk in net.blocks]
         benefit = [[3.0, 1.0, 0.0] for _ in net.blocks]
-        model = _hand_model([1e-4] * len(net.blocks),
-                            [2e-4] * len(net.blocks))
+        n = len(net.blocks)
+        table = _hand_table(net, menus, ([1e-4] * n, [2e-4] * n, 0.01),
+                            energy=([5e-5] * n, [5e-5] * n, 0.002))
         budgets = (_token(lat=0.5), _token(lat=2.0), _token(lat=50.0))
-        return net, stats, menus, benefit, model, budgets
+        return net, stats, menus, benefit, table, budgets
 
     def test_three_step_lattice_is_ordered_and_named(self):
-        net, stats, menus, benefit, model, budgets = self._setup()
+        net, stats, menus, benefit, table, budgets = self._setup()
         lattice, _ = controller.build_lattice(net, menus, budgets,
-                                              benefit, stats, model)
+                                              benefit, stats, table)
         assert len(lattice) == 3
         assert [p.name for p in lattice.profiles] == \
             ["tiny", "med", "max"]
@@ -552,9 +583,9 @@ class TestBuildLattice:
         assert all(x >= y - 1e-12 for x, y in zip(drift, drift[1:]))
 
     def test_drift_matches_the_certificate_route(self):
-        net, stats, menus, benefit, model, budgets = self._setup(71)
+        net, stats, menus, benefit, table, budgets = self._setup(71)
         lattice, ledgers = controller.build_lattice(net, menus, budgets,
-                                                    benefit, stats, model)
+                                                    benefit, stats, table)
         assert len(ledgers) == len(lattice.profiles)
         for j, prof in enumerate(lattice.profiles):
             # the returned rows are the ones the bound was summed from
@@ -570,21 +601,21 @@ class TestBuildLattice:
         # assignment admits a nested one
         rng = _rng(76)
         for case in range(20):
-            net, menus, benefit, (model, _) = _random_instance(
+            net, menus, benefit, table = _random_instance(
                 rng, 700 + case, cross=True)
             stats = certificate.calibrate(
                 net, _rng(case).standard_normal((8, net.blocks[0].elastic
                                                  .in_features)))
 
             def latency(entries):
-                return cost.predict(model, cost.profile_costs(net, entries))
+                return cost.profile_price(table, entries)
 
             costs = [latency(e) for e in itertools.product(*menus)]
             caps = sorted(float(v) for v in rng.uniform(
                 min(costs), max(costs), int(rng.integers(1, 5))))
             lattice, _ = controller.build_lattice(
                 net, menus, [_token(lat=c) for c in caps], benefit, stats,
-                model)
+                table)
             upper = None
             for j in reversed(range(len(caps))):
                 pairs = lattice.profiles[j].pairs
@@ -601,53 +632,58 @@ class TestBuildLattice:
                         (32 if qb is None else qb)
 
     def test_latency_matches_the_cost_route(self):
-        net, stats, menus, benefit, model, budgets = self._setup(72)
+        net, stats, menus, benefit, table, budgets = self._setup(72)
         lattice, _ = controller.build_lattice(net, menus, budgets,
-                                              benefit, stats, model)
+                                              benefit, stats, table)
         for j, prof in enumerate(lattice.profiles):
             rows = cost.profile_costs(net, list(prof.pairs))
-            assert lattice.predicted_latency[j] == pytest.approx(
-                cost.predict(model, rows), rel=1e-12)
+            assert lattice.predicted_latency[j] == \
+                cost.profile_price(table, prof.pairs)
+            assert lattice.energy[j] == \
+                cost.profile_price(table, prof.pairs, cost.ENERGY)
             assert lattice.weight_bytes[j] == \
                 sum(r.weight_bytes for r in rows)
 
     def test_energy_model_populates_the_energy_track(self):
-        net, stats, menus, benefit, model, budgets = self._setup(73)
-        e_model = _hand_model([5e-5] * len(net.blocks),
-                              [5e-5] * len(net.blocks),
-                              intercept=0.002)
+        net, stats, menus, benefit, table, budgets = self._setup(73)
         lattice, _ = controller.build_lattice(net, menus, budgets,
-                                              benefit, stats, model,
-                                              energy_model=e_model)
+                                              benefit, stats, table)
         assert lattice.energy is not None and len(lattice.energy) == 3
+        latency_only = cost.DeviceTable(
+            table.device, (table.overhead[0], None),
+            tuple({e: (p[0], None) for e, p in prices.items()}
+                  for prices in table.layers))
+        lattice, _ = controller.build_lattice(net, menus, budgets,
+                                              benefit, stats, latency_only)
+        assert lattice.energy is None
 
     def test_budget_chain_must_be_ordered(self):
-        net, stats, menus, benefit, model, _ = self._setup(74)
+        net, stats, menus, benefit, table, _ = self._setup(74)
         bad = (_token(lat=2.0), _token(lat=0.5))
         with pytest.raises(ValueError, match="tight"):
             controller.build_lattice(net, menus, bad, benefit, stats,
-                                     model)
+                                     table)
 
     def test_step_count_capped(self):
-        net, stats, menus, benefit, model, _ = self._setup(75)
+        net, stats, menus, benefit, table, _ = self._setup(75)
         many = tuple(_token(lat=float(j + 1)) for j in range(9))
         with pytest.raises(ValueError, match="1 to 8"):
             controller.build_lattice(net, menus, many, benefit, stats,
-                                     model)
+                                     table)
 
     def test_device_mismatch_rejected(self):
-        net, stats, menus, benefit, model, budgets = self._setup(78)
+        net, stats, menus, benefit, table, budgets = self._setup(78)
         bad = tuple(controller.BudgetToken(device="other",
                                            latency_target=b.latency_target)
                     for b in budgets)
         with pytest.raises(ValueError, match="device"):
             controller.build_lattice(net, menus, bad, benefit, stats,
-                                     model)
+                                     table)
 
     def test_selection_composes_with_the_lattice(self):
-        net, stats, menus, benefit, model, budgets = self._setup(79)
+        net, stats, menus, benefit, table, budgets = self._setup(79)
         lattice, _ = controller.build_lattice(net, menus, budgets,
-                                              benefit, stats, model)
+                                              benefit, stats, table)
         sel = controller.select_runtime(lattice, _token(lat=10 ** 6),
                                         epsilon=10 ** 6)
         assert sel.status == controller.OK

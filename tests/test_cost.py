@@ -1,8 +1,11 @@
-"""Flop/byte accounting, the staged-or-rebuilt break-even, proxy fitting."""
+"""Flop/byte accounting, the staged-or-rebuilt break-even, and per-layer
+device tables: the planted synthetic prices, profile prices and the CSV
+format."""
+
+import itertools
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from elastiq import cost, elastic, linalg, network
 from oracles import counted_svd_matvec, counted_tucker2_conv
@@ -221,43 +224,6 @@ class TestThresholdRankDense:
                 elastic.runs_staged(lay, k)
 
 
-class TestNnls:
-    def test_matches_scipy_on_random_problems(self):
-        for seed in range(30):
-            rng = _rng(100 + seed)
-            m = int(rng.integers(8, 20))
-            n = int(rng.integers(2, 7))
-            a = rng.standard_normal((m, n))
-            # half the targets force active nonnegativity constraints
-            b = a @ np.abs(rng.standard_normal(n)) \
-                if seed % 2 == 0 else rng.standard_normal(m)
-            x_got, r_got = cost.nnls(a, b)
-            x_ref, r_ref = scipy.optimize.nnls(a, b)
-            assert np.all(x_got >= 0.0)
-            assert r_got == pytest.approx(r_ref, rel=1e-8, abs=1e-10)
-            assert np.allclose(x_got, x_ref, atol=1e-8)
-
-    def test_single_column_clamped_ratio(self):
-        a = np.array([[1.0], [2.0], [3.0]])
-        b_pos = np.array([2.0, 4.0, 6.0])
-        x, _ = cost.nnls(a, b_pos)
-        assert x[0] == pytest.approx(2.0, rel=1e-12)
-        x, resid = cost.nnls(a, -b_pos)
-        assert x[0] == 0.0
-        assert resid == pytest.approx(np.linalg.norm(b_pos), rel=1e-12)
-
-
-def _grid_rows(net, ks, qs):
-    profiles = []
-    for k0 in ks:
-        for q0 in qs:
-            for k1 in ks:
-                for q1 in qs:
-                    profiles.append([(k0, q0), (k1, q1)])
-    rows = [cost.profile_costs(net, p) for p in profiles]
-    return profiles, rows
-
-
 def _two_layer_net():
     return network.Network((
         network.Block(elastic=_dense_layer(8, 6, seed=10),
@@ -266,158 +232,170 @@ def _two_layer_net():
     ))
 
 
-class TestFit:
-    def test_plant_and_recover_zero_noise(self):
-        net = _two_layer_net()
-        _, rows = _grid_rows(net, (1, 2, 3, 4), (4, 8))
-        intercept, comp, mem = 0.05, (2e-8, 5e-8), (3e-7, 1e-7)
-        entries = []
-        for i, row in enumerate(rows):
-            lat = intercept
-            for j, c in enumerate(row):
-                lat += comp[j] * c.flops
-                lat += mem[j] * (c.weight_bytes + c.activation_bytes)
-            entries.append((f"p{i}", lat, None))
-        table = cost.DeviceTable(device="planted", entries=tuple(entries))
-        model = cost.fit_cost_model(table, rows)
-        assert model.intercept == pytest.approx(intercept, rel=1e-6)
-        assert model.comp == pytest.approx(comp, rel=1e-6)
-        assert model.mem == pytest.approx(mem, rel=1e-6)
-        assert model.mape_percent < 0.01
-        assert model.r_squared > 0.999999
-
-    def test_noisy_fit_stays_in_band(self):
-        net = _two_layer_net()
-        _, rows = _grid_rows(net, (1, 2, 3, 4), (4, 6, 8))
-        table, _ = cost.synth_device_table(rows, seed=12)
-        model = cost.fit_cost_model(table, rows)
-        assert model.mape_percent < 5.0
-        assert model.r_squared > 0.9
-
-    def test_energy_target(self):
-        net = _two_layer_net()
-        _, rows = _grid_rows(net, (1, 2, 3), (4, 8))
-        table, _ = cost.synth_device_table(rows, seed=13)
-        model = cost.fit_cost_model(table, rows, target="energy")
-        assert model.mape_percent < 5.0
-        dry = cost.DeviceTable(
-            device=table.device,
-            entries=tuple((pid, lat, None) for pid, lat, _ in table.entries))
-        with pytest.raises(ValueError, match="energy"):
-            cost.fit_cost_model(dry, rows, target="energy")
-
-    def test_underdetermined_rejected(self):
-        net = _two_layer_net()
-        rows = [cost.profile_costs(net, [(k, 8), (k, 8)])
-                for k in (1, 2, 3)]
-        table, _ = cost.synth_device_table(rows, seed=14)
-        with pytest.raises(ValueError, match="underdetermined"):
-            cost.fit_cost_model(table, rows)
-
-    def test_all_zero_feature_rejected(self):
-        zero = cost.LayerCost(flops=0, weight_bytes=0, activation_bytes=0)
-        live = cost.LayerCost(flops=10, weight_bytes=5, activation_bytes=1)
-        rows = [[zero, live] for _ in range(8)]
-        for i, r in enumerate(rows):
-            rows[i] = [zero, cost.LayerCost(10 + i, 5 + i, 1)]
-        entries = tuple((f"p{i}", 1.0 + 0.1 * i, None)
-                        for i in range(len(rows)))
-        table = cost.DeviceTable(device="d", entries=entries)
-        with pytest.raises(ValueError, match="all-zero"):
-            cost.fit_cost_model(table, rows)
-
-    def test_row_count_mismatch(self):
-        net = _two_layer_net()
-        _, rows = _grid_rows(net, (1, 2, 3), (4, 8))
-        table, _ = cost.synth_device_table(rows, seed=15)
-        with pytest.raises(ValueError, match="match"):
-            cost.fit_cost_model(table, rows[:-1])
+def _full_menus(net, widths=(4, 8, None)):
+    """Every rank of each layer crossed with widths."""
+    return [[(k, q) for k in range(1, b.elastic.k_max + 1) for q in widths]
+            for b in net.blocks]
 
 
-class TestPredict:
-    def _model(self):
-        return cost.CostModel(device="d", intercept=0.5, comp=(1e-6, 2e-6),
-                              mem=(1e-5, 3e-5), r_squared=1.0,
-                              mape_percent=0.0)
+def _at_or_below(a, b):
+    """Componentwise order of (k, q) entries, q None counting as 32."""
+    return a[0] <= b[0] and (32 if a[1] is None else a[1]) \
+        <= (32 if b[1] is None else b[1])
 
-    def test_zero_cost_profile_hits_intercept(self):
-        zero = cost.LayerCost(0, 0, 0)
-        assert cost.predict(self._model(), [zero, zero]) == 0.5
 
-    def test_linearity_without_intercept(self):
-        model = cost.CostModel(device="d", intercept=0.0, comp=(1e-6, 2e-6),
-                               mem=(1e-5, 3e-5), r_squared=1.0,
-                               mape_percent=0.0)
-        row = [cost.LayerCost(100, 20, 4), cost.LayerCost(50, 10, 2)]
-        double = [cost.LayerCost(200, 40, 8), cost.LayerCost(100, 20, 4)]
-        assert cost.predict(model, double) == pytest.approx(
-            2.0 * cost.predict(model, row), rel=1e-12)
+def _planted(seed, n):
+    """synth_device_table's coefficients, drawn in its documented order."""
+    rng = np.random.default_rng(seed)
+    draw = [10.0 ** rng.uniform(-2.0, -1.0)]
+    draw += [10.0 ** rng.uniform(-4.0, -3.0, n) for _ in range(2)]
+    draw += [10.0 ** rng.uniform(-1.0, 0.0)]
+    draw += [10.0 ** rng.uniform(-4.0, -3.0, n) for _ in range(2)]
+    return draw
 
-    def test_layer_count_mismatch(self):
-        with pytest.raises(ValueError, match="layer count"):
-            cost.predict(self._model(), [cost.LayerCost(1, 1, 1)])
 
-    def test_held_out_mape(self):
-        # fit on a subset of the grid, score on the held-out profiles of
-        # the same device: one planted model, fresh rows
-        net = _two_layer_net()
-        _, rows = _grid_rows(net, (1, 2, 3, 4), (4, 6, 8))
-        table, _ = cost.synth_device_table(rows, seed=16)
-        train_idx = [i for i in range(len(rows)) if i % 3 != 0]
-        test_idx = [i for i in range(len(rows)) if i % 3 == 0]
-        train = cost.DeviceTable(
-            device=table.device,
-            entries=[table.entries[i] for i in train_idx])
-        model = cost.fit_cost_model(train, [rows[i] for i in train_idx])
-        preds = np.array([cost.predict(model, rows[i]) for i in test_idx])
-        lats = np.array([table.entries[i][1] for i in test_idx])
-        mape = 100.0 * np.mean(np.abs(preds - lats) / lats)
-        assert mape < 6.0
+class TestSynthDeviceTable:
+    def test_each_entry_is_the_planted_linear_price(self):
+        for net, spatial in ((_two_layer_net(), None),
+                             (network.Network((network.Block(
+                                 elastic=_conv_layer(4, 3, 3, 3, seed=7)),)),
+                              (5, 6))):
+            menus = _full_menus(net, (4, None))
+            table = cost.synth_device_table(net, menus, spatial,
+                                            device="dev", seed=12)
+            lat0, comp, mem, en0, e_comp, e_mem = _planted(12, len(menus))
+            assert table.device == "dev"
+            assert table.overhead == (lat0, en0)
+            for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
+                assert list(table.layers[ell]) == menu
+                for k, q in menu:
+                    c = cost.layer_cost(blk.elastic, k, q, spatial)
+                    b = c.weight_bytes + c.activation_bytes
+                    assert table.layers[ell][(k, q)] == (
+                        comp[ell] * c.flops + mem[ell] * b,
+                        e_comp[ell] * c.flops + e_mem[ell] * b)
 
-    def test_coefficient_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            cost.CostModel(device="d", intercept=-0.1, comp=(), mem=(),
-                           r_squared=1.0, mape_percent=0.0)
+    def test_prices_never_fall_along_a_layer_menu_order(self):
+        dense = _two_layer_net()
+        conv = network.Network((
+            network.Block(elastic=_conv_layer(6, 3, 3, 3, seed=7),
+                          activation=network.RELU),
+            network.Block(elastic=_conv_layer(4, 6, 1, 1, seed=8)),
+        ))
+        for seed, (net, spatial) in itertools.product(
+                range(3), ((dense, None), (conv, (4, 4)))):
+            menus = _full_menus(net, (2, 3, 4, 8, 16, None))
+            table = cost.synth_device_table(net, menus, spatial, seed=seed)
+            for prices in table.layers:
+                for a, b in itertools.product(prices, repeat=2):
+                    if _at_or_below(a, b):
+                        assert prices[a][0] <= prices[b][0]
+                        assert prices[a][1] <= prices[b][1]
 
 
 class TestMonotoneProposition:
     def test_ordered_profiles_order_predictions(self):
+        # componentwise-ordered profiles are priced in the same order, in
+        # latency and in energy
         net = _two_layer_net()
-        profiles, rows = _grid_rows(net, (1, 2, 3, 4), (4, 8))
-        table, _ = cost.synth_device_table(rows, seed=18)
-        model = cost.fit_cost_model(table, rows)
-        preds = [cost.predict(model, r) for r in rows]
+        menus = _full_menus(net)
+        table = cost.synth_device_table(net, menus, seed=18)
+        profiles = list(itertools.product(*menus))
+        prices = [(cost.profile_price(table, p),
+                   cost.profile_price(table, p, cost.ENERGY))
+                  for p in profiles]
+        for (pa, ca), (pb, cb) in itertools.product(zip(profiles, prices),
+                                                    repeat=2):
+            if all(map(_at_or_below, pa, pb)):
+                assert ca[0] <= cb[0] and ca[1] <= cb[1]
 
-        def leq(pa, pb):
-            return all(ka <= kb and qa <= qb
-                       for (ka, qa), (kb, qb) in zip(pa, pb))
 
-        violations = 0
-        for i, pa in enumerate(profiles):
-            for j, pb in enumerate(profiles):
-                if leq(pa, pb) and preds[i] > preds[j] * (1.0 + 1e-12):
-                    violations += 1
-        assert violations == 0
+class TestProfilePrice:
+    def _table(self):
+        return cost.DeviceTable(
+            device="d", overhead=(0.5, None),
+            layers=({(1, 4): (0.25, None), (2, None): (1.5, None)},
+                    {(1, 8): (0.125, None)}))
+
+    def test_overhead_then_layers_in_order(self):
+        table = self._table()
+        assert cost.profile_price(table, [(2, None), (1, 8)]) \
+            == (0.5 + 1.5) + 0.125
+        assert cost.profile_price(table, [(1, 4), (1, 8)]) == 0.875
+
+    def test_missing_entry_and_layer_count_refused(self):
+        table = self._table()
+        with pytest.raises(ValueError, match="no price for layer 1 at rank "
+                                             "2, 8 bits"):
+            cost.profile_price(table, [(1, 4), (2, 8)])
+        with pytest.raises(ValueError, match="prices 2 layers, the profile "
+                                             "has 1"):
+            cost.profile_price(table, [(1, 4)])
+        with pytest.raises(ValueError, match="prices no energy"):
+            cost.profile_price(table, [(1, 4), (1, 8)], cost.ENERGY)
 
 
 class TestDeviceTableIo:
     def test_csv_round_trip(self, tmp_path):
-        entries = (("p0", 1.25, 3.5), ("p1", 0.75, None),
-                   ("p2", 2.0 / 3.0, 1e-3))
-        table = cost.DeviceTable(device="d", entries=entries)
-        path = tmp_path / "table.csv"
-        cost.write_device_table(table, path)
-        back = cost.read_device_table(path, device="d")
-        assert back.entries == entries
+        net = _two_layer_net()
+        table = cost.synth_device_table(net, _full_menus(net),
+                                        device="d", seed=3)
+        hand = cost.DeviceTable(
+            device="d", overhead=(2.0 / 3.0, None),
+            layers=({(1, None): (1.25, None), (3, 2): (1e-3, None)},
+                    {(7, 32): (0.75, None)}))
+        for t, name in ((table, "synth.csv"), (hand, "hand.csv")):
+            path = tmp_path / name
+            cost.write_device_table(t, path)
+            back = cost.read_device_table(path, device="d")
+            assert back == t
+            assert [list(p) for p in back.layers] == \
+                [list(p) for p in t.layers]
+        lines = (tmp_path / "hand.csv").read_text().splitlines()
+        assert lines == ["layer,rank,bits,latency_ms,energy_mj",
+                         f"overhead,,,{2.0 / 3.0!r},", "0,1,,1.25,",
+                         "0,3,2,0.001,", "1,7,32,0.75,"]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,lat\np0,1.0\n")
-        with pytest.raises(ValueError, match="header"):
+        for text in ("id,lat\np0,1.0\n", "", "profile_id,latency_ms,"
+                     "energy_mj\np0000,1.0,\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="header"):
+                cost.read_device_table(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("layer,rank,bits,latency_ms,energy_mj\n0,1,,1.0,\n",
+         "device table has no overhead row"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,\n",
+         "device table row 'overhead,,' needs 5 fields"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,x,\n",
+         "device table row 'overhead,,,x,': could not convert"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,,1.0,\n0,1,,2.0,\n",
+         "device table row '0,1,,2.0,' prices its entry twice"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "1,1,,1.0,\n", "device table layers must be numbered 0, 1"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,8,0.0,\n", r"latency of layer 0 at \(1, 8\) must be "
+         "positive"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,2.0\n"
+         "0,1,,1.0,\n", "energy must be priced everywhere or nowhere"),
+    ], ids=["no-overhead", "short-row", "bad-number", "twice", "layer-gap",
+            "zero-price", "partial-energy"])
+    def test_malformed_table_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             cost.read_device_table(path)
 
     def test_positive_latency_enforced(self):
-        with pytest.raises(ValueError, match="positive"):
-            cost.DeviceTable(device="d", entries=(("p0", 0.0, None),))
-        with pytest.raises(ValueError, match="positive"):
-            cost.DeviceTable(device="d", entries=(("p0", 1.0, -2.0),))
+        for overhead, entry, where in (
+                ((0.0, None), (1.0, None), "latency of the overhead"),
+                ((1.0, -2.0), (1.0, 1.0), "energy of the overhead"),
+                ((1.0, None), (float("inf"), None), "latency of layer 0"),
+                ((1.0, 1.0), (1.0, float("nan")), "energy of layer 0")):
+            with pytest.raises(ValueError, match=f"{where}.* must be "
+                                                 f"positive and finite"):
+                cost.DeviceTable(device="d", overhead=overhead,
+                                 layers=({(1, None): entry},))

@@ -159,6 +159,19 @@ class TestCertificateVerification:
     def test_untouched_manifest_verifies(self, certified):
         assert manifest.verify_manifest(certified) == []
 
+    def test_parameters_are_hashed_once(self, certified, monkeypatch):
+        # the fingerprint check and the calibration freshness check share
+        # one digest of the decoded parameters
+        calls, fingerprint = [], certificate.network_fingerprint
+
+        def counted(net):
+            calls.append(net)
+            return fingerprint(net)
+
+        monkeypatch.setattr(certificate, "network_fingerprint", counted)
+        assert manifest.verify_manifest(certified) == []
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("field", ["sensitivity", "weight_change"])
     @pytest.mark.parametrize("layer", [0, 1])
     def test_changed_ledger_row_is_caught(self, certified, field, layer):
@@ -270,6 +283,20 @@ def _set(*path, value):
     return edit
 
 
+def _ledger_of_mid_as_low(doc):
+    """doc whose certificate entry low carries mid's pairs and ledger,
+    with the lattice's bound moved to mid's."""
+    entries = doc["certificate"]["profiles"]
+    entries["low"] = copy.deepcopy(entries["mid"])
+    doc["lattice"]["drift_bound"][0] = entries["mid"]["delta_hat"]
+    return doc
+
+
+def _unstore_mid(doc):
+    del doc["profiles"]["mid"]
+    return doc
+
+
 class TestVerifyBranches:
     """One edit of a planned document per problem verify_manifest
     reports, each with its exact problem text."""
@@ -282,7 +309,8 @@ class TestVerifyBranches:
         (_set("lattice", "profiles", 0, "name", value="high"),
          ["lattice profile high: not among the stored profiles"]),
         (_set("profiles", "low", "pairs", 0, value=[1, 8]),
-         ["lattice profile low: pairs disagree with its stored profile"]),
+         ["lattice profile low: pairs disagree with its stored profile",
+          "certificate low: pairs disagree with its stored profile"]),
         (_set("lattice", "weight_bytes", 0, value=lambda b: b + 8),
          ["lattice profile low: weight_bytes 72 != recomputed 64"]),
         (_set("lattice", "drift_bound", 0, value="0.001"),
@@ -297,8 +325,13 @@ class TestVerifyBranches:
           "certified"]),
         (_set("certificate", "alpha", value=lambda a: a[:1]),
          ["certificate: alpha length mismatch"]),
+        (_ledger_of_mid_as_low,
+         ["certificate low: pairs disagree with its stored profile"]),
+        (_unstore_mid, ["certificate mid: no stored profile of that name"]),
         (_set("fingerprint", value="0" * 64),
          ["fingerprint: decoded parameters hash differently"]),
+        (_set("calibration", "fingerprint", value="0" * 64),
+         ["calibration: fingerprint does not match the stored model"]),
         (_raw_with_weight(np.eye(3)), []),
         # a payload without its checksum is read as a plain object
         (_raw_with_weight({"dtype": "f64", "shape": [1], "bytes": 8}),
@@ -306,7 +339,8 @@ class TestVerifyBranches:
     ], ids=["untouched", "lattice-reconstruct", "lattice-name",
             "lattice-pairs", "lattice-bytes", "lattice-drift",
             "lattice-uncertified", "sampled-certified", "alpha-length",
-            "fingerprint", "raw", "raw-non-array"])
+            "certificate-pairs", "certificate-unstored", "fingerprint",
+            "calibration-fingerprint", "raw", "raw-non-array"])
     def test_problem(self, certified, edit, problems):
         doc = edit(_planned(copy.deepcopy(certified)))
         assert manifest.verify_manifest(doc) == problems

@@ -18,6 +18,9 @@ PACKAGE = pathlib.Path(elastiq.__file__).resolve().parent
 UNREFERENCED = {
     "certificate.pointwise_bound":
         "per-input certificate; the benchmark's bound checks call it",
+    "cost.profile_costs":
+        "perfbench's tracer prices each traced forward with it; plan "
+        "reads per-layer device prices instead",
     "cost.write_device_table":
         "writes the measured device table that plan --device-csv reads",
     "elastic.BitMap":
@@ -93,6 +96,10 @@ UNDEFINED_TRACED = {
         "drops it",
     "controller.isotonic_hinge":
         "its per-layer metric always reads 0; the next benchmark change "
+        "drops it",
+    "cost.fit_cost_model":
+        "plan prices from a per-layer device table, with no fit; "
+        "perfbench's tracer still names it, and the next benchmark change "
         "drops it",
     "network.backprop":
         "perfbench's tracer still names them; the next benchmark change "
