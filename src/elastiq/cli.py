@@ -92,6 +92,7 @@ _MENU_FRACS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _MENU_BITS = (4, 8, None)
 _AUTO_BUDGET_FRACS = (0.25, 0.5, 1.0)
 _AUTO_BUDGET_SLACK = 1.05
+_MAX_BUDGETS = 8
 
 
 class CliError(Exception):
@@ -144,8 +145,10 @@ def _probe_inputs(net, n, seed, calib_path=None):
                 xs = np.asarray(data["x"], dtype=np.float64)
         except _NPZ_ERRORS as exc:
             raise CliError(f"cannot load calibration inputs: {exc}") from exc
-        if xs.shape[0] < 1:
+        if xs.ndim == 0 or xs.shape[0] < 1:
             raise CliError("calibration file holds no inputs")
+        if not np.isfinite(xs).all():
+            raise CliError("calibration inputs must be finite")
         return xs
     first = net.blocks[0]
     if first.is_conv:
@@ -336,6 +339,10 @@ def _parse_profile_flag(spec):
             bits = int(bits) if bits else None
         except ValueError as exc:
             raise CliError(f"bad profile entry {item!r}") from exc
+        if bits is not None and not \
+                quant.MIN_BITS <= bits <= cost.UNQUANTIZED_BITS:
+            raise CliError(f"bad profile entry {item!r}: bits must lie in "
+                           f"[{quant.MIN_BITS}, {cost.UNQUANTIZED_BITS}]")
         name = f"r{k}" if bits is None else f"r{k}b{bits}"
         out.append((name, k, bits))
     if not out:
@@ -467,6 +474,10 @@ def cmd_plan(args):
                        "energy column")
     budgets = [controller.BudgetToken(device=table.device, **{field: v})
                for v in values]
+    if len(budgets) > _MAX_BUDGETS:
+        raise CliError(f"lattice supports 1 to {_MAX_BUDGETS} budget levels")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise CliError("budgets must be ordered tightest first")
     lattice, ledgers = controller.build_lattice(net, menus, budgets,
                                                 benefit, stats, table)
     say("budgets", source=source, count=len(budgets))

@@ -10,12 +10,16 @@ so looser budgets never shrink any layer and every feasible level meets
 its own budget; a runtime selector gates the lattice by predicted
 latency and certified drift, under any mix of targets; and an audit
 counts the lattice's predicted-latency drops and drift-bound rises.
+
+The planner (allocate, build_lattice) trusts its caller, the plan
+command, which checks its budget flags and builds the menus; tokens and
+lattices, which also come from flags and files, check themselves.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import certificate, cost, quant
+from . import certificate, cost
 
 OK = "ok"
 CERT_WARNING = "cert_warning"
@@ -60,64 +64,12 @@ class BudgetToken:
             raise ValueError("budget token needs at least one target")
 
 
-def precedes(tighter, looser):
-    """Non-strict partial order on budget tokens.
-
-    True when both tokens name the same device and every target present
-    on the first is present on the second with an equal or larger value.
-    Targets only the second token carries do not block the relation.
-    """
-    if tighter.device != looser.device:
-        return False
-    for name in _TARGETS:
-        a = getattr(tighter, name)
-        if a is None:
-            continue
-        b = getattr(looser, name)
-        if b is None or float(a) > float(b):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Profile:
     """Per-layer (rank, bits) assignment. bits None keeps float factors."""
 
     pairs: tuple
     name: str = ""
-
-    def __post_init__(self):
-        pairs = []
-        for entry in self.pairs:
-            k, q = entry
-            k = int(k)
-            if k < 1:
-                raise ValueError("ranks must be at least 1")
-            if q is not None:
-                q = int(q)
-                if not quant.MIN_BITS <= q <= cost.UNQUANTIZED_BITS:
-                    raise ValueError(f"bit-widths must lie in "
-                                     f"[{quant.MIN_BITS}, "
-                                     f"{cost.UNQUANTIZED_BITS}]")
-            pairs.append((k, q))
-        object.__setattr__(self, "pairs", tuple(pairs))
-
-
-def _check_menu(menu, where):
-    menu = [(int(k), None if q is None else int(q)) for k, q in menu]
-    if not menu:
-        raise ValueError(f"{where}: menu is empty")
-    keys = [(k, _q_ord(q)) for k, q in menu]
-    if any(b <= a for a, b in zip(keys, keys[1:])):
-        raise ValueError(f"{where}: menu must be strictly ascending")
-    return menu
-
-
-def _check_menus(menus, n_layers):
-    menus = list(menus)
-    if len(menus) != n_layers:
-        raise ValueError("menu count does not match the layer count")
-    return [_check_menu(menu, f"layer {i}") for i, menu in enumerate(menus)]
 
 
 def certificate_mass(net, stats, menus):
@@ -128,7 +80,6 @@ def certificate_mass(net, stats, menus):
     calibrated input-norm scale. The table is allocate's objective;
     certified reports always come from the certificate module itself.
     """
-    menus = _check_menus(menus, len(net.blocks))
     rows = certificate.ledgers(net, stats, [None])[0]
     return [[sens * certificate.weight_change(blk, k, q) * alpha
              for k, q in menu]
@@ -138,12 +89,13 @@ def certificate_mass(net, stats, menus):
 def allocate(net, menus, budget, benefit, table=None, name="", upper=None):
     """Least certificate mass under a one-target budget token, exactly.
 
-    benefit[ell][i] is the certificate mass of layer ell at menu entry i,
-    as built by certificate_mass. The token sets exactly one target:
-    latency or energy, priced by the cost.DeviceTable table, or weight
-    bytes (cost.bytes_of). upper, when given, holds one (k, q) per layer
-    and admits only entries at or below it in rank and in width (bits None
-    counts as 32).
+    Trusts its caller: menus ascend strictly, benefit[ell][i] is the
+    certificate mass of layer ell at menu entry i (certificate_mass), and
+    the token sets exactly one target: latency or energy, priced by the
+    cost.DeviceTable table of its device, or weight bytes (cost.bytes_of;
+    table None). upper, when given, holds the looser level's (k, q) per
+    layer and admits only entries at or below it in rank and in width
+    (bits None counts as 32), so its own entry always qualifies.
 
     The sweep extends partial assignments layer by layer, accumulating
     cost in cost.profile_price's order, so a final cost is exactly the
@@ -156,28 +108,10 @@ def allocate(net, menus, budget, benefit, table=None, name="", upper=None):
     Returns (Profile, feasible). When no admitted assignment fits, every
     layer takes its first admitted entry and feasible is False.
     """
-    n = len(net.blocks)
-    menus = _check_menus(menus, n)
-    benefit = [list(map(float, b)) for b in benefit]
-    if [len(b) for b in benefit] != [len(m) for m in menus]:
-        raise ValueError("benefit table does not match the menus")
-    targets = [t for t in _TARGETS if getattr(budget, t) is not None]
-    if len(targets) != 1:
-        raise ValueError("allocation needs a budget token with exactly one "
-                         "target")
+    (target,) = [t for t in _TARGETS if getattr(budget, t) is not None]
     column = {"latency_target": cost.LATENCY,
-              "energy_target": cost.ENERGY}.get(targets[0])
-    if table is not None and table.device != budget.device:
-        raise ValueError("budget device does not match the device table")
-    if column is not None and table is None:
-        raise ValueError("latency and energy targets need a device table")
-    if column == cost.ENERGY and not table.has_energy:
-        raise ValueError("energy target needs a device table with energy "
-                         "prices")
-    if upper is not None and len(upper) != n:
-        raise ValueError("upper bound does not match the layer count")
-
-    cap = getattr(budget, targets[0])
+              "energy_target": cost.ENERGY}.get(target)
+    cap = getattr(budget, target)
     steps, allowed = [], []
     for ell, (blk, menu) in enumerate(zip(net.blocks, menus)):
         steps.append([cost.bytes_of(blk.elastic, k, q) if column is None
@@ -185,12 +119,9 @@ def allocate(net, menus, budget, benefit, table=None, name="", upper=None):
                       for k, q in menu])
         allowed.append([i for i, entry in enumerate(menu)
                         if upper is None or _at_or_below(entry, upper[ell])])
-        if not allowed[ell]:
-            raise ValueError(f"layer {ell}: no menu entry at or below the "
-                             f"upper bound")
 
     states = [(0 if column is None else table.overhead[column], 0.0, ())]
-    for ell in range(n):
+    for ell in range(len(net.blocks)):
         grown = [(total + steps[ell][i], mass + benefit[ell][i], picks + (i,))
                  for total, mass, picks in states for i in allowed[ell]]
         grown.sort()
@@ -261,24 +192,19 @@ class ProfileLattice:
 def build_lattice(net, menus, budgets, benefit, stats, table):
     """Exact nested profiles at each budget level, ordered and priced.
 
-    Checks that the budgets are ordered tightest first, then allocates
-    from the loosest budget to the tightest, passing each level's pairs to
-    the next as its upper bound: the chain grows componentwise by
-    construction, and every feasible level meets its own budget. Attaches
-    each level's price on the cost.DeviceTable table (latency, and energy
-    when the table prices it), its weight bytes and the conservative
-    aggregate drift bound, all levels' ledgers built in one
-    certificate.ledgers pass. Three budgets are named tiny/med/max, any
-    other count s1, s2, .... Returns (lattice, ledgers), the ledgers in
-    level order, so a caller can store the rows the bounds were summed
-    from without building them again.
+    Trusts its caller with the budgets: 1 to 8 one-target tokens on the
+    table's device, all on one axis and ordered tightest first, as the
+    plan command checks its flags. Allocates from the loosest budget to
+    the tightest, passing each level's pairs to the next as its upper
+    bound: the chain grows componentwise by construction, and every
+    feasible level meets its own budget. Attaches each level's price on
+    the cost.DeviceTable table (latency, and energy when the table prices
+    it), its weight bytes and the conservative aggregate drift bound, all
+    levels' ledgers built in one certificate.ledgers pass. Three budgets
+    are named tiny/med/max, any other count s1, s2, .... Returns
+    (lattice, ledgers), the ledgers in level order, so a caller can store
+    the rows the bounds were summed from without building them again.
     """
-    budgets = list(budgets)
-    if not 1 <= len(budgets) <= 8:
-        raise ValueError("lattice supports 1 to 8 budget levels")
-    for a, b in zip(budgets, budgets[1:]):
-        if not precedes(a, b):
-            raise ValueError("budgets must be ordered tightest first")
     names = ("tiny", "med", "max") if len(budgets) == 3 \
         else tuple(f"s{j + 1}" for j in range(len(budgets)))
     profiles, upper = [], None

@@ -39,10 +39,6 @@ class LayerCost:
     weight_bytes: int
     activation_bytes: int
 
-    def __post_init__(self):
-        if min(self.flops, self.weight_bytes, self.activation_bytes) < 0:
-            raise ValueError("costs must be non-negative")
-
 
 def _tensor_bytes(count, bits):
     return -(-count * bits // 8)
@@ -135,8 +131,6 @@ def profile_price(table, pairs, column=LATENCY):
     layer's entry, added in layer order. controller.allocate accumulates
     in the same order, so the two agree bit for bit."""
     pairs = list(pairs)
-    if column == ENERGY and not table.has_energy:
-        raise ValueError("device table prices no energy")
     if len(pairs) != len(table.layers):
         raise ValueError(f"device table prices {len(table.layers)} layers, "
                          f"the profile has {len(pairs)}")

@@ -333,13 +333,13 @@ def pairs_from_doc(entries):
 
 def add_profile(doc, net, name, pairs):
     """Store one named profile as its per-layer (rank, bits) pairs, and
-    return them as pairs_from_doc reads them back, so a width that
-    verification would refuse is refused here. Every profile serves from
-    the model section's factors, so nothing else is stored."""
-    stored = pairs_to_doc(network.resolve_profile(net, list(pairs)))
-    parsed = pairs_from_doc(stored)
-    doc.setdefault("profiles", {})[str(name)] = {"pairs": stored}
-    return parsed
+    return them as a tuple of (k, q) pairs. Its callers hand over checked
+    widths (the --profiles parser, TrainConfig, the planner's menus).
+    Every profile serves from the model section's factors, so nothing
+    else is stored."""
+    pairs = tuple(network.resolve_profile(net, list(pairs)))
+    doc.setdefault("profiles", {})[str(name)] = {"pairs": pairs_to_doc(pairs)}
+    return pairs
 
 
 # ---------------------------------------------------------------------------

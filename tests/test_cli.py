@@ -11,7 +11,9 @@ of conv inputs at another map size, report's diagnostics line and CSV,
 the ledger passes and forwards plan and report make, decompose on wide
 dense and bottleneck conv models, the whole pipeline on a conv model and
 on a sweep of tiny random models, quantized and resumed training (and
-one error line for a damaged checkpoint or calibration file),
+one error line for a damaged checkpoint or calibration file, a
+calibration file without inputs or with non-finite ones, a stage run
+before the one it needs, and a bad flag or config file),
 byte-identical reruns across BLAS thread counts, and every option and
 every training config field exercised by a test or a benchmark stage."""
 
@@ -228,13 +230,23 @@ def test_byte_budgets_in_plan_and_select(tmp_path):
     assert f"@@ select profile={pick.profile.name} index={pick.index} " \
         in out
 
-    # one budget axis per plan, naming at least one budget
+    # one budget axis per plan, naming 1 to 8 positive budgets, ordered
+    # tightest first
     bad = tmp_path / "bad.json"
     for flags, message in (
             (("--latency-ms", "1.0", "--bytes", "600"),
              "plan takes one budget axis: give one of --latency-ms, "
              "--bytes, --energy-mj"),
-            (("--bytes", ","), "--bytes names no budgets")):
+            (("--bytes", ","), "--bytes names no budgets"),
+            (("--bytes", "a"), "bad --bytes list: 'a'"),
+            (("--bytes", "9000,3000"),
+             "budgets must be ordered tightest first"),
+            (("--bytes", ",".join(str(100 * j) for j in range(1, 10))),
+             "lattice supports 1 to 8 budget levels"),
+            (("--latency-ms", "1,nan"),
+             "latency_target must be positive and finite"),
+            (("--bytes", "0,600"),
+             "bytes_target must be positive and finite")):
         code, out, err = _cli_output("plan", cert, "--out", bad, *flags)
         assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: {message}\n")
         assert not bad.exists()
@@ -958,15 +970,50 @@ def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags):
     assert not out.exists()
 
 
+def _refused_inputs(tmp_path):
+    """Beside _planned_small_model's files: a plan of a ledger certified
+    without epsilon, a 2-step training run, a conv model, a JSON-array
+    config and calibration files whose x is 0-d, or holds nan or inf;
+    returns them by name."""
+    model = tmp_path / "model.json"
+    paths = {name: tmp_path / name for name in (
+        "noeps.json", "noeps_plan.json", "conv.json", "array.json",
+        "zero_d.npz", "nan.npz", "inf.npz")}
+    assert _cli("certify", model, "--profiles", "2", "--calib-size", 16,
+                "--out", paths["noeps.json"]) == cli.EXIT_OK
+    assert _cli("plan", paths["noeps.json"], "--out",
+                paths["noeps_plan.json"]) == cli.EXIT_OK
+    config = tmp_path / "steps.json"
+    config.write_text(json.dumps({"steps": 2}))
+    assert _cli("train", "--out", tmp_path / "trained", "--config",
+                config) == cli.EXIT_OK
+    paths["trained.json"] = tmp_path / "trained" / "model.json"
+    conv = elastic.from_conv(np.random.default_rng(0).standard_normal(
+        (2, 3, 3, 3)))
+    manifest.write_manifest(manifest.network_to_doc(network.Network(
+        (network.Block(elastic=conv),))), paths["conv.json"])
+    paths["array.json"].write_text("[1, 2]")
+    np.savez(paths["zero_d.npz"], x=np.float64(1.0))
+    for name, bad in (("nan.npz", np.nan), ("inf.npz", -np.inf)):
+        x = np.ones((4, 8))
+        x[1, 2] = bad
+        np.savez(paths[name], x=x)
+    return paths
+
+
 def test_stray_value_errors_exit_1_with_a_message(tmp_path):
     # errors raised below the CLI reach the user as one line, exit 1
     plan = _planned_small_model(tmp_path)
     model, raw = tmp_path / "model.json", tmp_path / "raw.json"
+    cert = tmp_path / "cert.json"
     manifest.write_manifest(manifest.raw_model_to_doc([np.eye(3)]), raw)
     empty, short = tmp_path / "empty.csv", tmp_path / "short.csv"
     empty.write_text("")
     short.write_text("layer,rank,bits,latency_ms,energy_mj\n0,1,4,0.5\n")
-    out = tmp_path / "out.json"
+    out, run = tmp_path / "out.json", tmp_path / "run"
+    missing = tmp_path / "missing.json"
+    f = _refused_inputs(tmp_path)
+    certify = ("certify", model, "--profiles", "2", "--out", out)
     cases = (
         (("certify", model, "--profiles", "0", "--calib-size", 16),
          "rank must be at least 1"),
@@ -982,11 +1029,50 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
          "device table row '0,1,4,0.5' needs 5 fields"),
         (("report", plan, "--probes", 0),
          "probe count must be at least 1, got 0"),
+        ((*certify, "--calib", f["zero_d.npz"]),
+         "calibration file holds no inputs"),
+        (("report", plan, "--calib", f["zero_d.npz"], "--out", out),
+         "calibration file holds no inputs"),
+        ((*certify, "--calib", f["nan.npz"]),
+         "calibration inputs must be finite"),
+        (("report", plan, "--calib", f["nan.npz"], "--out", out),
+         "calibration inputs must be finite"),
+        ((*certify, "--calib", f["inf.npz"]),
+         "calibration inputs must be finite"),
+        (("report", plan, "--calib", f["inf.npz"], "--out", out),
+         "calibration inputs must be finite"),
+        (("plan", model, "--out", out),
+         "manifest carries no calibration statistics; run certify first"),
+        (("plan", f["trained.json"], "--out", out),
+         "manifest carries no certificate; run certify first"),
+        (("select", cert, "--latency-ms", "1"),
+         "manifest carries no profile lattice; run plan first"),
+        (("audit", cert),
+         "manifest carries no profile lattice; run plan first"),
+        (("select", f["noeps_plan.json"], "--latency-ms", "1"),
+         "no epsilon stored in the certificate; pass --epsilon"),
+        (("select", plan), "give at least one of --latency-ms, --bytes, "
+                           "--energy-mj"),
+        (("certify", model, "--profiles", "x", "--calib-size", 16,
+          "--out", out), "bad profile entry 'x'"),
+        (("certify", model, "--profiles", ",", "--calib-size", 16,
+          "--out", out), "--profiles names no profiles"),
+        (("certify", model, "--calib-size", 16, "--out", out),
+         "manifest stores no profiles; pass --profiles"),
+        (("certify", f["conv.json"], "--profiles", "1", "--out", out),
+         "synthesized probes cover dense stacks only; conv models need "
+         "--calib"),
+        (("train", "--out", run, "--config", missing),
+         f"cannot read config: [Errno 2] No such file or directory: "
+         f"'{missing}'"),
+        (("train", "--out", run, "--config", f["array.json"]),
+         "config must be a JSON object"),
     )
     for argv, message in cases:
-        code, _, err = _cli_output(*argv)
-        assert (code, err) == (cli.EXIT_ERROR, f"error: {message}\n"), argv
-    assert not out.exists()
+        code, stdout, err = _cli_output(*argv)
+        assert (code, stdout, err) == (cli.EXIT_ERROR, "",
+                                       f"error: {message}\n"), argv
+    assert not out.exists() and not run.exists()
 
 
 def test_reruns_byte_identical_across_blas_threads(tmp_path):
@@ -1166,23 +1252,24 @@ def test_stale_profile_payloads_fail_verification(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source, argv, bits", [
-    ("model.json", ("--profiles", "4:40"), 40),
-    ("model.json", ("--profiles", "4:1"), 1),
-    ("cert.json", (), 40),
+@pytest.mark.parametrize("source, argv, message", [
+    ("model.json", ("--profiles", "4:40"),
+     "bad profile entry '4:40': bits must lie in [2, 32]"),
+    ("model.json", ("--profiles", "4:1"),
+     "bad profile entry '4:1': bits must lie in [2, 32]"),
+    ("cert.json", (), "stored bits 40 are not None or a width in [2, 32]"),
 ], ids=["flag-40", "flag-1", "stored-40"])
-def test_widths_outside_2_to_32_exit_1(tmp_path, source, argv, bits):
+def test_widths_outside_2_to_32_exit_1(tmp_path, source, argv, message):
+    # a flag's width is refused as a bad flag, a stored one as stored
     _planned_small_model(tmp_path)
     path, out = tmp_path / source, tmp_path / "out.json"
     if source == "cert.json":
         doc = json.loads(path.read_text())
-        doc["profiles"]["r2"]["pairs"][0] = [2, bits]
+        doc["profiles"]["r2"]["pairs"][0] = [2, 40]
         path.write_text(manifest.canonical_json(doc))
     code, stdout, err = _cli_output("certify", path, *argv, "--out", out,
                                     "--calib-size", 16)
-    assert (code, stdout) == (cli.EXIT_ERROR, "")
-    assert err == (f"error: stored bits {bits} are not None or a width in "
-                   f"[2, 32]\n")
+    assert (code, stdout, err) == (cli.EXIT_ERROR, "", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -65,43 +65,8 @@ class TestBudgetToken:
         with pytest.raises(ValueError, match="device"):
             controller.BudgetToken(device="", latency_target=1.0)
 
-    def test_precedes_componentwise(self):
-        assert controller.precedes(_token(lat=5.0), _token(lat=10.0))
-        assert not controller.precedes(_token(lat=10.0), _token(lat=5.0))
-        assert controller.precedes(_token(lat=5.0, size=100),
-                                   _token(lat=5.0, size=200))
-
-    def test_precedes_requires_same_device(self):
-        assert not controller.precedes(_token("a", lat=1.0),
-                                       _token("b", lat=2.0))
-
-    def test_precedes_ignores_targets_only_the_looser_side_has(self):
-        a = _token(lat=5.0)
-        b = _token(lat=10.0, size=100)
-        assert controller.precedes(a, b)
-        assert not controller.precedes(b, a)
-
-    def test_precedes_is_reflexive_and_antisymmetric(self):
-        a = _token(lat=5.0, size=100)
-        b = _token(lat=5.0, size=100)
-        assert controller.precedes(a, a)
-        assert controller.precedes(a, b) and controller.precedes(b, a)
-        c = _token(lat=4.0, size=100)
-        assert not (controller.precedes(a, c) and controller.precedes(c, a))
-
 
 class TestProfile:
-    def test_rank_floor(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            controller.Profile(((0, 4),))
-
-    def test_bit_width_window(self):
-        controller.Profile(((1, 2),))
-        controller.Profile(((1, None),))
-        for bad in (1, 33):
-            with pytest.raises(ValueError, match="bit-widths"):
-                controller.Profile(((1, bad),))
-
     def test_profiles_run_through_network_forward(self):
         net = _dense_net(4, (6, 5, 4))
         prof = controller.Profile(((2, 8), (3, None)))
@@ -140,15 +105,6 @@ class TestSnap:
                                           benefit)
             for entry, menu in zip(prof.pairs, menus):
                 assert entry in menu
-
-    def test_menus_must_be_sorted_and_non_empty(self):
-        net = _dense_net(13, (6, 5))
-        with pytest.raises(ValueError, match="ascending"):
-            controller.allocate(net, [[(2, 4), (1, 4)]], _token(size=100),
-                                [[1.0, 0.0]])
-        with pytest.raises(ValueError, match="empty"):
-            controller.allocate(net, [[]], _token(size=100), [[]])
-
 
 def _calibrated(seed, dims, **kw):
     net = _dense_net(seed, dims, **kw)
@@ -330,25 +286,11 @@ class TestAllocate:
                     cost_of(prof.pairs)) == want[:2]
         assert 0 < infeasible < 40
 
-    def test_one_target_per_token(self):
-        net = _hand_net()
-        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
-                                               0.01))
-        with pytest.raises(ValueError, match="exactly one target"):
-            controller.allocate(net, _HAND_MENUS, _token(lat=1.0, size=100),
-                                _HAND_BENEFIT, table)
-
     def test_latency_target_requires_a_model(self):
+        # every menu entry must be priced
         net = _hand_net()
-        with pytest.raises(ValueError, match="need a device table"):
-            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
-                                _HAND_BENEFIT)
         table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
                                                0.01))
-        with pytest.raises(ValueError, match="with energy prices"):
-            controller.allocate(net, _HAND_MENUS, _token(energy=1.0),
-                                _HAND_BENEFIT, table)
-        # every menu entry must be priced
         with pytest.raises(ValueError, match="no price for layer 1 at rank "
                                              "1, 4 bits"):
             controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
@@ -359,21 +301,6 @@ class TestAllocate:
                                              "2, 4 bits"):
             controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
                                 _HAND_BENEFIT, table)
-
-    def test_budget_device_must_match_the_model(self):
-        net = _hand_net()
-        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
-                                               0.01), device="other")
-        with pytest.raises(ValueError, match="device"):
-            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
-                                _HAND_BENEFIT, table)
-
-    def test_benefit_table_shape_checked(self):
-        net = _hand_net()
-        with pytest.raises(ValueError, match="benefit table"):
-            controller.allocate(net, _HAND_MENUS, _token(size=100),
-                                [[1.0], [1.0, 0.5, 0.1]])
-
 
 def _hand_lattice(lat=(0.5, 1.0, 2.0), drift=(0.3, 0.2, 0.1),
                   wbytes=(100, 200, 300), energy=None, device="dev"):
@@ -656,29 +583,6 @@ class TestBuildLattice:
         lattice, _ = controller.build_lattice(net, menus, budgets,
                                               benefit, stats, latency_only)
         assert lattice.energy is None
-
-    def test_budget_chain_must_be_ordered(self):
-        net, stats, menus, benefit, table, _ = self._setup(74)
-        bad = (_token(lat=2.0), _token(lat=0.5))
-        with pytest.raises(ValueError, match="tight"):
-            controller.build_lattice(net, menus, bad, benefit, stats,
-                                     table)
-
-    def test_step_count_capped(self):
-        net, stats, menus, benefit, table, _ = self._setup(75)
-        many = tuple(_token(lat=float(j + 1)) for j in range(9))
-        with pytest.raises(ValueError, match="1 to 8"):
-            controller.build_lattice(net, menus, many, benefit, stats,
-                                     table)
-
-    def test_device_mismatch_rejected(self):
-        net, stats, menus, benefit, table, budgets = self._setup(78)
-        bad = tuple(controller.BudgetToken(device="other",
-                                           latency_target=b.latency_target)
-                    for b in budgets)
-        with pytest.raises(ValueError, match="device"):
-            controller.build_lattice(net, menus, bad, benefit, stats,
-                                     table)
 
     def test_selection_composes_with_the_lattice(self):
         net, stats, menus, benefit, table, budgets = self._setup(79)

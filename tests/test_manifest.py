@@ -1,5 +1,6 @@
 """Manifest format: byte-identical rewrites, arrays in memory and payloads
-checked once on read, file modes, profiles stored as their pairs, and
+checked once on read, the exact refusal of each bad file, model and
+document, file modes, profiles stored as their pairs, and
 re-verification of every certificate ledger quantity, lattice and model
 section."""
 
@@ -126,6 +127,67 @@ class TestRoundTrip:
         with pytest.raises(manifest.ManifestError) as err:
             manifest.read_manifest(path)
         assert str(err.value) == message
+
+    # what verify_manifest reports of a file read_manifest refuses
+    @pytest.mark.parametrize("data, message", [
+        (b"{", "cannot read manifest: Expecting property name enclosed in "
+               "double quotes: line 1 column 2 (char 1)"),
+        (b"[]", "not a model manifest"),
+        (b'{"format": "onnx"}', "not a model manifest"),
+        (b'{"format": "elastiq-manifest", "version": 2}',
+         "unsupported manifest version 2"),
+        (None, "cannot read manifest: [Errno 2] No such file or directory: "
+               "'{path}'"),
+    ], ids=["not-json", "array", "other-format", "version-2", "missing"])
+    def test_refused_file(self, tmp_path, data, message):
+        path = tmp_path / "m.json"
+        if data is not None:
+            path.write_bytes(data)
+        message = message.format(path=path)
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.read_manifest(path)
+        assert str(err.value) == message
+        assert manifest.verify_manifest(str(path)) == [message]
+
+    # each edit is written back with write_manifest, so every payload
+    # checksum holds
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["model"]["layers"][0]["u"].__setitem__(
+            (0, 0), 0.5), "decoded parameters do not match the stored "
+                          "fingerprint"),
+        (lambda doc: doc["model"]["layers"].pop(),
+         "topology and model layer counts differ"),
+    ], ids=["edited-tensor", "layer-count"])
+    def test_refused_model(self, tmp_path, certified, edit, message):
+        doc = copy.deepcopy(certified)
+        edit(doc)
+        path = tmp_path / "m.json"
+        manifest.write_manifest(doc, path)
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.net_from_doc(manifest.read_manifest(path))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda path: manifest.raw_model_to_doc([]),
+         "raw model needs at least one layer"),
+        (lambda path: manifest.raw_model_to_doc([np.eye(2)], [None, None]),
+         "per-layer sequences disagree on layer count"),
+        (lambda path: manifest.raw_model_to_doc([np.ones(3)]),
+         "raw weights must be 2-D or 4-D"),
+        (lambda path: manifest.write_manifest({"a": [0.5]}, path),
+         "raw float at $.a[0]; serialize it with fmt_float"),
+        (lambda path: manifest.write_manifest({"a": {1: "b"}}, path),
+         "non-string key at $.a"),
+        (lambda path: manifest.fmt_float(float("inf")),
+         "manifests store finite floats only"),
+    ], ids=["no-layers", "ragged", "weight-rank", "raw-float",
+            "int-key", "inf"])
+    def test_refused_document(self, tmp_path, build, message):
+        path = tmp_path / "m.json"
+        with pytest.raises(manifest.ManifestError) as err:
+            build(path)
+        assert str(err.value) == message
+        assert not path.exists()
 
     def test_sidecar_encoded_payload_refused(self, tmp_path):
         path = tmp_path / "m.json"
