@@ -6,9 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from elastiq import certificate, controller, cost, elastic, network
+from elastiq import certificate, cli, controller, cost, elastic, network
 from bounds import expected_bound
 from oracles import exhaustive_allocation
+from test_cli import _cli_output, _small_model
 
 
 def _rng(seed):
@@ -592,6 +593,32 @@ class TestBuildLattice:
                                         epsilon=10 ** 6)
         assert sel.status == controller.OK
         assert sel.profile is lattice.profiles[sel.index]
+
+    # build_lattice trusts its budgets; plan, which builds them, refuses a
+    # chain the lattice cannot nest before any lattice is built
+    def _plan_refusal(self, tmp_path, latencies):
+        model, cert, out = (tmp_path / n for n in (
+            "model.json", "cert.json", "plan.json"))
+        _small_model(model)
+        code, _, err = _cli_output("certify", model, "--profiles", "2,3:8",
+                                   "--epsilon", "1.0", "--out", cert,
+                                   "--calib-size", 64)
+        assert (code, err) == (cli.EXIT_OK, "")
+        code, stdout, err = _cli_output(
+            "plan", cert, "--out", out,
+            "--latency-ms", ",".join(repr(v) for v in latencies))
+        assert (code, stdout) == (cli.EXIT_ERROR, "")
+        assert not out.exists()
+        return err
+
+    def test_budget_chain_must_be_ordered(self, tmp_path):
+        err = self._plan_refusal(tmp_path, (2.0, 0.5))
+        assert err == "error: budgets must be ordered tightest first\n"
+
+    def test_step_count_capped(self, tmp_path):
+        err = self._plan_refusal(tmp_path,
+                                 tuple(float(j + 1) for j in range(9)))
+        assert err == "error: lattice supports 1 to 8 budget levels\n"
 
 
 _POLICY_MENUS = [[(1, 4), (2, 8), (4, None)], [(1, 4), (3, 8)]]
