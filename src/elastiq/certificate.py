@@ -100,16 +100,28 @@ class CalibrationStats:
             raise ValueError("spatial must be a positive (H, W) pair")
 
 
+# finite inputs whose squares overflow float64 give infinite norms
+_NORMS_OVERFLOW = "layer input norms overflow float64; scale the inputs down"
+
+
 def _row_norms(a, single):
+    """l2 norm of each row of a, or of all of a when single; refuses a
+    norm that is not finite."""
     a = np.asarray(a, dtype=np.float64)
-    if single:
-        return np.array([np.linalg.norm(a.ravel())])
-    return np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
+    with np.errstate(over="ignore"):
+        if single:
+            norms = np.array([np.linalg.norm(a.ravel())])
+        else:
+            norms = np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
+    if not np.isfinite(norms).all():
+        raise ValueError(_NORMS_OVERFLOW)
+    return norms
 
 
 def calibrate(net, inputs):
     """Measure per-layer input-norm RMS on the full model, and a conv
-    model's calibration map size."""
+    model's calibration map size. Refuses inputs whose norms or their RMS
+    overflow float64."""
     if np.size(inputs) == 0:
         raise ValueError("calibration set is empty")
     x, _ = network._promote_input(net, inputs)
@@ -117,7 +129,10 @@ def calibrate(net, inputs):
     alpha = []
     for layer_in in tr.inputs:
         norms = _row_norms(layer_in, single=False)
-        alpha.append(float(np.sqrt(np.mean(norms ** 2))))
+        with np.errstate(over="ignore"):
+            alpha.append(float(np.sqrt(np.mean(norms ** 2))))
+    if not np.isfinite(alpha).all():
+        raise ValueError(_NORMS_OVERFLOW)
     return CalibrationStats(alpha=tuple(alpha), count=int(x.shape[0]),
                             fingerprint=network_fingerprint(net),
                             spatial=x.shape[-2:] if net.blocks[0].is_conv

@@ -625,15 +625,18 @@ def cmd_report(args):
 def _say_diagnostics(bounds, drifts_by_level, epsilon):
     """Coverage (the share of (level, probe) drifts within epsilon), the
     Pearson correlation of each level's stored bound with its mean drift
-    (undefined when either is constant), the mean drift and the 95th
-    percentile of the bounds."""
+    (undefined when either is constant or the value overflows), the mean
+    drift and the 95th percentile of the bounds."""
     flat = np.concatenate(drifts_by_level)
     dh = np.asarray(bounds)
     md = np.asarray([float(np.mean(d)) for d in drifts_by_level])
-    sx, sy = float(np.std(dh)), float(np.std(md))
-    defined = sx != 0.0 and sy != 0.0
-    pearson = float(np.mean((dh - dh.mean()) * (md - md.mean()))
-                    / (sx * sy)) if defined else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = float(np.std(dh)), float(np.std(md))
+        pearson = float(np.mean((dh - dh.mean()) * (md - md.mean()))
+                        / (sx * sy)) if 0.0 < sx * sy < math.inf \
+            else math.nan
+    defined = math.isfinite(pearson)
+    pearson = pearson if defined else None
     say("diagnostics", epsilon=epsilon,
         coverage_percent=float(100.0 * np.mean(flat <= epsilon)),
         pearson=pearson, correlation_defined=defined,

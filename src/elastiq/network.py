@@ -10,7 +10,8 @@ one reverse sweep differentiates it:
   when ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise
   through the rebuilt weight: dense layers as ``((x @ v) * core) @ u.T``
   or one matmul, conv layers on channel-last maps as one im2col GEMM per
-  cache-sized block of output rows, staged through the Tucker-2 factors
+  cache-sized block of whole images (of rows of one image, when its
+  columns alone exceed the block), staged through the Tucker-2 factors
   (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
   rebuilt kernel.
 * ``backward`` walks a dense stack's forward trace from the logits back
@@ -70,66 +71,51 @@ def _act_grad(name, x):
 _CONV_BLOCK_BYTES = 512 * 1024
 
 
-def _copy_rows(x, lo, hi, dst):
-    """Copy rows lo..hi of x's flattened (b*h) row axis into dst, a
-    (hi - lo, w, c) view: at most three slice copies whatever x's
-    strides, so a channel-last view of channel-first maps is never
-    copied whole."""
-    h = x.shape[1]
-    i, y = divmod(lo, h)
-    j, z = divmod(hi - 1, h)
-    if i == j:
-        dst[...] = x[i, y:z + 1]
-        return
-    head, mid = h - y, (j - i - 1) * h
-    dst[:head] = x[i, y:]
-    # splitting dst's row axis into (images, h) is always a view
-    dst[head:head + mid].reshape(j - i - 1, h, *dst.shape[1:])[...] = \
-        x[i + 1:j]
-    dst[head + mid:] = x[j, :z + 1]
-
-
 def _conv_same_value(x, k):
     """Stride-1 zero-padded conv keeping H, W (odd kernel sides) on
     channel-last maps: x is (b, h, w, c), the result (b, h, w, o).
 
-    Blocked im2col. The output rows of the flattened (b*h) axis are taken
-    in blocks of as many whole rows as fit _CONV_BLOCK_BYTES of patch
-    columns; a row larger than that is a block alone. A block's input
-    rows and their kh//2-row halo are copied into a padded block with
-    kw//2 zero columns each side, its (kh, kw, c) patches are gathered
-    from there into one column buffer, the taps whose row falls off the
-    output row's own image are zeroed, and one GEMM with the kernel laid
-    out as (kh*kw*c, o) writes the block's output. Besides the output,
-    the only temporaries are that column buffer and the padded block.
+    Blocked im2col. A block is as many whole images as fit
+    _CONV_BLOCK_BYTES of patch columns, copied into a padded block whose
+    kh//2-row and kw//2-column zero border is never written. Only an
+    image whose columns alone exceed the budget is split, into blocks of
+    as many of its rows as fit (at least one), each copied with its
+    kh//2-row halo; halo rows off the image are zeroed. The block's
+    (kh, kw, c) patches are gathered from the padded block into one
+    column buffer, and one GEMM with the kernel laid out as
+    (kh*kw*c, o) writes the block's output. Besides the output, the only
+    temporaries are that column buffer and the padded block.
     """
     o, c, kh, kw = k.shape
     b, h, w, _ = x.shape
     ph, pw = kh // 2, kw // 2
-    n_rows, depth = b * h, kh * kw * c
-    step = min(n_rows, max(1, _CONV_BLOCK_BYTES // (w * depth * 8)))
+    depth = kh * kw * c
+    fit = _CONV_BLOCK_BYTES // (w * depth * 8)
+    images, rows = (min(b, fit // h), h) if fit >= h else (1, max(1, fit))
     weight = k.transpose(2, 3, 1, 0).reshape(depth, o)
-    out = np.empty((n_rows * w, o))
-    cols = np.empty((step * w, depth))
-    # the zero side columns are never written; halo rows beyond the
-    # batch keep stale values, but every tap reading them is zeroed
-    pad = np.zeros((step + 2 * ph, w + 2 * pw, c))
-    inner = pad[:, pw:pw + w]
-    s0, s1, s2 = pad.strides
-    windows = np.lib.stride_tricks.as_strided(
-        pad, (step, w, kh, kw, c), (s0, s1, s0, s1, s2), writeable=False)
-    patches = cols.reshape(step, w, kh, kw, c)
-    # (kernel row, output row in its image) of each tap row off the map
-    edges = [(dy, y) for dy in range(kh) for y in range(h)
-             if not 0 <= y + dy - ph < h]
-    for g0 in range(0, n_rows, step):
-        n = min(step, n_rows - g0)
-        lo, hi = max(g0 - ph, 0), min(g0 + n + ph, n_rows)
-        _copy_rows(x, lo, hi, inner[lo - g0 + ph:hi - g0 + ph])
-        patches[:n] = windows[:n]
-        for dy, y in edges:
-            patches[(y - g0) % h:n:h, :, dy] = 0.0
-        np.matmul(cols[:n * w], weight, out=out[g0 * w:(g0 + n) * w])
+    out = np.empty((b * h * w, o))
+    cols = np.empty((images * rows * w, depth))
+    pad = np.zeros((images, rows + 2 * ph, w + 2 * pw, c))
+    s0, s1, s2, s3 = pad.strides
+    # each output pixel's (kh, kw, c) window in pad; np.ndarray builds
+    # this view at a fifth of as_strided's cost
+    windows = np.ndarray((images, rows, w, kh, kw, c), buffer=pad,
+                         strides=(s0, s1, s2, s1, s2, s3))
+    patches = cols.reshape(images, rows, w, kh, kw, c)
+    for i in range(0, b, images):
+        n = min(images, b - i)
+        for y in range(0, h, rows):
+            r = min(rows, h - y)
+            lo, hi = max(y - ph, 0), min(y + r + ph, h)
+            pad[:n, lo - y + ph:hi - y + ph, pw:pw + w] = x[i:i + n, lo:hi]
+            if rows < h:
+                # row blocks of one image reuse pad: halo rows off the
+                # image may hold rows of an earlier block
+                pad[0, :lo - y + ph] = 0.0
+                pad[0, hi - y + ph:] = 0.0
+            patches[:n, :r] = windows[:n, :r]
+            g0 = (i * h + y) * w
+            np.matmul(cols[:n * r * w], weight, out=out[g0:g0 + n * r * w])
     return out.reshape(b, h, w, o)
 
 
@@ -299,9 +285,10 @@ def forward(net, x, profile=None):
     its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
     quantized factor is quantized afresh on every call. Dense layers
     compute ((x @ v) * core) @ u.T or x @ W.T; conv layers run
-    channel-last as one im2col GEMM per cache-sized block of output rows
-    (_conv_same_value). A dense layer at rank min(m, n), so at profile
-    None after from_dense, always runs the rebuilt weight.
+    channel-last as one im2col GEMM per cache-sized block of whole
+    images, so a single image is one block, or of rows of one image too
+    large for a block (_conv_same_value). A dense layer at rank min(m, n),
+    so at profile None after from_dense, always runs the rebuilt weight.
     """
     entries = resolve_profile(net, profile)
     a, single = _promote_input(net, x)
@@ -373,12 +360,19 @@ def logit_drift(net, x, profile):
 
 
 def _drift(net, x, z_prof, z_full):
-    """logit_drift from the profile and full logits already run on x."""
-    diff = z_prof - z_full
-    if _promote_input(net, x)[1]:
-        return float(np.linalg.norm(diff.ravel()))
-    axes = tuple(range(1, diff.ndim))
-    return np.sqrt(np.sum(diff * diff, axis=axes))
+    """logit_drift from the profile and full logits already run on x;
+    refuses a drift that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = z_prof - z_full
+        if _promote_input(net, x)[1]:
+            drift = float(np.linalg.norm(diff.ravel()))
+        else:
+            axes = tuple(range(1, diff.ndim))
+            drift = np.sqrt(np.sum(diff * diff, axis=axes))
+    if not np.isfinite(drift).all():
+        raise ValueError("logit drift overflows float64; scale the inputs "
+                         "down")
+    return drift
 
 
 def activation_lipschitz(name):

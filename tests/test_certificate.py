@@ -91,6 +91,19 @@ class TestCalibration:
         with pytest.raises(ValueError, match="empty"):
             certificate.calibrate(net, np.zeros((0, 4)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e160])
+    def test_overflowing_norms_rejected(self, scale):
+        # 1e200 overflows each row's squares, 1e160 only the RMS over rows
+        net = _dense_net(4, (4, 3), (network.IDENTITY,))
+        xs = np.full((3, 4), scale)
+        with pytest.raises(ValueError, match="norms overflow float64"):
+            certificate.calibrate(net, xs)
+        if scale == 1e200:
+            stats = certificate.calibrate(net, np.ones((3, 4)))
+            with pytest.raises(ValueError, match="norms overflow float64"):
+                certificate.pointwise_bound(net, stats, [(1, None)], xs[0])
+
     def test_recompute_reproduces_exactly(self):
         net = _dense_net(5, (4, 4, 3), (network.GELU, network.IDENTITY))
         xs = _rng(6).standard_normal((16, 4))

@@ -335,6 +335,46 @@ def test_report_identical_levels_leave_the_correlation_undefined(tmp_path):
     assert (diag["pearson"], diag["correlation_defined"]) == ("none", "false")
 
 
+@pytest.mark.filterwarnings("error")
+def test_report_correlation_is_undefined_when_it_overflows(capsys):
+    # finite bounds whose spread squares past float64: the Pearson value
+    # overflows, and no RuntimeWarning reaches the user
+    cli._say_diagnostics([1e200, 3e200], [np.ones(2), 2.0 * np.ones(2)],
+                         1.0)
+    diag = _sentinel(capsys.readouterr().out, "diagnostics")
+    assert (diag["pearson"], diag["correlation_defined"]) == ("none", "false")
+    assert diag["mean_drift"] == "1.5"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("conv", [False, True])
+def test_overflowing_calibration_inputs_exit_1_with_a_message(tmp_path,
+                                                              conv):
+    # finite inputs whose squares overflow float64: certify refuses the
+    # infinite layer-input norms and report the infinite drifts, each with
+    # one line, no warning and no file written
+    plan = tmp_path / "plan.json"
+    if conv:
+        calib, cert = _certified_conv_bottleneck(tmp_path)
+        assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
+        shape = np.load(calib)["x"].shape
+    else:
+        _planned_small_model(tmp_path)
+        cert, shape = tmp_path / "cert.json", (4, 8)
+    big, out, csv = (tmp_path / n for n in ("big.npz", "out.json",
+                                            "report.csv"))
+    np.savez(big, x=np.full(shape, 1e200))
+    for argv, message in (
+            (("certify", cert, "--calib", big, "--epsilon", "1.0",
+              "--out", out), "layer input norms overflow float64"),
+            (("report", plan, "--calib", big, "--out", csv),
+             "logit drift overflows float64")):
+        assert _cli_output(*argv) == (
+            cli.EXIT_ERROR, "", f"error: {message}; scale the inputs "
+                                f"down\n"), argv
+    assert not out.exists() and not csv.exists()
+
+
 def test_report_delta_hat_p95_is_the_stored_bounds_percentile(tmp_path):
     plan = _planned_small_model(tmp_path)
     calib, lattice, _ = _report_probes(tmp_path, plan)
@@ -680,6 +720,33 @@ def test_decompose_wide_dense_model(tmp_path):
     _write_wide_raw(raw)
     assert _cli("decompose", raw, "--out", tmp_path / "el.json") \
         == cli.EXIT_OK
+
+
+def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
+    raw, el = tmp_path / "raw.json", tmp_path / "el.json"
+    weights, biases, acts = _relu_stack(np.random.default_rng(0),
+                                        [(4, 3, 3, 3), (2, 4, 1, 1)])
+    manifest.write_manifest(manifest.raw_model_to_doc(
+        weights, biases, acts), raw)
+    # a conv kernel filed as a dense layer: the factorizer's refusal,
+    # with the layer's index
+    doc = json.loads(raw.read_text())
+    doc["topology"]["layers"][1]["kind"] = "dense"
+    filed = tmp_path / "filed.json"
+    filed.write_text(manifest.canonical_json(doc))
+    assert _cli_output("decompose", filed, "--out", el) == (
+        cli.EXIT_ERROR, "", "error: layer 1: w must be 2-D, got shape "
+                            "(2, 4, 1, 1)\n")
+    # a limit below the rounding error of every reconstruction
+    monkeypatch.setattr(cli, "_DECOMPOSE_RECON_LIMIT", 0.0)
+    code, out, err = _cli_output("decompose", raw, "--out", el)
+    assert code == cli.EXIT_ERROR and out.count("@@ layer ") == 2
+    worst = max(float(_sentinel(line, "layer")["recon_rel"])
+                for line in out.splitlines())
+    assert worst > 0.0
+    assert err == (f"error: full-rank reconstruction error {worst!r} "
+                   f"exceeds 0.0\n")
+    assert not el.exists()
 
 
 def test_plan_builds_ledgers_twice_and_report_none(tmp_path, monkeypatch):

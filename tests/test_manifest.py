@@ -398,11 +398,29 @@ class TestVerifyBranches:
         # a payload without its checksum is read as a plain object
         (_raw_with_weight({"dtype": "f64", "shape": [1], "bytes": 8}),
          ["raw model: weight is not a tensor payload"]),
+        # a document already in memory skips read_manifest's own checks
+        (_set("format", value="onnx"),
+         ["unrecognized manifest format or version"]),
+        (_set("version", value=2),
+         ["unrecognized manifest format or version"]),
+        (_set("model", "layers", value=lambda layers: layers[:1]),
+         ["model: fails to decode (topology and model layer counts "
+          "differ)"]),
+        (_set("calibration", "count", value="x"),
+         ["calibration: fails to reconstruct (malformed calibration "
+          "(ValueError: invalid literal for int() with base 10: 'x'))"]),
+        (_set("profiles", "low", "pairs", value="x"),
+         ["manifest structure: stored pairs 'x' are not a list"]),
+        (_set("certificate", "profiles", "low", "sensitivity",
+              value=lambda sens: sens[:1]),
+         ["certificate low: ragged ledger row"]),
     ], ids=["untouched", "lattice-reconstruct", "lattice-name",
             "lattice-pairs", "lattice-bytes", "lattice-drift",
             "lattice-uncertified", "sampled-certified", "alpha-length",
             "certificate-pairs", "certificate-unstored", "fingerprint",
-            "calibration-fingerprint", "raw", "raw-non-array"])
+            "calibration-fingerprint", "raw", "raw-non-array", "format",
+            "version", "model-decode", "calibration-reconstruct",
+            "structure", "ragged-ledger-row"])
     def test_problem(self, certified, edit, problems):
         doc = edit(_planned(copy.deepcopy(certified)))
         assert manifest.verify_manifest(doc) == problems

@@ -272,6 +272,73 @@ class TestConvExecution:
             got = network._conv_same_value(xs, k).transpose(0, 3, 1, 2)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape, k_shape, block_rows, gemm_rows", [
+        # the default budget: single images and small batches of 3x3,
+        # 1x1 and 5x5 convs on square and non-square maps, one block each
+        ((1, 3, 8, 8), (4, 3, 3, 3), None, [64]),
+        ((1, 2, 5, 3), (3, 2, 1, 1), None, [15]),
+        ((1, 2, 3, 7), (3, 2, 5, 5), None, [21]),
+        ((3, 4, 2, 7), (2, 4, 5, 3), None, [42]),
+        ((2, 3, 6, 4), (5, 3, 3, 3), None, [48]),
+        # a budget of two whole 5-row images: a batch of three spans two
+        # blocks
+        ((3, 2, 5, 4), (3, 2, 3, 3), 10, [40, 20]),
+        # one image's columns exceed a two-row budget: it splits into row
+        # blocks, each with its halo
+        ((1, 2, 9, 6), (3, 2, 5, 5), 2, [12, 12, 12, 12, 6]),
+        # two such images split one after the other, no block across them
+        ((2, 2, 5, 3), (3, 2, 3, 3), 2, [6, 6, 3, 6, 6, 3]),
+    ])
+    def test_blocks_hold_whole_images_or_rows_of_one(
+            self, x_shape, k_shape, block_rows, gemm_rows, monkeypatch):
+        rng = _rng(sum(x_shape) + sum(k_shape) + 1)
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        if block_rows is not None:
+            _, c, kh, kw = k_shape
+            monkeypatch.setattr(network, "_CONV_BLOCK_BYTES",
+                                block_rows * x_shape[3] * kh * kw * c * 8)
+        want = naive_conv2d_same(x, k)
+        real = np.matmul
+        for xs in (x.transpose(0, 2, 3, 1),
+                   np.ascontiguousarray(x.transpose(0, 2, 3, 1))):
+            written = []
+
+            def gemm(a, b, out):
+                written.append(out.shape[0])
+                return real(a, b, out=out)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(network.np, "matmul", gemm)
+                got = network._conv_same_value(xs, k).transpose(0, 3, 1, 2)
+            # one GEMM per block, writing its output pixels
+            assert written == gemm_rows
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_single_image_forward_memory_is_one_block(self):
+        rng = _rng(8)
+        c, side = 16, 8
+        lay = elastic.from_conv(rng.standard_normal((c, c, 3, 3)),
+                                bias=0.1 * rng.standard_normal(c))
+        assert not elastic.runs_staged(lay, lay.k_max)
+        net = network.Network((network.Block(
+            elastic=lay, activation=network.RELU),))
+        x = rng.standard_normal((c, side, side))
+        network.forward(net, x)
+        tracemalloc.start()
+        try:
+            logits = network.forward(net, x).logits
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the image's own columns and its zero-bordered copy, beside the
+        # rebuilt kernel and its (kh*kw*c, o) layout
+        columns = side * side * 9 * c * 8
+        padded_block = (side + 2) ** 2 * c * 8
+        kernels = 2 * c * c * 9 * 8
+        assert peak <= logits.nbytes + columns + padded_block + kernels \
+            + 8 * 1024
+
     @pytest.mark.parametrize("x_shape", [(256, 16, 8, 8), (16, 64, 64)])
     def test_forward_memory_is_bounded_by_one_block(self, x_shape):
         # no whole-batch im2col: a forward peaks at its output plus one
@@ -513,6 +580,15 @@ class TestLogitDrift:
         assert np.all(d >= 0.0)
         single = network.logit_drift(net, xs[0], profile)
         assert single == pytest.approx(d[0], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_drift_rejected(self):
+        # finite logits whose difference squares past float64
+        net = _dense_net(44, (5, 5, 3), (network.RELU, network.IDENTITY))
+        xs = np.full((2, 5), 1e200)
+        for x in (xs, xs[0]):
+            with pytest.raises(ValueError, match="drift overflows float64"):
+                network.logit_drift(net, x, [(2, 4), (1, None)])
 
 
 class TestWeightGain:
