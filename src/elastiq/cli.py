@@ -339,6 +339,9 @@ def _parse_profile_flag(spec):
             bits = int(bits) if bits else None
         except ValueError as exc:
             raise CliError(f"bad profile entry {item!r}") from exc
+        if k < 1:
+            raise CliError(f"bad profile entry {item!r}: rank must be at "
+                           f"least 1")
         if bits is not None and not \
                 quant.MIN_BITS <= bits <= cost.UNQUANTIZED_BITS:
             raise CliError(f"bad profile entry {item!r}: bits must lie in "

@@ -46,8 +46,6 @@ class ElasticLayer:
         ndim = _CORE_NDIM.get(self.kind)
         if ndim is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if not isinstance(self.factors, linalg.Factors):
-            raise TypeError(f"{self.kind} layer needs linalg.Factors")
         core = self.factors.core
         if core.ndim != ndim:
             raise ValueError(f"{self.kind} layer needs a {ndim}-axis core, "
@@ -100,8 +98,6 @@ def conv_rank_schedule(layer, k):
     clamped to the stored factor rank. Monotone in k, and k = k_max always
     reaches the full stored ranks.
     """
-    if layer.kind != CONV_TUCKER2:
-        raise ValueError("rank schedule only applies to conv layers")
     k = _check_k(layer, k)
     f = layer.factors
     c_out, c_in = f.u.shape[0], f.v.shape[0]
@@ -206,12 +202,10 @@ def residual_norm(layer, k, q=None):
     residual can exceed that singular value by a few ulps. Quantized
     factors, or factors perturbed away from orthonormality by training,
     materialize the residual and take its ``linalg.spectral_norm``.
-    Conv layers are refused: the norm of a kernel's unfolding does not
-    bound the operator norm of its convolution, which
-    ``network.weight_gain`` bounds instead.
+    Dense layers only: the norm of a kernel's unfolding does not bound
+    the operator norm of its convolution, which ``network.weight_gain``
+    bounds instead.
     """
-    if layer.kind != DENSE_SVD:
-        raise ValueError("residual_norm covers dense layers only")
     k = _check_k(layer, k)
     if q is None and k == layer.k_max:
         return 0.0

@@ -33,28 +33,6 @@ __all__ = [
 ]
 
 
-def _as_matrix(w, name="w"):
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {w.shape}")
-    if w.shape[0] == 0 or w.shape[1] == 0:
-        raise ValueError(f"{name} must be non-empty, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return w
-
-
-def _as_tensor4(w, name="w"):
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 4:
-        raise ValueError(f"{name} must be 4-D (c_out, c_in, h, w), got shape {w.shape}")
-    if min(w.shape) == 0:
-        raise ValueError(f"{name} must be non-empty, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return w
-
-
 @dataclass
 class Factors:
     """A factorized weight: output-side u, core, input-side v.
@@ -90,7 +68,6 @@ def svd_full(w):
         sign flip, so the largest-magnitude entry of every u column is
         made positive (the first such entry on ties) and v follows.
     """
-    w = _as_matrix(w)
     u, sigma, vt = np.linalg.svd(w, full_matrices=False)
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     signs = np.where(pivots < 0.0, -1.0, 1.0)
@@ -103,7 +80,6 @@ def spectral_norm(w):
 
     LAPACK's value inflated by _NORM_SLACK; 0.0 for the zero matrix.
     """
-    w = _as_matrix(w)
     return float(np.linalg.norm(w, 2) * (1.0 + _NORM_SLACK))
 
 
@@ -123,23 +99,16 @@ def tucker2_fit(w4, r_out, r_in, sweeps=3):
     Parameters
     ----------
     w4 : (c_out, c_in, h, w) array
+        Finite, non-empty float64 kernel.
     r_out, r_in : int
-        Channel ranks, 1 <= r_out <= min(c_out, r_in*h*w) and
-        1 <= r_in <= min(c_in, r_out*h*w).
+        Channel ranks, which the caller keeps to 1 <= r_out <=
+        min(c_out, r_in*h*w) and 1 <= r_in <= min(c_in, r_out*h*w): a
+        channel unfolding has rank at most the other channel rank times
+        the spatial size, so no more singular vectors than that exist.
     sweeps : int
-        Alternating refinement rounds after initialization.
+        Alternating refinement rounds after initialization, >= 0.
     """
-    w4 = _as_tensor4(w4)
     c_out, c_in, kh, kw = w4.shape
-    # a channel unfolding has rank at most the other channel rank times
-    # the spatial size, so no more singular vectors than that exist
-    if not (1 <= r_out <= min(c_out, r_in * kh * kw)
-            and 1 <= r_in <= min(c_in, r_out * kh * kw)):
-        raise ValueError(
-            f"ranks ({r_out}, {r_in}) out of range for kernel {w4.shape}"
-        )
-    if sweeps < 0:
-        raise ValueError("sweeps must be >= 0")
     unfold_out = w4.reshape(c_out, -1)
     unfold_in = np.transpose(w4, (1, 0, 2, 3)).reshape(c_in, -1)
     u_out = _top_left_singulars(unfold_out, r_out)

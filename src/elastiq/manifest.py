@@ -16,10 +16,12 @@ array and ``_loads`` (under ``read_manifest``) decodes and checks every
 payload, each exactly once, at the file boundary; a training checkpoint
 stores its network as the same bytes.
 
-Rules that keep writes reproducible:
+Rules that keep writes reproducible and reads sound:
 
 * every float is serialized as a 17-significant-digit decimal string,
   which round-trips IEEE binary64 exactly;
+* every payload is finite, on write and on read, as ``fmt_float``
+  requires of every decimal float;
 * JSON is emitted with sorted keys, two-space indentation, ASCII escapes,
   and a trailing newline; no timestamps or environment data are recorded;
 * a published file (``_atomic_write``) is written to one temporary name
@@ -276,17 +278,39 @@ def raw_model_to_doc(weights, biases=None, activations=None, residuals=None,
     }
 
 
+# the weight rank of each raw layer kind
+_RAW_NDIM = {"dense": 2, "conv": 4}
+
+
 def raw_from_doc(doc):
-    """Decode a raw manifest into per-layer weight/bias/metadata dicts."""
+    """Decode a raw manifest into per-layer weight/bias/metadata dicts.
+
+    The topology and model sections list the same layers; a layer's kind
+    is dense or conv, and its weight is non-empty and 2-D (dense) or 4-D
+    (conv); a refusal of one layer names its index.
+    """
     if doc.get("kind") != KIND_RAW:
         raise ManifestError("manifest does not hold a raw model")
     out = []
     with _malformed("raw model"):
-        for spec, entry in zip(doc["topology"]["layers"],
-                               doc["model"]["layers"]):
+        topo, model = doc["topology"]["layers"], doc["model"]["layers"]
+        if len(topo) != len(model):
+            raise ManifestError("topology and model layer counts differ")
+        for i, (spec, entry) in enumerate(zip(topo, model)):
+            kind, w = spec["kind"], _tensor(entry, "weight")
+            ndim = _RAW_NDIM.get(kind)
+            if ndim is None:
+                raise ManifestError(f"layer {i}: unknown layer kind "
+                                    f"{kind!r}")
+            if w.ndim != ndim:
+                raise ManifestError(f"layer {i}: a {kind} weight must be "
+                                    f"{ndim}-D, got shape {w.shape}")
+            if w.size == 0:
+                raise ManifestError(f"layer {i}: the weight of shape "
+                                    f"{w.shape} is empty")
             out.append({
-                "kind": spec["kind"],
-                "weight": _tensor(entry, "weight"),
+                "kind": kind,
+                "weight": w,
                 "bias": _tensor(entry, "bias", required=False),
                 "activation": spec["activation"],
                 "residual": bool(spec["residual"]),
@@ -435,13 +459,17 @@ def _serializable(node, path="$"):
     """Deep-copy a document into strictly JSON-plain values.
 
     Each array becomes its payload: the little-endian float64 bytes,
-    base64-embedded, with their dtype, shape, byte count and sha256.
-    Raw floats are rejected everywhere — numbers that matter must already
-    be 17-digit decimal strings — so a manifest can never pick up
-    platform- or version-dependent float formatting.
+    base64-embedded, with their dtype, shape, byte count and sha256; an
+    array holding a non-finite value is refused. Raw floats are rejected
+    everywhere — numbers that matter must already be 17-digit decimal
+    strings — so a manifest can never pick up platform- or
+    version-dependent float formatting.
     """
     if isinstance(node, np.ndarray):
-        raw = np.ascontiguousarray(node, dtype="<f8").tobytes()
+        arr = np.ascontiguousarray(node, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise ManifestError(f"non-finite payload at {path}")
+        raw = arr.tobytes()
         return {
             "dtype": _F64,
             "shape": list(node.shape),
@@ -543,10 +571,10 @@ def write_manifest(doc, path):
 
 def _array(node):
     """json.loads object hook: a payload becomes its float64 array once
-    its encoding, byte count, sha256, dtype and shape check out; every
-    other object passes through. Only base64-embedded payloads are read,
-    so one in any other encoding (such as an older manifest's
-    ``"sidecar"``) is refused."""
+    its encoding, byte count, sha256, dtype and shape check out and every
+    value is finite; every other object passes through. Only
+    base64-embedded payloads are read, so one in any other encoding (such
+    as an older manifest's ``"sidecar"``) is refused."""
     if not _PAYLOAD_KEYS <= node.keys():
         return node
     with _malformed("payload"):
@@ -564,6 +592,8 @@ def _array(node):
         flat = np.frombuffer(raw, dtype="<f8")
         if flat.size != np.prod(shape):
             raise ManifestError("payload shape does not match its data")
+        if not np.isfinite(flat).all():
+            raise ManifestError("payload holds a non-finite value")
         return flat.reshape(shape).astype(np.float64)
 
 
@@ -629,7 +659,12 @@ def _verify_lattice(doc, net, problems, tol):
         problems.append(f"lattice: fails to reconstruct ({exc})")
         return
     cert = doc.get("certificate")
-    if cert is None or cert.get("certified") is not True:
+    with _malformed("certificate"):
+        certified = cert is not None and cert.get("certified") is True
+        ledger_bounds = {} if cert is None else {
+            name: parse_float(entry["delta_hat"])
+            for name, entry in cert["profiles"].items()}
+    if not certified:
         problems.append("lattice: no certified ledger backs its drift "
                         "bounds")
     for j, prof in enumerate(lattice.profiles):
@@ -647,16 +682,12 @@ def _verify_lattice(doc, net, problems, tol):
             problems.append(
                 f"lattice profile {prof.name}: weight_bytes "
                 f"{lattice.weight_bytes[j]} != recomputed {want}")
-    if cert is not None:
-        for j, prof in enumerate(lattice.profiles):
-            entry = cert["profiles"].get(prof.name)
-            if entry is None:
-                continue
-            if not _close(lattice.drift_bound[j],
-                          parse_float(entry["delta_hat"]), tol):
-                problems.append(
-                    f"lattice profile {prof.name}: drift bound disagrees "
-                    f"with the certificate ledger")
+    for j, prof in enumerate(lattice.profiles):
+        if prof.name in ledger_bounds and not _close(
+                lattice.drift_bound[j], ledger_bounds[prof.name], tol):
+            problems.append(
+                f"lattice profile {prof.name}: drift bound disagrees "
+                f"with the certificate ledger")
 
 
 @_malformed("certificate")

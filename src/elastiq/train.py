@@ -86,33 +86,16 @@ class LossWeights:
 @dataclass(frozen=True)
 class RankSampler:
     """Annealed distribution over ranks 1..k_max: uniform early, profiles
-    late."""
+    late. t_anneal >= 1, and profiles holds distinct ranks in [1, k_max]
+    in ascending order."""
 
     k_max: int
     t_anneal: int
     profiles: tuple
 
-    def __post_init__(self):
-        if not int(self.k_max) >= 1:
-            raise ValueError("k_max must be at least 1")
-        if not int(self.t_anneal) >= 1:
-            raise ValueError("t_anneal must be at least 1")
-        profs = tuple(sorted({int(p) for p in self.profiles}))
-        if not profs:
-            raise ValueError("profiles must not be empty")
-        for p in profs:
-            if not 1 <= p <= self.k_max:
-                raise ValueError(f"profile rank {p} outside "
-                                 f"[1, {self.k_max}]")
-        object.__setattr__(self, "k_max", int(self.k_max))
-        object.__setattr__(self, "t_anneal", int(self.t_anneal))
-        object.__setattr__(self, "profiles", profs)
-
 
 def gamma_schedule(sampler, t):
-    """Uniform-component weight: max(0, 1 - t / t_anneal)."""
-    if t < 0:
-        raise ValueError("step must be non-negative")
+    """Uniform-component weight at step t >= 0: max(0, 1 - t / t_anneal)."""
     return max(0.0, 1.0 - float(t) / float(sampler.t_anneal))
 
 
@@ -133,11 +116,8 @@ def sample_rank(sampler, t, rng):
 
 
 def lambda_warmup(base, t, warmup_steps):
-    """Linear ramp from zero to base over warmup_steps, then constant."""
-    if warmup_steps < 0:
-        raise ValueError("warmup_steps must be non-negative")
-    if t < 0:
-        raise ValueError("step must be non-negative")
+    """Linear ramp from zero to base over warmup_steps >= 0 steps, then
+    constant, at step t >= 0."""
     if warmup_steps == 0:
         return float(base)
     return float(base) * min(1.0, float(t) / float(warmup_steps))
@@ -148,10 +128,8 @@ def make_dataset(seed, n_train=N_TRAIN, n_eval=N_EVAL, dim=DIM):
 
     Class centers form an XOR layout in a 2-D plane; the remaining axes
     carry low-power noise and the whole cloud is rotated by a seeded
-    orthogonal map, then standardized on the training split.
+    orthogonal map, then standardized on the training split; dim >= 3.
     """
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
     rng = np.random.default_rng(seed)
     n = n_train + n_eval
     y = rng.integers(0, 2, size=n)
@@ -263,10 +241,12 @@ def _layer_grads(net, trace, entries, dlogits):
 def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
     """Four-term objective at sampled rank k, with parameter gradients.
 
+    batch is (x, y): x holds one input per row and y one label per row.
     coeffs holds one certificate coefficient (sensitivity x alpha) per
     layer; the drift cap scales each layer's tail by it. noise is the
-    standard-normal block, one row per input, that augmentation
-    consistency scales by AUG_SIGMA and adds to the batch.
+    standard-normal block shaped like x that augmentation consistency
+    scales by AUG_SIGMA and adds to the batch; it is needed only when
+    weights.aug_consistency is positive.
 
     Each view (full and compressed, on the batch and on its augmented
     copy) runs through network.forward; the objective's gradient at its
@@ -277,9 +257,6 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("batch must be (inputs, labels) with one label "
-                         "per row")
     entries = network.rank_profile(net, k, bits)
     full = network.resolve_profile(net, None)
     b_sz = x.shape[0]
@@ -303,9 +280,6 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
 
     aug = 0.0
     if weights.aug_consistency > 0.0:
-        if noise is None or np.shape(noise) != x.shape:
-            raise ValueError("augmentation consistency needs a noise "
-                             "array shaped like the inputs")
         x_aug = x + AUG_SIGMA * noise
         tr_fa = network.forward(net, x_aug, full)
         tr_ca = network.forward(net, x_aug, entries)

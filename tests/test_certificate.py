@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from elastiq import certificate, elastic, network
+from elastiq import certificate, cli, elastic, network
 from bounds import expected_bound
 from oracles import conv_matrix, dense_block_jacobians
+from test_cli import _cli_output, _small_model
 
 
 def _rng(seed):
@@ -86,10 +87,17 @@ class TestCalibration:
         stats = certificate.calibrate(net, xs)
         assert stats.alpha[0] == pytest.approx(np.sqrt(12.5), rel=1e-12)
 
-    def test_empty_set_rejected(self):
-        net = _dense_net(4, (4, 3), (network.RELU,))
-        with pytest.raises(ValueError, match="empty"):
-            certificate.calibrate(net, np.zeros((0, 4)))
+    def test_empty_set_rejected(self, tmp_path):
+        # calibrate trusts its caller; certify refuses a --calib file
+        # without rows where it reads it, before any statistic is taken
+        model, calib, out = (tmp_path / n for n in (
+            "model.json", "calib.npz", "out.json"))
+        _small_model(model)
+        np.savez(calib, x=np.zeros((0, 8)))
+        assert _cli_output("certify", model, "--profiles", "2", "--calib",
+                           calib, "--out", out) == (
+            cli.EXIT_ERROR, "", "error: calibration file holds no inputs\n")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e200, 1e160])
@@ -286,10 +294,6 @@ class TestLipschitzProxy:
         net = _dense_net(16, (4, 3), (network.RELU,))
         with pytest.raises(ValueError, match="length"):
             certificate.lipschitz_proxy(net, [[(1, None)] * 2])
-        with pytest.raises(ValueError, match="calibration"):
-            certificate.lipschitz_proxy(net, [None], certificate.SAMPLED)
-        with pytest.raises(ValueError, match="mode"):
-            certificate.lipschitz_proxy(net, [None], "fast")
         conv = network.Network((network.Block(
             elastic=elastic.from_conv(
                 _rng(17).standard_normal((3, 3, 3, 3)))),))

@@ -18,6 +18,7 @@ byte-identical reruns across BLAS thread counts, and every option and
 every training config field exercised by a test or a benchmark stage."""
 
 import argparse
+import base64
 import contextlib
 import csv
 import dataclasses
@@ -722,21 +723,76 @@ def test_decompose_wide_dense_model(tmp_path):
         == cli.EXIT_OK
 
 
+def _edited_copy(src, dst, edit):
+    """Copy the manifest at src to dst with edit applied to its JSON form."""
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(manifest.canonical_json(doc))
+    return dst
+
+
+def _refiled(src, dst, layer, kind):
+    """Copy the raw manifest at src to dst with one layer's kind changed."""
+    return _edited_copy(src, dst, lambda doc: doc["topology"]["layers"][
+        layer].update(kind=kind))
+
+
+def _with_nan(src, dst, layer, name):
+    """Copy the manifest at src to dst with a NaN as the first entry of one
+    layer's payload, its byte count and checksum intact and an elastic
+    model's fingerprint recomputed: what a writer without the finite
+    check would publish."""
+    doc = manifest.read_manifest(src)
+    arr = doc["model"]["layers"][layer][name]
+    arr.flat[0] = np.nan
+    text = json.loads(src.read_text())
+    if "fingerprint" in text:
+        text["fingerprint"] = certificate.network_fingerprint(
+            manifest.net_from_doc(doc, check_fingerprint=False))
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    text["model"]["layers"][layer][name].update(
+        data=base64.b64encode(raw).decode("ascii"),
+        sha256=hashlib.sha256(raw).hexdigest())
+    dst.write_text(manifest.canonical_json(text))
+    return dst
+
+
 def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
     raw, el = tmp_path / "raw.json", tmp_path / "el.json"
     weights, biases, acts = _relu_stack(np.random.default_rng(0),
                                         [(4, 3, 3, 3), (2, 4, 1, 1)])
     manifest.write_manifest(manifest.raw_model_to_doc(
         weights, biases, acts), raw)
-    # a conv kernel filed as a dense layer: the factorizer's refusal,
-    # with the layer's index
-    doc = json.loads(raw.read_text())
-    doc["topology"]["layers"][1]["kind"] = "dense"
-    filed = tmp_path / "filed.json"
-    filed.write_text(manifest.canonical_json(doc))
-    assert _cli_output("decompose", filed, "--out", el) == (
-        cli.EXIT_ERROR, "", "error: layer 1: w must be 2-D, got shape "
-                            "(2, 4, 1, 1)\n")
+    dense, empty = tmp_path / "dense.json", tmp_path / "empty.json"
+    manifest.write_manifest(manifest.raw_model_to_doc(*_relu_stack(
+        np.random.default_rng(1), [(4, 3), (2, 4)])), dense)
+    manifest.write_manifest(manifest.raw_model_to_doc(
+        [np.ones((4, 3)), np.ones((0, 4))]), empty)
+    # each file is refused as it is read, before any layer is factorized,
+    # and fails verification: a layer's kind and weight rank name its
+    # index, and a non-finite payload is refused as its bytes decode
+    cases = (
+        (_refiled(raw, tmp_path / "conv_as_dense.json", 1, "dense"),
+         "layer 1: a dense weight must be 2-D, got shape (2, 4, 1, 1)",
+         "raw model: "),
+        (_refiled(dense, tmp_path / "dense_as_conv.json", 1, "conv"),
+         "layer 1: a conv weight must be 4-D, got shape (2, 4)",
+         "raw model: "),
+        (_refiled(dense, tmp_path / "lstm.json", 0, "lstm"),
+         "layer 0: unknown layer kind 'lstm'", "raw model: "),
+        (empty, "layer 1: the weight of shape (0, 4) is empty",
+         "raw model: "),
+        (_edited_copy(dense, tmp_path / "short.json",
+                      lambda doc: doc["model"]["layers"].pop()),
+         "topology and model layer counts differ", "raw model: "),
+        (_with_nan(dense, tmp_path / "nan.json", 1, "weight"),
+         "payload holds a non-finite value", ""),
+    )
+    for path, message, section in cases:
+        assert _cli_output("decompose", path, "--out", el) == (
+            cli.EXIT_ERROR, "", f"error: {message}\n"), path
+        assert not el.exists()
+        assert manifest.verify_manifest(str(path)) == [section + message]
     # a limit below the rounding error of every reconstruction
     monkeypatch.setattr(cli, "_DECOMPOSE_RECON_LIMIT", 0.0)
     code, out, err = _cli_output("decompose", raw, "--out", el)
@@ -1083,7 +1139,7 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
     certify = ("certify", model, "--profiles", "2", "--out", out)
     cases = (
         (("certify", model, "--profiles", "0", "--calib-size", 16),
-         "rank must be at least 1"),
+         "bad profile entry '0': rank must be at least 1"),
         (("certify", raw, "--profiles", "2", "--out", out),
          "manifest does not hold a factorized model"),
         (("decompose", model, "--out", out),
@@ -1129,6 +1185,11 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
         (("certify", f["conv.json"], "--profiles", "1", "--out", out),
          "synthesized probes cover dense stacks only; conv models need "
          "--calib"),
+        # a stored factor holding NaN, its fingerprint consistent: the
+        # certificate once blamed the calibration inputs' norms
+        (("certify", _with_nan(model, tmp_path / "nan.json", 0, "core"),
+          "--profiles", "1", "--out", out),
+         "payload holds a non-finite value"),
         (("train", "--out", run, "--config", missing),
          f"cannot read config: [Errno 2] No such file or directory: "
          f"'{missing}'"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elastiq import elastic
 from elastiq.linalg import (
     svd_full,
     spectral_norm,
@@ -183,17 +184,17 @@ class TestTucker2:
             assert b <= a + 1e-10
 
     def test_rank_validation(self):
-        w4 = np.zeros((4, 3, 3, 3))
-        w4[0, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            tucker2_fit(w4, 5, 1)
-        with pytest.raises(ValueError):
-            tucker2_fit(w4, 1, 0)
-        # a 1x1 8->4 kernel: both channel unfoldings have rank at most 4,
-        # and after contracting u_in to r_in columns the output unfolding
-        # has rank at most r_in
-        bottleneck = _rand(4, 8, 15).reshape(4, 8, 1, 1)
-        for ranks in ((4, 8), (4, 5), (4, 2)):
-            with pytest.raises(ValueError):
-                tucker2_fit(bottleneck, *ranks)
-
+        # tucker2_fit trusts its ranks; from_conv, its caller, clamps each
+        # to the rank of its channel unfolding, so every fitted pair is in
+        # range, 1x1 bottlenecks included, and recovers the kernel
+        shapes = [(4, 3, 3, 3), (4, 8, 1, 1), (8, 4, 1, 1), (1, 5, 3, 3),
+                  (6, 1, 3, 1)]
+        for seed, (c_out, c_in, kh, kw) in enumerate(shapes):
+            w4 = _rand(c_out, c_in * kh * kw, 20 + seed).reshape(
+                c_out, c_in, kh, kw)
+            f = elastic.from_conv(w4).factors
+            r_out, r_in = f.core.shape[:2]
+            assert 1 <= r_out <= min(c_out, r_in * kh * kw)
+            assert 1 <= r_in <= min(c_in, r_out * kh * kw)
+            assert np.allclose(tucker2_recompose(f), w4, rtol=0.0,
+                               atol=1e-12)

@@ -180,8 +180,16 @@ class TestRoundTrip:
          "non-string key at $.a"),
         (lambda path: manifest.fmt_float(float("inf")),
          "manifests store finite floats only"),
+        (lambda path: manifest.write_manifest(
+            {"a": [np.array([1.0, np.nan])]}, path),
+         "non-finite payload at $.a[0]"),
+        (lambda path: manifest.write_manifest({"a": {"b": object()}}, path),
+         "unserializable object at $.a.b"),
+        (lambda path: manifest.config_hash({"a": [1, {"b": object()}]}),
+         "unhashable config element object"),
     ], ids=["no-layers", "ragged", "weight-rank", "raw-float",
-            "int-key", "inf"])
+            "int-key", "inf", "nan-payload", "unserializable",
+            "unhashable"])
     def test_refused_document(self, tmp_path, build, message):
         path = tmp_path / "m.json"
         with pytest.raises(manifest.ManifestError) as err:
@@ -411,6 +419,14 @@ class TestVerifyBranches:
           "(ValueError: invalid literal for int() with base 10: 'x'))"]),
         (_set("profiles", "low", "pairs", value="x"),
          ["manifest structure: stored pairs 'x' are not a list"]),
+        # the lattice reads the certificate's flag and bounds, and names
+        # the certificate as the malformed section
+        (_set("certificate", value=[]),
+         ["manifest structure: malformed certificate (AttributeError: "
+          "'list' object has no attribute 'get')"]),
+        (_set("certificate", "profiles", value=[]),
+         ["manifest structure: malformed certificate (AttributeError: "
+          "'list' object has no attribute 'items')"]),
         (_set("certificate", "profiles", "low", "sensitivity",
               value=lambda sens: sens[:1]),
          ["certificate low: ragged ledger row"]),
@@ -420,7 +436,8 @@ class TestVerifyBranches:
             "certificate-pairs", "certificate-unstored", "fingerprint",
             "calibration-fingerprint", "raw", "raw-non-array", "format",
             "version", "model-decode", "calibration-reconstruct",
-            "structure", "ragged-ledger-row"])
+            "structure", "certificate-not-object",
+            "certificate-profiles-not-object", "ragged-ledger-row"])
     def test_problem(self, certified, edit, problems):
         doc = edit(_planned(copy.deepcopy(certified)))
         assert manifest.verify_manifest(doc) == problems

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import certificate, cost, elastic, linalg, network, quant, train
+from elastiq import certificate, cli, cost, elastic, linalg, manifest, \
+    network, quant, train
 from oracles import _act_apply, counted_tucker2_conv, naive_conv2d_same, \
     naive_dense_forward, stepwise_round_trip, tucker2_recompose
+from test_cli import _cli_output
 
 
 def _rng(seed):
@@ -712,13 +714,22 @@ class TestBackward:
             for g in layer_grads.values():
                 assert np.all(g == 0.0)
 
-    def test_conv_nets_rejected(self):
+    def test_conv_nets_rejected(self, tmp_path):
+        # backward trusts its caller to hand it a dense stack; the sampled
+        # proxy, the one path from a loaded model to a backward sweep,
+        # refuses a conv model first
         lay = elastic.from_conv(_rng(58).standard_normal((4, 3, 3, 3)))
-        conv = network.Network((network.Block(elastic=lay),))
-        x = _rng(59).standard_normal((1, 3, 5, 5))
-        tr = network.forward(conv, x)
-        with pytest.raises(ValueError, match="dense stacks only"):
-            network.backward(conv, tr, None, np.ones((1, 1, 4)))
+        model, calib, out = (tmp_path / n for n in (
+            "conv.json", "calib.npz", "out.json"))
+        manifest.write_manifest(manifest.network_to_doc(
+            network.Network((network.Block(elastic=lay),))), model)
+        np.savez(calib, x=_rng(59).standard_normal((2, 3, 5, 5)))
+        assert _cli_output("certify", model, "--mode", "poweriter",
+                           "--profiles", "1", "--calib", calib,
+                           "--out", out) == (
+            cli.EXIT_ERROR, "",
+            "error: sampled proxy supports dense stacks only\n")
+        assert not out.exists()
 
     def test_finite_difference_all_parameter_classes(self):
         net = _dense_net(65, (4, 5, 3), (network.GELU, network.GELU),

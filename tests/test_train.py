@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_softmax
 from scipy.stats import chi2
 
-from elastiq import certificate, network, train
+from elastiq import certificate, cli, network, train
 from bounds import expected_bound
 from oracles import straight_line_objective
 
@@ -54,29 +54,12 @@ class TestLossWeights:
 
 
 class TestRankSampler:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="k_max"):
-            train.RankSampler(0, 10, (1,))
-        with pytest.raises(ValueError, match="t_anneal"):
-            train.RankSampler(8, 0, (4,))
-        with pytest.raises(ValueError, match="empty"):
-            train.RankSampler(8, 10, ())
-        for bad in (0, 9):
-            with pytest.raises(ValueError, match="outside"):
-                train.RankSampler(8, 10, (bad,))
-
-    def test_profiles_sorted_and_deduped(self):
-        s = train.RankSampler(8, 10, (8, 4, 4, 2))
-        assert s.profiles == (2, 4, 8)
-
     def test_gamma_schedule_closed_form(self):
         s = train.RankSampler(8, 100, (4,))
         assert train.gamma_schedule(s, 0) == 1.0
         assert train.gamma_schedule(s, 50) == 0.5
         assert train.gamma_schedule(s, 100) == 0.0
         assert train.gamma_schedule(s, 500) == 0.0
-        with pytest.raises(ValueError, match="non-negative"):
-            train.gamma_schedule(s, -1)
 
     def test_probabilities_sum_to_one(self):
         s = train.RankSampler(32, 100, (4, 16, 32))
@@ -129,12 +112,6 @@ class TestLambdaWarmup:
     def test_zero_warmup_is_constant(self):
         assert train.lambda_warmup(0.4, 0, 0) == pytest.approx(0.4)
 
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            train.lambda_warmup(0.4, 0, -1)
-        with pytest.raises(ValueError, match="non-negative"):
-            train.lambda_warmup(0.4, -1, 10)
-
 
 class TestMakeDataset:
     def test_shapes_and_dtypes(self):
@@ -157,10 +134,6 @@ class TestMakeDataset:
         assert np.max(np.abs(x_tr.std(axis=0) - 1.0)) < 1e-9
         # eval split reuses the train statistics, not its own
         assert np.max(np.abs(x_ev.mean(axis=0))) > 1e-6
-
-    def test_dim_floor(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            train.make_dataset(0, dim=2)
 
 
 class TestBuildNetwork:
@@ -200,9 +173,13 @@ class TestRankProfile:
                                                         (2, 8)]
 
     def test_rank_floor(self):
-        net = train.build_network(0)
-        with pytest.raises(ValueError, match="at least 1"):
-            network.rank_profile(net, 0)
+        # rank_profile trusts its callers; the --profiles flag, where a
+        # rank enters from outside, refuses one below 1
+        for spec in ("0", "-3:8"):
+            with pytest.raises(cli.CliError) as err:
+                cli._parse_profile_flag(spec)
+            assert str(err.value) == (f"bad profile entry {spec!r}: rank "
+                                      f"must be at least 1")
 
 
 class TestTotalLoss:
@@ -338,13 +315,6 @@ class TestTotalLoss:
                 train.total_loss(net, (x, y), 2, w, coeffs=coeffs,
                                  noise=noise)
 
-    def test_augmentation_requires_generator(self):
-        net, x, y, stats, coeffs = _small_setup(0)
-        with pytest.raises(ValueError, match="noise array"):
-            train.total_loss(net, (x, y), 2,
-                             train.LossWeights(epsilon=0.05),
-                             coeffs=coeffs)
-
     def test_drift_cap_requires_stats_or_coeffs(self):
         net, x, y, stats, coeffs = _small_setup(0)
         noise = np.random.default_rng(1).standard_normal(x.shape)
@@ -353,13 +323,6 @@ class TestTotalLoss:
             train.total_loss(net, (x, y), 2,
                              train.LossWeights(epsilon=0.05),
                              noise=noise)
-
-    def test_bad_batch_shape_rejected(self):
-        net, x, y, stats, coeffs = _small_setup(0)
-        with pytest.raises(ValueError, match="one label per row"):
-            train.total_loss(net, (x, y[:-1]), 2,
-                             train.LossWeights(epsilon=0.05),
-                             coeffs=coeffs)
 
 
 class TestSchedules:
