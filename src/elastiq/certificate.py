@@ -5,8 +5,8 @@ logits. The bounds here control that movement layer by layer: each layer
 contributes (sensitivity of the logits to a perturbation injected right
 after that layer's weight multiply) x (operator-norm of the weight change)
 x (norm of the signal entering the layer). Summing the contributions gives
-a pointwise bound at one input, and swapping the per-input signal norm for
-its calibration-set RMS gives the expected-drift aggregate.
+a pointwise bound at each row of a batch, and swapping the per-row signal
+norm for its calibration-set RMS gives the expected-drift aggregate.
 
 Two sensitivity proxies are available, named by the mode strings the
 manifests and ``certify --mode`` use. ``CONSERVATIVE`` multiplies
@@ -104,29 +104,25 @@ class CalibrationStats:
 _NORMS_OVERFLOW = "layer input norms overflow float64; scale the inputs down"
 
 
-def _row_norms(a, single):
-    """l2 norm of each row of a, or of all of a when single; refuses a
-    norm that is not finite."""
-    a = np.asarray(a, dtype=np.float64)
+def _row_norms(a):
+    """l2 norm of each row of a batch a; refuses a norm that is not
+    finite."""
     with np.errstate(over="ignore"):
-        if single:
-            norms = np.array([np.linalg.norm(a.ravel())])
-        else:
-            norms = np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
+        norms = np.sqrt(np.sum(a.reshape(a.shape[0], -1) ** 2, axis=1))
     if not np.isfinite(norms).all():
         raise ValueError(_NORMS_OVERFLOW)
     return norms
 
 
 def calibrate(net, inputs):
-    """Measure per-layer input-norm RMS on the full model, and a conv
-    model's calibration map size. Refuses inputs whose norms or their RMS
-    overflow float64."""
-    x, _ = network._promote_input(net, inputs)
+    """Measure per-layer input-norm RMS on the full model over a batch of
+    inputs, and a conv model's calibration map size. Refuses inputs whose
+    norms or their RMS overflow float64."""
+    x = np.asarray(inputs)
     tr = network.forward(net, x, None)
     alpha = []
     for layer_in in tr.inputs:
-        norms = _row_norms(layer_in, single=False)
+        norms = _row_norms(layer_in)
         with np.errstate(over="ignore"):
             alpha.append(float(np.sqrt(np.mean(norms ** 2))))
     if not np.isfinite(alpha).all():
@@ -233,9 +229,8 @@ def lipschitz_proxy(net, profiles, mode=CONSERVATIVE, calibration_inputs=None):
                 for p in profiles]
     if any(b.is_conv for b in net.blocks):
         raise ValueError("sampled proxy supports dense stacks only")
-    xs = np.atleast_2d(np.asarray(calibration_inputs, dtype=np.float64))
     sens = []
-    for jac in _tail_jacobians(net, xs):
+    for jac in _tail_jacobians(net, calibration_inputs):
         ema = None
         for est in _jacobian_norm_estimates(jac, _POWER_STEPS):
             ema = est if ema is None \
@@ -285,11 +280,9 @@ def ledger_total(rows):
 
 
 def pointwise_bound(net, stats, profile, x):
-    """Certified drift bound at one input (or a batch, one bound per row),
-    evaluated with the full model's layer-input norms."""
+    """Certified drift bound at each row of a batch x, evaluated with the
+    full model's layer-input norms."""
     rows = ledgers(net, stats, [profile])[0]
-    single = network._promote_input(net, x)[1]
     tr = network.forward(net, x, None)
-    total = ledger_total([(sens, change, _row_norms(a, single))
-                          for (sens, change, _), a in zip(rows, tr.inputs)])
-    return float(total[0]) if single else total
+    return ledger_total([(sens, change, _row_norms(a))
+                         for (sens, change, _), a in zip(rows, tr.inputs)])

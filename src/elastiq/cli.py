@@ -48,10 +48,12 @@ Calibration probes
 ------------------
 Commands that need model inputs (certify, report) draw standard-normal
 probes from --seed by default — matching the standardized synthetic task
-— or load array ``x`` from an .npz file given via --calib. Dense stacks
-only; conv models must supply --calib. certify records a conv model's
-map size (H, W); plan reads no inputs and prices conv layers at that
-size, and report refuses conv inputs of any other size.
+— or load array ``x`` from an .npz file given via --calib. ``x`` carries a
+leading batch axis: (rows, features) for a dense model, (maps, channels,
+H, W) for a conv model. Synthesized probes cover dense stacks only; conv
+models must supply --calib. certify records a conv model's map size
+(H, W); plan reads no inputs and prices conv layers at that size, and
+report refuses conv inputs of any other size.
 """
 
 from __future__ import annotations
@@ -138,7 +140,9 @@ _NPZ_ERRORS = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError,
 
 
 def _probe_inputs(net, n, seed, calib_path=None):
-    """Model inputs for calibration: an .npz file or seeded N(0,1) rows."""
+    """Model inputs for calibration: a batch from an .npz file or seeded
+    N(0,1) rows."""
+    first = net.blocks[0]
     if calib_path is not None:
         try:
             with np.load(calib_path) as data:
@@ -147,10 +151,13 @@ def _probe_inputs(net, n, seed, calib_path=None):
             raise CliError(f"cannot load calibration inputs: {exc}") from exc
         if xs.ndim == 0 or xs.shape[0] < 1:
             raise CliError("calibration file holds no inputs")
+        want = 4 if first.is_conv else 2
+        if xs.ndim != want:
+            raise CliError(f"calibration x must be {want}-D with a leading "
+                           f"batch axis, got shape {xs.shape}")
         if not np.isfinite(xs).all():
             raise CliError("calibration inputs must be finite")
         return xs
-    first = net.blocks[0]
     if first.is_conv:
         raise CliError("synthesized probes cover dense stacks only; "
                        "conv models need --calib")
@@ -570,19 +577,19 @@ def cmd_report(args):
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
     if net.blocks[0].is_conv:
         spatial = _certified_spatial(net, _stored_stats(doc))
-        h, w = network._promote_input(net, xs)[0].shape[-2:]
+        h, w = xs.shape[-2:]
         if (h, w) != spatial:
             raise CliError(f"inputs are {h}x{w} maps, but the lattice's "
                            f"bounds hold at the certified "
                            f"{spatial[0]}x{spatial[1]}")
 
     full = network.forward(net, xs, None).logits
-    full_top = np.argmax(np.atleast_2d(full), axis=-1)
+    full_top = np.argmax(full, axis=-1)
     rows, drifts_by_level = [], []
     for j, prof in enumerate(lattice.profiles):
-        logits = network.forward(net, xs, prof).logits
-        top = np.argmax(np.atleast_2d(logits), axis=-1)
-        drifts = np.atleast_1d(network._drift(net, xs, logits, full))
+        logits = network.forward(net, xs, prof.pairs).logits
+        top = np.argmax(logits, axis=-1)
+        drifts = network._drift(logits, full)
         drifts_by_level.append(drifts)
         coverage = float(100.0 * np.mean(drifts <= epsilon))
         rows.append({

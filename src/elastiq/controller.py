@@ -214,7 +214,7 @@ def build_lattice(net, menus, budgets, benefit, stats, table):
         upper = prof.pairs
     energy = tuple(cost.profile_price(table, p.pairs, cost.ENERGY)
                    for p in profiles) if table.has_energy else None
-    ledgers = certificate.ledgers(net, stats, profiles)
+    ledgers = certificate.ledgers(net, stats, [p.pairs for p in profiles])
     return ProfileLattice(
         profiles=profiles,
         predicted_latency=tuple(cost.profile_price(table, p.pairs)

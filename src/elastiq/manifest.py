@@ -287,7 +287,10 @@ def raw_from_doc(doc):
 
     The topology and model sections list the same layers; a layer's kind
     is dense or conv, and its weight is non-empty and 2-D (dense) or 4-D
-    (conv); a refusal of one layer names its index.
+    (conv, odd kernel sides); a bias holds one entry per output, the
+    activation is known, a skip connection wraps as many outputs as
+    inputs, and a layer takes the width the one before gives. A refusal
+    of one layer names its index.
     """
     if doc.get("kind") != KIND_RAW:
         raise ManifestError("manifest does not hold a raw model")
@@ -308,12 +311,28 @@ def raw_from_doc(doc):
             if w.size == 0:
                 raise ManifestError(f"layer {i}: the weight of shape "
                                     f"{w.shape} is empty")
+            bias = _tensor(entry, "bias", required=False)
+            act, residual = spec["activation"], bool(spec["residual"])
+            n_out, n_in = w.shape[:2]
+            for bad, why in (
+                    (ndim == 4 and not (w.shape[2] % 2 and w.shape[3] % 2),
+                     "same-padded conv needs odd kernel sides"),
+                    (bias is not None and bias.shape != (n_out,),
+                     "bias must be 1-D with one entry per output"),
+                    (act not in network._ACT_LIPSCHITZ,
+                     f"unknown activation {act!r}"),
+                    (residual and n_in != n_out,
+                     "skip connection needs matching width"),
+                    (out and n_in != out[-1]["weight"].shape[0],
+                     "input width differs from the previous output width")):
+                if bad:
+                    raise ManifestError(f"layer {i}: {why}")
             out.append({
                 "kind": kind,
                 "weight": w,
-                "bias": _tensor(entry, "bias", required=False),
-                "activation": spec["activation"],
-                "residual": bool(spec["residual"]),
+                "bias": bias,
+                "activation": act,
+                "residual": residual,
             })
     return out
 

@@ -4,16 +4,17 @@ One forward pass carries the block semantics (linear map, optional bias,
 optional frozen affine norm, activation, optional skip connection), and
 one reverse sweep differentiates it:
 
-* ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan and
-  records each block's input and, in a dense stack, its post-norm
-  pre-activation. Each layer runs staged through its served factor slices
-  when ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise
-  through the rebuilt weight: dense layers as ``((x @ v) * core) @ u.T``
-  or one matmul, conv layers on channel-last maps as one im2col GEMM per
-  cache-sized block of whole images (of rows of one image, when its
-  columns alone exceed the block), staged through the Tucker-2 factors
-  (1x1 reduce, spatial conv with the core, 1x1 expand) or through the
-  rebuilt kernel.
+* ``forward`` runs plain numpy on a hard per-layer (rank, bits) plan,
+  None or one (k, q) pair per layer, and records each block's input and,
+  in a dense stack, its post-norm pre-activation. It alone takes a single
+  input as well as a batch. A conv stack's channel-first maps move to
+  channel-last once on entry, so every block runs one path: its layer
+  works on the last axis, staged through the served factor slices when
+  ``elastic.runs_staged`` says that takes fewer FLOPs, otherwise through
+  the rebuilt weight (conv layers as one im2col GEMM per cache-sized
+  block of whole images, or of rows of one image too large for a block),
+  then bias, frozen norm, activation and skip apply once. Everything
+  downstream of ``forward`` takes batches and gives one value per row.
 * ``backward`` walks a dense stack's forward trace from the logits back
   and returns, per block, the derivative at the signal right after the
   weight multiply. Seeded with the identity it gives the Jacobians of the
@@ -119,31 +120,23 @@ def _conv_same_value(x, k):
     return out.reshape(b, h, w, o)
 
 
-def _dense_layer_value(layer, k, q, x):
-    """(b, n) rows x through a dense layer at (k, q), on the path
-    elastic.runs_staged picks: ((x @ v) * core) @ u.T on the served
-    factor slices, or x times the rebuilt weight."""
+def _layer_value(layer, k, q, x):
+    """A layer at (k, q) applied over x's last axis: (b, n) rows for a
+    dense layer, (b, h, w, c) channel-last maps for a conv layer. The
+    path is the one elastic.runs_staged picks: staged through the served
+    factor slices, or through the rebuilt weight; the 1x1 products of the
+    conv stage run on the maps flattened to rows of pixels. The result is
+    a fresh array."""
+    conv = layer.kind == elastic.CONV_TUCKER2
     if not elastic.runs_staged(layer, k):
-        return x @ elastic.effective_weight(layer, k, q).T
-    u, s, v = elastic._served_slices(layer, k, q)
-    return ((x @ v) * s) @ u.T
-
-
-def _conv_layer_value(layer, k, q, x):
-    """Conv of (b, c, h, w) maps x with a layer at (k, q), on the path
-    elastic.runs_staged picks: staged through the factor slices, or
-    through the rebuilt kernel. The work runs channel-last; the result is
-    a (b, o, h, w) view of channel-last memory, a layout elementwise ops
-    keep, so the next conv layer reads its input without a copy."""
-    x = x.transpose(0, 2, 3, 1)
-    if not elastic.runs_staged(layer, k):
-        y = _conv_same_value(x, elastic.effective_weight(layer, k, q))
-        return y.transpose(0, 3, 1, 2)
+        w = elastic.effective_weight(layer, k, q)
+        return _conv_same_value(x, w) if conv else x @ w.T
     u, core, v = elastic._served_slices(layer, k, q)
+    if not conv:
+        return ((x @ v) * core) @ u.T
     b, h, w, c = x.shape
     t = _conv_same_value((x.reshape(-1, c) @ v).reshape(b, h, w, -1), core)
-    y = t.reshape(-1, t.shape[-1]) @ u.T
-    return y.reshape(b, h, w, -1).transpose(0, 3, 1, 2)
+    return (t.reshape(-1, t.shape[-1]) @ u.T).reshape(b, h, w, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +177,7 @@ class Block:
             kh, kw = self.elastic.factors.core.shape[2:]
             if kh % 2 == 0 or kw % 2 == 0:
                 raise ValueError("same-padded conv needs odd kernel sides")
-            if self.residual and self.elastic.in_features != n:
-                raise ValueError("skip connection needs matching channels")
-        elif self.residual and self.elastic.in_features != n:
+        if self.residual and self.elastic.in_features != n:
             raise ValueError("skip connection needs matching width")
 
     @property
@@ -220,12 +211,13 @@ class Network:
 @dataclass
 class ForwardTrace:
     """Per-block inputs and post-norm pre-activations, plus the final
-    logits. inputs and logits drop the batch axis of a single input; pre
-    keeps it, as backward reads it. For a relu block, pre holds the
-    block's activation output, since relu runs in place: backward reads
-    only where pre is positive, which relu keeps. pre is empty for
-    conv stacks, which backward does not cover: keeping their maps slowed
-    batch serving."""
+    logits. inputs and logits take the form forward was given: conv maps
+    channel-first, so a recorded input feeds back into forward, and no
+    batch axis for a single input; pre keeps the batch axis, as backward
+    reads it. For a relu block, pre holds the block's activation output,
+    since relu runs in place: backward reads only where pre is positive,
+    which relu keeps. pre is empty for conv stacks, which backward does
+    not cover: keeping their maps slowed batch serving."""
 
     inputs: list
     pre: list
@@ -238,10 +230,11 @@ def _factor_arrays(layer):
 
 
 def resolve_profile(net, profile):
-    """Expand any accepted profile form to one (k, q) pair per layer."""
+    """One (k, q) pair per layer from a profile: None (every layer at its
+    stored rank, unquantized) or a sequence of (k, q) pairs."""
     if profile is None:
         return [(b.elastic.k_max, None) for b in net.blocks]
-    pairs = list(getattr(profile, "pairs", profile))
+    pairs = list(profile)
     if len(pairs) != len(net.blocks):
         raise ValueError("profile length does not match the layer count")
     return [(int(k), q) for k, q in pairs]
@@ -261,10 +254,7 @@ def _promote_input(net, x):
     a = x[None, ...] if single else x
     if a.ndim != want + 1:
         raise ValueError("input rank does not match the first block")
-    if first.is_conv:
-        if a.shape[1] != first.elastic.in_features:
-            raise ValueError("input channel count mismatch")
-    elif a.shape[1] != first.elastic.in_features:
+    if a.shape[1] != first.elastic.in_features:
         raise ValueError("input width mismatch")
     return a, single
 
@@ -272,50 +262,45 @@ def _promote_input(net, x):
 def forward(net, x, profile=None):
     """Run the network on x under a per-layer (rank, bits) plan.
 
-    profile is None (stored reconstruction at k_max, unquantized), a
-    sequence of one (k, q) pair per layer, or any object exposing such a
-    sequence as .pairs; k runs from 1 to the layer's stored rank k_max,
-    and q is None or one bit width for all three factor slices. x may be
-    a single input or a leading-batch stack of inputs.
-
-    Each layer runs staged through its served factor slices or through
-    its rebuilt weight, as elastic.runs_staged picks by FLOPs; a
-    quantized factor is quantized afresh on every call. Dense layers
-    compute ((x @ v) * core) @ u.T or x @ W.T; conv layers run
-    channel-last as one im2col GEMM per cache-sized block of whole
-    images, so a single image is one block, or of rows of one image too
-    large for a block (_conv_same_value). A dense layer at rank min(m, n),
-    so at profile None after from_dense, always runs the rebuilt weight.
+    profile is None (stored reconstruction at k_max, unquantized) or one
+    (k, q) pair per layer, k from 1 to the layer's stored rank and q None
+    or one bit width for all three factor slices. x is a leading-batch
+    stack of rows or channel-first (c, h, w) maps, or a single one, whose
+    batch axis the trace's inputs and logits drop again. A quantized
+    factor is quantized afresh on every call; a dense layer at rank
+    min(m, n), so at profile None after from_dense, always runs the
+    rebuilt weight.
     """
     entries = resolve_profile(net, profile)
     a, single = _promote_input(net, x)
+    conv = net.blocks[0].is_conv
+    if conv:
+        a = a.transpose(0, 2, 3, 1)
     inputs, pres = [], []
     for blk, (k, q) in zip(net.blocks, entries):
-        inputs.append(a[0] if single else a)
+        inputs.append(a)
         # the layer value is a fresh array, so bias, norm and relu apply
         # in place; a dense trace keeps pre for backward, and allocating
         # one array less per block offsets that in batch serving
-        if blk.is_conv:
-            pre = _conv_layer_value(blk.elastic, k, q, a)
-            if blk.elastic.bias is not None:
-                pre += blk.elastic.bias[:, None, None]
-            if blk.gamma is not None:
-                pre *= blk.gamma[:, None, None]
-                pre += blk.beta[:, None, None]
-        else:
-            pre = _dense_layer_value(blk.elastic, k, q, a)
-            if blk.elastic.bias is not None:
-                pre += blk.elastic.bias
-            if blk.gamma is not None:
-                pre *= blk.gamma
-                pre += blk.beta
+        pre = _layer_value(blk.elastic, k, q, a)
+        if blk.elastic.bias is not None:
+            pre += blk.elastic.bias
+        if blk.gamma is not None:
+            pre *= blk.gamma
+            pre += blk.beta
+        if not conv:
             pres.append(pre)
         h = _act_value(blk.activation, pre)
         if blk.residual:
             h = h + a
         a = h
-    logits = a[0] if single else a
-    return ForwardTrace(inputs=inputs, pre=pres, logits=logits)
+    if conv:
+        inputs = [t.transpose(0, 3, 1, 2) for t in inputs]
+        a = a.transpose(0, 3, 1, 2)
+    if single:
+        inputs = [t[0] for t in inputs]
+        a = a[0]
+    return ForwardTrace(inputs=inputs, pre=pres, logits=a)
 
 
 def backward(net, trace, profile, seed):
@@ -345,25 +330,19 @@ def backward(net, trace, profile, seed):
 
 
 def logit_drift(net, x, profile):
-    """l2 distance between profile logits and full logits.
-
-    Returns a float for a single input and a per-sample vector for a
-    batched input.
-    """
-    return _drift(net, x, forward(net, x, profile).logits,
+    """l2 distance between profile logits and full logits at a batch x,
+    one value per row."""
+    return _drift(forward(net, x, profile).logits,
                   forward(net, x, None).logits)
 
 
-def _drift(net, x, z_prof, z_full):
-    """logit_drift from the profile and full logits already run on x;
-    refuses a drift that is not finite."""
+def _drift(z_prof, z_full):
+    """logit_drift from a batch's profile and full logits, one value per
+    row; refuses a drift that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         diff = z_prof - z_full
-        if _promote_input(net, x)[1]:
-            drift = float(np.linalg.norm(diff.ravel()))
-        else:
-            axes = tuple(range(1, diff.ndim))
-            drift = np.sqrt(np.sum(diff * diff, axis=axes))
+        axes = tuple(range(1, diff.ndim))
+        drift = np.sqrt(np.sum(diff * diff, axis=axes))
     if not np.isfinite(drift).all():
         raise ValueError("logit drift overflows float64; scale the inputs "
                          "down")

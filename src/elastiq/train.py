@@ -474,7 +474,7 @@ def evaluate(net, x, y, profiles, names, epsilon, stats):
     for name, pairs, rows in zip(names, entries, ledgers):
         logits = network.forward(net, x, pairs).logits
         pred = np.argmax(logits, axis=-1)
-        drifts = np.asarray(network._drift(net, x, logits, full))
+        drifts = network._drift(logits, full)
         accuracy[name] = float(np.mean(pred == y))
         violation[name] = float(np.mean(drifts > epsilon))
         mean_drift[name] = float(np.mean(drifts))

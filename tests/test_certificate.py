@@ -61,7 +61,7 @@ class TestCalibration:
         net = _dense_net(0, (4, 5, 3), (network.RELU, network.IDENTITY),
                          gamma_on=(0,))
         x = _rng(1).standard_normal(4)
-        stats = certificate.calibrate(net, x)
+        stats = certificate.calibrate(net, x[None])
 
         blk0 = net.blocks[0]
         w0 = elastic.effective_weight(blk0.elastic, blk0.elastic.k_max)
@@ -75,7 +75,7 @@ class TestCalibration:
     def test_duplicated_inputs_leave_alpha_unchanged(self):
         net = _dense_net(2, (4, 3), (network.RELU,))
         x = _rng(3).standard_normal(4)
-        one = certificate.calibrate(net, x)
+        one = certificate.calibrate(net, x[None])
         four = certificate.calibrate(net, np.tile(x, (4, 1)))
         assert four.alpha == pytest.approx(one.alpha, rel=1e-12)
         assert four.count == 4
@@ -316,8 +316,9 @@ class TestPointwiseBound:
     def test_full_profile_is_exactly_zero(self):
         net = _dense_net(18, (4, 5, 3), (network.GELU, network.IDENTITY))
         stats = certificate.calibrate(net, _rng(19).standard_normal((8, 4)))
-        x = _rng(20).standard_normal(4)
-        assert certificate.pointwise_bound(net, stats, None, x) == 0.0
+        x = _rng(20).standard_normal((1, 4))
+        bound = certificate.pointwise_bound(net, stats, None, x)
+        assert bound.tolist() == [0.0]
 
     def test_single_linear_layer_matches_cauchy_schwarz(self):
         rng = _rng(21)
@@ -326,7 +327,8 @@ class TestPointwiseBound:
         stats = certificate.calibrate(net, rng.standard_normal((6, 5)))
         x = rng.standard_normal(5)
         k = 2
-        bound = certificate.pointwise_bound(net, stats, [(k, None)], x)
+        (bound,) = certificate.pointwise_bound(net, stats, [(k, None)],
+                                               x[None])
 
         w_full = elastic.effective_weight(net.blocks[0].elastic, 4)
         w_k = elastic.effective_weight(net.blocks[0].elastic, k)
@@ -382,9 +384,9 @@ class TestPointwiseBound:
         vec = certificate.pointwise_bound(net, stats, prof, xs)
         assert vec.shape == (7,)
         for row, want in zip(xs, vec):
-            got = certificate.pointwise_bound(net, stats, prof, row)
-            assert isinstance(got, float)
-            assert got == pytest.approx(want, rel=1e-12)
+            got = certificate.pointwise_bound(net, stats, prof, row[None])
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_stale_stats_rejected(self):
         net = _dense_net(29, (4, 3), (network.RELU,))
@@ -510,13 +512,13 @@ class TestSingleLayerReplacement:
                          gamma_on=(1,))
         xs = _rng(61).standard_normal((8, 5))
         stats = certificate.calibrate(net, xs)
-        x = _rng(62).standard_normal(5)
+        x = _rng(62).standard_normal((1, 5))
         for ell in range(3):
             k = 2
             prof = [(b.elastic.k_max, None) for b in net.blocks]
             prof[ell] = (k, None)
-            drift = network.logit_drift(net, x, prof)
-            bound = certificate.pointwise_bound(net, stats, prof, x)
+            (drift,) = network.logit_drift(net, x, prof)
+            (bound,) = certificate.pointwise_bound(net, stats, prof, x)
             assert drift <= bound * (1.0 + 1e-12) + 1e-12
 
             lay = net.blocks[ell].elastic

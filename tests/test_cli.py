@@ -287,7 +287,7 @@ def _report_probes(tmp_path, plan):
         (32, net.blocks[0].elastic.in_features))
     calib = tmp_path / "probes.npz"
     np.savez(calib, x=xs)
-    drifts = [np.atleast_1d(network.logit_drift(net, xs, prof))
+    drifts = [network.logit_drift(net, xs, prof.pairs)
               for prof in lattice.profiles]
     return calib, lattice, drifts
 
@@ -768,10 +768,29 @@ def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
         np.random.default_rng(1), [(4, 3), (2, 4)])), dense)
     manifest.write_manifest(manifest.raw_model_to_doc(
         [np.ones((4, 3)), np.ones((0, 4))]), empty)
+
+    def faulty(name, weights, **extra):
+        path = tmp_path / name
+        manifest.write_manifest(manifest.raw_model_to_doc(weights, **extra),
+                                path)
+        return path
+    dense_eyes = [np.eye(4, 3), np.eye(2, 4)]
     # each file is refused as it is read, before any layer is factorized,
-    # and fails verification: a layer's kind and weight rank name its
-    # index, and a non-finite payload is refused as its bytes decode
+    # and fails verification: a layer fault names its index, and a
+    # non-finite payload is refused as its bytes decode
     cases = (
+        (faulty("long_bias.json", dense_eyes, biases=[np.ones(5), None]),
+         "layer 0: bias must be 1-D with one entry per output",
+         "raw model: "),
+        (faulty("swish.json", dense_eyes, activations=["swish", "identity"]),
+         "layer 0: unknown activation 'swish'", "raw model: "),
+        (faulty("even_kernel.json", [np.ones((4, 3, 2, 2))]),
+         "layer 0: same-padded conv needs odd kernel sides", "raw model: "),
+        (faulty("skip_3_to_4.json", dense_eyes, residuals=[True, False]),
+         "layer 0: skip connection needs matching width", "raw model: "),
+        (faulty("widths_4_5.json", [np.eye(4, 3), np.eye(2, 5)]),
+         "layer 1: input width differs from the previous output width",
+         "raw model: "),
         (_refiled(raw, tmp_path / "conv_as_dense.json", 1, "dense"),
          "layer 1: a dense weight must be 2-D, got shape (2, 4, 1, 1)",
          "raw model: "),
@@ -1095,13 +1114,14 @@ def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags):
 
 def _refused_inputs(tmp_path):
     """Beside _planned_small_model's files: a plan of a ledger certified
-    without epsilon, a 2-step training run, a conv model, a JSON-array
-    config and calibration files whose x is 0-d, or holds nan or inf;
-    returns them by name."""
+    without epsilon, a 2-step training run, a conv model, the conv
+    bottleneck decomposed and planned, a JSON-array config and calibration
+    files whose x is 0-d, holds nan or inf, or lacks the batch axis (one
+    8-wide row, one 8-channel 8x8 map); returns them by name."""
     model = tmp_path / "model.json"
     paths = {name: tmp_path / name for name in (
         "noeps.json", "noeps_plan.json", "conv.json", "array.json",
-        "zero_d.npz", "nan.npz", "inf.npz")}
+        "zero_d.npz", "nan.npz", "inf.npz", "one_d.npz", "three_d.npz")}
     assert _cli("certify", model, "--profiles", "2", "--calib-size", 16,
                 "--out", paths["noeps.json"]) == cli.EXIT_OK
     assert _cli("plan", paths["noeps.json"], "--out",
@@ -1115,8 +1135,17 @@ def _refused_inputs(tmp_path):
         (2, 3, 3, 3)))
     manifest.write_manifest(manifest.network_to_doc(network.Network(
         (network.Block(elastic=conv),))), paths["conv.json"])
+    bottleneck = tmp_path / "bottleneck"
+    bottleneck.mkdir()
+    _, conv_cert = _certified_conv_bottleneck(bottleneck)
+    paths["conv_el.json"] = bottleneck / "el.json"
+    paths["conv_plan.json"] = bottleneck / "plan.json"
+    assert _cli("plan", conv_cert, "--out",
+                paths["conv_plan.json"]) == cli.EXIT_OK
     paths["array.json"].write_text("[1, 2]")
     np.savez(paths["zero_d.npz"], x=np.float64(1.0))
+    np.savez(paths["one_d.npz"], x=np.ones(8))
+    np.savez(paths["three_d.npz"], x=np.ones((8, 8, 8)))
     for name, bad in (("nan.npz", np.nan), ("inf.npz", -np.inf)):
         x = np.ones((4, 8))
         x[1, 2] = bad
@@ -1164,6 +1193,20 @@ def test_stray_value_errors_exit_1_with_a_message(tmp_path):
          "calibration inputs must be finite"),
         (("report", plan, "--calib", f["inf.npz"], "--out", out),
          "calibration inputs must be finite"),
+        ((*certify, "--calib", f["one_d.npz"]),
+         "calibration x must be 2-D with a leading batch axis, got shape "
+         "(8,)"),
+        (("report", plan, "--calib", f["one_d.npz"], "--out", out),
+         "calibration x must be 2-D with a leading batch axis, got shape "
+         "(8,)"),
+        (("certify", f["conv_el.json"], "--profiles", "2", "--calib",
+          f["three_d.npz"], "--out", out),
+         "calibration x must be 4-D with a leading batch axis, got shape "
+         "(8, 8, 8)"),
+        (("report", f["conv_plan.json"], "--calib", f["three_d.npz"],
+          "--out", out),
+         "calibration x must be 4-D with a leading batch axis, got shape "
+         "(8, 8, 8)"),
         (("plan", model, "--out", out),
          "manifest carries no calibration statistics; run certify first"),
         (("plan", f["trained.json"], "--out", out),

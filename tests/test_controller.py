@@ -71,15 +71,15 @@ class TestProfile:
     def test_profiles_run_through_network_forward(self):
         net = _dense_net(4, (6, 5, 4))
         prof = controller.Profile(((2, 8), (3, None)))
-        x = _rng(5).standard_normal(6)
-        drift = network.logit_drift(net, x, prof)
-        assert np.isfinite(drift)
+        x = _rng(5).standard_normal((1, 6))
+        drift = network.logit_drift(net, x, prof.pairs)
+        assert np.isfinite(drift).all()
 
     def test_entry_count_checked(self):
         net = _dense_net(2, (6, 5, 4))
-        x = _rng(3).standard_normal(6)
+        x = _rng(3).standard_normal((1, 6))
         with pytest.raises(ValueError, match="layer count"):
-            network.logit_drift(net, x, controller.Profile(((1, 4),)))
+            network.logit_drift(net, x, controller.Profile(((1, 4),)).pairs)
 
 
 class TestSnap:
@@ -473,7 +473,7 @@ class TestAuditMonotone:
         if not rise[0] < rise[1]:
             pytest.fail(f"layer 0 residual no longer rises: {rise}")
         full = [(b.elastic.k_max, None) for b in net.blocks[1:]]
-        chain = [controller.Profile(((k, 4), *full)) for k in (63, 64)]
+        chain = [((k, 4), *full) for k in (63, 64)]
         stats = certificate.calibrate(net, _rng(1).standard_normal((32, 64)))
         bound_63, bound_64 = (expected_bound(net, stats, p)
                               for p in chain)

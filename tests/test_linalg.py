@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from elastiq import elastic
 from elastiq.linalg import (
@@ -110,14 +109,6 @@ class TestSvdFull:
             assert np.allclose(g.u, f.u, rtol=0.0, atol=1e-12)
             assert np.allclose(g.v, -f.v, rtol=0.0, atol=1e-12)
             assert np.allclose(g.core, f.core, rtol=1e-14, atol=0.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            svd_full(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            svd_full(np.zeros(4))
-        with pytest.raises(ValueError):
-            svd_full(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestSpectralNorm:

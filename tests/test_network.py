@@ -37,6 +37,25 @@ def _dense_net(seed, dims, acts, bias=True, gamma_on=(), residual_on=()):
     return network.Network(tuple(blocks))
 
 
+def _conv_net(seed, chans, acts, gamma_on=(), residual_on=()):
+    """A 3x3 conv stack over channel counts chans, each layer with a
+    bias, built like _dense_net."""
+    rng = _rng(seed)
+    blocks = []
+    for i in range(len(chans) - 1):
+        w = rng.standard_normal((chans[i + 1], chans[i], 3, 3))
+        layer = elastic.from_conv(w, bias=0.1 * rng.standard_normal(
+            chans[i + 1]))
+        gamma = beta = None
+        if i in gamma_on:
+            gamma = 0.5 + rng.random(chans[i + 1])
+            beta = 0.1 * rng.standard_normal(chans[i + 1])
+        blocks.append(network.Block(
+            elastic=layer, activation=acts[i], gamma=gamma, beta=beta,
+            residual=i in residual_on))
+    return network.Network(tuple(blocks))
+
+
 class TestNetworkStructure:
     def test_adjacent_shape_mismatch_rejected(self):
         l1 = elastic.from_dense(_rng(10).standard_normal((4, 6)))
@@ -126,27 +145,45 @@ class TestForward:
         assert np.allclose(network.forward(net, x).logits, want, atol=1e-12)
 
     def test_batched_matches_single(self):
-        net = _dense_net(27, (5, 6, 2), (network.GELU, network.IDENTITY))
-        xs = _rng(28).standard_normal((7, 5))
-        profile = [(4, 6), (2, None)]
-        batch = network.forward(net, xs, profile).logits
-        for i in range(7):
-            single = network.forward(net, xs[i], profile).logits
-            assert np.allclose(batch[i], single, atol=1e-12)
-
-    def test_trace_fidelity_per_block(self):
-        net = _dense_net(29, (6, 5, 5, 3),
+        # a conv stack's single map runs as a batch of one and comes back
+        # channel-first without the batch axis, like a dense row
+        dense = _dense_net(27, (5, 6, 2), (network.GELU, network.IDENTITY))
+        conv = _conv_net(27, (3, 8, 8, 2),
                          (network.RELU, network.GELU, network.IDENTITY),
                          gamma_on=(1,), residual_on=(1,))
-        x = _rng(30).standard_normal(6)
-        profile = [(4, None), (3, 5), (2, None)]
-        tr = network.forward(net, x, profile)
-        assert len(tr.inputs) == len(net.blocks)
-        outputs = tr.inputs[1:] + [tr.logits]
-        for i, blk in enumerate(net.blocks):
-            sub = network.Network((blk,))
-            redo = network.forward(sub, tr.inputs[i], [profile[i]]).logits
-            assert np.allclose(redo, outputs[i], atol=1e-12, rtol=0)
+        for net, xs, profile in (
+                (dense, _rng(28).standard_normal((7, 5)),
+                 [(4, 6), (2, None)]),
+                (conv, _rng(28).standard_normal((7, 3, 5, 4)),
+                 [(3, None), (2, 6), (8, None)])):
+            batch = network.forward(net, xs, profile).logits
+            for i in range(7):
+                single = network.forward(net, xs[i], profile).logits
+                assert single.shape == batch.shape[1:]
+                assert np.allclose(batch[i], single, atol=1e-12)
+
+    def test_trace_fidelity_per_block(self):
+        # each recorded input, channel-first for a conv stack, feeds back
+        # into forward on its one-block network and gives the next one
+        acts = (network.RELU, network.GELU, network.IDENTITY)
+        dense = _dense_net(29, (6, 5, 5, 3), acts, gamma_on=(1,),
+                           residual_on=(1,))
+        conv = _conv_net(29, (3, 8, 8, 2), acts, gamma_on=(1,),
+                         residual_on=(1,))
+        for net, x, profile in (
+                (dense, _rng(30).standard_normal(6),
+                 [(4, None), (3, 5), (2, None)]),
+                (conv, _rng(30).standard_normal((2, 3, 6, 5)),
+                 [(3, None), (2, 6), (8, None)])):
+            tr = network.forward(net, x, profile)
+            assert len(tr.inputs) == len(net.blocks)
+            outputs = tr.inputs[1:] + [tr.logits]
+            for i, blk in enumerate(net.blocks):
+                sub = network.Network((blk,))
+                redo = network.forward(sub, tr.inputs[i],
+                                       [profile[i]]).logits
+                assert redo.shape == outputs[i].shape
+                assert np.allclose(redo, outputs[i], atol=1e-12, rtol=0)
 
     def test_conv_forward_matches_naive_oracle(self):
         rng = _rng(31)
@@ -555,15 +592,15 @@ class TestForwardMemory:
 class TestLogitDrift:
     def test_full_profile_zero(self):
         net = _dense_net(40, (5, 4), (network.GELU,))
-        x = _rng(41).standard_normal(5)
-        assert network.logit_drift(net, x, None) == 0.0
+        x = _rng(41).standard_normal((1, 5))
+        assert network.logit_drift(net, x, None).tolist() == [0.0]
 
     def test_matches_two_forward_difference(self):
         net = _dense_net(42, (6, 5, 4), (network.IDENTITY, network.IDENTITY),
                          gamma_on=(1,))
         x = _rng(43).standard_normal(6)
         profile = [(1, None), (4, None)]
-        got = network.logit_drift(net, x, profile)
+        (got,) = network.logit_drift(net, x[None], profile)
 
         f = net.blocks[0].elastic.factors
         w_full = (f.u * f.core) @ f.v.T
@@ -580,8 +617,9 @@ class TestLogitDrift:
         d = network.logit_drift(net, xs, profile)
         assert d.shape == (6,)
         assert np.all(d >= 0.0)
-        single = network.logit_drift(net, xs[0], profile)
-        assert single == pytest.approx(d[0], rel=1e-12)
+        one = network.logit_drift(net, xs[:1], profile)
+        assert one.shape == (1,)
+        assert one[0] == pytest.approx(d[0], rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_drift_rejected(self):
