@@ -272,15 +272,14 @@ def cmd_train(args):
 
     doc = manifest.network_to_doc(state.net, seed=args.seed,
                                   config_digest=digest, source="train")
-    for name, k in zip(train.PROFILE_NAMES, train.PROFILES):
-        pairs = network.rank_profile(state.net, k, config.train_bits)
+    for name, pairs in report.profiles.items():
         manifest.add_profile(doc, state.net, name, pairs)
     doc["calibration"] = manifest.stats_to_doc(report.stats)
     with _publish(doc, os.path.join(args.out, "model.json")):
         say("train", seed=args.seed, steps=state.step,
             final_loss=report.final_loss, config_hash=digest,
             checkpoint=ckpt, metrics=metrics_csv)
-        for name in train.PROFILE_NAMES:
+        for name in report.profiles:
             say("eval", profile=name, accuracy=report.accuracy[name],
                 violation_rate=report.violation_rate[name],
                 drift_bound=report.drift_bound[name],
@@ -583,12 +582,13 @@ def cmd_report(args):
                            f"bounds hold at the certified "
                            f"{spatial[0]}x{spatial[1]}")
 
+    # axis 1 holds the classes of dense and of conv logits
     full = network.forward(net, xs, None).logits
-    full_top = np.argmax(full, axis=-1)
+    full_top = np.argmax(full, axis=1)
     rows, drifts_by_level = [], []
     for j, prof in enumerate(lattice.profiles):
         logits = network.forward(net, xs, prof.pairs).logits
-        top = np.argmax(logits, axis=-1)
+        top = np.argmax(logits, axis=1)
         drifts = network._drift(logits, full)
         drifts_by_level.append(drifts)
         coverage = float(100.0 * np.mean(drifts <= epsilon))

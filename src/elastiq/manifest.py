@@ -289,8 +289,8 @@ def raw_from_doc(doc):
     is dense or conv, and its weight is non-empty and 2-D (dense) or 4-D
     (conv, odd kernel sides); a bias holds one entry per output, the
     activation is known, a skip connection wraps as many outputs as
-    inputs, and a layer takes the width the one before gives. A refusal
-    of one layer names its index.
+    inputs, and a layer takes layer 0's kind and the width the one before
+    gives. A refusal of one layer names its index.
     """
     if doc.get("kind") != KIND_RAW:
         raise ManifestError("manifest does not hold a raw model")
@@ -323,6 +323,8 @@ def raw_from_doc(doc):
                      f"unknown activation {act!r}"),
                     (residual and n_in != n_out,
                      "skip connection needs matching width"),
+                    (out and kind != out[0]["kind"],
+                     "mixing conv and dense blocks is not supported"),
                     (out and n_in != out[-1]["weight"].shape[0],
                      "input width differs from the previous output width")):
                 if bad:

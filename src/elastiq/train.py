@@ -1,12 +1,13 @@
 """Desk-scale training loop for elastic stacks on synthetic data.
 
 Each step runs the full-rank view and a rank-sampled compressed view of
-the same parameters through network.forward, on the batch and on an
-augmented copy, and assembles a four-term objective (task cross-entropy,
-self-distillation, augmentation consistency and a drift cap). Its
-gradient at each view's logits is written out in numpy, carried back
-through the blocks by one network.backward sweep, and turned into factor
-and bias gradients of the served slices; a quantized slice's gradient
+the same parameters through network.forward once each, over the batch
+stacked on an augmented copy, and assembles a four-term objective (task
+cross-entropy and self-distillation on the batch rows, augmentation
+consistency on the augmented ones, and a drift cap). Its gradient at
+each view's logits is written out in numpy, carried back through the
+blocks by one network.backward sweep, and turned into factor and bias
+gradients of the served slices; a quantized slice's gradient
 passes to the stored factor unchanged. No budget enters training: plan
 and select apply it at serving time. The compressed view truncates
 every layer to a hard sampled rank; rank sampling anneals from uniform
@@ -201,12 +202,13 @@ def _log_softmax_grad(g, logp):
 
 
 def _kl(logp_teacher, logp_student, scale):
-    """scale x KL(teacher || student) summed over rows, with its gradients
-    at both log-probabilities; the teacher is not detached."""
+    """KL(teacher || student) of each row times that row's entry of
+    scale, with its gradients at both log-probabilities; the teacher is
+    not detached."""
     p = np.exp(logp_teacher)
     gap = logp_teacher - logp_student
-    sp = scale * p
-    return float(np.sum(p * gap)) * scale, sp * gap + sp, -sp
+    sp = scale[:, None] * p
+    return np.sum(p * gap, axis=-1) * scale, sp * gap + sp, -sp
 
 
 def _layer_grads(net, trace, entries, dlogits):
@@ -248,11 +250,12 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
     scales by AUG_SIGMA and adds to the batch; it is needed only when
     weights.aug_consistency is positive.
 
-    Each view (full and compressed, on the batch and on its augmented
-    copy) runs through network.forward; the objective's gradient at its
-    logits goes through network.backward. Returns (LossTerms, grads)
-    where grads is a per-layer dict of u, core, v and bias gradients,
-    summed over the views. Any non-finite term aborts the step.
+    With augmentation consistency on, the augmented copy is stacked under
+    the batch, and each profile (full, and compressed when a regularizer
+    is on) runs once over the stack, through network.forward and
+    network.backward. Returns (LossTerms, grads) where grads is a
+    per-layer dict of u, core, v and bias gradients, summed over the
+    profiles. Any non-finite term aborts the step.
     """
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
@@ -260,35 +263,27 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
     entries = network.rank_profile(net, k, bits)
     full = network.resolve_profile(net, None)
     b_sz = x.shape[0]
+    if weights.aug_consistency > 0.0:
+        x = np.concatenate([x, x + AUG_SIGMA * noise])
 
     tr_full = network.forward(net, x, full)
     logp_f = _log_softmax(tr_full.logits)
-    onehot = np.zeros_like(logp_f)
-    onehot[np.arange(b_sz), y] = 1.0
-    task = float(np.sum(onehot * logp_f)) * (-1.0 / b_sz)
-    g_f = onehot * (-1.0 / b_sz)
-    # (trace, profile, log-probabilities, loss gradient at them) per view
-    views = [(tr_full, full, logp_f, g_f)]
+    g_f = np.zeros_like(logp_f)
+    g_f[np.arange(b_sz), y] = -1.0 / b_sz
+    task = float(np.sum(g_f * logp_f))
 
-    sd = 0.0
-    if weights.self_distill > 0.0:
+    sd = aug = 0.0
+    tr_comp = None
+    if weights.self_distill > 0.0 or weights.aug_consistency > 0.0:
         tr_comp = network.forward(net, x, entries)
         logp_c = _log_softmax(tr_comp.logits)
-        sd, g_t, g_s = _kl(logp_f, logp_c, weights.self_distill / b_sz)
+        # self-distillation weighs the batch rows, augmentation
+        # consistency the augmented ones
+        row_w = np.repeat([weights.self_distill, weights.aug_consistency],
+                          b_sz)[:x.shape[0]] / b_sz
+        kl, g_t, g_c = _kl(logp_f, logp_c, row_w)
         g_f += g_t
-        views.append((tr_comp, entries, logp_c, g_s))
-
-    aug = 0.0
-    if weights.aug_consistency > 0.0:
-        x_aug = x + AUG_SIGMA * noise
-        tr_fa = network.forward(net, x_aug, full)
-        tr_ca = network.forward(net, x_aug, entries)
-        logp_fa = _log_softmax(tr_fa.logits)
-        logp_ca = _log_softmax(tr_ca.logits)
-        aug, g_t, g_s = _kl(logp_fa, logp_ca,
-                            weights.aug_consistency / b_sz)
-        views += [(tr_fa, full, logp_fa, g_t),
-                  (tr_ca, entries, logp_ca, g_s)]
+        sd, aug = float(np.sum(kl[:b_sz])), float(np.sum(kl[b_sz:]))
 
     # drift surrogate: per layer, the largest stored tail magnitude past
     # the served rank, scaled by the EMA certificate coefficient
@@ -311,12 +306,12 @@ def total_loss(net, batch, k, weights, *, coeffs, noise=None, bits=None):
         raise FloatingPointError(
             f"non-finite loss terms {bad}: {terms!r}")
 
-    grads = None
-    for tr, prof, logp, g in views:
-        view = _layer_grads(net, tr, prof, _log_softmax_grad(g, logp))
-        grads = view if grads is None else [
-            {name: acc[name] + gv[name] for name in acc}
-            for acc, gv in zip(grads, view)]
+    grads = _layer_grads(net, tr_full, full, _log_softmax_grad(g_f, logp_f))
+    if tr_comp is not None:
+        comp = _layer_grads(net, tr_comp, entries,
+                            _log_softmax_grad(g_c, logp_c))
+        grads = [{name: gf[name] + gc[name] for name in gf}
+                 for gf, gc in zip(grads, comp)]
     if surrogate > weights.epsilon:
         # the hinge's subgradient reaches each tail's first largest entry
         for i, kk, t in tails:
@@ -392,10 +387,12 @@ class TrainState:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Final logged loss, per-profile evaluation, and the calibration
-    statistics of the trained net that the evaluation used."""
+    """Final logged loss, the evaluated profiles (name -> per-layer (rank,
+    bits) pairs), their evaluation, and the calibration statistics of
+    the trained net that the evaluation used."""
 
     final_loss: float
+    profiles: dict
     accuracy: dict
     violation_rate: dict
     drift_bound: dict
@@ -406,10 +403,6 @@ class TrainReport:
 _METRIC_FIELDS = ("step", "total", "task", "self_distill",
                   "aug_consistency", "drift_cap", "delta_hat", "gamma",
                   "lam_sd", "lam_aug", "lam_cert", "k")
-
-
-def _global_k_max(net):
-    return max(b.elastic.k_max for b in net.blocks)
 
 
 def _init_state(seed, calib):
@@ -464,14 +457,14 @@ def _refresh_coeffs(state, calib, decay):
     state.cert_coeffs = decay * state.cert_coeffs + (1 - decay) * fresh
 
 
-def evaluate(net, x, y, profiles, names, epsilon, stats):
+def evaluate(net, x, y, profiles, epsilon, stats):
     """Accuracy, drift-violation rate, and certified bound per profile;
+    profiles maps each name to its per-layer (rank, bits) pairs, and
     stats are the net's calibration statistics."""
-    entries = [network.rank_profile(net, k) for k in profiles]
-    ledgers = certificate.ledgers(net, stats, entries)
+    ledgers = certificate.ledgers(net, stats, list(profiles.values()))
     full = network.forward(net, x, None).logits
     accuracy, violation, bound, mean_drift = {}, {}, {}, {}
-    for name, pairs, rows in zip(names, entries, ledgers):
+    for (name, pairs), rows in zip(profiles.items(), ledgers):
         logits = network.forward(net, x, pairs).logits
         pred = np.argmax(logits, axis=-1)
         drifts = network._drift(logits, full)
@@ -497,7 +490,7 @@ def train_toy(config, seed, state=None, stop_after=None):
     if state is None:
         state = _init_state(seed, calib)
     w = config.weights
-    sampler = RankSampler(_global_k_max(state.net),
+    sampler = RankSampler(max(b.elastic.k_max for b in state.net.blocks),
                           config.anneal_steps, PROFILES)
     end = config.steps if stop_after is None \
         else min(config.steps, int(stop_after))
@@ -572,13 +565,15 @@ def train_toy(config, seed, state=None, stop_after=None):
         state.net = _reorthogonalize(state.net)
 
     stats = certificate.calibrate(state.net, calib)
+    profiles = {name: network.rank_profile(state.net, k, config.train_bits)
+                for name, k in zip(PROFILE_NAMES, PROFILES)}
     accuracy, violation, bound, mean_drift = evaluate(
-        state.net, x_ev, y_ev, PROFILES, PROFILE_NAMES, w.epsilon, stats)
+        state.net, x_ev, y_ev, profiles, w.epsilon, stats)
     last = state.metrics[-1] if state.metrics else {}
     report = TrainReport(
         final_loss=float(last.get("total", float("nan"))),
-        accuracy=accuracy, violation_rate=violation, drift_bound=bound,
-        mean_drift=mean_drift, stats=stats)
+        profiles=profiles, accuracy=accuracy, violation_rate=violation,
+        drift_bound=bound, mean_drift=mean_drift, stats=stats)
     return state, report
 
 

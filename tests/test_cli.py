@@ -266,15 +266,18 @@ def test_audit_exits_4_on_a_latency_inversion(tmp_path):
     assert _cli("audit", bad) == cli.EXIT_AUDIT_VIOLATIONS
 
 
+def _sentinels(out, topic):
+    """key -> value text of each ``@@ topic`` line of out, in order."""
+    return [dict(field.split("=", 1) for field in line.split()[2:])
+            for line in out.splitlines() if line.startswith(f"@@ {topic} ")]
+
+
 def _sentinel(out, topic):
     """key -> value text of the one ``@@ topic`` line of out, or None when
     out holds no such line."""
-    lines = [line for line in out.splitlines()
-             if line.startswith(f"@@ {topic} ")]
+    lines = _sentinels(out, topic)
     assert len(lines) <= 1, lines
-    if not lines:
-        return None
-    return dict(field.split("=", 1) for field in lines[0].split()[2:])
+    return lines[0] if lines else None
 
 
 def _report_probes(tmp_path, plan):
@@ -797,6 +800,14 @@ def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
         (_refiled(dense, tmp_path / "dense_as_conv.json", 1, "conv"),
          "layer 1: a conv weight must be 4-D, got shape (2, 4)",
          "raw model: "),
+        (faulty("dense_then_conv.json",
+                [np.eye(4, 3), np.ones((2, 4, 3, 3))]),
+         "layer 1: mixing conv and dense blocks is not supported",
+         "raw model: "),
+        (faulty("conv_then_dense.json",
+                [np.ones((4, 3, 3, 3)), np.eye(2, 4)]),
+         "layer 1: mixing conv and dense blocks is not supported",
+         "raw model: "),
         (_refiled(dense, tmp_path / "lstm.json", 0, "lstm"),
          "layer 0: unknown layer kind 'lstm'", "raw model: "),
         (empty, "layer 1: the weight of shape (0, 4) is empty",
@@ -973,6 +984,32 @@ def test_report_refuses_maps_of_another_size(tmp_path):
     assert _cli("report", plan, "--calib", calib) == cli.EXIT_OK
 
 
+def test_conv_report_accuracy_is_top1_agreement_over_channels(tmp_path):
+    calib, cert = _certified_conv_bottleneck(tmp_path)
+    plan = tmp_path / "plan.json"
+    assert _cli("plan", cert, "--out", plan) == cli.EXIT_OK
+    code, out, err = _cli_output("report", plan, "--calib", calib)
+    assert (code, err) == (cli.EXIT_OK, "")
+    doc = manifest.read_manifest(plan)
+    net = manifest.net_from_doc(doc)
+    with np.load(calib) as data:
+        xs = data["x"]
+    z_full = network.forward(net, xs, None).logits
+    rows = _sentinels(out, "row")
+    profiles = manifest.lattice_from_doc(doc["lattice"]).profiles
+    assert [r["profile"] for r in rows] == [p.name for p in profiles]
+    # the argmax over the last axis picks a map column, not a class, and
+    # disagrees with the class argmax at some level
+    by_column = []
+    for prof, row in zip(profiles, rows):
+        z = network.forward(net, xs, prof.pairs).logits
+        assert float(row["accuracy_percent"]) == float(100.0 * np.mean(
+            np.argmax(z, 1) == np.argmax(z_full, 1)))
+        by_column.append(float(100.0 * np.mean(
+            np.argmax(z, -1) == np.argmax(z_full, -1))))
+    assert by_column != [float(r["accuracy_percent"]) for r in rows]
+
+
 def test_plan_refuses_an_uncertified_ledger(tmp_path):
     model, sampled, plan = (tmp_path / n for n in (
         "model.json", "sampled.json", "plan.json"))
@@ -1079,8 +1116,7 @@ def test_report_out_writes_the_rows_it_prints(tmp_path):
     code, out, err = _cli_output("report", plan, "--out", table)
     assert (code, err) == (cli.EXIT_OK, "")
     assert f"@@ csv path={table}\n" in out
-    printed = [dict(field.split("=", 1) for field in line.split()[2:])
-               for line in out.splitlines() if line.startswith("@@ row ")]
+    printed = _sentinels(out, "row")
     with open(table, newline="") as fh:
         reader = csv.DictReader(fh)
         assert tuple(reader.fieldnames) == cli._REPORT_COLUMNS
@@ -1532,6 +1568,25 @@ def test_quantized_training_verifies(tmp_path):
                                  "--config", config)
     assert code == cli.EXIT_OK, err
     assert "@@ verify problems=0" in out
+
+
+def test_quantized_training_evaluates_the_profiles_it_stores(tmp_path):
+    config, run = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps({"train_bits": 4, "steps": 60}))
+    code, out, err = _cli_output("train", "--out", run, "--config", config,
+                                 "--seed", 0)
+    assert code == cli.EXIT_OK, err
+    doc = manifest.read_manifest(run / "model.json")
+    net = manifest.net_from_doc(doc)
+    stats = manifest.stats_from_doc(doc["calibration"])
+    evals = _sentinels(out, "eval")
+    assert sorted(e["profile"] for e in evals) == sorted(doc["profiles"])
+    for e in evals:
+        pairs = manifest.pairs_from_doc(
+            doc["profiles"][e["profile"]]["pairs"])
+        assert {q for _, q in pairs} == {4}
+        rows = certificate.ledgers(net, stats, [pairs])[0]
+        assert float(e["drift_bound"]) == certificate.ledger_total(rows)
 
 
 def _tiny_model(data, conv):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.special import log_softmax
 from scipy.stats import chi2
 
-from elastiq import certificate, cli, network, train
+from elastiq import certificate, cli, network, quant, train
 from bounds import expected_bound
 from oracles import straight_line_objective
 
@@ -305,6 +306,34 @@ class TestTotalLoss:
                     checked += 1
         assert checked >= 40
 
+    def test_each_profile_runs_once_over_the_stacked_batch(self,
+                                                           monkeypatch):
+        net = train.build_network(0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((train.BATCH_SIZE, train.DIM))
+        y = rng.integers(0, train.CLASSES, size=train.BATCH_SIZE)
+        noise = rng.standard_normal(x.shape)
+        coeffs = np.ones(len(net.blocks))
+        calls = Counter()
+        for module, name in ((network, "forward"), (network, "backward"),
+                             (quant, "round_trip")):
+            def counted(*args, _name=name, _fn=getattr(module, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        # full and compressed once each over the batch and its augmented
+        # copy; the compressed view quantizes 3 slices of 3 layers in
+        # its forward, backward (2 layers) and gradients
+        train.total_loss(net, (x, y), 16, train.LossWeights(),
+                         coeffs=coeffs, noise=noise, bits=8)
+        assert calls == {"forward": 2, "backward": 2, "round_trip": 24}
+        # with both regularizers off only the full view runs
+        calls.clear()
+        train.total_loss(net, (x, y), 16, train.LossWeights(
+            self_distill=0.0, aug_consistency=0.0), coeffs=coeffs, bits=8)
+        assert calls == {"forward": 1, "backward": 1}
+
     def test_non_finite_loss_aborts(self):
         net, x, y, stats, coeffs = _small_setup(0)
         net.blocks[0].elastic.factors.u[0, 0] = np.inf
@@ -412,9 +441,12 @@ class TestTrainToy:
         x_tr, _, x_ev, y_ev = train.make_dataset(3407)
         stats = certificate.calibrate(state.net, x_tr[:train.CALIB_SIZE])
         assert report.stats == stats
+        assert report.profiles == {
+            name: network.rank_profile(state.net, k)
+            for name, k in zip(train.PROFILE_NAMES, train.PROFILES)}
         acc, viol, bound, drift = train.evaluate(
-            state.net, x_ev, y_ev, train.PROFILES, train.PROFILE_NAMES,
-            cfg.weights.epsilon, stats)
+            state.net, x_ev, y_ev, report.profiles, cfg.weights.epsilon,
+            stats)
         assert report.accuracy == acc
         assert report.violation_rate == viol
         assert report.drift_bound == bound
@@ -446,10 +478,11 @@ class TestEvaluate:
         calib = rng.standard_normal((16, 6))
         eps = 0.5
         stats = certificate.calibrate(net, calib)
-        acc, viol, bound, drift = train.evaluate(
-            net, x, y, (2, 8), ("small", "big"), eps, stats)
-        for name, k in (("small", 2), ("big", 8)):
-            entries = network.rank_profile(net, k)
+        profiles = {name: network.rank_profile(net, k)
+                    for name, k in (("small", 2), ("big", 8))}
+        acc, viol, bound, drift = train.evaluate(net, x, y, profiles, eps,
+                                                 stats)
+        for name, entries in profiles.items():
             logits = network.forward(net, x, entries).logits
             d = np.asarray(network.logit_drift(net, x, entries))
             assert acc[name] == pytest.approx(
@@ -475,7 +508,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(network, "forward", counted)
         stats = certificate.calibrate(net, rng.standard_normal((16, 6)))
-        train.evaluate(net, x, y, (2, 4, 8), ("a", "b", "c"), 0.5, stats)
+        train.evaluate(net, x, y, {name: network.rank_profile(net, k)
+                                   for name, k in zip("abc", (2, 4, 8))},
+                       0.5, stats)
         assert len(profiles) == 4 and profiles.count(None) == 1
 
 
