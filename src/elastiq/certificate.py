@@ -116,8 +116,10 @@ def _row_norms(a):
 
 def calibrate(net, inputs):
     """Measure per-layer input-norm RMS on the full model over a batch of
-    inputs, and a conv model's calibration map size. Refuses inputs whose
-    norms or their RMS overflow float64."""
+    inputs, and a conv model's calibration map size. Refuses a single
+    unbatched input, and inputs whose norms or their RMS overflow
+    float64."""
+    network._refuse_single(net, inputs)
     x = np.asarray(inputs)
     tr = network.forward(net, x, None)
     alpha = []
@@ -281,8 +283,9 @@ def ledger_total(rows):
 
 def pointwise_bound(net, stats, profile, x):
     """Certified drift bound at each row of a batch x, evaluated with the
-    full model's layer-input norms."""
+    full model's layer-input norms; refuses a single unbatched input."""
     rows = ledgers(net, stats, [profile])[0]
+    network._refuse_single(net, x)
     tr = network.forward(net, x, None)
     return ledger_total([(sens, change, _row_norms(a))
                          for (sens, change, _), a in zip(rows, tr.inputs)])

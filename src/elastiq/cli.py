@@ -300,10 +300,7 @@ def cmd_decompose(args):
     for entry in layers:
         maker = elastic.from_conv if entry["kind"] == "conv" \
             else elastic.from_dense
-        try:
-            lay = maker(entry["weight"], bias=entry["bias"])
-        except ValueError as exc:
-            raise CliError(f"layer {len(blocks)}: {exc}") from exc
+        lay = maker(entry["weight"], bias=entry["bias"])
         blocks.append(network.Block(elastic=lay,
                                     activation=entry["activation"],
                                     residual=entry["residual"]))

@@ -14,7 +14,10 @@ their dtype, shape, byte count and sha256, so a manifest is always
 exactly one file. ``_dumps`` (under ``write_manifest``) encodes every
 array and ``_loads`` (under ``read_manifest``) decodes and checks every
 payload, each exactly once, at the file boundary; a training checkpoint
-stores its network as the same bytes.
+stores its network as the same bytes. The layer rules are checked once,
+by ``_checked_layers``, which ``raw_from_doc`` and ``net_from_doc`` both
+run before they build anything; a refusal names the layer. The
+``elastic`` and ``network`` constructors trust their callers.
 
 Rules that keep writes reproducible and reads sound:
 
@@ -195,7 +198,8 @@ def network_to_doc(net, seed=None, config_digest=None, source=None):
 def net_from_doc(doc, check_fingerprint=True):
     """Rebuild the full-precision network from an elastic manifest.
 
-    With check_fingerprint the decoded parameters must hash back to the
+    Every layer passes _checked_layers before a block is built. With
+    check_fingerprint the decoded parameters must hash back to the
     manifest's stored fingerprint; a mismatch refuses to load. A topology
     that names a per-layer rank window is refused: a layer serves every
     rank from 1 to its stored rank.
@@ -203,29 +207,22 @@ def net_from_doc(doc, check_fingerprint=True):
     if doc.get("kind") != KIND_ELASTIC:
         raise ManifestError("manifest does not hold a factorized model")
     with _malformed("model"):
-        topo = doc["topology"]["layers"]
-        model = doc["model"]["layers"]
-        if len(topo) != len(model):
-            raise ManifestError("topology and model layer counts differ")
-        blocks = []
-        for spec, entry in zip(topo, model):
+        for spec in doc["topology"]["layers"]:
             if spec.get("group_id") is not None:
                 raise ManifestError(
                     "tied-budget layer groups are not supported")
             if "k_min" in spec or "k_max" in spec:
                 raise ManifestError("per-layer rank windows (k_min, k_max) "
                                     "are not supported")
-            factors = linalg.Factors(*(_tensor(entry, name)
-                                       for name in _FACTOR_NAMES))
-            lay = elastic.ElasticLayer(
-                kind=spec["kind"], factors=factors,
-                bias=_tensor(entry, "bias", required=False))
-            blocks.append(network.Block(
-                elastic=lay, activation=spec["activation"],
-                gamma=_tensor(entry, "gamma", required=False),
-                beta=_tensor(entry, "beta", required=False),
-                residual=bool(spec["residual"])))
-    net = network.Network(blocks=tuple(blocks))
+        layers = _checked_layers(doc, raw=False)
+    net = network.Network(tuple(
+        network.Block(
+            elastic=elastic.ElasticLayer(
+                lay["kind"], linalg.Factors(
+                    *(lay[name] for name in _FACTOR_NAMES)), lay["bias"]),
+            activation=lay["activation"], gamma=lay["gamma"],
+            beta=lay["beta"], residual=lay["residual"])
+        for lay in layers))
     if check_fingerprint:
         got = certificate.network_fingerprint(net)
         if got != doc.get("fingerprint"):
@@ -278,65 +275,89 @@ def raw_model_to_doc(weights, biases=None, activations=None, residuals=None,
     }
 
 
-# the weight rank of each raw layer kind
+# the axes of a raw layer's weight and of an elastic layer's core, by kind
 _RAW_NDIM = {"dense": 2, "conv": 4}
+_CORE_NDIM = {elastic.DENSE_SVD: 1, elastic.CONV_TUCKER2: 4}
+
+
+def _checked_layers(doc, raw):
+    """The layers of a raw or an elastic manifest as dicts of their kind,
+    activation, residual flag and tensors (raw: weight, bias; elastic: u,
+    core, v, bias, gamma, beta; an absent optional one None), after the
+    one check of the layer rules: the two sections list the same layers,
+    at least one; each kind is known and its non-empty weight (raw: 2-D
+    dense, 4-D conv) or core (elastic: 1-D SVD, 4-D Tucker-2) has its
+    axes, and the 2-D factors u and v have one column per core rank (the
+    SVD rank, or the Tucker-2 output and input ranks); bias, gamma and
+    beta hold one entry per output, beta only beside gamma; the
+    activation is known; kernel sides are odd; a skip connection wraps
+    equal widths; and each layer takes layer 0's kind and the previous
+    output width. A layer's refusal names its index.
+    """
+    topo, model = doc["topology"]["layers"], doc["model"]["layers"]
+    if len(topo) != len(model):
+        raise ManifestError("topology and model layer counts differ")
+    if not topo:
+        raise ManifestError("the model has no layers")
+    ndims, shaped, tensors = (
+        (_RAW_NDIM, "weight", ("weight",)) if raw
+        else (_CORE_NDIM, "core", _FACTOR_NAMES))
+    optional = ("bias",) if raw else ("bias", "gamma", "beta")
+    layers = []
+    for i, (spec, entry) in enumerate(zip(topo, model)):
+        lay = {name: _tensor(entry, name) for name in tensors}
+        lay.update((name, _tensor(entry, name, required=False))
+                   for name in optional)
+        kind, a = spec["kind"], lay[shaped]
+        ndim = ndims.get(kind)
+        if ndim is None:
+            raise ManifestError(f"layer {i}: unknown layer kind {kind!r}")
+        if a.ndim != ndim:
+            raise ManifestError(f"layer {i}: a {kind} {shaped} must be "
+                                f"{ndim}-D, got shape {a.shape}")
+        if a.size == 0:
+            raise ManifestError(f"layer {i}: the {shaped} of shape "
+                                f"{a.shape} is empty")
+        if raw:
+            n_out, n_in = a.shape[:2]
+        else:
+            u, v = lay["u"], lay["v"]
+            if u.ndim != 2 or v.ndim != 2 or (u.shape[1], v.shape[1]) != (
+                    a.shape[:2] if ndim == 4 else a.shape * 2):
+                raise ManifestError(f"layer {i}: factors u {u.shape} and v "
+                                    f"{v.shape} do not fit the core")
+            n_out, n_in = u.shape[0], v.shape[0]
+        lay.update(kind=kind, activation=spec["activation"],
+                   residual=bool(spec["residual"]))
+        for bad, why in (
+                (ndim == 4 and not (a.shape[2] % 2 and a.shape[3] % 2),
+                 "same-padded conv needs odd kernel sides"),
+                *((lay[name] is not None and lay[name].shape != (n_out,),
+                   f"{name} must be 1-D with one entry per output")
+                  for name in optional),
+                (lay.get("beta") is not None and lay["gamma"] is None,
+                 "beta without gamma"),
+                (lay["activation"] not in network._ACT_LIPSCHITZ,
+                 f"unknown activation {lay['activation']!r}"),
+                (lay["residual"] and n_in != n_out,
+                 "skip connection needs matching width"),
+                (layers and kind != layers[0]["kind"],
+                 "mixing conv and dense blocks is not supported"),
+                (layers and n_in != width,
+                 "input width differs from the previous output width")):
+            if bad:
+                raise ManifestError(f"layer {i}: {why}")
+        layers.append(lay)
+        width = n_out
+    return layers
 
 
 def raw_from_doc(doc):
-    """Decode a raw manifest into per-layer weight/bias/metadata dicts.
-
-    The topology and model sections list the same layers; a layer's kind
-    is dense or conv, and its weight is non-empty and 2-D (dense) or 4-D
-    (conv, odd kernel sides); a bias holds one entry per output, the
-    activation is known, a skip connection wraps as many outputs as
-    inputs, and a layer takes layer 0's kind and the width the one before
-    gives. A refusal of one layer names its index.
-    """
+    """Decode a raw manifest into its _checked_layers dicts."""
     if doc.get("kind") != KIND_RAW:
         raise ManifestError("manifest does not hold a raw model")
-    out = []
     with _malformed("raw model"):
-        topo, model = doc["topology"]["layers"], doc["model"]["layers"]
-        if len(topo) != len(model):
-            raise ManifestError("topology and model layer counts differ")
-        for i, (spec, entry) in enumerate(zip(topo, model)):
-            kind, w = spec["kind"], _tensor(entry, "weight")
-            ndim = _RAW_NDIM.get(kind)
-            if ndim is None:
-                raise ManifestError(f"layer {i}: unknown layer kind "
-                                    f"{kind!r}")
-            if w.ndim != ndim:
-                raise ManifestError(f"layer {i}: a {kind} weight must be "
-                                    f"{ndim}-D, got shape {w.shape}")
-            if w.size == 0:
-                raise ManifestError(f"layer {i}: the weight of shape "
-                                    f"{w.shape} is empty")
-            bias = _tensor(entry, "bias", required=False)
-            act, residual = spec["activation"], bool(spec["residual"])
-            n_out, n_in = w.shape[:2]
-            for bad, why in (
-                    (ndim == 4 and not (w.shape[2] % 2 and w.shape[3] % 2),
-                     "same-padded conv needs odd kernel sides"),
-                    (bias is not None and bias.shape != (n_out,),
-                     "bias must be 1-D with one entry per output"),
-                    (act not in network._ACT_LIPSCHITZ,
-                     f"unknown activation {act!r}"),
-                    (residual and n_in != n_out,
-                     "skip connection needs matching width"),
-                    (out and kind != out[0]["kind"],
-                     "mixing conv and dense blocks is not supported"),
-                    (out and n_in != out[-1]["weight"].shape[0],
-                     "input width differs from the previous output width")):
-                if bad:
-                    raise ManifestError(f"layer {i}: {why}")
-            out.append({
-                "kind": kind,
-                "weight": w,
-                "bias": bias,
-                "activation": act,
-                "residual": residual,
-            })
-    return out
+        return _checked_layers(doc, raw=True)
 
 
 # ---------------------------------------------------------------------------

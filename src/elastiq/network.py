@@ -20,6 +20,10 @@ one reverse sweep differentiates it:
   weight multiply. Seeded with the identity it gives the Jacobians of the
   logits; seeded with a loss's logit gradient it gives the gradient the
   trainer turns into factor and bias gradients.
+
+Block and Network trust their callers: every layer rule is checked once,
+where a manifest is decoded (manifest._checked_layers), and train builds
+its own stacks.
 """
 
 from dataclasses import dataclass
@@ -149,7 +153,8 @@ _ACT_LIPSCHITZ = {RELU: 1.0, IDENTITY: 1.0, GELU: GELU_LIPSCHITZ}
 @dataclass(frozen=True)
 class Block:
     """One network block: elastic linear map, optional frozen affine norm,
-    activation, optional skip connection around the whole block."""
+    activation, optional skip connection around the whole block. gamma and
+    beta are stored as float64, and a gamma alone implies a zero beta."""
 
     elastic: elastic.ElasticLayer
     activation: str = IDENTITY
@@ -158,27 +163,12 @@ class Block:
     residual: bool = False
 
     def __post_init__(self):
-        if self.activation not in _ACT_LIPSCHITZ:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        n = self.elastic.out_features
-        if self.beta is not None and self.gamma is None:
-            raise ValueError("beta without gamma")
         if self.gamma is not None:
-            gm = np.asarray(self.gamma, dtype=np.float64)
-            if gm.shape != (n,):
-                raise ValueError("gamma must be 1-D over output units")
-            object.__setattr__(self, "gamma", gm)
-            bt = (np.zeros(n) if self.beta is None
-                  else np.asarray(self.beta, dtype=np.float64))
-            if bt.shape != (n,):
-                raise ValueError("beta must be 1-D over output units")
-            object.__setattr__(self, "beta", bt)
-        if self.is_conv:
-            kh, kw = self.elastic.factors.core.shape[2:]
-            if kh % 2 == 0 or kw % 2 == 0:
-                raise ValueError("same-padded conv needs odd kernel sides")
-        if self.residual and self.elastic.in_features != n:
-            raise ValueError("skip connection needs matching width")
+            object.__setattr__(self, "gamma",
+                               np.asarray(self.gamma, dtype=np.float64))
+            object.__setattr__(self, "beta", (
+                np.zeros(self.elastic.out_features) if self.beta is None
+                else np.asarray(self.beta, dtype=np.float64)))
 
     @property
     def is_conv(self):
@@ -187,22 +177,10 @@ class Block:
 
 @dataclass(frozen=True)
 class Network:
-    """Ordered blocks with compatible shapes; all dense or all conv."""
+    """Ordered blocks, a tuple: each takes the width the one before
+    gives, all dense or all conv."""
 
     blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("network needs at least one block")
-        object.__setattr__(self, "blocks", blocks)
-        conv = blocks[0].is_conv
-        for prev, nxt in zip(blocks, blocks[1:]):
-            if nxt.is_conv != conv:
-                raise ValueError("mixing conv and dense blocks is not "
-                                 "supported")
-            if nxt.elastic.in_features != prev.elastic.out_features:
-                raise ValueError("adjacent block shapes are incompatible")
 
     def __len__(self):
         return len(self.blocks)
@@ -257,6 +235,13 @@ def _promote_input(net, x):
     if a.shape[1] != first.elastic.in_features:
         raise ValueError("input width mismatch")
     return a, single
+
+
+def _refuse_single(net, x):
+    """Refuse a single unbatched input, whose features would pass for rows."""
+    if _promote_input(net, x)[1]:
+        raise ValueError("a single unbatched input; give a batch with a "
+                         "leading row axis")
 
 
 def forward(net, x, profile=None):
@@ -331,7 +316,8 @@ def backward(net, trace, profile, seed):
 
 def logit_drift(net, x, profile):
     """l2 distance between profile logits and full logits at a batch x,
-    one value per row."""
+    one value per row; refuses a single unbatched input."""
+    _refuse_single(net, x)
     return _drift(forward(net, x, profile).logits,
                   forward(net, x, None).logits)
 

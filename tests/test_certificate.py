@@ -87,6 +87,25 @@ class TestCalibration:
         stats = certificate.calibrate(net, xs)
         assert stats.alpha[0] == pytest.approx(np.sqrt(12.5), rel=1e-12)
 
+    def test_single_unbatched_input_refused(self):
+        # calibrate, pointwise_bound and logit_drift give one value per
+        # row, so one row or map without its batch axis would be read as
+        # a batch of its features
+        dense = _dense_net(0, (4, 5, 3), (network.RELU, network.IDENTITY))
+        conv = network.Network((network.Block(elastic=elastic.from_conv(
+            _rng(2).standard_normal((2, 3, 3, 3)))),))
+        for net, x in ((dense, _rng(1).standard_normal(4)),
+                       (conv, _rng(3).standard_normal((3, 4, 4)))):
+            stats = certificate.calibrate(net, x[None])
+            prof = [(1, None)] * len(net.blocks)
+            for call in (lambda: certificate.calibrate(net, x),
+                         lambda: certificate.pointwise_bound(net, stats,
+                                                             prof, x),
+                         lambda: network.logit_drift(net, x, prof)):
+                with pytest.raises(ValueError,
+                                   match="single unbatched input"):
+                    call()
+
     def test_empty_set_rejected(self, tmp_path):
         # calibrate trusts its caller; certify refuses a --calib file
         # without rows where it reads it, before any statistic is taken
@@ -110,7 +129,7 @@ class TestCalibration:
         if scale == 1e200:
             stats = certificate.calibrate(net, np.ones((3, 4)))
             with pytest.raises(ValueError, match="norms overflow float64"):
-                certificate.pointwise_bound(net, stats, [(1, None)], xs[0])
+                certificate.pointwise_bound(net, stats, [(1, None)], xs[:1])
 
     def test_recompute_reproduces_exactly(self):
         net = _dense_net(5, (4, 4, 3), (network.GELU, network.IDENTITY))
@@ -356,6 +375,48 @@ class TestPointwiseBound:
                 bounds = certificate.pointwise_bound(net, stats, prof, xs)
                 drifts = network.logit_drift(net, xs, prof)
                 assert np.all(drifts <= bounds * (1.0 + 1e-12) + 1e-12)
+
+    def test_searched_worst_case_stays_under_the_bound(self):
+        # L-BFGS-B on the input, maximizing drift over bound from seeded
+        # starts: the bound must hold at every maximizer found, not only
+        # at random rows, which sit far under it
+        from scipy.optimize import minimize
+        acts_pool = (network.RELU, network.IDENTITY, network.GELU)
+        seen = set()
+        for i in range(12):
+            rng = _rng(5000 + i)
+            depth = int(rng.integers(2, 4))
+            acts = tuple(acts_pool[rng.integers(3)] for _ in range(depth))
+            gamma_on = tuple(j for j in range(depth) if rng.random() < 0.5)
+            residual_on = tuple(j for j in range(depth)
+                                if rng.random() < 0.5)
+            net = _dense_net(6000 + i, (6,) * (depth + 1), acts,
+                             gamma_on=gamma_on, residual_on=residual_on)
+            seen.update(acts + ("gamma",) * bool(gamma_on)
+                        + ("residual",) * bool(residual_on))
+            stats = certificate.calibrate(net, rng.standard_normal((4, 6)))
+            prof = [(int(rng.integers(1, 6)), (None, 3, 8)[rng.integers(3)])
+                    for _ in range(depth)]
+            rows = certificate.ledgers(net, stats, [prof])[0]
+
+            def ratio(x):
+                full = network.forward(net, x[None], None)
+                bound = certificate.ledger_total(
+                    [(sens, change, np.linalg.norm(a))
+                     for (sens, change, _), a in zip(rows, full.inputs)])
+                drift = np.linalg.norm(
+                    network.forward(net, x[None], prof).logits - full.logits)
+                return drift / bound
+
+            for start in rng.standard_normal((3, 6)):
+                res = minimize(lambda x: -ratio(x), start, method="L-BFGS-B")
+                assert -res.fun >= ratio(start)
+                (bound,) = certificate.pointwise_bound(net, stats, prof,
+                                                       res.x[None])
+                (drift,) = network.logit_drift(net, res.x[None], prof)
+                assert drift / bound == pytest.approx(-res.fun, rel=1e-9)
+                assert drift / bound <= 1.0
+        assert {network.GELU, "gamma", "residual"} <= seen
 
     def test_soundness_conv(self):
         rng = _rng(22)

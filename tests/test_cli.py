@@ -740,6 +740,11 @@ def _refiled(src, dst, layer, kind):
         layer].update(kind=kind))
 
 
+def _no_layers(doc):
+    """A document edit leaving no layer in either section."""
+    doc["topology"]["layers"] = doc["model"]["layers"] = []
+
+
 def _with_nan(src, dst, layer, name):
     """Copy the manifest at src to dst with a NaN as the first entry of one
     layer's payload, its byte count and checksum intact and an elastic
@@ -815,6 +820,8 @@ def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
         (_edited_copy(dense, tmp_path / "short.json",
                       lambda doc: doc["model"]["layers"].pop()),
          "topology and model layer counts differ", "raw model: "),
+        (_edited_copy(dense, tmp_path / "no_layers.json", _no_layers),
+         "the model has no layers", "raw model: "),
         (_with_nan(dense, tmp_path / "nan.json", 1, "weight"),
          "payload holds a non-finite value", ""),
     )
@@ -833,6 +840,71 @@ def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
     assert err == (f"error: full-rank reconstruction error {worst!r} "
                    f"exceeds 0.0\n")
     assert not el.exists()
+
+
+def _layer0(**tensors):
+    """A document edit setting tensors of layer 0's model entry."""
+    return lambda doc: doc["model"]["layers"][0].update(tensors)
+
+
+def _retyped(kind):
+    """A document edit filing layer 0 under another kind."""
+    return lambda doc: doc["topology"]["layers"][0].update(kind=kind)
+
+
+# the layer rules decompose's raw files obey, for elastic files: each
+# fault is refused as certify decodes the file, before a block is built;
+# the constructors take every fault, so the library writes each file
+@pytest.mark.parametrize("shapes, extra, edit, message", [
+    (((6, 4), (3, 5)), {}, None,
+     "layer 1: input width differs from the previous output width"),
+    (((4, 3, 3, 3), (2, 4)), {}, None,
+     "layer 1: mixing conv and dense blocks is not supported"),
+    (((3, 3),), {}, _no_layers, "the model has no layers"),
+    (((4, 6),), {"residual": True}, None,
+     "layer 0: skip connection needs matching width"),
+    (((3, 3),), {"activation": "tanh"}, None,
+     "layer 0: unknown activation 'tanh'"),
+    (((3, 3),), {}, _layer0(beta=np.zeros(3)),
+     "layer 0: beta without gamma"),
+    (((3, 3),), {}, _layer0(gamma=np.ones(2), beta=np.zeros(2)),
+     "layer 0: gamma must be 1-D with one entry per output"),
+    (((3, 3, 2, 3),), {}, None,
+     "layer 0: same-padded conv needs odd kernel sides"),
+    (((4, 4),), {}, _retyped(elastic.CONV_TUCKER2),
+     "layer 0: a conv_tucker2 core must be 4-D, got shape (4,)"),
+    (((4, 3, 3, 3),), {}, _retyped(elastic.DENSE_SVD),
+     "layer 0: a dense_svd core must be 1-D, got shape (4, 3, 3, 3)"),
+    (((3, 3),), {}, _retyped("dense"), "layer 0: unknown layer kind 'dense'"),
+    (((3, 3),), {}, _layer0(core=np.ones(0), u=np.ones((3, 0)),
+                            v=np.ones((3, 0))),
+     "layer 0: the core of shape (0,) is empty"),
+    (((4, 3),), {}, _layer0(u=np.ones((4, 2))),
+     "layer 0: factors u (4, 2) and v (3, 3) do not fit the core"),
+    (((4, 3, 3, 3),), {}, _layer0(v=np.ones(3)),
+     "layer 0: factors u (4, 4) and v (3,) do not fit the core"),
+], ids=["widths-6-5", "conv-then-dense", "no-layers", "skip-6-to-4", "tanh",
+        "beta-alone", "short-gamma", "even-kernel", "svd-as-tucker",
+        "tucker-as-svd", "unknown-kind", "empty-core", "u-columns",
+        "v-one-axis"])
+def test_elastic_refusals_exit_1_and_write_nothing(tmp_path, shapes, extra,
+                                                   edit, message):
+    rng = np.random.default_rng(0)
+    blocks = []
+    for shape in shapes:
+        maker = elastic.from_conv if len(shape) == 4 else elastic.from_dense
+        blocks.append(network.Block(elastic=maker(rng.standard_normal(shape)),
+                                    **(extra if not blocks else {})))
+    doc = manifest.network_to_doc(network.Network(tuple(blocks)))
+    if edit is not None:
+        edit(doc)
+    path, out = tmp_path / "el.json", tmp_path / "cert.json"
+    manifest.write_manifest(doc, path)
+    assert _cli_output("certify", path, "--profiles", "1", "--out", out) \
+        == (cli.EXIT_ERROR, "", f"error: {message}\n")
+    assert not out.exists()
+    assert manifest.verify_manifest(str(path)) == [
+        f"model: fails to decode ({message})"]
 
 
 def test_plan_builds_ledgers_twice_and_report_none(tmp_path, monkeypatch):

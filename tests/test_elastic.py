@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiq import elastic, linalg
+from elastiq import elastic, linalg, manifest, network
 
 from oracles import tucker2_recompose
 
@@ -34,28 +34,18 @@ class TestElasticLayerType:
         assert layer.out_features == 7
         assert layer.in_features == 5
 
-    def test_kind_factor_mismatch_rejected(self):
-        # the core's axis count must match the kind: 1 for an SVD
-        # spectrum, 4 for a Tucker-2 core
-        svd = linalg.svd_full(_rng(1).standard_normal((4, 4)))
-        tucker = linalg.tucker2_fit(_rng(2).standard_normal((4, 3, 3, 3)),
-                                    2, 2)
-        with pytest.raises(ValueError, match="4-axis core"):
-            elastic.ElasticLayer(elastic.CONV_TUCKER2, svd)
-        with pytest.raises(ValueError, match="1-axis core"):
-            elastic.ElasticLayer(elastic.DENSE_SVD, tucker)
-
-    def test_unknown_kind_rejected(self):
-        f = linalg.svd_full(np.eye(3))
-        with pytest.raises(ValueError, match="unknown layer kind"):
-            elastic.ElasticLayer("dense", f)
-
     def test_bias_shape_validated(self):
+        # the layer stores its bias as float64 and trusts its length, which
+        # decoding the manifest that carries the layer checks
         w = _rng(3).standard_normal((6, 4))
-        layer = elastic.from_dense(w, bias=np.ones(6))
-        assert layer.bias.shape == (6,)
-        with pytest.raises(ValueError, match="bias"):
-            elastic.from_dense(w, bias=np.ones(4))
+        layer = elastic.from_dense(w, bias=[1] * 6)
+        assert layer.bias.dtype == np.float64 and layer.bias.shape == (6,)
+        doc = manifest.network_to_doc(network.Network((network.Block(
+            elastic=elastic.from_dense(w, bias=np.ones(4))),)))
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.net_from_doc(doc)
+        assert str(err.value) == \
+            "layer 0: bias must be 1-D with one entry per output"
 
 
 class TestTruncate:

@@ -185,11 +185,15 @@ class TestRoundTrip:
          "non-finite payload at $.a[0]"),
         (lambda path: manifest.write_manifest({"a": {"b": object()}}, path),
          "unserializable object at $.a.b"),
+        (lambda path: manifest.write_manifest({"a": [{1, 2}]}, path),
+         "unserializable set at $.a[0]"),
         (lambda path: manifest.config_hash({"a": [1, {"b": object()}]}),
          "unhashable config element object"),
+        (lambda path: manifest.config_hash({"hidden": (8, {4, 2})}),
+         "unhashable config element set"),
     ], ids=["no-layers", "ragged", "weight-rank", "raw-float",
             "int-key", "inf", "nan-payload", "unserializable",
-            "unhashable"])
+            "unserializable-set", "unhashable", "unhashable-set"])
     def test_refused_document(self, tmp_path, build, message):
         path = tmp_path / "m.json"
         with pytest.raises(manifest.ManifestError) as err:

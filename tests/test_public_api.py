@@ -5,7 +5,10 @@ A use is a reference by name or attribute. A name that the enclosing
 function binds itself, as a parameter or an assigned local, refers to that
 binding, so it is not a use of the module-level function it shadows.
 
-Every function that perfbench's tracer names is defined in src/elastiq."""
+Every function that perfbench's tracer names is defined in src/elastiq.
+
+Each layer rule's refusal is written once in src/elastiq code, where a
+manifest is decoded."""
 
 import ast
 import pathlib
@@ -136,3 +139,44 @@ def test_every_traced_function_is_defined():
     traced = _traced_names()
     assert "quant.calibrate_scale" in traced
     assert sorted(traced - defined) == sorted(UNDEFINED_TRACED)
+
+
+# a fragment of each layer rule's refusal message
+LAYER_RULES = (
+    "the model has no layers",
+    "unknown layer kind",
+    "-D, got shape",
+    "is empty",
+    "do not fit the core",
+    "one entry per output",
+    "beta without gamma",
+    "unknown activation",
+    "odd kernel sides",
+    "skip connection needs matching width",
+    "mixing conv and dense",
+    "previous output width",
+)
+
+
+def _code_strings():
+    """Every string constant in src/elastiq outside docstrings; an
+    f-string gives its literal parts."""
+    strings = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)}
+        strings += [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and id(node) not in docs]
+    return strings
+
+
+def test_each_layer_rule_is_written_once():
+    strings = _code_strings()
+    counts = {rule: sum(s.count(rule) for s in strings)
+              for rule in LAYER_RULES}
+    assert counts == dict.fromkeys(LAYER_RULES, 1)
