@@ -37,6 +37,10 @@ objective and lattice bounds and the trainer's coefficients all come
 from ``ledgers``; manifest verification recomputes the same columns with
 ``lipschitz_proxy`` and ``weight_change`` and re-sums the stored rows
 with ``ledger_total``.
+
+CalibrationStats trusts its callers: ``calibrate`` measures the
+statistics, and a stored calibration section is checked once, where a
+manifest is decoded (``manifest.stats_from_doc`` and ``manifest._stats``).
 """
 
 import hashlib
@@ -89,15 +93,6 @@ class CalibrationStats:
     count: int
     fingerprint: str
     spatial: tuple | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if any(a < 0.0 for a in self.alpha):
-            raise ValueError("alpha entries must be non-negative")
-        if self.spatial is not None and not (
-                len(self.spatial) == 2 and min(self.spatial) >= 1):
-            raise ValueError("spatial must be a positive (H, W) pair")
 
 
 # finite inputs whose squares overflow float64 give infinite norms

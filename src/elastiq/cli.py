@@ -94,7 +94,6 @@ _MENU_FRACS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 _MENU_BITS = (4, 8, None)
 _AUTO_BUDGET_FRACS = (0.25, 0.5, 1.0)
 _AUTO_BUDGET_SLACK = 1.05
-_MAX_BUDGETS = 8
 
 
 class CliError(Exception):
@@ -174,26 +173,24 @@ def _check_epsilon(epsilon):
     return epsilon
 
 
-def _ledger_epsilon(doc):
-    with manifest._malformed("certificate"):
-        eps = (doc.get("certificate") or {}).get("epsilon")
-        return None if eps is None else manifest.parse_float(eps)
-
-
-def _stored_stats(doc):
-    sec = doc.get("calibration")
-    if sec is None:
+def _stored_stats(doc, net):
+    stats = manifest._stats(doc, net)
+    if stats is None:
         raise CliError("manifest carries no calibration statistics; "
                        "run certify first")
-    return manifest.stats_from_doc(sec)
+    return stats
 
 
-def _certified_spatial(net, stats):
-    """The (H, W) a conv model was calibrated at; None for a dense one."""
-    if net.blocks[0].is_conv and stats.spatial is None:
-        raise CliError("calibration statistics record no feature-map size "
-                       "(an older certify wrote them); run certify again")
-    return stats.spatial
+def _certified(doc, net):
+    """The decoded certificate, refused unless it is certified: a sampled
+    ledger's bounds can undershoot."""
+    cert = manifest._certificate(doc, net)
+    if cert is None:
+        raise CliError("manifest carries no certificate; run certify first")
+    if not cert.certified:
+        raise CliError(f"the {cert.mode} ledger is not certified; run "
+                       f"certify --mode conservative")
+    return cert
 
 
 @contextlib.contextmanager
@@ -294,8 +291,7 @@ def cmd_train(args):
 def cmd_decompose(args):
     doc = manifest.read_manifest(args.model)
     layers = manifest.raw_from_doc(doc)
-    with manifest._malformed("provenance"):
-        seed = doc.get("provenance", {}).get("seed")
+    seed = manifest._seed(doc)
     blocks = []
     for entry in layers:
         maker = elastic.from_conv if entry["kind"] == "conv" \
@@ -361,11 +357,11 @@ def cmd_certify(args):
         _check_epsilon(args.epsilon)
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
+    # the provenance is carried into the manifest certify writes
+    manifest._seed(doc)
     probes = _probe_inputs(net, args.calib_size, args.seed, args.calib)
     stats = certificate.calibrate(net, probes)
-    with manifest._malformed("profiles"):
-        profiles = {name: manifest.pairs_from_doc(sec["pairs"])
-                    for name, sec in sorted(doc.get("profiles", {}).items())}
+    profiles = manifest._profiles(doc, net)
     if profiles and args.profiles:
         raise CliError("manifest already stores profiles; certify them "
                        "without --profiles")
@@ -438,24 +434,16 @@ def _parse_budget_list(args):
     return field, values
 
 
-def _check_certified(doc):
-    """Refuse a sampled ledger: its bounds can undershoot."""
-    cert = doc.get("certificate")
-    if cert is None:
-        raise CliError("manifest carries no certificate; run certify first")
-    with manifest._malformed("certificate"):
-        if cert.get("certified") is not True:
-            raise CliError(f"the {cert.get('mode')} ledger is not "
-                           f"certified; run certify --mode conservative")
-
-
 def cmd_plan(args):
     axis = _parse_budget_list(args)
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
-    stats = _stored_stats(doc)
-    _check_certified(doc)
-    spatial = _certified_spatial(net, stats)
+    stats = _stored_stats(doc, net)
+    cert = _certified(doc, net)
+    # the provenance and the stored profiles are carried into the manifest
+    # plan writes
+    manifest._seed(doc)
+    manifest._profiles(doc, net)
 
     menus = _canonical_menus(net)
     benefit = controller.certificate_mass(net, stats, menus)
@@ -463,7 +451,7 @@ def cmd_plan(args):
         table = cost.read_device_table(args.device_csv,
                                        device=args.device or "imported")
     else:
-        table = cost.synth_device_table(net, menus, spatial,
+        table = cost.synth_device_table(net, menus, stats.spatial,
                                         device=args.device or "synth0",
                                         seed=args.seed)
 
@@ -480,8 +468,9 @@ def cmd_plan(args):
                        "energy column")
     budgets = [controller.BudgetToken(device=table.device, **{field: v})
                for v in values]
-    if len(budgets) > _MAX_BUDGETS:
-        raise CliError(f"lattice supports 1 to {_MAX_BUDGETS} budget levels")
+    if len(budgets) > controller._MAX_LEVELS:
+        raise CliError(f"lattice supports 1 to {controller._MAX_LEVELS} "
+                       f"budget levels")
     if any(b < a for a, b in zip(values, values[1:])):
         raise CliError("budgets must be ordered tightest first")
     lattice, ledgers = controller.build_lattice(net, menus, budgets,
@@ -497,7 +486,7 @@ def cmd_plan(args):
         named[prof.name] = prof.pairs
     doc["lattice"] = manifest.lattice_to_doc(lattice)
     doc["certificate"] = manifest.certificate_section(
-        stats, named, ledgers, epsilon=_ledger_epsilon(doc))
+        stats, named, ledgers, epsilon=cert.epsilon)
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)
@@ -515,33 +504,31 @@ def cmd_plan(args):
 # select / report / audit
 
 
-def _stored_lattice(doc):
-    """The planned lattice of a manifest that verifies, beside a
-    certified ledger; anything else is refused."""
-    sec = doc.get("lattice")
-    if sec is None:
+def _stored_lattice(doc, net):
+    """The planned lattice of a manifest of net that verifies, and the
+    certified ledger beside it; anything else is refused."""
+    if doc.get("lattice") is None:
         raise CliError("manifest carries no profile lattice; run plan first")
-    _check_certified(doc)
+    cert = _certified(doc, net)
     problems = manifest.verify_manifest(doc)
     if problems:
         raise CliError(f"manifest fails verification: {'; '.join(problems)}")
-    return manifest.lattice_from_doc(sec)
+    return manifest._lattice(doc, net), cert
 
 
-def _select_epsilon(args, doc):
+def _select_epsilon(args, cert):
     if args.epsilon is not None:
         return _check_epsilon(float(args.epsilon))
-    eps = _ledger_epsilon(doc)
-    if eps is None:
+    if cert.epsilon is None:
         raise CliError("no epsilon stored in the certificate; "
                        "pass --epsilon")
-    return _check_epsilon(eps)
+    return cert.epsilon
 
 
 def cmd_select(args):
     doc = manifest.read_manifest(args.model)
-    lattice = _stored_lattice(doc)
-    epsilon = _select_epsilon(args, doc)
+    lattice, cert = _stored_lattice(doc, manifest.net_from_doc(doc))
+    epsilon = _select_epsilon(args, cert)
     if args.latency_ms is None and args.bytes is None \
             and args.energy_mj is None:
         raise CliError("give at least one of --latency-ms, --bytes, "
@@ -568,11 +555,11 @@ _REPORT_COLUMNS = ("profile", "accuracy_percent", "predicted_latency_ms",
 def cmd_report(args):
     doc = manifest.read_manifest(args.model)
     net = manifest.net_from_doc(doc)
-    lattice = _stored_lattice(doc)
-    epsilon = _select_epsilon(args, doc)
+    lattice, cert = _stored_lattice(doc, net)
+    epsilon = _select_epsilon(args, cert)
     xs = _probe_inputs(net, args.probes, args.seed, args.calib)
     if net.blocks[0].is_conv:
-        spatial = _certified_spatial(net, _stored_stats(doc))
+        spatial = _stored_stats(doc, net).spatial
         h, w = xs.shape[-2:]
         if (h, w) != spatial:
             raise CliError(f"inputs are {h}x{w} maps, but the lattice's "
@@ -653,7 +640,7 @@ def _say_diagnostics(bounds, drifts_by_level, epsilon):
 
 def cmd_audit(args):
     doc = manifest.read_manifest(args.model)
-    lattice = _stored_lattice(doc)
+    lattice, _ = _stored_lattice(doc, manifest.net_from_doc(doc))
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)

@@ -12,8 +12,11 @@ latency and certified drift, under any mix of targets; and an audit
 counts the lattice's predicted-latency drops and drift-bound rises.
 
 The planner (allocate, build_lattice) trusts its caller, the plan
-command, which checks its budget flags and builds the menus; tokens and
-lattices, which also come from flags and files, check themselves.
+command, which checks its budget flags and builds the menus. Budget
+tokens, which flags build, check themselves. ProfileLattice trusts its
+callers: a stored lattice is checked once, where a manifest's lattice
+section is decoded (manifest.lattice_from_doc, and manifest._lattice
+against the model), and build_lattice's levels hold by construction.
 """
 
 import math
@@ -26,6 +29,8 @@ CERT_WARNING = "cert_warning"
 INFEASIBLE = "infeasible"
 
 _TARGETS = ("latency_target", "bytes_target", "energy_target")
+# the most levels, and so budgets, one lattice holds
+_MAX_LEVELS = 8
 
 
 def _q_ord(q):
@@ -141,8 +146,9 @@ def allocate(net, menus, budget, benefit, table=None, name="", upper=None):
 class ProfileLattice:
     """Budget-ordered deployable profile chain with per-profile costs.
 
-    Profiles must grow componentwise along the chain; that total order
-    is what makes runtime downshifts safe. energy is optional.
+    Profiles grow componentwise along the chain; that total order is
+    what makes runtime downshifts safe. energy is optional. The profiles
+    and columns are stored as tuples.
     """
 
     profiles: tuple
@@ -153,27 +159,10 @@ class ProfileLattice:
     device: str | None = None
 
     def __post_init__(self):
-        profiles = tuple(self.profiles)
-        if not profiles:
-            raise ValueError("lattice needs at least one profile")
-        object.__setattr__(self, "profiles", profiles)
-        for name in ("predicted_latency", "weight_bytes", "drift_bound",
-                     "energy"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = tuple(value)
-            if len(value) != len(profiles):
-                raise ValueError(f"{name} does not match the profiles")
-            if any(v < 0 for v in value):
-                raise ValueError(f"{name} entries must be non-negative")
-            object.__setattr__(self, name, value)
-        n = len(profiles[0].pairs)
-        if any(len(p.pairs) != n for p in profiles):
-            raise ValueError("profiles disagree on the layer count")
-        for a, b in zip(profiles, profiles[1:]):
-            if not all(map(_at_or_below, a.pairs, b.pairs)):
-                raise ValueError("lattice profiles must grow componentwise")
+        for name in ("profiles", "predicted_latency", "weight_bytes",
+                     "drift_bound", "energy"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def __len__(self):
         return len(self.profiles)

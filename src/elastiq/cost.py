@@ -89,7 +89,8 @@ class DeviceTable:
     overhead is the (latency_ms, energy_mj) of one forward pass apart from
     its layers; layers[ell] maps a menu entry (k, q), q None for float
     factors, to layer ell's (latency_ms, energy_mj) at that entry. Energy
-    is None in every price or in none.
+    is None in every price or in none. Every price is positive and
+    finite, and so is every profile's sum of them.
     """
 
     device: str
@@ -110,6 +111,15 @@ class DeviceTable:
             if (price[ENERGY] is None) != (self.overhead[ENERGY] is None):
                 raise ValueError("energy must be priced everywhere or "
                                  "nowhere")
+        # no profile costs more than the overhead plus each layer's dearest
+        # entry, summed in profile_price's order
+        for column, name in ((LATENCY, "latency"), (ENERGY, "energy")):
+            if self.overhead[column] is not None and not math.isfinite(sum(
+                    [self.overhead[column]] + [max(p[column] for p in
+                                                   prices.values())
+                                               for prices in self.layers])):
+                raise ValueError(f"device table {name} prices overflow "
+                                 f"float64 when a profile sums them")
 
     @property
     def has_energy(self):
@@ -194,7 +204,9 @@ def write_device_table(table, path):
 def read_device_table(path, device="imported"):
     """Inverse of write_device_table; refuses a bad header, a row of
     another length or with unparsable numbers, an entry or overhead given
-    twice, no overhead row, and layers not numbered 0, 1, ..."""
+    twice, no overhead row, layers not numbered 0, 1, ..., and (through
+    DeviceTable) prices that are not positive and finite or whose sums
+    overflow."""
     prices = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

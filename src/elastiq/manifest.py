@@ -19,6 +19,14 @@ by ``_checked_layers``, which ``raw_from_doc`` and ``net_from_doc`` both
 run before they build anything; a refusal names the layer. The
 ``elastic`` and ``network`` constructors trust their callers.
 
+Every other section has one decoder, which checks it once, against the
+decoded model, and names the section in each refusal: ``_seed``
+(provenance), ``_profiles``, ``_stats``, ``_certificate`` and
+``_lattice``. The commands run the decoders of the sections they read or
+carry over and ``verify_manifest`` runs them all, so
+``certificate.CalibrationStats`` and ``controller.ProfileLattice`` trust
+their callers.
+
 Rules that keep writes reproducible and reads sound:
 
 * every float is serialized as a 17-significant-digit decimal string,
@@ -37,6 +45,7 @@ Rules that keep writes reproducible and reads sound:
 from __future__ import annotations
 
 import base64
+import collections
 import contextlib
 import hashlib
 import json
@@ -70,6 +79,11 @@ class ManifestError(Exception):
     """Raised on malformed, corrupt, or inconsistent manifests."""
 
 
+def _require(ok, why):
+    if not ok:
+        raise ManifestError(why)
+
+
 @contextlib.contextmanager
 def _malformed(section):
     """Report a missing key or a wrongly typed node met while decoding a
@@ -80,6 +94,17 @@ def _malformed(section):
             ValueError) as exc:
         raise ManifestError(f"malformed {section} ({type(exc).__name__}: "
                             f"{exc})") from exc
+
+
+@contextlib.contextmanager
+def _section(name):
+    """Decode inside _malformed(name), prefixing every refusal raised
+    inside with the section's name."""
+    with _malformed(name):
+        try:
+            yield
+        except ManifestError as exc:
+            raise ManifestError(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +120,12 @@ def fmt_float(x):
 
 
 def parse_float(s):
-    """Inverse of fmt_float."""
-    return float(s)
+    """Inverse of fmt_float: the finite float a decimal string holds;
+    anything else raises ValueError."""
+    if not (isinstance(s, str) and np.isfinite(x := float(s))):
+        raise ValueError(f"{s!r} is not the decimal string of a finite "
+                         f"float")
+    return x
 
 
 def _fmt_list(values):
@@ -104,7 +133,7 @@ def _fmt_list(values):
 
 
 def _parse_list(strings):
-    return tuple(float(s) for s in strings)
+    return tuple(map(parse_float, strings))
 
 
 def config_hash(obj):
@@ -425,21 +454,6 @@ def lattice_to_doc(lattice):
     }
 
 
-@_malformed("lattice")
-def lattice_from_doc(sec):
-    profiles = tuple(
-        controller.Profile(pairs=pairs_from_doc(p["pairs"]), name=p["name"])
-        for p in sec["profiles"])
-    return controller.ProfileLattice(
-        profiles=profiles,
-        predicted_latency=_parse_list(sec["predicted_latency"]),
-        weight_bytes=tuple(int(b) for b in sec["weight_bytes"]),
-        drift_bound=_parse_list(sec["drift_bound"]),
-        energy=None if sec.get("energy") is None
-        else _parse_list(sec["energy"]),
-        device=sec.get("device"))
-
-
 def stats_to_doc(stats):
     """The calibration section. Only a conv model's section names its
     calibration map size (spatial); a dense model's holds no such entry."""
@@ -451,16 +465,6 @@ def stats_to_doc(stats):
     if stats.spatial is not None:
         sec["spatial"] = [int(d) for d in stats.spatial]
     return sec
-
-
-@_malformed("calibration")
-def stats_from_doc(sec):
-    return certificate.CalibrationStats(
-        alpha=_parse_list(sec["alpha"]),
-        count=int(sec["count"]),
-        fingerprint=sec["fingerprint"],
-        spatial=tuple(map(int, sec["spatial"])) if "spatial" in sec
-        else None)
 
 
 def certificate_section(stats, profiles, ledgers,
@@ -491,6 +495,177 @@ def certificate_section(stats, profiles, ledgers,
             "delta_hat": fmt_float(certificate.ledger_total(rows)),
         }
     return sec
+
+
+# ---------------------------------------------------------------------------
+# section decoders: each checks its section once, against the decoded
+# model where the section describes it, inside _section
+
+
+def _seed(doc, net=None):
+    """The provenance section's seed: an integer, or None. The seed does
+    not describe the model, so net goes unread."""
+    with _section("provenance"):
+        seed = doc.get("provenance", {}).get("seed")
+        _require(seed is None or _is_int(seed),
+                 f"seed {seed!r} is not an integer or null")
+    return seed
+
+
+def _per_layer(values, net, what):
+    """values, refused unless they hold one entry per layer of net."""
+    _require(len(values) == len(net.blocks), f"{what} length {len(values)} "
+             f"is not the layer count {len(net.blocks)}")
+    return values
+
+
+def _model_pairs(pairs, net):
+    """(k, q) pairs, refused unless they hold one pair per layer of net
+    and no rank above its layer's stored rank."""
+    for i, (blk, (k, _)) in enumerate(zip(net.blocks, _per_layer(
+            pairs, net, "pairs"))):
+        _require(k <= blk.elastic.k_max, f"layer {i}: rank {k} above the "
+                 f"stored rank {blk.elastic.k_max}")
+    return pairs
+
+
+def _profiles(doc, net):
+    """The profiles section (absent: empty) as {name: pairs} in name
+    order: an object of {"pairs": ...} entries, each _model_pairs."""
+    with _malformed("profiles"):
+        entries = sorted(doc.get("profiles", {}).items())
+    profiles = {}
+    for name, entry in entries:
+        with _section(f"profile {name}"):
+            extra = ", ".join(sorted(entry.keys() - {"pairs"}))
+            _require(not extra, f"stores {extra} besides its pairs")
+            profiles[name] = _model_pairs(pairs_from_doc(entry["pairs"]), net)
+    return profiles
+
+
+def _non_negative(values, what):
+    _require(all(v >= 0 for v in values),
+             f"{what} entries must be non-negative")
+    return values
+
+
+def stats_from_doc(sec):
+    """The calibration section's CalibrationStats: finite, non-negative
+    alpha, a count that is an integer >= 1 and, when present, a positive
+    integer (H, W) map size."""
+    with _section("calibration"):
+        count = sec["count"]
+        spatial = tuple(sec["spatial"]) if "spatial" in sec else None
+        _require(_is_int(count) and count >= 1,
+                 f"count {count!r} is not a positive integer")
+        _require(spatial is None or (len(spatial) == 2 and all(
+            _is_int(d) and d >= 1 for d in spatial)),
+            "spatial must be a positive (H, W) pair")
+        return certificate.CalibrationStats(
+            alpha=_non_negative(_parse_list(sec["alpha"]), "alpha"),
+            count=count, fingerprint=sec["fingerprint"], spatial=spatial)
+
+
+def _stats(doc, net):
+    """stats_from_doc of the calibration section (None when absent), with
+    one alpha entry per layer of net and a map size exactly when net is a
+    conv model."""
+    if doc.get("calibration") is None:
+        return None
+    stats = stats_from_doc(doc["calibration"])
+    conv = net.blocks[0].is_conv
+    with _section("calibration"):
+        _per_layer(stats.alpha, net, "alpha")
+        _require(stats.spatial is not None or not conv,
+                 "records no feature-map size (an older certify wrote it); "
+                 "run certify again")
+        _require(stats.spatial is None or conv,
+                 "spatial is recorded for conv models only")
+    return stats
+
+
+# a decoded certificate section; rows maps each profile name, in name
+# order, to its (pairs, sensitivity, weight_change, delta_hat)
+_Ledger = collections.namedtuple(
+    "_Ledger", ("mode", "certified", "epsilon", "alpha", "rows"))
+
+
+def _certificate(doc, net):
+    """The certificate section as a _Ledger, None when absent: a known
+    mode, certified exactly when conservative, epsilon None or >= 0, and
+    alpha, each profile's two ledger columns and its _model_pairs one per
+    layer of net. Every float is finite."""
+    sec = doc.get("certificate")
+    if sec is None:
+        return None
+    with _section("certificate"):
+        mode, certified, epsilon = sec["mode"], sec["certified"], \
+            sec.get("epsilon")
+        _require(mode in (certificate.CONSERVATIVE, certificate.SAMPLED),
+                 f"unknown ledger mode {mode!r}")
+        _require(certified is (mode == certificate.CONSERVATIVE),
+                 "a ledger is certified exactly when its mode is "
+                 "conservative")
+        epsilon = None if epsilon is None else parse_float(epsilon)
+        _require(epsilon is None or epsilon >= 0.0,
+                 f"epsilon {epsilon!r} is negative")
+        alpha = _per_layer(_parse_list(sec["alpha"]), net, "alpha")
+        entries = sorted(sec["profiles"].items())
+    rows = {}
+    for name, entry in entries:
+        with _section(f"certificate {name}"):
+            rows[name] = (
+                _model_pairs(pairs_from_doc(entry["pairs"]), net),
+                *(_per_layer(_parse_list(entry[column]), net, column)
+                  for column in ("sensitivity", "weight_change")),
+                parse_float(entry["delta_hat"]))
+    return _Ledger(mode, certified, epsilon, alpha, rows)
+
+
+def lattice_from_doc(sec):
+    """The lattice section's ProfileLattice: 1 to controller._MAX_LEVELS
+    named levels whose pairs agree on the layer count and grow
+    componentwise, and whose columns (energy only when stored) hold one
+    non-negative value per level; the device None or a non-empty string.
+    verify_manifest recomputes each level's weight bytes."""
+    with _section("lattice"):
+        levels, device = sec["profiles"], sec.get("device")
+        _require(1 <= len(levels) <= controller._MAX_LEVELS,
+                 f"{len(levels)} levels, not 1 to {controller._MAX_LEVELS}")
+        profiles = tuple(controller.Profile(
+            pairs=pairs_from_doc(p["pairs"]), name=p["name"]) for p in levels)
+        _require(all(isinstance(p.name, str) for p in profiles),
+                 "a level name is not a string")
+        columns = {name: _parse_list(sec[name])
+                   for name in ("predicted_latency", "drift_bound")}
+        columns.update(weight_bytes=tuple(sec["weight_bytes"]),
+                       energy=None if sec.get("energy") is None
+                       else _parse_list(sec["energy"]))
+        for name, column in columns.items():
+            _require(column is None or len(column) == len(profiles),
+                     f"{name} does not match the levels")
+            _non_negative(column or (), name)
+        _require(all(len(p.pairs) == len(profiles[0].pairs)
+                     for p in profiles), "levels disagree on the layer count")
+        _require(all(all(map(controller._at_or_below, a.pairs, b.pairs))
+                     for a, b in zip(profiles, profiles[1:])),
+                 "levels must grow componentwise")
+        _require(device is None or (isinstance(device, str) and device),
+                 f"device {device!r} is not a non-empty string or null")
+    return controller.ProfileLattice(profiles=profiles, device=device,
+                                     **columns)
+
+
+def _lattice(doc, net):
+    """lattice_from_doc of the lattice section (None when absent), each
+    level's pairs _model_pairs of net."""
+    if doc.get("lattice") is None:
+        return None
+    lattice = lattice_from_doc(doc["lattice"])
+    for prof in lattice.profiles:
+        with _section(f"lattice profile {prof.name}"):
+            _model_pairs(prof.pairs, net)
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -672,117 +847,55 @@ def _close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-@_malformed("profiles")
-def _verify_profiles(doc, net, problems):
-    for name, sec in sorted(doc.get("profiles", {}).items()):
-        extra = sorted(set(sec) - {"pairs"})
-        if extra:
-            problems.append(f"profile {name}: stores {', '.join(extra)} "
-                            f"besides its pairs")
-        pairs = pairs_from_doc(sec["pairs"])
-        if len(pairs) != len(net.blocks):
-            problems.append(f"profile {name}: {len(pairs)} pairs for "
-                            f"{len(net.blocks)} layers")
-            continue
-        for i, (blk, (k, _)) in enumerate(zip(net.blocks, pairs)):
-            if k > blk.elastic.k_max:
-                problems.append(f"profile {name} layer {i}: rank {k} above "
-                                f"the stored rank {blk.elastic.k_max}")
-
-
-@_malformed("lattice")
-def _verify_lattice(doc, net, problems, tol):
-    sec = doc.get("lattice")
-    if sec is None:
-        return
-    try:
-        lattice = lattice_from_doc(sec)
-    except ManifestError as exc:
-        problems.append(f"lattice: fails to reconstruct ({exc})")
-        return
-    cert = doc.get("certificate")
-    with _malformed("certificate"):
-        certified = cert is not None and cert.get("certified") is True
-        ledger_bounds = {} if cert is None else {
-            name: parse_float(entry["delta_hat"])
-            for name, entry in cert["profiles"].items()}
-    if not certified:
+def _verify_lattice(net, lattice, profiles, cert, problems, tol):
+    """Each level against its stored profile, the model's byte count and
+    the certified ledger (cert; None when absent)."""
+    if cert is None or not cert.certified:
         problems.append("lattice: no certified ledger backs its drift "
                         "bounds")
+    rows = {} if cert is None else cert.rows
     for j, prof in enumerate(lattice.profiles):
-        if prof.name not in doc.get("profiles", {}):
-            problems.append(f"lattice profile {prof.name}: not among the "
-                            f"stored profiles")
-        else:
-            stored = pairs_from_doc(doc["profiles"][prof.name]["pairs"])
-            if stored != prof.pairs:
-                problems.append(f"lattice profile {prof.name}: pairs "
-                                f"disagree with its stored profile")
         want = sum(cost.bytes_of(b.elastic, k, q)
                    for b, (k, q) in zip(net.blocks, prof.pairs))
-        if int(lattice.weight_bytes[j]) != want:
-            problems.append(
-                f"lattice profile {prof.name}: weight_bytes "
-                f"{lattice.weight_bytes[j]} != recomputed {want}")
-    for j, prof in enumerate(lattice.profiles):
-        if prof.name in ledger_bounds and not _close(
-                lattice.drift_bound[j], ledger_bounds[prof.name], tol):
-            problems.append(
-                f"lattice profile {prof.name}: drift bound disagrees "
-                f"with the certificate ledger")
+        problems += [f"lattice profile {prof.name}: {why}" for bad, why in (
+            (prof.name not in profiles, "not among the stored profiles"),
+            (profiles.get(prof.name, prof.pairs) != prof.pairs,
+             "pairs disagree with its stored profile"),
+            (lattice.weight_bytes[j] != want, f"weight_bytes "
+             f"{lattice.weight_bytes[j]} != recomputed {want}"),
+            (prof.name in rows and not _close(
+                lattice.drift_bound[j], rows[prof.name][3], tol),
+             "drift bound disagrees with the certificate ledger")) if bad]
 
 
-@_malformed("certificate")
-def _verify_certificate(doc, net, problems, tol, calibration_inputs):
-    sec = doc.get("certificate")
-    if sec is None:
-        return
-    conservative = sec.get("mode") == certificate.CONSERVATIVE
-    if bool(sec.get("certified")) != conservative:
-        problems.append("certificate: only the conservative mode may be "
-                        "marked certified")
-    alpha = _parse_list(sec["alpha"])
-    if len(alpha) != len(net.blocks):
-        problems.append("certificate: alpha length mismatch")
-        return
-    calib = doc.get("calibration")
-    if calib is not None and list(sec["alpha"]) != list(calib["alpha"]):
+def _verify_certificate(net, cert, profiles, stats, problems, tol,
+                        calibration_inputs):
+    """The ledger against the calibration (stats; None when absent) and
+    the stored profiles, and its rows recomputed from the parameters."""
+    if stats is not None and cert.alpha != stats.alpha:
         problems.append("certificate: alpha differs from the calibration "
                         "section")
-    mode = certificate.CONSERVATIVE if conservative else certificate.SAMPLED
-    profiles = doc.get("profiles", {})
-    stored = {}
-    for name, entry in sorted(sec["profiles"].items()):
-        pairs = pairs_from_doc(entry["pairs"])
-        if name not in profiles:
-            problems.append(f"certificate {name}: no stored profile of "
-                            f"that name")
-        elif pairs_from_doc(profiles[name]["pairs"]) != pairs:
-            problems.append(f"certificate {name}: pairs disagree with its "
-                            f"stored profile")
-        sens = _parse_list(entry["sensitivity"])
-        change = _parse_list(entry["weight_change"])
-        if not len(pairs) == len(sens) == len(change) == len(net.blocks):
-            problems.append(f"certificate {name}: ragged ledger row")
-            continue
-        total = certificate.ledger_total(list(zip(sens, change, alpha)))
-        if not _close(total, parse_float(entry["delta_hat"]), tol):
-            problems.append(
-                f"certificate {name}: delta_hat is not the sum of its "
-                f"ledger rows")
+    for name, (pairs, sens, change, delta_hat) in cert.rows.items():
+        total = certificate.ledger_total(list(zip(sens, change, cert.alpha)))
+        problems += [f"certificate {name}: {why}" for bad, why in (
+            (name not in profiles, "no stored profile of that name"),
+            (profiles.get(name, pairs) != pairs,
+             "pairs disagree with its stored profile"),
+            (not _close(total, delta_hat, tol),
+             "delta_hat is not the sum of its ledger rows")) if bad]
         for i, (blk, (k, q)) in enumerate(zip(net.blocks, pairs)):
             fresh = certificate.weight_change(blk, k, q)
             if not _close(fresh, change[i], tol):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
                     f"{change[i]!r} != recomputed {fresh!r}")
-        stored[name] = (pairs, sens)
-    if not conservative and calibration_inputs is None:
+    if cert.mode == certificate.SAMPLED and calibration_inputs is None:
         return
     recomputed = certificate.lipschitz_proxy(
-        net, [pairs for pairs, _ in stored.values()], mode,
+        net, [pairs for pairs, *_ in cert.rows.values()], cert.mode,
         calibration_inputs)
-    for (name, (_, sens)), fresh_sens in zip(stored.items(), recomputed):
+    for (name, (_, sens, *_)), fresh_sens in zip(cert.rows.items(),
+                                                 recomputed):
         for i, (got, fresh) in enumerate(zip(sens, fresh_sens)):
             if not _close(fresh, got, tol):
                 problems.append(
@@ -791,25 +904,22 @@ def _verify_certificate(doc, net, problems, tol, calibration_inputs):
 
 
 def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
-    """Independently re-check a manifest; returns a list of problems.
+    """Independently re-check a manifest; returns a list of problems,
+    empty when every check passed.
 
     doc_or_path is a path, which read_manifest loads (checking every
-    payload's byte count and checksum as it decodes it), or a document
-    already read or built, whose tensors are arrays. An empty list means
-    every check passed: fingerprint round-trip, stored profiles that hold
-    only their pairs, one per layer and none above the layer's stored
-    rank, byte accounting, lattice consistency with the stored profiles
-    and a certified ledger, certificate entries whose pairs are those of
-    the stored profile of the same name, and — for conservative
-    certificates — full recomputation of every ledger quantity from the
-    decoded parameters: the sensitivities of certificate.lipschitz_proxy
-    (one call for all profiles), the weight-change norms of
-    certificate.weight_change, and each delta_hat as
-    certificate.ledger_total of the stored rows, the same functions
-    certificate.ledgers builds the ledgers from. Power-iteration ledgers
-    are data-dependent, so their sensitivities are only recomputed when
-    calibration inputs are supplied; their weight-change norms and
-    aggregates are re-checked regardless.
+    payload), or a document already read or built. Each section goes
+    through the decoder the commands use, and each refusal is one
+    problem. Over the sections that decode, only what crosses them is
+    then recomputed: the fingerprints of the model and its calibration;
+    each lattice level's stored profile, byte count and certified bound;
+    each certificate entry's stored profile, alpha, delta_hat
+    (certificate.ledger_total of its rows) and weight-change norms
+    (certificate.weight_change), and a conservative ledger's
+    sensitivities (one certificate.lipschitz_proxy call), the functions
+    certificate.ledgers builds ledgers from. Power-iteration
+    sensitivities depend on data, so they are recomputed only when
+    calibration inputs are supplied.
     """
     if isinstance(doc_or_path, (str, os.PathLike)):
         try:
@@ -821,33 +931,36 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
     if doc.get("format") != FORMAT or doc.get("version") != VERSION:
         return ["unrecognized manifest format or version"]
     if doc.get("kind") == KIND_RAW:
-        try:
-            raw_from_doc(doc)
-        except ManifestError as exc:
-            return [f"raw model: {exc}"]
-        return []
+        problems = []
+        for decode, prefix in ((raw_from_doc, "raw model: "), (_seed, "")):
+            try:
+                decode(doc)
+            except ManifestError as exc:
+                problems.append(f"{prefix}{exc}")
+        return problems
     try:
         net = net_from_doc(doc, check_fingerprint=False)
     except ManifestError as exc:
         return [f"model: fails to decode ({exc})"]
-    problems = []
     fingerprint = certificate.network_fingerprint(net)
-    if fingerprint != doc.get("fingerprint"):
-        problems.append("fingerprint: decoded parameters hash differently")
-    calib = doc.get("calibration")
-    if calib is not None:
+    problems = [] if fingerprint == doc.get("fingerprint") else [
+        "fingerprint: decoded parameters hash differently"]
+    sections = []
+    for decode in (_seed, _profiles, _stats, _certificate, _lattice):
         try:
-            stats = stats_from_doc(calib)
+            sections.append(decode(doc, net))
         except ManifestError as exc:
-            problems.append(f"calibration: fails to reconstruct ({exc})")
-        else:
-            if stats.fingerprint != fingerprint:
-                problems.append("calibration: fingerprint does not match "
-                                "the stored model")
-    try:
-        _verify_profiles(doc, net, problems)
-        _verify_lattice(doc, net, problems, tol)
-        _verify_certificate(doc, net, problems, tol, calibration_inputs)
-    except ManifestError as exc:
-        problems.append(f"manifest structure: {exc}")
+            problems.append(str(exc))
+    # sections cross-check one another only once each decodes
+    if len(sections) < 5:
+        return problems
+    _, profiles, stats, cert, lattice = sections
+    if stats is not None and stats.fingerprint != fingerprint:
+        problems.append("calibration: fingerprint does not match the "
+                        "stored model")
+    if lattice is not None:
+        _verify_lattice(net, lattice, profiles, cert, problems, tol)
+    if cert is not None:
+        _verify_certificate(net, cert, profiles, stats, problems, tol,
+                            calibration_inputs)
     return problems

@@ -36,9 +36,10 @@ RELU = "relu"
 GELU = "gelu"
 IDENTITY = "identity"
 
-# global slope bound used for conservative gains; the true supremum of the
-# erf-form gelu derivative is ~1.0998
-GELU_LIPSCHITZ = 1.1
+# global slope bound used for conservative gains: the erf-form gelu's
+# slope, Phi(x) + x phi(x), peaks at x = sqrt 2 at 1.12890 (its infimum is
+# -0.12890, at -sqrt 2)
+GELU_LIPSCHITZ = 1.13
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -181,9 +182,6 @@ class Network:
     gives, all dense or all conv."""
 
     blocks: tuple
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 @dataclass

@@ -87,6 +87,12 @@ def test_module_execution_warns_nothing():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_no_command_prints_the_help_and_exits_1():
+    code, out, err = _cli_output()
+    assert (code, err) == (cli.EXIT_ERROR, "")
+    assert out.startswith("usage: elastiq")
+
+
 def _small_model(path):
     """An elastic 8 -> 6 -> 4 relu stack with an identity head."""
     rng = np.random.default_rng(3)
@@ -433,11 +439,14 @@ def test_drift_tolerance_must_be_finite_and_non_negative(tmp_path, command,
         # a bare negative number is a value, as is the = form
         spellings = [(*argv, f"--epsilon={value}"),
                      (*argv, "--epsilon", value)]
+    # a stored tolerance is refused as the certificate is decoded
+    message = f"certificate: epsilon {float(value)!r} is negative" \
+        if command == "stored" \
+        else f"epsilon must be finite and >= 0, got {float(value)!r}"
     for argv in spellings:
         code, stdout, err = _cli_output(*argv)
         assert (code, stdout) == (cli.EXIT_ERROR, "")
-        assert err == f"error: epsilon must be finite and >= 0, got " \
-            f"{float(value)!r}\n"
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -468,6 +477,9 @@ def test_bad_train_configs_exit_1_with_a_message(tmp_path):
                            "unknown config keys: curriculum_frac"),
                           ({"weights": {"budget": 0.3}},
                            "bad loss weights"),
+                          ({"weights": {"epsilon": "x"}},
+                           "bad loss weights: epsilon must be a finite "
+                           "number, got 'x'"),
                           ({"hidden": 5}, "unknown config keys: hidden"),
                           ({"log_every": 0},
                            "bad config: log_every must be an integer >= 1"),
@@ -1034,9 +1046,8 @@ def test_plan_refuses_a_conv_manifest_without_a_map_size(tmp_path):
     cert.write_text(manifest.canonical_json(doc))
     code, out, err = _cli_output("plan", cert, "--out", plan)
     assert (code, out) == (cli.EXIT_ERROR, "")
-    assert err == ("error: calibration statistics record no feature-map "
-                   "size (an older certify wrote them); run certify "
-                   "again\n")
+    assert err == ("error: calibration: records no feature-map size (an "
+                   "older certify wrote it); run certify again\n")
     assert not plan.exists()
 
 
@@ -1431,6 +1442,26 @@ def _drop(*path):
     return edit
 
 
+def _alpha_entry(section, index, value):
+    """A document edit setting one entry of a section's alpha; value None
+    drops every entry after the first."""
+    def edit(doc):
+        alpha = doc[section]["alpha"]
+        if value is None:
+            del alpha[1:]
+        else:
+            alpha[index] = value
+    return edit
+
+
+def _stored(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def _seeded(value):
+    return lambda doc: doc["provenance"].update(seed=value)
+
+
 _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
 
 
@@ -1447,20 +1478,20 @@ _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
     (("plan",), "cert.json", _drop("calibration", "alpha"),
      "malformed calibration (KeyError: 'alpha')"),
     (_CERTIFY, "cert.json", _drop("profiles", "r2", "pairs"),
-     "malformed profiles (KeyError: 'pairs')"),
+     "malformed profile r2 (KeyError: 'pairs')"),
     (("select", "--latency-ms", "1.0"), "plan.json",
      lambda doc: doc["certificate"].update(epsilon=[1.0]),
-     "malformed certificate (TypeError: float() argument must be a string "
-     "or a real number, not 'list')"),
+     "malformed certificate (ValueError: [1.0] is not the decimal string of "
+     "a finite float)"),
     (("decompose",), "raw.json", lambda doc: doc.update(provenance=[]),
      "malformed provenance (AttributeError: 'list' object has no "
      "attribute 'get')"),
     (("plan",), "cert.json", lambda doc: doc.update(certificate=["x"]),
-     "malformed certificate (AttributeError: 'list' object has no "
-     "attribute 'get')"),
+     "malformed certificate (TypeError: list indices must be integers or "
+     "slices, not str)"),
     (("report",), "plan.json", lambda doc: doc.update(certificate=["x"]),
-     "malformed certificate (AttributeError: 'list' object has no "
-     "attribute 'get')"),
+     "malformed certificate (TypeError: list indices must be integers or "
+     "slices, not str)"),
     (("audit",), "plan.json",
      lambda doc: doc["model"]["layers"][0]["u"].update(data=5),
      "malformed payload (TypeError: argument should be a bytes-like object "
@@ -1473,10 +1504,32 @@ _CERTIFY = ("certify", "--profiles", "2", "--calib-size", "16")
      lambda doc: doc["model"]["layers"][0]["u"].update(
          encoding="sidecar", data={"offset": 0, "length": 1}),
      "unsupported payload encoding 'sidecar'"),
+    # shapes that raised a traceback or blamed a flag or another section
+    (("plan",), "cert.json", _alpha_entry("calibration", 1, None),
+     "calibration: alpha length 1 is not the layer count 2"),
+    (("plan",), "cert.json", _alpha_entry("certificate", 1, None),
+     "certificate: alpha length 1 is not the layer count 2"),
+    *((("plan",), "cert.json", _stored("profiles", value),
+       f"malformed profiles (AttributeError: '{type(value).__name__}' "
+       f"object has no attribute 'items')")
+      for value in ([], None, 3, True)),
+    *((("decompose",), "raw.json", _seeded(value),
+       f"provenance: seed {value!r} is not an integer or null")
+      for value in ([1], {"a": 1}, "x", True)),
+    *((("plan",), "cert.json", _alpha_entry(section, 0, value),
+       f"malformed {section} (ValueError: {value!r} is not the decimal "
+       f"string of a finite float)")
+      for section in ("calibration", "certificate")
+      for value in ("nan", "inf")),
 ], ids=["topology-activation", "model-u", "topology-list", "raw-activation",
         "calibration-alpha", "profile-pairs", "certificate-epsilon",
         "raw-provenance", "certificate-list", "report-certificate-list",
-        "payload-data", "payload-bytes", "sidecar-encoding"])
+        "payload-data", "payload-bytes", "sidecar-encoding",
+        "calibration-alpha-short", "certificate-alpha-short",
+        "profiles-list", "profiles-null", "profiles-number", "profiles-bool",
+        "seed-list", "seed-object", "seed-string", "seed-bool",
+        "calibration-alpha-nan", "calibration-alpha-inf",
+        "certificate-alpha-nan", "certificate-alpha-inf"])
 def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
                                                    edit, message):
     _planned_small_model(tmp_path)
@@ -1493,6 +1546,28 @@ def test_malformed_manifest_exits_1_with_a_message(tmp_path, argv, source,
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == f"error: {message}\n"
     assert not out.exists()
+    # verification reports the same refusal
+    assert any(message in p for p in manifest.verify_manifest(str(path)))
+
+
+@pytest.mark.parametrize("flags", [(), ("--latency-ms", "1,100")],
+                         ids=["auto", "latency"])
+def test_device_table_whose_sums_overflow_exits_1(tmp_path, flags):
+    # each price is finite, but a profile's sum of them is not
+    _planned_small_model(tmp_path)
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    table = _device_csv(tmp_path, cert)
+    rows = list(csv.reader(table.read_text().splitlines()))
+    for row in rows[1:]:
+        row[3] = "1e308"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code, stdout, err = _cli_output("plan", cert, "--device-csv", table,
+                                    "--out", out, *flags)
+    assert (code, stdout) == (cli.EXIT_ERROR, "")
+    assert err == ("error: device table latency prices overflow float64 "
+                   "when a profile sums them\n")
+    assert not out.exists()
 
 
 def test_truncated_profile_payloads_fail_verification(tmp_path):
@@ -1501,13 +1576,12 @@ def test_truncated_profile_payloads_fail_verification(tmp_path):
     doc = json.loads(cert.read_text())
     doc["profiles"]["r2"]["pairs"].pop()
     cert.write_text(manifest.canonical_json(doc))
-    assert manifest.verify_manifest(str(cert)) == [
-        "profile r2: 1 pairs for 2 layers",
-        "certificate r2: pairs disagree with its stored profile"]
+    # certify refuses the profile as it decodes it, as verification does
+    problem = "profile r2: pairs length 1 is not the layer count 2"
+    assert manifest.verify_manifest(str(cert)) == [problem]
     code, stdout, err = _cli_output("certify", cert, "--out", out,
                                     "--calib-size", 16)
-    assert (code, stdout) == (cli.EXIT_ERROR, "")
-    assert err == "error: profile length does not match the layer count\n"
+    assert (code, stdout, err) == (cli.EXIT_ERROR, "", f"error: {problem}\n")
     assert not out.exists()
 
 
@@ -1524,10 +1598,7 @@ def test_stale_profile_payloads_fail_verification(tmp_path):
     assert manifest.verify_manifest(str(cert)) == [problem]
     code, stdout, err = _cli_output("certify", cert, "--out", out,
                                     "--calib-size", 16)
-    assert code == cli.EXIT_ERROR
-    assert "@@ verify problems=1" in stdout
-    assert err == (f"verify: {problem}\n"
-                   "error: written manifest failed self-verification\n")
+    assert (code, stdout, err) == (cli.EXIT_ERROR, "", f"error: {problem}\n")
     assert not out.exists()
 
 
@@ -1536,7 +1607,8 @@ def test_stale_profile_payloads_fail_verification(tmp_path):
      "bad profile entry '4:40': bits must lie in [2, 32]"),
     ("model.json", ("--profiles", "4:1"),
      "bad profile entry '4:1': bits must lie in [2, 32]"),
-    ("cert.json", (), "stored bits 40 are not None or a width in [2, 32]"),
+    ("cert.json", (),
+     "profile r2: stored bits 40 are not None or a width in [2, 32]"),
 ], ids=["flag-40", "flag-1", "stored-40"])
 def test_widths_outside_2_to_32_exit_1(tmp_path, source, argv, message):
     # a flag's width is refused as a bad flag, a stored one as stored
@@ -1629,7 +1701,8 @@ def test_malformed_stored_pair_exits_1_with_a_message(tmp_path):
     code, stdout, err = _cli_output("certify", cert, "--out", out,
                                     "--calib-size", 16)
     assert (code, stdout) == (cli.EXIT_ERROR, "")
-    assert err == "error: stored pair 5 is not a [rank, bits] pair\n"
+    assert err == "error: profile r8: stored pair 5 is not a [rank, bits] " \
+        "pair\n"
     assert not out.exists()
 
 

@@ -321,28 +321,11 @@ class TestProfileLattice:
         assert not lattice.meets(1, _token(lat=1.0, size=199))
         assert not lattice.meets(1, _token(energy=0.19))
 
-    def test_requires_componentwise_growth(self):
-        profiles = (controller.Profile(((2, 4),)),
-                    controller.Profile(((1, 4),)))
-        with pytest.raises(ValueError, match="componentwise"):
-            controller.ProfileLattice(
-                profiles=profiles, predicted_latency=(1.0, 2.0),
-                weight_bytes=(1, 2), drift_bound=(0.2, 0.1))
-
-    def test_field_lengths_checked(self):
-        profiles = (controller.Profile(((1, 4),)),)
-        with pytest.raises(ValueError, match="predicted_latency"):
-            controller.ProfileLattice(
-                profiles=profiles, predicted_latency=(1.0, 2.0),
-                weight_bytes=(1,), drift_bound=(0.1,))
-
-    def test_bits_ordering_checks_unquantized_as_32(self):
-        profiles = (controller.Profile(((1, None),)),
-                    controller.Profile(((2, 8),)))
-        with pytest.raises(ValueError, match="componentwise"):
-            controller.ProfileLattice(
-                profiles=profiles, predicted_latency=(1.0, 2.0),
-                weight_bytes=(1, 2), drift_bound=(0.2, 0.1))
+    def test_columns_are_stored_as_tuples(self):
+        lattice = _hand_lattice(lat=[0.5, 1.0, 2.0], energy=[0.1, 0.2, 0.3])
+        assert lattice.predicted_latency == (0.5, 1.0, 2.0)
+        assert lattice.energy == (0.1, 0.2, 0.3)
+        assert isinstance(lattice.profiles, tuple)
 
 
 class TestSelectRuntime:

@@ -149,6 +149,14 @@ class TestResidualNorm:
                     assert elastic.residual_norm(layer, k) \
                         >= np.linalg.norm(resid, 2)
 
+    def test_unsorted_spectrum_materializes_the_residual(self):
+        # a rising core is no SVD: its next entry is not the residual's norm
+        layer = elastic.ElasticLayer(elastic.DENSE_SVD, linalg.Factors(
+            np.eye(3), np.array([1.0, 2.0, 3.0]), np.eye(3)))
+        assert not elastic._spectrum_trustworthy(layer)
+        assert elastic.residual_norm(layer, 1) \
+            == linalg.spectral_norm(np.diag([0.0, 2.0, 3.0]))
+
     def test_quantized_matches_explicit_oracle(self):
         w = _rng(22).standard_normal((8, 8))
         layer = elastic.from_dense(w)

@@ -214,6 +214,13 @@ class TestRoundTrip:
             manifest.read_manifest(path)
 
 
+def test_config_hash_keeps_strings_apart_from_numbers():
+    digest = manifest.config_hash({"source": "a", "n": 1})
+    assert digest == manifest.config_hash({"n": 1, "source": "a"})
+    assert digest != manifest.config_hash({"source": "b", "n": 1})
+    assert digest != manifest.config_hash({"source": "a", "n": "1"})
+
+
 class TestFileMode:
     def test_manifest_follows_the_umask(self, tmp_path):
         old = os.umask(0o022)
@@ -378,8 +385,7 @@ class TestVerifyBranches:
     @pytest.mark.parametrize("edit, problems", [
         (lambda doc: doc, []),
         (_set("lattice", "drift_bound", value=lambda b: b[:0]),
-         ["lattice: fails to reconstruct (malformed lattice (ValueError: "
-          "drift_bound does not match the profiles))"]),
+         ["lattice: drift_bound does not match the levels"]),
         (_set("lattice", "profiles", 0, "name", value="high"),
          ["lattice profile high: not among the stored profiles"]),
         (_set("profiles", "low", "pairs", 0, value=[1, 8]),
@@ -390,15 +396,15 @@ class TestVerifyBranches:
         (_set("lattice", "drift_bound", 0, value="0.001"),
          ["lattice profile low: drift bound disagrees with the certificate "
           "ledger"]),
+        # a certificate that fails to decode backs no lattice check
         (_set("certificate", "certified", value=False),
-         ["lattice: no certified ledger backs its drift bounds",
-          "certificate: only the conservative mode may be marked "
-          "certified"]),
+         ["certificate: a ledger is certified exactly when its mode is "
+          "conservative"]),
         (_set("certificate", "mode", value=certificate.SAMPLED),
-         ["certificate: only the conservative mode may be marked "
-          "certified"]),
+         ["certificate: a ledger is certified exactly when its mode is "
+          "conservative"]),
         (_set("certificate", "alpha", value=lambda a: a[:1]),
-         ["certificate: alpha length mismatch"]),
+         ["certificate: alpha length 1 is not the layer count 2"]),
         (_ledger_of_mid_as_low,
          ["certificate low: pairs disagree with its stored profile"]),
         (_unstore_mid, ["certificate mid: no stored profile of that name"]),
@@ -419,21 +425,36 @@ class TestVerifyBranches:
          ["model: fails to decode (topology and model layer counts "
           "differ)"]),
         (_set("calibration", "count", value="x"),
-         ["calibration: fails to reconstruct (malformed calibration "
-          "(ValueError: invalid literal for int() with base 10: 'x'))"]),
+         ["calibration: count 'x' is not a positive integer"]),
+        # a profiles section that fails to decode backs no cross-check
         (_set("profiles", "low", "pairs", value="x"),
-         ["manifest structure: stored pairs 'x' are not a list"]),
-        # the lattice reads the certificate's flag and bounds, and names
-        # the certificate as the malformed section
+         ["profile low: stored pairs 'x' are not a list"]),
         (_set("certificate", value=[]),
-         ["manifest structure: malformed certificate (AttributeError: "
-          "'list' object has no attribute 'get')"]),
+         ["malformed certificate (TypeError: list indices must be "
+          "integers or slices, not str)"]),
         (_set("certificate", "profiles", value=[]),
-         ["manifest structure: malformed certificate (AttributeError: "
-          "'list' object has no attribute 'items')"]),
+         ["malformed certificate (AttributeError: 'list' object has no "
+          "attribute 'items')"]),
         (_set("certificate", "profiles", "low", "sensitivity",
               value=lambda sens: sens[:1]),
-         ["certificate low: ragged ledger row"]),
+         ["certificate low: sensitivity length 1 is not the layer count "
+          "2"]),
+        (_set("calibration", "alpha", value=lambda a: a[:1]),
+         ["calibration: alpha length 1 is not the layer count 2"]),
+        (_set("calibration", "spatial", value=[4, 4]),
+         ["calibration: spatial is recorded for conv models only"]),
+        (_set("lattice", "profiles", 0, "pairs", 1, 0, value=9),
+         ["lattice profile low: layer 1: rank 9 above the stored rank 3"]),
+        (_set("provenance", "seed", value=[1]),
+         ["provenance: seed [1] is not an integer or null"]),
+        (_set("profiles", value=None),
+         ["malformed profiles (AttributeError: 'NoneType' object has no "
+          "attribute 'items')"]),
+        (_set("certificate", "epsilon", value="inf"),
+         ["malformed certificate (ValueError: 'inf' is not the decimal "
+          "string of a finite float)"]),
+        (_set("certificate", "mode", value="exact"),
+         ["certificate: unknown ledger mode 'exact'"]),
     ], ids=["untouched", "lattice-reconstruct", "lattice-name",
             "lattice-pairs", "lattice-bytes", "lattice-drift",
             "lattice-uncertified", "sampled-certified", "alpha-length",
@@ -441,7 +462,10 @@ class TestVerifyBranches:
             "calibration-fingerprint", "raw", "raw-non-array", "format",
             "version", "model-decode", "calibration-reconstruct",
             "structure", "certificate-not-object",
-            "certificate-profiles-not-object", "ragged-ledger-row"])
+            "certificate-profiles-not-object", "ragged-ledger-row",
+            "calibration-alpha-length", "calibration-spatial",
+            "lattice-rank", "provenance-seed", "profiles-null",
+            "certificate-epsilon", "certificate-mode"])
     def test_problem(self, certified, edit, problems):
         doc = edit(_planned(copy.deepcopy(certified)))
         assert manifest.verify_manifest(doc) == problems
@@ -556,6 +580,96 @@ class TestCalibrationSection:
         assert ("spatial" in sec) == conv
         assert manifest.stats_from_doc(sec) == stats
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("count", 0, "calibration: count 0 is not a positive integer"),
+        ("count", True, "calibration: count True is not a positive integer"),
+        ("count", 16.0, "calibration: count 16.0 is not a positive integer"),
+        ("alpha", ["1.0", "-1.0"],
+         "calibration: alpha entries must be non-negative"),
+        ("alpha", ["nan", "1.0"], "malformed calibration (ValueError: 'nan' "
+                                  "is not the decimal string of a finite "
+                                  "float)"),
+        ("alpha", ["1.0", "-inf"], "malformed calibration (ValueError: "
+                                   "'-inf' is not the decimal string of a "
+                                   "finite float)"),
+        ("alpha", [1.0, 2.0], "malformed calibration (ValueError: 1.0 is not "
+                              "the decimal string of a finite float)"),
+        ("spatial", [8], "calibration: spatial must be a positive (H, W) "
+                         "pair"),
+        ("spatial", [8, 0], "calibration: spatial must be a positive (H, W) "
+                            "pair"),
+        ("spatial", [1, 2, 3], "calibration: spatial must be a positive "
+                               "(H, W) pair"),
+        ("spatial", [True, 4], "calibration: spatial must be a positive "
+                               "(H, W) pair"),
+    ], ids=["count-0", "count-bool", "count-float", "negative-alpha",
+            "nan-alpha", "inf-alpha", "number-alpha", "spatial-8",
+            "spatial-8-0", "spatial-1-2-3", "spatial-bool"])
+    def test_stats_validation(self, certified, key, value, message):
+        sec = dict(certified["calibration"], **{key: value})
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.stats_from_doc(sec)
+        assert str(err.value) == message
+
+
+def _lattice_section():
+    """A three-level lattice section, levels s1 to s3 at ranks 1 to 3 and
+    4 bits of one layer."""
+    return json.loads(manifest.canonical_json(manifest.lattice_to_doc(
+        controller.ProfileLattice(
+            profiles=tuple(controller.Profile(((k, 4),), name=f"s{k}")
+                           for k in (1, 2, 3)),
+            predicted_latency=(0.5, 1.0, 2.0), weight_bytes=(100, 200, 300),
+            drift_bound=(0.3, 0.2, 0.1), energy=(0.1, 0.2, 0.3),
+            device="dev"))))
+
+
+def _level_pairs(j, pairs):
+    return _set("profiles", j, "pairs", value=pairs)
+
+
+class TestLatticeSection:
+    @pytest.mark.parametrize("edit, message", [
+        (_set("profiles", value=[]), "lattice: 0 levels, not 1 to 8"),
+        (_set("profiles", value=[{"name": f"s{k}", "pairs": [[k, 4]]}
+                                 for k in range(1, 10)]),
+         "lattice: 9 levels, not 1 to 8"),
+        (_set("drift_bound", 1, value="-0.2"),
+         "lattice: drift_bound entries must be non-negative"),
+        (_set("weight_bytes", 0, value=-1),
+         "lattice: weight_bytes entries must be non-negative"),
+        (_level_pairs(1, [[2, 4], [1, None]]),
+         "lattice: levels disagree on the layer count"),
+        (_level_pairs(0, [[3, 4]]), "lattice: levels must grow componentwise"),
+        (_set("predicted_latency", value=["0.5", "1.0", "2.0", "3.0"]),
+         "lattice: predicted_latency does not match the levels"),
+        (_set("energy", value=["0.1"]),
+         "lattice: energy does not match the levels"),
+        # unquantized factors count as 32 bits
+        (lambda sec: _level_pairs(1, [[2, 8]])(_level_pairs(0, [[1, None]])(
+            sec)), "lattice: levels must grow componentwise"),
+        (_set("predicted_latency", 0, value="nan"),
+         "malformed lattice (ValueError: 'nan' is not the decimal string of "
+         "a finite float)"),
+        (_set("energy", 2, value="inf"),
+         "malformed lattice (ValueError: 'inf' is not the decimal string of "
+         "a finite float)"),
+        (_set("profiles", 0, "name", value=None),
+         "lattice: a level name is not a string"),
+        (_set("device", value=""),
+         "lattice: device '' is not a non-empty string or null"),
+        (_set("profiles", 0, "pairs", value=[[0, 4]]),
+         "lattice: stored rank 0 is not an integer >= 1"),
+    ], ids=["no-level", "nine-levels", "negative-entry", "negative-bytes",
+            "unequal-layer-counts", "shrinking-rank", "latency-length",
+            "energy-length", "float-then-8-bits", "nan-latency",
+            "inf-energy", "unnamed-level",
+            "empty-device", "rank-0"])
+    def test_lattice_validation(self, edit, message):
+        with pytest.raises(manifest.ManifestError) as err:
+            manifest.lattice_from_doc(edit(_lattice_section()))
+        assert str(err.value) == message
+
 
 class TestStoredPairs:
     def test_well_formed_pairs_parse(self):
@@ -605,5 +719,5 @@ class TestStoredProfiles:
                                                              certified):
         doc = copy.deepcopy(certified)
         doc["profiles"]["low"]["pairs"][1][0] = 4
-        assert "profile low layer 1: rank 4 above the stored rank 3" \
+        assert "profile low: layer 1: rank 4 above the stored rank 3" \
             in manifest.verify_manifest(doc)

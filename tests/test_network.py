@@ -2,6 +2,7 @@
 sweep."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -625,13 +626,19 @@ class TestPostlayerLipschitz:
             == pytest.approx(3.0 * (1.0 + 1e-8), rel=1e-9)
 
     def test_gelu_uses_conservative_slope(self):
+        # the erf-form gelu's slope, Phi(x) + x phi(x), peaks at x = sqrt 2
+        x = math.sqrt(2.0)
+        peak = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) \
+            + x * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        assert 1.12890 < peak < 1.12891
+        assert network.GELU_LIPSCHITZ >= peak
         eye = elastic.from_dense(np.eye(3))
         net = network.Network((network.Block(elastic=eye),
                                network.Block(elastic=eye,
                                              activation=network.GELU)))
         head, tail = certificate.lipschitz_proxy(net, [None])[0]
-        assert tail == pytest.approx(1.1, rel=1e-12)
-        assert head == pytest.approx(1.1, rel=1e-7)
+        assert tail == pytest.approx(1.13, rel=1e-12)
+        assert head == pytest.approx(1.13, rel=1e-7)
 
     def test_bound_dominates_sampled_directional_gains(self):
         net = _dense_net(52, (5, 6, 4, 3),

@@ -7,10 +7,11 @@ binding, so it is not a use of the module-level function it shadows.
 
 Every function that perfbench's tracer names is defined in src/elastiq.
 
-Each layer rule's refusal is written once in src/elastiq code, where a
-manifest is decoded."""
+Each layer rule's refusal, and each other section rule's, is written once
+in src/elastiq code, in manifest.py, where a manifest is decoded."""
 
 import ast
+import collections
 import pathlib
 
 import elastiq
@@ -159,8 +160,8 @@ LAYER_RULES = (
 
 
 def _code_strings():
-    """Every string constant in src/elastiq outside docstrings; an
-    f-string gives its literal parts."""
+    """Every string constant in src/elastiq outside docstrings, as
+    (module, string); an f-string gives its literal parts."""
     strings = []
     for p in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(p.read_text())
@@ -169,14 +170,51 @@ def _code_strings():
                                      ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.body and isinstance(node.body[0], ast.Expr)
                 and isinstance(node.body[0].value, ast.Constant)}
-        strings += [node.value for node in ast.walk(tree)
+        strings += [(p.stem, node.value) for node in ast.walk(tree)
                     if isinstance(node, ast.Constant)
                     and isinstance(node.value, str) and id(node) not in docs]
     return strings
 
 
-def test_each_layer_rule_is_written_once():
+def _rule_homes(rules):
+    """Per rule fragment, how often each module's code strings hold it."""
     strings = _code_strings()
-    counts = {rule: sum(s.count(rule) for s in strings)
-              for rule in LAYER_RULES}
-    assert counts == dict.fromkeys(LAYER_RULES, 1)
+    return {rule: dict(collections.Counter(
+        module for module, s in strings for _ in range(s.count(rule))))
+        for rule in rules}
+
+
+def test_each_layer_rule_is_written_once():
+    assert _rule_homes(LAYER_RULES) == dict.fromkeys(
+        LAYER_RULES, {"manifest": 1})
+
+
+# a fragment of each other section rule's refusal message: a decoded
+# float, the provenance seed, per-layer lengths and stored ranks, the
+# profiles, calibration, certificate and lattice sections
+SECTION_RULES = (
+    "is not the decimal string of a finite float",
+    "is not an integer or null",
+    "is not the layer count",
+    "above the stored rank",
+    "besides its pairs",
+    "entries must be non-negative",
+    "is not a positive integer",
+    "spatial must be a positive (H, W) pair",
+    "records no feature-map size",
+    "for conv models only",
+    "unknown ledger mode",
+    "certified exactly when",
+    "is negative",
+    "levels, not 1 to",
+    "level name is not a string",
+    "does not match the levels",
+    "disagree on the layer count",
+    "grow componentwise",
+    "is not a non-empty string or null",
+)
+
+
+def test_each_section_rule_is_written_once_in_manifest():
+    assert _rule_homes(SECTION_RULES) == dict.fromkeys(
+        SECTION_RULES, {"manifest": 1})
