@@ -141,7 +141,7 @@ def _local_scale(block):
     # post-weight contraction of one block: activation Lipschitz times the
     # largest frozen scale; the residual branch cancels in a weight-only
     # perturbation, so it does not appear here
-    g = network.activation_lipschitz(block.activation)
+    g = network._ACT_LIPSCHITZ[block.activation]
     if block.gamma is not None:
         g *= float(np.max(np.abs(block.gamma)))
     return g

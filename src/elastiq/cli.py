@@ -394,16 +394,13 @@ def cmd_certify(args):
 # plan
 
 
-def _rank_ladder(k_max, fracs):
-    return sorted({max(1, round(f * k_max)) for f in fracs} | {k_max})
-
-
 def _canonical_menus(net):
     """Per-layer (rank, bits) menus: a rank ladder crossed with bit
     widths, strictly ascending in (rank, effective width)."""
     menus = []
     for blk in net.blocks:
-        ks = _rank_ladder(blk.elastic.k_max, _MENU_FRACS)
+        k_max = blk.elastic.k_max
+        ks = sorted({max(1, round(f * k_max)) for f in _MENU_FRACS} | {k_max})
         menus.append([(k, b) for k in ks for b in _MENU_BITS])
     return menus
 
@@ -620,9 +617,15 @@ def _say_diagnostics(bounds, drifts_by_level, epsilon):
     """Coverage (the share of (level, probe) drifts within epsilon), the
     Pearson correlation of each level's stored bound with its mean drift
     (undefined when either is constant or the value overflows), the mean
-    drift and the 95th percentile of the bounds."""
+    drift and the 95th percentile of the bounds, two or more."""
     flat = np.concatenate(drifts_by_level)
     dh = np.asarray(bounds)
+    # np.percentile's linear rule, b - (b - a)(1 - t) for t >= 0.5, on a
+    # sort: np.percentile imports numpy.ma on its first call
+    v, i = np.sort(dh).tolist(), (len(dh) - 1) * 0.95
+    lo = math.floor(i)
+    a, b, t = v[lo], v[lo + 1], i - lo
+    p95 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
     md = np.asarray([float(np.mean(d)) for d in drifts_by_level])
     with np.errstate(over="ignore", invalid="ignore"):
         sx, sy = float(np.std(dh)), float(np.std(md))
@@ -634,8 +637,7 @@ def _say_diagnostics(bounds, drifts_by_level, epsilon):
     say("diagnostics", epsilon=epsilon,
         coverage_percent=float(100.0 * np.mean(flat <= epsilon)),
         pearson=pearson, correlation_defined=defined,
-        mean_drift=float(np.mean(flat)),
-        delta_hat_p95=float(np.percentile(dh, 95)))
+        mean_drift=float(np.mean(flat)), delta_hat_p95=p95)
 
 
 def cmd_audit(args):

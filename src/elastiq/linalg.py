@@ -21,8 +21,8 @@ import numpy as np
 # about max(m, n) * eps, below this slack for any dimension under 4e7, so
 # spectral_norm is an upper bound by contract. It is the only norm slack:
 # every operator norm entering a certificate is a spectral_norm, a sum of
-# them, or elastic.residual_norm's singular-value shortcut inflated by
-# the same factor.
+# LAPACK norms (network.weight_gain's conv taps) or elastic.residual_norm's
+# singular-value shortcut, each inflated by the same factor.
 _NORM_SLACK = 1e-8
 
 __all__ = [

@@ -49,6 +49,7 @@ import collections
 import contextlib
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -319,9 +320,9 @@ def _checked_layers(doc, raw):
     axes, and the 2-D factors u and v have one column per core rank (the
     SVD rank, or the Tucker-2 output and input ranks); bias, gamma and
     beta hold one entry per output, beta only beside gamma; the
-    activation is known; kernel sides are odd; a skip connection wraps
-    equal widths; and each layer takes layer 0's kind and the previous
-    output width. A layer's refusal names its index.
+    activation is known; kernel sides are odd; the residual flag is a
+    boolean, and a skip wraps equal widths; each layer takes layer 0's
+    kind and the previous output width. A refusal names the layer.
     """
     topo, model = doc["topology"]["layers"], doc["model"]["layers"]
     if len(topo) != len(model):
@@ -357,7 +358,7 @@ def _checked_layers(doc, raw):
                                     f"{v.shape} do not fit the core")
             n_out, n_in = u.shape[0], v.shape[0]
         lay.update(kind=kind, activation=spec["activation"],
-                   residual=bool(spec["residual"]))
+                   residual=spec["residual"])
         for bad, why in (
                 (ndim == 4 and not (a.shape[2] % 2 and a.shape[3] % 2),
                  "same-padded conv needs odd kernel sides"),
@@ -368,6 +369,8 @@ def _checked_layers(doc, raw):
                  "beta without gamma"),
                 (lay["activation"] not in network._ACT_LIPSCHITZ,
                  f"unknown activation {lay['activation']!r}"),
+                (not isinstance(lay["residual"], bool),
+                 "the residual flag must be true or false"),
                 (lay["residual"] and n_in != n_out,
                  "skip connection needs matching width"),
                 (layers and kind != layers[0]["kind"],
@@ -807,7 +810,7 @@ def _array(node):
             raise ManifestError(f"unknown payload dtype {node['dtype']!r}")
         shape = tuple(int(s) for s in node["shape"])
         flat = np.frombuffer(raw, dtype="<f8")
-        if flat.size != np.prod(shape):
+        if flat.size != math.prod(shape):
             raise ManifestError("payload shape does not match its data")
         if not np.isfinite(flat).all():
             raise ManifestError("payload holds a non-finite value")

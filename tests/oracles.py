@@ -338,15 +338,14 @@ def straight_line_objective(net, x, y, ranks, lam_sd, lam_aug, lam_cert,
 def stepwise_round_trip(t, bits):
     """The symmetric max-range quantizer in three separate steps.
 
-    The scale is max|t| / g with g = 2^(bits-1) - 1 the largest code (1
-    where that is 0), the codes are round(t / s) as int64, ties to even,
-    clipped to [-g, g], and the served values are code * s. Expects a
-    non-empty finite tensor and bits >= 2; checks nothing.
+    The scale is max|t| / g with g = 2^(bits-1) - 1 the largest code,
+    floored at the smallest normal float64, the codes are round(t / s) as
+    int64, ties to even, clipped to [-g, g], and the served values are
+    code * s. Expects a non-empty finite tensor and bits >= 2; checks
+    nothing.
     """
     t = np.asarray(t, dtype=np.float64)
     g = 2 ** (int(bits) - 1) - 1
-    s = float(np.max(np.abs(t))) / g
-    if s == 0.0:
-        s = 1.0
+    s = max(float(np.max(np.abs(t))) / g, np.finfo(np.float64).tiny)
     codes = np.clip(np.rint(t / s), -g, g).astype(np.int64)
     return codes.astype(np.float64) * s

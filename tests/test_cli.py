@@ -393,6 +393,40 @@ def test_report_delta_hat_p95_is_the_stored_bounds_percentile(tmp_path):
         == float(np.percentile(lattice.drift_bound, 95))
 
 
+def test_report_p95_matches_numpy_bit_for_bit(capsys):
+    # report takes diagnostics over two or more levels
+    rng = np.random.default_rng(8)
+
+    def p95(bounds):
+        cli._say_diagnostics(bounds, [np.ones(2)] * len(bounds), 1.0)
+        return float(_sentinel(capsys.readouterr().out,
+                               "diagnostics")["delta_hat_p95"])
+
+    for n in range(2, 9):
+        for _ in range(100):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            # ties, with +0.0 for -0.0
+            ties = np.round(x) + 0.0
+            for v in (x, np.abs(x), ties):
+                got, want = p95(v), np.percentile(v, 95)
+                assert got == want and np.signbit(got) == np.signbit(want)
+            # a zero percentile takes its sign from the order in which
+            # np.percentile's partition leaves equal zeros, so only the
+            # value is the same
+            signed = ties * rng.choice((1.0, -1.0), n)
+            assert p95(signed) == np.percentile(signed, 95)
+
+
+def test_report_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile would import numpy.ma on its first call
+    plan = _planned_small_model(tmp_path)
+    proc = _run_python("-c", "import sys; from elastiq import cli; "
+                             f"code = cli.main(['report', {str(plan)!r}]); "
+                             "print(code, 'numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False"
+
+
 def test_report_mean_drift_is_the_mean_of_all_drifts(tmp_path):
     plan = _planned_small_model(tmp_path)
     calib, _, drifts = _report_probes(tmp_path, plan)
@@ -752,6 +786,11 @@ def _refiled(src, dst, layer, kind):
         layer].update(kind=kind))
 
 
+def _residual(flag):
+    """A document edit setting layer 0's residual flag."""
+    return lambda doc: doc["topology"]["layers"][0].update(residual=flag)
+
+
 def _no_layers(doc):
     """A document edit leaving no layer in either section."""
     doc["topology"]["layers"] = doc["model"]["layers"] = []
@@ -808,6 +847,11 @@ def test_decompose_refusals_exit_1_and_write_nothing(tmp_path, monkeypatch):
          "layer 0: same-padded conv needs odd kernel sides", "raw model: "),
         (faulty("skip_3_to_4.json", dense_eyes, residuals=[True, False]),
          "layer 0: skip connection needs matching width", "raw model: "),
+        # a truthy string must not turn a skip connection on
+        (_edited_copy(faulty("square.json", [np.eye(3), np.eye(2, 3)]),
+                      tmp_path / "residual_string.json",
+                      _residual("false")),
+         "layer 0: the residual flag must be true or false", "raw model: "),
         (faulty("widths_4_5.json", [np.eye(4, 3), np.eye(2, 5)]),
          "layer 1: input width differs from the previous output width",
          "raw model: "),
@@ -875,6 +919,10 @@ def _retyped(kind):
     (((3, 3),), {}, _no_layers, "the model has no layers"),
     (((4, 6),), {"residual": True}, None,
      "layer 0: skip connection needs matching width"),
+    (((3, 3),), {}, _residual("false"),
+     "layer 0: the residual flag must be true or false"),
+    (((3, 3),), {}, _residual(1),
+     "layer 0: the residual flag must be true or false"),
     (((3, 3),), {"activation": "tanh"}, None,
      "layer 0: unknown activation 'tanh'"),
     (((3, 3),), {}, _layer0(beta=np.zeros(3)),
@@ -895,7 +943,8 @@ def _retyped(kind):
      "layer 0: factors u (4, 2) and v (3, 3) do not fit the core"),
     (((4, 3, 3, 3),), {}, _layer0(v=np.ones(3)),
      "layer 0: factors u (4, 4) and v (3,) do not fit the core"),
-], ids=["widths-6-5", "conv-then-dense", "no-layers", "skip-6-to-4", "tanh",
+], ids=["widths-6-5", "conv-then-dense", "no-layers", "skip-6-to-4",
+        "residual-string", "residual-one", "tanh",
         "beta-alone", "short-gamma", "even-kernel", "svd-as-tucker",
         "tucker-as-svd", "unknown-kind", "empty-core", "u-columns",
         "v-one-axis"])

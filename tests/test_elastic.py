@@ -17,11 +17,9 @@ def _rng(seed):
 
 def _independent_round_trip(t, bits):
     # deliberately separate from the package quantizer: max-range symmetric
-    # grid, round-half-to-even, clip
+    # grid floored at the smallest normal scale, round-half-to-even, clip
     g = 2 ** (bits - 1) - 1
-    s = np.max(np.abs(t)) / g
-    if s == 0.0:
-        s = 1.0
+    s = max(np.max(np.abs(t)) / g, np.finfo(np.float64).tiny)
     return np.clip(np.rint(t / s), -g, g) * s
 
 

@@ -153,6 +153,7 @@ LAYER_RULES = (
     "beta without gamma",
     "unknown activation",
     "odd kernel sides",
+    "the residual flag must be true or false",
     "skip connection needs matching width",
     "mixing conv and dense",
     "previous output width",

@@ -15,7 +15,22 @@ class TestCalibrate:
         assert calibrate_scale(t, 8) == pytest.approx(12.7 / 127, rel=1e-12)
 
     def test_all_zero_convention(self):
-        assert calibrate_scale(np.zeros((3, 3)), 8) == 1.0
+        # the scale floor, the smallest normal float64, under which an
+        # all-zero tensor serves zeros
+        tiny = np.finfo(np.float64).tiny
+        assert calibrate_scale(np.zeros((3, 3)), 8) == tiny
+        assert np.array_equal(round_trip(np.zeros((3, 3)), 8),
+                              np.zeros((3, 3)))
+
+    def test_subnormal_quotient_takes_the_floor(self):
+        # max|t| / g is subnormal, so the scale is the floor and every
+        # code stays inside [-g, g]: the first tensor's codes are all 0,
+        # the second's reach 90 = rint(2e-306 / tiny) of g = 127
+        tiny = np.finfo(np.float64).tiny
+        for t, top in ((np.array([9e-322, -3e-322, 1e-323]), 0),
+                       (np.array([2e-306, -1e-306, 5e-309]), 90)):
+            assert calibrate_scale(t, 8) == tiny
+            assert np.max(np.abs(_codes(t, 8))) == top
 
     def test_validation(self):
         # callers hand over finite, non-empty tensors and widths >= 2; the
@@ -100,6 +115,14 @@ class TestRoundTrip:
             np.array([-1e-300, 5e-324, 0.0]),
             np.array([np.finfo(float).max, -1.0]) / 2,
             rng.standard_normal((2, 3, 2, 2)),
+            # subnormal quotients max|t| / g, quantized at the scale floor:
+            # on the scale max|t| / g the first would reach the codes 182,
+            # -61, 2 at 8 bits, unclipped
+            np.array([9e-322, -3e-322, 1e-323]),
+            rng.standard_normal(9) * 1e-310,
+            rng.standard_normal((3, 4)) * 1e-321,
+            # codes well off zero at the floor
+            rng.standard_normal(9) * 1e-306,
         ]
         for t in tensors:
             for bits in range(2, 9):
@@ -122,12 +145,14 @@ class TestRoundTrip:
 class TestSteGradient:
     def test_all_in_range_passthrough(self):
         # a scale calibrated on the tensor it quantizes leaves no entry
-        # outside the grid, which is why the straight-through estimator
-        # of network.v_quant_ste is the identity
+        # outside the grid, subnormal quotients max|t| / g included, which
+        # is why the straight-through estimator of train._layer_grads is
+        # the identity
         rng = np.random.default_rng(4)
-        for _ in range(200):
+        # 200 scales across the normal range, 200 down to 1e-320
+        for e in np.concatenate((rng.uniform(-300, 300, 200),
+                                 rng.uniform(-320, -305, 200))):
             bits = int(rng.integers(2, 17))
-            t = rng.standard_normal(int(rng.integers(1, 20))) \
-                * 10.0 ** rng.uniform(-300, 300)
+            t = rng.standard_normal(int(rng.integers(1, 20))) * 10.0 ** e
             s = calibrate_scale(t, bits)
             assert np.all(np.abs(np.rint(t / s)) <= grid_limit(bits))
