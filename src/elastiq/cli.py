@@ -443,14 +443,14 @@ def cmd_plan(args):
     manifest._profiles(doc, net)
 
     menus = _canonical_menus(net)
-    benefit = controller.certificate_mass(net, stats, menus)
     if args.device_csv is not None:
-        table = cost.read_device_table(args.device_csv,
+        table = cost.read_device_table(args.device_csv, menus,
                                        device=args.device or "imported")
     else:
         table = cost.synth_device_table(net, menus, stats.spatial,
                                         device=args.device or "synth0",
                                         seed=args.seed)
+    benefit = controller.certificate_mass(net, stats, menus)
 
     source = "flags"
     if axis is None:
@@ -484,9 +484,7 @@ def cmd_plan(args):
     doc["lattice"] = manifest.lattice_to_doc(lattice)
     doc["certificate"] = manifest.certificate_section(
         stats, named, ledgers, epsilon=cert.epsilon)
-    audit = controller.audit_monotone(lattice)
-    say("audit", pairs=audit.pairs, latency=audit.latency_events,
-        drift=audit.drift_events, violation_percent=audit.violation_percent)
+    _say_audit(lattice)
     for j, prof in enumerate(lattice.profiles):
         say("level", profile=prof.name,
             predicted_latency_ms=lattice.predicted_latency[j],
@@ -597,9 +595,7 @@ def cmd_report(args):
 
     if len(lattice.profiles) >= 2:
         _say_diagnostics(lattice.drift_bound, drifts_by_level, epsilon)
-    audit = controller.audit_monotone(lattice)
-    say("audit", pairs=audit.pairs, latency=audit.latency_events,
-        drift=audit.drift_events, violation_percent=audit.violation_percent)
+    _say_audit(lattice)
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -640,14 +636,18 @@ def _say_diagnostics(bounds, drifts_by_level, epsilon):
         mean_drift=float(np.mean(flat)), delta_hat_p95=p95)
 
 
-def cmd_audit(args):
-    doc = manifest.read_manifest(args.model)
-    lattice, _ = _stored_lattice(doc, manifest.net_from_doc(doc))
+def _say_audit(lattice):
+    """Print the lattice's @@ audit line; returns its event count."""
     audit = controller.audit_monotone(lattice)
     say("audit", pairs=audit.pairs, latency=audit.latency_events,
         drift=audit.drift_events, violation_percent=audit.violation_percent)
-    events = audit.latency_events + audit.drift_events
-    return EXIT_AUDIT_VIOLATIONS if events else EXIT_OK
+    return audit.latency_events + audit.drift_events
+
+
+def cmd_audit(args):
+    doc = manifest.read_manifest(args.model)
+    lattice, _ = _stored_lattice(doc, manifest.net_from_doc(doc))
+    return EXIT_AUDIT_VIOLATIONS if _say_audit(lattice) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

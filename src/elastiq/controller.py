@@ -12,7 +12,8 @@ latency and certified drift, under any mix of targets; and an audit
 counts the lattice's predicted-latency drops and drift-bound rises.
 
 The planner (allocate, build_lattice) trusts its caller, the plan
-command, which checks its budget flags and builds the menus. Budget
+command, which checks its budget flags, builds the menus and prices them
+on a table that prices every entry (cost.read_device_table checks). Budget
 tokens, which flags build, check themselves. ProfileLattice trusts its
 callers: a stored lattice is checked once, where a manifest's lattice
 section is decoded (manifest.lattice_from_doc, and manifest._lattice

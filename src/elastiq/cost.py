@@ -9,7 +9,9 @@ slices of elastic._rank_slices at the profile's bit width.
 A DeviceTable prices each layer's menu entries on one device, plus one
 per-forward overhead, and a profile costs their sum (profile_price). No
 hardware is touched: synth_device_table prices entries from a planted
-linear model over their FLOPs and bytes, so planning runs on a desk.
+linear model over their FLOPs and bytes, so planning runs on a desk;
+its tables are complete and positive by construction. read_device_table
+checks an imported table once; the rest of the module trusts its callers.
 
 Bytes are rounded up per tensor. Unquantized factors are counted at 32
 bits.
@@ -64,8 +66,6 @@ def layer_cost(layer, k, q=None, spatial=None):
     """
     positions = 1
     if layer.kind == elastic.CONV_TUCKER2:
-        if spatial is None:
-            raise ValueError("conv layers need spatial=(H, W)")
         positions = spatial[0] * spatial[1]
     act_elems = (layer.in_features + layer.out_features) * positions
     return LayerCost(flops=int(min(elastic.served_flops(layer, k))
@@ -97,53 +97,19 @@ class DeviceTable:
     overhead: tuple
     layers: tuple
 
-    def __post_init__(self):
-        priced = [("the overhead", self.overhead)] + [
-            (f"layer {ell} at {entry}", price)
-            for ell, prices in enumerate(self.layers)
-            for entry, price in prices.items()]
-        for where, price in priced:
-            for name, value in zip(("latency", "energy"), price):
-                if value is not None and not (math.isfinite(value)
-                                              and value > 0.0):
-                    raise ValueError(f"{name} of {where} must be positive "
-                                     f"and finite")
-            if (price[ENERGY] is None) != (self.overhead[ENERGY] is None):
-                raise ValueError("energy must be priced everywhere or "
-                                 "nowhere")
-        # no profile costs more than the overhead plus each layer's dearest
-        # entry, summed in profile_price's order
-        for column, name in ((LATENCY, "latency"), (ENERGY, "energy")):
-            if self.overhead[column] is not None and not math.isfinite(sum(
-                    [self.overhead[column]] + [max(p[column] for p in
-                                                   prices.values())
-                                               for prices in self.layers])):
-                raise ValueError(f"device table {name} prices overflow "
-                                 f"float64 when a profile sums them")
-
     @property
     def has_energy(self):
         return self.overhead[ENERGY] is not None
 
     def price(self, ell, entry, column=LATENCY):
         """Layer ell's price of menu entry (k, q) in one column."""
-        k, q = entry
-        try:
-            return self.layers[ell][(k, q)][column]
-        except (IndexError, KeyError):
-            width = "float" if q is None else f"{q} bits"
-            raise ValueError(f"device table has no price for layer {ell} at "
-                             f"rank {k}, {width}") from None
+        return self.layers[ell][entry][column]
 
 
 def profile_price(table, pairs, column=LATENCY):
     """A profile's price on the table's device: the overhead, then each
     layer's entry, added in layer order. controller.allocate accumulates
     in the same order, so the two agree bit for bit."""
-    pairs = list(pairs)
-    if len(pairs) != len(table.layers):
-        raise ValueError(f"device table prices {len(table.layers)} layers, "
-                         f"the profile has {len(pairs)}")
     total = table.overhead[column]
     for ell, entry in enumerate(pairs):
         total += table.price(ell, entry, column)
@@ -201,12 +167,13 @@ def write_device_table(table, path):
                                  *cells(price)])
 
 
-def read_device_table(path, device="imported"):
-    """Inverse of write_device_table; refuses a bad header, a row of
-    another length or with unparsable numbers, an entry or overhead given
-    twice, no overhead row, layers not numbered 0, 1, ..., and (through
-    DeviceTable) prices that are not positive and finite or whose sums
-    overflow."""
+def read_device_table(path, menus, device="imported"):
+    """Inverse of write_device_table, checked against menus, each layer's
+    (k, q) entries: refuses a bad header, a row of another length or with
+    unparsable numbers, an entry or overhead given twice, no overhead row,
+    layers not numbered 0, 1, ..., a price that is not positive and
+    finite, energy in some entries only, overflowing profile sums, and any
+    layer or menu entry left unpriced."""
     prices = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -235,6 +202,34 @@ def read_device_table(path, device="imported"):
     n = len({key[0] for key in prices})
     if any(not 0 <= key[0] < n for key in prices):
         raise ValueError("device table layers must be numbered 0, 1, ...")
-    return DeviceTable(device, overhead, tuple(
-        {key[1:]: p for key, p in prices.items() if key[0] == ell}
-        for ell in range(n)))
+    layers = tuple({key[1:]: p for key, p in prices.items()
+                    if key[0] == ell} for ell in range(n))
+    priced = [("the overhead", overhead)] + [
+        (f"layer {ell} at {entry}", price)
+        for ell, entries in enumerate(layers)
+        for entry, price in entries.items()]
+    for where, price in priced:
+        for name, value in zip(("latency", "energy"), price):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} of {where} must be positive "
+                                 f"and finite")
+        if (price[ENERGY] is None) != (overhead[ENERGY] is None):
+            raise ValueError("energy must be priced everywhere or nowhere")
+    # no profile costs more than the overhead plus each layer's dearest
+    # entry, summed in profile_price's order
+    for column, name in ((LATENCY, "latency"), (ENERGY, "energy")):
+        if overhead[column] is not None and not math.isfinite(sum(
+                [overhead[column]] + [max(p[column] for p in e.values())
+                                      for e in layers])):
+            raise ValueError(f"device table {name} prices overflow "
+                             f"float64 when a profile sums them")
+    if n != len(menus):
+        raise ValueError(f"device table prices {n} layers, the profile "
+                         f"has {len(menus)}")
+    for ell, (entries, menu) in enumerate(zip(layers, menus)):
+        for k, q in menu:
+            if (k, q) not in entries:
+                width = "float" if q is None else f"{q} bits"
+                raise ValueError(f"device table has no price for layer "
+                                 f"{ell} at rank {k}, {width}")
+    return DeviceTable(device, overhead, layers)

@@ -25,6 +25,7 @@ from . import quant
 
 DENSE_SVD = "dense_svd"
 CONV_TUCKER2 = "conv_tucker2"
+_ORTHO_TOL = 1e-10  # largest entry of U^T U - I in an orthonormal U
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def effective_weight(layer, k, q=None):
     return np.matmul(v, t).reshape(u.shape[0], v.shape[0], kh, kw)
 
 
-def _spectrum_trustworthy(layer, tol=1e-10):
+def _spectrum_trustworthy(layer):
     """True when the stored factors form a genuine SVD: orthonormal factor
     columns and a non-negative, non-increasing spectrum. Gradient updates
     break this between re-orthogonalizations, at which point core entries
@@ -178,7 +179,7 @@ def _spectrum_trustworthy(layer, tol=1e-10):
         return False
     for a in (f.u, f.v):
         gram = a.T @ a
-        if not np.allclose(gram, np.eye(a.shape[1]), rtol=0.0, atol=tol):
+        if not np.allclose(gram, np.eye(len(gram)), rtol=0.0, atol=_ORTHO_TOL):
             return False
     return True
 

@@ -71,6 +71,7 @@ KIND_ELASTIC = "elastic"
 
 _EMBED = "b64"  # the one payload encoding
 _F64 = "f64"  # the one payload dtype
+_VERIFY_TOL = 1e-10  # how near a recomputed float must be to the stored one
 
 _PAYLOAD_KEYS = frozenset(("dtype", "shape", "bytes", "sha256", "data"))
 _FACTOR_NAMES = ("u", "core", "v")
@@ -846,11 +847,11 @@ def read_manifest(path):
 # self-verification
 
 
-def _close(a, b, tol):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a, b):
+    return abs(a - b) <= _VERIFY_TOL * max(1.0, abs(a), abs(b))
 
 
-def _verify_lattice(net, lattice, profiles, cert, problems, tol):
+def _verify_lattice(net, lattice, profiles, cert, problems):
     """Each level against its stored profile, the model's byte count and
     the certified ledger (cert; None when absent)."""
     if cert is None or not cert.certified:
@@ -867,11 +868,11 @@ def _verify_lattice(net, lattice, profiles, cert, problems, tol):
             (lattice.weight_bytes[j] != want, f"weight_bytes "
              f"{lattice.weight_bytes[j]} != recomputed {want}"),
             (prof.name in rows and not _close(
-                lattice.drift_bound[j], rows[prof.name][3], tol),
+                lattice.drift_bound[j], rows[prof.name][3]),
              "drift bound disagrees with the certificate ledger")) if bad]
 
 
-def _verify_certificate(net, cert, profiles, stats, problems, tol,
+def _verify_certificate(net, cert, profiles, stats, problems,
                         calibration_inputs):
     """The ledger against the calibration (stats; None when absent) and
     the stored profiles, and its rows recomputed from the parameters."""
@@ -884,11 +885,11 @@ def _verify_certificate(net, cert, profiles, stats, problems, tol,
             (name not in profiles, "no stored profile of that name"),
             (profiles.get(name, pairs) != pairs,
              "pairs disagree with its stored profile"),
-            (not _close(total, delta_hat, tol),
+            (not _close(total, delta_hat),
              "delta_hat is not the sum of its ledger rows")) if bad]
         for i, (blk, (k, q)) in enumerate(zip(net.blocks, pairs)):
             fresh = certificate.weight_change(blk, k, q)
-            if not _close(fresh, change[i], tol):
+            if not _close(fresh, change[i]):
                 problems.append(
                     f"certificate {name} layer {i}: weight-change norm "
                     f"{change[i]!r} != recomputed {fresh!r}")
@@ -900,13 +901,13 @@ def _verify_certificate(net, cert, profiles, stats, problems, tol,
     for (name, (_, sens, *_)), fresh_sens in zip(cert.rows.items(),
                                                  recomputed):
         for i, (got, fresh) in enumerate(zip(sens, fresh_sens)):
-            if not _close(fresh, got, tol):
+            if not _close(fresh, got):
                 problems.append(
                     f"certificate {name} layer {i}: sensitivity {got!r} "
                     f"!= recomputed {fresh!r}")
 
 
-def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
+def verify_manifest(doc_or_path, calibration_inputs=None):
     """Independently re-check a manifest; returns a list of problems,
     empty when every check passed.
 
@@ -962,8 +963,8 @@ def verify_manifest(doc_or_path, calibration_inputs=None, tol=1e-10):
         problems.append("calibration: fingerprint does not match the "
                         "stored model")
     if lattice is not None:
-        _verify_lattice(net, lattice, profiles, cert, problems, tol)
+        _verify_lattice(net, lattice, profiles, cert, problems)
     if cert is not None:
-        _verify_certificate(net, cert, profiles, stats, problems, tol,
+        _verify_certificate(net, cert, profiles, stats, problems,
                             calibration_inputs)
     return problems

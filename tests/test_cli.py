@@ -1263,7 +1263,8 @@ def test_report_out_writes_the_rows_it_prints(tmp_path):
 
 @pytest.mark.parametrize("flags", [(), ("--latency-ms", "1,100")],
                          ids=["auto", "latency"])
-def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags):
+def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags,
+                                                   monkeypatch):
     # the small model's layer 1 menu holds rank 1 at 4 bits; the full
     # profile, which prices the automatic budgets, does not
     _planned_small_model(tmp_path)
@@ -1272,12 +1273,21 @@ def test_device_table_without_a_menu_entry_exits_1(tmp_path, flags):
     lines = table.read_text().splitlines(keepends=True)
     table.write_text("".join(line for line in lines
                              if not line.startswith("1,1,4,")))
+    built, ledgers = [], certificate.ledgers
+
+    def counted(*args):
+        built.append(args)
+        return ledgers(*args)
+
+    monkeypatch.setattr(certificate, "ledgers", counted)
     code, stdout, err = _cli_output("plan", cert, "--device-csv", table,
                                     "--out", out, *flags)
     assert (code, stdout) == (cli.EXIT_ERROR, "")
     assert err == ("error: device table has no price for layer 1 at rank "
                    "1, 4 bits\n")
     assert not out.exists()
+    # the table is refused as it is read, before any ledger is built
+    assert built == []
 
 
 def _refused_inputs(tmp_path):

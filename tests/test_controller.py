@@ -287,21 +287,6 @@ class TestAllocate:
                     cost_of(prof.pairs)) == want[:2]
         assert 0 < infeasible < 40
 
-    def test_latency_target_requires_a_model(self):
-        # every menu entry must be priced
-        net = _hand_net()
-        table = _hand_table(net, _HAND_MENUS, ((1e-3, 1e-3), (1e-4, 1e-4),
-                                               0.01))
-        with pytest.raises(ValueError, match="no price for layer 1 at rank "
-                                             "1, 4 bits"):
-            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
-                                _HAND_BENEFIT, cost.DeviceTable(
-                                    "dev", table.overhead, table.layers[:1]))
-        del table.layers[1][(2, 4)]
-        with pytest.raises(ValueError, match="no price for layer 1 at rank "
-                                             "2, 4 bits"):
-            controller.allocate(net, _HAND_MENUS, _token(lat=1.0),
-                                _HAND_BENEFIT, table)
 
 def _hand_lattice(lat=(0.5, 1.0, 2.0), drift=(0.3, 0.2, 0.1),
                   wbytes=(100, 200, 300), energy=None, device="dev"):

@@ -155,8 +155,6 @@ class TestLayerCost:
 
     def test_conv_needs_spatial(self):
         lay = _conv_layer(4, 3, 3, 3)
-        with pytest.raises(ValueError, match="spatial"):
-            cost.layer_cost(lay, 2, 8)
         lc = cost.layer_cost(lay, 2, 8, spatial=(8, 8))
         r_o, r_i = elastic.conv_rank_schedule(lay, 2)
         assert lc.flops == 2 * 8 * 8 * (3 * r_i + r_o * r_i * 9 + 4 * r_o)
@@ -307,26 +305,14 @@ class TestMonotoneProposition:
 
 
 class TestProfilePrice:
-    def _table(self):
-        return cost.DeviceTable(
+    def test_overhead_then_layers_in_order(self):
+        table = cost.DeviceTable(
             device="d", overhead=(0.5, None),
             layers=({(1, 4): (0.25, None), (2, None): (1.5, None)},
                     {(1, 8): (0.125, None)}))
-
-    def test_overhead_then_layers_in_order(self):
-        table = self._table()
         assert cost.profile_price(table, [(2, None), (1, 8)]) \
             == (0.5 + 1.5) + 0.125
         assert cost.profile_price(table, [(1, 4), (1, 8)]) == 0.875
-
-    def test_missing_entry_and_layer_count_refused(self):
-        table = self._table()
-        with pytest.raises(ValueError, match="no price for layer 1 at rank "
-                                             "2, 8 bits"):
-            cost.profile_price(table, [(1, 4), (2, 8)])
-        with pytest.raises(ValueError, match="prices 2 layers, the profile "
-                                             "has 1"):
-            cost.profile_price(table, [(1, 4)])
 
 
 class TestDeviceTableIo:
@@ -341,7 +327,8 @@ class TestDeviceTableIo:
         for t, name in ((table, "synth.csv"), (hand, "hand.csv")):
             path = tmp_path / name
             cost.write_device_table(t, path)
-            back = cost.read_device_table(path, device="d")
+            back = cost.read_device_table(
+                path, [list(p) for p in t.layers], device="d")
             assert back == t
             assert [list(p) for p in back.layers] == \
                 [list(p) for p in t.layers]
@@ -356,7 +343,7 @@ class TestDeviceTableIo:
                      "energy_mj\np0000,1.0,\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="header"):
-                cost.read_device_table(path)
+                cost.read_device_table(path, [[(1, None)]])
 
     @pytest.mark.parametrize("text, message", [
         ("layer,rank,bits,latency_ms,energy_mj\n0,1,,1.0,\n",
@@ -373,23 +360,33 @@ class TestDeviceTableIo:
         ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
          "0,1,8,0.0,\n", r"latency of layer 0 at \(1, 8\) must be "
          "positive"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,,inf,\n", r"latency of layer 0 at \(1, None\) must be "
+         "positive and finite"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,1.0\n"
+         "0,1,,1.0,nan\n", r"energy of layer 0 at \(1, None\) must be "
+         "positive and finite"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,-2.0\n"
+         "0,1,,1.0,1.0\n", "energy of the overhead must be positive and "
+         "finite"),
         ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,2.0\n"
          "0,1,,1.0,\n", "energy must be priced everywhere or nowhere"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,,1e308,\n1,1,,1e308,\n", "device table latency prices "
+         "overflow float64 when a profile sums them"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,,1.0,\n1,1,,1.0,\n",
+         "device table prices 2 layers, the profile has 1"),
+        ("layer,rank,bits,latency_ms,energy_mj\noverhead,,,1.0,\n"
+         "0,1,8,1.0,\n",
+         "device table has no price for layer 0 at rank 1, float"),
     ], ids=["no-overhead", "short-row", "bad-number", "twice", "layer-gap",
-            "zero-price", "partial-energy"])
+            "zero-price", "inf-price", "nan-energy", "negative-energy",
+            "partial-energy", "overflow", "layer-count", "unpriced-entry"])
     def test_malformed_table_rejected(self, tmp_path, text, message):
+        # the table is read for a one-layer model whose menu is rank 1 in
+        # float
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
-            cost.read_device_table(path)
-
-    def test_positive_latency_enforced(self):
-        for overhead, entry, where in (
-                ((0.0, None), (1.0, None), "latency of the overhead"),
-                ((1.0, -2.0), (1.0, 1.0), "energy of the overhead"),
-                ((1.0, None), (float("inf"), None), "latency of layer 0"),
-                ((1.0, 1.0), (1.0, float("nan")), "energy of layer 0")):
-            with pytest.raises(ValueError, match=f"{where}.* must be "
-                                                 f"positive and finite"):
-                cost.DeviceTable(device="d", overhead=overhead,
-                                 layers=({(1, None): entry},))
+            cost.read_device_table(path, [[(1, None)]])

@@ -8,7 +8,9 @@ binding, so it is not a use of the module-level function it shadows.
 Every function that perfbench's tracer names is defined in src/elastiq.
 
 Each layer rule's refusal, and each other section rule's, is written once
-in src/elastiq code, in manifest.py, where a manifest is decoded."""
+in src/elastiq code, in manifest.py, where a manifest is decoded. Each
+device-table rule's refusal is written once, in cost.read_device_table,
+where an imported table is read."""
 
 import ast
 import collections
@@ -219,3 +221,37 @@ SECTION_RULES = (
 def test_each_section_rule_is_written_once_in_manifest():
     assert _rule_homes(SECTION_RULES) == dict.fromkeys(
         SECTION_RULES, {"manifest": 1})
+
+
+# a fragment of each device-table rule's refusal message: the header, row
+# length, a doubled entry, the overhead row, layer numbering, a price that
+# is not positive and finite (named by where it sits, since BudgetToken
+# words its own refusal alike), partial energy, overflowing sums, the
+# layer count and an unpriced menu entry
+DEVICE_RULES = (
+    "unrecognized device table header",
+    " fields",
+    "prices its entry twice",
+    "has no overhead row",
+    "must be numbered 0, 1",
+    "the overhead",
+    "priced everywhere or nowhere",
+    "overflow float64 when a profile sums them",
+    "layers, the profile has",
+    "has no price for layer",
+)
+
+
+def test_each_device_rule_is_written_once_where_a_table_is_read():
+    assert _rule_homes(DEVICE_RULES) == dict.fromkeys(
+        DEVICE_RULES, {"cost": 1})
+    (reader,) = [node for node in
+                 ast.parse((PACKAGE / "cost.py").read_text()).body
+                 if getattr(node, "name", None) == "read_device_table"]
+    # the statements after its docstring
+    strings = [node.value for stmt in reader.body[1:]
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)]
+    assert [rule for rule in DEVICE_RULES
+            if not any(rule in s for s in strings)] == []
